@@ -19,7 +19,7 @@ import numpy as np
 
 from . import linalg
 from .errors import InputError
-from .states import DensityMatrix
+from .states import DensityMatrix, _check_range
 
 TRACE_PRESERVING_TOL = 1e-10
 
@@ -55,19 +55,12 @@ def kraus_channel(operators, label: str) -> KrausChannel:
     )
 
 
-def _check_unit_interval(name: str, value: float) -> float:
-    value = float(value)
-    if not (0.0 <= value <= 1.0) or not math.isfinite(value):
-        raise InputError(f"{name} must lie in [0, 1], got {value!r}")
-    return value
-
-
 def adc(gamma: float) -> KrausChannel:
     """Amplitude damping channel with decay probability gamma.
 
     K0 = [[1, 0], [0, sqrt(1-gamma)]], K1 = [[0, sqrt(gamma)], [0, 0]].
     """
-    gamma = _check_unit_interval("gamma", gamma)
+    gamma = _check_range("gamma", gamma, 0.0, 1.0)
     e0 = np.array([[1.0, 0.0], [0.0, math.sqrt(1.0 - gamma)]], dtype=complex)
     e1 = np.array([[0.0, math.sqrt(gamma)], [0.0, 0.0]], dtype=complex)
     return kraus_channel((e0, e1), label=f"adc(gamma={gamma:g})")
@@ -78,8 +71,8 @@ def gadc(gamma: float, lam: float) -> KrausChannel:
 
     lam = 1 recovers adc(gamma); lam = 0 pumps population towards |1>.
     """
-    gamma = _check_unit_interval("gamma", gamma)
-    lam = _check_unit_interval("lambda", lam)
+    gamma = _check_range("gamma", gamma, 0.0, 1.0)
+    lam = _check_range("lambda", lam, 0.0, 1.0)
     sl = math.sqrt(lam)
     cl = math.sqrt(1.0 - lam)
     sg = math.sqrt(gamma)

@@ -59,6 +59,24 @@ def parse_angle(text: str) -> float:
         raise InputError(f"cannot parse angle {text!r}") from None
 
 
+# every sweep setting, as argparse keyword arguments; each name is both a
+# flag (--p-min) and a spec-file key (p-min or p_min), and all but ``out``
+# are SweepSpec fields
+_SWEEP_SETTINGS = {
+    "p_min": dict(type=float),
+    "p_max": dict(type=float),
+    "p_steps": dict(type=int),
+    "theta_min": dict(type=parse_angle),
+    "theta_max": dict(type=parse_angle),
+    "theta_steps": dict(type=int),
+    "quantities": dict(
+        type=str, help="comma-separated; known: " + ", ".join(QUANTITIES)
+    ),
+    "channel_mode": dict(type=str, choices=CHANNEL_MODES),
+    "out": dict(type=str, help="output CSV path"),
+}
+
+
 class _Parser(argparse.ArgumentParser):
     # argparse exits with status 2 on bad usage; route through InputError so
     # usage problems land on the rejected-input exit code instead
@@ -72,17 +90,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep = sub.add_parser("sweep", help="run a (p, theta) grid sweep to CSV")
     sweep.add_argument("--spec-file", help="flat key = value file with the flags below")
-    sweep.add_argument("--p-min", type=float)
-    sweep.add_argument("--p-max", type=float)
-    sweep.add_argument("--p-steps", type=int)
-    sweep.add_argument("--theta-min", type=parse_angle)
-    sweep.add_argument("--theta-max", type=parse_angle)
-    sweep.add_argument("--theta-steps", type=int)
-    sweep.add_argument(
-        "--quantities", help="comma-separated; known: " + ", ".join(QUANTITIES)
-    )
-    sweep.add_argument("--channel-mode", choices=CHANNEL_MODES)
-    sweep.add_argument("--out", help="output CSV path")
+    for key, kwargs in _SWEEP_SETTINGS.items():
+        sweep.add_argument("--" + key.replace("_", "-"), **kwargs)
 
     preset = sub.add_parser("preset", help="emit one of the figure datasets")
     preset.add_argument("name", choices=sorted(PRESETS))
@@ -90,19 +99,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("headlines", help="print the headline-number report")
     return parser
-
-
-_FILE_KEYS = {
-    "p_min": ("p_min", float),
-    "p_max": ("p_max", float),
-    "p_steps": ("p_steps", int),
-    "theta_min": ("theta_min", parse_angle),
-    "theta_max": ("theta_max", parse_angle),
-    "theta_steps": ("theta_steps", int),
-    "quantities": ("quantities", str),
-    "channel_mode": ("channel_mode", str),
-    "out": ("out", str),
-}
 
 
 def load_spec_file(path: str) -> dict:
@@ -119,14 +115,13 @@ def load_spec_file(path: str) -> dict:
             key, _, value = line.partition("=")
             key = key.strip().replace("-", "_").lower()
             value = value.strip()
-            if key not in _FILE_KEYS:
+            if key not in _SWEEP_SETTINGS:
                 raise InputError(
                     f"{path}:{lineno}: unknown key {key!r}; known keys: "
-                    + ", ".join(sorted(_FILE_KEYS))
+                    + ", ".join(sorted(_SWEEP_SETTINGS))
                 )
-            target, convert = _FILE_KEYS[key]
             try:
-                values[target] = convert(value)
+                values[key] = _SWEEP_SETTINGS[key]["type"](value)
             except (ValueError, InputError) as exc:
                 raise InputError(f"{path}:{lineno}: bad value for {key}: {exc}") from None
     return values
@@ -140,14 +135,10 @@ def _split_quantities(text: str) -> tuple:
 
 
 def _run_sweep_command(ns) -> int:
-    settings = {}
-    if ns.spec_file:
-        settings.update(load_spec_file(ns.spec_file))
-    for key in ("p_min", "p_max", "p_steps", "theta_min", "theta_max",
-                "theta_steps", "quantities", "channel_mode", "out"):
-        flag_value = getattr(ns, key)
-        if flag_value is not None:
-            settings[key] = flag_value
+    settings = load_spec_file(ns.spec_file) if ns.spec_file else {}
+    for key in _SWEEP_SETTINGS:
+        if getattr(ns, key) is not None:
+            settings[key] = getattr(ns, key)
 
     out = settings.pop("out", "")
     if not out:
@@ -157,20 +148,8 @@ def _run_sweep_command(ns) -> int:
         raise InputError(
             "no quantities requested; choose from: " + ", ".join(QUANTITIES)
         )
-    if isinstance(quantities, str):
-        quantities = _split_quantities(quantities)
-
-    defaults = SweepSpec.__dataclass_fields__
     spec = SweepSpec(
-        p_min=settings.get("p_min", defaults["p_min"].default),
-        p_max=settings.get("p_max", defaults["p_max"].default),
-        p_steps=settings.get("p_steps", defaults["p_steps"].default),
-        theta_min=settings.get("theta_min", defaults["theta_min"].default),
-        theta_max=settings.get("theta_max", defaults["theta_max"].default),
-        theta_steps=settings.get("theta_steps", defaults["theta_steps"].default),
-        quantities=tuple(quantities),
-        channel_mode=settings.get("channel_mode", defaults["channel_mode"].default),
-        output_path=out,
+        **settings, quantities=_split_quantities(quantities), output_path=out
     )
     emit_csv(run_sweep(spec), out)
     print(f"wrote {out}")

@@ -178,9 +178,16 @@ def psd_sqrt(a) -> np.ndarray:
         raise InputError(
             f"matrix has eigenvalue {spec.eigenvalues.min():.3e} below the PSD floor"
         )
-    vals = np.sqrt(np.clip(spec.eigenvalues, 0.0, None))
-    root = (spec.eigenvectors * vals) @ spec.eigenvectors.conj().T
+    root = spectrum_sqrt(spec)
     return (root + root.conj().T) / 2.0
+
+
+def spectrum_sqrt(spec: Spectrum) -> np.ndarray:
+    """Hermitian square root V diag(sqrt(w)) V^dagger of a spectral
+    decomposition.  Negative eigenvalues are clamped to zero, so a caller
+    that must reject indefinite input checks the spectrum first."""
+    vals = np.sqrt(np.clip(spec.eigenvalues, 0.0, None))
+    return (spec.eigenvectors * vals) @ spec.eigenvectors.conj().T
 
 
 def partial_trace(a, dims, keep) -> np.ndarray:

@@ -23,19 +23,25 @@ import numpy as np
 
 from . import linalg
 from .errors import InputError, NumericalError
-from .states import DensityMatrix, XStateParams, nmems, nmems_ad
+from .states import (
+    X_STRUCTURE_TOL,
+    DensityMatrix,
+    XStateParams,
+    _check_range,
+    _check_x_form,
+    nmems,
+    nmems_ad,
+)
 from .witnesses import SIGMA_X, SIGMA_Y, SIGMA_Z
 
 logger = logging.getLogger(__name__)
 
 USEFULNESS_MARGIN = 1e-12
 CLASSICAL_FIDELITY = 2.0 / 3.0
-X_STRUCTURE_TOL = 1e-10
 
 _PAULIS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
-_PAULI_PAIRS = tuple(
-    tuple(linalg.kron(si, sj) for sj in _PAULIS) for si in _PAULIS
-)
+# _PAULI_TENSOR[i, j] = sigma_i x sigma_j, i, j in {x, y, z}
+_PAULI_TENSOR = np.array([[np.kron(si, sj) for sj in _PAULIS] for si in _PAULIS])
 
 
 def _xlog2x(v: float) -> float:
@@ -74,10 +80,7 @@ def concurrence_wootters(rho: DensityMatrix) -> float:
     if not rho.is_unit():
         raise InputError("spin-flip concurrence requires a unit-trace state")
     yy = linalg.kron(SIGMA_Y, SIGMA_Y)
-    # Hermitian square root assembled from the validated spectrum
-    spec = rho.spectrum
-    root_vals = np.sqrt(np.clip(spec.eigenvalues, 0.0, None))
-    root = (spec.eigenvectors * root_vals) @ spec.eigenvectors.conj().T
+    root = linalg.spectrum_sqrt(rho.spectrum)
     k = root @ yy @ root.conj()
     dilation = np.zeros((8, 8), dtype=complex)
     dilation[:4, 4:] = k
@@ -97,10 +100,9 @@ class CorrelationMatrix:
 def correlation_matrix(rho: DensityMatrix) -> CorrelationMatrix:
     if rho.dim != 4:
         raise InputError("correlation matrix is defined for two-qubit states")
-    t = np.empty((3, 3), dtype=float)
-    for i in range(3):
-        for j in range(3):
-            t[i, j] = linalg.trace(rho.matrix @ _PAULI_PAIRS[i][j]).real
+    # all nine traces Tr(rho P_ij) in one batched product; np.einsum would
+    # reorder the four-term diagonal sum and move last bits of t
+    t = np.trace(rho.matrix @ _PAULI_TENSOR, axis1=2, axis2=3).real.copy()
     if float(np.max(np.abs(t))) > 1.0 + 1e-9:
         raise InputError("correlation entries exceed the physical bound of 1")
     t.setflags(write=False)
@@ -152,12 +154,8 @@ def fidelity_ad_closed_form(p: float, theta: float) -> float:
     theta = 0 (it gives 11/18 instead of 7/9 at p = 0); see the headline
     report for the quantified discrepancy.
     """
-    p = float(p)
-    theta = float(theta)
-    if not (0.0 <= p <= 1.0):
-        raise InputError(f"p must lie in [0, 1], got {p!r}")
-    if not (0.0 <= theta <= math.pi / 2.0):
-        raise InputError(f"theta must lie in [0, pi/2], got {theta!r}")
+    p = _check_range("p", p, 0.0, 1.0)
+    theta = _check_range("theta", theta, 0.0, math.pi / 2.0)
     s2 = math.sin(theta) ** 2
     s4 = s2 * s2
     # fsum keeps the near-total cancellation at gamma -> 1 exact; a naive
@@ -252,17 +250,6 @@ class DiscordBreakdown:
     eigenvalues: np.ndarray
 
 
-def _require_x_structure(m: np.ndarray) -> None:
-    for i in range(4):
-        for j in range(4):
-            if i == j or (i, j) in ((0, 3), (3, 0), (1, 2), (2, 1)):
-                continue
-            if abs(m[i, j]) >= X_STRUCTURE_TOL:
-                raise InputError(
-                    f"entry ({i}, {j}) = {m[i, j]:.3e} breaks the X structure"
-                )
-
-
 def discord_x(rho: DensityMatrix) -> DiscordBreakdown:
     """Quantum discord of an X-structured unit-trace state, min(Q1, Q2).
 
@@ -276,7 +263,7 @@ def discord_x(rho: DensityMatrix) -> DiscordBreakdown:
     if not rho.is_unit():
         raise InputError("discord requires a unit-trace state")
     m = rho.matrix
-    _require_x_structure(m)
+    _check_x_form(m, corners=True)
     diag = [max(m[k, k].real, 0.0) for k in range(4)]
     r14 = abs(m[0, 3])
     r23 = abs(m[1, 2])
@@ -311,9 +298,7 @@ def discord_closed_form_branches(p: float) -> tuple[float, float]:
     These expressions do not agree with the matrix-route branches of
     discord_x; use discord_closed_form_residuals for the quantified gap.
     """
-    p = float(p)
-    if not (0.0 <= p <= 1.0):
-        raise InputError(f"p must lie in [0, 1], got {p!r}")
+    p = _check_range("p", p, 0.0, 1.0)
     x = (p + 2.0) / 6.0
     y = (2.0 - 2.0 * p) / 3.0
     z = (1.0 - p) / 3.0
@@ -370,13 +355,12 @@ class ChshResult(NamedTuple):
 
 
 def chsh_criterion(rho: DensityMatrix) -> ChshResult:
-    """Horodecki criterion: M = sum of the two largest eigenvalues of T^T T;
-    the CHSH inequality is violated iff M > 1."""
+    """Horodecki criterion: M = s_1^2 + s_2^2 over the two largest singular
+    values of T; the CHSH inequality is violated iff M > 1."""
     if rho.dim != 4:
         raise InputError("CHSH criterion is defined for two-qubit states")
     if not rho.is_unit():
         raise InputError("CHSH criterion requires a unit-trace state")
-    cm = correlation_matrix(rho)
-    vals = linalg.hermitian_eigen(cm.t.T @ cm.t).eigenvalues
-    m_value = float(vals[0] + vals[1])
+    s = correlation_singular_values(correlation_matrix(rho))
+    m_value = float(s[0] ** 2 + s[1] ** 2)
     return ChshResult(m_value=m_value, violates=m_value > 1.0 + USEFULNESS_MARGIN)

@@ -205,14 +205,20 @@ def nmems_ad(p: float, theta: float) -> DensityMatrix:
     return DensityMatrix.from_matrix(m)
 
 
-# entries that must vanish for the corner-free X form: everything off the
-# diagonal except the inner anti-diagonal pair (1,2)/(2,1)
-_NON_X_POSITIONS = tuple(
-    (i, j)
-    for i in range(4)
-    for j in range(4)
-    if i != j and (i, j) not in ((1, 2), (2, 1))
-)
+def _check_x_form(m: np.ndarray, *, corners: bool) -> None:
+    """Reject a 4x4 matrix with an off-diagonal entry outside the X form.
+
+    The inner anti-diagonal pair (1,2)/(2,1) is always allowed; the corner
+    pair (0,3)/(3,0) only when ``corners`` is true.  Every other entry must
+    stay below X_STRUCTURE_TOL in magnitude.
+    """
+    allowed = ((1, 2), (2, 1), (0, 3), (3, 0)) if corners else ((1, 2), (2, 1))
+    for i in range(4):
+        for j in range(4):
+            if i != j and (i, j) not in allowed and abs(m[i, j]) >= X_STRUCTURE_TOL:
+                raise InputError(
+                    f"entry ({i}, {j}) = {m[i, j]:.3e} breaks the X structure"
+                )
 
 
 def x_params_of(rho: DensityMatrix) -> XStateParams:
@@ -225,11 +231,7 @@ def x_params_of(rho: DensityMatrix) -> XStateParams:
     m = rho.matrix
     if m.shape != (4, 4):
         raise InputError("X-state extraction requires a 4x4 density matrix")
-    for i, j in _NON_X_POSITIONS:
-        if abs(m[i, j]) >= X_STRUCTURE_TOL:
-            raise InputError(
-                f"entry ({i}, {j}) = {m[i, j]:.3e} breaks the X structure"
-            )
+    _check_x_form(m, corners=False)
     diag = [max(m[k, k].real, 0.0) for k in range(4)]
     return XStateParams(a=diag[0], b=diag[1], c=complex(m[1, 2]), d=diag[2], e=diag[3])
 

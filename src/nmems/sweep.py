@@ -7,16 +7,12 @@ every point.  Cells whose quantity is undefined at that point (for example a
 spin-flip concurrence of a sub-normalized damped state) carry an explicit NA
 marker instead of being dropped.  CSV output is byte-deterministic: 12
 significant digits, LF newlines, the literal token NA.
-
-Setting the environment variable NMEMS_THREADS to a positive integer caps
-the number of worker threads; rows come back in grid order either way.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .channels import adc, apply_correlated_pair, apply_product_pair
@@ -36,7 +32,6 @@ from .measures import (
 from .states import DensityMatrix, nmems, nmems_ad, x_params_of
 from .witnesses import evaluate, witness_generic, witness_stabilizer, witness_w1
 
-THREADS_ENV_VAR = "NMEMS_THREADS"
 NA_TOKEN = "NA"
 
 # how the damped state at a grid point is produced
@@ -47,39 +42,29 @@ CHANNEL_MODES = (MODE_CLOSED_FORM, MODE_CORRELATED, MODE_PRODUCT)
 
 
 class _Point:
-    """One grid point; the base and damped states are built lazily."""
+    """One grid point; the damped state is built on first use only."""
 
     def __init__(self, p: float, theta: float, mode: str, base: DensityMatrix):
         self.p = p
         self.theta = theta
         self.mode = mode
         self.base = base
-        self._damped: DensityMatrix | None = None
 
-    @property
+    @functools.cached_property
     def damped(self) -> DensityMatrix:
-        if self._damped is None:
-            if self.mode == MODE_CLOSED_FORM:
-                self._damped = nmems_ad(self.p, self.theta)
-            else:
-                channel = adc(math.sin(self.theta) ** 2)
-                if self.mode == MODE_CORRELATED:
-                    self._damped = apply_correlated_pair(channel, self.base)
-                else:
-                    self._damped = apply_product_pair(channel, self.base)
-        return self._damped
+        if self.mode == MODE_CLOSED_FORM:
+            return nmems_ad(self.p, self.theta)
+        channel = adc(math.sin(self.theta) ** 2)
+        if self.mode == MODE_CORRELATED:
+            return apply_correlated_pair(channel, self.base)
+        return apply_product_pair(channel, self.base)
 
 
-_WITNESSES = {}
-
-
-def _witness(name):
-    # witness operators are immutable; build each once
-    if name not in _WITNESSES:
-        _WITNESSES["generic"] = witness_generic(2)
-        _WITNESSES["w1"] = witness_w1()
-        _WITNESSES["stabilizer"] = witness_stabilizer()
-    return _WITNESSES[name]
+_WITNESSES = {
+    "generic": witness_generic(2),
+    "w1": witness_w1(),
+    "stabilizer": witness_stabilizer(),
+}
 
 
 QUANTITIES = {
@@ -97,10 +82,10 @@ QUANTITIES = {
     "entropy_ad": lambda pt: von_neumann_entropy(pt.damped),
     "mid": lambda pt: mid_adc(pt.p, pt.theta),
     "chsh": lambda pt: chsh_criterion(pt.base).m_value,
-    "witness_generic": lambda pt: evaluate(_witness("generic"), pt.base).expectation,
-    "witness_w1": lambda pt: evaluate(_witness("w1"), pt.base).expectation,
+    "witness_generic": lambda pt: evaluate(_WITNESSES["generic"], pt.base).expectation,
+    "witness_w1": lambda pt: evaluate(_WITNESSES["w1"], pt.base).expectation,
     "witness_stabilizer": lambda pt: evaluate(
-        _witness("stabilizer"), pt.base
+        _WITNESSES["stabilizer"], pt.base
     ).expectation,
 }
 
@@ -126,7 +111,7 @@ class SweepSpec:
                 raise InputError(f"{name}_min {lo!r} exceeds {name}_max {hi!r}")
         if not (0.0 <= self.p_min and self.p_max <= 1.0):
             raise InputError("p range must lie inside [0, 1]")
-        if not (0.0 <= self.theta_min and self.theta_max <= math.pi / 2.0 + 1e-12):
+        if not (0.0 <= self.theta_min and self.theta_max <= math.pi / 2.0):
             raise InputError("theta range must lie inside [0, pi/2]")
         if self.p_steps < 1 or self.theta_steps < 1:
             raise InputError("step counts must be at least 1")
@@ -160,24 +145,15 @@ class SweepRow:
 
 
 def _grid(lo: float, hi: float, steps: int) -> list:
+    """``steps`` evenly spaced points from lo to hi, both ends exact.
+
+    At i = steps - 1, lo + i * (hi - lo) / (steps - 1) can overshoot hi by
+    an ulp, which the damped evaluators reject, so the last point is hi
+    itself.
+    """
     if steps == 1:
         return [lo]
-    return [lo + i * (hi - lo) / (steps - 1) for i in range(steps)]
-
-
-def _thread_count() -> int:
-    raw = os.environ.get(THREADS_ENV_VAR)
-    if raw is None:
-        return 1
-    try:
-        n = int(raw)
-    except ValueError:
-        raise InputError(
-            f"{THREADS_ENV_VAR} must be a positive integer, got {raw!r}"
-        ) from None
-    if n < 1:
-        raise InputError(f"{THREADS_ENV_VAR} must be a positive integer, got {raw!r}")
-    return n
+    return [lo + i * (hi - lo) / (steps - 1) for i in range(steps - 1)] + [hi]
 
 
 def run_sweep(spec: SweepSpec) -> list:
@@ -186,12 +162,10 @@ def run_sweep(spec: SweepSpec) -> list:
     Undefined cells (an evaluator rejecting its input at that point) hold
     None and are emitted as NA.
     """
-    p_values = _grid(spec.p_min, spec.p_max, spec.p_steps)
     theta_values = _grid(spec.theta_min, spec.theta_max, spec.theta_steps)
-
-    def rows_for(p: float) -> list:
+    rows = []
+    for p in _grid(spec.p_min, spec.p_max, spec.p_steps):
         base = nmems(p)
-        rows = []
         for theta in theta_values:
             point = _Point(p, theta, spec.channel_mode, base)
             values = {}
@@ -201,15 +175,7 @@ def run_sweep(spec: SweepSpec) -> list:
                 except InputError:
                     values[name] = None
             rows.append(SweepRow(p=p, theta=theta, values=values))
-        return rows
-
-    workers = _thread_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(rows_for, p_values))
-    else:
-        chunks = [rows_for(p) for p in p_values]
-    return [row for chunk in chunks for row in chunk]
+    return rows
 
 
 def _format_value(v) -> str:
@@ -309,7 +275,7 @@ def entanglement_boundary() -> float:
 
 
 def witness_zero_crossing(name: str) -> float:
-    w = _witness(name)
+    w = _WITNESSES[name]
     return _bisect_sign_change(
         lambda p: evaluate(w, nmems(p)).expectation, 0.0, 1.0
     )

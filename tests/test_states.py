@@ -7,7 +7,12 @@ from hypothesis import strategies as st
 
 from nmems import InputError
 from nmems import linalg
-from nmems.measures import concurrence_x
+from nmems.channels import adc, gadc
+from nmems.measures import (
+    concurrence_x,
+    discord_closed_form_branches,
+    fidelity_ad_closed_form,
+)
 from nmems.states import (
     DensityMatrix,
     XStateParams,
@@ -216,3 +221,37 @@ class TestDensityMatrixValidation:
         state = nmems(0.2)
         with pytest.raises(ValueError):
             state.matrix[0, 0] = 9.0
+
+
+
+class TestRangeChecks:
+    # every scalar entry point shares one range check: NaN, infinities and
+    # values just outside the range raise InputError, the upper edge passes
+    @pytest.mark.parametrize(
+        "call,hi",
+        [
+            pytest.param(lambda v: nmems(v), 1.0, id="nmems-p"),
+            pytest.param(lambda v: nmems_ad(v, 0.3), 1.0, id="nmems_ad-p"),
+            pytest.param(lambda v: nmems_ad(0.1, v), math.pi / 2, id="nmems_ad-theta"),
+            pytest.param(lambda v: adc(v), 1.0, id="adc-gamma"),
+            pytest.param(lambda v: gadc(v, 0.5), 1.0, id="gadc-gamma"),
+            pytest.param(lambda v: gadc(0.5, v), 1.0, id="gadc-lambda"),
+            pytest.param(
+                lambda v: fidelity_ad_closed_form(v, 0.3), 1.0,
+                id="fidelity_ad_closed_form-p",
+            ),
+            pytest.param(
+                lambda v: fidelity_ad_closed_form(0.1, v), math.pi / 2,
+                id="fidelity_ad_closed_form-theta",
+            ),
+            pytest.param(
+                lambda v: discord_closed_form_branches(v), 1.0,
+                id="discord_closed_form_branches-p",
+            ),
+        ],
+    )
+    def test_rejects_non_finite_and_out_of_range(self, call, hi):
+        for bad in (math.nan, math.inf, -math.inf, -1e-9, math.nextafter(hi, math.inf)):
+            with pytest.raises(InputError, match="must lie in"):
+                call(bad)
+        call(hi)

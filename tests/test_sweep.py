@@ -1,10 +1,14 @@
 import math
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import nmems
 from nmems import InputError
 from nmems.cli import main, parse_angle
 from nmems.measures import concurrence_x, fidelity_ad_closed_form
@@ -18,6 +22,7 @@ from nmems.sweep import (
     emit_csv,
     preset_spec,
     report_headlines,
+    _grid,
     run_sweep,
 )
 
@@ -60,6 +65,44 @@ class TestSweepSpecValidation:
     def test_zero_steps_rejected(self):
         with pytest.raises(InputError):
             _tiny_spec(p_steps=0)
+
+    def test_theta_bound_is_exactly_quarter_turn(self):
+        # the same pi/2 bound as nmems_ad: no slack that would turn the
+        # damped columns into NA
+        _tiny_spec(theta_max=math.pi / 2)
+        with pytest.raises(InputError):
+            _tiny_spec(theta_max=math.nextafter(math.pi / 2, 2.0))
+
+
+class TestGrid:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        lo=st.floats(0.0, 1.0),
+        width=st.floats(0.0, 1.0),
+        steps=st.integers(2, 300),
+    )
+    def test_points_stay_inside_and_hit_both_ends(self, lo, width, steps):
+        hi = lo + width
+        points = _grid(lo, hi, steps)
+        assert len(points) == steps
+        assert points[0] == lo and points[-1] == hi
+        assert all(lo <= x <= hi for x in points)
+
+    @pytest.mark.parametrize("steps", [14, 27, 48])
+    def test_quarter_turn_endpoint_writes_no_na(self, tmp_path, steps):
+        # lo + i*(hi-lo)/(steps-1) overshoots pi/2 by an ulp at these counts
+        assert _grid(0.0, math.pi / 2, steps)[-1] == math.pi / 2
+        out = tmp_path / "edge.csv"
+        code = main(
+            [
+                "sweep", "--p-steps", "2",
+                "--theta-max", "pi/2", "--theta-steps", str(steps),
+                "--quantities", "concurrence_ad,mid,entropy_ad",
+                "--out", str(out),
+            ]
+        )
+        assert code == 0
+        assert NA_TOKEN not in out.read_text()
 
 
 class TestRunSweep:
@@ -120,23 +163,6 @@ class TestRunSweep:
         )
         for a, b in zip(closed, correlated):
             assert abs(a.values["entropy_ad"] - b.values["entropy_ad"]) < 1e-12
-
-    def test_thread_env_var_preserves_ordering(self, monkeypatch):
-        spec = _tiny_spec(quantities=("concurrence", "fidelity", "discord"))
-        sequential = run_sweep(spec)
-        monkeypatch.setenv("NMEMS_THREADS", "3")
-        threaded = run_sweep(spec)
-        assert [(r.p, r.theta, r.values) for r in sequential] == [
-            (r.p, r.theta, r.values) for r in threaded
-        ]
-
-    def test_bad_thread_env_var_rejected(self, monkeypatch):
-        monkeypatch.setenv("NMEMS_THREADS", "zero")
-        with pytest.raises(InputError):
-            run_sweep(_tiny_spec())
-        monkeypatch.setenv("NMEMS_THREADS", "0")
-        with pytest.raises(InputError):
-            run_sweep(_tiny_spec())
 
 
 class TestEmitCsv:
@@ -339,6 +365,54 @@ class TestCli:
         assert out.exists()
         assert not (tmp_path / "from_file.csv").exists()
 
+    def test_spec_file_matches_flags_byte_for_byte(self, tmp_path):
+        spec_file = tmp_path / "all.cfg"
+        spec_file.write_text(
+            "p-min = 0.05\n"
+            "p_max = 0.25\n"
+            "p-steps = 3\n"
+            "theta-min = pi/8\n"
+            "theta-max = pi/4\n"
+            "theta_steps = 3\n"
+            "quantities = concurrence_ad, entropy_ad\n"
+            "channel-mode = product\n"
+            f"out = {tmp_path / 'from_file.csv'}\n"
+        )
+        assert main(["sweep", "--spec-file", str(spec_file)]) == 0
+        flags_out = tmp_path / "from_flags.csv"
+        code = main(
+            [
+                "sweep",
+                "--p-min", "0.05", "--p-max", "0.25", "--p-steps", "3",
+                "--theta-min", "pi/8", "--theta-max", "pi/4", "--theta-steps", "3",
+                "--quantities", "concurrence_ad,entropy_ad",
+                "--channel-mode", "product",
+                "--out", str(flags_out),
+            ]
+        )
+        assert code == 0
+        data = (tmp_path / "from_file.csv").read_bytes()
+        assert data == flags_out.read_bytes()
+        # the product map keeps unit trace, so every damped cell is defined
+        assert b"NA" not in data and data.count(b"\n") == 1 + 9
+
+    def test_spec_file_key_is_not_a_file_key(self, tmp_path, capsys):
+        spec_file = tmp_path / "nested.cfg"
+        spec_file.write_text(f"spec-file = {tmp_path / 'other.cfg'}\n")
+        assert main(["sweep", "--spec-file", str(spec_file)]) == 1
+        assert "unknown key 'spec_file'" in capsys.readouterr().err
+
+    def test_theta_max_past_quarter_turn_exits_one(self, tmp_path):
+        out = tmp_path / "x.csv"
+        code = main(
+            [
+                "sweep", "--theta-max", "1.5707963267949",
+                "--quantities", "concurrence_ad", "--out", str(out),
+            ]
+        )
+        assert code == 1
+        assert not out.exists()
+
     def test_unknown_quantity_exits_one(self, tmp_path, capsys):
         code = main(
             [
@@ -368,11 +442,15 @@ class TestCli:
         assert main(["sweep", "--spec-file", str(spec_file)]) == 1
 
     def test_module_entrypoint_smoke(self, tmp_path):
+        # the child imports the same nmems as this process, installed or not
+        src_dir = os.path.dirname(os.path.dirname(nmems.__file__))
+        path = os.pathsep.join(filter(None, (src_dir, os.environ.get("PYTHONPATH"))))
         result = subprocess.run(
             [sys.executable, "-m", "nmems", "preset", "fig4", "--out",
              str(tmp_path / "m.csv")],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert result.returncode == 0
         assert (tmp_path / "m.csv").exists()
