@@ -41,7 +41,7 @@ def kraus_channel(operators, label: str) -> KrausChannel:
         raise InputError("all Kraus operators must share the same dimensions")
     if shape[0] != shape[1]:
         raise InputError("Kraus operators must be square")
-    total = sum(linalg.dagger(k) @ k for k in ops)
+    total = sum(k.conj().T @ k for k in ops)
     gap = float(np.max(np.abs(total - np.eye(shape[0]))))
     frozen = []
     for k in ops:
@@ -86,15 +86,20 @@ def gadc(gamma: float, lam: float) -> KrausChannel:
     )
 
 
+def _kraus_sum(operators, rho: DensityMatrix) -> DensityMatrix:
+    """sum_k K_k rho K_k^dagger, accumulated in the order given."""
+    out = np.zeros_like(rho.matrix)
+    for k in operators:
+        out = out + k @ rho.matrix @ k.conj().T
+    return DensityMatrix.from_matrix(out)
+
+
 def apply_single(ch: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
     """sum_i K_i rho K_i^dagger on a state of matching dimension."""
     dim = ch.operators[0].shape[0]
     if rho.dim != dim:
         raise InputError(f"channel acts on dimension {dim}, state is {rho.dim}")
-    out = np.zeros_like(rho.matrix)
-    for k in ch.operators:
-        out = out + k @ rho.matrix @ linalg.dagger(k)
-    return DensityMatrix.from_matrix(out)
+    return _kraus_sum(ch.operators, rho)
 
 
 def _require_qubit_pair(ch: KrausChannel, rho: DensityMatrix) -> None:
@@ -113,20 +118,13 @@ def apply_correlated_pair(ch: KrausChannel, rho: DensityMatrix) -> DensityMatrix
     _require_qubit_pair(ch, rho)
     if len(ch.operators) != 2:
         raise InputError("correlated pair application needs exactly 2 operators")
-    out = np.zeros((4, 4), dtype=complex)
-    for k in ch.operators:
-        kk = linalg.kron(k, k)
-        out = out + kk @ rho.matrix @ linalg.dagger(kk)
-    return DensityMatrix.from_matrix(out)
+    return _kraus_sum([np.kron(k, k) for k in ch.operators], rho)
 
 
 def apply_product_pair(ch: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
     """sum_{i,j} (K_i x K_j) rho (K_i x K_j)^dagger: independent noise on
     each qubit.  Trace-preserving whenever the channel is."""
     _require_qubit_pair(ch, rho)
-    out = np.zeros((4, 4), dtype=complex)
-    for ki in ch.operators:
-        for kj in ch.operators:
-            kk = linalg.kron(ki, kj)
-            out = out + kk @ rho.matrix @ linalg.dagger(kk)
-    return DensityMatrix.from_matrix(out)
+    return _kraus_sum(
+        [np.kron(ki, kj) for ki in ch.operators for kj in ch.operators], rho
+    )

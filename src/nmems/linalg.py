@@ -5,6 +5,11 @@ inputs and always return fresh arrays.  The eigensolver is a cyclic Jacobi
 iteration working directly on the complex Hermitian matrix — at these
 dimensions it is simple, unconditionally stable, and keeps the whole numeric
 core free of LAPACK behaviour differences.
+
+The wrappers (``as_matrix``, ``multiply``, ``kron``, ``dagger``, ``trace``)
+validate their arguments for callers outside the package.  Package code that
+already holds a validated array (a ``DensityMatrix.matrix``, Kraus operators,
+witness matrices, module constants) hands it straight to numpy instead.
 """
 
 from __future__ import annotations

@@ -42,6 +42,15 @@ CLASSICAL_FIDELITY = 2.0 / 3.0
 _PAULIS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
 # _PAULI_TENSOR[i, j] = sigma_i x sigma_j, i, j in {x, y, z}
 _PAULI_TENSOR = np.array([[np.kron(si, sj) for sj in _PAULIS] for si in _PAULIS])
+_YY = _PAULI_TENSOR[1, 1]
+
+
+def _check_two_qubit(rho: DensityMatrix, what: str, *, unit: bool = True) -> None:
+    """Reject a state that is not 4x4 or, when ``unit``, not of unit trace."""
+    if rho.dim != 4:
+        raise InputError(f"{what} is defined for two-qubit states")
+    if unit and not rho.is_unit():
+        raise InputError(f"{what} requires a unit-trace state")
 
 
 def _xlog2x(v: float) -> float:
@@ -75,13 +84,9 @@ def concurrence_wootters(rho: DensityMatrix) -> float:
     rank-deficient states.  Defined for unit trace only; sub-normalized
     input is rejected.
     """
-    if rho.dim != 4:
-        raise InputError("concurrence is defined for two-qubit states")
-    if not rho.is_unit():
-        raise InputError("spin-flip concurrence requires a unit-trace state")
-    yy = linalg.kron(SIGMA_Y, SIGMA_Y)
+    _check_two_qubit(rho, "spin-flip concurrence")
     root = linalg.spectrum_sqrt(rho.spectrum)
-    k = root @ yy @ root.conj()
+    k = root @ _YY @ root.conj()
     dilation = np.zeros((8, 8), dtype=complex)
     dilation[:4, 4:] = k
     dilation[4:, :4] = k.conj().T
@@ -98,8 +103,7 @@ class CorrelationMatrix:
 
 
 def correlation_matrix(rho: DensityMatrix) -> CorrelationMatrix:
-    if rho.dim != 4:
-        raise InputError("correlation matrix is defined for two-qubit states")
+    _check_two_qubit(rho, "correlation matrix", unit=False)
     # all nine traces Tr(rho P_ij) in one batched product; np.einsum would
     # reorder the four-term diagonal sum and move last bits of t
     t = np.trace(rho.matrix @ _PAULI_TENSOR, axis1=2, axis2=3).real.copy()
@@ -137,10 +141,7 @@ def fidelity_from_correlation(cm: CorrelationMatrix) -> FidelityResult:
 
 def teleportation_fidelity(rho: DensityMatrix) -> FidelityResult:
     """Optimal teleportation fidelity of a unit-trace two-qubit state."""
-    if rho.dim != 4:
-        raise InputError("teleportation fidelity is defined for two-qubit states")
-    if not rho.is_unit():
-        raise InputError("teleportation fidelity requires a unit-trace state")
+    _check_two_qubit(rho, "teleportation fidelity")
     return fidelity_from_correlation(correlation_matrix(rho))
 
 
@@ -225,14 +226,11 @@ def mid_dephasing(rho: DensityMatrix) -> float:
     """Measurement-induced disturbance under local marginal-eigenbasis
     dephasing: S(rho') - S(rho), where rho' keeps only the diagonal of rho
     in the product of the marginal eigenbases."""
-    if rho.dim != 4:
-        raise InputError("dephasing disturbance is defined for two-qubit states")
-    if not rho.is_unit():
-        raise InputError("dephasing disturbance requires a unit-trace state")
+    _check_two_qubit(rho, "dephasing disturbance")
     basis_a = _marginal_basis(linalg.partial_trace(rho.matrix, (2, 2), (0,)))
     basis_b = _marginal_basis(linalg.partial_trace(rho.matrix, (2, 2), (1,)))
-    u = linalg.kron(basis_a, basis_b)
-    rotated = linalg.dagger(u) @ rho.matrix @ u
+    u = np.kron(basis_a, basis_b)
+    rotated = u.conj().T @ rho.matrix @ u
     probs = np.clip(np.diag(rotated).real, 0.0, None)
     dephased_entropy = float(-sum(_xlog2x(float(v)) for v in probs))
     return dephased_entropy - von_neumann_entropy(rho)
@@ -258,10 +256,7 @@ def discord_x(rho: DensityMatrix) -> DiscordBreakdown:
     D_1 = H((1 + sqrt([1 - 2(r33 + r44)]^2 + 4(|r14| + |r23|)^2)) / 2),
     D_2 = -sum_i r_ii log2 r_ii - H(r11 + r33).
     """
-    if rho.dim != 4:
-        raise InputError("discord is defined for two-qubit states")
-    if not rho.is_unit():
-        raise InputError("discord requires a unit-trace state")
+    _check_two_qubit(rho, "discord")
     m = rho.matrix
     _check_x_form(m, corners=True)
     diag = [max(m[k, k].real, 0.0) for k in range(4)]
@@ -357,10 +352,7 @@ class ChshResult(NamedTuple):
 def chsh_criterion(rho: DensityMatrix) -> ChshResult:
     """Horodecki criterion: M = s_1^2 + s_2^2 over the two largest singular
     values of T; the CHSH inequality is violated iff M > 1."""
-    if rho.dim != 4:
-        raise InputError("CHSH criterion is defined for two-qubit states")
-    if not rho.is_unit():
-        raise InputError("CHSH criterion requires a unit-trace state")
+    _check_two_qubit(rho, "CHSH criterion")
     s = correlation_singular_values(correlation_matrix(rho))
     m_value = float(s[0] ** 2 + s[1] ** 2)
     return ChshResult(m_value=m_value, violates=m_value > 1.0 + USEFULNESS_MARGIN)

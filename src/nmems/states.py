@@ -60,15 +60,15 @@ class DensityMatrix:
         Rejects matrices that are not Hermitian (1e-10), have an eigenvalue
         below -1e-10, or whose trace is outside (0, 1 + 1e-10].
         """
-        m = linalg.as_square(m)
-        if not linalg.is_hermitian(m):
-            raise InputError("density matrix must be Hermitian within 1e-10")
-        m = (m + m.conj().T) / 2.0
+        # the one shape, finiteness and Hermiticity check; it diagonalizes
+        # the same symmetrized matrix that is stored below
         spec = linalg.hermitian_eigen(m)
         lo = float(spec.eigenvalues.min())
         if lo < linalg.EIGENVALUE_FLOOR:
             raise InputError(f"density matrix has negative eigenvalue {lo:.3e}")
-        tr = linalg.trace(m)
+        m = np.asarray(m, dtype=complex)
+        m = (m + m.conj().T) / 2.0
+        tr = complex(np.trace(m))
         if abs(tr.imag) > TRACE_TOL:
             raise InputError("density matrix trace must be real")
         tr = tr.real
@@ -78,7 +78,6 @@ class DensityMatrix:
             tag = SUB_NORMALIZED
         else:
             raise InputError(f"density matrix trace {tr!r} outside (0, 1]")
-        m = m.copy()
         m.setflags(write=False)
         return cls(matrix=m, normalization=tag, trace_value=tr, spectrum=spec)
 
@@ -138,7 +137,7 @@ def projector(vec) -> np.ndarray:
     vec = linalg.as_matrix(vec)
     if vec.shape[1] != 1:
         raise InputError("projector expects a column vector")
-    return vec @ linalg.dagger(vec)
+    return vec @ vec.conj().T
 
 
 @functools.lru_cache(maxsize=1)

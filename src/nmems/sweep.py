@@ -25,7 +25,6 @@ from .measures import (
     discord_x,
     fidelity_ad_closed_form,
     fidelity_from_correlation,
-    mid_adc,
     teleportation_fidelity,
     von_neumann_entropy,
 )
@@ -80,7 +79,9 @@ QUANTITIES = {
     "discord": lambda pt: discord_x(pt.base).discord,
     "entropy": lambda pt: von_neumann_entropy(pt.base),
     "entropy_ad": lambda pt: von_neumann_entropy(pt.damped),
-    "mid": lambda pt: mid_adc(pt.p, pt.theta),
+    # the entropy the channel mode's own damped map adds; in closed_form
+    # this is mid_adc(p, theta), with the same arithmetic
+    "mid": lambda pt: von_neumann_entropy(pt.damped) - von_neumann_entropy(pt.base),
     "chsh": lambda pt: chsh_criterion(pt.base).m_value,
     "witness_generic": lambda pt: evaluate(_WITNESSES["generic"], pt.base).expectation,
     "witness_w1": lambda pt: evaluate(_WITNESSES["w1"], pt.base).expectation,

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
 from .errors import InputError, NumericalError
 from .states import DensityMatrix, w_reduced
 
@@ -58,7 +57,7 @@ def witness_generic(d: int) -> WitnessOperator:
     psi = np.zeros((dim, 1), dtype=complex)
     for i in range(d):
         psi[i * d + i, 0] = 1.0 / math.sqrt(d)
-    m = np.eye(dim, dtype=complex) / d - psi @ linalg.dagger(psi)
+    m = np.eye(dim, dtype=complex) / d - psi @ psi.conj().T
     return WitnessOperator(
         matrix=_freeze(m), kind=KIND_TELEPORTATION_GENERIC, name=f"generic(d={d})"
     )
@@ -74,8 +73,8 @@ def witness_stabilizer() -> WitnessOperator:
     """I - sigma_x x sigma_x - sigma_y x sigma_y, the teleportation witness."""
     m = (
         np.eye(4, dtype=complex)
-        - linalg.kron(SIGMA_X, SIGMA_X)
-        - linalg.kron(SIGMA_Y, SIGMA_Y)
+        - np.kron(SIGMA_X, SIGMA_X)
+        - np.kron(SIGMA_Y, SIGMA_Y)
     )
     return WitnessOperator(
         matrix=_freeze(m), kind=KIND_TELEPORTATION_STABILIZER, name="stabilizer"
@@ -92,7 +91,7 @@ def evaluate(w: WitnessOperator, rho: DensityMatrix) -> WitnessVerdict:
         raise InputError(
             f"witness is {w.matrix.shape} but state is {rho.matrix.shape}"
         )
-    value = linalg.trace(linalg.multiply(w.matrix, rho.matrix))
+    value = complex(np.trace(w.matrix @ rho.matrix))
     if abs(value.imag) >= IMAG_TOL:
         raise NumericalError(
             f"witness expectation has imaginary part {value.imag:.3e}"

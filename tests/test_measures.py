@@ -461,3 +461,32 @@ class TestFidelityFromCorrelation:
         cm = correlation_matrix(nmems_ad(0.0, 0.0))
         got = fidelity_from_correlation(cm)
         assert abs(got.fidelity - 7.0 / 9.0) < 1e-12
+
+
+class TestTwoQubitPrecondition:
+    UNIT_TRACE_MEASURES = [
+        pytest.param(concurrence_wootters, id="concurrence_wootters"),
+        pytest.param(teleportation_fidelity, id="teleportation_fidelity"),
+        pytest.param(mid_dephasing, id="mid_dephasing"),
+        pytest.param(discord_x, id="discord_x"),
+        pytest.param(chsh_criterion, id="chsh_criterion"),
+    ]
+
+    @pytest.mark.parametrize(
+        "measure",
+        UNIT_TRACE_MEASURES
+        + [pytest.param(correlation_matrix, id="correlation_matrix")],
+    )
+    def test_single_qubit_state_rejected(self, measure):
+        qubit = DensityMatrix.from_matrix(np.eye(2) / 2.0)
+        with pytest.raises(InputError, match="is defined for two-qubit states"):
+            measure(qubit)
+
+    @pytest.mark.parametrize("measure", UNIT_TRACE_MEASURES)
+    def test_sub_normalized_state_rejected(self, measure):
+        with pytest.raises(InputError, match="requires a unit-trace state"):
+            measure(nmems_ad(0.1, 0.6))
+
+    def test_correlation_matrix_accepts_sub_normalized_state(self):
+        t = correlation_matrix(nmems_ad(0.1, 0.6)).t
+        assert t.shape == (3, 3)

@@ -222,6 +222,40 @@ class TestDensityMatrixValidation:
         with pytest.raises(ValueError):
             state.matrix[0, 0] = 9.0
 
+    @pytest.mark.parametrize(
+        "m",
+        [
+            pytest.param(np.full((2, 3), 0.1), id="non-square"),
+            pytest.param(np.array([0.5, 0.5]), id="1-d"),
+            pytest.param(np.diag([0.5, np.nan, 0.0, 0.0]), id="nan"),
+            pytest.param(np.diag([0.5, np.inf, 0.0, 0.0]), id="+inf"),
+            pytest.param(np.diag([0.5, -np.inf, 0.0, 0.0]), id="-inf"),
+            pytest.param(
+                np.diag([0.5, 0.5, 0.0, 0.0]) + np.eye(4, k=1) * 0.1,
+                id="non-hermitian",
+            ),
+            pytest.param(np.diag([0.5, 0.5 + 1e-9, 0.0, -1e-9]), id="eigenvalue"),
+            pytest.param(np.zeros((4, 4)), id="zero-trace"),
+            pytest.param(np.diag([0.5, 0.5 + 1e-9, 0.0, 0.0]), id="over-unit-trace"),
+        ],
+    )
+    def test_boundary_rejects(self, m):
+        with pytest.raises(InputError):
+            DensityMatrix.from_matrix(m)
+
+    def test_boundary_edges_pass(self):
+        # an eigenvalue just above -1e-10 and a trace just below 1 + 1e-10
+        state = DensityMatrix.from_matrix(np.diag([0.5, 0.5 + 1e-10, 0.0, -5e-11]))
+        assert state.is_unit()
+
+    def test_matrix_is_a_frozen_copy_of_the_input(self):
+        m = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
+        state = DensityMatrix.from_matrix(m)
+        m[0, 0] = 9.0
+        assert state.matrix[0, 0] == 0.5
+        with pytest.raises(ValueError):
+            state.matrix[1, 1] = 9.0
+
 
 
 class TestRangeChecks:

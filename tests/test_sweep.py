@@ -11,9 +11,10 @@ from hypothesis import strategies as st
 import nmems
 from nmems import InputError
 from nmems.cli import main, parse_angle
-from nmems.measures import concurrence_x, fidelity_ad_closed_form
+from nmems.measures import concurrence_x, fidelity_ad_closed_form, mid_adc
 from nmems.states import nmems_ad, x_params_of
 from nmems.sweep import (
+    CHANNEL_MODES,
     NA_TOKEN,
     PRESETS,
     QUANTITIES,
@@ -23,6 +24,7 @@ from nmems.sweep import (
     preset_spec,
     report_headlines,
     _grid,
+    _Point,
     run_sweep,
 )
 
@@ -163,6 +165,36 @@ class TestRunSweep:
         )
         for a, b in zip(closed, correlated):
             assert abs(a.values["entropy_ad"] - b.values["entropy_ad"]) < 1e-12
+
+    def test_mid_follows_channel_mode(self):
+        mids = {}
+        for mode in CHANNEL_MODES:
+            row = run_sweep(
+                _tiny_spec(
+                    p_min=0.1, p_max=0.1, p_steps=1,
+                    theta_min=0.6, theta_max=0.6, theta_steps=1,
+                    quantities=("mid", "entropy_ad", "entropy"),
+                    channel_mode=mode,
+                )
+            )[0]
+            v = row.values
+            assert v["mid"] == v["entropy_ad"] - v["entropy"], mode
+            mids[mode] = v["mid"]
+        assert mids["closed_form"] == mid_adc(0.1, 0.6)
+        assert mids["correlated"] != mids["closed_form"]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        p=st.floats(0.0, 1.0),
+        theta=st.floats(0.0, math.pi / 2),
+        mode=st.sampled_from(CHANNEL_MODES),
+    )
+    def test_damped_state_is_x_form_with_trace_at_most_one(self, p, theta, mode):
+        damped = _Point(p, theta, mode, nmems.nmems(p)).damped
+        x_params_of(damped)
+        assert damped.trace_value <= 1.0 + 1e-10
+        if mode == "product":
+            assert abs(damped.trace_value - 1.0) <= 1e-12
 
 
 class TestEmitCsv:
