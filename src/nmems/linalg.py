@@ -146,11 +146,11 @@ def hermitian_eigen(a) -> Spectrum:
     and NumericalError if 100 sweeps do not converge.
     """
     m = as_square(a)
-    if not is_hermitian(m):
+    mh = m.conj().T
+    if float(np.max(np.abs(m - mh))) > HERMITICITY_TOL:
         raise InputError("matrix is not Hermitian within 1e-10")
     n = m.shape[0]
-    sym = (m + m.conj().T) / 2.0
-    w = [[complex(sym[i, j]) for j in range(n)] for i in range(n)]
+    w = ((m + mh) / 2.0).tolist()
     v = [[1.0 + 0.0j if i == j else 0.0j for j in range(n)] for i in range(n)]
     if n > 1:
         for _ in range(JACOBI_MAX_SWEEPS):

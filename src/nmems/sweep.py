@@ -15,7 +15,7 @@ import functools
 import math
 from dataclasses import dataclass, field
 
-from .channels import adc, apply_correlated_pair, apply_product_pair
+from .channels import KrausChannel, adc, apply_correlated_pair, apply_product_pair
 from .errors import InputError
 from .measures import (
     chsh_criterion,
@@ -40,20 +40,31 @@ MODE_PRODUCT = "product"           # independent noise on each qubit
 CHANNEL_MODES = (MODE_CLOSED_FORM, MODE_CORRELATED, MODE_PRODUCT)
 
 
-class _Point:
-    """One grid point; the damped state is built on first use only."""
+def _damping_channel(theta: float) -> KrausChannel:
+    """The amplitude-damping channel of strength sin^2 theta."""
+    return adc(math.sin(theta) ** 2)
 
-    def __init__(self, p: float, theta: float, mode: str, base: DensityMatrix):
+
+class _Point:
+    """One grid point; the damped state is built on first use only.
+
+    ``channel`` is the point's damping channel when the caller already holds
+    it (a sweep builds one per theta); otherwise the Kraus modes build it.
+    """
+
+    def __init__(self, p: float, theta: float, mode: str, base: DensityMatrix,
+                 channel: KrausChannel | None = None):
         self.p = p
         self.theta = theta
         self.mode = mode
         self.base = base
+        self.channel = channel
 
     @functools.cached_property
     def damped(self) -> DensityMatrix:
         if self.mode == MODE_CLOSED_FORM:
             return nmems_ad(self.p, self.theta)
-        channel = adc(math.sin(self.theta) ** 2)
+        channel = self.channel or _damping_channel(self.theta)
         if self.mode == MODE_CORRELATED:
             return apply_correlated_pair(channel, self.base)
         return apply_product_pair(channel, self.base)
@@ -89,6 +100,13 @@ QUANTITIES = {
         _WITNESSES["stabilizer"], pt.base
     ).expectation,
 }
+
+# columns that read only pt.base, so depend on p alone; a sweep evaluates
+# them once per p and shares the value across that p's thetas
+P_ONLY = frozenset({
+    "concurrence", "concurrence_wootters", "fidelity", "discord", "entropy",
+    "chsh", "witness_generic", "witness_w1", "witness_stabilizer",
+})
 
 
 @dataclass(frozen=True)
@@ -157,24 +175,39 @@ def _grid(lo: float, hi: float, steps: int) -> list:
     return [lo + i * (hi - lo) / (steps - 1) for i in range(steps - 1)] + [hi]
 
 
+def _cell(name: str, point: _Point):
+    """One CSV cell: the quantity's value, or None where it is undefined."""
+    try:
+        return float(QUANTITIES[name](point))
+    except InputError:
+        return None
+
+
 def run_sweep(spec: SweepSpec) -> list:
     """Evaluate the grid; returns rows in (p outer, theta inner) order.
 
     Undefined cells (an evaluator rejecting its input at that point) hold
-    None and are emitted as NA.
+    None and are emitted as NA.  P_ONLY columns are evaluated once per p
+    and shared by that p's thetas; the Kraus channel modes build one damping
+    channel per theta for the whole sweep.
     """
     theta_values = _grid(spec.theta_min, spec.theta_max, spec.theta_steps)
+    if spec.channel_mode == MODE_CLOSED_FORM:
+        channels = [None] * len(theta_values)
+    else:
+        channels = [_damping_channel(theta) for theta in theta_values]
+    p_only = [name for name in spec.quantities if name in P_ONLY]
     rows = []
     for p in _grid(spec.p_min, spec.p_max, spec.p_steps):
         base = nmems(p)
-        for theta in theta_values:
-            point = _Point(p, theta, spec.channel_mode, base)
-            values = {}
-            for name in spec.quantities:
-                try:
-                    values[name] = float(QUANTITIES[name](point))
-                except InputError:
-                    values[name] = None
+        first = _Point(p, theta_values[0], spec.channel_mode, base)
+        shared = {name: _cell(name, first) for name in p_only}
+        for theta, channel in zip(theta_values, channels):
+            point = _Point(p, theta, spec.channel_mode, base, channel)
+            values = {
+                name: shared[name] if name in shared else _cell(name, point)
+                for name in spec.quantities
+            }
             rows.append(SweepRow(p=p, theta=theta, values=values))
     return rows
 

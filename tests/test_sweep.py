@@ -16,6 +16,7 @@ from nmems.states import nmems_ad, x_params_of
 from nmems.sweep import (
     CHANNEL_MODES,
     NA_TOKEN,
+    P_ONLY,
     PRESETS,
     QUANTITIES,
     SweepRow,
@@ -182,6 +183,41 @@ class TestRunSweep:
             mids[mode] = v["mid"]
         assert mids["closed_form"] == mid_adc(0.1, 0.6)
         assert mids["correlated"] != mids["closed_form"]
+
+    @pytest.mark.parametrize("mode", CHANNEL_MODES)
+    def test_hoisted_sweep_matches_per_cell_evaluation(self, mode):
+        spec = _tiny_spec(quantities=tuple(QUANTITIES), channel_mode=mode)
+        rows = run_sweep(spec)
+        assert len(rows) == 9
+        for row in rows:
+            assert list(row.values) == list(spec.quantities)
+            base = nmems.nmems(row.p)
+            for name, got in row.values.items():
+                try:
+                    want = float(QUANTITIES[name](_Point(row.p, row.theta, mode, base)))
+                except InputError:
+                    want = None
+                assert got == want, (mode, row.p, row.theta, name)
+        if mode == "closed_form":
+            # the grid reaches NA cells: concurrence_ad_wootters for theta > 0
+            assert any(row.values["concurrence_ad_wootters"] is None for row in rows)
+
+    def test_p_only_column_is_evaluated_once_per_p(self, monkeypatch):
+        # an InputError at one p writes NA at every theta of that p
+        calls = []
+
+        def chsh_rejecting_p_one_tenth(pt):
+            calls.append((pt.p, pt.theta))
+            if pt.p == 0.1:
+                raise InputError("rejected")
+            return 0.5
+
+        monkeypatch.setitem(QUANTITIES, "chsh", chsh_rejecting_p_one_tenth)
+        rows = run_sweep(_tiny_spec(quantities=("chsh", "entropy_ad")))
+        assert [p for p, _ in calls] == [0.0, 0.1, 0.2]
+        for row in rows:
+            assert row.values["chsh"] == (None if row.p == 0.1 else 0.5)
+            assert row.values["entropy_ad"] is not None
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -501,6 +537,28 @@ class TestQuantityRegistry:
         for name, value in rows[0].values.items():
             assert value is not None, f"{name} unexpectedly NA"
             assert math.isfinite(value)
+
+    def test_p_only_tag_matches_what_each_column_reads(self):
+        # tagged columns agree at two thetas in every mode; untagged ones
+        # move with theta in at least one mode
+        assert P_ONLY <= set(QUANTITIES)
+        p = 0.1
+        base = nmems.nmems(p)
+
+        def value(name, theta, mode):
+            try:
+                return float(QUANTITIES[name](_Point(p, theta, mode, base)))
+            except InputError:
+                return None
+
+        for name in QUANTITIES:
+            pairs = [
+                (value(name, 0.3, mode), value(name, 0.7, mode)) for mode in CHANNEL_MODES
+            ]
+            if name in P_ONLY:
+                assert len(set(pairs)) == 1 and pairs[0][0] == pairs[0][1], name
+            else:
+                assert any(a != b for a, b in pairs), name
 
     def test_witness_quantities_match_formulas(self):
         spec = SweepSpec(
