@@ -12,6 +12,7 @@ validator, never rescaled.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -24,11 +25,33 @@ from .states import DensityMatrix, _check_range
 TRACE_PRESERVING_TOL = 1e-10
 
 
+def _frozen(k: np.ndarray) -> np.ndarray:
+    k.setflags(write=False)
+    return k
+
+
 @dataclass(frozen=True)
 class KrausChannel:
+    """Kraus operators with a label and a trace-preservation flag.
+
+    Build it with ``kraus_channel``, which stores read-only copies: the
+    pair maps cache Kronecker products of the operators on first use.
+    """
+
     operators: tuple
     label: str
     trace_preserving: bool
+
+    @functools.cached_property
+    def _correlated_pair_ops(self) -> tuple:
+        """K_i x K_i, in operator order."""
+        return tuple(_frozen(np.kron(k, k)) for k in self.operators)
+
+    @functools.cached_property
+    def _product_pair_ops(self) -> tuple:
+        """K_i x K_j, i outer and j inner."""
+        ops = self.operators
+        return tuple(_frozen(np.kron(ki, kj)) for ki in ops for kj in ops)
 
 
 def kraus_channel(operators, label: str) -> KrausChannel:
@@ -43,13 +66,8 @@ def kraus_channel(operators, label: str) -> KrausChannel:
         raise InputError("Kraus operators must be square")
     total = sum(k.conj().T @ k for k in ops)
     gap = float(np.max(np.abs(total - np.eye(shape[0]))))
-    frozen = []
-    for k in ops:
-        k = k.copy()
-        k.setflags(write=False)
-        frozen.append(k)
     return KrausChannel(
-        operators=tuple(frozen),
+        operators=tuple(_frozen(k.copy()) for k in ops),
         label=label,
         trace_preserving=gap <= TRACE_PRESERVING_TOL,
     )
@@ -118,13 +136,11 @@ def apply_correlated_pair(ch: KrausChannel, rho: DensityMatrix) -> DensityMatrix
     _require_qubit_pair(ch, rho)
     if len(ch.operators) != 2:
         raise InputError("correlated pair application needs exactly 2 operators")
-    return _kraus_sum([np.kron(k, k) for k in ch.operators], rho)
+    return _kraus_sum(ch._correlated_pair_ops, rho)
 
 
 def apply_product_pair(ch: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
     """sum_{i,j} (K_i x K_j) rho (K_i x K_j)^dagger: independent noise on
     each qubit.  Trace-preserving whenever the channel is."""
     _require_qubit_pair(ch, rho)
-    return _kraus_sum(
-        [np.kron(ki, kj) for ki in ch.operators for kj in ch.operators], rho
-    )
+    return _kraus_sum(ch._product_pair_ops, rho)

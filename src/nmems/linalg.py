@@ -4,7 +4,12 @@ Matrices are plain numpy arrays of complex128; functions never mutate their
 inputs and always return fresh arrays.  The eigensolver is a cyclic Jacobi
 iteration working directly on the complex Hermitian matrix — at these
 dimensions it is simple, unconditionally stable, and keeps the whole numeric
-core free of LAPACK behaviour differences.
+core free of LAPACK behaviour differences.  Its one core, ``_jacobi``, works
+on nested lists of Python complex: ``hermitian_eigen`` validates and
+symmetrizes dense input and hands it over, while the GHZ/W family's X-form
+states are built from their five numbers and enter the same core directly
+(``states.DensityMatrix._from_x``), with the bits ``hermitian_eigen`` gives
+for the dense matrix.
 
 The wrappers (``as_matrix``, ``multiply``, ``kron``, ``dagger``, ``trace``)
 validate their arguments for callers outside the package.  Package code that
@@ -23,8 +28,9 @@ import numpy as np
 from .errors import InputError, NumericalError
 
 HERMITICITY_TOL = 1e-10
-# Jacobi iteration: rotate until every off-diagonal magnitude is below the
-# threshold; the sweep cap turns a (never observed) stall into a hard error.
+# Jacobi iteration: rotate every off-diagonal entry above the threshold until
+# a sweep finds none; the sweep cap turns a (never observed) failure to
+# converge into a hard error.
 JACOBI_OFFDIAG_TOL = 1e-12
 JACOBI_MAX_SWEEPS = 100
 # Eigenvalues in [-1e-10, 0) count as roundoff zeros; anything lower is a
@@ -93,16 +99,13 @@ class Spectrum:
     eigenvectors: np.ndarray
 
 
-def _rotate(w: list, v: list, p: int, q: int, n: int) -> None:
-    """Zero w[p][q] (and w[q][p]) with a unitary plane rotation, in place.
+def _rotate(w: list, v: list, p: int, q: int, n: int, apq: complex, r: float) -> None:
+    """Zero w[p][q] = apq (and w[q][p]), |apq| = r > 0, with a unitary plane
+    rotation, in place.
 
     ``w`` and ``v`` are nested lists of Python complex; scalar arithmetic
     beats numpy by a wide margin at these dimensions.
     """
-    apq = w[p][q]
-    r = abs(apq)
-    if r <= JACOBI_OFFDIAG_TOL:
-        return
     phase = apq / r
     cphase = phase.conjugate()
     theta = 0.5 * math.atan2(2.0 * r, w[p][p].real - w[q][q].real)
@@ -138,38 +141,56 @@ def _rotate(w: list, v: list, p: int, q: int, n: int) -> None:
         row[q] = -s_ph * vp + c * vq
 
 
+def _jacobi(w: list) -> Spectrum:
+    """Cyclic Jacobi on a Hermitian matrix given as nested lists of Python
+    complex, which it overwrites.
+
+    Each sweep visits the pairs in row-cyclic order and rotates every one
+    whose off-diagonal magnitude exceeds 1e-12; the first sweep that rotates
+    nothing ends the iteration.  The caller guarantees ``w`` is exactly
+    Hermitian with finite entries.
+    """
+    n = len(w)
+    v = [[0j] * n for _ in range(n)]
+    for i in range(n):
+        v[i][i] = 1.0 + 0.0j
+    for _ in range(JACOBI_MAX_SWEEPS):
+        rotated = False
+        for p in range(n - 1):
+            row = w[p]
+            for q in range(p + 1, n):
+                apq = row[q]
+                r = abs(apq)
+                if r > JACOBI_OFFDIAG_TOL:
+                    _rotate(w, v, p, q, n, apq, r)
+                    rotated = True
+        if not rotated:
+            break
+    else:
+        raise NumericalError(
+            f"Jacobi iteration did not converge in {JACOBI_MAX_SWEEPS} sweeps"
+        )
+    eigvals = [w[k][k].real for k in range(n)]
+    # descending, ties in index order (reverse=True keeps the sort stable)
+    order = sorted(range(n), key=eigvals.__getitem__, reverse=True)
+    return Spectrum(
+        eigenvalues=np.array([eigvals[k] for k in order]),
+        eigenvectors=np.array([[row[k] for k in order] for row in v], dtype=complex),
+    )
+
+
 def hermitian_eigen(a) -> Spectrum:
     """Full spectral decomposition of a Hermitian matrix via cyclic Jacobi.
 
-    Rotations run in row-cyclic order until all off-diagonal magnitudes fall
-    below 1e-12.  Raises InputError for non-Hermitian input (tolerance 1e-10)
-    and NumericalError if 100 sweeps do not converge.
+    Rotations run in row-cyclic order until a sweep finds no off-diagonal
+    magnitude above 1e-12.  Raises InputError for non-Hermitian input
+    (tolerance 1e-10) and NumericalError if 100 sweeps do not converge.
     """
     m = as_square(a)
     mh = m.conj().T
     if float(np.max(np.abs(m - mh))) > HERMITICITY_TOL:
         raise InputError("matrix is not Hermitian within 1e-10")
-    n = m.shape[0]
-    w = ((m + mh) / 2.0).tolist()
-    v = [[1.0 + 0.0j if i == j else 0.0j for j in range(n)] for i in range(n)]
-    if n > 1:
-        for _ in range(JACOBI_MAX_SWEEPS):
-            off = max(
-                abs(w[p][q]) for p in range(n - 1) for q in range(p + 1, n)
-            )
-            if off < JACOBI_OFFDIAG_TOL:
-                break
-            for p in range(n - 1):
-                for q in range(p + 1, n):
-                    _rotate(w, v, p, q, n)
-        else:
-            raise NumericalError(
-                f"Jacobi iteration did not converge in {JACOBI_MAX_SWEEPS} sweeps"
-            )
-    eigvals = np.array([w[k][k].real for k in range(n)])
-    vectors = np.array(v, dtype=complex)
-    order = np.argsort(-eigvals, kind="stable")
-    return Spectrum(eigenvalues=eigvals[order], eigenvectors=vectors[:, order].copy())
+    return _jacobi(((m + mh) / 2.0).tolist())
 
 
 def psd_sqrt(a) -> np.ndarray:

@@ -193,13 +193,15 @@ def von_neumann_entropy(rho: DensityMatrix, *, normalize: bool = False) -> float
     pass normalize=True to rescale the spectrum to unit sum first
     (sensitivity analysis only).
     """
-    vals = np.clip(rho.spectrum.eigenvalues, 0.0, None)
+    vals = rho.spectrum.eigenvalues
     if normalize:
+        vals = np.clip(vals, 0.0, None)
         total = float(vals.sum())
         if total <= 0.0:
             raise InputError("cannot normalize a zero-trace spectrum")
         vals = vals / total
-    return float(-sum(_xlog2x(float(v)) for v in vals))
+    # _xlog2x sends v <= 0 to 0, so roundoff-negative eigenvalues need no clip
+    return float(-sum(_xlog2x(v) for v in vals.tolist()))
 
 
 def mid_adc(p: float, theta: float, *, normalize: bool = False) -> float:
@@ -257,11 +259,10 @@ def discord_x(rho: DensityMatrix) -> DiscordBreakdown:
     D_2 = -sum_i r_ii log2 r_ii - H(r11 + r33).
     """
     _check_two_qubit(rho, "discord")
-    m = rho.matrix
-    _check_x_form(m, corners=True)
-    diag = [max(m[k, k].real, 0.0) for k in range(4)]
-    r14 = abs(m[0, 3])
-    r23 = abs(m[1, 2])
+    rows = _check_x_form(rho.matrix, corners=True)
+    diag = [max(rows[k][k].real, 0.0) for k in range(4)]
+    r14 = abs(rows[0][3])
+    r23 = abs(rows[1][2])
     eigenvalues = np.clip(rho.spectrum.eigenvalues, 0.0, 1.0)
     spectral_term = float(sum(_xlog2x(float(v)) for v in eigenvalues))
     h_marginal = binary_entropy(diag[0] + diag[2])

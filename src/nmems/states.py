@@ -45,7 +45,11 @@ class DensityMatrix:
     """A validated quantum state: Hermitian, PSD, with a tagged trace.
 
     The spectral decomposition computed during validation is kept on the
-    instance so downstream measures never re-diagonalize.
+    instance so downstream measures never re-diagonalize.  ``from_matrix``
+    is the validator for dense input.  The family's corner-free X states
+    (``nmems``, ``nmems_ad``) are built from their five numbers and enter
+    the same Jacobi core directly, with the same bits as ``from_matrix`` on
+    the dense matrix, because Hermiticity and symmetry hold by construction.
     """
 
     matrix: np.ndarray
@@ -63,11 +67,33 @@ class DensityMatrix:
         # the one shape, finiteness and Hermiticity check; it diagonalizes
         # the same symmetrized matrix that is stored below
         spec = linalg.hermitian_eigen(m)
-        lo = float(spec.eigenvalues.min())
+        m = np.asarray(m, dtype=complex)
+        return cls._tagged((m + m.conj().T) / 2.0, spec)
+
+    @classmethod
+    def _from_x(cls, a: float, b: float, c: float, d: float, e: float) -> "DensityMatrix":
+        """The corner-free X state with real diagonal (a, b, d, e) and real
+        inner coherence c = rho[1, 2] = rho[2, 1].
+
+        Same checks, messages and bits as ``from_matrix`` on the dense
+        matrix, minus the coercion, Hermiticity test and symmetrization,
+        which hold by construction.
+        """
+        if not all(math.isfinite(x) for x in (a, b, c, d, e)):
+            raise InputError("matrix entries must be finite")
+        a, b, c, d, e = complex(a), complex(b), complex(c), complex(d), complex(e)
+        z = 0j
+        w = [[a, z, z, z], [z, b, c, z], [z, c, d, z], [z, z, z, e]]
+        m = np.array(w)
+        return cls._tagged(m, linalg._jacobi(w))
+
+    @classmethod
+    def _tagged(cls, m: np.ndarray, spec: linalg.Spectrum) -> "DensityMatrix":
+        """Apply the eigenvalue floor and the trace tag to a fresh, exactly
+        Hermitian matrix and its spectrum, and freeze the matrix."""
+        lo = float(spec.eigenvalues[-1])  # sorted descending
         if lo < linalg.EIGENVALUE_FLOOR:
             raise InputError(f"density matrix has negative eigenvalue {lo:.3e}")
-        m = np.asarray(m, dtype=complex)
-        m = (m + m.conj().T) / 2.0
         tr = complex(np.trace(m))
         if abs(tr.imag) > TRACE_TOL:
             raise InputError("density matrix trace must be real")
@@ -156,13 +182,11 @@ def w_reduced() -> np.ndarray:
     return m
 
 
-def _family_closed_form(p: float) -> np.ndarray:
-    m = np.zeros((4, 4), dtype=complex)
-    m[0, 0] = (p + 2.0) / 6.0
+def _family_x(p: float) -> tuple:
+    """(a, b, c, d, e) of nmems(p): diagonal ((p+2)/6, z, z, p/2) and inner
+    coherence z, with z = (1-p)/3."""
     z = (1.0 - p) / 3.0
-    m[1, 1] = m[2, 2] = m[1, 2] = m[2, 1] = z
-    m[3, 3] = p / 2.0
-    return m
+    return (p + 2.0) / 6.0, z, z, z, p / 2.0
 
 
 @functools.lru_cache(maxsize=4096)
@@ -170,18 +194,19 @@ def nmems(p: float) -> DensityMatrix:
     """The GHZ/W-mixture state at mixing parameter p.
 
     Built both as the mixture of partial traces and from the closed-form
-    matrix; the two constructions must agree to 1e-12 elementwise.  Results
-    are immutable, so repeated calls at the same p share one instance.
+    X parameters; the two constructions must agree to 1e-12 elementwise.
+    Results are immutable, so repeated calls at the same p share one
+    instance.
     """
     p = _check_range("p", p, 0.0, 1.0)
     mixture = p * ghz_reduced() + (1.0 - p) * w_reduced()
-    closed = _family_closed_form(p)
-    gap = float(np.max(np.abs(mixture - closed)))
+    rho = DensityMatrix._from_x(*_family_x(p))
+    gap = float(np.max(np.abs(mixture - rho.matrix)))
     if gap > 1e-12:
         raise NumericalError(
             f"mixture and closed-form constructions disagree by {gap:.3e}"
         )
-    return DensityMatrix.from_matrix(closed)
+    return rho
 
 
 def nmems_ad(p: float, theta: float) -> DensityMatrix:
@@ -196,28 +221,28 @@ def nmems_ad(p: float, theta: float) -> DensityMatrix:
     p = _check_range("p", p, 0.0, 1.0)
     theta = _check_range("theta", theta, 0.0, math.pi / 2.0)
     gamma = math.sin(theta) ** 2
-    m = np.zeros((4, 4), dtype=complex)
-    m[0, 0] = (p + 2.0) / 6.0
-    z = (1.0 - p) / 3.0 * (1.0 - gamma)
-    m[1, 1] = m[2, 2] = m[1, 2] = m[2, 1] = z
-    m[3, 3] = p / 2.0 * (1.0 - gamma) ** 2
-    return DensityMatrix.from_matrix(m)
+    a, z, _, _, e = _family_x(p)
+    z = z * (1.0 - gamma)
+    return DensityMatrix._from_x(a, z, z, z, e * (1.0 - gamma) ** 2)
 
 
-def _check_x_form(m: np.ndarray, *, corners: bool) -> None:
-    """Reject a 4x4 matrix with an off-diagonal entry outside the X form.
+def _check_x_form(m: np.ndarray, *, corners: bool) -> list:
+    """Reject a 4x4 matrix with an off-diagonal entry outside the X form,
+    and return its entries as nested lists of Python complex.
 
     The inner anti-diagonal pair (1,2)/(2,1) is always allowed; the corner
     pair (0,3)/(3,0) only when ``corners`` is true.  Every other entry must
     stay below X_STRUCTURE_TOL in magnitude.
     """
+    rows = m.tolist()
     allowed = ((1, 2), (2, 1), (0, 3), (3, 0)) if corners else ((1, 2), (2, 1))
     for i in range(4):
         for j in range(4):
-            if i != j and (i, j) not in allowed and abs(m[i, j]) >= X_STRUCTURE_TOL:
+            if i != j and (i, j) not in allowed and abs(rows[i][j]) >= X_STRUCTURE_TOL:
                 raise InputError(
-                    f"entry ({i}, {j}) = {m[i, j]:.3e} breaks the X structure"
+                    f"entry ({i}, {j}) = {rows[i][j]:.3e} breaks the X structure"
                 )
+    return rows
 
 
 def x_params_of(rho: DensityMatrix) -> XStateParams:
@@ -230,9 +255,9 @@ def x_params_of(rho: DensityMatrix) -> XStateParams:
     m = rho.matrix
     if m.shape != (4, 4):
         raise InputError("X-state extraction requires a 4x4 density matrix")
-    _check_x_form(m, corners=False)
-    diag = [max(m[k, k].real, 0.0) for k in range(4)]
-    return XStateParams(a=diag[0], b=diag[1], c=complex(m[1, 2]), d=diag[2], e=diag[3])
+    rows = _check_x_form(m, corners=False)
+    diag = [max(rows[k][k].real, 0.0) for k in range(4)]
+    return XStateParams(a=diag[0], b=diag[1], c=rows[1][2], d=diag[2], e=diag[3])
 
 
 def x_matrix_of(params: XStateParams) -> np.ndarray:

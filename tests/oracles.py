@@ -161,6 +161,18 @@ def family_matrix(p: float) -> np.ndarray:
     return m
 
 
+def damped_family_matrix(p: float, theta: float) -> np.ndarray:
+    """family_matrix(p) with the inner block scaled by 1 - gamma and the
+    |11><11| entry by (1 - gamma)^2, gamma = sin^2 theta."""
+    gamma = math.sin(theta) ** 2
+    m = np.zeros((4, 4), dtype=complex)
+    m[0, 0] = (p + 2.0) / 6.0
+    z = (1.0 - p) / 3.0 * (1.0 - gamma)
+    m[1, 1] = m[2, 2] = m[1, 2] = m[2, 1] = z
+    m[3, 3] = p / 2.0 * (1.0 - gamma) ** 2
+    return m
+
+
 def family_eigenvalues(p: float) -> list:
     """{(p+2)/6, 2(1-p)/3, p/2, 0}: the inner block [[z, z], [z, z]] has
     eigenvalues 2z and 0."""

@@ -224,3 +224,50 @@ class TestKrausChannelValidation:
         ch = adc(0.2)
         with pytest.raises(ValueError):
             ch.operators[0][0, 0] = 5.0
+
+
+class TestPairOperatorsOncePerChannel:
+    @pytest.mark.parametrize(
+        "apply,pairs,ch",
+        [
+            pytest.param(
+                apply_product_pair,
+                lambda ops: [np.kron(ki, kj) for ki in ops for kj in ops],
+                adc(0.3),
+                id="product-adc",
+            ),
+            pytest.param(
+                apply_product_pair,
+                lambda ops: [np.kron(ki, kj) for ki in ops for kj in ops],
+                gadc(0.4, 0.7),
+                id="product-gadc",
+            ),
+            pytest.param(
+                apply_correlated_pair,
+                lambda ops: [np.kron(k, k) for k in ops],
+                adc(0.3),
+                id="correlated-adc",
+            ),
+        ],
+    )
+    def test_same_bits_and_kron_once(self, apply, pairs, ch, rng, monkeypatch):
+        rho = DensityMatrix.from_matrix(oracles.random_density(rng, 4))
+        # the pair-map sum with fresh Kronecker products, in the map's order
+        out = np.zeros_like(rho.matrix)
+        for k in pairs(ch.operators):
+            out = out + k @ rho.matrix @ k.conj().T
+        want = DensityMatrix.from_matrix(out)
+        first = apply(ch, rho)
+        monkeypatch.setattr(np, "kron", None)
+        second = apply(ch, rho)
+        for got in (first, second):
+            assert got.matrix.tobytes() == want.matrix.tobytes()
+            assert got.spectrum.eigenvectors.tobytes() == want.spectrum.eigenvectors.tobytes()
+
+    def test_pair_operators_read_only(self):
+        ch = adc(0.2)
+        apply_product_pair(ch, nmems(0.1))
+        apply_correlated_pair(ch, nmems(0.1))
+        for k in ch._product_pair_ops + ch._correlated_pair_ops:
+            with pytest.raises(ValueError):
+                k[0, 0] = 5.0

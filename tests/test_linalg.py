@@ -143,6 +143,22 @@ class TestHermitianEigen:
         with pytest.raises(InputError):
             linalg.hermitian_eigen(m)
 
+    def test_offdiagonal_at_threshold_converges(self):
+        # |w_pq| == 1e-12 is not rotated, so the first sweep rotates nothing
+        # and ends the iteration instead of spinning to the sweep cap
+        spec = linalg.hermitian_eigen([[0.0, 1e-12], [1e-12, 0.0]])
+        assert np.array_equal(spec.eigenvalues, [0.0, 0.0])
+        assert np.array_equal(spec.eigenvectors, np.eye(2))
+
+    def test_offdiagonal_above_threshold_rotated(self):
+        spec = linalg.hermitian_eigen([[0.0, 2e-12], [2e-12, 0.0]])
+        assert np.allclose(spec.eigenvalues, [2e-12, -2e-12], rtol=1e-12, atol=0.0)
+
+    def test_one_by_one(self):
+        spec = linalg.hermitian_eigen([[0.25]])
+        assert np.array_equal(spec.eigenvalues, [0.25])
+        assert np.array_equal(spec.eigenvectors, [[1.0]])
+
 
 class TestPsdSqrt:
     def test_identity(self):

@@ -1,16 +1,24 @@
 """Byte-identity gate: the sha256 prefixes of the figure presets, the
-headline report and the 60 x 20 all-quantity sweep in every channel mode.
+headline report and the 60 x 20 all-quantity sweep in every channel mode,
+plus full-precision digests of the eigensolver and the family's states.
 
 A change to any evaluator that moves a single printed digit changes one of
-these digests.  A deliberate change of output must update the digest here
-and say which cells moved and why.
+the CSV digests.  Those see only 12 significant digits, so the raw-byte
+digests below also pin the last bit of every eigenvalue, eigenvector,
+stored matrix and trace.  A deliberate change of output must update the
+digest here and say which cells moved and why.
 """
 
 import hashlib
 import math
+import struct
 
+import numpy as np
 import pytest
 
+from nmems import linalg
+from nmems.channels import adc, apply_correlated_pair, apply_product_pair
+from nmems.states import nmems, nmems_ad
 from nmems.sweep import (
     CHANNEL_MODES,
     PRESETS,
@@ -60,3 +68,43 @@ def test_all_quantity_sweep_bytes(mode, tmp_path):
         quantities=tuple(QUANTITIES), channel_mode=mode,
     )
     assert _csv_digest(spec, tmp_path / f"sweep_{mode}.csv") == SWEEP_SHA256[mode]
+
+
+# sha256 prefixes of the raw float64/complex128 bytes, little-endian
+EIGEN_SHA256 = "b4f7819b36f6bc8c"
+FAMILY_SHA256 = "7e78ea8c8553bda8"
+
+
+def test_dense_eigen_full_precision():
+    # seeded random dense Hermitian matrices of every size the package uses
+    rng = np.random.default_rng(6)
+    h = hashlib.sha256()
+    for n in (2, 3, 4, 8):
+        for _ in range(25):
+            g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            spec = linalg.hermitian_eigen((g + g.conj().T) / 2.0)
+            h.update(spec.eigenvalues.astype("<f8").tobytes())
+            h.update(spec.eigenvectors.astype("<c16").tobytes())
+    assert h.hexdigest()[:16] == EIGEN_SHA256
+
+
+def test_family_states_full_precision():
+    # 11 x 9 grid with both ends: p = 1 and theta = pi/2 (gamma = 1) included
+    h = hashlib.sha256()
+    for p in np.linspace(0.0, 1.0, 11).tolist():
+        base = nmems(p)
+        states = [base]
+        for theta in np.linspace(0.0, math.pi / 2.0, 9).tolist():
+            ch = adc(math.sin(theta) ** 2)
+            states += [
+                nmems_ad(p, theta),
+                apply_correlated_pair(ch, base),
+                apply_product_pair(ch, base),
+            ]
+        for rho in states:
+            h.update(rho.matrix.astype("<c16").tobytes())
+            h.update(rho.spectrum.eigenvalues.astype("<f8").tobytes())
+            h.update(rho.spectrum.eigenvectors.astype("<c16").tobytes())
+            h.update(struct.pack("<d", rho.trace_value))
+            h.update(rho.normalization.encode("ascii"))
+    assert h.hexdigest()[:16] == FAMILY_SHA256

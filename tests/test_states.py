@@ -1,8 +1,9 @@
 import math
+import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nmems import InputError
@@ -256,6 +257,82 @@ class TestDensityMatrixValidation:
         with pytest.raises(ValueError):
             state.matrix[1, 1] = 9.0
 
+
+
+def _assert_same_bits(got: DensityMatrix, want: DensityMatrix) -> None:
+    assert got.matrix.tobytes() == want.matrix.tobytes()
+    assert got.spectrum.eigenvalues.tobytes() == want.spectrum.eigenvalues.tobytes()
+    assert got.spectrum.eigenvectors.tobytes() == want.spectrum.eigenvectors.tobytes()
+    assert struct.pack("<d", got.trace_value) == struct.pack("<d", want.trace_value)
+    assert got.normalization == want.normalization
+    assert not got.matrix.flags.writeable
+
+
+def _dense_x(a, b, c, d, e) -> np.ndarray:
+    m = np.zeros((4, 4), dtype=complex)
+    m[0, 0], m[1, 1], m[2, 2], m[3, 3] = a, b, d, e
+    m[1, 2] = m[2, 1] = c
+    return m
+
+
+class TestXConstruction:
+    """The family's states are built from their five numbers; they must be
+    the states ``from_matrix`` makes of the same dense matrix, bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        p=st.floats(min_value=0.0, max_value=1.0),
+        theta=st.floats(min_value=0.0, max_value=math.pi / 2),
+    )
+    @example(p=0.0, theta=0.0)
+    @example(p=1.0, theta=0.0)
+    @example(p=0.0, theta=math.pi / 2)
+    @example(p=1.0, theta=math.pi / 2)
+    def test_equals_dense_route(self, p, theta):
+        _assert_same_bits(
+            nmems_ad(p, theta),
+            DensityMatrix.from_matrix(oracles.damped_family_matrix(p, theta)),
+        )
+        _assert_same_bits(
+            nmems.__wrapped__(p), DensityMatrix.from_matrix(oracles.family_matrix(p))
+        )
+
+    @pytest.mark.parametrize(
+        "x",
+        [
+            pytest.param((0.25, 0.2, 0.3, 0.2, 0.35), id="coherence-above-sqrt-bd"),
+            pytest.param((0.5, 0.3, 0.0, 0.2, 0.1), id="over-unit-trace"),
+            pytest.param((0.0, 0.0, 0.0, 0.0, 0.0), id="zero-trace"),
+        ]
+        + [
+            pytest.param(
+                tuple(bad if k == i else 0.25 for k in range(5)), id=f"{bad}-at-{i}"
+            )
+            for bad in (math.nan, math.inf, -math.inf)
+            for i in range(5)
+        ],
+    )
+    def test_rejects_like_dense_route(self, x):
+        with pytest.raises(InputError) as dense:
+            DensityMatrix.from_matrix(_dense_x(*x))
+        with pytest.raises(InputError) as direct:
+            DensityMatrix._from_x(*x)
+        assert str(direct.value) == str(dense.value)
+
+    def test_non_finite_message(self):
+        with pytest.raises(InputError, match="^matrix entries must be finite$"):
+            DensityMatrix._from_x(0.5, math.nan, 0.0, 0.5, 0.0)
+
+    def test_family_skips_the_dense_validator(self, monkeypatch):
+        # a fall-back to the dense route would fail here, not only move a
+        # benchmark number
+        def boom(*args, **kwargs):
+            raise AssertionError("dense route called")
+
+        monkeypatch.setattr(DensityMatrix, "from_matrix", classmethod(boom))
+        monkeypatch.setattr(linalg, "hermitian_eigen", boom)
+        assert nmems.__wrapped__(0.37).is_unit()
+        assert not nmems_ad(0.37, 0.5).is_unit()
 
 
 class TestRangeChecks:
