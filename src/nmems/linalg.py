@@ -179,6 +179,39 @@ def _jacobi(w: list) -> Spectrum:
     )
 
 
+def _x_eigenvalues(a, b, c, d, e) -> list:
+    """Descending eigenvalues ``_jacobi`` finds for the corner-free X matrix
+    with diagonal (a, b, d, e) and w[1][2] = c, w[2][1] = conj(c), bit for
+    bit, as a list of floats.
+
+    ``_jacobi`` rotates such a matrix once, on the pair (1, 2), and only if
+    |c| > 1e-12: every other off-diagonal entry is zero before and after.
+    This replays that rotation's diagonal on Python scalars with the
+    operations ``_rotate`` performs, and sorts as ``_jacobi`` does.  Entries
+    must be finite.
+    """
+    w11, w22 = complex(b), complex(d)
+    w12, w21 = complex(c), complex(c.conjugate())
+    r = abs(w12)
+    if r > JACOBI_OFFDIAG_TOL:
+        phase = w12 / r
+        cphase = phase.conjugate()
+        theta = 0.5 * math.atan2(2.0 * r, w11.real - w22.real)
+        cs = math.cos(theta)
+        s = math.sin(theta)
+        s_ph = s * phase
+        s_cph = s * cphase
+        # _rotate's column pass on rows 1 and 2, then its row pass on the
+        # diagonal entries
+        c11 = cs * w11 + s_cph * w12
+        c12 = -s_ph * w11 + cs * w12
+        c21 = cs * w21 + s_cph * w22
+        c22 = -s_ph * w21 + cs * w22
+        w11 = cs * c11 + s_ph * c21
+        w22 = -s_cph * c12 + cs * c22
+    return sorted((complex(a).real, w11.real, w22.real, complex(e).real), reverse=True)
+
+
 def hermitian_eigen(a) -> Spectrum:
     """Full spectral decomposition of a Hermitian matrix via cyclic Jacobi.
 

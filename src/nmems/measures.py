@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import logging
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -150,7 +151,8 @@ def fidelity_ad_closed_form(p: float, theta: float) -> float:
 
     Both radicands factor exactly, so the long expression must equal
     1/2 + (1-p)(1-g)/9 + (1-g) sqrt(3 p (p+2)) / 18 with g = sin^2(theta);
-    the equality is asserted to 1e-12 on every call.  Note this expression
+    the equality is asserted on every call, to 1e-12 plus the roundoff the
+    square roots amplify near a zero radicand.  Note this expression
     does NOT reduce to the undamped correlation-criterion fidelity at
     theta = 0 (it gives 11/18 instead of 7/9 at p = 0); see the headline
     report for the quantified discrepancy.
@@ -159,31 +161,51 @@ def fidelity_ad_closed_form(p: float, theta: float) -> float:
     theta = _check_range("theta", theta, 0.0, math.pi / 2.0)
     s2 = math.sin(theta) ** 2
     s4 = s2 * s2
-    # fsum keeps the near-total cancellation at gamma -> 1 exact; a naive
-    # left-to-right sum leaves ~1e-16 dust that the square root amplifies
-    rad1 = math.fsum((
+    terms1 = (
         s4 * p * p, -2.0 * s4 * p, s4,
         -2.0 * s2 * p * p, 4.0 * s2 * p, -2.0 * s2,
         p * p, -2.0 * p, 1.0,
-    ))
-    rad2 = math.fsum((
+    )
+    terms2 = (
         3.0 * s4 * p * p, 6.0 * s4 * p,
         -6.0 * s2 * p * p, -12.0 * s2 * p,
         3.0 * p * p, 6.0 * p,
-    ))
+    )
+    # fsum keeps the near-total cancellation at gamma -> 1 exact; a naive
+    # left-to-right sum leaves ~1e-16 dust that the square root amplifies
+    rad1 = math.fsum(terms1)
+    rad2 = math.fsum(terms2)
     value = 0.5 + math.sqrt(max(rad1, 0.0)) / 9.0 + math.sqrt(max(rad2, 0.0)) / 18.0
     gamma = s2
-    compact = (
-        0.5
-        + (1.0 - p) * (1.0 - gamma) / 9.0
-        + (1.0 - gamma) * math.sqrt(3.0 * p * (p + 2.0)) / 18.0
-    )
-    if abs(value - compact) > 1e-12:
+    root1 = (1.0 - p) * (1.0 - gamma)
+    root2 = (1.0 - gamma) * math.sqrt(3.0 * p * (p + 2.0))
+    compact = 0.5 + root1 / 9.0 + root2 / 18.0
+    gap = abs(value - compact)
+    # near a zero radicand the long form's roundoff alone can exceed 1e-12
+    if gap > 1e-12 and gap > (
+        1e-12
+        + _sqrt_rounding(terms1, rad1, root1) / 9.0
+        + _sqrt_rounding(terms2, rad2, root2) / 18.0
+    ):
         raise NumericalError(
             f"closed-form fidelity failed its factored cross-check at "
             f"(p={p:g}, theta={theta:g}): {value!r} vs {compact!r}"
         )
     return value
+
+
+def _sqrt_rounding(terms: tuple, rad: float, root: float) -> float:
+    """Bound on |sqrt(rad) - root|, where rad is the exact fsum of ``terms``
+    rounded once, ``root`` >= 0 is the square root of the exact radicand,
+    and each term carries at most four roundings.
+
+    The radicand's error is then below 8 ulp of sum |terms|, and
+    |sqrt(x) - sqrt(y)| <= min(sqrt(|x - y|), |x - y| / (sqrt(x) + sqrt(y))):
+    near a zero radicand the square root turns 1e-16 into up to 1e-8.
+    """
+    err = 8.0 * sys.float_info.epsilon * math.fsum(abs(t) for t in terms)
+    spread = math.sqrt(max(rad, 0.0)) + root
+    return math.sqrt(err) if spread == 0.0 else min(math.sqrt(err), err / spread)
 
 
 def von_neumann_entropy(rho: DensityMatrix, *, normalize: bool = False) -> float:
@@ -200,8 +222,15 @@ def von_neumann_entropy(rho: DensityMatrix, *, normalize: bool = False) -> float
         if total <= 0.0:
             raise InputError("cannot normalize a zero-trace spectrum")
         vals = vals / total
-    # _xlog2x sends v <= 0 to 0, so roundoff-negative eigenvalues need no clip
-    return float(-sum(_xlog2x(v) for v in vals.tolist()))
+    return _spectrum_entropy(vals.tolist())
+
+
+def _spectrum_entropy(vals: list) -> float:
+    """-sum_i v_i log2 v_i over a list of eigenvalues, summed in list order.
+
+    _xlog2x sends v <= 0 to 0, so roundoff-negative eigenvalues need no clip.
+    """
+    return float(-sum(_xlog2x(v) for v in vals))
 
 
 def mid_adc(p: float, theta: float, *, normalize: bool = False) -> float:

@@ -40,6 +40,24 @@ def _check_range(name: str, value: float, lo: float, hi: float) -> float:
     return value
 
 
+def _check_finite(*entries) -> None:
+    if not all(map(math.isfinite, entries)):
+        raise InputError("matrix entries must be finite")
+
+
+def _normalization(lowest: float, tr: float) -> str:
+    """The trace tag of a state whose smallest eigenvalue is ``lowest`` and
+    whose trace is ``tr``: rejects an eigenvalue below -1e-10 first, then a
+    trace outside (0, 1 + 1e-10]."""
+    if lowest < linalg.EIGENVALUE_FLOOR:
+        raise InputError(f"density matrix has negative eigenvalue {lowest:.3e}")
+    if tr >= 1.0 - SUB_NORMAL_EDGE and tr <= 1.0 + TRACE_TOL:
+        return UNIT
+    if 0.0 < tr < 1.0 - SUB_NORMAL_EDGE:
+        return SUB_NORMALIZED
+    raise InputError(f"density matrix trace {tr!r} outside (0, 1]")
+
+
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """A validated quantum state: Hermitian, PSD, with a tagged trace.
@@ -79,8 +97,7 @@ class DensityMatrix:
         matrix, minus the coercion, Hermiticity test and symmetrization,
         which hold by construction.
         """
-        if not all(math.isfinite(x) for x in (a, b, c, d, e)):
-            raise InputError("matrix entries must be finite")
+        _check_finite(a, b, c, d, e)
         a, b, c, d, e = complex(a), complex(b), complex(c), complex(d), complex(e)
         z = 0j
         w = [[a, z, z, z], [z, b, c, z], [z, c, d, z], [z, z, z, e]]
@@ -91,19 +108,13 @@ class DensityMatrix:
     def _tagged(cls, m: np.ndarray, spec: linalg.Spectrum) -> "DensityMatrix":
         """Apply the eigenvalue floor and the trace tag to a fresh, exactly
         Hermitian matrix and its spectrum, and freeze the matrix."""
-        lo = float(spec.eigenvalues[-1])  # sorted descending
-        if lo < linalg.EIGENVALUE_FLOOR:
-            raise InputError(f"density matrix has negative eigenvalue {lo:.3e}")
         tr = complex(np.trace(m))
+        # the diagonal of an exactly Hermitian matrix is real, so this never
+        # pre-empts the floor check below
         if abs(tr.imag) > TRACE_TOL:
             raise InputError("density matrix trace must be real")
         tr = tr.real
-        if tr >= 1.0 - SUB_NORMAL_EDGE and tr <= 1.0 + TRACE_TOL:
-            tag = UNIT
-        elif 0.0 < tr < 1.0 - SUB_NORMAL_EDGE:
-            tag = SUB_NORMALIZED
-        else:
-            raise InputError(f"density matrix trace {tr!r} outside (0, 1]")
+        tag = _normalization(float(spec.eigenvalues[-1]), tr)  # sorted descending
         m.setflags(write=False)
         return cls(matrix=m, normalization=tag, trace_value=tr, spectrum=spec)
 
@@ -218,12 +229,37 @@ def nmems_ad(p: float, theta: float) -> DensityMatrix:
     rather than rescaled.  The full correlated-channel image (which keeps an
     extra |00><00| term) lives in the channels module.
     """
+    return DensityMatrix._from_x(*_damped_x(p, theta))
+
+
+def _damped_x(p: float, theta: float) -> tuple:
+    """(a, b, c, d, e) of nmems_ad(p, theta), range checks included."""
     p = _check_range("p", p, 0.0, 1.0)
     theta = _check_range("theta", theta, 0.0, math.pi / 2.0)
     gamma = math.sin(theta) ** 2
     a, z, _, _, e = _family_x(p)
     z = z * (1.0 - gamma)
-    return DensityMatrix._from_x(a, z, z, z, e * (1.0 - gamma) ** 2)
+    return a, z, z, z, e * (1.0 - gamma) ** 2
+
+
+def _x_trace(a: float, b: float, d: float, e: float) -> float:
+    """Trace of the X state with diagonal (a, b, d, e), summed in the order
+    np.trace adds four complex entries, so it has the bits of
+    ``DensityMatrix._from_x(a, b, c, d, e).trace_value``."""
+    return (a + b) + (d + e)
+
+
+def _x_spectrum(a: float, b: float, c: float, d: float, e: float) -> list:
+    """Descending eigenvalues of ``DensityMatrix._from_x(a, b, c, d, e)``,
+    bit for bit, without building it.
+
+    Makes the checks ``_from_x`` makes, with the same messages: finite
+    entries, the eigenvalue floor and the trace window.
+    """
+    _check_finite(a, b, c, d, e)
+    vals = linalg._x_eigenvalues(a, b, c, d, e)
+    _normalization(vals[-1], _x_trace(a, b, d, e))
+    return vals
 
 
 def _check_x_form(m: np.ndarray, *, corners: bool) -> list:

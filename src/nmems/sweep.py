@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from .channels import KrausChannel, adc, apply_correlated_pair, apply_product_pair
 from .errors import InputError
 from .measures import (
+    _spectrum_entropy,
     chsh_criterion,
     concurrence_wootters,
     concurrence_x,
@@ -28,7 +29,15 @@ from .measures import (
     teleportation_fidelity,
     von_neumann_entropy,
 )
-from .states import DensityMatrix, nmems, nmems_ad, x_params_of
+from .states import (
+    DensityMatrix,
+    XStateParams,
+    _damped_x,
+    _x_spectrum,
+    nmems,
+    nmems_ad,
+    x_params_of,
+)
 from .witnesses import evaluate, witness_generic, witness_stabilizer, witness_w1
 
 NA_TOKEN = "NA"
@@ -77,6 +86,12 @@ _WITNESSES = {
 }
 
 
+# Per-point definitions, and the oracle for the closed_form _KERNEL below.
+# fidelity_ad runs the Horodecki formula on the raw correlation matrix of
+# the mode's damped state, with no renormalization: in closed_form and
+# correlated that state is sub-normalized for theta > 0 (fidelity_ad is
+# 2/3 at p = 0.1, theta = 0.6 in closed_form), while fidelity rejects
+# non-unit input.
 QUANTITIES = {
     "concurrence": lambda pt: concurrence_x(x_params_of(pt.base)),
     "concurrence_ad": lambda pt: concurrence_x(x_params_of(pt.damped)),
@@ -107,6 +122,10 @@ P_ONLY = frozenset({
     "concurrence", "concurrence_wootters", "fidelity", "discord", "entropy",
     "chsh", "witness_generic", "witness_w1", "witness_stabilizer",
 })
+
+# closed_form columns a sweep computes from the damped state's five numbers
+# (see _kernel_cells), with the values and NA cells of QUANTITIES
+_KERNEL = frozenset({"concurrence_ad", "entropy_ad", "mid"})
 
 
 @dataclass(frozen=True)
@@ -183,31 +202,69 @@ def _cell(name: str, point: _Point):
         return None
 
 
+def _kernel_cells(names: list, p: float, theta: float, base_entropy: float | None) -> dict:
+    """The _KERNEL columns ``names`` of the closed_form cell (p, theta).
+
+    Works on the five numbers of nmems_ad(p, theta) and their eigenvalues
+    (states._x_spectrum), which are that state's bits and pass its checks,
+    so every value and NA is the one QUANTITIES gives: a state the checks
+    reject makes all these columns NA.
+    """
+    try:
+        a, b, c, d, e = x = _damped_x(p, theta)
+        vals = _x_spectrum(*x)
+    except InputError:
+        return dict.fromkeys(names)
+    out = {}
+    if "concurrence_ad" in names:
+        # the parameters x_params_of reads off the built state
+        try:
+            out["concurrence_ad"] = concurrence_x(XStateParams(
+                a=max(a, 0.0), b=max(b, 0.0), c=complex(c), d=max(d, 0.0), e=max(e, 0.0)
+            ))
+        except InputError:
+            out["concurrence_ad"] = None
+    if "entropy_ad" in names or "mid" in names:
+        entropy = _spectrum_entropy(vals)
+        out["entropy_ad"] = entropy
+        if "mid" in names:
+            out["mid"] = entropy - base_entropy
+    return out
+
+
 def run_sweep(spec: SweepSpec) -> list:
     """Evaluate the grid; returns rows in (p outer, theta inner) order.
 
     Undefined cells (an evaluator rejecting its input at that point) hold
     None and are emitted as NA.  P_ONLY columns are evaluated once per p
-    and shared by that p's thetas; the Kraus channel modes build one damping
-    channel per theta for the whole sweep.
+    and shared by that p's thetas; in closed_form the _KERNEL columns skip
+    the per-point state; the Kraus channel modes build one damping channel
+    per theta for the whole sweep.
     """
     theta_values = _grid(spec.theta_min, spec.theta_max, spec.theta_steps)
     if spec.channel_mode == MODE_CLOSED_FORM:
         channels = [None] * len(theta_values)
+        kernel = [name for name in spec.quantities if name in _KERNEL]
     else:
         channels = [_damping_channel(theta) for theta in theta_values]
+        kernel = []
     p_only = [name for name in spec.quantities if name in P_ONLY]
+    per_point = [name for name in spec.quantities
+                 if name not in P_ONLY and name not in kernel]
     rows = []
     for p in _grid(spec.p_min, spec.p_max, spec.p_steps):
         base = nmems(p)
         first = _Point(p, theta_values[0], spec.channel_mode, base)
         shared = {name: _cell(name, first) for name in p_only}
+        base_entropy = von_neumann_entropy(base) if "mid" in kernel else None
         for theta, channel in zip(theta_values, channels):
-            point = _Point(p, theta, spec.channel_mode, base, channel)
-            values = {
-                name: shared[name] if name in shared else _cell(name, point)
-                for name in spec.quantities
-            }
+            cells = dict(shared)
+            if kernel:
+                cells.update(_kernel_cells(kernel, p, theta, base_entropy))
+            if per_point:
+                point = _Point(p, theta, spec.channel_mode, base, channel)
+                cells.update((name, _cell(name, point)) for name in per_point)
+            values = {name: cells[name] for name in spec.quantities}
             rows.append(SweepRow(p=p, theta=theta, values=values))
     return rows
 
@@ -215,7 +272,9 @@ def run_sweep(spec: SweepSpec) -> list:
 def _format_value(v) -> str:
     if v is None:
         return NA_TOKEN
-    return f"{v:.12g}"
+    # + 0.0 turns -0.0 (the entropy of a pure spectrum) into 0.0 and leaves
+    # every other float as it is
+    return f"{v + 0.0:.12g}"
 
 
 def emit_csv(rows: list, path: str) -> None:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from nmems import InputError, NumericalError
 from nmems import linalg
@@ -158,6 +160,45 @@ class TestHermitianEigen:
         spec = linalg.hermitian_eigen([[0.25]])
         assert np.array_equal(spec.eigenvalues, [0.25])
         assert np.array_equal(spec.eigenvectors, [[1.0]])
+
+
+_AT_THRESHOLD = linalg.JACOBI_OFFDIAG_TOL
+_ABOVE_THRESHOLD = math.nextafter(_AT_THRESHOLD, 1.0)
+# ordinary entries plus the edges: zero, subnormal, tiny, and the rotation
+# threshold on either side
+_ENTRY = st.one_of(
+    st.floats(-1.0, 1.0),
+    st.sampled_from([0.0, -0.0, 5e-324, 1e-300, 1e-17, _AT_THRESHOLD, _ABOVE_THRESHOLD]),
+)
+_COHERENCE = st.one_of(
+    _ENTRY, st.builds(complex, _ENTRY, _ENTRY), st.builds(lambda x: -x, _ENTRY)
+)
+
+
+class TestXEigenvalues:
+    """``_x_eigenvalues`` replays ``_jacobi`` on a corner-free X matrix; it
+    must give the same eigenvalues, bit for bit."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(a=_ENTRY, b=_ENTRY, c=_COHERENCE, d=_ENTRY, e=_ENTRY)
+    @example(a=0.5, b=0.25, c=0.0, d=0.25, e=0.0)
+    @example(a=0.2, b=0.3, c=_AT_THRESHOLD, d=0.1, e=0.4)
+    @example(a=0.2, b=0.3, c=_ABOVE_THRESHOLD, d=0.1, e=0.4)
+    @example(a=0.2, b=0.3, c=complex(0.0, _ABOVE_THRESHOLD), d=0.3, e=0.2)
+    @example(a=0.1, b=0.3, c=0.2 - 0.1j, d=0.2, e=0.4)
+    @example(a=0.0, b=1e-300, c=1e-300, d=0.0, e=5e-324)
+    def test_matches_jacobi_bit_for_bit(self, a, b, c, d, e):
+        z = 0j
+        w = [
+            [complex(a), z, z, z],
+            [z, complex(b), complex(c), z],
+            [z, complex(c.conjugate()), complex(d), z],
+            [z, z, z, complex(e)],
+        ]
+        want = linalg._jacobi(w).eigenvalues
+        got = linalg._x_eigenvalues(a, b, c, d, e)
+        assert all(type(v) is float for v in got)
+        assert np.array(got).tobytes() == want.tobytes()
 
 
 class TestPsdSqrt:

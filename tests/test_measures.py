@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nmems import InputError
@@ -175,6 +175,24 @@ class TestDampedFidelityClosedForm:
                 )
                 assert abs(got - want) < 1e-12
 
+    @settings(max_examples=300, deadline=None)
+    @given(p=st.floats(0.0, 1.0), theta=st.floats(0.0, math.pi / 2))
+    @example(p=0.17, theta=1.5668693359779096)
+    @example(p=1.0 - 1e-8, theta=0.0)
+    @example(p=0.99999, theta=1.0)
+    @example(p=0.5, theta=math.pi / 2 - 1e-6)
+    def test_defined_on_the_whole_domain(self, p, theta):
+        # near a zero radicand the long form's roundoff grows through the
+        # square root; the cross-check must allow for it, not reject the point
+        got = fidelity_ad_closed_form(p, theta)
+        gamma = math.sin(theta) ** 2
+        want = (
+            0.5
+            + (1.0 - p) * (1.0 - gamma) / 9.0
+            + (1.0 - gamma) * math.sqrt(3.0 * p * (p + 2.0)) / 18.0
+        )
+        assert abs(got - want) < 1e-8
+
     def test_range_rejected(self):
         with pytest.raises(InputError):
             fidelity_ad_closed_form(-0.1, 0.0)
@@ -300,6 +318,15 @@ class TestDiscordX:
             b = discord_x(nmems(float(p)))
             assert abs(b.q1 - oracles.family_q1(float(p))) < 1e-12
             assert abs(b.q2 - oracles.family_q2(float(p))) < 1e-12
+
+    def test_matches_brute_force_minimum(self):
+        # the two-branch formula against a direct search over projective
+        # measurements on either qubit (the family is swap-symmetric)
+        for p in np.linspace(0.0, 1.0, 11).tolist():
+            want = discord_x(nmems(p)).discord
+            for measured in (0, 1):
+                got = oracles.brute_discord(oracles.family_matrix(p), measured)
+                assert abs(got - want) < 1e-12, (p, measured)
 
     def test_eigenvalues_descending_and_normalized(self):
         b = discord_x(nmems(0.17))

@@ -1,6 +1,7 @@
 """Byte-identity gate: the sha256 prefixes of the figure presets, the
-headline report and the 60 x 20 all-quantity sweep in every channel mode,
-plus full-precision digests of the eigensolver and the family's states.
+headline report, the 60 x 20 all-quantity sweep in every channel mode and
+a whole-domain closed_form sweep of the kernel columns, plus
+full-precision digests of the eigensolver and the family's states.
 
 A change to any evaluator that moves a single printed digit changes one of
 the CSV digests.  Those see only 12 significant digits, so the raw-byte
@@ -68,6 +69,22 @@ def test_all_quantity_sweep_bytes(mode, tmp_path):
         quantities=tuple(QUANTITIES), channel_mode=mode,
     )
     assert _csv_digest(spec, tmp_path / f"sweep_{mode}.csv") == SWEEP_SHA256[mode]
+
+
+# closed_form sweep of the kernel columns (sweep._KERNEL) over the whole
+# domain: p = 1 and theta = pi/2 (coherence 0, no rotation) included
+KERNEL_SWEEP_SHA256 = "6b22153af396a0de"
+
+
+def test_kernel_sweep_bytes(tmp_path):
+    # nmems sweep --p-max 1 --p-steps 41 --theta-max pi/2 --theta-steps 21
+    #   --quantities concurrence_ad,entropy_ad,mid
+    spec = SweepSpec(
+        p_min=0.0, p_max=1.0, p_steps=41,
+        theta_min=0.0, theta_max=math.pi / 2, theta_steps=21,
+        quantities=("concurrence_ad", "entropy_ad", "mid"),
+    )
+    assert _csv_digest(spec, tmp_path / "kernel.csv") == KERNEL_SWEEP_SHA256
 
 
 # sha256 prefixes of the raw float64/complex128 bytes, little-endian

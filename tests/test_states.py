@@ -3,7 +3,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from nmems import InputError
@@ -17,6 +17,9 @@ from nmems.measures import (
 from nmems.states import (
     DensityMatrix,
     XStateParams,
+    _damped_x,
+    _x_spectrum,
+    _x_trace,
     ghz_reduced,
     ghz_state,
     nmems,
@@ -317,7 +320,37 @@ class TestXConstruction:
             DensityMatrix.from_matrix(_dense_x(*x))
         with pytest.raises(InputError) as direct:
             DensityMatrix._from_x(*x)
+        with pytest.raises(InputError) as spectrum_only:
+            _x_spectrum(*x)
         assert str(direct.value) == str(dense.value)
+        assert str(spectrum_only.value) == str(dense.value)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        p=st.floats(min_value=0.0, max_value=1.0),
+        theta=st.floats(min_value=0.0, max_value=math.pi / 2),
+    )
+    @example(p=1.0, theta=math.pi / 2)
+    def test_spectrum_without_the_state(self, p, theta):
+        # the sweep kernel's eigenvalues and trace are the built state's bits
+        a, b, c, d, e = _damped_x(p, theta)
+        rho = nmems_ad(p, theta)
+        got = _x_spectrum(a, b, c, d, e)
+        assert np.array(got).tobytes() == rho.spectrum.eigenvalues.tobytes()
+        tr = _x_trace(a, b, d, e)
+        assert struct.pack("<d", tr) == struct.pack("<d", rho.trace_value)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        diag=st.lists(st.floats(0.0, 0.25), min_size=4, max_size=4),
+        share=st.floats(-1.0, 1.0),
+    )
+    def test_trace_order_is_numpy_trace(self, diag, share):
+        a, b, d, e = diag
+        assume(a + b + d + e > 0.0)
+        rho = DensityMatrix._from_x(a, b, share * math.sqrt(b * d), d, e)
+        tr = complex(np.trace(rho.matrix)).real
+        assert struct.pack("<d", _x_trace(a, b, d, e)) == struct.pack("<d", tr)
 
     def test_non_finite_message(self):
         with pytest.raises(InputError, match="^matrix entries must be finite$"):

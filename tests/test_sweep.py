@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
@@ -9,10 +10,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nmems
-from nmems import InputError
+from nmems import InputError, NumericalError, linalg, states, sweep
 from nmems.cli import main, parse_angle
-from nmems.measures import concurrence_x, fidelity_ad_closed_form, mid_adc
-from nmems.states import nmems_ad, x_params_of
+from nmems.measures import (
+    concurrence_x,
+    correlation_matrix,
+    fidelity_ad_closed_form,
+    fidelity_from_correlation,
+    mid_adc,
+)
+from nmems.states import DensityMatrix, nmems_ad, x_params_of
 from nmems.sweep import (
     CHANNEL_MODES,
     NA_TOKEN,
@@ -24,6 +31,7 @@ from nmems.sweep import (
     emit_csv,
     preset_spec,
     report_headlines,
+    _KERNEL,
     _grid,
     _Point,
     run_sweep,
@@ -42,6 +50,42 @@ def _tiny_spec(**overrides):
     )
     base.update(overrides)
     return SweepSpec(**base)
+
+
+def _per_point_values(spec: SweepSpec, p: float, theta: float) -> dict:
+    """The row QUANTITIES gives at (p, theta) through _Point, one cell at a
+    time: the oracle of every shortcut run_sweep takes."""
+    base = nmems.nmems(p)
+    values = {}
+    for name in spec.quantities:
+        try:
+            values[name] = float(QUANTITIES[name](_Point(p, theta, spec.channel_mode, base)))
+        except InputError:
+            values[name] = None
+    return values
+
+
+def _bits(values: dict) -> dict:
+    """The values with each float as its exact hex form (-0.0 != 0.0)."""
+    return {name: None if v is None else v.hex() for name, v in values.items()}
+
+
+@st.composite
+def _specs(draw, modes=CHANNEL_MODES, names=tuple(QUANTITIES), max_steps=4):
+    """Small grids anywhere in the domain, endpoints p = 1 and theta = pi/2
+    included, with a random ordered subset of ``names``."""
+    ends = st.sampled_from([0.0, 1.0])
+    p_lo, p_hi = sorted(draw(st.tuples(st.floats(0.0, 1.0) | ends, st.floats(0.0, 1.0) | ends)))
+    quarter = st.sampled_from([0.0, math.pi / 2])
+    t_lo, t_hi = sorted(draw(st.tuples(
+        st.floats(0.0, math.pi / 2) | quarter, st.floats(0.0, math.pi / 2) | quarter
+    )))
+    return SweepSpec(
+        p_min=p_lo, p_max=p_hi, p_steps=draw(st.integers(1, max_steps)),
+        theta_min=t_lo, theta_max=t_hi, theta_steps=draw(st.integers(1, max_steps)),
+        quantities=tuple(draw(st.lists(st.sampled_from(names), min_size=1, unique=True))),
+        channel_mode=draw(st.sampled_from(modes)),
+    )
 
 
 class TestSweepSpecValidation:
@@ -186,21 +230,88 @@ class TestRunSweep:
 
     @pytest.mark.parametrize("mode", CHANNEL_MODES)
     def test_hoisted_sweep_matches_per_cell_evaluation(self, mode):
+        # P_ONLY columns once per p, and in closed_form the _KERNEL columns
+        # from five numbers: both must equal the per-point route exactly
         spec = _tiny_spec(quantities=tuple(QUANTITIES), channel_mode=mode)
         rows = run_sweep(spec)
         assert len(rows) == 9
         for row in rows:
             assert list(row.values) == list(spec.quantities)
-            base = nmems.nmems(row.p)
-            for name, got in row.values.items():
-                try:
-                    want = float(QUANTITIES[name](_Point(row.p, row.theta, mode, base)))
-                except InputError:
-                    want = None
-                assert got == want, (mode, row.p, row.theta, name)
+            want = _bits(_per_point_values(spec, row.p, row.theta))
+            for name, got in _bits(row.values).items():
+                assert got == want[name], (mode, row.p, row.theta, name)
         if mode == "closed_form":
             # the grid reaches NA cells: concurrence_ad_wootters for theta > 0
             assert any(row.values["concurrence_ad_wootters"] is None for row in rows)
+
+    @settings(max_examples=60, deadline=None)
+    @given(spec=_specs(
+        modes=("closed_form",),
+        names=(*sorted(_KERNEL), "concurrence", "entropy", "fidelity_ad"),
+    ))
+    def test_kernel_matches_per_point_route(self, spec):
+        for row in run_sweep(spec):
+            assert _bits(row.values) == _bits(_per_point_values(spec, row.p, row.theta))
+
+    def test_kernel_na_cells_match_per_point_route(self, monkeypatch):
+        # five numbers the checks reject make every _KERNEL column NA; a
+        # coherence only XStateParams rejects makes concurrence_ad NA alone
+        thetas = _grid(0.0, math.pi / 4, 5)
+        bad = {
+            1: (0.5, 0.3, 0.0, 0.2, 0.1),  # trace 1.1
+            2: (0.3, 0.3, 0.31, 0.3, 0.0),  # eigenvalue -0.01
+            3: (0.25, math.nan, 0.0, 0.25, 0.0),
+            # |c| just over sqrt(bd) + 1e-9, lowest eigenvalue above -1e-10
+            4: (0.4, 0.5, math.sqrt(0.5 * 1e-8) + 1e-8, 1e-8, 0.0),
+        }
+        real = states._damped_x
+
+        def damped_x(p, theta):
+            return bad.get(thetas.index(theta)) or real(p, theta)
+
+        monkeypatch.setattr(states, "_damped_x", damped_x)
+        monkeypatch.setattr(sweep, "_damped_x", damped_x)
+        spec = _tiny_spec(
+            theta_steps=5, quantities=("concurrence", *sorted(_KERNEL), "fidelity_ad")
+        )
+        rows = run_sweep(spec)
+        for row in rows:
+            assert _bits(row.values) == _bits(_per_point_values(spec, row.p, row.theta))
+            na = {name for name, v in row.values.items() if v is None}
+            k = thetas.index(row.theta)
+            if k in (1, 2, 3):
+                assert na == _KERNEL | {"fidelity_ad"}
+            elif k == 4:
+                assert na == {"concurrence_ad"}
+            else:
+                assert not na
+
+    def test_kernel_builds_no_state_per_cell(self, monkeypatch):
+        def boom(*args):
+            raise AssertionError("damped state built")
+
+        built = []
+        inner = DensityMatrix.__dict__["_from_x"].__func__
+
+        def counting(cls, *x):
+            built.append(x)
+            return inner(cls, *x)
+
+        monkeypatch.setattr(sweep, "nmems_ad", boom)
+        monkeypatch.setattr(states, "nmems_ad", boom)
+        monkeypatch.setattr(DensityMatrix, "_from_x", classmethod(counting))
+        rows = run_sweep(_tiny_spec(theta_steps=5, quantities=tuple(sorted(_KERNEL))))
+        assert len(rows) == 15
+        # the undamped state of each p at most (nmems caches it)
+        assert len(built) <= 3
+
+    def test_kernel_numerical_error_aborts(self, monkeypatch):
+        def diverge(*x):
+            raise NumericalError("no convergence")
+
+        monkeypatch.setattr(linalg, "_x_eigenvalues", diverge)
+        with pytest.raises(NumericalError):
+            run_sweep(_tiny_spec(quantities=("mid",)))
 
     def test_p_only_column_is_evaluated_once_per_p(self, monkeypatch):
         # an InputError at one p writes NA at every theta of that p
@@ -272,6 +383,48 @@ class TestEmitCsv:
             originals = [row.p, row.theta] + [row.values[q] for q in header[2:]]
             for got, want in zip(parsed, originals):
                 assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+    def test_pure_spectrum_writes_zero_not_negative_zero(self, tmp_path):
+        # at p = 0, theta = pi/2 the product image is |00><00|, whose entropy
+        # sums to -0.0
+        spec = _tiny_spec(
+            p_max=0.0, p_steps=1, theta_max=math.pi / 2, theta_steps=2,
+            quantities=("entropy_ad",), channel_mode="product",
+        )
+        value = run_sweep(spec)[-1].values["entropy_ad"]
+        assert value == 0.0 and math.copysign(1.0, value) == -1.0
+        out = tmp_path / "pure.csv"
+        code = main([
+            "sweep", "--p-max", "0", "--p-steps", "1",
+            "--theta-max", "pi/2", "--theta-steps", "2",
+            "--quantities", "entropy_ad", "--channel-mode", "product",
+            "--out", str(out),
+        ])
+        assert code == 0
+        assert out.read_text().splitlines()[-1] == "0,1.57079632679,0"
+
+    @settings(max_examples=30, deadline=None)
+    @given(spec=_specs(max_steps=3))
+    def test_every_cell_parses_back(self, spec):
+        rows = run_sweep(spec)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "rt.csv")
+            emit_csv(rows, path)
+            with open(path, encoding="utf-8", newline="") as fh:
+                lines = fh.read().splitlines()
+        assert lines[0] == ",".join(("p", "theta") + spec.quantities)
+        for line, row in zip(lines[1:], rows, strict=True):
+            cells = line.split(",")
+            values = [row.p, row.theta] + [row.values[q] for q in spec.quantities]
+            assert len(cells) == len(values)
+            for cell, value in zip(cells, values):
+                if value is None:
+                    assert cell == NA_TOKEN
+                    continue
+                assert cell != "-0" and "nan" not in cell and "inf" not in cell
+                parsed = float(cell)
+                assert math.isfinite(parsed)
+                assert parsed == float(f"{value:.12g}")
 
     def test_mismatched_columns_rejected(self, tmp_path):
         rows = [
@@ -559,6 +712,32 @@ class TestQuantityRegistry:
                 assert len(set(pairs)) == 1 and pairs[0][0] == pairs[0][1], name
             else:
                 assert any(a != b for a, b in pairs), name
+
+    @pytest.mark.parametrize("mode", CHANNEL_MODES)
+    def test_fidelity_ad_is_fidelity_at_zero_damping(self, mode):
+        spec = SweepSpec(
+            p_min=0.0, p_max=1.0, p_steps=11,
+            theta_min=0.0, theta_max=0.0, theta_steps=1,
+            quantities=("fidelity", "fidelity_ad"), channel_mode=mode,
+        )
+        rows = run_sweep(spec)
+        assert [row.p for row in rows] == [k / 10 for k in range(11)]
+        for row in rows:
+            assert row.values["fidelity_ad"] == row.values["fidelity"], row.p
+
+    def test_fidelity_ad_uses_the_raw_correlation_matrix(self):
+        # the sub-normalized damped state is not rescaled: its raw T misses
+        # the usefulness bound, the renormalized one would pass it
+        spec = SweepSpec(
+            p_min=0.1, p_max=0.1, p_steps=1,
+            theta_min=0.6, theta_max=0.6, theta_steps=1,
+            quantities=("fidelity_ad",),
+        )
+        assert run_sweep(spec)[0].values["fidelity_ad"] == 2.0 / 3.0
+        damped = nmems_ad(0.1, 0.6)
+        assert not damped.is_unit()
+        rescaled = fidelity_from_correlation(correlation_matrix(damped.renormalized()))
+        assert rescaled.useful
 
     def test_witness_quantities_match_formulas(self):
         spec = SweepSpec(
