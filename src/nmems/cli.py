@@ -148,9 +148,7 @@ def _run_sweep_command(ns) -> int:
         raise InputError(
             "no quantities requested; choose from: " + ", ".join(QUANTITIES)
         )
-    spec = SweepSpec(
-        **settings, quantities=_split_quantities(quantities), output_path=out
-    )
+    spec = SweepSpec(**settings, quantities=_split_quantities(quantities))
     emit_csv(run_sweep(spec), out)
     print(f"wrote {out}")
     return EXIT_OK
@@ -158,7 +156,7 @@ def _run_sweep_command(ns) -> int:
 
 def _run_preset_command(ns) -> int:
     spec = preset_spec(ns.name)
-    out = ns.out or spec.output_path
+    out = ns.out or f"{ns.name}.csv"
     emit_csv(run_sweep(spec), out)
     print(f"wrote {out}")
     return EXIT_OK

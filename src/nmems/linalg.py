@@ -11,7 +11,7 @@ states are built from their five numbers and enter the same core directly
 (``states.DensityMatrix._from_x``), with the bits ``hermitian_eigen`` gives
 for the dense matrix.
 
-The wrappers (``as_matrix``, ``multiply``, ``kron``, ``dagger``, ``trace``)
+The wrappers (``as_matrix``, ``kron``, ``trace``, ``is_hermitian``)
 validate their arguments for callers outside the package.  Package code that
 already holds a validated array (a ``DensityMatrix.matrix``, Kraus operators,
 witness matrices, module constants) hands it straight to numpy instead.
@@ -55,25 +55,9 @@ def as_square(a) -> np.ndarray:
     return m
 
 
-def multiply(a, b) -> np.ndarray:
-    """Matrix product a @ b with an explicit dimension check."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise InputError(
-            f"cannot multiply {a.shape[0]}x{a.shape[1]} by {b.shape[0]}x{b.shape[1]}"
-        )
-    return a @ b
-
-
 def kron(a, b) -> np.ndarray:
     """Kronecker product; block (i, j) of the result is a[i, j] * b."""
     return np.kron(as_matrix(a), as_matrix(b))
-
-
-def dagger(a) -> np.ndarray:
-    """Conjugate transpose."""
-    return as_matrix(a).conj().T.copy()
 
 
 def trace(a) -> complex:

@@ -208,41 +208,35 @@ def _sqrt_rounding(terms: tuple, rad: float, root: float) -> float:
     return math.sqrt(err) if spread == 0.0 else min(math.sqrt(err), err / spread)
 
 
-def von_neumann_entropy(rho: DensityMatrix, *, normalize: bool = False) -> float:
+def von_neumann_entropy(rho: DensityMatrix) -> float:
     """-sum_i k_i log2 k_i over the eigenvalues, with 0 log 0 == 0.
 
-    Sub-normalized states are accepted and use their raw eigenvalues;
-    pass normalize=True to rescale the spectrum to unit sum first
-    (sensitivity analysis only).
+    Sub-normalized states are accepted and use their raw eigenvalues; pass
+    ``rho.renormalized()`` for the entropy of the unit-trace state.
     """
-    vals = rho.spectrum.eigenvalues
-    if normalize:
-        vals = np.clip(vals, 0.0, None)
-        total = float(vals.sum())
-        if total <= 0.0:
-            raise InputError("cannot normalize a zero-trace spectrum")
-        vals = vals / total
-    return _spectrum_entropy(vals.tolist())
+    return _spectrum_entropy(rho.spectrum.eigenvalues.tolist())
 
 
 def _spectrum_entropy(vals: list) -> float:
-    """-sum_i v_i log2 v_i over a list of eigenvalues, summed in list order.
+    """-sum_i v_i log2 v_i over a list of eigenvalues or probabilities,
+    summed in list order.
 
-    _xlog2x sends v <= 0 to 0, so roundoff-negative eigenvalues need no clip.
+    _xlog2x sends v <= 0 to 0, so roundoff-negative values need no clip.
     """
     return float(-sum(_xlog2x(v) for v in vals))
 
 
-def mid_adc(p: float, theta: float, *, normalize: bool = False) -> float:
+def mid_adc(p: float, theta: float) -> float:
     """Entropy gained by the family under amplitude damping:
-    S(damped image) - S(original), on raw spectra by default.
+    S(damped image) - S(original), on raw spectra.
 
     At p = 0 the raw damped spectrum is {1/3, (2/3) cos^2 theta, 0, 0}, so
     over theta in [0, pi/4] the raw disturbance peaks where
     (2/3) cos^2 theta = 1/e, at theta* = arcsin sqrt(1 - 3/(2e)) ~ 0.7335,
-    not at pi/4.  With normalize=True the maximum moves to theta = pi/4.
+    not at pi/4.  With the damped image renormalized the maximum moves to
+    theta = pi/4.
     """
-    return von_neumann_entropy(nmems_ad(p, theta), normalize=normalize) - von_neumann_entropy(nmems(p))
+    return von_neumann_entropy(nmems_ad(p, theta)) - von_neumann_entropy(nmems(p))
 
 
 def _marginal_basis(marginal: np.ndarray) -> np.ndarray:
@@ -262,8 +256,7 @@ def mid_dephasing(rho: DensityMatrix) -> float:
     basis_b = _marginal_basis(linalg.partial_trace(rho.matrix, (2, 2), (1,)))
     u = np.kron(basis_a, basis_b)
     rotated = u.conj().T @ rho.matrix @ u
-    probs = np.clip(np.diag(rotated).real, 0.0, None)
-    dephased_entropy = float(-sum(_xlog2x(float(v)) for v in probs))
+    dephased_entropy = _spectrum_entropy(np.diag(rotated).real.tolist())
     return dephased_entropy - von_neumann_entropy(rho)
 
 
@@ -293,11 +286,11 @@ def discord_x(rho: DensityMatrix) -> DiscordBreakdown:
     r14 = abs(rows[0][3])
     r23 = abs(rows[1][2])
     eigenvalues = np.clip(rho.spectrum.eigenvalues, 0.0, 1.0)
-    spectral_term = float(sum(_xlog2x(float(v)) for v in eigenvalues))
+    spectral_term = -_spectrum_entropy(eigenvalues.tolist())
     h_marginal = binary_entropy(diag[0] + diag[2])
     radicand = (1.0 - 2.0 * (diag[2] + diag[3])) ** 2 + 4.0 * (r14 + r23) ** 2
     d1 = binary_entropy((1.0 + math.sqrt(radicand)) / 2.0)
-    d2 = -sum(_xlog2x(v) for v in diag) - h_marginal
+    d2 = _spectrum_entropy(diag) - h_marginal
     q1 = h_marginal + spectral_term + d1
     q2 = h_marginal + spectral_term + d2
     eigenvalues.setflags(write=False)

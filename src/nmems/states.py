@@ -294,15 +294,3 @@ def x_params_of(rho: DensityMatrix) -> XStateParams:
     rows = _check_x_form(m, corners=False)
     diag = [max(rows[k][k].real, 0.0) for k in range(4)]
     return XStateParams(a=diag[0], b=diag[1], c=rows[1][2], d=diag[2], e=diag[3])
-
-
-def x_matrix_of(params: XStateParams) -> np.ndarray:
-    """Inverse of x_params_of: assemble the 4x4 matrix."""
-    m = np.zeros((4, 4), dtype=complex)
-    m[0, 0] = params.a
-    m[1, 1] = params.b
-    m[2, 2] = params.d
-    m[3, 3] = params.e
-    m[1, 2] = params.c
-    m[2, 1] = np.conj(params.c)
-    return m

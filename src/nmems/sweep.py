@@ -138,7 +138,6 @@ class SweepSpec:
     theta_steps: int = 46
     quantities: tuple = ()
     channel_mode: str = MODE_CLOSED_FORM
-    output_path: str = ""
 
     def __post_init__(self):
         for name, lo, hi in (("p", self.p_min, self.p_max),
@@ -151,8 +150,9 @@ class SweepSpec:
             raise InputError("p range must lie inside [0, 1]")
         if not (0.0 <= self.theta_min and self.theta_max <= math.pi / 2.0):
             raise InputError("theta range must lie inside [0, pi/2]")
-        if self.p_steps < 1 or self.theta_steps < 1:
-            raise InputError("step counts must be at least 1")
+        for steps in (self.p_steps, self.theta_steps):
+            if not isinstance(steps, int) or steps < 1:
+                raise InputError(f"step counts must be integers >= 1, got {steps!r}")
         if not self.quantities:
             raise InputError(
                 "no quantities requested; choose from: " + ", ".join(QUANTITIES)
@@ -305,25 +305,21 @@ PRESETS = {
         p_min=0.0, p_max=0.291, p_steps=292,
         theta_min=0.0, theta_max=math.pi / 2.0, theta_steps=46,
         quantities=("concurrence", "concurrence_ad"),
-        output_path="fig1.csv",
     ),
     "fig2": SweepSpec(
         p_min=0.0, p_max=0.249, p_steps=250,
         theta_min=0.0, theta_max=math.pi / 2.0, theta_steps=46,
         quantities=("fidelity", "fidelity_ad_closed_form"),
-        output_path="fig2.csv",
     ),
     "fig3": SweepSpec(
         p_min=0.0, p_max=0.291, p_steps=292,
         theta_min=0.0, theta_max=math.pi / 4.0, theta_steps=46,
         quantities=("mid", "fidelity_ad_closed_form"),
-        output_path="fig3.csv",
     ),
     "fig4": SweepSpec(
         p_min=0.0, p_max=0.249, p_steps=250,
         theta_min=0.0, theta_max=0.0, theta_steps=1,
         quantities=("concurrence", "discord", "fidelity"),
-        output_path="fig4.csv",
     ),
 }
 

@@ -19,21 +19,6 @@ SQRT5 = math.sqrt(5.0)
 # ---------------------------------------------------------------------------
 # elementary matrix oracles
 
-def naive_multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product by explicit triple loop."""
-    n, k = a.shape
-    k2, m = b.shape
-    assert k == k2
-    out = np.zeros((n, m), dtype=complex)
-    for i in range(n):
-        for j in range(m):
-            acc = 0j
-            for t in range(k):
-                acc += a[i, t] * b[t, j]
-            out[i, j] = acc
-    return out
-
-
 def naive_kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product by its block definition."""
     ra, ca = a.shape

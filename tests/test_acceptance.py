@@ -17,9 +17,10 @@ theta* = arcsin sqrt(1 - 3/(2e)) ~ 0.73349 < pi/4.  At theta = pi/4,
 x = 1/3 < 1/e, so the disturbance still falls as theta grows there: the
 corner is not even a local maximum.  The criterion therefore expects the grid
 maximum at p = 0 and at the grid angle nearest theta*, with the corner value
-strictly below it.  Only the renormalized spectrum (``normalize=True``) peaks
-at the corner; ``TestMidAdc::test_normalized_variant_peaks_at_the_corner``
-in ``test_measures.py`` covers that variant.
+strictly below it.  Only the renormalized damped image
+(``DensityMatrix.renormalized()``) peaks at the corner;
+``TestMidAdc::test_normalized_variant_peaks_at_the_corner`` in
+``test_measures.py`` covers that variant.
 """
 
 import math
@@ -31,7 +32,7 @@ import pytest
 
 from nmems.channels import adc, apply_correlated_pair, gadc
 from nmems.cli import main
-from nmems.linalg import dagger, hermitian_eigen
+from nmems.linalg import hermitian_eigen
 from nmems.measures import (
     chsh_criterion,
     concurrence_wootters,
@@ -178,7 +179,7 @@ def test_criterion_09_channel_audits(rng):
             gamma = float(rng.random())
             lam = float(rng.random())
             for ch in (adc(gamma), gadc(gamma, lam)):
-                total = sum(dagger(k) @ k for k in ch.operators)
+                total = sum(k.conj().T @ k for k in ch.operators)
                 assert np.max(np.abs(total - eye)) <= 1e-10
                 assert ch.trace_preserving
         for p in np.linspace(0.0, 1.0, 21):

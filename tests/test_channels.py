@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nmems import InputError
-from nmems import linalg
 from nmems.channels import (
     adc,
     apply_correlated_pair,
@@ -44,7 +43,7 @@ class TestAdc:
 
     def test_completeness_identity(self):
         ch = adc(0.3)
-        total = sum(linalg.dagger(k) @ k for k in ch.operators)
+        total = sum(k.conj().T @ k for k in ch.operators)
         assert np.max(np.abs(total - np.eye(2))) < 1e-15
         assert ch.trace_preserving
 
@@ -69,14 +68,14 @@ class TestGadc:
 
     def test_completeness_spot(self):
         ch = gadc(0.4, 0.7)
-        total = sum(linalg.dagger(k) @ k for k in ch.operators)
+        total = sum(k.conj().T @ k for k in ch.operators)
         assert np.max(np.abs(total - np.eye(2))) < 1e-15
 
     @given(gamma=unit_floats, lam=unit_floats)
     @settings(max_examples=150, deadline=None)
     def test_always_trace_preserving(self, gamma, lam):
         ch = gadc(gamma, lam)
-        total = sum(linalg.dagger(k) @ k for k in ch.operators)
+        total = sum(k.conj().T @ k for k in ch.operators)
         assert np.max(np.abs(total - np.eye(2))) < 1e-10
         assert ch.trace_preserving
 

@@ -7,38 +7,13 @@ from hypothesis import strategies as st
 
 from nmems import InputError, NumericalError
 from nmems import linalg
-from nmems.witnesses import SIGMA_X, SIGMA_Y, SIGMA_Z
+from nmems.witnesses import SIGMA_X, SIGMA_Z
 from nmems.states import nmems
 
 import oracles
 
 I2 = np.eye(2, dtype=complex)
 I4 = np.eye(4, dtype=complex)
-
-
-class TestMultiply:
-    def test_identity(self):
-        assert np.array_equal(linalg.multiply(I2, I2), I2)
-
-    def test_pauli_involution(self):
-        assert np.allclose(linalg.multiply(SIGMA_X, SIGMA_X), I2, atol=0)
-
-    def test_against_triple_loop(self, rng):
-        for _ in range(20):
-            a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-            b = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-            assert np.allclose(
-                linalg.multiply(a, b), oracles.naive_multiply(a, b), atol=1e-12
-            )
-
-    def test_dimension_mismatch_rejected(self):
-        with pytest.raises(InputError):
-            linalg.multiply(np.zeros((2, 3)), np.zeros((2, 3)))
-
-    def test_non_finite_rejected(self):
-        bad = np.array([[np.nan, 0.0], [0.0, 0.0]])
-        with pytest.raises(InputError):
-            linalg.multiply(bad, I2)
 
 
 class TestKron:
@@ -69,26 +44,6 @@ class TestKron:
         left = linalg.kron(linalg.kron(a, b), c)
         right = linalg.kron(a, linalg.kron(b, c))
         assert np.allclose(left, right, atol=1e-14)
-
-
-class TestDagger:
-    def test_real_symmetric_fixed(self):
-        m = np.array([[1.0, 2.0], [2.0, 5.0]], dtype=complex)
-        assert np.array_equal(linalg.dagger(m), m)
-
-    def test_sigma_y_hermitian(self):
-        assert np.array_equal(linalg.dagger(SIGMA_Y), SIGMA_Y)
-
-    def test_involution(self, rng):
-        a = rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))
-        assert np.array_equal(linalg.dagger(linalg.dagger(a)), a)
-
-    def test_antihomomorphism(self, rng):
-        a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        b = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        left = linalg.dagger(linalg.multiply(a, b))
-        right = linalg.multiply(linalg.dagger(b), linalg.dagger(a))
-        assert np.max(np.abs(left - right)) < 1e-12
 
 
 class TestTrace:

@@ -226,7 +226,7 @@ class TestEntropy:
     def test_sub_normalized_raw_vs_rescaled(self):
         state = nmems_ad(0.0, math.pi / 4)
         raw = von_neumann_entropy(state)
-        rescaled = von_neumann_entropy(state, normalize=True)
+        rescaled = von_neumann_entropy(state.renormalized())
         assert abs(raw - (2.0 / 3.0) * math.log2(3.0)) < 1e-12
         assert abs(rescaled - 1.0) < 1e-12
 
@@ -268,12 +268,16 @@ class TestMidAdc:
     def test_normalized_variant_peaks_at_the_corner(self):
         # rescaling the damped spectrum to unit trace moves the maximum to
         # the (p = 0, theta = pi/4) grid corner
+        def renormalized_mid(p, theta):
+            damped = nmems_ad(p, theta).renormalized()
+            return von_neumann_entropy(damped) - von_neumann_entropy(nmems(p))
+
         thetas = np.linspace(0.0, math.pi / 4, 46)
         ps = np.linspace(0.0, 0.292, 293)
-        corner = mid_adc(0.0, float(thetas[-1]), normalize=True)
+        corner = renormalized_mid(0.0, float(thetas[-1]))
         for p in ps[::4]:
             for t in thetas:
-                assert mid_adc(float(p), float(t), normalize=True) <= corner + 1e-12
+                assert renormalized_mid(float(p), float(t)) <= corner + 1e-12
 
 
 class TestMidDephasing:

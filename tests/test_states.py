@@ -188,14 +188,6 @@ class TestXParams:
         with pytest.raises(InputError):
             XStateParams(a=-0.1, b=0.4, c=0.0, d=0.4, e=0.3)
 
-    def test_matrix_round_trip(self):
-        from nmems.states import x_matrix_of
-
-        for p in (0.0, 0.15, 0.29):
-            state = nmems(p)
-            rebuilt = x_matrix_of(x_params_of(state))
-            assert np.max(np.abs(rebuilt - state.matrix)) < 1e-14
-
 
 class TestDensityMatrixValidation:
     def test_non_hermitian_rejected(self):

@@ -113,6 +113,13 @@ class TestSweepSpecValidation:
         with pytest.raises(InputError):
             _tiny_spec(p_steps=0)
 
+    @pytest.mark.parametrize("field", ["p_steps", "theta_steps"])
+    @pytest.mark.parametrize("steps", [2.5, 3.0])
+    def test_non_integer_steps_rejected(self, field, steps):
+        # run_sweep's grids need int counts; 3.0 is rejected as well as 2.5
+        with pytest.raises(InputError):
+            _tiny_spec(**{field: steps})
+
     def test_theta_bound_is_exactly_quarter_turn(self):
         # the same pi/2 bound as nmems_ad: no slack that would turn the
         # damped columns into NA
