@@ -108,10 +108,43 @@ def correlation_matrix(rho: DensityMatrix) -> CorrelationMatrix:
     # all nine traces Tr(rho P_ij) in one batched product; np.einsum would
     # reorder the four-term diagonal sum and move last bits of t
     t = np.trace(rho.matrix @ _PAULI_TENSOR, axis1=2, axis2=3).real.copy()
-    if float(np.max(np.abs(t))) > 1.0 + 1e-9:
-        raise InputError("correlation entries exceed the physical bound of 1")
+    _check_correlation_bound(float(np.max(np.abs(t))))
     t.setflags(write=False)
     return CorrelationMatrix(t=t)
+
+
+def _check_correlation_bound(largest: float) -> None:
+    """Reject a correlation matrix whose largest |t_ij| exceeds 1 + 1e-9."""
+    if largest > 1.0 + 1e-9:
+        raise InputError("correlation entries exceed the physical bound of 1")
+
+
+def _x_correlations(a: float, b: float, c: float, d: float, e: float) -> tuple:
+    """(t_xx, t_yy, t_zz) of ``correlation_matrix`` of the corner-free X
+    state with real diagonal (a, b, d, e) and real inner coherence c, with
+    its bits; every other entry of t is zero.
+
+    Replays the batched trace: the diagonal of rho (sigma_i x sigma_i)
+    is (0, c, c, 0) for x and y and (a, -b, -d, e) for z, summed as
+    numpy sums it.  (A coherence of -0.0 gives t_xx = -0.0 where the
+    matrix holds 0.0.)
+    """
+    txx = c + c
+    return txx, txx, (a + -b) + (-d + e)
+
+
+def _x_fidelity(a: float, b: float, c: float, d: float, e: float) -> float:
+    """``fidelity_from_correlation(correlation_matrix(rho)).fidelity`` of the
+    same X state, with its bits and its rejection, without building it.
+
+    T is diagonal, so T^T T has eigenvalues t_ii^2 and no Jacobi rotation;
+    their square roots are summed in descending order, as numpy sums
+    ``correlation_singular_values``.
+    """
+    t = _x_correlations(a, b, c, d, e)
+    _check_correlation_bound(max(abs(v) for v in t))
+    s0, s1, s2 = sorted((math.sqrt(v * v) for v in t), reverse=True)
+    return _fidelity_of((s0 + s1) + s2).fidelity
 
 
 def correlation_singular_values(cm: CorrelationMatrix) -> np.ndarray:
@@ -134,7 +167,11 @@ def fidelity_from_correlation(cm: CorrelationMatrix) -> FidelityResult:
     N > 1, in which case the fidelity is (1 + N/3) / 2; otherwise the
     classical benchmark 2/3 is reported.
     """
-    n = float(correlation_singular_values(cm).sum())
+    return _fidelity_of(float(correlation_singular_values(cm).sum()))
+
+
+def _fidelity_of(n: float) -> FidelityResult:
+    """The fidelity result for the singular-value sum ``n``."""
     useful = n > 1.0 + USEFULNESS_MARGIN
     fidelity = 0.5 * (1.0 + n / 3.0) if useful else CLASSICAL_FIDELITY
     return FidelityResult(fidelity=fidelity, useful=useful, n_value=n)

@@ -15,10 +15,11 @@ import functools
 import math
 from dataclasses import dataclass, field
 
-from .channels import KrausChannel, adc, apply_correlated_pair, apply_product_pair
+from .channels import _adc_pair_x, adc, apply_correlated_pair, apply_product_pair
 from .errors import InputError
 from .measures import (
     _spectrum_entropy,
+    _x_fidelity,
     chsh_criterion,
     concurrence_wootters,
     concurrence_x,
@@ -30,10 +31,14 @@ from .measures import (
     von_neumann_entropy,
 )
 from .states import (
+    UNIT,
     DensityMatrix,
     XStateParams,
     _damped_x,
+    _family_x,
+    _normalization,
     _x_spectrum,
+    _x_trace,
     nmems,
     nmems_ad,
     x_params_of,
@@ -49,31 +54,20 @@ MODE_PRODUCT = "product"           # independent noise on each qubit
 CHANNEL_MODES = (MODE_CLOSED_FORM, MODE_CORRELATED, MODE_PRODUCT)
 
 
-def _damping_channel(theta: float) -> KrausChannel:
-    """The amplitude-damping channel of strength sin^2 theta."""
-    return adc(math.sin(theta) ** 2)
-
-
 class _Point:
-    """One grid point; the damped state is built on first use only.
+    """One grid point; the damped state is built on first use only."""
 
-    ``channel`` is the point's damping channel when the caller already holds
-    it (a sweep builds one per theta); otherwise the Kraus modes build it.
-    """
-
-    def __init__(self, p: float, theta: float, mode: str, base: DensityMatrix,
-                 channel: KrausChannel | None = None):
+    def __init__(self, p: float, theta: float, mode: str, base: DensityMatrix):
         self.p = p
         self.theta = theta
         self.mode = mode
         self.base = base
-        self.channel = channel
 
     @functools.cached_property
     def damped(self) -> DensityMatrix:
         if self.mode == MODE_CLOSED_FORM:
             return nmems_ad(self.p, self.theta)
-        channel = self.channel or _damping_channel(self.theta)
+        channel = adc(math.sin(self.theta) ** 2)
         if self.mode == MODE_CORRELATED:
             return apply_correlated_pair(channel, self.base)
         return apply_product_pair(channel, self.base)
@@ -86,7 +80,7 @@ _WITNESSES = {
 }
 
 
-# Per-point definitions, and the oracle for the closed_form _KERNEL below.
+# Per-point definitions, and the oracle for the _KERNEL below.
 # fidelity_ad runs the Horodecki formula on the raw correlation matrix of
 # the mode's damped state, with no renormalization: in closed_form and
 # correlated that state is sub-normalized for theta > 0 (fidelity_ad is
@@ -123,9 +117,12 @@ P_ONLY = frozenset({
     "chsh", "witness_generic", "witness_w1", "witness_stabilizer",
 })
 
-# closed_form columns a sweep computes from the damped state's five numbers
-# (see _kernel_cells), with the values and NA cells of QUANTITIES
-_KERNEL = frozenset({"concurrence_ad", "entropy_ad", "mid"})
+# damped columns a sweep computes from the damped state's five numbers, in
+# every channel mode (see _kernel_cells), with the values and NA cells of
+# QUANTITIES
+_KERNEL = frozenset({
+    "concurrence_ad", "concurrence_ad_wootters", "fidelity_ad", "entropy_ad", "mid",
+})
 
 
 @dataclass(frozen=True)
@@ -202,28 +199,54 @@ def _cell(name: str, point: _Point):
         return None
 
 
-def _kernel_cells(names: list, p: float, theta: float, base_entropy: float | None) -> dict:
-    """The _KERNEL columns ``names`` of the closed_form cell (p, theta).
+def _mode_damped_x(mode: str, p: float, theta: float) -> tuple:
+    """(a, b, c, d, e) of ``_Point(p, theta, mode, nmems(p)).damped``, with
+    its bits and its range checks on theta or gamma; p is checked by the
+    caller's nmems(p)."""
+    if mode == MODE_CLOSED_FORM:
+        return _damped_x(p, theta)
+    return _adc_pair_x(*_family_x(p), math.sin(theta) ** 2,
+                       correlated=mode == MODE_CORRELATED)
 
-    Works on the five numbers of nmems_ad(p, theta) and their eigenvalues
-    (states._x_spectrum), which are that state's bits and pass its checks,
-    so every value and NA is the one QUANTITIES gives: a state the checks
-    reject makes all these columns NA.
+
+def _defined(f):
+    """f(), or None where it rejects its input, as _cell does."""
+    try:
+        return f()
+    except InputError:
+        return None
+
+
+def _kernel_cells(names: list, mode: str, p: float, theta: float,
+                  base_entropy: float | None) -> dict:
+    """The _KERNEL columns ``names`` of the cell (p, theta) in ``mode``.
+
+    Works on the five numbers of the cell's damped state (_mode_damped_x) and
+    their eigenvalues (states._x_spectrum), which are that state's bits and
+    pass its checks, so every value and NA is the one QUANTITIES gives: a
+    state the checks reject makes all these columns NA.  Only a unit-trace
+    cell's spin-flip concurrence builds a DensityMatrix; the others are NA
+    without one.
     """
     try:
-        a, b, c, d, e = x = _damped_x(p, theta)
+        a, b, c, d, e = x = _mode_damped_x(mode, p, theta)
         vals = _x_spectrum(*x)
     except InputError:
         return dict.fromkeys(names)
     out = {}
     if "concurrence_ad" in names:
         # the parameters x_params_of reads off the built state
-        try:
-            out["concurrence_ad"] = concurrence_x(XStateParams(
-                a=max(a, 0.0), b=max(b, 0.0), c=complex(c), d=max(d, 0.0), e=max(e, 0.0)
-            ))
-        except InputError:
-            out["concurrence_ad"] = None
+        out["concurrence_ad"] = _defined(lambda: concurrence_x(XStateParams(
+            a=max(a, 0.0), b=max(b, 0.0), c=complex(c), d=max(d, 0.0), e=max(e, 0.0)
+        )))
+    if "concurrence_ad_wootters" in names:
+        unit = _normalization(vals[-1], _x_trace(a, b, d, e)) == UNIT
+        out["concurrence_ad_wootters"] = (
+            _defined(lambda: concurrence_wootters(DensityMatrix._from_x(*x)))
+            if unit else None
+        )
+    if "fidelity_ad" in names:
+        out["fidelity_ad"] = _defined(lambda: _x_fidelity(*x))
     if "entropy_ad" in names or "mid" in names:
         entropy = _spectrum_entropy(vals)
         out["entropy_ad"] = entropy
@@ -237,32 +260,30 @@ def run_sweep(spec: SweepSpec) -> list:
 
     Undefined cells (an evaluator rejecting its input at that point) hold
     None and are emitted as NA.  P_ONLY columns are evaluated once per p
-    and shared by that p's thetas; in closed_form the _KERNEL columns skip
-    the per-point state; the Kraus channel modes build one damping channel
-    per theta for the whole sweep.
+    and shared by that p's thetas.  In every channel mode the _KERNEL
+    columns come from the damped state's five numbers, with no Kraus
+    channel and no per-point state; only fidelity_ad_closed_form takes the
+    per-point route.
     """
     theta_values = _grid(spec.theta_min, spec.theta_max, spec.theta_steps)
-    if spec.channel_mode == MODE_CLOSED_FORM:
-        channels = [None] * len(theta_values)
-        kernel = [name for name in spec.quantities if name in _KERNEL]
-    else:
-        channels = [_damping_channel(theta) for theta in theta_values]
-        kernel = []
+    kernel = [name for name in spec.quantities if name in _KERNEL]
     p_only = [name for name in spec.quantities if name in P_ONLY]
     per_point = [name for name in spec.quantities
-                 if name not in P_ONLY and name not in kernel]
+                 if name not in P_ONLY and name not in _KERNEL]
     rows = []
     for p in _grid(spec.p_min, spec.p_max, spec.p_steps):
         base = nmems(p)
         first = _Point(p, theta_values[0], spec.channel_mode, base)
         shared = {name: _cell(name, first) for name in p_only}
         base_entropy = von_neumann_entropy(base) if "mid" in kernel else None
-        for theta, channel in zip(theta_values, channels):
+        for theta in theta_values:
             cells = dict(shared)
             if kernel:
-                cells.update(_kernel_cells(kernel, p, theta, base_entropy))
+                cells.update(
+                    _kernel_cells(kernel, spec.channel_mode, p, theta, base_entropy)
+                )
             if per_point:
-                point = _Point(p, theta, spec.channel_mode, base, channel)
+                point = _Point(p, theta, spec.channel_mode, base)
                 cells.update((name, _cell(name, point)) for name in per_point)
             values = {name: cells[name] for name in spec.quantities}
             rows.append(SweepRow(p=p, theta=theta, values=values))

@@ -137,6 +137,16 @@ def binary_entropy(x: float) -> float:
 # ---------------------------------------------------------------------------
 # hand-derived closed forms for the GHZ/W-mixture family
 
+def x_matrix(a, b, c, d, e) -> np.ndarray:
+    """The dense corner-free X matrix with diagonal (a, b, d, e) and inner
+    coherence rho[1, 2] = c, rho[2, 1] = conj(c)."""
+    m = np.zeros((4, 4), dtype=complex)
+    m[0, 0], m[1, 1], m[2, 2], m[3, 3] = a, b, d, e
+    m[1, 2] = c
+    m[2, 1] = np.conj(c)
+    return m
+
+
 def family_matrix(p: float) -> np.ndarray:
     m = np.zeros((4, 4), dtype=complex)
     m[0, 0] = (p + 2.0) / 6.0

@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from nmems import InputError
 from nmems.channels import (
+    _adc_pair_x,
     adc,
     apply_correlated_pair,
     apply_product_pair,
@@ -14,7 +15,7 @@ from nmems.channels import (
     gadc,
     kraus_channel,
 )
-from nmems.states import DensityMatrix, nmems, nmems_ad
+from nmems.states import DensityMatrix, _family_x, _x_spectrum, nmems, nmems_ad
 
 import oracles
 
@@ -270,3 +271,55 @@ class TestPairOperatorsOncePerChannel:
         for k in ch._product_pair_ops + ch._correlated_pair_ops:
             with pytest.raises(ValueError):
                 k[0, 0] = 5.0
+
+
+@st.composite
+def _x_entries(draw):
+    """(a, b, c, d, e) of a valid corner-free X state with entries >= +0.0,
+    as _adc_pair_x takes them, and trace in (0, 1]: a family state, or a
+    random one with zero and full coherences and unit trace among them."""
+    if draw(st.booleans()):
+        return _family_x(draw(st.floats(0.0, 1.0) | st.sampled_from([0.0, 1.0])))
+    diag = draw(st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4))
+    total = sum(diag)
+    assume(total > 0.0)
+    scale = draw(st.just(1.0) | st.floats(0.01, 1.0))
+    a, b, d, e = (v / total * scale for v in diag)
+    share = draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
+    return a, b, share * math.sqrt(b * d), d, e
+
+
+class TestPairImagesFromFiveNumbers:
+    # the sweep kernel's Kraus images: the five numbers _adc_pair_x gives
+    # are the stored matrix apply_*_pair builds, bit for bit, zeros included
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        x=_x_entries(),
+        gamma=st.floats(0.0, 1.0) | st.sampled_from([0.0, 1.0]),
+        correlated=st.booleans(),
+    )
+    @example(x=_family_x(0.0), gamma=1.0, correlated=False)
+    @example(x=_family_x(1.0), gamma=1.0, correlated=True)
+    @example(x=_family_x(1.0), gamma=0.0, correlated=False)
+    @example(x=_family_x(0.3), gamma=math.sin(math.pi / 2) ** 2, correlated=True)
+    def test_image_bits(self, x, gamma, correlated):
+        apply = apply_correlated_pair if correlated else apply_product_pair
+        got = _adc_pair_x(*x, gamma, correlated=correlated)
+        try:
+            image = apply(adc(gamma), DensityMatrix._from_x(*x))
+        except InputError as exc:
+            # the correlated map can drain all trace: the kernel's checks
+            # reject the five numbers with the same message
+            with pytest.raises(InputError) as kernel:
+                _x_spectrum(*got)
+            assert str(kernel.value) == str(exc)
+            return
+        assert oracles.x_matrix(*got).tobytes() == image.matrix.tobytes()
+
+    @pytest.mark.parametrize("correlated", [True, False])
+    def test_gamma_range_checked_like_adc(self, correlated):
+        x = _family_x(0.2)
+        for bad in (math.nan, -1e-9, math.nextafter(1.0, 2.0)):
+            with pytest.raises(InputError, match="gamma must lie in"):
+                _adc_pair_x(*x, bad, correlated=correlated)

@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from nmems import InputError
+from nmems import InputError, linalg
+from nmems.channels import adc, apply_product_pair
 from nmems.measures import (
+    _x_correlations,
+    _x_fidelity,
     binary_entropy,
     chsh_criterion,
     concurrence_wootters,
@@ -24,6 +27,7 @@ from nmems.measures import (
     von_neumann_entropy,
 )
 from nmems.states import DensityMatrix, nmems, nmems_ad, projector, x_params_of
+from nmems.sweep import CHANNEL_MODES, _mode_damped_x
 
 import oracles
 
@@ -117,6 +121,63 @@ class TestCorrelationMatrix:
     def test_bell_state_signature(self):
         t = correlation_matrix(_bell_psi_plus()).t
         assert np.allclose(t, np.diag([1.0, 1.0, -1.0]), atol=1e-12)
+
+
+@st.composite
+def _x_entries(draw):
+    """(a, b, c, d, e) of a valid corner-free X state with real coherence:
+    the family's damped state in one of the three channel modes at (p,
+    theta), grid endpoints included, or a random state with trace in
+    (0, 1] and a coherence of either sign."""
+    if draw(st.booleans()):
+        p = draw(st.floats(0.0, 1.0) | st.sampled_from([0.0, 1.0]))
+        theta = draw(st.floats(0.0, math.pi / 2) | st.sampled_from([0.0, math.pi / 2]))
+        return _mode_damped_x(draw(st.sampled_from(CHANNEL_MODES)), p, theta)
+    diag = draw(st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4))
+    total = sum(diag)
+    assume(total > 0.0)
+    scale = draw(st.just(1.0) | st.floats(0.01, 1.0))
+    a, b, d, e = (v / total * scale for v in diag)
+    share = draw(st.sampled_from([-1.0, 0.0, 1.0]) | st.floats(-1.0, 1.0))
+    # + 0.0: a coherence of -0.0 gives t_xx = -0.0, where the matrix holds 0.0
+    return a, b, share * math.sqrt(b * d) + 0.0, d, e
+
+
+class TestXStateCorrelations:
+    # the sweep kernel's fidelity_ad: T of an X state is diagonal, and its
+    # scalar replay has the bits of the batched trace and the Gram route
+
+    @settings(max_examples=300, deadline=None)
+    @given(x=_x_entries())
+    @example(x=(1.0, 0.0, 0.0, 0.0, 0.0))
+    @example(x=(0.0, 0.5, 0.5, 0.5, 0.0))
+    @example(x=(0.0, 0.5, -0.5, 0.5, 0.0))
+    def test_replay_bits(self, x):
+        rho = DensityMatrix._from_x(*x)
+        cm = correlation_matrix(rho)
+        assert cm.t.tobytes() == np.diag(_x_correlations(*x)).tobytes()
+        want = fidelity_from_correlation(cm).fidelity
+        assert _x_fidelity(*x).hex() == want.hex()
+
+    def test_rejects_like_correlation_matrix(self):
+        # |t_xx| = 1.2: no valid state reaches it, so wrap the matrix
+        # without the validator
+        x = (0.25, 0.25, 0.6, 0.25, 0.25)
+        dense = oracles.x_matrix(*x)
+        rho = DensityMatrix(
+            matrix=dense, normalization="unit", trace_value=1.0,
+            spectrum=linalg.hermitian_eigen(dense),
+        )
+        with pytest.raises(InputError) as dense_route:
+            correlation_matrix(rho)
+        with pytest.raises(InputError) as replay:
+            _x_fidelity(*x)
+        assert str(replay.value) == str(dense_route.value)
+        # the bound itself is inclusive
+        edge = (1.0 + 1e-9) / 2.0
+        assert _x_fidelity(0.25, 0.25, edge, 0.25, 0.25) > 2.0 / 3.0
+        with pytest.raises(InputError):
+            _x_fidelity(0.25, 0.25, math.nextafter(edge, 1.0), 0.25, 0.25)
 
 
 class TestTeleportationFidelity:
@@ -331,6 +392,19 @@ class TestDiscordX:
             for measured in (0, 1):
                 got = oracles.brute_discord(oracles.family_matrix(p), measured)
                 assert abs(got - want) < 1e-12, (p, measured)
+
+    def test_matches_brute_force_on_product_images(self):
+        # the unit-trace images of independent per-qubit damping, the
+        # damped states discord_x accepts, measured on either qubit
+        for p in np.linspace(0.0, 1.0, 6).tolist():
+            base = nmems(p)
+            for theta in (0.3, 0.7, 1.1, math.pi / 2):
+                rho = apply_product_pair(adc(math.sin(theta) ** 2), base)
+                assert rho.is_unit()
+                want = discord_x(rho).discord
+                for measured in (0, 1):
+                    got = oracles.brute_discord(rho.matrix, measured)
+                    assert abs(got - want) < 1e-12, (p, theta, measured)
 
     def test_eigenvalues_descending_and_normalized(self):
         b = discord_x(nmems(0.17))

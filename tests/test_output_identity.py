@@ -1,7 +1,7 @@
 """Byte-identity gate: the sha256 prefixes of the figure presets, the
 headline report, the 60 x 20 all-quantity sweep in every channel mode and
-a whole-domain closed_form sweep of the kernel columns, plus
-full-precision digests of the eigensolver and the family's states.
+whole-domain sweeps of the kernel columns, plus full-precision digests of
+the eigensolver and the family's states.
 
 A change to any evaluator that moves a single printed digit changes one of
 the CSV digests.  Those see only 12 significant digits, so the raw-byte
@@ -85,6 +85,32 @@ def test_kernel_sweep_bytes(tmp_path):
         quantities=("concurrence_ad", "entropy_ad", "mid"),
     )
     assert _csv_digest(spec, tmp_path / "kernel.csv") == KERNEL_SWEEP_SHA256
+
+
+# the five damped columns sweep._KERNEL computes from five numbers, over
+# the whole domain in every channel mode, taken before the kernel covered
+# the Kraus modes, fidelity_ad and concurrence_ad_wootters
+KERNEL_MODE_SWEEP_SHA256 = {
+    "closed_form": "4ff9292d802e5867",
+    "correlated": "615aaf8e058f113e",
+    "product": "aea401bafb94ef74",
+}
+
+
+@pytest.mark.parametrize("mode", CHANNEL_MODES)
+def test_kernel_sweep_bytes_every_mode(mode, tmp_path):
+    # nmems sweep --p-max 1 --p-steps 41 --theta-max pi/2 --theta-steps 21
+    #   --quantities concurrence_ad,concurrence_ad_wootters,fidelity_ad,entropy_ad,mid
+    #   --channel-mode <mode>
+    spec = SweepSpec(
+        p_min=0.0, p_max=1.0, p_steps=41,
+        theta_min=0.0, theta_max=math.pi / 2, theta_steps=21,
+        quantities=("concurrence_ad", "concurrence_ad_wootters", "fidelity_ad",
+                    "entropy_ad", "mid"),
+        channel_mode=mode,
+    )
+    digest = _csv_digest(spec, tmp_path / f"kernel_{mode}.csv")
+    assert digest == KERNEL_MODE_SWEEP_SHA256[mode]
 
 
 # sha256 prefixes of the raw float64/complex128 bytes, little-endian

@@ -263,13 +263,6 @@ def _assert_same_bits(got: DensityMatrix, want: DensityMatrix) -> None:
     assert not got.matrix.flags.writeable
 
 
-def _dense_x(a, b, c, d, e) -> np.ndarray:
-    m = np.zeros((4, 4), dtype=complex)
-    m[0, 0], m[1, 1], m[2, 2], m[3, 3] = a, b, d, e
-    m[1, 2] = m[2, 1] = c
-    return m
-
-
 class TestXConstruction:
     """The family's states are built from their five numbers; they must be
     the states ``from_matrix`` makes of the same dense matrix, bit for bit."""
@@ -309,7 +302,7 @@ class TestXConstruction:
     )
     def test_rejects_like_dense_route(self, x):
         with pytest.raises(InputError) as dense:
-            DensityMatrix.from_matrix(_dense_x(*x))
+            DensityMatrix.from_matrix(oracles.x_matrix(*x))
         with pytest.raises(InputError) as direct:
             DensityMatrix._from_x(*x)
         with pytest.raises(InputError) as spectrum_only:

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nmems
-from nmems import InputError, NumericalError, linalg, states, sweep
+from nmems import InputError, NumericalError, channels, linalg, measures, states, sweep
 from nmems.cli import main, parse_angle
 from nmems.measures import (
     concurrence_x,
@@ -36,6 +36,8 @@ from nmems.sweep import (
     _Point,
     run_sweep,
 )
+
+import oracles
 
 
 def _tiny_spec(**overrides):
@@ -237,8 +239,8 @@ class TestRunSweep:
 
     @pytest.mark.parametrize("mode", CHANNEL_MODES)
     def test_hoisted_sweep_matches_per_cell_evaluation(self, mode):
-        # P_ONLY columns once per p, and in closed_form the _KERNEL columns
-        # from five numbers: both must equal the per-point route exactly
+        # P_ONLY columns once per p, and the _KERNEL columns from five
+        # numbers: both must equal the per-point route exactly
         spec = _tiny_spec(quantities=tuple(QUANTITIES), channel_mode=mode)
         rows = run_sweep(spec)
         assert len(rows) == 9
@@ -247,22 +249,20 @@ class TestRunSweep:
             want = _bits(_per_point_values(spec, row.p, row.theta))
             for name, got in _bits(row.values).items():
                 assert got == want[name], (mode, row.p, row.theta, name)
-        if mode == "closed_form":
+        if mode != "product":
             # the grid reaches NA cells: concurrence_ad_wootters for theta > 0
             assert any(row.values["concurrence_ad_wootters"] is None for row in rows)
 
-    @settings(max_examples=60, deadline=None)
-    @given(spec=_specs(
-        modes=("closed_form",),
-        names=(*sorted(_KERNEL), "concurrence", "entropy", "fidelity_ad"),
-    ))
+    @settings(max_examples=90, deadline=None)
+    @given(spec=_specs(names=(*sorted(_KERNEL), "concurrence", "entropy")))
     def test_kernel_matches_per_point_route(self, spec):
         for row in run_sweep(spec):
             assert _bits(row.values) == _bits(_per_point_values(spec, row.p, row.theta))
 
     def test_kernel_na_cells_match_per_point_route(self, monkeypatch):
         # five numbers the checks reject make every _KERNEL column NA; a
-        # coherence only XStateParams rejects makes concurrence_ad NA alone
+        # coherence only XStateParams rejects makes concurrence_ad NA, and
+        # the spin-flip concurrence of its sub-normalized state is NA too
         thetas = _grid(0.0, math.pi / 4, 5)
         bad = {
             1: (0.5, 0.3, 0.0, 0.2, 0.1),  # trace 1.1
@@ -271,31 +271,60 @@ class TestRunSweep:
             # |c| just over sqrt(bd) + 1e-9, lowest eigenvalue above -1e-10
             4: (0.4, 0.5, math.sqrt(0.5 * 1e-8) + 1e-8, 1e-8, 0.0),
         }
-        real = states._damped_x
+        real_x = sweep._mode_damped_x
+        real_damped = _Point.damped.func
 
-        def damped_x(p, theta):
-            return bad.get(thetas.index(theta)) or real(p, theta)
+        def damped_x(mode_, p, theta):
+            return bad.get(thetas.index(theta)) or real_x(mode_, p, theta)
 
-        monkeypatch.setattr(states, "_damped_x", damped_x)
-        monkeypatch.setattr(sweep, "_damped_x", damped_x)
-        spec = _tiny_spec(
-            theta_steps=5, quantities=("concurrence", *sorted(_KERNEL), "fidelity_ad")
-        )
-        rows = run_sweep(spec)
-        for row in rows:
-            assert _bits(row.values) == _bits(_per_point_values(spec, row.p, row.theta))
-            na = {name for name, v in row.values.items() if v is None}
-            k = thetas.index(row.theta)
-            if k in (1, 2, 3):
-                assert na == _KERNEL | {"fidelity_ad"}
-            elif k == 4:
-                assert na == {"concurrence_ad"}
-            else:
-                assert not na
+        def damped(point):
+            # the per-point route validates the same five numbers densely
+            x = bad.get(thetas.index(point.theta))
+            if x is None:
+                return real_damped(point)
+            return DensityMatrix.from_matrix(oracles.x_matrix(*x))
+
+        monkeypatch.setattr(sweep, "_mode_damped_x", damped_x)
+        monkeypatch.setattr(_Point, "damped", property(damped))
+        for mode in CHANNEL_MODES:
+            spec = _tiny_spec(
+                theta_steps=5, quantities=("concurrence", *sorted(_KERNEL)),
+                channel_mode=mode,
+            )
+            for row in run_sweep(spec):
+                want = _per_point_values(spec, row.p, row.theta)
+                assert _bits(row.values) == _bits(want), (mode, row.p, row.theta)
+                na = {name for name, v in row.values.items() if v is None}
+                k = thetas.index(row.theta)
+                if k in (1, 2, 3):
+                    assert na == _KERNEL
+                elif k == 4:
+                    assert na == {"concurrence_ad", "concurrence_ad_wootters"}
+                else:
+                    assert not na
+
+    def test_kernel_correlation_rejection_is_na(self, monkeypatch):
+        # no valid state breaks |t_ij| <= 1 + 1e-9; a tighter bound shows
+        # that the rejection writes NA on both routes
+        def tight(largest):
+            if largest > 0.5:
+                raise InputError("correlation entries exceed 0.5")
+
+        monkeypatch.setattr(measures, "_check_correlation_bound", tight)
+        for mode in CHANNEL_MODES:
+            spec = _tiny_spec(
+                theta_steps=5, quantities=("fidelity_ad", "entropy_ad"), channel_mode=mode
+            )
+            rows = run_sweep(spec)
+            na = [row.values["fidelity_ad"] is None for row in rows]
+            assert any(na) and not all(na), mode
+            for row in rows:
+                want = _per_point_values(spec, row.p, row.theta)
+                assert _bits(row.values) == _bits(want), (mode, row.p, row.theta)
 
     def test_kernel_builds_no_state_per_cell(self, monkeypatch):
-        def boom(*args):
-            raise AssertionError("damped state built")
+        def boom(*args, **kwargs):
+            raise AssertionError("damped state or channel built")
 
         built = []
         inner = DensityMatrix.__dict__["_from_x"].__func__
@@ -304,21 +333,35 @@ class TestRunSweep:
             built.append(x)
             return inner(cls, *x)
 
-        monkeypatch.setattr(sweep, "nmems_ad", boom)
-        monkeypatch.setattr(states, "nmems_ad", boom)
+        for module, name in (
+            (sweep, "nmems_ad"), (states, "nmems_ad"), (sweep, "adc"),
+            (channels, "adc"), (channels, "kraus_channel"),
+            (sweep, "apply_correlated_pair"), (channels, "apply_correlated_pair"),
+            (sweep, "apply_product_pair"), (channels, "apply_product_pair"),
+        ):
+            monkeypatch.setattr(module, name, boom)
+        monkeypatch.setattr(DensityMatrix, "from_matrix", classmethod(boom))
         monkeypatch.setattr(DensityMatrix, "_from_x", classmethod(counting))
-        rows = run_sweep(_tiny_spec(theta_steps=5, quantities=tuple(sorted(_KERNEL))))
-        assert len(rows) == 15
-        # the undamped state of each p at most (nmems caches it)
-        assert len(built) <= 3
+        for mode in CHANNEL_MODES:
+            built.clear()
+            rows = run_sweep(_tiny_spec(
+                theta_steps=5, quantities=tuple(sorted(_KERNEL)), channel_mode=mode
+            ))
+            assert len(rows) == 15
+            # the undamped state of each p at most (nmems caches it), plus
+            # one state per unit-trace cell for its spin-flip concurrence
+            defined = sum(row.values["concurrence_ad_wootters"] is not None for row in rows)
+            assert defined == (15 if mode == "product" else 3), mode
+            assert len(built) <= 3 + defined, mode
 
     def test_kernel_numerical_error_aborts(self, monkeypatch):
         def diverge(*x):
             raise NumericalError("no convergence")
 
         monkeypatch.setattr(linalg, "_x_eigenvalues", diverge)
-        with pytest.raises(NumericalError):
-            run_sweep(_tiny_spec(quantities=("mid",)))
+        for mode in CHANNEL_MODES:
+            with pytest.raises(NumericalError):
+                run_sweep(_tiny_spec(quantities=("mid",), channel_mode=mode))
 
     def test_p_only_column_is_evaluated_once_per_p(self, monkeypatch):
         # an InputError at one p writes NA at every theta of that p
