@@ -12,7 +12,6 @@ validator, never rescaled.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -34,24 +33,13 @@ def _frozen(k: np.ndarray) -> np.ndarray:
 class KrausChannel:
     """Kraus operators with a label and a trace-preservation flag.
 
-    Build it with ``kraus_channel``, which stores read-only copies: the
-    pair maps cache Kronecker products of the operators on first use.
+    Build it with ``kraus_channel``, which stores read-only copies of the
+    operators.
     """
 
     operators: tuple
     label: str
     trace_preserving: bool
-
-    @functools.cached_property
-    def _correlated_pair_ops(self) -> tuple:
-        """K_i x K_i, in operator order."""
-        return tuple(_frozen(np.kron(k, k)) for k in self.operators)
-
-    @functools.cached_property
-    def _product_pair_ops(self) -> tuple:
-        """K_i x K_j, i outer and j inner."""
-        ops = self.operators
-        return tuple(_frozen(np.kron(ki, kj)) for ki in ops for kj in ops)
 
 
 def kraus_channel(operators, label: str) -> KrausChannel:
@@ -136,14 +124,15 @@ def apply_correlated_pair(ch: KrausChannel, rho: DensityMatrix) -> DensityMatrix
     _require_qubit_pair(ch, rho)
     if len(ch.operators) != 2:
         raise InputError("correlated pair application needs exactly 2 operators")
-    return _kraus_sum(ch._correlated_pair_ops, rho)
+    return _kraus_sum([np.kron(k, k) for k in ch.operators], rho)
 
 
 def apply_product_pair(ch: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
     """sum_{i,j} (K_i x K_j) rho (K_i x K_j)^dagger: independent noise on
     each qubit.  Trace-preserving whenever the channel is."""
     _require_qubit_pair(ch, rho)
-    return _kraus_sum(ch._product_pair_ops, rho)
+    ops = ch.operators
+    return _kraus_sum([np.kron(ki, kj) for ki in ops for kj in ops], rho)
 
 
 def _adc_pair_x(a: float, b: float, c: float, d: float, e: float, gamma: float,

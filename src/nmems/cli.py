@@ -128,10 +128,7 @@ def load_spec_file(path: str) -> dict:
 
 
 def _split_quantities(text: str) -> tuple:
-    names = tuple(q.strip() for q in text.split(",") if q.strip())
-    if not names:
-        raise InputError("empty quantity list")
-    return names
+    return tuple(q.strip() for q in text.split(",") if q.strip())
 
 
 def _run_sweep_command(ns) -> int:
@@ -143,12 +140,8 @@ def _run_sweep_command(ns) -> int:
     out = settings.pop("out", "")
     if not out:
         raise InputError("an output path is required (--out or 'out =' in the file)")
-    quantities = settings.pop("quantities", None)
-    if quantities is None:
-        raise InputError(
-            "no quantities requested; choose from: " + ", ".join(QUANTITIES)
-        )
-    spec = SweepSpec(**settings, quantities=_split_quantities(quantities))
+    quantities = _split_quantities(settings.pop("quantities", ""))
+    spec = SweepSpec(**settings, quantities=quantities)
     emit_csv(run_sweep(spec), out)
     print(f"wrote {out}")
     return EXIT_OK

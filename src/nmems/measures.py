@@ -259,8 +259,13 @@ def _spectrum_entropy(vals: list) -> float:
     summed in list order.
 
     _xlog2x sends v <= 0 to 0, so roundoff-negative values need no clip.
+    A plain loop, not builtin sum: from Python 3.12 on sum compensates float
+    sums, which moves the last bit of some entropies.
     """
-    return float(-sum(_xlog2x(v) for v in vals))
+    total = 0.0
+    for v in vals:
+        total += _xlog2x(v)
+    return -total
 
 
 def mid_adc(p: float, theta: float) -> float:

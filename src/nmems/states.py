@@ -249,17 +249,17 @@ def _x_trace(a: float, b: float, d: float, e: float) -> float:
     return (a + b) + (d + e)
 
 
-def _x_spectrum(a: float, b: float, c: float, d: float, e: float) -> list:
-    """Descending eigenvalues of ``DensityMatrix._from_x(a, b, c, d, e)``,
-    bit for bit, without building it.
+def _x_spectrum(a: float, b: float, c: float, d: float, e: float) -> tuple:
+    """(descending eigenvalues, normalization tag) of
+    ``DensityMatrix._from_x(a, b, c, d, e)``, bit for bit, without building
+    it.
 
     Makes the checks ``_from_x`` makes, with the same messages: finite
     entries, the eigenvalue floor and the trace window.
     """
     _check_finite(a, b, c, d, e)
     vals = linalg._x_eigenvalues(a, b, c, d, e)
-    _normalization(vals[-1], _x_trace(a, b, d, e))
-    return vals
+    return vals, _normalization(vals[-1], _x_trace(a, b, d, e))
 
 
 def _check_x_form(m: np.ndarray, *, corners: bool) -> list:

@@ -11,7 +11,6 @@ significant digits, LF newlines, the literal token NA.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -36,9 +35,7 @@ from .states import (
     XStateParams,
     _damped_x,
     _family_x,
-    _normalization,
     _x_spectrum,
-    _x_trace,
     nmems,
     nmems_ad,
     x_params_of,
@@ -54,23 +51,14 @@ MODE_PRODUCT = "product"           # independent noise on each qubit
 CHANNEL_MODES = (MODE_CLOSED_FORM, MODE_CORRELATED, MODE_PRODUCT)
 
 
-class _Point:
-    """One grid point; the damped state is built on first use only."""
-
-    def __init__(self, p: float, theta: float, mode: str, base: DensityMatrix):
-        self.p = p
-        self.theta = theta
-        self.mode = mode
-        self.base = base
-
-    @functools.cached_property
-    def damped(self) -> DensityMatrix:
-        if self.mode == MODE_CLOSED_FORM:
-            return nmems_ad(self.p, self.theta)
-        channel = adc(math.sin(self.theta) ** 2)
-        if self.mode == MODE_CORRELATED:
-            return apply_correlated_pair(channel, self.base)
-        return apply_product_pair(channel, self.base)
+def _damped(p: float, theta: float, mode: str) -> DensityMatrix:
+    """The damped state of grid point (p, theta) in channel mode ``mode``."""
+    if mode == MODE_CLOSED_FORM:
+        return nmems_ad(p, theta)
+    channel = adc(math.sin(theta) ** 2)
+    if mode == MODE_CORRELATED:
+        return apply_correlated_pair(channel, nmems(p))
+    return apply_product_pair(channel, nmems(p))
 
 
 _WITNESSES = {
@@ -80,37 +68,46 @@ _WITNESSES = {
 }
 
 
-# Per-point definitions, and the oracle for the _KERNEL below.
+# Per-point definitions, each a function of the grid point (p, theta) and
+# the channel mode, and the oracle for the _KERNEL below.
 # fidelity_ad runs the Horodecki formula on the raw correlation matrix of
 # the mode's damped state, with no renormalization: in closed_form and
 # correlated that state is sub-normalized for theta > 0 (fidelity_ad is
 # 2/3 at p = 0.1, theta = 0.6 in closed_form), while fidelity rejects
 # non-unit input.
 QUANTITIES = {
-    "concurrence": lambda pt: concurrence_x(x_params_of(pt.base)),
-    "concurrence_ad": lambda pt: concurrence_x(x_params_of(pt.damped)),
-    "concurrence_wootters": lambda pt: concurrence_wootters(pt.base),
-    "concurrence_ad_wootters": lambda pt: concurrence_wootters(pt.damped),
-    "fidelity": lambda pt: teleportation_fidelity(pt.base).fidelity,
-    "fidelity_ad": lambda pt: fidelity_from_correlation(
-        correlation_matrix(pt.damped)
+    "concurrence": lambda p, theta, mode: concurrence_x(x_params_of(nmems(p))),
+    "concurrence_ad": lambda p, theta, mode: concurrence_x(
+        x_params_of(_damped(p, theta, mode))
+    ),
+    "concurrence_wootters": lambda p, theta, mode: concurrence_wootters(nmems(p)),
+    "concurrence_ad_wootters": lambda p, theta, mode: concurrence_wootters(
+        _damped(p, theta, mode)
+    ),
+    "fidelity": lambda p, theta, mode: teleportation_fidelity(nmems(p)).fidelity,
+    "fidelity_ad": lambda p, theta, mode: fidelity_from_correlation(
+        correlation_matrix(_damped(p, theta, mode))
     ).fidelity,
-    "fidelity_ad_closed_form": lambda pt: fidelity_ad_closed_form(pt.p, pt.theta),
-    "discord": lambda pt: discord_x(pt.base).discord,
-    "entropy": lambda pt: von_neumann_entropy(pt.base),
-    "entropy_ad": lambda pt: von_neumann_entropy(pt.damped),
+    "fidelity_ad_closed_form": lambda p, theta, mode: fidelity_ad_closed_form(p, theta),
+    "discord": lambda p, theta, mode: discord_x(nmems(p)).discord,
+    "entropy": lambda p, theta, mode: von_neumann_entropy(nmems(p)),
+    "entropy_ad": lambda p, theta, mode: von_neumann_entropy(_damped(p, theta, mode)),
     # the entropy the channel mode's own damped map adds; in closed_form
     # this is mid_adc(p, theta), with the same arithmetic
-    "mid": lambda pt: von_neumann_entropy(pt.damped) - von_neumann_entropy(pt.base),
-    "chsh": lambda pt: chsh_criterion(pt.base).m_value,
-    "witness_generic": lambda pt: evaluate(_WITNESSES["generic"], pt.base).expectation,
-    "witness_w1": lambda pt: evaluate(_WITNESSES["w1"], pt.base).expectation,
-    "witness_stabilizer": lambda pt: evaluate(
-        _WITNESSES["stabilizer"], pt.base
+    "mid": lambda p, theta, mode: (
+        von_neumann_entropy(_damped(p, theta, mode)) - von_neumann_entropy(nmems(p))
+    ),
+    "chsh": lambda p, theta, mode: chsh_criterion(nmems(p)).m_value,
+    "witness_generic": lambda p, theta, mode: evaluate(
+        _WITNESSES["generic"], nmems(p)
+    ).expectation,
+    "witness_w1": lambda p, theta, mode: evaluate(_WITNESSES["w1"], nmems(p)).expectation,
+    "witness_stabilizer": lambda p, theta, mode: evaluate(
+        _WITNESSES["stabilizer"], nmems(p)
     ).expectation,
 }
 
-# columns that read only pt.base, so depend on p alone; a sweep evaluates
+# columns that read only nmems(p), so depend on p alone; a sweep evaluates
 # them once per p and shares the value across that p's thetas
 P_ONLY = frozenset({
     "concurrence", "concurrence_wootters", "fidelity", "discord", "entropy",
@@ -191,28 +188,19 @@ def _grid(lo: float, hi: float, steps: int) -> list:
     return [lo + i * (hi - lo) / (steps - 1) for i in range(steps - 1)] + [hi]
 
 
-def _cell(name: str, point: _Point):
-    """One CSV cell: the quantity's value, or None where it is undefined."""
-    try:
-        return float(QUANTITIES[name](point))
-    except InputError:
-        return None
-
-
 def _mode_damped_x(mode: str, p: float, theta: float) -> tuple:
-    """(a, b, c, d, e) of ``_Point(p, theta, mode, nmems(p)).damped``, with
-    its bits and its range checks on theta or gamma; p is checked by the
-    caller's nmems(p)."""
+    """(a, b, c, d, e) of ``_damped(p, theta, mode)``, with its bits and its
+    range checks on theta or gamma; p is checked by the caller's nmems(p)."""
     if mode == MODE_CLOSED_FORM:
         return _damped_x(p, theta)
     return _adc_pair_x(*_family_x(p), math.sin(theta) ** 2,
                        correlated=mode == MODE_CORRELATED)
 
 
-def _defined(f):
-    """f(), or None where it rejects its input, as _cell does."""
+def _defined(f, *args):
+    """f(*args), or None where it rejects its input: one CSV cell."""
     try:
-        return f()
+        return f(*args)
     except InputError:
         return None
 
@@ -221,16 +209,16 @@ def _kernel_cells(names: list, mode: str, p: float, theta: float,
                   base_entropy: float | None) -> dict:
     """The _KERNEL columns ``names`` of the cell (p, theta) in ``mode``.
 
-    Works on the five numbers of the cell's damped state (_mode_damped_x) and
-    their eigenvalues (states._x_spectrum), which are that state's bits and
-    pass its checks, so every value and NA is the one QUANTITIES gives: a
-    state the checks reject makes all these columns NA.  Only a unit-trace
-    cell's spin-flip concurrence builds a DensityMatrix; the others are NA
-    without one.
+    Works on the five numbers of the cell's damped state (_mode_damped_x),
+    their eigenvalues and their trace tag (states._x_spectrum), which are
+    that state's bits and pass its checks, so every value and NA is the one
+    QUANTITIES gives: a state the checks reject makes all these columns NA.
+    Only a unit-trace cell's spin-flip concurrence builds a DensityMatrix;
+    the others are NA without one.
     """
     try:
         a, b, c, d, e = x = _mode_damped_x(mode, p, theta)
-        vals = _x_spectrum(*x)
+        vals, tag = _x_spectrum(*x)
     except InputError:
         return dict.fromkeys(names)
     out = {}
@@ -240,13 +228,12 @@ def _kernel_cells(names: list, mode: str, p: float, theta: float,
             a=max(a, 0.0), b=max(b, 0.0), c=complex(c), d=max(d, 0.0), e=max(e, 0.0)
         )))
     if "concurrence_ad_wootters" in names:
-        unit = _normalization(vals[-1], _x_trace(a, b, d, e)) == UNIT
         out["concurrence_ad_wootters"] = (
             _defined(lambda: concurrence_wootters(DensityMatrix._from_x(*x)))
-            if unit else None
+            if tag == UNIT else None
         )
     if "fidelity_ad" in names:
-        out["fidelity_ad"] = _defined(lambda: _x_fidelity(*x))
+        out["fidelity_ad"] = _defined(_x_fidelity, *x)
     if "entropy_ad" in names or "mid" in names:
         entropy = _spectrum_entropy(vals)
         out["entropy_ad"] = entropy
@@ -259,32 +246,32 @@ def run_sweep(spec: SweepSpec) -> list:
     """Evaluate the grid; returns rows in (p outer, theta inner) order.
 
     Undefined cells (an evaluator rejecting its input at that point) hold
-    None and are emitted as NA.  P_ONLY columns are evaluated once per p
-    and shared by that p's thetas.  In every channel mode the _KERNEL
-    columns come from the damped state's five numbers, with no Kraus
-    channel and no per-point state; only fidelity_ad_closed_form takes the
-    per-point route.
+    None and are emitted as NA.  P_ONLY columns are evaluated once per p,
+    as ``QUANTITIES[name](p, theta, mode)`` at the first theta, and shared
+    by that p's thetas.  In every channel mode the _KERNEL columns come
+    from the damped state's five numbers, with no Kraus channel and no
+    per-point state; only fidelity_ad_closed_form takes the per-point route
+    through QUANTITIES.
     """
     theta_values = _grid(spec.theta_min, spec.theta_max, spec.theta_steps)
     kernel = [name for name in spec.quantities if name in _KERNEL]
     p_only = [name for name in spec.quantities if name in P_ONLY]
     per_point = [name for name in spec.quantities
                  if name not in P_ONLY and name not in _KERNEL]
+    mode = spec.channel_mode
     rows = []
     for p in _grid(spec.p_min, spec.p_max, spec.p_steps):
         base = nmems(p)
-        first = _Point(p, theta_values[0], spec.channel_mode, base)
-        shared = {name: _cell(name, first) for name in p_only}
+        shared = {name: _defined(QUANTITIES[name], p, theta_values[0], mode)
+                  for name in p_only}
         base_entropy = von_neumann_entropy(base) if "mid" in kernel else None
         for theta in theta_values:
             cells = dict(shared)
             if kernel:
-                cells.update(
-                    _kernel_cells(kernel, spec.channel_mode, p, theta, base_entropy)
-                )
+                cells.update(_kernel_cells(kernel, mode, p, theta, base_entropy))
             if per_point:
-                point = _Point(p, theta, spec.channel_mode, base)
-                cells.update((name, _cell(name, point)) for name in per_point)
+                cells.update((name, _defined(QUANTITIES[name], p, theta, mode))
+                             for name in per_point)
             values = {name: cells[name] for name in spec.quantities}
             rows.append(SweepRow(p=p, theta=theta, values=values))
     return rows
@@ -398,19 +385,24 @@ def usefulness_boundary() -> float:
     )
 
 
-def discord_concurrence_crossing(step: float = 1e-3) -> tuple[float, float]:
+# the p step of the discord/concurrence scan, which sets the width of the
+# bracket the headline report prints
+_CROSSING_STEP = 1e-3
+
+
+def discord_concurrence_crossing() -> tuple[float, float]:
     """Bracket [lo, hi] containing the p where discord equals concurrence."""
     prev_p = 0.0
     prev_gap = (
         discord_x(nmems(0.0)).discord - concurrence_x(x_params_of(nmems(0.0)))
     )
-    p = step
+    p = _CROSSING_STEP
     while p <= 0.292:
         gap = discord_x(nmems(p)).discord - concurrence_x(x_params_of(nmems(p)))
         if (prev_gap < 0.0) and (gap >= 0.0):
             return prev_p, p
         prev_p, prev_gap = p, gap
-        p += step
+        p += _CROSSING_STEP
     raise InputError("no discord/concurrence crossing found on [0, 0.292]")
 
 

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from nmems import InputError, linalg
+from nmems import InputError, linalg, measures
 from nmems.channels import adc, apply_product_pair
 from nmems.measures import (
+    _spectrum_entropy,
     _x_correlations,
     _x_fidelity,
     binary_entropy,
@@ -290,6 +291,14 @@ class TestEntropy:
         rescaled = von_neumann_entropy(state.renormalized())
         assert abs(raw - (2.0 / 3.0) * math.log2(3.0)) < 1e-12
         assert abs(rescaled - 1.0) < 1e-12
+
+    def test_spectrum_entropy_adds_left_to_right(self, monkeypatch):
+        # builtin sum compensates float sums from Python 3.12 on; fsum
+        # stands in for it here.  On the fig3 spectrum at p = 0,
+        # theta = pi/180 a compensated sum gives ...814
+        monkeypatch.setattr(measures, "sum", math.fsum, raising=False)
+        vals = [0.6664636090063651, 0.3333333333333333, 3.0814879110195774e-33, 0.0]
+        assert _spectrum_entropy(vals).hex() == (0.9184699585983813).hex()
 
 
 class TestMidAdc:

@@ -320,8 +320,9 @@ class TestXConstruction:
         # the sweep kernel's eigenvalues and trace are the built state's bits
         a, b, c, d, e = _damped_x(p, theta)
         rho = nmems_ad(p, theta)
-        got = _x_spectrum(a, b, c, d, e)
+        got, tag = _x_spectrum(a, b, c, d, e)
         assert np.array(got).tobytes() == rho.spectrum.eigenvalues.tobytes()
+        assert tag == rho.normalization
         tr = _x_trace(a, b, d, e)
         assert struct.pack("<d", tr) == struct.pack("<d", rho.trace_value)
 

@@ -33,7 +33,6 @@ from nmems.sweep import (
     report_headlines,
     _KERNEL,
     _grid,
-    _Point,
     run_sweep,
 )
 
@@ -55,13 +54,12 @@ def _tiny_spec(**overrides):
 
 
 def _per_point_values(spec: SweepSpec, p: float, theta: float) -> dict:
-    """The row QUANTITIES gives at (p, theta) through _Point, one cell at a
-    time: the oracle of every shortcut run_sweep takes."""
-    base = nmems.nmems(p)
+    """The row QUANTITIES gives at (p, theta), one cell at a time: the
+    oracle of every shortcut run_sweep takes."""
     values = {}
     for name in spec.quantities:
         try:
-            values[name] = float(QUANTITIES[name](_Point(p, theta, spec.channel_mode, base)))
+            values[name] = float(QUANTITIES[name](p, theta, spec.channel_mode))
         except InputError:
             values[name] = None
     return values
@@ -272,20 +270,20 @@ class TestRunSweep:
             4: (0.4, 0.5, math.sqrt(0.5 * 1e-8) + 1e-8, 1e-8, 0.0),
         }
         real_x = sweep._mode_damped_x
-        real_damped = _Point.damped.func
+        real_damped = sweep._damped
 
         def damped_x(mode_, p, theta):
             return bad.get(thetas.index(theta)) or real_x(mode_, p, theta)
 
-        def damped(point):
+        def damped(p, theta, mode_):
             # the per-point route validates the same five numbers densely
-            x = bad.get(thetas.index(point.theta))
+            x = bad.get(thetas.index(theta))
             if x is None:
-                return real_damped(point)
+                return real_damped(p, theta, mode_)
             return DensityMatrix.from_matrix(oracles.x_matrix(*x))
 
         monkeypatch.setattr(sweep, "_mode_damped_x", damped_x)
-        monkeypatch.setattr(_Point, "damped", property(damped))
+        monkeypatch.setattr(sweep, "_damped", damped)
         for mode in CHANNEL_MODES:
             spec = _tiny_spec(
                 theta_steps=5, quantities=("concurrence", *sorted(_KERNEL)),
@@ -367,9 +365,9 @@ class TestRunSweep:
         # an InputError at one p writes NA at every theta of that p
         calls = []
 
-        def chsh_rejecting_p_one_tenth(pt):
-            calls.append((pt.p, pt.theta))
-            if pt.p == 0.1:
+        def chsh_rejecting_p_one_tenth(p, theta, mode):
+            calls.append((p, theta))
+            if p == 0.1:
                 raise InputError("rejected")
             return 0.5
 
@@ -387,7 +385,7 @@ class TestRunSweep:
         mode=st.sampled_from(CHANNEL_MODES),
     )
     def test_damped_state_is_x_form_with_trace_at_most_one(self, p, theta, mode):
-        damped = _Point(p, theta, mode, nmems.nmems(p)).damped
+        damped = sweep._damped(p, theta, mode)
         x_params_of(damped)
         assert damped.trace_value <= 1.0 + 1e-10
         if mode == "product":
@@ -695,8 +693,15 @@ class TestCli:
         assert code == 1
         assert "unknown quantities" in capsys.readouterr().err
 
-    def test_missing_quantities_exits_one(self, tmp_path):
+    def test_missing_quantities_exits_one(self, tmp_path, capsys):
         assert main(["sweep", "--out", str(tmp_path / "x.csv")]) == 1
+        assert "no quantities requested" in capsys.readouterr().err
+
+    def test_empty_quantity_list_exits_one(self, tmp_path, capsys):
+        code = main(["sweep", "--quantities", ",", "--out", str(tmp_path / "x.csv")])
+        assert code == 1
+        assert "no quantities requested" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
 
     def test_unwritable_output_exits_two(self, tmp_path):
         code = main(
@@ -746,11 +751,10 @@ class TestQuantityRegistry:
         # move with theta in at least one mode
         assert P_ONLY <= set(QUANTITIES)
         p = 0.1
-        base = nmems.nmems(p)
 
         def value(name, theta, mode):
             try:
-                return float(QUANTITIES[name](_Point(p, theta, mode, base)))
+                return float(QUANTITIES[name](p, theta, mode))
             except InputError:
                 return None
 
