@@ -32,8 +32,10 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_IO = 2
 
+# a signed coefficient with at least one digit, or none at all ("pi", "-pi")
 _PI_PATTERN = re.compile(
-    r"^\s*([+-]?\d*\.?\d*)\s*\*?\s*pi\s*(?:/\s*(\d+\.?\d*))?\s*$", re.IGNORECASE
+    r"^\s*([+-]?(?:\d+\.?\d*|\.\d+)?)\s*\*?\s*pi\s*(?:/\s*(\d+\.?\d*))?\s*$",
+    re.IGNORECASE,
 )
 
 

@@ -4,12 +4,18 @@ Matrices are plain numpy arrays of complex128; functions never mutate their
 inputs and always return fresh arrays.  The eigensolver is a cyclic Jacobi
 iteration working directly on the complex Hermitian matrix — at these
 dimensions it is simple, unconditionally stable, and keeps the whole numeric
-core free of LAPACK behaviour differences.  Its one core, ``_jacobi``, works
-on nested lists of Python complex: ``hermitian_eigen`` validates and
-symmetrizes dense input and hands it over, while the GHZ/W family's X-form
-states are built from their five numbers and enter the same core directly
-(``states.DensityMatrix._from_x``), with the bits ``hermitian_eigen`` gives
-for the dense matrix.
+core free of LAPACK behaviour differences.  Its one core, ``_diagonalize``,
+runs the row-cyclic sweeps on nested lists of Python complex, with or
+without an eigenvector accumulator, and has two entries:
+
+* ``_jacobi``, the full decomposition: ``hermitian_eigen`` validates and
+  symmetrizes dense input and hands it over, while the GHZ/W family's
+  X-form states are built from their five numbers and enter it directly
+  (``states.DensityMatrix._from_x``), with the bits ``hermitian_eigen``
+  gives for the dense matrix;
+* ``_jacobi_eigenvalues``, eigenvalues only, one connected block of the
+  nonzero pattern at a time, with ``_jacobi``'s bits; the spin-flip
+  concurrence's 8x8 dilation takes this route.
 
 The wrappers (``as_matrix``, ``kron``, ``trace``, ``is_hermitian``)
 validate their arguments for callers outside the package.  Package code that
@@ -83,9 +89,11 @@ class Spectrum:
     eigenvectors: np.ndarray
 
 
-def _rotate(w: list, v: list, p: int, q: int, n: int, apq: complex, r: float) -> None:
+def _rotate(w: list, v: list | None, p: int, q: int, n: int, apq: complex,
+            r: float) -> None:
     """Zero w[p][q] = apq (and w[q][p]), |apq| = r > 0, with a unitary plane
-    rotation, in place.
+    rotation, in place, and apply it to the eigenvector accumulator ``v``
+    unless that is None.
 
     ``w`` and ``v`` are nested lists of Python complex; scalar arithmetic
     beats numpy by a wide margin at these dimensions.
@@ -117,6 +125,8 @@ def _rotate(w: list, v: list, p: int, q: int, n: int, apq: complex, r: float) ->
     rp[p] = complex(rp[p].real)
     rq[q] = complex(rq[q].real)
 
+    if v is None:
+        return
     for k in range(n):
         row = v[k]
         vp = row[p]
@@ -125,9 +135,10 @@ def _rotate(w: list, v: list, p: int, q: int, n: int, apq: complex, r: float) ->
         row[q] = -s_ph * vp + c * vq
 
 
-def _jacobi(w: list) -> Spectrum:
+def _diagonalize(w: list, v: list | None) -> None:
     """Cyclic Jacobi on a Hermitian matrix given as nested lists of Python
-    complex, which it overwrites.
+    complex, in place: ``w`` ends diagonal, and ``v`` (None for no
+    eigenvectors) accumulates the rotations.
 
     Each sweep visits the pairs in row-cyclic order and rotates every one
     whose off-diagonal magnitude exceeds 1e-12; the first sweep that rotates
@@ -135,9 +146,6 @@ def _jacobi(w: list) -> Spectrum:
     Hermitian with finite entries.
     """
     n = len(w)
-    v = [[0j] * n for _ in range(n)]
-    for i in range(n):
-        v[i][i] = 1.0 + 0.0j
     for _ in range(JACOBI_MAX_SWEEPS):
         rotated = False
         for p in range(n - 1):
@@ -149,11 +157,19 @@ def _jacobi(w: list) -> Spectrum:
                     _rotate(w, v, p, q, n, apq, r)
                     rotated = True
         if not rotated:
-            break
-    else:
-        raise NumericalError(
-            f"Jacobi iteration did not converge in {JACOBI_MAX_SWEEPS} sweeps"
-        )
+            return
+    raise NumericalError(
+        f"Jacobi iteration did not converge in {JACOBI_MAX_SWEEPS} sweeps"
+    )
+
+
+def _jacobi(w: list) -> Spectrum:
+    """Full spectral decomposition by ``_diagonalize``, which overwrites ``w``."""
+    n = len(w)
+    v = [[0j] * n for _ in range(n)]
+    for i in range(n):
+        v[i][i] = 1.0 + 0.0j
+    _diagonalize(w, v)
     eigvals = [w[k][k].real for k in range(n)]
     # descending, ties in index order (reverse=True keeps the sort stable)
     order = sorted(range(n), key=eigvals.__getitem__, reverse=True)
@@ -161,6 +177,53 @@ def _jacobi(w: list) -> Spectrum:
         eigenvalues=np.array([eigvals[k] for k in order]),
         eigenvectors=np.array([[row[k] for k in order] for row in v], dtype=complex),
     )
+
+
+def _blocks(w: list) -> list:
+    """The connected components of the nonzero pattern of ``w``, each an
+    ascending list of indices, in order of their smallest index."""
+    n = len(w)
+    seen = [False] * n
+    blocks = []
+    for start in range(n):
+        if seen[start]:
+            continue
+        seen[start] = True
+        block = [start]
+        stack = [start]
+        while stack:
+            i = stack.pop()
+            for j in range(n):
+                if not seen[j] and (w[i][j] or w[j][i]):
+                    seen[j] = True
+                    block.append(j)
+                    stack.append(j)
+        blocks.append(sorted(block))
+    return blocks
+
+
+def _jacobi_eigenvalues(w: list) -> list:
+    """Descending eigenvalues ``_jacobi`` finds for ``w``, bit for bit, as a
+    list of floats, without eigenvectors; ``w`` is left unspecified.
+
+    Runs ``_diagonalize`` on each connected block of the nonzero pattern
+    on its own.  The values are those of the full run: a rotation inside
+    one block writes to another block's entries only where both factors
+    are zero, so those entries stay (signed) zeros and are never rotated;
+    it touches no diagonal entry outside its pair; and the row-cyclic
+    order within a block is unchanged.  A dense matrix is one block and
+    runs as ``_jacobi`` does.
+    """
+    n = len(w)
+    eigvals = [0.0] * n
+    for block in _blocks(w):
+        sub = w if len(block) == n else [[w[i][j] for j in block] for i in block]
+        if len(block) > 1:
+            _diagonalize(sub, None)
+        for k, i in enumerate(block):
+            eigvals[i] = sub[k][k].real
+    # as _jacobi orders them: ties (+0.0 and -0.0) stay in index order
+    return sorted(eigvals, reverse=True)
 
 
 def _x_eigenvalues(a, b, c, d, e) -> list:

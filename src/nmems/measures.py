@@ -30,6 +30,7 @@ from .states import (
     XStateParams,
     _check_range,
     _check_x_form,
+    _check_x_params,
     nmems,
     nmems_ad,
 )
@@ -68,7 +69,14 @@ def binary_entropy(x: float) -> float:
 
 def concurrence_x(xp: XStateParams) -> float:
     """Concurrence of a corner-free X state: 2 max(|c| - sqrt(a e), 0)."""
-    return 2.0 * max(abs(xp.c) - math.sqrt(xp.a * xp.e), 0.0)
+    return _x_concurrence(xp.a, xp.b, xp.c, xp.d, xp.e)
+
+
+def _x_concurrence(a: float, b: float, c: complex, d: float, e: float) -> float:
+    """``concurrence_x(XStateParams(a, b, c, d, e))``, with the dataclass's
+    checks and messages, without building it."""
+    _check_x_params(a, b, c, d, e)
+    return 2.0 * max(abs(c) - math.sqrt(a * e), 0.0)
 
 
 def concurrence_wootters(rho: DensityMatrix) -> float:
@@ -82,18 +90,27 @@ def concurrence_wootters(rho: DensityMatrix) -> float:
     K = sqrt(rho) (sy x sy) sqrt(rho)*, and are computed that way, as
     eigenvalues of the Hermitian dilation [[0, K], [K^dagger, 0]]: squaring
     and re-rooting would turn ~1e-17 eigenvalue dust into ~1e-9 errors at
-    rank-deficient states.  Defined for unit trace only; sub-normalized
-    input is rejected.
+    rank-deficient states.  The dilation's eigenvalues come from
+    ``linalg._jacobi_eigenvalues``, which diagonalizes each connected block
+    of its nonzero pattern on its own ({0, 7}, {3, 4} and {1, 2, 5, 6} for
+    an X state, one block for a dense state) with the bits the full Jacobi
+    gives.  Defined for unit trace only; sub-normalized input is rejected.
     """
     _check_two_qubit(rho, "spin-flip concurrence")
-    root = linalg.spectrum_sqrt(rho.spectrum)
-    k = root @ _YY @ root.conj()
-    dilation = np.zeros((8, 8), dtype=complex)
-    dilation[:4, 4:] = k
-    dilation[4:, :4] = k.conj().T
     # spectrum of the dilation is {+s_i, -s_i}; the top half is s descending
-    roots = np.clip(linalg.hermitian_eigen(dilation).eigenvalues[:4], 0.0, None)
-    return float(max(0.0, roots[0] - roots[1] - roots[2] - roots[3]))
+    top = linalg._jacobi_eigenvalues(_spin_flip_dilation(rho))[:4]
+    s1, s2, s3, s4 = (max(v, 0.0) for v in top)
+    return max(0.0, s1 - s2 - s3 - s4)
+
+
+def _spin_flip_dilation(rho: DensityMatrix) -> list:
+    """[[0, K], [K^dagger, 0]], K = sqrt(rho) (sy x sy) sqrt(rho)*, as
+    nested lists of Python complex; exactly Hermitian by construction."""
+    root = linalg.spectrum_sqrt(rho.spectrum)
+    k = (root @ _YY @ root.conj()).tolist()
+    z = [0j] * 4
+    return [z + row for row in k] + [[kij.conjugate() for kij in col] + z
+                                     for col in zip(*k)]
 
 
 @dataclass(frozen=True)

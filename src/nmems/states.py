@@ -144,11 +144,16 @@ class XStateParams:
     e: float
 
     def __post_init__(self):
-        for name in ("a", "b", "d", "e"):
-            if getattr(self, name) < 0.0:
-                raise InputError(f"X-state parameter {name} must be non-negative")
-        if abs(self.c) > math.sqrt(self.b * self.d) + 1e-9:
-            raise InputError("coherence |c| exceeds sqrt(b*d); not a valid state")
+        _check_x_params(self.a, self.b, self.c, self.d, self.e)
+
+
+def _check_x_params(a: float, b: float, c: complex, d: float, e: float) -> None:
+    """XStateParams' checks: a non-negative diagonal and |c| <= sqrt(b d)."""
+    for name, value in (("a", a), ("b", b), ("d", d), ("e", e)):
+        if value < 0.0:
+            raise InputError(f"X-state parameter {name} must be non-negative")
+    if abs(c) > math.sqrt(b * d) + 1e-9:
+        raise InputError("coherence |c| exceeds sqrt(b*d); not a valid state")
 
 
 def ghz_state() -> np.ndarray:

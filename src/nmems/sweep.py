@@ -18,6 +18,7 @@ from .channels import _adc_pair_x, adc, apply_correlated_pair, apply_product_pai
 from .errors import InputError
 from .measures import (
     _spectrum_entropy,
+    _x_concurrence,
     _x_fidelity,
     chsh_criterion,
     concurrence_wootters,
@@ -32,7 +33,6 @@ from .measures import (
 from .states import (
     UNIT,
     DensityMatrix,
-    XStateParams,
     _damped_x,
     _family_x,
     _x_spectrum,
@@ -224,9 +224,9 @@ def _kernel_cells(names: list, mode: str, p: float, theta: float,
     out = {}
     if "concurrence_ad" in names:
         # the parameters x_params_of reads off the built state
-        out["concurrence_ad"] = _defined(lambda: concurrence_x(XStateParams(
-            a=max(a, 0.0), b=max(b, 0.0), c=complex(c), d=max(d, 0.0), e=max(e, 0.0)
-        )))
+        out["concurrence_ad"] = _defined(
+            _x_concurrence, max(a, 0.0), max(b, 0.0), c, max(d, 0.0), max(e, 0.0)
+        )
     if "concurrence_ad_wootters" in names:
         out["concurrence_ad_wootters"] = (
             _defined(lambda: concurrence_wootters(DensityMatrix._from_x(*x)))
@@ -385,24 +385,20 @@ def usefulness_boundary() -> float:
     )
 
 
-# the p step of the discord/concurrence scan, which sets the width of the
-# bracket the headline report prints
-_CROSSING_STEP = 1e-3
-
-
 def discord_concurrence_crossing() -> tuple[float, float]:
-    """Bracket [lo, hi] containing the p where discord equals concurrence."""
-    prev_p = 0.0
-    prev_gap = (
-        discord_x(nmems(0.0)).discord - concurrence_x(x_params_of(nmems(0.0)))
-    )
-    p = _CROSSING_STEP
-    while p <= 0.292:
-        gap = discord_x(nmems(p)).discord - concurrence_x(x_params_of(nmems(p)))
-        if (prev_gap < 0.0) and (gap >= 0.0):
+    """Bracket [lo, hi] containing the p where discord equals concurrence.
+
+    Scans p over _grid(0.0, 0.292, 293): p = i * 0.292 / 292 from the
+    integer index, so the bracket is 0.001 wide and the scan ends on
+    p = 0.292 exactly.
+    """
+    prev_p = prev_gap = None
+    for p in _grid(0.0, 0.292, 293):
+        base = nmems(p)
+        gap = discord_x(base).discord - concurrence_x(x_params_of(base))
+        if prev_gap is not None and prev_gap < 0.0 and gap >= 0.0:
             return prev_p, p
         prev_p, prev_gap = p, gap
-        p += _CROSSING_STEP
     raise InputError("no discord/concurrence crossing found on [0, 0.292]")
 
 

@@ -27,7 +27,14 @@ from nmems.measures import (
     teleportation_fidelity,
     von_neumann_entropy,
 )
-from nmems.states import DensityMatrix, nmems, nmems_ad, projector, x_params_of
+from nmems.states import (
+    DensityMatrix,
+    XStateParams,
+    nmems,
+    nmems_ad,
+    projector,
+    x_params_of,
+)
 from nmems.sweep import CHANNEL_MODES, _mode_damped_x
 
 import oracles
@@ -72,6 +79,25 @@ class TestConcurrence:
             got = concurrence_x(x_params_of(nmems(float(p))))
             assert abs(got - oracles.family_concurrence(float(p))) < 1e-12
 
+    @pytest.mark.parametrize("x", [
+        (-1e-3, 0.5, 0.0, 0.5, 0.0), (0.0, -1e-3, 0.0, 0.5, 0.0),
+        (0.0, 0.5, 0.0, -1e-3, 0.0), (0.0, 0.5, 0.0, 0.5, -1e-3),
+        (0.0, 0.25, 0.26, 0.25, 0.0), (0.0, 0.25, -0.26j, 0.25, 0.0),
+    ])
+    def test_scalar_route_rejects_like_the_dataclass(self, x):
+        with pytest.raises(InputError) as want:
+            XStateParams(*x)
+        with pytest.raises(InputError) as got:
+            measures._x_concurrence(*x)
+        assert str(got.value) == str(want.value)
+
+    def test_scalar_route_builds_no_dataclass(self, monkeypatch):
+        def boom(self):
+            raise AssertionError("XStateParams built")
+
+        monkeypatch.setattr(XStateParams, "__post_init__", boom)
+        assert measures._x_concurrence(0.0, 0.5, 0.5, 0.5, 0.0) == 1.0
+
     def test_scaling_law_under_damping(self):
         for p in np.linspace(0.0, 0.99, 34):
             base = concurrence_x(x_params_of(nmems(float(p))))
@@ -79,6 +105,40 @@ class TestConcurrence:
                 gamma = math.sin(theta) ** 2
                 damped = concurrence_x(x_params_of(nmems_ad(float(p), float(theta))))
                 assert abs(damped - (1.0 - gamma) * base) < 1e-12
+
+
+@st.composite
+def _spin_flip_states(draw):
+    """A unit-trace two-qubit state: a random corner-free X state (c = 0,
+    b == d and pure diagonals among its edges), the damped family in a
+    Kraus mode where its trace is 1, or a seeded dense state of rank 1..4."""
+    kind = draw(st.sampled_from(["x", "image", "dense"]))
+    if kind == "x":
+        diag = draw(st.lists(st.floats(0.0, 1.0) | st.just(0.0), min_size=4, max_size=4))
+        total = sum(diag)
+        assume(total > 0.0)
+        a, b, d, e = (v / total for v in diag)
+        if draw(st.booleans()):
+            b = d = (b + d) / 2.0
+        share = draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
+        phase = draw(st.sampled_from([1.0, -1.0, 1j]) | st.floats(0.0, 2.0 * math.pi).map(
+            lambda t: complex(math.cos(t), math.sin(t))))
+        c = share * math.sqrt(b * d) * phase
+        return DensityMatrix.from_matrix(oracles.x_matrix(a, b, c, d, e))
+    if kind == "image":
+        p = draw(st.floats(0.0, 1.0) | st.sampled_from([0.0, 1.0]))
+        # the correlated map keeps unit trace only without damping
+        mode = draw(st.sampled_from(["product", "correlated"]))
+        theta = 0.0 if mode == "correlated" else draw(
+            st.floats(0.0, math.pi / 2) | st.sampled_from([0.0, math.pi / 2]))
+        rho = DensityMatrix._from_x(*_mode_damped_x(mode, p, theta))
+        assert rho.is_unit()
+        return rho
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rank = draw(st.integers(1, 4))
+    g = rng.standard_normal((4, rank)) + 1j * rng.standard_normal((4, rank))
+    rho = g @ g.conj().T
+    return DensityMatrix.from_matrix(rho / np.trace(rho).real)
 
 
 class TestWoottersConcurrence:
@@ -105,6 +165,54 @@ class TestWoottersConcurrence:
     def test_sub_normalized_rejected(self):
         with pytest.raises(InputError):
             concurrence_wootters(nmems_ad(0.0, 0.5))
+
+    @settings(max_examples=300, deadline=None)
+    @given(rho=_spin_flip_states())
+    @example(rho=_bell_psi_plus())
+    @example(rho=_bell_phi_plus())
+    @example(rho=MAX_MIXED)
+    def test_block_eigenvalues_match_full_core(self, rho):
+        w = measures._spin_flip_dilation(rho)
+        want = linalg.hermitian_eigen(np.array(w)).eigenvalues.tolist()
+        assert linalg._jacobi_eigenvalues(w) == want
+
+    def test_dilation_blocks(self):
+        # an X state's dilation splits into {0, 7}, {3, 4} and {1, 2, 5, 6};
+        # a dense state's is one block
+        image = DensityMatrix._from_x(*_mode_damped_x("product", 0.1, 0.4))
+        blocks = linalg._blocks(measures._spin_flip_dilation(image))
+        assert blocks == [[0, 7], [1, 2, 5, 6], [3, 4]]
+        dense = DensityMatrix.from_matrix(oracles.random_density(np.random.default_rng(5), 4))
+        assert linalg._blocks(measures._spin_flip_dilation(dense)) == [list(range(8))]
+
+    def test_eigenvalues_only(self, monkeypatch):
+        states = {
+            "x": DensityMatrix._from_x(*_mode_damped_x("product", 0.1, 0.4)),
+            "dense": DensityMatrix.from_matrix(
+                oracles.random_density(np.random.default_rng(5), 4)
+            ),
+        }
+        want = {name: concurrence_wootters(rho) for name, rho in states.items()}
+
+        def boom(*args):
+            raise AssertionError("eigenvectors computed")
+
+        sizes = []
+        inner = linalg._diagonalize
+
+        def spy(w, v):
+            assert v is None
+            sizes.append(len(w))
+            inner(w, v)
+
+        monkeypatch.setattr(linalg, "hermitian_eigen", boom)
+        monkeypatch.setattr(linalg, "_jacobi", boom)
+        monkeypatch.setattr(linalg, "_diagonalize", spy)
+        assert concurrence_wootters(states["x"]) == want["x"]
+        assert sorted(sizes) == [2, 2, 4]
+        sizes.clear()
+        assert concurrence_wootters(states["dense"]) == want["dense"]
+        assert sizes == [8]
 
 
 class TestCorrelationMatrix:

@@ -1,12 +1,12 @@
 """Byte-identity gate: the sha256 prefixes of the figure presets, the
 headline report, the 60 x 20 all-quantity sweep in every channel mode and
 whole-domain sweeps of the kernel columns, plus full-precision digests of
-the eigensolver and the family's states.
+the eigensolver, the family's states and the spin-flip concurrence.
 
 A change to any evaluator that moves a single printed digit changes one of
 the CSV digests.  Those see only 12 significant digits, so the raw-byte
 digests below also pin the last bit of every eigenvalue, eigenvector,
-stored matrix and trace.  A deliberate change of output must update the
+stored matrix, trace and spin-flip concurrence.  A deliberate change of output must update the
 digest here and say which cells moved and why.
 """
 
@@ -17,18 +17,23 @@ import struct
 import numpy as np
 import pytest
 
-from nmems import linalg
+from nmems import InputError, linalg
 from nmems.channels import adc, apply_correlated_pair, apply_product_pair
-from nmems.states import nmems, nmems_ad
+from nmems.measures import concurrence_wootters
+from nmems.states import UNIT, DensityMatrix, _x_spectrum, nmems, nmems_ad
 from nmems.sweep import (
     CHANNEL_MODES,
     PRESETS,
     QUANTITIES,
     SweepSpec,
+    _grid,
+    _mode_damped_x,
     emit_csv,
     report_headlines,
     run_sweep,
 )
+
+import oracles
 
 PRESET_SHA256 = {
     "fig1": "ff22b210e035cb22",
@@ -151,3 +156,58 @@ def test_family_states_full_precision():
             h.update(struct.pack("<d", rho.trace_value))
             h.update(rho.normalization.encode("ascii"))
     assert h.hexdigest()[:16] == FAMILY_SHA256
+
+
+# sha256 prefix of float.hex(concurrence_wootters(rho)) over the states
+# below, taken while the spin-flip dilation was still diagonalized whole.
+# The matrix products (K = sqrt(rho) (sy x sy) sqrt(rho)*, and g g^dagger
+# of the dense states) run through BLAS zgemm, whose last bits depend on
+# the kernel: OpenBLAS's fused multiply-add kernels (Haswell and later) and
+# its older ones (Prescott to Sandybridge) give 347 of the 1,361 values
+# differently.  Either digest pins every bit the eigenvalue step produces.
+WOOTTERS_SHA256 = {"fma": "9de083df8b3b8f44", "no_fma": "900ebb961c99870d"}
+
+
+def _wootters_states():
+    """Unit-trace states of every shape the spin-flip dilation takes: the
+    damped images of both Kraus modes over the whole domain, random X states
+    with their edges (c = 0, b == d, pure and rank-deficient diagonals), and
+    seeded dense states of full and deficient rank."""
+    for mode in ("correlated", "product"):
+        for p in _grid(0.0, 1.0, 41):
+            for theta in _grid(0.0, math.pi / 2.0, 21):
+                try:
+                    x = _mode_damped_x(mode, p, theta)
+                except InputError:
+                    continue
+                if _x_spectrum(*x)[1] == UNIT:
+                    yield DensityMatrix._from_x(*x)
+    rng = np.random.default_rng(11)
+    for k in range(150):
+        m = oracles.random_x_state(rng)
+        if k % 3 == 1:
+            m[1, 2] = m[2, 1] = 0.0
+        elif k % 3 == 2:
+            mean = (m[1, 1] + m[2, 2]) / 2.0
+            m[1, 1] = m[2, 2] = mean
+        yield DensityMatrix.from_matrix(m)
+    edges = [(1.0, 0.0, 0.0, 0.0, 0.0), (0.0, 1.0, 0.0, 0.0, 0.0),
+             (0.0, 0.0, 0.0, 0.0, 1.0), (0.0, 0.5, 0.5, 0.5, 0.0),
+             (0.0, 0.5, -0.5j, 0.5, 0.0), (0.5, 0.0, 0.0, 0.0, 0.5),
+             (0.25, 0.25, 0.0, 0.25, 0.25), (0.25, 0.25, 0.25, 0.25, 0.25)]
+    for x in edges:
+        yield DensityMatrix.from_matrix(oracles.x_matrix(*x))
+    for k in range(300):
+        g = rng.standard_normal((4, 1 + k % 4)) + 1j * rng.standard_normal((4, 1 + k % 4))
+        rho = g @ g.conj().T
+        yield DensityMatrix.from_matrix(rho / np.trace(rho).real)
+
+
+def test_wootters_full_precision():
+    h = hashlib.sha256()
+    n = 0
+    for rho in _wootters_states():
+        h.update(concurrence_wootters(rho).hex().encode("ascii"))
+        n += 1
+    assert n == 1_361
+    assert h.hexdigest()[:16] in WOOTTERS_SHA256.values()

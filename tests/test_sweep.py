@@ -340,6 +340,7 @@ class TestRunSweep:
             monkeypatch.setattr(module, name, boom)
         monkeypatch.setattr(DensityMatrix, "from_matrix", classmethod(boom))
         monkeypatch.setattr(DensityMatrix, "_from_x", classmethod(counting))
+        monkeypatch.setattr(states.XStateParams, "__post_init__", boom)
         for mode in CHANNEL_MODES:
             built.clear()
             rows = run_sweep(_tiny_spec(
@@ -558,6 +559,25 @@ class TestHeadlines:
         lo, hi = float(match.group(1)), float(match.group(2))
         assert 0.05 <= lo < hi <= 0.08
 
+    def test_crossing_scan_reaches_its_last_point(self, monkeypatch):
+        scanned = []
+        real_nmems = sweep.nmems
+
+        def spy(p):
+            scanned.append(p)
+            return real_nmems(p)
+
+        class NoDiscord:
+            discord = -1.0
+
+        # discord never reaches concurrence, so the scan runs to its end
+        monkeypatch.setattr(sweep, "nmems", spy)
+        monkeypatch.setattr(sweep, "discord_x", lambda rho: NoDiscord)
+        with pytest.raises(InputError, match="no discord/concurrence crossing"):
+            sweep.discord_concurrence_crossing()
+        assert scanned == _grid(0.0, 0.292, 293)
+        assert scanned[-1] == 0.292
+
     def test_flags_the_closed_form_inconsistency(self):
         text = report_headlines()
         assert "known inconsistency" in text
@@ -573,6 +593,9 @@ class TestAngleParsing:
             ("pi/4", math.pi / 4),
             ("2*pi", 2 * math.pi),
             ("0.5pi", math.pi / 2),
+            (".5pi", math.pi / 2),
+            ("-3.*pi/8", -3 * math.pi / 8),
+            ("+pi/3", math.pi / 3),
             ("-pi/6", -math.pi / 6),
             ("0.75", 0.75),
             ("1e-3", 1e-3),
@@ -584,6 +607,17 @@ class TestAngleParsing:
     def test_gibberish_rejected(self):
         with pytest.raises(InputError):
             parse_angle("four")
+
+    @pytest.mark.parametrize("text", [".pi", "+.pi", "-.pi", ".*pi", ".pi/4"])
+    def test_bare_point_coefficient_rejected(self, text, tmp_path, capsys):
+        with pytest.raises(InputError, match="cannot parse angle"):
+            parse_angle(text)
+        out = tmp_path / "x.csv"
+        code = main(["sweep", "--theta-max", text, "--quantities", "concurrence_ad",
+                     "--out", str(out)])
+        assert code == 1
+        assert "theta-max" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestCli:
