@@ -61,7 +61,7 @@ def _xlog2x(v: float) -> float:
 
 def binary_entropy(x: float) -> float:
     """H(x) = -x log2 x - (1-x) log2 (1-x), clamping roundoff dust at 0/1."""
-    if x < -1e-9 or x > 1.0 + 1e-9:
+    if not -1e-9 <= x <= 1.0 + 1e-9:
         raise InputError(f"binary entropy argument {x!r} outside [0, 1]")
     x = min(max(x, 0.0), 1.0)
     return -_xlog2x(x) - _xlog2x(1.0 - x)

@@ -14,6 +14,7 @@ whether the trace is unity or has been drained by damping.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -148,7 +149,10 @@ class XStateParams:
 
 
 def _check_x_params(a: float, b: float, c: complex, d: float, e: float) -> None:
-    """XStateParams' checks: a non-negative diagonal and |c| <= sqrt(b d)."""
+    """XStateParams' checks: finite entries, a non-negative diagonal and
+    |c| <= sqrt(b d)."""
+    if not all(map(cmath.isfinite, (a, b, c, d, e))):
+        raise InputError("X-state parameters must be finite")
     for name, value in (("a", a), ("b", b), ("d", d), ("e", e)):
         if value < 0.0:
             raise InputError(f"X-state parameter {name} must be non-negative")

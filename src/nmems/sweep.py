@@ -3,10 +3,11 @@ the headline report.
 
 A sweep walks the Cartesian grid in deterministic order (p outer, theta
 inner, both ascending) and evaluates a requested set of named quantities at
-every point.  Cells whose quantity is undefined at that point (for example a
-spin-flip concurrence of a sub-normalized damped state) carry an explicit NA
-marker instead of being dropped.  CSV output is byte-deterministic: 12
-significant digits, LF newlines, the literal token NA.
+every point.  The one cell that is undefined, the spin-flip concurrence of
+a sub-normalized damped state, carries an explicit NA marker instead of
+being dropped; any other rejected input or numerical failure aborts the
+sweep.  CSV output is byte-deterministic: 12 significant digits, LF
+newlines, the literal token NA.
 """
 
 from __future__ import annotations
@@ -115,8 +116,8 @@ P_ONLY = frozenset({
 })
 
 # damped columns a sweep computes from the damped state's five numbers, in
-# every channel mode (see _kernel_cells), with the values and NA cells of
-# QUANTITIES
+# every channel mode (see _kernel_cells), with the values of QUANTITIES and
+# NA where it rejects the spin-flip concurrence of a sub-normalized state
 _KERNEL = frozenset({
     "concurrence_ad", "concurrence_ad_wootters", "fidelity_ad", "entropy_ad", "mid",
 })
@@ -145,7 +146,7 @@ class SweepSpec:
         if not (0.0 <= self.theta_min and self.theta_max <= math.pi / 2.0):
             raise InputError("theta range must lie inside [0, pi/2]")
         for steps in (self.p_steps, self.theta_steps):
-            if not isinstance(steps, int) or steps < 1:
+            if isinstance(steps, bool) or not isinstance(steps, int) or steps < 1:
                 raise InputError(f"step counts must be integers >= 1, got {steps!r}")
         if not self.quantities:
             raise InputError(
@@ -190,19 +191,11 @@ def _grid(lo: float, hi: float, steps: int) -> list:
 
 def _mode_damped_x(mode: str, p: float, theta: float) -> tuple:
     """(a, b, c, d, e) of ``_damped(p, theta, mode)``, with its bits and its
-    range checks on theta or gamma; p is checked by the caller's nmems(p)."""
+    range checks on theta or gamma; SweepSpec checks the grid's p range."""
     if mode == MODE_CLOSED_FORM:
         return _damped_x(p, theta)
     return _adc_pair_x(*_family_x(p), math.sin(theta) ** 2,
                        correlated=mode == MODE_CORRELATED)
-
-
-def _defined(f, *args):
-    """f(*args), or None where it rejects its input: one CSV cell."""
-    try:
-        return f(*args)
-    except InputError:
-        return None
 
 
 def _kernel_cells(names: list, mode: str, p: float, theta: float,
@@ -211,29 +204,26 @@ def _kernel_cells(names: list, mode: str, p: float, theta: float,
 
     Works on the five numbers of the cell's damped state (_mode_damped_x),
     their eigenvalues and their trace tag (states._x_spectrum), which are
-    that state's bits and pass its checks, so every value and NA is the one
-    QUANTITIES gives: a state the checks reject makes all these columns NA.
-    Only a unit-trace cell's spin-flip concurrence builds a DensityMatrix;
-    the others are NA without one.
+    that state's bits and pass its checks, so every value is the one
+    QUANTITIES gives, and a rejection raises the error QUANTITIES raises.
+    The spin-flip concurrence of a sub-normalized state is the one
+    undefined cell (None); only a unit-trace cell's spin-flip concurrence
+    builds a DensityMatrix.
     """
-    try:
-        a, b, c, d, e = x = _mode_damped_x(mode, p, theta)
-        vals, tag = _x_spectrum(*x)
-    except InputError:
-        return dict.fromkeys(names)
+    a, b, c, d, e = x = _mode_damped_x(mode, p, theta)
+    vals, tag = _x_spectrum(*x)
     out = {}
     if "concurrence_ad" in names:
         # the parameters x_params_of reads off the built state
-        out["concurrence_ad"] = _defined(
-            _x_concurrence, max(a, 0.0), max(b, 0.0), c, max(d, 0.0), max(e, 0.0)
+        out["concurrence_ad"] = _x_concurrence(
+            max(a, 0.0), max(b, 0.0), c, max(d, 0.0), max(e, 0.0)
         )
     if "concurrence_ad_wootters" in names:
         out["concurrence_ad_wootters"] = (
-            _defined(lambda: concurrence_wootters(DensityMatrix._from_x(*x)))
-            if tag == UNIT else None
+            concurrence_wootters(DensityMatrix._from_x(*x)) if tag == UNIT else None
         )
     if "fidelity_ad" in names:
-        out["fidelity_ad"] = _defined(_x_fidelity, *x)
+        out["fidelity_ad"] = _x_fidelity(*x)
     if "entropy_ad" in names or "mid" in names:
         entropy = _spectrum_entropy(vals)
         out["entropy_ad"] = entropy
@@ -245,13 +235,14 @@ def _kernel_cells(names: list, mode: str, p: float, theta: float,
 def run_sweep(spec: SweepSpec) -> list:
     """Evaluate the grid; returns rows in (p outer, theta inner) order.
 
-    Undefined cells (an evaluator rejecting its input at that point) hold
-    None and are emitted as NA.  P_ONLY columns are evaluated once per p,
-    as ``QUANTITIES[name](p, theta, mode)`` at the first theta, and shared
-    by that p's thetas.  In every channel mode the _KERNEL columns come
-    from the damped state's five numbers, with no Kraus channel and no
-    per-point state; only fidelity_ad_closed_form takes the per-point route
-    through QUANTITIES.
+    The spin-flip concurrence of a sub-normalized damped state is undefined,
+    held as None and emitted as NA; any InputError or NumericalError an
+    evaluator raises propagates, so no partial grid is returned.  P_ONLY
+    columns are evaluated once per p, as ``QUANTITIES[name](p, theta, mode)``
+    at the first theta, and shared by that p's thetas.  In every channel
+    mode the _KERNEL columns come from the damped state's five numbers,
+    with no Kraus channel and no per-point state; only
+    fidelity_ad_closed_form takes the per-point route through QUANTITIES.
     """
     theta_values = _grid(spec.theta_min, spec.theta_max, spec.theta_steps)
     kernel = [name for name in spec.quantities if name in _KERNEL]
@@ -262,15 +253,14 @@ def run_sweep(spec: SweepSpec) -> list:
     rows = []
     for p in _grid(spec.p_min, spec.p_max, spec.p_steps):
         base = nmems(p)
-        shared = {name: _defined(QUANTITIES[name], p, theta_values[0], mode)
-                  for name in p_only}
+        shared = {name: QUANTITIES[name](p, theta_values[0], mode) for name in p_only}
         base_entropy = von_neumann_entropy(base) if "mid" in kernel else None
         for theta in theta_values:
             cells = dict(shared)
             if kernel:
                 cells.update(_kernel_cells(kernel, mode, p, theta, base_entropy))
             if per_point:
-                cells.update((name, _defined(QUANTITIES[name], p, theta, mode))
+                cells.update((name, QUANTITIES[name](p, theta, mode))
                              for name in per_point)
             values = {name: cells[name] for name in spec.quantities}
             rows.append(SweepRow(p=p, theta=theta, values=values))

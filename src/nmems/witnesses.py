@@ -50,9 +50,8 @@ def _freeze(m: np.ndarray) -> np.ndarray:
 
 def witness_generic(d: int) -> WitnessOperator:
     """(1/d) I - |psi+><psi+| on a d x d system, psi+ = sum_i |ii> / sqrt(d)."""
-    d = int(d)
-    if d < 2:
-        raise InputError("witness dimension d must be at least 2")
+    if not isinstance(d, int) or d < 2:
+        raise InputError(f"witness dimension d must be an integer >= 2, got {d!r}")
     dim = d * d
     psi = np.zeros((dim, 1), dtype=complex)
     for i in range(d):

@@ -83,6 +83,9 @@ class TestConcurrence:
         (-1e-3, 0.5, 0.0, 0.5, 0.0), (0.0, -1e-3, 0.0, 0.5, 0.0),
         (0.0, 0.5, 0.0, -1e-3, 0.0), (0.0, 0.5, 0.0, 0.5, -1e-3),
         (0.0, 0.25, 0.26, 0.25, 0.0), (0.0, 0.25, -0.26j, 0.25, 0.0),
+        (math.nan, 0.5, 0.0, 0.5, 0.0), (0.0, 0.5, complex(0.0, math.nan), 0.5, 0.0),
+        (math.inf, 0.5, 0.0, 0.5, 0.0), (0.0, 0.5, 0.0, 0.5, math.inf),
+        (0.0, math.inf, math.inf, math.inf, 0.0),
     ])
     def test_scalar_route_rejects_like_the_dataclass(self, x):
         with pytest.raises(InputError) as want:
@@ -667,8 +670,9 @@ class TestBinaryEntropy:
         assert abs(binary_entropy(x) - oracles.binary_entropy(x)) < 1e-12
 
     def test_out_of_range_rejected(self):
-        with pytest.raises(InputError):
-            binary_entropy(1.5)
+        for x in (1.5, math.nan):
+            with pytest.raises(InputError):
+                binary_entropy(x)
 
 
 class TestFidelityFromCorrelation:

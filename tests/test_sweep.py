@@ -53,16 +53,22 @@ def _tiny_spec(**overrides):
     return SweepSpec(**base)
 
 
+def _per_point(name: str, p: float, theta: float, mode: str):
+    """QUANTITIES[name](p, theta, mode) as a float, or None for the one NA
+    cell: the registry's unit-trace rejection of concurrence_ad_wootters.
+    Any other error propagates."""
+    try:
+        return float(QUANTITIES[name](p, theta, mode))
+    except InputError as exc:
+        if name != "concurrence_ad_wootters" or "requires a unit-trace state" not in str(exc):
+            raise
+        return None
+
+
 def _per_point_values(spec: SweepSpec, p: float, theta: float) -> dict:
     """The row QUANTITIES gives at (p, theta), one cell at a time: the
     oracle of every shortcut run_sweep takes."""
-    values = {}
-    for name in spec.quantities:
-        try:
-            values[name] = float(QUANTITIES[name](p, theta, spec.channel_mode))
-        except InputError:
-            values[name] = None
-    return values
+    return {name: _per_point(name, p, theta, spec.channel_mode) for name in spec.quantities}
 
 
 def _bits(values: dict) -> dict:
@@ -114,9 +120,10 @@ class TestSweepSpecValidation:
             _tiny_spec(p_steps=0)
 
     @pytest.mark.parametrize("field", ["p_steps", "theta_steps"])
-    @pytest.mark.parametrize("steps", [2.5, 3.0])
+    @pytest.mark.parametrize("steps", [2.5, 3.0, True])
     def test_non_integer_steps_rejected(self, field, steps):
-        # run_sweep's grids need int counts; 3.0 is rejected as well as 2.5
+        # run_sweep's grids need int counts; 3.0 and True are rejected as
+        # well as 2.5
         with pytest.raises(InputError):
             _tiny_spec(**{field: steps})
 
@@ -257,10 +264,10 @@ class TestRunSweep:
         for row in run_sweep(spec):
             assert _bits(row.values) == _bits(_per_point_values(spec, row.p, row.theta))
 
-    def test_kernel_na_cells_match_per_point_route(self, monkeypatch):
-        # five numbers the checks reject make every _KERNEL column NA; a
-        # coherence only XStateParams rejects makes concurrence_ad NA, and
-        # the spin-flip concurrence of its sub-normalized state is NA too
+    def test_kernel_rejection_aborts_like_per_point_route(self, monkeypatch):
+        # five numbers the checks reject, or a coherence only XStateParams
+        # rejects, abort the sweep with the error the per-point route
+        # raises at that cell, in every mode; no cell turns into NA
         thetas = _grid(0.0, math.pi / 4, 5)
         bad = {
             1: (0.5, 0.3, 0.0, 0.2, 0.1),  # trace 1.1
@@ -269,41 +276,40 @@ class TestRunSweep:
             # |c| just over sqrt(bd) + 1e-9, lowest eigenvalue above -1e-10
             4: (0.4, 0.5, math.sqrt(0.5 * 1e-8) + 1e-8, 1e-8, 0.0),
         }
+        injected = {}
         real_x = sweep._mode_damped_x
         real_damped = sweep._damped
 
         def damped_x(mode_, p, theta):
-            return bad.get(thetas.index(theta)) or real_x(mode_, p, theta)
+            return injected.get(theta) or real_x(mode_, p, theta)
 
         def damped(p, theta, mode_):
             # the per-point route validates the same five numbers densely
-            x = bad.get(thetas.index(theta))
+            x = injected.get(theta)
             if x is None:
                 return real_damped(p, theta, mode_)
             return DensityMatrix.from_matrix(oracles.x_matrix(*x))
 
         monkeypatch.setattr(sweep, "_mode_damped_x", damped_x)
         monkeypatch.setattr(sweep, "_damped", damped)
-        for mode in CHANNEL_MODES:
-            spec = _tiny_spec(
-                theta_steps=5, quantities=("concurrence", *sorted(_KERNEL)),
-                channel_mode=mode,
-            )
-            for row in run_sweep(spec):
-                want = _per_point_values(spec, row.p, row.theta)
-                assert _bits(row.values) == _bits(want), (mode, row.p, row.theta)
-                na = {name for name, v in row.values.items() if v is None}
-                k = thetas.index(row.theta)
-                if k in (1, 2, 3):
-                    assert na == _KERNEL
-                elif k == 4:
-                    assert na == {"concurrence_ad", "concurrence_ad_wootters"}
-                else:
-                    assert not na
+        for k, x in bad.items():
+            injected.clear()
+            injected[thetas[k]] = x
+            for mode in CHANNEL_MODES:
+                spec = _tiny_spec(
+                    theta_steps=5, quantities=("concurrence", *sorted(_KERNEL)),
+                    channel_mode=mode,
+                )
+                with pytest.raises(InputError) as got:
+                    run_sweep(spec)
+                with pytest.raises(InputError) as want:
+                    _per_point_values(spec, 0.0, thetas[k])
+                assert str(got.value) == str(want.value), (k, mode)
 
-    def test_kernel_correlation_rejection_is_na(self, monkeypatch):
-        # no valid state breaks |t_ij| <= 1 + 1e-9; a tighter bound shows
-        # that the rejection writes NA on both routes
+    def test_kernel_correlation_rejection_aborts(self, monkeypatch):
+        # no valid state breaks |t_ij| <= 1 + 1e-9; a tighter bound that
+        # only some cells break aborts the sweep, as it fails those cells
+        # on the per-point route
         def tight(largest):
             if largest > 0.5:
                 raise InputError("correlation entries exceed 0.5")
@@ -313,12 +319,38 @@ class TestRunSweep:
             spec = _tiny_spec(
                 theta_steps=5, quantities=("fidelity_ad", "entropy_ad"), channel_mode=mode
             )
-            rows = run_sweep(spec)
-            na = [row.values["fidelity_ad"] is None for row in rows]
-            assert any(na) and not all(na), mode
-            for row in rows:
-                want = _per_point_values(spec, row.p, row.theta)
-                assert _bits(row.values) == _bits(want), (mode, row.p, row.theta)
+            rejected = 0
+            for p in _grid(spec.p_min, spec.p_max, spec.p_steps):
+                for theta in _grid(spec.theta_min, spec.theta_max, spec.theta_steps):
+                    try:
+                        _per_point_values(spec, p, theta)
+                    except InputError:
+                        rejected += 1
+            assert 0 < rejected < 15, mode
+            with pytest.raises(InputError, match="exceed 0.5"):
+                run_sweep(spec)
+
+    @pytest.mark.parametrize("mode", CHANNEL_MODES)
+    def test_na_cells_are_the_sub_normalized_spin_flip_concurrences(self, mode):
+        # every column over the whole domain, endpoints included: NA only
+        # where concurrence_ad_wootters meets a sub-normalized damped state
+        # (never in product mode); every other cell is a finite float
+        spec = SweepSpec(
+            p_min=0.0, p_max=1.0, p_steps=41,
+            theta_min=0.0, theta_max=math.pi / 2, theta_steps=21,
+            quantities=tuple(QUANTITIES), channel_mode=mode,
+        )
+        na, sub_normalized = set(), set()
+        for row in run_sweep(spec):
+            for name, value in row.values.items():
+                if value is None:
+                    na.add((row.p, row.theta, name))
+                else:
+                    assert math.isfinite(value), (row.p, row.theta, name)
+            if not sweep._damped(row.p, row.theta, mode).is_unit():
+                sub_normalized.add((row.p, row.theta, "concurrence_ad_wootters"))
+        assert na == sub_normalized
+        assert bool(na) == (mode != "product")
 
     def test_kernel_builds_no_state_per_cell(self, monkeypatch):
         def boom(*args, **kwargs):
@@ -363,21 +395,26 @@ class TestRunSweep:
                 run_sweep(_tiny_spec(quantities=("mid",), channel_mode=mode))
 
     def test_p_only_column_is_evaluated_once_per_p(self, monkeypatch):
-        # an InputError at one p writes NA at every theta of that p
+        # at the first theta of each p; an InputError at one p aborts
         calls = []
+        rejected = []
 
-        def chsh_rejecting_p_one_tenth(p, theta, mode):
+        def chsh(p, theta, mode):
             calls.append((p, theta))
-            if p == 0.1:
+            if p in rejected:
                 raise InputError("rejected")
             return 0.5
 
-        monkeypatch.setitem(QUANTITIES, "chsh", chsh_rejecting_p_one_tenth)
-        rows = run_sweep(_tiny_spec(quantities=("chsh", "entropy_ad")))
-        assert [p for p, _ in calls] == [0.0, 0.1, 0.2]
-        for row in rows:
-            assert row.values["chsh"] == (None if row.p == 0.1 else 0.5)
-            assert row.values["entropy_ad"] is not None
+        monkeypatch.setitem(QUANTITIES, "chsh", chsh)
+        spec = _tiny_spec(quantities=("chsh", "entropy_ad"))
+        rows = run_sweep(spec)
+        assert calls == [(0.0, 0.0), (0.1, 0.0), (0.2, 0.0)]
+        assert [row.values["chsh"] for row in rows] == [0.5] * 9
+        calls.clear()
+        rejected.append(0.1)
+        with pytest.raises(InputError, match="rejected"):
+            run_sweep(spec)
+        assert calls == [(0.0, 0.0), (0.1, 0.0)]
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -737,6 +774,55 @@ class TestCli:
         assert "no quantities requested" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("mode", CHANNEL_MODES)
+    @pytest.mark.parametrize("place", ["kernel", "p_only", "fidelity_ad_closed_form"])
+    def test_rejected_cell_exits_one_and_writes_no_csv(
+        self, monkeypatch, tmp_path, capsys, place, mode
+    ):
+        # one InputError at the cell (0.1, 0) of a 3 x 3 grid, in a kernel
+        # piece, a p-only registry entry or the per-point closed form
+        message = f"injected rejection in {place}"
+
+        def reject_at_cell(p, theta):
+            if (p, theta) == (0.1, 0.0):
+                raise InputError(message)
+
+        if place == "kernel":
+            real = sweep._mode_damped_x
+            monkeypatch.setattr(
+                sweep, "_mode_damped_x",
+                lambda mode_, p, theta: reject_at_cell(p, theta) or real(mode_, p, theta),
+            )
+        elif place == "p_only":
+            real = QUANTITIES["chsh"]
+            monkeypatch.setitem(
+                QUANTITIES, "chsh",
+                lambda p, theta, mode_: reject_at_cell(p, theta) or real(p, theta, mode_),
+            )
+        else:
+            real = sweep.fidelity_ad_closed_form
+            monkeypatch.setattr(
+                sweep, "fidelity_ad_closed_form",
+                lambda p, theta: reject_at_cell(p, theta) or real(p, theta),
+            )
+        spec = SweepSpec(
+            p_min=0.0, p_max=0.2, p_steps=3,
+            theta_min=0.0, theta_max=math.pi / 4, theta_steps=3,
+            quantities=tuple(QUANTITIES), channel_mode=mode,
+        )
+        with pytest.raises(InputError, match=message):
+            run_sweep(spec)
+        out = tmp_path / "x.csv"
+        code = main([
+            "sweep", "--p-min", "0", "--p-max", "0.2", "--p-steps", "3",
+            "--theta-min", "0", "--theta-max", "pi/4", "--theta-steps", "3",
+            "--quantities", ",".join(QUANTITIES), "--channel-mode", mode,
+            "--out", str(out),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_unwritable_output_exits_two(self, tmp_path):
         code = main(
             ["preset", "fig4", "--out", str(tmp_path / "no_dir" / "x.csv")]
@@ -785,16 +871,10 @@ class TestQuantityRegistry:
         # move with theta in at least one mode
         assert P_ONLY <= set(QUANTITIES)
         p = 0.1
-
-        def value(name, theta, mode):
-            try:
-                return float(QUANTITIES[name](p, theta, mode))
-            except InputError:
-                return None
-
         for name in QUANTITIES:
             pairs = [
-                (value(name, 0.3, mode), value(name, 0.7, mode)) for mode in CHANNEL_MODES
+                (_per_point(name, p, 0.3, mode), _per_point(name, p, 0.7, mode))
+                for mode in CHANNEL_MODES
             ]
             if name in P_ONLY:
                 assert len(set(pairs)) == 1 and pairs[0][0] == pairs[0][1], name

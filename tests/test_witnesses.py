@@ -53,8 +53,10 @@ class TestGenericWitness:
         assert abs(evaluate(witness_generic(2), nmems(0.5)).expectation - 1 / 6) < 1e-14
 
     def test_small_d_rejected(self):
-        with pytest.raises(InputError):
-            witness_generic(1)
+        # and any d that is not an integer, rather than truncating it
+        for d in (1, 2.7, "3"):
+            with pytest.raises(InputError):
+                witness_generic(d)
 
     def test_d3_is_hermitian_with_negative_eigenvalue(self):
         w = witness_generic(3)
