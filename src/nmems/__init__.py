@@ -6,79 +6,47 @@ and computes concurrence, teleportation fidelity, von Neumann entropy,
 measurement-induced disturbance, X-state quantum discord, and the CHSH
 criterion.  The sweep module and ``nmems`` CLI turn all of it into CSV
 tables over (p, theta) grids.
+
+The names below are imported on first access.  The figure presets, the
+headline report and the sweep's scalar columns need only the standard
+library; numpy loads with the first name of the matrix API.
 """
 
-from .channels import (
-    KrausChannel,
-    adc,
-    apply_correlated_pair,
-    apply_product_pair,
-    apply_single,
-    gadc,
-    kraus_channel,
-)
-from .errors import InputError, NumericalError
-from .linalg import (
-    Spectrum,
-    hermitian_eigen,
-    kron,
-    partial_trace,
-    psd_sqrt,
-    trace,
-)
-from .measures import (
-    ChshResult,
-    CorrelationMatrix,
-    DiscordBreakdown,
-    FidelityResult,
-    binary_entropy,
-    chsh_criterion,
-    concurrence_wootters,
-    concurrence_x,
-    correlation_matrix,
-    discord_closed_form,
-    discord_closed_form_branches,
-    discord_closed_form_residuals,
-    discord_x,
-    fidelity_ad_closed_form,
-    fidelity_from_correlation,
-    mid_adc,
-    mid_dephasing,
-    teleportation_fidelity,
-    von_neumann_entropy,
-)
-from .states import (
-    DensityMatrix,
-    XStateParams,
-    ghz_reduced,
-    ghz_state,
-    nmems,
-    nmems_ad,
-    projector,
-    w_reduced,
-    w_state,
-    x_params_of,
-)
-from .sweep import (
-    CHANNEL_MODES,
-    PRESETS,
-    QUANTITIES,
-    SweepRow,
-    SweepSpec,
-    emit_csv,
-    entanglement_boundary,
-    preset_spec,
-    report_headlines,
-    run_sweep,
-)
-from .witnesses import (
-    WitnessOperator,
-    WitnessVerdict,
-    evaluate,
-    witness_generic,
-    witness_stabilizer,
-    witness_w1,
-)
+import importlib
+
+# where each exported name lives; ``__getattr__`` imports the module on
+# first access, so ``import nmems`` loads no numpy, and only the matrix API
+# does
+_EXPORTS = {
+    "_xcore": ("FidelityResult", "binary_entropy", "fidelity_ad_closed_form"),
+    "channels": (
+        "KrausChannel", "adc", "apply_correlated_pair", "apply_product_pair",
+        "apply_single", "gadc", "kraus_channel",
+    ),
+    "errors": ("InputError", "NumericalError"),
+    "linalg": ("Spectrum", "hermitian_eigen", "kron", "partial_trace", "psd_sqrt", "trace"),
+    "measures": (
+        "ChshResult", "CorrelationMatrix", "DiscordBreakdown", "chsh_criterion",
+        "concurrence_wootters", "concurrence_x", "correlation_matrix",
+        "discord_closed_form", "discord_closed_form_branches",
+        "discord_closed_form_residuals", "discord_x", "fidelity_from_correlation",
+        "mid_adc", "mid_dephasing", "teleportation_fidelity", "von_neumann_entropy",
+    ),
+    "registry": ("QUANTITIES",),
+    "states": (
+        "DensityMatrix", "XStateParams", "ghz_reduced", "ghz_state", "nmems",
+        "nmems_ad", "projector", "w_reduced", "w_state", "x_params_of",
+    ),
+    "sweep": (
+        "CHANNEL_MODES", "PRESETS", "SweepRow", "SweepSpec", "emit_csv",
+        "entanglement_boundary", "preset_spec", "report_headlines", "run_sweep",
+    ),
+    "witnesses": (
+        "WitnessOperator", "WitnessVerdict", "evaluate", "witness_generic",
+        "witness_stabilizer", "witness_w1",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __version__ = "0.1.0"
 
@@ -144,3 +112,17 @@ __all__ = [
     "witness_w1",
     "x_params_of",
 ]
+
+
+def __getattr__(name: str):
+    try:
+        module = _HOME[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list:
+    return sorted(set(globals()) | set(__all__))

@@ -18,8 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
+# _adc_pair_x replays the Kraus pair maps of adc on five numbers; re-exported here
+from ._xcore import _adc_pair_x, _check_range
 from .errors import InputError
-from .states import DensityMatrix, _check_range
+from .states import DensityMatrix
 
 TRACE_PRESERVING_TOL = 1e-10
 
@@ -134,35 +136,3 @@ def apply_product_pair(ch: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
     ops = ch.operators
     return _kraus_sum([np.kron(ki, kj) for ki in ops for kj in ops], rho)
 
-
-def _adc_pair_x(a: float, b: float, c: float, d: float, e: float, gamma: float,
-                *, correlated: bool) -> tuple:
-    """(a, b, c, d, e) of the image of the corner-free X state with
-    diagonal (a, b, d, e) and inner coherence c, all of them floats >= +0.0
-    as in the family, under ``apply_correlated_pair(adc(gamma), .)`` or,
-    when not ``correlated``, ``apply_product_pair(adc(gamma), .)``, with the
-    image's bits.
-
-    Replays ``_kraus_sum``'s float operations on the nonzero entries:
-    each term is (K rho) K^dagger, added to the running sum in operator
-    order, and adding a zero entry leaves a value as it is.  The images
-    stay corner-free X states.  Makes ``adc``'s range check on gamma.
-    (A negative or -0.0 entry can give -0.0 here where the matrix holds
-    0.0.)
-    """
-    gamma = _check_range("gamma", gamma, 0.0, 1.0)
-    s = math.sqrt(1.0 - gamma)
-    g = math.sqrt(gamma)
-    ss, gg, gs = s * s, g * g, g * s
-    if correlated:
-        # K0 x K0, then K1 x K1, which moves |11> onto |00>
-        return a + (gg * e) * gg, (s * b) * s, (s * c) * s, (s * d) * s, (ss * e) * ss
-    # K0 x K0, K0 x K1, K1 x K0, K1 x K1: the middle two each move one
-    # excitation down
-    return (
-        ((a + (g * b) * g) + (g * d) * g) + (gg * e) * gg,
-        (s * b) * s + (gs * e) * gs,
-        (s * c) * s,
-        (s * d) * s + (gs * e) * gs,
-        (ss * e) * ss,
-    )

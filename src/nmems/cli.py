@@ -20,7 +20,7 @@ from .errors import InputError, NumericalError
 from .sweep import (
     CHANNEL_MODES,
     PRESETS,
-    QUANTITIES,
+    QUANTITY_NAMES,
     SweepSpec,
     emit_csv,
     preset_spec,
@@ -72,7 +72,7 @@ _SWEEP_SETTINGS = {
     "theta_max": dict(type=parse_angle),
     "theta_steps": dict(type=int),
     "quantities": dict(
-        type=str, help="comma-separated; known: " + ", ".join(QUANTITIES)
+        type=str, help="comma-separated; known: " + ", ".join(QUANTITY_NAMES)
     ),
     "channel_mode": dict(type=str, choices=CHANNEL_MODES),
     "out": dict(type=str, help="output CSV path"),

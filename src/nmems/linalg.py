@@ -31,17 +31,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# _x_eigenvalues replays _jacobi on the family's X states; re-exported here
+from ._xcore import EIGENVALUE_FLOOR, JACOBI_OFFDIAG_TOL, _x_eigenvalues
 from .errors import InputError, NumericalError
 
 HERMITICITY_TOL = 1e-10
-# Jacobi iteration: rotate every off-diagonal entry above the threshold until
-# a sweep finds none; the sweep cap turns a (never observed) failure to
-# converge into a hard error.
-JACOBI_OFFDIAG_TOL = 1e-12
+# the sweep cap turns a (never observed) failure of the Jacobi iteration to
+# converge into a hard error
 JACOBI_MAX_SWEEPS = 100
-# Eigenvalues in [-1e-10, 0) count as roundoff zeros; anything lower is a
-# genuinely indefinite matrix.
-EIGENVALUE_FLOOR = -1e-10
 
 
 def as_matrix(a) -> np.ndarray:
@@ -224,39 +221,6 @@ def _jacobi_eigenvalues(w: list) -> list:
             eigvals[i] = sub[k][k].real
     # as _jacobi orders them: ties (+0.0 and -0.0) stay in index order
     return sorted(eigvals, reverse=True)
-
-
-def _x_eigenvalues(a, b, c, d, e) -> list:
-    """Descending eigenvalues ``_jacobi`` finds for the corner-free X matrix
-    with diagonal (a, b, d, e) and w[1][2] = c, w[2][1] = conj(c), bit for
-    bit, as a list of floats.
-
-    ``_jacobi`` rotates such a matrix once, on the pair (1, 2), and only if
-    |c| > 1e-12: every other off-diagonal entry is zero before and after.
-    This replays that rotation's diagonal on Python scalars with the
-    operations ``_rotate`` performs, and sorts as ``_jacobi`` does.  Entries
-    must be finite.
-    """
-    w11, w22 = complex(b), complex(d)
-    w12, w21 = complex(c), complex(c.conjugate())
-    r = abs(w12)
-    if r > JACOBI_OFFDIAG_TOL:
-        phase = w12 / r
-        cphase = phase.conjugate()
-        theta = 0.5 * math.atan2(2.0 * r, w11.real - w22.real)
-        cs = math.cos(theta)
-        s = math.sin(theta)
-        s_ph = s * phase
-        s_cph = s * cphase
-        # _rotate's column pass on rows 1 and 2, then its row pass on the
-        # diagonal entries
-        c11 = cs * w11 + s_cph * w12
-        c12 = -s_ph * w11 + cs * w12
-        c21 = cs * w21 + s_cph * w22
-        c22 = -s_ph * w21 + cs * w22
-        w11 = cs * c11 + s_ph * c21
-        w22 = -s_cph * c12 + cs * c22
-    return sorted((complex(a).real, w11.real, w22.real, complex(e).real), reverse=True)
 
 
 def hermitian_eigen(a) -> Spectrum:

@@ -16,30 +16,35 @@ from __future__ import annotations
 
 import logging
 import math
-import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from . import linalg
-from .errors import InputError, NumericalError
-from .states import (
-    X_STRUCTURE_TOL,
-    DensityMatrix,
-    XStateParams,
+# the scalar forms of the measures, on five numbers; the ones the matrix
+# route below shares are re-exported here
+from ._xcore import (
+    CLASSICAL_FIDELITY,
+    USEFULNESS_MARGIN,
+    FidelityResult,
+    _check_correlation_bound,
     _check_range,
-    _check_x_form,
-    _check_x_params,
-    nmems,
-    nmems_ad,
+    _discord_branches,
+    _fidelity_of,
+    _require_unit,
+    _spectrum_entropy,
+    _x_concurrence,
+    _x_correlations,
+    _x_fidelity,
+    binary_entropy,
+    fidelity_ad_closed_form,
 )
+from .errors import InputError
+from .states import DensityMatrix, XStateParams, _check_x_form, nmems, nmems_ad
 from .witnesses import SIGMA_X, SIGMA_Y, SIGMA_Z
 
 logger = logging.getLogger(__name__)
-
-USEFULNESS_MARGIN = 1e-12
-CLASSICAL_FIDELITY = 2.0 / 3.0
 
 _PAULIS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
 # _PAULI_TENSOR[i, j] = sigma_i x sigma_j, i, j in {x, y, z}
@@ -51,32 +56,13 @@ def _check_two_qubit(rho: DensityMatrix, what: str, *, unit: bool = True) -> Non
     """Reject a state that is not 4x4 or, when ``unit``, not of unit trace."""
     if rho.dim != 4:
         raise InputError(f"{what} is defined for two-qubit states")
-    if unit and not rho.is_unit():
-        raise InputError(f"{what} requires a unit-trace state")
-
-
-def _xlog2x(v: float) -> float:
-    return v * math.log2(v) if v > 0.0 else 0.0
-
-
-def binary_entropy(x: float) -> float:
-    """H(x) = -x log2 x - (1-x) log2 (1-x), clamping roundoff dust at 0/1."""
-    if not -1e-9 <= x <= 1.0 + 1e-9:
-        raise InputError(f"binary entropy argument {x!r} outside [0, 1]")
-    x = min(max(x, 0.0), 1.0)
-    return -_xlog2x(x) - _xlog2x(1.0 - x)
+    if unit:
+        _require_unit(rho.normalization, what)
 
 
 def concurrence_x(xp: XStateParams) -> float:
     """Concurrence of a corner-free X state: 2 max(|c| - sqrt(a e), 0)."""
     return _x_concurrence(xp.a, xp.b, xp.c, xp.d, xp.e)
-
-
-def _x_concurrence(a: float, b: float, c: complex, d: float, e: float) -> float:
-    """``concurrence_x(XStateParams(a, b, c, d, e))``, with the dataclass's
-    checks and messages, without building it."""
-    _check_x_params(a, b, c, d, e)
-    return 2.0 * max(abs(c) - math.sqrt(a * e), 0.0)
 
 
 def concurrence_wootters(rho: DensityMatrix) -> float:
@@ -130,51 +116,11 @@ def correlation_matrix(rho: DensityMatrix) -> CorrelationMatrix:
     return CorrelationMatrix(t=t)
 
 
-def _check_correlation_bound(largest: float) -> None:
-    """Reject a correlation matrix whose largest |t_ij| exceeds 1 + 1e-9."""
-    if largest > 1.0 + 1e-9:
-        raise InputError("correlation entries exceed the physical bound of 1")
-
-
-def _x_correlations(a: float, b: float, c: float, d: float, e: float) -> tuple:
-    """(t_xx, t_yy, t_zz) of ``correlation_matrix`` of the corner-free X
-    state with real diagonal (a, b, d, e) and real inner coherence c, with
-    its bits; every other entry of t is zero.
-
-    Replays the batched trace: the diagonal of rho (sigma_i x sigma_i)
-    is (0, c, c, 0) for x and y and (a, -b, -d, e) for z, summed as
-    numpy sums it.  (A coherence of -0.0 gives t_xx = -0.0 where the
-    matrix holds 0.0.)
-    """
-    txx = c + c
-    return txx, txx, (a + -b) + (-d + e)
-
-
-def _x_fidelity(a: float, b: float, c: float, d: float, e: float) -> float:
-    """``fidelity_from_correlation(correlation_matrix(rho)).fidelity`` of the
-    same X state, with its bits and its rejection, without building it.
-
-    T is diagonal, so T^T T has eigenvalues t_ii^2 and no Jacobi rotation;
-    their square roots are summed in descending order, as numpy sums
-    ``correlation_singular_values``.
-    """
-    t = _x_correlations(a, b, c, d, e)
-    _check_correlation_bound(max(abs(v) for v in t))
-    s0, s1, s2 = sorted((math.sqrt(v * v) for v in t), reverse=True)
-    return _fidelity_of((s0 + s1) + s2).fidelity
-
-
 def correlation_singular_values(cm: CorrelationMatrix) -> np.ndarray:
     """Singular values of the correlation matrix, descending."""
     gram = cm.t.T @ cm.t
     vals = np.clip(linalg.hermitian_eigen(gram).eigenvalues, 0.0, None)
     return np.sqrt(vals)
-
-
-class FidelityResult(NamedTuple):
-    fidelity: float
-    useful: bool
-    n_value: float
 
 
 def fidelity_from_correlation(cm: CorrelationMatrix) -> FidelityResult:
@@ -187,79 +133,10 @@ def fidelity_from_correlation(cm: CorrelationMatrix) -> FidelityResult:
     return _fidelity_of(float(correlation_singular_values(cm).sum()))
 
 
-def _fidelity_of(n: float) -> FidelityResult:
-    """The fidelity result for the singular-value sum ``n``."""
-    useful = n > 1.0 + USEFULNESS_MARGIN
-    fidelity = 0.5 * (1.0 + n / 3.0) if useful else CLASSICAL_FIDELITY
-    return FidelityResult(fidelity=fidelity, useful=useful, n_value=n)
-
-
 def teleportation_fidelity(rho: DensityMatrix) -> FidelityResult:
     """Optimal teleportation fidelity of a unit-trace two-qubit state."""
     _check_two_qubit(rho, "teleportation fidelity")
     return fidelity_from_correlation(correlation_matrix(rho))
-
-
-def fidelity_ad_closed_form(p: float, theta: float) -> float:
-    """Closed-form optimal fidelity of the damped family (long radical form).
-
-    Both radicands factor exactly, so the long expression must equal
-    1/2 + (1-p)(1-g)/9 + (1-g) sqrt(3 p (p+2)) / 18 with g = sin^2(theta);
-    the equality is asserted on every call, to 1e-12 plus the roundoff the
-    square roots amplify near a zero radicand.  Note this expression
-    does NOT reduce to the undamped correlation-criterion fidelity at
-    theta = 0 (it gives 11/18 instead of 7/9 at p = 0); see the headline
-    report for the quantified discrepancy.
-    """
-    p = _check_range("p", p, 0.0, 1.0)
-    theta = _check_range("theta", theta, 0.0, math.pi / 2.0)
-    s2 = math.sin(theta) ** 2
-    s4 = s2 * s2
-    terms1 = (
-        s4 * p * p, -2.0 * s4 * p, s4,
-        -2.0 * s2 * p * p, 4.0 * s2 * p, -2.0 * s2,
-        p * p, -2.0 * p, 1.0,
-    )
-    terms2 = (
-        3.0 * s4 * p * p, 6.0 * s4 * p,
-        -6.0 * s2 * p * p, -12.0 * s2 * p,
-        3.0 * p * p, 6.0 * p,
-    )
-    # fsum keeps the near-total cancellation at gamma -> 1 exact; a naive
-    # left-to-right sum leaves ~1e-16 dust that the square root amplifies
-    rad1 = math.fsum(terms1)
-    rad2 = math.fsum(terms2)
-    value = 0.5 + math.sqrt(max(rad1, 0.0)) / 9.0 + math.sqrt(max(rad2, 0.0)) / 18.0
-    gamma = s2
-    root1 = (1.0 - p) * (1.0 - gamma)
-    root2 = (1.0 - gamma) * math.sqrt(3.0 * p * (p + 2.0))
-    compact = 0.5 + root1 / 9.0 + root2 / 18.0
-    gap = abs(value - compact)
-    # near a zero radicand the long form's roundoff alone can exceed 1e-12
-    if gap > 1e-12 and gap > (
-        1e-12
-        + _sqrt_rounding(terms1, rad1, root1) / 9.0
-        + _sqrt_rounding(terms2, rad2, root2) / 18.0
-    ):
-        raise NumericalError(
-            f"closed-form fidelity failed its factored cross-check at "
-            f"(p={p:g}, theta={theta:g}): {value!r} vs {compact!r}"
-        )
-    return value
-
-
-def _sqrt_rounding(terms: tuple, rad: float, root: float) -> float:
-    """Bound on |sqrt(rad) - root|, where rad is the exact fsum of ``terms``
-    rounded once, ``root`` >= 0 is the square root of the exact radicand,
-    and each term carries at most four roundings.
-
-    The radicand's error is then below 8 ulp of sum |terms|, and
-    |sqrt(x) - sqrt(y)| <= min(sqrt(|x - y|), |x - y| / (sqrt(x) + sqrt(y))):
-    near a zero radicand the square root turns 1e-16 into up to 1e-8.
-    """
-    err = 8.0 * sys.float_info.epsilon * math.fsum(abs(t) for t in terms)
-    spread = math.sqrt(max(rad, 0.0)) + root
-    return math.sqrt(err) if spread == 0.0 else min(math.sqrt(err), err / spread)
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
@@ -269,20 +146,6 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
     ``rho.renormalized()`` for the entropy of the unit-trace state.
     """
     return _spectrum_entropy(rho.spectrum.eigenvalues.tolist())
-
-
-def _spectrum_entropy(vals: list) -> float:
-    """-sum_i v_i log2 v_i over a list of eigenvalues or probabilities,
-    summed in list order.
-
-    _xlog2x sends v <= 0 to 0, so roundoff-negative values need no clip.
-    A plain loop, not builtin sum: from Python 3.12 on sum compensates float
-    sums, which moves the last bit of some entropies.
-    """
-    total = 0.0
-    for v in vals:
-        total += _xlog2x(v)
-    return -total
 
 
 def mid_adc(p: float, theta: float) -> float:
@@ -345,13 +208,7 @@ def discord_x(rho: DensityMatrix) -> DiscordBreakdown:
     r14 = abs(rows[0][3])
     r23 = abs(rows[1][2])
     eigenvalues = np.clip(rho.spectrum.eigenvalues, 0.0, 1.0)
-    spectral_term = -_spectrum_entropy(eigenvalues.tolist())
-    h_marginal = binary_entropy(diag[0] + diag[2])
-    radicand = (1.0 - 2.0 * (diag[2] + diag[3])) ** 2 + 4.0 * (r14 + r23) ** 2
-    d1 = binary_entropy((1.0 + math.sqrt(radicand)) / 2.0)
-    d2 = _spectrum_entropy(diag) - h_marginal
-    q1 = h_marginal + spectral_term + d1
-    q2 = h_marginal + spectral_term + d2
+    q1, q2, d1, d2 = _discord_branches(diag, r14, r23, eigenvalues.tolist())
     eigenvalues.setflags(write=False)
     return DiscordBreakdown(
         q1=q1, q2=q2, d1=d1, d2=d2, discord=min(q1, q2), eigenvalues=eigenvalues

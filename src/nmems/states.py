@@ -14,49 +14,33 @@ whether the trace is unity or has been drained by damping.
 
 from __future__ import annotations
 
-import cmath
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import linalg
-from .errors import InputError, NumericalError
+# the checks and five-number functions the constructors share with the
+# scalar core; _x_spectrum, _x_trace and SUB_NORMALIZED are re-exported here
+from ._xcore import (
+    GHZ_AMPLITUDE,
+    SUB_NORMALIZED,
+    TRACE_TOL,
+    UNIT,
+    W_AMPLITUDE,
+    _check_family,
+    _check_finite,
+    _check_range,
+    _check_x_params,
+    _damped_x,
+    _family_x,
+    _normalization,
+    _x_spectrum,
+    _x_trace,
+)
+from .errors import InputError
 
-UNIT = "unit"
-SUB_NORMALIZED = "sub_normalized"
-
-TRACE_TOL = 1e-10
-# traces inside [1 - 1e-12, 1 + 1e-10] count as unit; below that the state is
-# explicitly tagged as sub-normalized rather than silently rescaled
-SUB_NORMAL_EDGE = 1e-12
 X_STRUCTURE_TOL = 1e-10
-
-
-def _check_range(name: str, value: float, lo: float, hi: float) -> float:
-    value = float(value)
-    if not (lo <= value <= hi) or not math.isfinite(value):
-        raise InputError(f"{name} must lie in [{lo:g}, {hi:g}], got {value!r}")
-    return value
-
-
-def _check_finite(*entries) -> None:
-    if not all(map(math.isfinite, entries)):
-        raise InputError("matrix entries must be finite")
-
-
-def _normalization(lowest: float, tr: float) -> str:
-    """The trace tag of a state whose smallest eigenvalue is ``lowest`` and
-    whose trace is ``tr``: rejects an eigenvalue below -1e-10 first, then a
-    trace outside (0, 1 + 1e-10]."""
-    if lowest < linalg.EIGENVALUE_FLOOR:
-        raise InputError(f"density matrix has negative eigenvalue {lowest:.3e}")
-    if tr >= 1.0 - SUB_NORMAL_EDGE and tr <= 1.0 + TRACE_TOL:
-        return UNIT
-    if 0.0 < tr < 1.0 - SUB_NORMAL_EDGE:
-        return SUB_NORMALIZED
-    raise InputError(f"density matrix trace {tr!r} outside (0, 1]")
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,33 +132,20 @@ class XStateParams:
         _check_x_params(self.a, self.b, self.c, self.d, self.e)
 
 
-def _check_x_params(a: float, b: float, c: complex, d: float, e: float) -> None:
-    """XStateParams' checks: finite entries, a non-negative diagonal and
-    |c| <= sqrt(b d)."""
-    if not all(map(cmath.isfinite, (a, b, c, d, e))):
-        raise InputError("X-state parameters must be finite")
-    for name, value in (("a", a), ("b", b), ("d", d), ("e", e)):
-        if value < 0.0:
-            raise InputError(f"X-state parameter {name} must be non-negative")
-    if abs(c) > math.sqrt(b * d) + 1e-9:
-        raise InputError("coherence |c| exceeds sqrt(b*d); not a valid state")
-
-
 def ghz_state() -> np.ndarray:
     """(|000> + |111>) / sqrt(2) as an 8x1 column vector."""
     v = np.zeros((8, 1), dtype=complex)
-    v[0, 0] = 1.0 / math.sqrt(2.0)
-    v[7, 0] = 1.0 / math.sqrt(2.0)
+    v[0, 0] = GHZ_AMPLITUDE
+    v[7, 0] = GHZ_AMPLITUDE
     return v
 
 
 def w_state() -> np.ndarray:
     """(|001> + |010> + |100>) / sqrt(3) as an 8x1 column vector."""
     v = np.zeros((8, 1), dtype=complex)
-    amp = 1.0 / math.sqrt(3.0)
-    v[1, 0] = amp
-    v[2, 0] = amp
-    v[4, 0] = amp
+    v[1, 0] = W_AMPLITUDE
+    v[2, 0] = W_AMPLITUDE
+    v[4, 0] = W_AMPLITUDE
     return v
 
 
@@ -202,30 +173,20 @@ def w_reduced() -> np.ndarray:
     return m
 
 
-def _family_x(p: float) -> tuple:
-    """(a, b, c, d, e) of nmems(p): diagonal ((p+2)/6, z, z, p/2) and inner
-    coherence z, with z = (1-p)/3."""
-    z = (1.0 - p) / 3.0
-    return (p + 2.0) / 6.0, z, z, z, p / 2.0
-
-
 @functools.lru_cache(maxsize=4096)
 def nmems(p: float) -> DensityMatrix:
     """The GHZ/W-mixture state at mixing parameter p.
 
-    Built both as the mixture of partial traces and from the closed-form
-    X parameters; the two constructions must agree to 1e-12 elementwise.
-    Results are immutable, so repeated calls at the same p share one
-    instance.
+    Built from the closed-form X parameters and checked against the
+    mixture p Tr_c |GHZ><GHZ| + (1 - p) Tr_c |W><W|: the two constructions
+    must agree to 1e-12 elementwise (``_xcore._check_family``, on the six
+    entries the two can fill).  Results are immutable, so repeated calls
+    at the same p share one instance.
     """
     p = _check_range("p", p, 0.0, 1.0)
-    mixture = p * ghz_reduced() + (1.0 - p) * w_reduced()
-    rho = DensityMatrix._from_x(*_family_x(p))
-    gap = float(np.max(np.abs(mixture - rho.matrix)))
-    if gap > 1e-12:
-        raise NumericalError(
-            f"mixture and closed-form constructions disagree by {gap:.3e}"
-        )
+    x = _family_x(p)
+    rho = DensityMatrix._from_x(*x)
+    _check_family(p, *x)
     return rho
 
 
@@ -239,36 +200,6 @@ def nmems_ad(p: float, theta: float) -> DensityMatrix:
     extra |00><00| term) lives in the channels module.
     """
     return DensityMatrix._from_x(*_damped_x(p, theta))
-
-
-def _damped_x(p: float, theta: float) -> tuple:
-    """(a, b, c, d, e) of nmems_ad(p, theta), range checks included."""
-    p = _check_range("p", p, 0.0, 1.0)
-    theta = _check_range("theta", theta, 0.0, math.pi / 2.0)
-    gamma = math.sin(theta) ** 2
-    a, z, _, _, e = _family_x(p)
-    z = z * (1.0 - gamma)
-    return a, z, z, z, e * (1.0 - gamma) ** 2
-
-
-def _x_trace(a: float, b: float, d: float, e: float) -> float:
-    """Trace of the X state with diagonal (a, b, d, e), summed in the order
-    np.trace adds four complex entries, so it has the bits of
-    ``DensityMatrix._from_x(a, b, c, d, e).trace_value``."""
-    return (a + b) + (d + e)
-
-
-def _x_spectrum(a: float, b: float, c: float, d: float, e: float) -> tuple:
-    """(descending eigenvalues, normalization tag) of
-    ``DensityMatrix._from_x(a, b, c, d, e)``, bit for bit, without building
-    it.
-
-    Makes the checks ``_from_x`` makes, with the same messages: finite
-    entries, the eigenvalue floor and the trace window.
-    """
-    _check_finite(a, b, c, d, e)
-    vals = linalg._x_eigenvalues(a, b, c, d, e)
-    return vals, _normalization(vals[-1], _x_trace(a, b, d, e))
 
 
 def _check_x_form(m: np.ndarray, *, corners: bool) -> list:

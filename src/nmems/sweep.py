@@ -8,40 +8,43 @@ a sub-normalized damped state, carries an explicit NA marker instead of
 being dropped; any other rejected input or numerical failure aborts the
 sweep.  CSV output is byte-deterministic: 12 significant digits, LF
 newlines, the literal token NA.
+
+The engine, the presets and the headline report run on the scalar core
+(``_xcore``) and the standard library alone.  The per-point registry
+``QUANTITIES`` (``nmems.registry``) defines every column through the
+matrix API; it loads numpy, so it is imported the first time a requested
+column has no scalar route: the spin-flip concurrences, ``chsh`` and the
+witnesses.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 
-from .channels import _adc_pair_x, adc, apply_correlated_pair, apply_product_pair
-from .errors import InputError
-from .measures import (
-    _spectrum_entropy,
-    _x_concurrence,
-    _x_fidelity,
-    chsh_criterion,
-    concurrence_wootters,
-    concurrence_x,
-    correlation_matrix,
-    discord_x,
-    fidelity_ad_closed_form,
-    fidelity_from_correlation,
-    teleportation_fidelity,
-    von_neumann_entropy,
-)
-from .states import (
+from ._xcore import (
+    _WITNESS_ENTRIES,
     UNIT,
-    DensityMatrix,
+    USEFULNESS_MARGIN,
+    _adc_pair_x,
+    _check_x_params,
     _damped_x,
+    _family,
     _family_x,
+    _require_unit,
+    _spectrum_entropy,
+    _x_chsh,
+    _x_concurrence,
+    _x_correlation_sum,
+    _x_discord,
+    _x_expectation,
+    _x_fidelity,
+    _x_params,
     _x_spectrum,
-    nmems,
-    nmems_ad,
-    x_params_of,
+    fidelity_ad_closed_form,
 )
-from .witnesses import evaluate, witness_generic, witness_stabilizer, witness_w1
+from .errors import InputError
 
 NA_TOKEN = "NA"
 
@@ -51,61 +54,65 @@ MODE_CORRELATED = "correlated"     # identical-index Kraus pair map
 MODE_PRODUCT = "product"           # independent noise on each qubit
 CHANNEL_MODES = (MODE_CLOSED_FORM, MODE_CORRELATED, MODE_PRODUCT)
 
-
-def _damped(p: float, theta: float, mode: str) -> DensityMatrix:
-    """The damped state of grid point (p, theta) in channel mode ``mode``."""
-    if mode == MODE_CLOSED_FORM:
-        return nmems_ad(p, theta)
-    channel = adc(math.sin(theta) ** 2)
-    if mode == MODE_CORRELATED:
-        return apply_correlated_pair(channel, nmems(p))
-    return apply_product_pair(channel, nmems(p))
+# the columns of QUANTITIES, in its order, without importing the registry
+QUANTITY_NAMES = (
+    "concurrence", "concurrence_ad", "concurrence_wootters",
+    "concurrence_ad_wootters", "fidelity", "fidelity_ad",
+    "fidelity_ad_closed_form", "discord", "entropy", "entropy_ad", "mid",
+    "chsh", "witness_generic", "witness_w1", "witness_stabilizer",
+)
 
 
-_WITNESSES = {
-    "generic": witness_generic(2),
-    "w1": witness_w1(),
-    "stabilizer": witness_stabilizer(),
-}
+def _registry():
+    """The per-point registry module (``nmems.registry``), imported on
+    first use because it loads numpy."""
+    try:
+        from . import registry
+    except ModuleNotFoundError as exc:
+        if exc.name != "numpy":
+            raise
+        raise InputError(
+            "the spin-flip concurrences, chsh and the witness columns need "
+            "numpy, which is not installed"
+        ) from None
+    return registry
 
 
-# Per-point definitions, each a function of the grid point (p, theta) and
-# the channel mode, and the oracle for the _KERNEL below.
-# fidelity_ad runs the Horodecki formula on the raw correlation matrix of
-# the mode's damped state, with no renormalization: in closed_form and
-# correlated that state is sub-normalized for theta > 0 (fidelity_ad is
-# 2/3 at p = 0.1, theta = 0.6 in closed_form), while fidelity rejects
-# non-unit input.
-QUANTITIES = {
-    "concurrence": lambda p, theta, mode: concurrence_x(x_params_of(nmems(p))),
-    "concurrence_ad": lambda p, theta, mode: concurrence_x(
-        x_params_of(_damped(p, theta, mode))
-    ),
-    "concurrence_wootters": lambda p, theta, mode: concurrence_wootters(nmems(p)),
-    "concurrence_ad_wootters": lambda p, theta, mode: concurrence_wootters(
-        _damped(p, theta, mode)
-    ),
-    "fidelity": lambda p, theta, mode: teleportation_fidelity(nmems(p)).fidelity,
-    "fidelity_ad": lambda p, theta, mode: fidelity_from_correlation(
-        correlation_matrix(_damped(p, theta, mode))
-    ).fidelity,
-    "fidelity_ad_closed_form": lambda p, theta, mode: fidelity_ad_closed_form(p, theta),
-    "discord": lambda p, theta, mode: discord_x(nmems(p)).discord,
-    "entropy": lambda p, theta, mode: von_neumann_entropy(nmems(p)),
-    "entropy_ad": lambda p, theta, mode: von_neumann_entropy(_damped(p, theta, mode)),
-    # the entropy the channel mode's own damped map adds; in closed_form
-    # this is mid_adc(p, theta), with the same arithmetic
-    "mid": lambda p, theta, mode: (
-        von_neumann_entropy(_damped(p, theta, mode)) - von_neumann_entropy(nmems(p))
-    ),
-    "chsh": lambda p, theta, mode: chsh_criterion(nmems(p)).m_value,
-    "witness_generic": lambda p, theta, mode: evaluate(
-        _WITNESSES["generic"], nmems(p)
-    ).expectation,
-    "witness_w1": lambda p, theta, mode: evaluate(_WITNESSES["w1"], nmems(p)).expectation,
-    "witness_stabilizer": lambda p, theta, mode: evaluate(
-        _WITNESSES["stabilizer"], nmems(p)
-    ).expectation,
+def __getattr__(name: str):
+    # QUANTITIES is the registry's dict: the engine calls its entries for
+    # the columns without a scalar route
+    if name == "QUANTITIES":
+        quantities = _registry().QUANTITIES
+        globals()[name] = quantities
+        return quantities
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+# the measures of the family state that take a unit trace, on the
+# (x, eigenvalues, tag) of _xcore._family, with the registry's check
+def _family_fidelity(x: tuple, vals: list, tag: str) -> float:
+    _require_unit(tag, "teleportation fidelity")
+    return _x_fidelity(*x)
+
+
+def _family_discord(x: tuple, vals: list, tag: str) -> float:
+    _require_unit(tag, "discord")
+    return _x_discord(*x, vals)
+
+
+def _family_chsh(x: tuple, vals: list, tag: str) -> float:
+    _require_unit(tag, "CHSH criterion")
+    return _x_chsh(*x)
+
+
+# p-only columns a sweep reads off the five numbers, eigenvalues and trace
+# tag of nmems(p) (``_xcore._family``), with the registry's bits, checks
+# and messages
+_FAMILY = {
+    "concurrence": lambda x, vals, tag: _x_concurrence(*_x_params(*x)),
+    "fidelity": _family_fidelity,
+    "discord": _family_discord,
+    "entropy": lambda x, vals, tag: _spectrum_entropy(vals),
 }
 
 # columns that read only nmems(p), so depend on p alone; a sweep evaluates
@@ -150,12 +157,12 @@ class SweepSpec:
                 raise InputError(f"step counts must be integers >= 1, got {steps!r}")
         if not self.quantities:
             raise InputError(
-                "no quantities requested; choose from: " + ", ".join(QUANTITIES)
+                "no quantities requested; choose from: " + ", ".join(QUANTITY_NAMES)
             )
-        unknown = [q for q in self.quantities if q not in QUANTITIES]
+        unknown = [q for q in self.quantities if q not in QUANTITY_NAMES]
         if unknown:
             raise InputError(
-                f"unknown quantities {unknown}; choose from: " + ", ".join(QUANTITIES)
+                f"unknown quantities {unknown}; choose from: " + ", ".join(QUANTITY_NAMES)
             )
         if len(set(self.quantities)) != len(self.quantities):
             raise InputError("duplicate quantity identifiers")
@@ -190,8 +197,9 @@ def _grid(lo: float, hi: float, steps: int) -> list:
 
 
 def _mode_damped_x(mode: str, p: float, theta: float) -> tuple:
-    """(a, b, c, d, e) of ``_damped(p, theta, mode)``, with its bits and its
-    range checks on theta or gamma; SweepSpec checks the grid's p range."""
+    """(a, b, c, d, e) of ``registry._damped(p, theta, mode)``, with its
+    bits and its range checks on theta or gamma; SweepSpec checks the grid's
+    p range."""
     if mode == MODE_CLOSED_FORM:
         return _damped_x(p, theta)
     return _adc_pair_x(*_family_x(p), math.sin(theta) ** 2,
@@ -199,28 +207,25 @@ def _mode_damped_x(mode: str, p: float, theta: float) -> tuple:
 
 
 def _kernel_cells(names: list, mode: str, p: float, theta: float,
-                  base_entropy: float | None) -> dict:
+                  base_entropy: float | None, registry) -> dict:
     """The _KERNEL columns ``names`` of the cell (p, theta) in ``mode``.
 
     Works on the five numbers of the cell's damped state (_mode_damped_x),
-    their eigenvalues and their trace tag (states._x_spectrum), which are
+    their eigenvalues and their trace tag (_xcore._x_spectrum), which are
     that state's bits and pass its checks, so every value is the one
     QUANTITIES gives, and a rejection raises the error QUANTITIES raises.
     The spin-flip concurrence of a sub-normalized state is the one
     undefined cell (None); only a unit-trace cell's spin-flip concurrence
-    builds a DensityMatrix.
+    builds a DensityMatrix, through the ``registry`` module.
     """
-    a, b, c, d, e = x = _mode_damped_x(mode, p, theta)
+    x = _mode_damped_x(mode, p, theta)
     vals, tag = _x_spectrum(*x)
     out = {}
     if "concurrence_ad" in names:
-        # the parameters x_params_of reads off the built state
-        out["concurrence_ad"] = _x_concurrence(
-            max(a, 0.0), max(b, 0.0), c, max(d, 0.0), max(e, 0.0)
-        )
+        out["concurrence_ad"] = _x_concurrence(*_x_params(*x))
     if "concurrence_ad_wootters" in names:
         out["concurrence_ad_wootters"] = (
-            concurrence_wootters(DensityMatrix._from_x(*x)) if tag == UNIT else None
+            registry._x_concurrence_wootters(*x) if tag == UNIT else None
         )
     if "fidelity_ad" in names:
         out["fidelity_ad"] = _x_fidelity(*x)
@@ -237,31 +242,38 @@ def run_sweep(spec: SweepSpec) -> list:
 
     The spin-flip concurrence of a sub-normalized damped state is undefined,
     held as None and emitted as NA; any InputError or NumericalError an
-    evaluator raises propagates, so no partial grid is returned.  P_ONLY
-    columns are evaluated once per p, as ``QUANTITIES[name](p, theta, mode)``
-    at the first theta, and shared by that p's thetas.  In every channel
-    mode the _KERNEL columns come from the damped state's five numbers,
-    with no Kraus channel and no per-point state; only
-    fidelity_ad_closed_form takes the per-point route through QUANTITIES.
+    evaluator raises propagates, so no partial grid is returned.
+
+    Every column has the bits of ``QUANTITIES[name](p, theta, mode)``.
+    Each p's family state passes nmems' checks once (``_xcore._family``),
+    and P_ONLY columns are evaluated once per p and shared by that p's
+    thetas: the _FAMILY ones from the state's five numbers, the others as
+    ``QUANTITIES[name](p, theta, mode)`` at the first theta.  In every
+    channel mode the _KERNEL columns come from the damped state's five
+    numbers, with no Kraus channel and no per-point state, and
+    fidelity_ad_closed_form is evaluated per cell.  The registry, and with
+    it numpy, is imported only for a column without a scalar route.
     """
     theta_values = _grid(spec.theta_min, spec.theta_max, spec.theta_steps)
     kernel = [name for name in spec.quantities if name in _KERNEL]
-    p_only = [name for name in spec.quantities if name in P_ONLY]
-    per_point = [name for name in spec.quantities
-                 if name not in P_ONLY and name not in _KERNEL]
+    family = [name for name in spec.quantities if name in _FAMILY]
+    p_only = [name for name in spec.quantities if name in P_ONLY and name not in _FAMILY]
+    closed_form = "fidelity_ad_closed_form" in spec.quantities
+    registry = _registry() if p_only or "concurrence_ad_wootters" in kernel else None
     mode = spec.channel_mode
     rows = []
     for p in _grid(spec.p_min, spec.p_max, spec.p_steps):
-        base = nmems(p)
-        shared = {name: QUANTITIES[name](p, theta_values[0], mode) for name in p_only}
-        base_entropy = von_neumann_entropy(base) if "mid" in kernel else None
+        base = _family(p)
+        shared = {name: _FAMILY[name](*base) for name in family}
+        shared.update((name, registry.QUANTITIES[name](p, theta_values[0], mode))
+                      for name in p_only)
+        base_entropy = _spectrum_entropy(base[1]) if "mid" in kernel else None
         for theta in theta_values:
             cells = dict(shared)
             if kernel:
-                cells.update(_kernel_cells(kernel, mode, p, theta, base_entropy))
-            if per_point:
-                cells.update((name, QUANTITIES[name](p, theta, mode))
-                             for name in per_point)
+                cells.update(_kernel_cells(kernel, mode, p, theta, base_entropy, registry))
+            if closed_form:
+                cells["fidelity_ad_closed_form"] = fidelity_ad_closed_form(p, theta)
             values = {name: cells[name] for name in spec.quantities}
             rows.append(SweepRow(p=p, theta=theta, values=values))
     return rows
@@ -277,7 +289,15 @@ def _format_value(v) -> str:
 
 def emit_csv(rows: list, path: str) -> None:
     """Write rows as UTF-8 CSV: header p,theta,<quantities>, 12 significant
-    digits, NA for undefined cells, LF newlines."""
+    digits, NA for undefined cells, LF newlines.
+
+    The bytes go to a temporary file next to ``path``, which replaces
+    ``path`` only once all of them are written: a failed write leaves no
+    partial CSV behind and any earlier file at ``path`` as it was.  A
+    symbolic link is followed, so the file it names is replaced; a path
+    that exists and is not a regular file (a pipe, or a device such as
+    /dev/stdout) is written through instead.
+    """
     if rows:
         columns = rows[0].columns()
         for row in rows:
@@ -286,13 +306,27 @@ def emit_csv(rows: list, path: str) -> None:
     else:
         columns = ()
     header = ",".join(("p", "theta") + columns)
+    real = os.path.realpath(path)
+    through = os.path.exists(real) and not os.path.isfile(real)
+    head, tail = os.path.split(real)
+    tmp = real if through else os.path.join(head, f".{tail}.{os.getpid()}.tmp")
     try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(header + "\n")
-            for row in rows:
-                cells = [_format_value(row.p), _format_value(row.theta)]
-                cells.extend(_format_value(row.values[c]) for c in columns)
-                fh.write(",".join(cells) + "\n")
+        try:
+            with open(tmp, "w", encoding="utf-8", newline="") as fh:
+                fh.write(header + "\n")
+                for row in rows:
+                    cells = [_format_value(row.p), _format_value(row.theta)]
+                    cells.extend(_format_value(row.values[c]) for c in columns)
+                    fh.write(",".join(cells) + "\n")
+            if not through:
+                os.replace(tmp, real)
+        except BaseException:
+            if not through:
+                try:
+                    os.remove(tmp)
+                except OSError:
+                    pass
+            raise
     except OSError as exc:
         raise OSError(f"cannot write CSV to {path!r}: {exc}") from exc
 
@@ -356,23 +390,29 @@ def _bisect_sign_change(f, lo: float, hi: float, tol: float = 1e-12) -> float:
 def entanglement_boundary() -> float:
     """Mixing parameter where the family's concurrence reaches zero."""
     def signed(p):
-        xp = x_params_of(nmems(p))
-        return abs(xp.c) - math.sqrt(xp.a * xp.e)
+        a, b, c, d, e = _x_params(*_family(p)[0])
+        _check_x_params(a, b, c, d, e)
+        return abs(c) - math.sqrt(a * e)
     return _bisect_sign_change(signed, 0.25, 0.32, tol=1e-9)
 
 
 def witness_zero_crossing(name: str) -> float:
-    w = _WITNESSES[name]
+    """Mixing parameter where Tr(W nmems(p)) changes sign, for the witness
+    ``name`` ("generic", "w1" or "stabilizer"), from the witness matrix's
+    entries (``_xcore._x_expectation``)."""
+    entries = _WITNESS_ENTRIES[name]
     return _bisect_sign_change(
-        lambda p: evaluate(w, nmems(p)).expectation, 0.0, 1.0
+        lambda p: _x_expectation(entries, *_family(p)[0]), 0.0, 1.0
     )
 
 
 def usefulness_boundary() -> float:
     """Mixing parameter where the correlation criterion drops to N = 1."""
-    return _bisect_sign_change(
-        lambda p: teleportation_fidelity(nmems(p)).n_value - 1.0 - 1e-9, 0.0, 0.9
-    )
+    def excess(p):
+        x, _, tag = _family(p)
+        _require_unit(tag, "teleportation fidelity")
+        return _x_correlation_sum(*x) - 1.0 - 1e-9
+    return _bisect_sign_change(excess, 0.0, 0.9)
 
 
 def discord_concurrence_crossing() -> tuple[float, float]:
@@ -384,8 +424,8 @@ def discord_concurrence_crossing() -> tuple[float, float]:
     """
     prev_p = prev_gap = None
     for p in _grid(0.0, 0.292, 293):
-        base = nmems(p)
-        gap = discord_x(base).discord - concurrence_x(x_params_of(base))
+        base = _family(p)
+        gap = _FAMILY["discord"](*base) - _FAMILY["concurrence"](*base)
         if prev_gap is not None and prev_gap < 0.0 and gap >= 0.0:
             return prev_p, p
         prev_p, prev_gap = p, gap
@@ -393,22 +433,27 @@ def discord_concurrence_crossing() -> tuple[float, float]:
 
 
 def report_headlines() -> str:
-    """Human-readable summary of every headline number, freshly computed."""
+    """Human-readable summary of every headline number, freshly computed.
+
+    Every number comes from the family's five numbers (``_xcore``), with
+    the bits of the matrix route where that is stated there and within a
+    few ulp otherwise; the report prints six decimals.
+    """
     p_star = entanglement_boundary()
     w1_cross = witness_zero_crossing("w1")
     stab_cross = witness_zero_crossing("stabilizer")
     useful_edge = usefulness_boundary()
-    base0 = nmems(0.0)
-    fid0 = teleportation_fidelity(base0)
-    conc0 = concurrence_x(x_params_of(base0))
-    disc0 = discord_x(base0).discord
+    base0 = _family(0.0)
+    fid0 = _FAMILY["fidelity"](*base0)
+    conc0 = _FAMILY["concurrence"](*base0)
+    disc0 = _FAMILY["discord"](*base0)
     lo, hi = discord_concurrence_crossing()
     default_grid = _grid(0.0, 0.292, 293)
-    chsh_grid_max = max(chsh_criterion(nmems(p)).m_value for p in default_grid)
+    chsh_grid_max = max(_family_chsh(*_family(p)) for p in default_grid)
     full_grid = _grid(0.0, 1.0, 1001)
-    chsh_full = [chsh_criterion(nmems(p)) for p in full_grid]
-    chsh_full_max = max(r.m_value for r in chsh_full)
-    any_violation = any(r.violates for r in chsh_full)
+    chsh_full = [_family_chsh(*_family(p)) for p in full_grid]
+    chsh_full_max = max(chsh_full)
+    any_violation = any(m > 1.0 + USEFULNESS_MARGIN for m in chsh_full)
     cf0 = fidelity_ad_closed_form(0.0, 0.0)
 
     lines = [
@@ -417,7 +462,7 @@ def report_headlines() -> str:
         f"teleportation usefulness boundary p = {useful_edge:.6f}  (correlation criterion N = 1)",
         f"entanglement witness (w1) zero-crossing p = {w1_cross:.6f}",
         f"stabilizer witness zero-crossing p = {stab_cross:.6f}",
-        f"optimal teleportation fidelity at p = 0: {fid0.fidelity:.6f}  (classical benchmark {2.0 / 3.0:.6f})",
+        f"optimal teleportation fidelity at p = 0: {fid0:.6f}  (classical benchmark {2.0 / 3.0:.6f})",
         f"concurrence at p = 0: {conc0:.6f}",
         f"quantum discord at p = 0: {disc0:.6f}",
         f"discord/concurrence crossing inside [{lo:.6f}, {hi:.6f}]",
@@ -425,7 +470,7 @@ def report_headlines() -> str:
         f"max M = {chsh_full_max:.6f} over p in [0, 1]; violation anywhere: {'yes' if any_violation else 'no'}",
         f"known inconsistency: the damped-fidelity closed form at theta = 0, p = 0 "
         f"gives {cf0:.6f}, while the correlation-matrix criterion on the identical "
-        f"undamped state gives {fid0.fidelity:.6f}; the closed form does not reduce "
+        f"undamped state gives {fid0:.6f}; the closed form does not reduce "
         f"to the undamped formula at zero damping.",
     ]
     return "\n".join(lines) + "\n"

@@ -1,0 +1,158 @@
+"""The figure presets, the headline report and ``--help`` run without numpy.
+
+Each command runs in a fresh interpreter as ``python -m nmems`` does, and
+reports at exit whether numpy was ever imported.  A sweep with a column
+that has no scalar route (the spin-flip concurrence) imports numpy on
+demand and still gives the in-process bytes.  ``nmems`` exports its names
+lazily: each resolves on first access and is cached in the module.
+"""
+
+import hashlib
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+import nmems
+from nmems.sweep import SweepSpec, emit_csv, run_sweep
+
+from test_output_identity import HEADLINES_SHA256, PRESET_SHA256
+
+# python -m nmems ARGS..., with a report of numpy's presence at exit (after
+# any SystemExit, such as argparse's after --help)
+_CLI = """
+import atexit, runpy, sys
+atexit.register(lambda: sys.stderr.write(f"numpy loaded: {'numpy' in sys.modules}\\n"))
+sys.argv = ["nmems", *sys.argv[1:]]
+runpy.run_module("nmems", run_name="__main__", alter_sys=True)
+"""
+
+
+def _env() -> dict:
+    # the child imports the same nmems as this process, installed or not
+    src_dir = os.path.dirname(os.path.dirname(nmems.__file__))
+    path = os.pathsep.join(filter(None, (src_dir, os.environ.get("PYTHONPATH"))))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def _python(args: list, cwd) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, cwd=cwd, env=_env(), check=False
+    )
+
+
+def _cli(args: list, cwd) -> tuple:
+    """(exit code, stdout bytes, whether numpy was imported) of one run."""
+    result = _python(["-c", _CLI, *args], cwd)
+    last = result.stderr.decode("utf-8").splitlines()[-1]
+    assert last in ("numpy loaded: True", "numpy loaded: False"), result.stderr
+    return result.returncode, result.stdout, last == "numpy loaded: True"
+
+
+def test_import_loads_no_numpy(tmp_path):
+    result = _python(["-c", "import sys, nmems; print('numpy' in sys.modules)"], tmp_path)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == b"False\n"
+
+
+def test_help_loads_no_numpy(tmp_path):
+    code, out, loaded = _cli(["--help"], tmp_path)
+    assert code == 0 and b"headlines" in out
+    assert not loaded
+
+
+@pytest.mark.parametrize("name", sorted(PRESET_SHA256))
+def test_preset_loads_no_numpy(name, tmp_path):
+    code, _, loaded = _cli(["preset", name, "--out", "out.csv"], tmp_path)
+    assert code == 0
+    assert not loaded
+    digest = hashlib.sha256((tmp_path / "out.csv").read_bytes()).hexdigest()
+    assert digest[:16] == PRESET_SHA256[name]
+
+
+def test_headlines_load_no_numpy(tmp_path):
+    code, out, loaded = _cli(["headlines"], tmp_path)
+    assert code == 0
+    assert not loaded
+    assert hashlib.sha256(out).hexdigest()[:16] == HEADLINES_SHA256
+
+
+def test_matrix_column_loads_numpy_on_demand(tmp_path):
+    # concurrence_wootters has no scalar route: the registry, and numpy with
+    # it, is imported for it, and the bytes are those of the in-process run
+    code, _, loaded = _cli([
+        "sweep", "--p-max", "0.3", "--p-steps", "4", "--theta-max", "pi/4",
+        "--theta-steps", "3", "--quantities", "concurrence,concurrence_wootters",
+        "--out", "out.csv",
+    ], tmp_path)
+    assert code == 0
+    assert loaded
+    spec = SweepSpec(p_max=0.3, p_steps=4, theta_max=0.7853981633974483, theta_steps=3,
+                     quantities=("concurrence", "concurrence_wootters"))
+    emit_csv(run_sweep(spec), str(tmp_path / "want.csv"))
+    assert (tmp_path / "out.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+# python -m nmems ARGS... where numpy cannot be imported
+_NO_NUMPY = """
+import runpy, sys
+sys.modules["numpy"] = None
+sys.argv = ["nmems", *sys.argv[1:]]
+runpy.run_module("nmems", run_name="__main__", alter_sys=True)
+"""
+
+
+def test_numpy_free_install(tmp_path):
+    # the presets and the report work where numpy cannot be imported; a
+    # column that needs it is rejected with exit code 1 and a message
+    result = _python(["-c", _NO_NUMPY, "preset", "fig4", "--out", "out.csv"], tmp_path)
+    assert result.returncode == 0, result.stderr
+    digest = hashlib.sha256((tmp_path / "out.csv").read_bytes()).hexdigest()
+    assert digest[:16] == PRESET_SHA256["fig4"]
+    result = _python(["-c", _NO_NUMPY, "headlines"], tmp_path)
+    assert result.returncode == 0, result.stderr
+    assert hashlib.sha256(result.stdout).hexdigest()[:16] == HEADLINES_SHA256
+    result = _python(["-c", _NO_NUMPY, "sweep", "--quantities", "concurrence,chsh",
+                      "--out", "chsh.csv"], tmp_path)
+    assert result.returncode == 1
+    assert result.stderr == (b"error: the spin-flip concurrences, chsh and the witness "
+                             b"columns need numpy, which is not installed\n")
+    assert not (tmp_path / "chsh.csv").exists()
+
+
+_EXPORTS = """
+import json, sys
+import nmems
+first = {}
+for name in nmems.__all__:
+    before = name in vars(nmems)
+    value = getattr(nmems, name)
+    first[name] = [before, vars(nmems).get(name) is value]
+print(json.dumps({
+    "first": first,
+    "dir": sorted(set(nmems.__all__) - set(dir(nmems))),
+}))
+"""
+
+
+def test_exports_resolve_lazily_and_are_cached(tmp_path):
+    # in a fresh interpreter: no name is bound before its first access,
+    # and each is bound in the module after it
+    result = _python(["-c", _EXPORTS], tmp_path)
+    assert result.returncode == 0, result.stderr
+    report = json.loads(result.stdout)
+    assert set(report["first"]) == set(nmems.__all__)
+    assert {name: v for name, v in report["first"].items() if v != [False, True]} == {}
+    assert report["dir"] == []
+
+
+def test_exports_in_this_process():
+    for name in nmems.__all__:
+        value = getattr(nmems, name)
+        assert vars(nmems)[name] is value, name
+    assert set(nmems.__all__) <= set(dir(nmems))
+    assert nmems.QUANTITIES is nmems.sweep.QUANTITIES
+    with pytest.raises(AttributeError, match="no_such_name"):
+        getattr(nmems, "no_such_name")

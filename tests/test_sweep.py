@@ -1,8 +1,10 @@
 import math
 import os
+import stat
 import subprocess
 import sys
 import tempfile
+import threading
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nmems
-from nmems import InputError, NumericalError, channels, linalg, measures, states, sweep
+from nmems import InputError, NumericalError, _xcore, channels, measures, registry, states, sweep
 from nmems.cli import main, parse_angle
 from nmems.measures import (
     concurrence_x,
@@ -278,7 +280,7 @@ class TestRunSweep:
         }
         injected = {}
         real_x = sweep._mode_damped_x
-        real_damped = sweep._damped
+        real_damped = registry._damped
 
         def damped_x(mode_, p, theta):
             return injected.get(theta) or real_x(mode_, p, theta)
@@ -291,7 +293,7 @@ class TestRunSweep:
             return DensityMatrix.from_matrix(oracles.x_matrix(*x))
 
         monkeypatch.setattr(sweep, "_mode_damped_x", damped_x)
-        monkeypatch.setattr(sweep, "_damped", damped)
+        monkeypatch.setattr(registry, "_damped", damped)
         for k, x in bad.items():
             injected.clear()
             injected[thetas[k]] = x
@@ -314,6 +316,8 @@ class TestRunSweep:
             if largest > 0.5:
                 raise InputError("correlation entries exceed 0.5")
 
+        # the sweep reads the bound in _xcore, the per-point route in measures
+        monkeypatch.setattr(_xcore, "_check_correlation_bound", tight)
         monkeypatch.setattr(measures, "_check_correlation_bound", tight)
         for mode in CHANNEL_MODES:
             spec = _tiny_spec(
@@ -347,7 +351,7 @@ class TestRunSweep:
                     na.add((row.p, row.theta, name))
                 else:
                     assert math.isfinite(value), (row.p, row.theta, name)
-            if not sweep._damped(row.p, row.theta, mode).is_unit():
+            if not registry._damped(row.p, row.theta, mode).is_unit():
                 sub_normalized.add((row.p, row.theta, "concurrence_ad_wootters"))
         assert na == sub_normalized
         assert bool(na) == (mode != "product")
@@ -364,10 +368,10 @@ class TestRunSweep:
             return inner(cls, *x)
 
         for module, name in (
-            (sweep, "nmems_ad"), (states, "nmems_ad"), (sweep, "adc"),
+            (registry, "nmems_ad"), (states, "nmems_ad"), (registry, "adc"),
             (channels, "adc"), (channels, "kraus_channel"),
-            (sweep, "apply_correlated_pair"), (channels, "apply_correlated_pair"),
-            (sweep, "apply_product_pair"), (channels, "apply_product_pair"),
+            (registry, "apply_correlated_pair"), (channels, "apply_correlated_pair"),
+            (registry, "apply_product_pair"), (channels, "apply_product_pair"),
         ):
             monkeypatch.setattr(module, name, boom)
         monkeypatch.setattr(DensityMatrix, "from_matrix", classmethod(boom))
@@ -389,7 +393,7 @@ class TestRunSweep:
         def diverge(*x):
             raise NumericalError("no convergence")
 
-        monkeypatch.setattr(linalg, "_x_eigenvalues", diverge)
+        monkeypatch.setattr(_xcore, "_x_eigenvalues", diverge)
         for mode in CHANNEL_MODES:
             with pytest.raises(NumericalError):
                 run_sweep(_tiny_spec(quantities=("mid",), channel_mode=mode))
@@ -423,7 +427,7 @@ class TestRunSweep:
         mode=st.sampled_from(CHANNEL_MODES),
     )
     def test_damped_state_is_x_form_with_trace_at_most_one(self, p, theta, mode):
-        damped = sweep._damped(p, theta, mode)
+        damped = registry._damped(p, theta, mode)
         x_params_of(damped)
         assert damped.trace_value <= 1.0 + 1e-10
         if mode == "product":
@@ -520,6 +524,33 @@ class TestEmitCsv:
         with pytest.raises(InputError):
             emit_csv(rows, str(tmp_path / "bad.csv"))
 
+    def test_pipe_is_written_through(self, tmp_path):
+        # a path that is not a regular file is not replaced by one
+        pipe = tmp_path / "pipe"
+        os.mkfifo(pipe)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(pipe.read_bytes()))
+        reader.start()
+        emit_csv([SweepRow(p=0.0, theta=0.0, values={"q": 1.0})], str(pipe))
+        reader.join(timeout=10)
+        assert got == [b"p,theta,q\n0,0,1\n"]
+        assert stat.S_ISFIFO(pipe.stat().st_mode)
+        assert [path.name for path in tmp_path.iterdir()] == ["pipe"]
+
+    def test_symlink_target_is_replaced(self, tmp_path):
+        # the link stays a link; the file it names gets the new bytes
+        (tmp_path / "data").mkdir()
+        target = tmp_path / "data" / "out.csv"
+        target.write_bytes(b"old\n")
+        link = tmp_path / "link.csv"
+        link.symlink_to(target)
+        emit_csv([SweepRow(p=0.0, theta=0.0, values={"q": 1.0})], str(link))
+        assert link.is_symlink() and link.resolve() == target.resolve()
+        assert target.read_bytes() == b"p,theta,q\n0,0,1\n"
+        assert sorted(path.name for path in tmp_path.rglob("*")) == [
+            "data", "link.csv", "out.csv"
+        ]
+
     def test_unwritable_path_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
             emit_csv([], str(tmp_path / "missing_dir" / "x.csv"))
@@ -598,18 +629,15 @@ class TestHeadlines:
 
     def test_crossing_scan_reaches_its_last_point(self, monkeypatch):
         scanned = []
-        real_nmems = sweep.nmems
+        real_family = sweep._family
 
         def spy(p):
             scanned.append(p)
-            return real_nmems(p)
-
-        class NoDiscord:
-            discord = -1.0
+            return real_family(p)
 
         # discord never reaches concurrence, so the scan runs to its end
-        monkeypatch.setattr(sweep, "nmems", spy)
-        monkeypatch.setattr(sweep, "discord_x", lambda rho: NoDiscord)
+        monkeypatch.setattr(sweep, "_family", spy)
+        monkeypatch.setitem(sweep._FAMILY, "discord", lambda x, vals, tag: -1.0)
         with pytest.raises(InputError, match="no discord/concurrence crossing"):
             sweep.discord_concurrence_crossing()
         assert scanned == _grid(0.0, 0.292, 293)
@@ -822,6 +850,47 @@ class TestCli:
         assert code == 1
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("earlier", [None, b"p,theta\nan earlier file\n"])
+    def test_write_failure_after_header_leaves_no_partial_csv(
+        self, monkeypatch, tmp_path, capsys, earlier
+    ):
+        # an OSError on the second write, after the header: exit 2, no CSV
+        # at --out, an earlier file there unchanged, no temporary file left
+        real_open = open
+
+        class FailAfterHeader:
+            def __init__(self, *args, **kwargs):
+                self.fh = real_open(*args, **kwargs)
+                self.writes = 0
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, text):
+                self.writes += 1
+                if self.writes > 1:
+                    raise OSError(28, "No space left on device")
+                return self.fh.write(text)
+
+        out = tmp_path / "fig4.csv"
+        if earlier is not None:
+            out.write_bytes(earlier)
+        monkeypatch.setattr(sweep, "open", FailAfterHeader, raising=False)
+        assert main(["preset", "fig4", "--out", str(out)]) == 2
+        assert "No space left on device" in capsys.readouterr().err
+        assert [path.name for path in tmp_path.iterdir()] == (
+            [] if earlier is None else ["fig4.csv"]
+        )
+        if earlier is not None:
+            assert out.read_bytes() == earlier
+        monkeypatch.undo()
+        assert main(["preset", "fig4", "--out", str(out)]) == 0
+        assert [path.name for path in tmp_path.iterdir()] == ["fig4.csv"]
+        assert out.read_bytes().startswith(b"p,theta,concurrence,discord,fidelity\n0,0,")
 
     def test_unwritable_output_exits_two(self, tmp_path):
         code = main(

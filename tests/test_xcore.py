@@ -1,0 +1,140 @@
+"""The scalar family columns and headline replays of ``_xcore`` against the
+per-point matrix route, with p drawn over [0, 1] and both endpoints.
+
+Bits are compared wherever a replay claims them.  The one replay that
+claims only closeness is the w1 witness expectation, whose matrix product
+may fuse a multiply-add that the scalar form rounds twice.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from nmems import InputError, NumericalError, _xcore, sweep
+from nmems.measures import chsh_criterion, discord_x, teleportation_fidelity
+from nmems.registry import QUANTITIES
+from nmems.states import ghz_reduced, nmems, nmems_ad, w_reduced
+from nmems.sweep import CHANNEL_MODES, QUANTITY_NAMES, PRESETS, SweepSpec, run_sweep
+from nmems.witnesses import evaluate, witness_generic, witness_stabilizer, witness_w1
+
+_PS = st.floats(0.0, 1.0) | st.sampled_from([0.0, 1.0])
+_WITNESS_MATRICES = {
+    "generic": lambda: witness_generic(2),
+    "w1": witness_w1,
+    "stabilizer": witness_stabilizer,
+}
+
+
+def _entries(m: np.ndarray) -> tuple:
+    """The entries of a 4x4 matrix at the six places of the X form, after
+    checking that they are real and that every other entry is zero."""
+    rows = m.tolist()
+    for i in range(4):
+        for j in range(4):
+            if (i, j) not in _xcore._X_PLACES and {i, j} != {0, 3}:
+                assert rows[i][j] == 0.0, (i, j)
+    assert all(rows[i][j].imag == 0.0 for i, j in _xcore._X_PLACES)
+    return tuple(rows[i][j].real for i, j in _xcore._X_PLACES)
+
+
+def test_quantity_names_list_the_registry():
+    assert tuple(QUANTITIES) == QUANTITY_NAMES
+    assert set(sweep._FAMILY) <= sweep.P_ONLY
+
+
+def test_reduced_projector_entries_are_the_matrices():
+    for matrix, entries in ((ghz_reduced(), _xcore._GHZ_REDUCED),
+                            (w_reduced(), _xcore._W_REDUCED)):
+        assert not matrix[0, 3] and not matrix[3, 0]
+        assert [v.hex() for v in _entries(matrix)] == [v.hex() for v in entries]
+
+
+@pytest.mark.parametrize("name", sorted(_WITNESS_MATRICES))
+def test_witness_entries_are_the_matrices(name):
+    got = _entries(_WITNESS_MATRICES[name]().matrix)
+    assert [v.hex() for v in got] == [v.hex() for v in _xcore._WITNESS_ENTRIES[name]]
+
+
+@settings(max_examples=150, deadline=None)
+@given(p=_PS, mode=st.sampled_from(CHANNEL_MODES))
+@example(p=0.0, mode="closed_form")
+@example(p=1.0, mode="product")
+def test_family_columns_are_the_registry_bits(p, mode):
+    base = _xcore._family(p)
+    for name, column in sweep._FAMILY.items():
+        want = QUANTITIES[name](p, 0.0, mode)
+        assert column(*base).hex() == want.hex(), name
+    spec = SweepSpec(p_min=p, p_max=p, p_steps=1, theta_max=0.0, theta_steps=1,
+                     quantities=tuple(sweep._FAMILY), channel_mode=mode)
+    (row,) = run_sweep(spec)
+    for name, value in row.values.items():
+        assert value.hex() == QUANTITIES[name](p, 0.0, mode).hex(), name
+
+
+@settings(max_examples=150, deadline=None)
+@given(p=_PS)
+@example(p=0.0)
+@example(p=0.25)
+@example(p=1.0)
+def test_headline_replays_match_the_matrix_route(p):
+    x, _, _ = _xcore._family(p)
+    rho = nmems(p)
+    # bit for bit: M and N from the diagonal T; the generic and stabilizer
+    # expectations, whose rows add at most one inexact product
+    assert _xcore._x_chsh(*x).hex() == chsh_criterion(rho).m_value.hex()
+    assert _xcore._x_correlation_sum(*x).hex() == teleportation_fidelity(rho).n_value.hex()
+    for name in ("generic", "stabilizer"):
+        got = _xcore._x_expectation(_xcore._WITNESS_ENTRIES[name], *x)
+        assert got.hex() == evaluate(_WITNESS_MATRICES[name](), rho).expectation.hex(), name
+    got = _xcore._x_expectation(_xcore._WITNESS_ENTRIES["w1"], *x)
+    assert abs(got - evaluate(witness_w1(), rho).expectation) <= 1e-15
+
+
+@pytest.mark.parametrize("table,k", [("_GHZ_REDUCED", 0), ("_W_REDUCED", 2),
+                                     ("_W_REDUCED", 4)])
+def test_perturbed_projector_entry_fails_the_family_check(monkeypatch, table, k):
+    entries = list(getattr(_xcore, table))
+    entries[k] += 4e-12
+    monkeypatch.setattr(_xcore, table, tuple(entries))
+    # p = 0.5 weighs both projectors; nmems.__wrapped__ skips its cache
+    with pytest.raises(NumericalError, match="mixture and closed-form"):
+        _xcore._family(0.5)
+    with pytest.raises(NumericalError, match="mixture and closed-form"):
+        nmems.__wrapped__(0.5)
+    spec = PRESETS["fig4"]
+    with pytest.raises(NumericalError, match="mixture and closed-form"):
+        run_sweep(SweepSpec(p_min=0.5, p_max=0.5, p_steps=1, theta_max=0.0, theta_steps=1,
+                            quantities=spec.quantities))
+    with pytest.raises(NumericalError, match="mixture and closed-form"):
+        sweep.report_headlines()
+
+
+def test_family_check_tolerance_is_the_dense_one(monkeypatch):
+    # a perturbation the 1e-12 tolerance absorbs passes both checks
+    entries = list(_xcore._W_REDUCED)
+    entries[0] += 5e-13
+    monkeypatch.setattr(_xcore, "_W_REDUCED", tuple(entries))
+    _xcore._family(0.0)
+    nmems.__wrapped__(0.0)
+
+
+@pytest.mark.parametrize("name,measure", [
+    ("fidelity", teleportation_fidelity),
+    ("discord", discord_x),
+])
+def test_family_unit_checks_are_the_registry_ones(name, measure):
+    # the family is always of unit trace; a sub-normalized tag meets the
+    # rejection the matrix route makes, with its message
+    x = _xcore._damped_x(0.1, 0.6)
+    vals, tag = _xcore._x_spectrum(*x)
+    assert tag == _xcore.SUB_NORMALIZED
+    with pytest.raises(InputError) as want:
+        measure(nmems_ad(0.1, 0.6))
+    with pytest.raises(InputError) as got:
+        sweep._FAMILY[name](x, vals, tag)
+    assert str(got.value) == str(want.value)
+    with pytest.raises(InputError, match="CHSH criterion requires a unit-trace state"):
+        chsh_criterion(nmems_ad(0.1, 0.6))
+    with pytest.raises(InputError, match="CHSH criterion requires a unit-trace state"):
+        sweep._family_chsh(x, vals, tag)
