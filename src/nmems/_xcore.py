@@ -384,9 +384,11 @@ def _x_expectation(entries: tuple, a: float, b: float, c: float, d: float,
     The diagonal of W rho is (W00 a, W11 b + W12 c, W21 c + W22 d, W33 e),
     summed as ``_x_trace`` sums.  Where no row adds two inexact products,
     as for the generic and stabilizer witnesses, the value has the bits of
-    ``witnesses.evaluate``.  For w1 the matrix product may add the two
-    terms of a row with one rounding fewer (a fused multiply-add), so the
-    two agree to a few ulp.
+    ``witnesses.evaluate``.  For w1 it has them where the matrix product
+    rounds each product (OpenBLAS's kernels without fused multiply-adds,
+    Prescott to Sandybridge); a kernel that fuses a multiply-add adds the
+    two terms of a row with one rounding fewer, and the two agree to a few
+    ulp.
     """
     w00, w11, w12, w21, w22, w33 = entries
     return (w00 * a + (w11 * b + w12 * c)) + ((w21 * c + w22 * d) + w33 * e)

@@ -1,11 +1,12 @@
 """The per-point quantity registry: every sweep column as a function of the
 grid point (p, theta) and the channel mode, through the public matrix API.
 
-``QUANTITIES[name](p, theta, mode)`` is the definition of each column and
-the oracle of the sweep engine's scalar shortcuts.  Importing this module
-loads numpy; the sweep engine imports it the first time a requested column
-has no scalar route (the spin-flip concurrences, ``chsh`` and the
-witnesses), and ``nmems.sweep.QUANTITIES`` is this module's dict.
+``QUANTITIES[name](p, theta, mode)`` is the public per-point definition of
+each column and the tests' oracle of the sweep engine, which never calls
+it: the engine evaluates every column from five numbers.  Importing this
+module loads numpy; the engine imports it only for the spin-flip
+concurrence of a state built from five numbers (``_x_concurrence_wootters``),
+and ``nmems.sweep.QUANTITIES`` is this module's dict.
 """
 
 from __future__ import annotations

@@ -9,12 +9,14 @@ being dropped; any other rejected input or numerical failure aborts the
 sweep.  CSV output is byte-deterministic: 12 significant digits, LF
 newlines, the literal token NA.
 
-The engine, the presets and the headline report run on the scalar core
-(``_xcore``) and the standard library alone.  The per-point registry
-``QUANTITIES`` (``nmems.registry``) defines every column through the
-matrix API; it loads numpy, so it is imported the first time a requested
-column has no scalar route: the spin-flip concurrences, ``chsh`` and the
-witnesses.
+Every column has one route: a function of the five numbers of the
+family state (_P_ONLY) or of the cell's damped state (_DAMPED), on the
+scalar core (``_xcore``), or the closed form fidelity_ad_closed_form.  The
+headline report reads the same _P_ONLY entries.  Only the two spin-flip
+concurrences need numpy; they import the per-point registry
+(``nmems.registry``) on first use.  That registry, ``QUANTITIES``, defines
+every column through the matrix API; it is the public per-point API and
+the tests' oracle, and the engine never calls it.
 """
 
 from __future__ import annotations
@@ -72,15 +74,14 @@ def _registry():
         if exc.name != "numpy":
             raise
         raise InputError(
-            "the spin-flip concurrences, chsh and the witness columns need "
-            "numpy, which is not installed"
+            "the spin-flip concurrences need numpy, which is not installed"
         ) from None
     return registry
 
 
 def __getattr__(name: str):
-    # QUANTITIES is the registry's dict: the engine calls its entries for
-    # the columns without a scalar route
+    # QUANTITIES is the registry's dict, the public per-point definition of
+    # every column; the engine never calls it
     if name == "QUANTITIES":
         quantities = _registry().QUANTITIES
         globals()[name] = quantities
@@ -88,46 +89,46 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-# the measures of the family state that take a unit trace, on the
-# (x, eigenvalues, tag) of _xcore._family, with the registry's check
-def _family_fidelity(x: tuple, vals: list, tag: str) -> float:
-    _require_unit(tag, "teleportation fidelity")
-    return _x_fidelity(*x)
+def _spin_flip(x: tuple, tag: str) -> float | None:
+    """The spin-flip concurrence of the X state ``x``, None (the one NA
+    cell) where its trace tag is not unit.  Whatever the tag, the registry,
+    and numpy with it, is imported, so a sweep without numpy rejects the
+    column at its first cell."""
+    registry = _registry()
+    return registry._x_concurrence_wootters(*x) if tag == UNIT else None
 
 
-def _family_discord(x: tuple, vals: list, tag: str) -> float:
-    _require_unit(tag, "discord")
-    return _x_discord(*x, vals)
+# Each column below has the bits, checks and messages of its QUANTITIES
+# entry; witness_w1 those of a BLAS kernel without fused multiply-adds (see
+# _xcore._x_expectation).  _require_unit returns None once its check passes.
 
-
-def _family_chsh(x: tuple, vals: list, tag: str) -> float:
-    _require_unit(tag, "CHSH criterion")
-    return _x_chsh(*x)
-
-
-# p-only columns a sweep reads off the five numbers, eigenvalues and trace
-# tag of nmems(p) (``_xcore._family``), with the registry's bits, checks
-# and messages
-_FAMILY = {
+# columns that read only nmems(p), on the (x, eigenvalues, trace tag) of
+# _xcore._family(p); a sweep evaluates them once per p and shares the value
+# across that p's thetas
+_P_ONLY = {
     "concurrence": lambda x, vals, tag: _x_concurrence(*_x_params(*x)),
-    "fidelity": _family_fidelity,
-    "discord": _family_discord,
+    "concurrence_wootters": lambda x, vals, tag: _registry()._x_concurrence_wootters(*x),
+    "fidelity": lambda x, vals, tag: (
+        _require_unit(tag, "teleportation fidelity") or _x_fidelity(*x)),
+    "discord": lambda x, vals, tag: _require_unit(tag, "discord") or _x_discord(*x, vals),
     "entropy": lambda x, vals, tag: _spectrum_entropy(vals),
+    "chsh": lambda x, vals, tag: _require_unit(tag, "CHSH criterion") or _x_chsh(*x),
+    "witness_generic": lambda x, vals, tag: _x_expectation(_WITNESS_ENTRIES["generic"], *x),
+    "witness_w1": lambda x, vals, tag: _x_expectation(_WITNESS_ENTRIES["w1"], *x),
+    "witness_stabilizer": lambda x, vals, tag: (
+        _x_expectation(_WITNESS_ENTRIES["stabilizer"], *x)),
 }
 
-# columns that read only nmems(p), so depend on p alone; a sweep evaluates
-# them once per p and shares the value across that p's thetas
-P_ONLY = frozenset({
-    "concurrence", "concurrence_wootters", "fidelity", "discord", "entropy",
-    "chsh", "witness_generic", "witness_w1", "witness_stabilizer",
-})
-
-# damped columns a sweep computes from the damped state's five numbers, in
-# every channel mode (see _kernel_cells), with the values of QUANTITIES and
-# NA where it rejects the spin-flip concurrence of a sub-normalized state
-_KERNEL = frozenset({
-    "concurrence_ad", "concurrence_ad_wootters", "fidelity_ad", "entropy_ad", "mid",
-})
+# damped columns, on the (x, eigenvalues, trace tag) of the cell's damped
+# state (_mode_damped_x, _xcore._x_spectrum) and the entropy of nmems(p),
+# in every channel mode, with no Kraus channel and no per-cell state
+_DAMPED = {
+    "concurrence_ad": lambda x, vals, tag, entropy: _x_concurrence(*_x_params(*x)),
+    "concurrence_ad_wootters": lambda x, vals, tag, entropy: _spin_flip(x, tag),
+    "fidelity_ad": lambda x, vals, tag, entropy: _x_fidelity(*x),
+    "entropy_ad": lambda x, vals, tag, entropy: _spectrum_entropy(vals),
+    "mid": lambda x, vals, tag, entropy: _spectrum_entropy(vals) - entropy,
+}
 
 
 @dataclass(frozen=True)
@@ -206,37 +207,6 @@ def _mode_damped_x(mode: str, p: float, theta: float) -> tuple:
                        correlated=mode == MODE_CORRELATED)
 
 
-def _kernel_cells(names: list, mode: str, p: float, theta: float,
-                  base_entropy: float | None, registry) -> dict:
-    """The _KERNEL columns ``names`` of the cell (p, theta) in ``mode``.
-
-    Works on the five numbers of the cell's damped state (_mode_damped_x),
-    their eigenvalues and their trace tag (_xcore._x_spectrum), which are
-    that state's bits and pass its checks, so every value is the one
-    QUANTITIES gives, and a rejection raises the error QUANTITIES raises.
-    The spin-flip concurrence of a sub-normalized state is the one
-    undefined cell (None); only a unit-trace cell's spin-flip concurrence
-    builds a DensityMatrix, through the ``registry`` module.
-    """
-    x = _mode_damped_x(mode, p, theta)
-    vals, tag = _x_spectrum(*x)
-    out = {}
-    if "concurrence_ad" in names:
-        out["concurrence_ad"] = _x_concurrence(*_x_params(*x))
-    if "concurrence_ad_wootters" in names:
-        out["concurrence_ad_wootters"] = (
-            registry._x_concurrence_wootters(*x) if tag == UNIT else None
-        )
-    if "fidelity_ad" in names:
-        out["fidelity_ad"] = _x_fidelity(*x)
-    if "entropy_ad" in names or "mid" in names:
-        entropy = _spectrum_entropy(vals)
-        out["entropy_ad"] = entropy
-        if "mid" in names:
-            out["mid"] = entropy - base_entropy
-    return out
-
-
 def run_sweep(spec: SweepSpec) -> list:
     """Evaluate the grid; returns rows in (p outer, theta inner) order.
 
@@ -244,34 +214,31 @@ def run_sweep(spec: SweepSpec) -> list:
     held as None and emitted as NA; any InputError or NumericalError an
     evaluator raises propagates, so no partial grid is returned.
 
-    Every column has the bits of ``QUANTITIES[name](p, theta, mode)``.
-    Each p's family state passes nmems' checks once (``_xcore._family``),
-    and P_ONLY columns are evaluated once per p and shared by that p's
-    thetas: the _FAMILY ones from the state's five numbers, the others as
-    ``QUANTITIES[name](p, theta, mode)`` at the first theta.  In every
-    channel mode the _KERNEL columns come from the damped state's five
-    numbers, with no Kraus channel and no per-point state, and
-    fidelity_ad_closed_form is evaluated per cell.  The registry, and with
-    it numpy, is imported only for a column without a scalar route.
+    Each p's family state passes nmems' checks once (``_xcore._family``);
+    the _P_ONLY columns are evaluated from it once per p and shared by that
+    p's thetas.  Each cell's damped state passes its checks once
+    (``_mode_damped_x``, ``_xcore._x_spectrum``), and the _DAMPED columns
+    are evaluated from it; fidelity_ad_closed_form is evaluated per cell.
+    The registry, and with it numpy, is imported only for the spin-flip
+    concurrences.
     """
     theta_values = _grid(spec.theta_min, spec.theta_max, spec.theta_steps)
-    kernel = [name for name in spec.quantities if name in _KERNEL]
-    family = [name for name in spec.quantities if name in _FAMILY]
-    p_only = [name for name in spec.quantities if name in P_ONLY and name not in _FAMILY]
+    p_only = [(name, _P_ONLY[name]) for name in spec.quantities if name in _P_ONLY]
+    damped = [(name, _DAMPED[name]) for name in spec.quantities if name in _DAMPED]
     closed_form = "fidelity_ad_closed_form" in spec.quantities
-    registry = _registry() if p_only or "concurrence_ad_wootters" in kernel else None
     mode = spec.channel_mode
     rows = []
     for p in _grid(spec.p_min, spec.p_max, spec.p_steps):
         base = _family(p)
-        shared = {name: _FAMILY[name](*base) for name in family}
-        shared.update((name, registry.QUANTITIES[name](p, theta_values[0], mode))
-                      for name in p_only)
-        base_entropy = _spectrum_entropy(base[1]) if "mid" in kernel else None
+        shared = {name: column(*base) for name, column in p_only}
+        entropy = _P_ONLY["entropy"](*base)
         for theta in theta_values:
             cells = dict(shared)
-            if kernel:
-                cells.update(_kernel_cells(kernel, mode, p, theta, base_entropy, registry))
+            if damped:
+                x = _mode_damped_x(mode, p, theta)
+                vals, tag = _x_spectrum(*x)
+                for name, column in damped:
+                    cells[name] = column(x, vals, tag, entropy)
             if closed_form:
                 cells["fidelity_ad_closed_form"] = fidelity_ad_closed_form(p, theta)
             values = {name: cells[name] for name in spec.quantities}
@@ -398,12 +365,9 @@ def entanglement_boundary() -> float:
 
 def witness_zero_crossing(name: str) -> float:
     """Mixing parameter where Tr(W nmems(p)) changes sign, for the witness
-    ``name`` ("generic", "w1" or "stabilizer"), from the witness matrix's
-    entries (``_xcore._x_expectation``)."""
-    entries = _WITNESS_ENTRIES[name]
-    return _bisect_sign_change(
-        lambda p: _x_expectation(entries, *_family(p)[0]), 0.0, 1.0
-    )
+    ``name`` ("generic", "w1" or "stabilizer"), on its sweep column."""
+    column = _P_ONLY[f"witness_{name}"]
+    return _bisect_sign_change(lambda p: column(*_family(p)), 0.0, 1.0)
 
 
 def usefulness_boundary() -> float:
@@ -425,7 +389,7 @@ def discord_concurrence_crossing() -> tuple[float, float]:
     prev_p = prev_gap = None
     for p in _grid(0.0, 0.292, 293):
         base = _family(p)
-        gap = _FAMILY["discord"](*base) - _FAMILY["concurrence"](*base)
+        gap = _P_ONLY["discord"](*base) - _P_ONLY["concurrence"](*base)
         if prev_gap is not None and prev_gap < 0.0 and gap >= 0.0:
             return prev_p, p
         prev_p, prev_gap = p, gap
@@ -435,23 +399,24 @@ def discord_concurrence_crossing() -> tuple[float, float]:
 def report_headlines() -> str:
     """Human-readable summary of every headline number, freshly computed.
 
-    Every number comes from the family's five numbers (``_xcore``), with
-    the bits of the matrix route where that is stated there and within a
-    few ulp otherwise; the report prints six decimals.
+    Every number comes from the family's five numbers (``_xcore``), and
+    each one a sweep column also gives is read off that column's _P_ONLY
+    entry; the report prints six decimals.
     """
     p_star = entanglement_boundary()
     w1_cross = witness_zero_crossing("w1")
     stab_cross = witness_zero_crossing("stabilizer")
     useful_edge = usefulness_boundary()
     base0 = _family(0.0)
-    fid0 = _FAMILY["fidelity"](*base0)
-    conc0 = _FAMILY["concurrence"](*base0)
-    disc0 = _FAMILY["discord"](*base0)
+    fid0 = _P_ONLY["fidelity"](*base0)
+    conc0 = _P_ONLY["concurrence"](*base0)
+    disc0 = _P_ONLY["discord"](*base0)
     lo, hi = discord_concurrence_crossing()
     default_grid = _grid(0.0, 0.292, 293)
-    chsh_grid_max = max(_family_chsh(*_family(p)) for p in default_grid)
+    chsh = _P_ONLY["chsh"]
+    chsh_grid_max = max(chsh(*_family(p)) for p in default_grid)
     full_grid = _grid(0.0, 1.0, 1001)
-    chsh_full = [_family_chsh(*_family(p)) for p in full_grid]
+    chsh_full = [chsh(*_family(p)) for p in full_grid]
     chsh_full_max = max(chsh_full)
     any_violation = any(m > 1.0 + USEFULNESS_MARGIN for m in chsh_full)
     cf0 = fidelity_ad_closed_form(0.0, 0.0)

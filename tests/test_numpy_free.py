@@ -1,9 +1,9 @@
-"""The figure presets, the headline report and ``--help`` run without numpy.
+"""The figure presets, the headline report, ``--help`` and a sweep of any
+column but the two spin-flip concurrences run without numpy.
 
 Each command runs in a fresh interpreter as ``python -m nmems`` does, and
-reports at exit whether numpy was ever imported.  A sweep with a column
-that has no scalar route (the spin-flip concurrence) imports numpy on
-demand and still gives the in-process bytes.  ``nmems`` exports its names
+reports at exit whether numpy was ever imported.  A sweep with a spin-flip
+concurrence imports numpy on demand and still gives the in-process bytes.  ``nmems`` exports its names
 lazily: each resolves on first access and is cached in the module.
 """
 
@@ -16,9 +16,14 @@ import sys
 import pytest
 
 import nmems
-from nmems.sweep import SweepSpec, emit_csv, run_sweep
+from nmems.sweep import CHANNEL_MODES, SweepSpec, emit_csv, run_sweep
 
-from test_output_identity import HEADLINES_SHA256, PRESET_SHA256
+from test_output_identity import (
+    HEADLINES_SHA256,
+    PRESET_SHA256,
+    SCALAR_QUANTITIES,
+    SCALAR_SWEEP_SHA256,
+)
 
 # python -m nmems ARGS..., with a report of numpy's presence at exit (after
 # any SystemExit, such as argparse's after --help)
@@ -106,7 +111,9 @@ runpy.run_module("nmems", run_name="__main__", alter_sys=True)
 
 def test_numpy_free_install(tmp_path):
     # the presets and the report work where numpy cannot be imported; a
-    # column that needs it is rejected with exit code 1 and a message
+    # spin-flip concurrence is rejected with exit code 1 and a message,
+    # also where every cell of the damped one would be NA (theta > 0 in
+    # closed_form)
     result = _python(["-c", _NO_NUMPY, "preset", "fig4", "--out", "out.csv"], tmp_path)
     assert result.returncode == 0, result.stderr
     digest = hashlib.sha256((tmp_path / "out.csv").read_bytes()).hexdigest()
@@ -114,12 +121,29 @@ def test_numpy_free_install(tmp_path):
     result = _python(["-c", _NO_NUMPY, "headlines"], tmp_path)
     assert result.returncode == 0, result.stderr
     assert hashlib.sha256(result.stdout).hexdigest()[:16] == HEADLINES_SHA256
-    result = _python(["-c", _NO_NUMPY, "sweep", "--quantities", "concurrence,chsh",
-                      "--out", "chsh.csv"], tmp_path)
-    assert result.returncode == 1
-    assert result.stderr == (b"error: the spin-flip concurrences, chsh and the witness "
-                             b"columns need numpy, which is not installed\n")
-    assert not (tmp_path / "chsh.csv").exists()
+    for column in ("concurrence_wootters", "concurrence_ad_wootters"):
+        result = _python(["-c", _NO_NUMPY, "sweep", "--theta-min", "0.1",
+                          "--quantities", f"concurrence,{column}", "--out", "c.csv"],
+                         tmp_path)
+        assert result.returncode == 1, column
+        assert result.stderr == (b"error: the spin-flip concurrences need numpy, "
+                                 b"which is not installed\n")
+        assert not (tmp_path / "c.csv").exists()
+
+
+@pytest.mark.parametrize("mode", CHANNEL_MODES)
+def test_scalar_sweep_without_numpy(mode, tmp_path):
+    # the 60 x 20 sweep of the thirteen columns but the spin-flip
+    # concurrences, with the bytes of the in-process run with numpy
+    result = _python([
+        "-c", _NO_NUMPY, "sweep", "--p-min", "0", "--p-max", "0.292", "--p-steps", "60",
+        "--theta-min", "0", "--theta-max", "pi/4", "--theta-steps", "20",
+        "--quantities", ",".join(SCALAR_QUANTITIES), "--channel-mode", mode,
+        "--out", "out.csv",
+    ], tmp_path)
+    assert result.returncode == 0, result.stderr
+    digest = hashlib.sha256((tmp_path / "out.csv").read_bytes()).hexdigest()
+    assert digest[:16] == SCALAR_SWEEP_SHA256[mode]
 
 
 _EXPORTS = """

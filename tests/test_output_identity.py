@@ -1,7 +1,8 @@
 """Byte-identity gate: the sha256 prefixes of the figure presets, the
-headline report, the 60 x 20 all-quantity sweep in every channel mode and
-whole-domain sweeps of the kernel columns, plus full-precision digests of
-the eigensolver, the family's states and the spin-flip concurrence.
+headline report, the 60 x 20 all-quantity and numpy-free sweeps in every
+channel mode and whole-domain sweeps of the damped columns, plus
+full-precision digests of the eigensolver, the family's states and the
+spin-flip concurrence.
 
 A change to any evaluator that moves a single printed digit changes one of
 the CSV digests.  Those see only 12 significant digits, so the raw-byte
@@ -25,6 +26,7 @@ from nmems.sweep import (
     CHANNEL_MODES,
     PRESETS,
     QUANTITIES,
+    QUANTITY_NAMES,
     SweepSpec,
     _grid,
     _mode_damped_x,
@@ -64,19 +66,40 @@ def test_headlines_bytes():
     assert digest == HEADLINES_SHA256
 
 
-@pytest.mark.parametrize("mode", CHANNEL_MODES)
-def test_all_quantity_sweep_bytes(mode, tmp_path):
+def _benchmark_sweep(quantities: tuple, mode: str) -> SweepSpec:
     # nmems sweep --p-max 0.292 --p-steps 60 --theta-max pi/4 --theta-steps 20
-    #   --quantities <every QUANTITIES id, in registry order> --channel-mode <mode>
-    spec = SweepSpec(
+    #   --quantities <quantities> --channel-mode <mode>
+    return SweepSpec(
         p_min=0.0, p_max=0.292, p_steps=60,
         theta_min=0.0, theta_max=math.pi / 4, theta_steps=20,
-        quantities=tuple(QUANTITIES), channel_mode=mode,
+        quantities=quantities, channel_mode=mode,
     )
+
+
+@pytest.mark.parametrize("mode", CHANNEL_MODES)
+def test_all_quantity_sweep_bytes(mode, tmp_path):
+    # every QUANTITIES id, in registry order
+    spec = _benchmark_sweep(tuple(QUANTITIES), mode)
     assert _csv_digest(spec, tmp_path / f"sweep_{mode}.csv") == SWEEP_SHA256[mode]
 
 
-# closed_form sweep of the kernel columns (sweep._KERNEL) over the whole
+# the same sweeps of the thirteen columns that need no numpy (all but the
+# two spin-flip concurrences), which a numpy-free install reproduces
+SCALAR_QUANTITIES = tuple(q for q in QUANTITY_NAMES if not q.endswith("_wootters"))
+SCALAR_SWEEP_SHA256 = {
+    "closed_form": "006138cab84e7c98",
+    "correlated": "cd5de1f0633d9339",
+    "product": "b60fb0fb392bc78e",
+}
+
+
+@pytest.mark.parametrize("mode", CHANNEL_MODES)
+def test_scalar_sweep_bytes(mode, tmp_path):
+    spec = _benchmark_sweep(SCALAR_QUANTITIES, mode)
+    assert _csv_digest(spec, tmp_path / f"scalar_{mode}.csv") == SCALAR_SWEEP_SHA256[mode]
+
+
+# closed_form sweep of three damped columns (sweep._DAMPED) over the whole
 # domain: p = 1 and theta = pi/2 (coherence 0, no rotation) included
 KERNEL_SWEEP_SHA256 = "6b22153af396a0de"
 
@@ -92,9 +115,9 @@ def test_kernel_sweep_bytes(tmp_path):
     assert _csv_digest(spec, tmp_path / "kernel.csv") == KERNEL_SWEEP_SHA256
 
 
-# the five damped columns sweep._KERNEL computes from five numbers, over
-# the whole domain in every channel mode, taken before the kernel covered
-# the Kraus modes, fidelity_ad and concurrence_ad_wootters
+# the five damped columns (sweep._DAMPED, computed from five numbers), over
+# the whole domain in every channel mode, taken while the Kraus modes,
+# fidelity_ad and concurrence_ad_wootters still ran on dense states
 KERNEL_MODE_SWEEP_SHA256 = {
     "closed_form": "4ff9292d802e5867",
     "correlated": "615aaf8e058f113e",

@@ -25,7 +25,6 @@ from nmems.states import DensityMatrix, nmems_ad, x_params_of
 from nmems.sweep import (
     CHANNEL_MODES,
     NA_TOKEN,
-    P_ONLY,
     PRESETS,
     QUANTITIES,
     SweepRow,
@@ -33,7 +32,8 @@ from nmems.sweep import (
     emit_csv,
     preset_spec,
     report_headlines,
-    _KERNEL,
+    _DAMPED,
+    _P_ONLY,
     _grid,
     run_sweep,
 )
@@ -246,14 +246,18 @@ class TestRunSweep:
 
     @pytest.mark.parametrize("mode", CHANNEL_MODES)
     def test_hoisted_sweep_matches_per_cell_evaluation(self, mode):
-        # P_ONLY columns once per p, and the _KERNEL columns from five
-        # numbers: both must equal the per-point route exactly
+        # _P_ONLY columns once per p, and the _DAMPED columns from five
+        # numbers: both must equal the per-point route exactly; witness_w1
+        # equals the scalar replay of its matrix product, whose bits depend
+        # on the BLAS kernel (test_xcore pins the two within 1e-15)
         spec = _tiny_spec(quantities=tuple(QUANTITIES), channel_mode=mode)
         rows = run_sweep(spec)
         assert len(rows) == 9
         for row in rows:
             assert list(row.values) == list(spec.quantities)
             want = _bits(_per_point_values(spec, row.p, row.theta))
+            x = _xcore._family_x(row.p)
+            want["witness_w1"] = _xcore._x_expectation(_xcore._WITNESS_ENTRIES["w1"], *x).hex()
             for name, got in _bits(row.values).items():
                 assert got == want[name], (mode, row.p, row.theta, name)
         if mode != "product":
@@ -261,7 +265,7 @@ class TestRunSweep:
             assert any(row.values["concurrence_ad_wootters"] is None for row in rows)
 
     @settings(max_examples=90, deadline=None)
-    @given(spec=_specs(names=(*sorted(_KERNEL), "concurrence", "entropy")))
+    @given(spec=_specs(names=(*sorted(_DAMPED), "concurrence", "entropy")))
     def test_kernel_matches_per_point_route(self, spec):
         for row in run_sweep(spec):
             assert _bits(row.values) == _bits(_per_point_values(spec, row.p, row.theta))
@@ -299,7 +303,7 @@ class TestRunSweep:
             injected[thetas[k]] = x
             for mode in CHANNEL_MODES:
                 spec = _tiny_spec(
-                    theta_steps=5, quantities=("concurrence", *sorted(_KERNEL)),
+                    theta_steps=5, quantities=("concurrence", *sorted(_DAMPED)),
                     channel_mode=mode,
                 )
                 with pytest.raises(InputError) as got:
@@ -380,7 +384,7 @@ class TestRunSweep:
         for mode in CHANNEL_MODES:
             built.clear()
             rows = run_sweep(_tiny_spec(
-                theta_steps=5, quantities=tuple(sorted(_KERNEL)), channel_mode=mode
+                theta_steps=5, quantities=tuple(sorted(_DAMPED)), channel_mode=mode
             ))
             assert len(rows) == 15
             # the undamped state of each p at most (nmems caches it), plus
@@ -399,26 +403,27 @@ class TestRunSweep:
                 run_sweep(_tiny_spec(quantities=("mid",), channel_mode=mode))
 
     def test_p_only_column_is_evaluated_once_per_p(self, monkeypatch):
-        # at the first theta of each p; an InputError at one p aborts
+        # on the family state of each p; an InputError at one p aborts
         calls = []
         rejected = []
 
-        def chsh(p, theta, mode):
-            calls.append((p, theta))
-            if p in rejected:
+        def chsh(x, vals, tag):
+            calls.append(x)
+            if x in rejected:
                 raise InputError("rejected")
             return 0.5
 
-        monkeypatch.setitem(QUANTITIES, "chsh", chsh)
+        monkeypatch.setitem(_P_ONLY, "chsh", chsh)
         spec = _tiny_spec(quantities=("chsh", "entropy_ad"))
         rows = run_sweep(spec)
-        assert calls == [(0.0, 0.0), (0.1, 0.0), (0.2, 0.0)]
+        family = [_xcore._family_x(p) for p in (0.0, 0.1, 0.2)]
+        assert calls == family
         assert [row.values["chsh"] for row in rows] == [0.5] * 9
         calls.clear()
-        rejected.append(0.1)
+        rejected.append(family[1])
         with pytest.raises(InputError, match="rejected"):
             run_sweep(spec)
-        assert calls == [(0.0, 0.0), (0.1, 0.0)]
+        assert calls == family[:2]
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -637,7 +642,7 @@ class TestHeadlines:
 
         # discord never reaches concurrence, so the scan runs to its end
         monkeypatch.setattr(sweep, "_family", spy)
-        monkeypatch.setitem(sweep._FAMILY, "discord", lambda x, vals, tag: -1.0)
+        monkeypatch.setitem(sweep._P_ONLY, "discord", lambda x, vals, tag: -1.0)
         with pytest.raises(InputError, match="no discord/concurrence crossing"):
             sweep.discord_concurrence_crossing()
         assert scanned == _grid(0.0, 0.292, 293)
@@ -807,8 +812,8 @@ class TestCli:
     def test_rejected_cell_exits_one_and_writes_no_csv(
         self, monkeypatch, tmp_path, capsys, place, mode
     ):
-        # one InputError at the cell (0.1, 0) of a 3 x 3 grid, in a kernel
-        # piece, a p-only registry entry or the per-point closed form
+        # one InputError at the cell (0.1, 0) of a 3 x 3 grid, in the
+        # damped state, a p-only column or the per-point closed form
         message = f"injected rejection in {place}"
 
         def reject_at_cell(p, theta):
@@ -822,11 +827,15 @@ class TestCli:
                 lambda mode_, p, theta: reject_at_cell(p, theta) or real(mode_, p, theta),
             )
         elif place == "p_only":
-            real = QUANTITIES["chsh"]
-            monkeypatch.setitem(
-                QUANTITIES, "chsh",
-                lambda p, theta, mode_: reject_at_cell(p, theta) or real(p, theta, mode_),
-            )
+            real = _P_ONLY["chsh"]
+
+            def chsh(x, vals, tag):
+                # a p-only column is evaluated at the first theta of each p
+                if x == _xcore._family_x(0.1):
+                    reject_at_cell(0.1, 0.0)
+                return real(x, vals, tag)
+
+            monkeypatch.setitem(_P_ONLY, "chsh", chsh)
         else:
             real = sweep.fidelity_ad_closed_form
             monkeypatch.setattr(
@@ -938,14 +947,14 @@ class TestQuantityRegistry:
     def test_p_only_tag_matches_what_each_column_reads(self):
         # tagged columns agree at two thetas in every mode; untagged ones
         # move with theta in at least one mode
-        assert P_ONLY <= set(QUANTITIES)
+        assert set(_P_ONLY) <= set(QUANTITIES)
         p = 0.1
         for name in QUANTITIES:
             pairs = [
                 (_per_point(name, p, 0.3, mode), _per_point(name, p, 0.7, mode))
                 for mode in CHANNEL_MODES
             ]
-            if name in P_ONLY:
+            if name in _P_ONLY:
                 assert len(set(pairs)) == 1 and pairs[0][0] == pairs[0][1], name
             else:
                 assert any(a != b for a, b in pairs), name

@@ -1,10 +1,15 @@
 """The scalar family columns and headline replays of ``_xcore`` against the
 per-point matrix route, with p drawn over [0, 1] and both endpoints.
 
-Bits are compared wherever a replay claims them.  The one replay that
-claims only closeness is the w1 witness expectation, whose matrix product
-may fuse a multiply-add that the scalar form rounds twice.
+Bits are compared wherever a replay claims them.  The w1 witness
+expectation has the bits of its matrix product only on a BLAS kernel
+without fused multiply-adds (checked on OpenBLAS's Prescott kernel); on
+others it is within 1e-15.
 """
+
+import platform
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -17,6 +22,8 @@ from nmems.registry import QUANTITIES
 from nmems.states import ghz_reduced, nmems, nmems_ad, w_reduced
 from nmems.sweep import CHANNEL_MODES, QUANTITY_NAMES, PRESETS, SweepSpec, run_sweep
 from nmems.witnesses import evaluate, witness_generic, witness_stabilizer, witness_w1
+
+from test_numpy_free import _env
 
 _PS = st.floats(0.0, 1.0) | st.sampled_from([0.0, 1.0])
 _WITNESS_MATRICES = {
@@ -39,8 +46,12 @@ def _entries(m: np.ndarray) -> tuple:
 
 
 def test_quantity_names_list_the_registry():
+    # every column has exactly one route in the engine
     assert tuple(QUANTITIES) == QUANTITY_NAMES
-    assert set(sweep._FAMILY) <= sweep.P_ONLY
+    routes = (set(sweep._P_ONLY), set(sweep._DAMPED), {"fidelity_ad_closed_form"})
+    for name in QUANTITY_NAMES:
+        assert sum(name in route for route in routes) == 1, name
+    assert set().union(*routes) == set(QUANTITY_NAMES)
 
 
 def test_reduced_projector_entries_are_the_matrices():
@@ -61,15 +72,18 @@ def test_witness_entries_are_the_matrices(name):
 @example(p=0.0, mode="closed_form")
 @example(p=1.0, mode="product")
 def test_family_columns_are_the_registry_bits(p, mode):
+    # witness_w1 is compared with the scalar replay of its matrix product,
+    # whose bits depend on the BLAS kernel (see the w1 tests below)
     base = _xcore._family(p)
-    for name, column in sweep._FAMILY.items():
-        want = QUANTITIES[name](p, 0.0, mode)
-        assert column(*base).hex() == want.hex(), name
+    want = {name: QUANTITIES[name](p, 0.0, mode).hex() for name in sweep._P_ONLY}
+    want["witness_w1"] = _xcore._x_expectation(_xcore._WITNESS_ENTRIES["w1"], *base[0]).hex()
+    for name, column in sweep._P_ONLY.items():
+        assert column(*base).hex() == want[name], name
     spec = SweepSpec(p_min=p, p_max=p, p_steps=1, theta_max=0.0, theta_steps=1,
-                     quantities=tuple(sweep._FAMILY), channel_mode=mode)
+                     quantities=tuple(sweep._P_ONLY), channel_mode=mode)
     (row,) = run_sweep(spec)
     for name, value in row.values.items():
-        assert value.hex() == QUANTITIES[name](p, 0.0, mode).hex(), name
+        assert value.hex() == want[name], name
 
 
 @settings(max_examples=150, deadline=None)
@@ -89,6 +103,33 @@ def test_headline_replays_match_the_matrix_route(p):
         assert got.hex() == evaluate(_WITNESS_MATRICES[name](), rho).expectation.hex(), name
     got = _xcore._x_expectation(_xcore._WITNESS_ENTRIES["w1"], *x)
     assert abs(got - evaluate(witness_w1(), rho).expectation) <= 1e-15
+
+
+# the w1 witness column of a sweep and Tr(W rho) through the matrix product
+# on OpenBLAS's kernels without fused multiply-adds, over p = i / 1000
+_W1_ON_PRESCOTT = """
+from nmems.states import nmems
+from nmems.sweep import SweepSpec, _grid, run_sweep
+from nmems.witnesses import evaluate, witness_w1
+rows = run_sweep(SweepSpec(p_min=0.0, p_max=1.0, p_steps=1001, theta_max=0.0,
+                           theta_steps=1, quantities=("witness_w1",)))
+assert [row.p for row in rows] == _grid(0.0, 1.0, 1001)
+w = witness_w1()
+print(sum(evaluate(w, nmems(row.p)).expectation.hex() != row.values["witness_w1"].hex()
+          for row in rows), len(rows))
+"""
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                    reason="OPENBLAS_CORETYPE=Prescott selects an x86 kernel")
+def test_w1_column_is_the_non_fma_matrix_product(tmp_path):
+    # the scalar replay rounds each product as the Prescott zgemm kernel
+    # does; a fused multiply-add kernel differs from both in the last bit
+    env = {**_env(), "OPENBLAS_CORETYPE": "Prescott"}
+    result = subprocess.run([sys.executable, "-c", _W1_ON_PRESCOTT], capture_output=True,
+                            cwd=tmp_path, env=env, check=False)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == b"0 1001\n"
 
 
 @pytest.mark.parametrize("table,k", [("_GHZ_REDUCED", 0), ("_W_REDUCED", 2),
@@ -132,9 +173,9 @@ def test_family_unit_checks_are_the_registry_ones(name, measure):
     with pytest.raises(InputError) as want:
         measure(nmems_ad(0.1, 0.6))
     with pytest.raises(InputError) as got:
-        sweep._FAMILY[name](x, vals, tag)
+        sweep._P_ONLY[name](x, vals, tag)
     assert str(got.value) == str(want.value)
     with pytest.raises(InputError, match="CHSH criterion requires a unit-trace state"):
         chsh_criterion(nmems_ad(0.1, 0.6))
     with pytest.raises(InputError, match="CHSH criterion requires a unit-trace state"):
-        sweep._family_chsh(x, vals, tag)
+        sweep._P_ONLY["chsh"](x, vals, tag)
