@@ -8,9 +8,8 @@ criterion.  The sweep module and ``nmems`` CLI turn all of it into CSV
 tables over (p, theta) grids.
 
 The names below are imported on first access.  The figure presets, the
-headline report and every sweep column but the two spin-flip concurrences
-need only the standard library; numpy loads with the first name of the
-matrix API.
+headline report and every sweep column need only the standard library;
+numpy loads with the first name of the matrix API.
 """
 
 import importlib

@@ -5,8 +5,9 @@ The family's states and their amplitude-damped images are X states with
 real diagonal (a, b, d, e) and real inner coherence c = rho[1, 2]; every
 number in the figure presets and the headline report is a function of
 (a, b, c, d, e).  This module holds those functions: the range and trace
-checks, the family's five numbers and their damped images, the replayed
-eigenvalues, and the scalar forms of the measures.  Each one has the bits,
+checks, the package's one Jacobi eigensolver, the family's five numbers
+and their damped images, the replayed eigenvalues, and the scalar forms of
+the measures, the spin-flip concurrence included.  Each one has the bits,
 the checks and the messages of the matrix route it replays, which the
 tests pin against it.  ``states``, ``linalg``, ``measures`` and
 ``channels`` import them back, and the sweep engine, the presets and the
@@ -32,6 +33,9 @@ SUB_NORMAL_EDGE = 1e-12
 # Jacobi iteration: rotate every off-diagonal entry above the threshold until
 # a sweep finds none
 JACOBI_OFFDIAG_TOL = 1e-12
+# the sweep cap turns a (never observed) failure of the Jacobi iteration to
+# converge into a hard error
+JACOBI_MAX_SWEEPS = 100
 # Eigenvalues in [-1e-10, 0) count as roundoff zeros; anything lower is a
 # genuinely indefinite matrix.
 EIGENVALUE_FLOOR = -1e-10
@@ -104,6 +108,134 @@ def _require_unit(tag: str, what: str) -> None:
     """The unit-trace check of the measures that are defined only there."""
     if tag != UNIT:
         raise InputError(f"{what} requires a unit-trace state")
+
+
+# ------------------------------------------------------------ Jacobi core
+# The package's one eigensolver: ``_diagonalize`` runs the row-cyclic
+# sweeps on nested lists of Python complex.  ``linalg._jacobi`` runs it
+# with an eigenvector accumulator; ``_jacobi_eigenvalues`` without one,
+# block by block.
+
+def _rotate(w: list, v: list | None, p: int, q: int, n: int, apq: complex,
+            r: float) -> None:
+    """Zero w[p][q] = apq (and w[q][p]), |apq| = r > 0, with a unitary plane
+    rotation, in place, and apply it to the eigenvector accumulator ``v``
+    unless that is None.
+
+    ``w`` and ``v`` are nested lists of Python complex; scalar arithmetic
+    beats numpy by a wide margin at these dimensions.
+    """
+    phase = apq / r
+    cphase = phase.conjugate()
+    theta = 0.5 * math.atan2(2.0 * r, w[p][p].real - w[q][q].real)
+    c = math.cos(theta)
+    s = math.sin(theta)
+    s_ph = s * phase
+    s_cph = s * cphase
+
+    for k in range(n):
+        row = w[k]
+        wp = row[p]
+        wq = row[q]
+        row[p] = c * wp + s_cph * wq
+        row[q] = -s_ph * wp + c * wq
+    rp = w[p]
+    rq = w[q]
+    for k in range(n):
+        wp = rp[k]
+        wq = rq[k]
+        rp[k] = c * wp + s_ph * wq
+        rq[k] = -s_cph * wp + c * wq
+    # the rotation annihilates (p, q) exactly; drop the residual dust
+    rp[q] = 0.0
+    rq[p] = 0.0
+    rp[p] = complex(rp[p].real)
+    rq[q] = complex(rq[q].real)
+
+    if v is None:
+        return
+    for k in range(n):
+        row = v[k]
+        vp = row[p]
+        vq = row[q]
+        row[p] = c * vp + s_cph * vq
+        row[q] = -s_ph * vp + c * vq
+
+
+def _diagonalize(w: list, v: list | None) -> None:
+    """Cyclic Jacobi on a Hermitian matrix given as nested lists of Python
+    complex, in place: ``w`` ends diagonal, and ``v`` (None for no
+    eigenvectors) accumulates the rotations.
+
+    Each sweep visits the pairs in row-cyclic order and rotates every one
+    whose off-diagonal magnitude exceeds 1e-12; the first sweep that rotates
+    nothing ends the iteration.  The caller guarantees ``w`` is exactly
+    Hermitian with finite entries.
+    """
+    n = len(w)
+    for _ in range(JACOBI_MAX_SWEEPS):
+        rotated = False
+        for p in range(n - 1):
+            row = w[p]
+            for q in range(p + 1, n):
+                apq = row[q]
+                r = abs(apq)
+                if r > JACOBI_OFFDIAG_TOL:
+                    _rotate(w, v, p, q, n, apq, r)
+                    rotated = True
+        if not rotated:
+            return
+    raise NumericalError(
+        f"Jacobi iteration did not converge in {JACOBI_MAX_SWEEPS} sweeps"
+    )
+
+
+def _blocks(w: list) -> list:
+    """The connected components of the nonzero pattern of ``w``, each an
+    ascending list of indices, in order of their smallest index."""
+    n = len(w)
+    seen = [False] * n
+    blocks = []
+    for start in range(n):
+        if seen[start]:
+            continue
+        seen[start] = True
+        block = [start]
+        stack = [start]
+        while stack:
+            i = stack.pop()
+            for j in range(n):
+                if not seen[j] and (w[i][j] or w[j][i]):
+                    seen[j] = True
+                    block.append(j)
+                    stack.append(j)
+        blocks.append(sorted(block))
+    return blocks
+
+
+def _jacobi_eigenvalues(w: list) -> list:
+    """Descending eigenvalues ``linalg._jacobi`` finds for ``w``, bit for
+    bit, as a list of floats, without eigenvectors; ``w`` is left
+    unspecified.
+
+    Runs ``_diagonalize`` on each connected block of the nonzero pattern
+    on its own.  The values are those of the full run: a rotation inside
+    one block writes to another block's entries only where both factors
+    are zero, so those entries stay (signed) zeros and are never rotated;
+    it touches no diagonal entry outside its pair; and the row-cyclic
+    order within a block is unchanged.  A dense matrix is one block and
+    runs as ``_jacobi`` does.
+    """
+    n = len(w)
+    eigvals = [0.0] * n
+    for block in _blocks(w):
+        sub = w if len(block) == n else [[w[i][j] for j in block] for i in block]
+        if len(block) > 1:
+            _diagonalize(sub, None)
+        for k, i in enumerate(block):
+            eigvals[i] = sub[k][k].real
+    # as _jacobi orders them: ties (+0.0 and -0.0) stay in index order
+    return sorted(eigvals, reverse=True)
 
 
 # ------------------------------------------------------------------ states
@@ -194,37 +326,50 @@ def _x_trace(a: float, b: float, d: float, e: float) -> float:
     return (a + b) + (d + e)
 
 
-def _x_eigenvalues(a, b, c, d, e) -> list:
-    """Descending eigenvalues ``linalg._jacobi`` finds for the corner-free X
-    matrix with diagonal (a, b, d, e) and w[1][2] = c, w[2][1] = conj(c),
-    bit for bit, as a list of floats.
+def _x_jacobi(a, b, c, d, e) -> tuple:
+    """(diagonal, rotation) that ``linalg._jacobi`` leaves, before it sorts,
+    for the corner-free X matrix with diagonal (a, b, d, e) and
+    w[1][2] = c, w[2][1] = conj(c), bit for bit: the diagonal as a list of
+    four floats in index order, and the rotation as (cos, sin * phase,
+    sin * conj(phase)), (1.0, 0.0, 0.0) if nothing was rotated.  The
+    eigenvector accumulator is the identity but on rows and columns 1 and
+    2, where it holds [[cos, -sin * phase], [sin * conj(phase), cos]].
 
     ``_jacobi`` rotates such a matrix once, on the pair (1, 2), and only if
     |c| > 1e-12: every other off-diagonal entry is zero before and after.
-    This replays that rotation's diagonal on Python scalars with the
-    operations ``linalg._rotate`` performs, and sorts as ``_jacobi`` does.
-    Entries must be finite.
+    This replays that rotation on Python scalars with the operations
+    ``_rotate`` performs.  Entries must be finite.
     """
     w11, w22 = complex(b), complex(d)
     w12, w21 = complex(c), complex(c.conjugate())
     r = abs(w12)
-    if r > JACOBI_OFFDIAG_TOL:
-        phase = w12 / r
-        cphase = phase.conjugate()
-        theta = 0.5 * math.atan2(2.0 * r, w11.real - w22.real)
-        cs = math.cos(theta)
-        s = math.sin(theta)
-        s_ph = s * phase
-        s_cph = s * cphase
-        # _rotate's column pass on rows 1 and 2, then its row pass on the
-        # diagonal entries
-        c11 = cs * w11 + s_cph * w12
-        c12 = -s_ph * w11 + cs * w12
-        c21 = cs * w21 + s_cph * w22
-        c22 = -s_ph * w21 + cs * w22
-        w11 = cs * c11 + s_ph * c21
-        w22 = -s_cph * c12 + cs * c22
-    return sorted((complex(a).real, w11.real, w22.real, complex(e).real), reverse=True)
+    if r <= JACOBI_OFFDIAG_TOL:
+        return [complex(a).real, w11.real, w22.real, complex(e).real], (1.0, 0.0, 0.0)
+    phase = w12 / r
+    cphase = phase.conjugate()
+    theta = 0.5 * math.atan2(2.0 * r, w11.real - w22.real)
+    cs = math.cos(theta)
+    s = math.sin(theta)
+    s_ph = s * phase
+    s_cph = s * cphase
+    # _rotate's column pass on rows 1 and 2, then its row pass on the
+    # diagonal entries
+    c11 = cs * w11 + s_cph * w12
+    c12 = -s_ph * w11 + cs * w12
+    c21 = cs * w21 + s_cph * w22
+    c22 = -s_ph * w21 + cs * w22
+    w11 = cs * c11 + s_ph * c21
+    w22 = -s_cph * c12 + cs * c22
+    return [complex(a).real, w11.real, w22.real, complex(e).real], (cs, s_ph, s_cph)
+
+
+def _x_eigenvalues(a, b, c, d, e) -> list:
+    """Descending eigenvalues ``linalg._jacobi`` finds for the same X
+    matrix, bit for bit, as a list of floats: ``_x_jacobi``'s diagonal,
+    sorted as ``_jacobi`` sorts."""
+    diag, _ = _x_jacobi(a, b, c, d, e)
+    diag.sort(reverse=True)
+    return diag
 
 
 def _x_spectrum(a: float, b: float, c: float, d: float, e: float) -> tuple:
@@ -273,6 +418,70 @@ def _x_concurrence(a: float, b: float, c: complex, d: float, e: float) -> float:
     checks and messages, without building it."""
     _check_x_params(a, b, c, d, e)
     return 2.0 * max(abs(c) - math.sqrt(a * e), 0.0)
+
+
+def _dilation(k: list) -> list:
+    """The Hermitian dilation [[0, K], [K^dagger, 0]] of the 4x4 matrix K,
+    given and returned as nested lists of Python complex."""
+    z = [0j] * 4
+    return [z + row for row in k] + [[kij.conjugate() for kij in col] + z
+                                     for col in zip(*k)]
+
+
+def _dilation_concurrence(w: list) -> float:
+    """max(0, s1 - s2 - s3 - s4) from the spin-flip dilation ``w`` of a
+    state (``_dilation`` of K = sqrt(rho) (sy x sy) sqrt(rho)*).
+
+    The dilation's spectrum is {+s_i, -s_i} for the singular values s_i of
+    K, so its top four eigenvalues (``_jacobi_eigenvalues``), clamped at
+    zero, are s_1 >= ... >= s_4.
+    """
+    s1, s2, s3, s4 = (max(v, 0.0) for v in _jacobi_eigenvalues(w)[:4])
+    return max(0.0, s1 - s2 - s3 - s4)
+
+
+def _x_concurrence_wootters(a: float, b: float, c: float, d: float, e: float) -> float:
+    """``concurrence_wootters(DensityMatrix._from_x(a, b, c, d, e))`` of the
+    corner-free X state with real diagonal (a, b, d, e) and real inner
+    coherence c, without building it, with the checks and messages of that
+    route: ``_x_spectrum``'s, the unit-trace rejection, and the Jacobi cap.
+
+    sqrt(rho) = V diag(sqrt(max(w, 0))) V^dagger (``linalg.spectrum_sqrt``)
+    is diagonal except on rows and columns 1 and 2, where V is
+    ``_x_jacobi``'s rotation.  K = sqrt(rho) (sy x sy) sqrt(rho)* is then an
+    X matrix with corners -sqrt(a) sqrt(e) and inner block
+    K_ij = S_i2 conj(S_1j) + S_i1 conj(S_2j).  Each entry of S and K is
+    the sum of two rounded products, as BLAS zgemm forms it on a kernel
+    without fused multiply-adds (OpenBLAS's Prescott to Sandybridge); there
+    the value has the matrix route's bits.  A kernel that fuses a
+    multiply-add rounds each sum once less, and the two agree to a few ulp.
+    """
+    _check_finite(a, b, c, d, e)
+    diag, rotation = _x_jacobi(a, b, c, d, e)
+    _require_unit(_normalization(min(diag), _x_trace(a, b, d, e)),
+                  "spin-flip concurrence")
+    cs, s_ph, s_cph = rotation
+    v11, v12, v21, v22 = cs, -s_ph, s_cph, cs
+    r0, r1, r2, r3 = (math.sqrt(max(v, 0.0)) for v in diag)
+    # S = (V diag(r)) V^dagger on rows and columns 1 and 2, as spectrum_sqrt
+    # forms it; rows and columns 0 and 3 are diag(r0, r3)
+    u11, u12, u21, u22 = v11 * r1, v12 * r2, v21 * r1, v22 * r2
+    s11 = u11 * v11.conjugate() + u12 * v12.conjugate()
+    s12 = u11 * v21.conjugate() + u12 * v22.conjugate()
+    s21 = u21 * v11.conjugate() + u22 * v12.conjugate()
+    s22 = u21 * v21.conjugate() + u22 * v22.conjugate()
+    # K = (S (sy x sy)) conj(S)
+    z = 0j
+    corner = complex(-r0 * r3)
+    k = [
+        [z, z, z, corner],
+        [z, s12 * s11.conjugate() + s11 * s21.conjugate(),
+         s12 * s12.conjugate() + s11 * s22.conjugate(), z],
+        [z, s22 * s11.conjugate() + s21 * s21.conjugate(),
+         s22 * s12.conjugate() + s21 * s22.conjugate(), z],
+        [corner, z, z, z],
+    ]
+    return _dilation_concurrence(_dilation(k))
 
 
 def _x_params(a: float, b: float, c: float, d: float, e: float) -> tuple:

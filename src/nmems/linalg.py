@@ -6,16 +6,18 @@ iteration working directly on the complex Hermitian matrix — at these
 dimensions it is simple, unconditionally stable, and keeps the whole numeric
 core free of LAPACK behaviour differences.  Its one core, ``_diagonalize``,
 runs the row-cyclic sweeps on nested lists of Python complex, with or
-without an eigenvector accumulator, and has two entries:
+without an eigenvector accumulator; it lives in ``_xcore``, with no numpy,
+and has two entries:
 
-* ``_jacobi``, the full decomposition: ``hermitian_eigen`` validates and
-  symmetrizes dense input and hands it over, while the GHZ/W family's
+* ``_jacobi``, here, the full decomposition: ``hermitian_eigen`` validates
+  and symmetrizes dense input and hands it over, while the GHZ/W family's
   X-form states are built from their five numbers and enter it directly
   (``states.DensityMatrix._from_x``), with the bits ``hermitian_eigen``
   gives for the dense matrix;
 * ``_jacobi_eigenvalues``, eigenvalues only, one connected block of the
   nonzero pattern at a time, with ``_jacobi``'s bits; the spin-flip
-  concurrence's 8x8 dilation takes this route.
+  concurrence's 8x8 dilation takes this route, on both its matrix route
+  and its scalar one.
 
 The wrappers (``as_matrix``, ``kron``, ``trace``, ``is_hermitian``)
 validate their arguments for callers outside the package.  Package code that
@@ -31,14 +33,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# _x_eigenvalues replays _jacobi on the family's X states; re-exported here
-from ._xcore import EIGENVALUE_FLOOR, JACOBI_OFFDIAG_TOL, _x_eigenvalues
-from .errors import InputError, NumericalError
+# the Jacobi core lives in the scalar core, which runs it without numpy;
+# _blocks, _jacobi_eigenvalues and _x_eigenvalues (which replays _jacobi on
+# the family's X states) are re-exported here
+from ._xcore import (
+    EIGENVALUE_FLOOR,
+    JACOBI_OFFDIAG_TOL,
+    _blocks,
+    _diagonalize,
+    _jacobi_eigenvalues,
+    _x_eigenvalues,
+)
+from .errors import InputError
 
 HERMITICITY_TOL = 1e-10
-# the sweep cap turns a (never observed) failure of the Jacobi iteration to
-# converge into a hard error
-JACOBI_MAX_SWEEPS = 100
 
 
 def as_matrix(a) -> np.ndarray:
@@ -86,80 +94,6 @@ class Spectrum:
     eigenvectors: np.ndarray
 
 
-def _rotate(w: list, v: list | None, p: int, q: int, n: int, apq: complex,
-            r: float) -> None:
-    """Zero w[p][q] = apq (and w[q][p]), |apq| = r > 0, with a unitary plane
-    rotation, in place, and apply it to the eigenvector accumulator ``v``
-    unless that is None.
-
-    ``w`` and ``v`` are nested lists of Python complex; scalar arithmetic
-    beats numpy by a wide margin at these dimensions.
-    """
-    phase = apq / r
-    cphase = phase.conjugate()
-    theta = 0.5 * math.atan2(2.0 * r, w[p][p].real - w[q][q].real)
-    c = math.cos(theta)
-    s = math.sin(theta)
-    s_ph = s * phase
-    s_cph = s * cphase
-
-    for k in range(n):
-        row = w[k]
-        wp = row[p]
-        wq = row[q]
-        row[p] = c * wp + s_cph * wq
-        row[q] = -s_ph * wp + c * wq
-    rp = w[p]
-    rq = w[q]
-    for k in range(n):
-        wp = rp[k]
-        wq = rq[k]
-        rp[k] = c * wp + s_ph * wq
-        rq[k] = -s_cph * wp + c * wq
-    # the rotation annihilates (p, q) exactly; drop the residual dust
-    rp[q] = 0.0
-    rq[p] = 0.0
-    rp[p] = complex(rp[p].real)
-    rq[q] = complex(rq[q].real)
-
-    if v is None:
-        return
-    for k in range(n):
-        row = v[k]
-        vp = row[p]
-        vq = row[q]
-        row[p] = c * vp + s_cph * vq
-        row[q] = -s_ph * vp + c * vq
-
-
-def _diagonalize(w: list, v: list | None) -> None:
-    """Cyclic Jacobi on a Hermitian matrix given as nested lists of Python
-    complex, in place: ``w`` ends diagonal, and ``v`` (None for no
-    eigenvectors) accumulates the rotations.
-
-    Each sweep visits the pairs in row-cyclic order and rotates every one
-    whose off-diagonal magnitude exceeds 1e-12; the first sweep that rotates
-    nothing ends the iteration.  The caller guarantees ``w`` is exactly
-    Hermitian with finite entries.
-    """
-    n = len(w)
-    for _ in range(JACOBI_MAX_SWEEPS):
-        rotated = False
-        for p in range(n - 1):
-            row = w[p]
-            for q in range(p + 1, n):
-                apq = row[q]
-                r = abs(apq)
-                if r > JACOBI_OFFDIAG_TOL:
-                    _rotate(w, v, p, q, n, apq, r)
-                    rotated = True
-        if not rotated:
-            return
-    raise NumericalError(
-        f"Jacobi iteration did not converge in {JACOBI_MAX_SWEEPS} sweeps"
-    )
-
-
 def _jacobi(w: list) -> Spectrum:
     """Full spectral decomposition by ``_diagonalize``, which overwrites ``w``."""
     n = len(w)
@@ -174,53 +108,6 @@ def _jacobi(w: list) -> Spectrum:
         eigenvalues=np.array([eigvals[k] for k in order]),
         eigenvectors=np.array([[row[k] for k in order] for row in v], dtype=complex),
     )
-
-
-def _blocks(w: list) -> list:
-    """The connected components of the nonzero pattern of ``w``, each an
-    ascending list of indices, in order of their smallest index."""
-    n = len(w)
-    seen = [False] * n
-    blocks = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        seen[start] = True
-        block = [start]
-        stack = [start]
-        while stack:
-            i = stack.pop()
-            for j in range(n):
-                if not seen[j] and (w[i][j] or w[j][i]):
-                    seen[j] = True
-                    block.append(j)
-                    stack.append(j)
-        blocks.append(sorted(block))
-    return blocks
-
-
-def _jacobi_eigenvalues(w: list) -> list:
-    """Descending eigenvalues ``_jacobi`` finds for ``w``, bit for bit, as a
-    list of floats, without eigenvectors; ``w`` is left unspecified.
-
-    Runs ``_diagonalize`` on each connected block of the nonzero pattern
-    on its own.  The values are those of the full run: a rotation inside
-    one block writes to another block's entries only where both factors
-    are zero, so those entries stay (signed) zeros and are never rotated;
-    it touches no diagonal entry outside its pair; and the row-cyclic
-    order within a block is unchanged.  A dense matrix is one block and
-    runs as ``_jacobi`` does.
-    """
-    n = len(w)
-    eigvals = [0.0] * n
-    for block in _blocks(w):
-        sub = w if len(block) == n else [[w[i][j] for j in block] for i in block]
-        if len(block) > 1:
-            _diagonalize(sub, None)
-        for k, i in enumerate(block):
-            eigvals[i] = sub[k][k].real
-    # as _jacobi orders them: ties (+0.0 and -0.0) stay in index order
-    return sorted(eigvals, reverse=True)
 
 
 def hermitian_eigen(a) -> Spectrum:

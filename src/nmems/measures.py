@@ -30,6 +30,8 @@ from ._xcore import (
     FidelityResult,
     _check_correlation_bound,
     _check_range,
+    _dilation,
+    _dilation_concurrence,
     _discord_branches,
     _fidelity_of,
     _require_unit,
@@ -77,26 +79,25 @@ def concurrence_wootters(rho: DensityMatrix) -> float:
     eigenvalues of the Hermitian dilation [[0, K], [K^dagger, 0]]: squaring
     and re-rooting would turn ~1e-17 eigenvalue dust into ~1e-9 errors at
     rank-deficient states.  The dilation's eigenvalues come from
-    ``linalg._jacobi_eigenvalues``, which diagonalizes each connected block
+    ``_xcore._jacobi_eigenvalues``, which diagonalizes each connected block
     of its nonzero pattern on its own ({0, 7}, {3, 4} and {1, 2, 5, 6} for
     an X state, one block for a dense state) with the bits the full Jacobi
     gives.  Defined for unit trace only; sub-normalized input is rejected.
+
+    This matrix route serves every state, X states included.  It is the
+    oracle of the sweep's scalar chain for X states
+    (``_xcore._x_concurrence_wootters``), with which it shares the step from
+    the dilation to the value (``_xcore._dilation_concurrence``).
     """
     _check_two_qubit(rho, "spin-flip concurrence")
-    # spectrum of the dilation is {+s_i, -s_i}; the top half is s descending
-    top = linalg._jacobi_eigenvalues(_spin_flip_dilation(rho))[:4]
-    s1, s2, s3, s4 = (max(v, 0.0) for v in top)
-    return max(0.0, s1 - s2 - s3 - s4)
+    return _dilation_concurrence(_spin_flip_dilation(rho))
 
 
 def _spin_flip_dilation(rho: DensityMatrix) -> list:
     """[[0, K], [K^dagger, 0]], K = sqrt(rho) (sy x sy) sqrt(rho)*, as
     nested lists of Python complex; exactly Hermitian by construction."""
     root = linalg.spectrum_sqrt(rho.spectrum)
-    k = (root @ _YY @ root.conj()).tolist()
-    z = [0j] * 4
-    return [z + row for row in k] + [[kij.conjugate() for kij in col] + z
-                                     for col in zip(*k)]
+    return _dilation((root @ _YY @ root.conj()).tolist())
 
 
 @dataclass(frozen=True)

@@ -3,10 +3,8 @@ grid point (p, theta) and the channel mode, through the public matrix API.
 
 ``QUANTITIES[name](p, theta, mode)`` is the public per-point definition of
 each column and the tests' oracle of the sweep engine, which never calls
-it: the engine evaluates every column from five numbers.  Importing this
-module loads numpy; the engine imports it only for the spin-flip
-concurrence of a state built from five numbers (``_x_concurrence_wootters``),
-and ``nmems.sweep.QUANTITIES`` is this module's dict.
+it: the engine evaluates every column from five numbers, with no numpy.
+Importing this module loads numpy; ``nmems.sweep.QUANTITIES`` is its dict.
 """
 
 from __future__ import annotations
@@ -38,12 +36,6 @@ def _damped(p: float, theta: float, mode: str) -> DensityMatrix:
     if mode == MODE_CORRELATED:
         return apply_correlated_pair(channel, nmems(p))
     return apply_product_pair(channel, nmems(p))
-
-
-def _x_concurrence_wootters(a: float, b: float, c: float, d: float, e: float) -> float:
-    """The spin-flip concurrence of the unit-trace X state built from its
-    five numbers, as the sweep's damped column takes it."""
-    return concurrence_wootters(DensityMatrix._from_x(a, b, c, d, e))
 
 
 _WITNESSES = {

@@ -12,11 +12,11 @@ newlines, the literal token NA.
 Every column has one route: a function of the five numbers of the
 family state (_P_ONLY) or of the cell's damped state (_DAMPED), on the
 scalar core (``_xcore``), or the closed form fidelity_ad_closed_form.  The
-headline report reads the same _P_ONLY entries.  Only the two spin-flip
-concurrences need numpy; they import the per-point registry
-(``nmems.registry``) on first use.  That registry, ``QUANTITIES``, defines
-every column through the matrix API; it is the public per-point API and
-the tests' oracle, and the engine never calls it.
+headline report reads the same _P_ONLY entries.  No column needs numpy.
+The per-point registry (``nmems.registry``, here as ``QUANTITIES``)
+defines every column through the matrix API, which loads numpy; it is the
+public per-point API and the tests' oracle, and the engine never calls
+it.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from ._xcore import (
     _spectrum_entropy,
     _x_chsh,
     _x_concurrence,
+    _x_concurrence_wootters,
     _x_correlation_sum,
     _x_discord,
     _x_expectation,
@@ -65,49 +66,28 @@ QUANTITY_NAMES = (
 )
 
 
-def _registry():
-    """The per-point registry module (``nmems.registry``), imported on
-    first use because it loads numpy."""
-    try:
-        from . import registry
-    except ModuleNotFoundError as exc:
-        if exc.name != "numpy":
-            raise
-        raise InputError(
-            "the spin-flip concurrences need numpy, which is not installed"
-        ) from None
-    return registry
-
-
 def __getattr__(name: str):
     # QUANTITIES is the registry's dict, the public per-point definition of
-    # every column; the engine never calls it
+    # every column; the engine never calls it, and the registry loads numpy
     if name == "QUANTITIES":
-        quantities = _registry().QUANTITIES
+        from .registry import QUANTITIES as quantities
         globals()[name] = quantities
         return quantities
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-def _spin_flip(x: tuple, tag: str) -> float | None:
-    """The spin-flip concurrence of the X state ``x``, None (the one NA
-    cell) where its trace tag is not unit.  Whatever the tag, the registry,
-    and numpy with it, is imported, so a sweep without numpy rejects the
-    column at its first cell."""
-    registry = _registry()
-    return registry._x_concurrence_wootters(*x) if tag == UNIT else None
-
-
 # Each column below has the bits, checks and messages of its QUANTITIES
-# entry; witness_w1 those of a BLAS kernel without fused multiply-adds (see
-# _xcore._x_expectation).  _require_unit returns None once its check passes.
+# entry; witness_w1 and the two spin-flip concurrences those of a BLAS
+# kernel without fused multiply-adds (see _xcore._x_expectation and
+# _xcore._x_concurrence_wootters).  _require_unit returns None once its
+# check passes.
 
 # columns that read only nmems(p), on the (x, eigenvalues, trace tag) of
 # _xcore._family(p); a sweep evaluates them once per p and shares the value
 # across that p's thetas
 _P_ONLY = {
     "concurrence": lambda x, vals, tag: _x_concurrence(*_x_params(*x)),
-    "concurrence_wootters": lambda x, vals, tag: _registry()._x_concurrence_wootters(*x),
+    "concurrence_wootters": lambda x, vals, tag: _x_concurrence_wootters(*x),
     "fidelity": lambda x, vals, tag: (
         _require_unit(tag, "teleportation fidelity") or _x_fidelity(*x)),
     "discord": lambda x, vals, tag: _require_unit(tag, "discord") or _x_discord(*x, vals),
@@ -124,7 +104,9 @@ _P_ONLY = {
 # in every channel mode, with no Kraus channel and no per-cell state
 _DAMPED = {
     "concurrence_ad": lambda x, vals, tag, entropy: _x_concurrence(*_x_params(*x)),
-    "concurrence_ad_wootters": lambda x, vals, tag, entropy: _spin_flip(x, tag),
+    # NA (None) where the damped state is sub-normalized
+    "concurrence_ad_wootters": lambda x, vals, tag, entropy: (
+        _x_concurrence_wootters(*x) if tag == UNIT else None),
     "fidelity_ad": lambda x, vals, tag, entropy: _x_fidelity(*x),
     "entropy_ad": lambda x, vals, tag, entropy: _spectrum_entropy(vals),
     "mid": lambda x, vals, tag, entropy: _spectrum_entropy(vals) - entropy,
@@ -219,8 +201,6 @@ def run_sweep(spec: SweepSpec) -> list:
     p's thetas.  Each cell's damped state passes its checks once
     (``_mode_damped_x``, ``_xcore._x_spectrum``), and the _DAMPED columns
     are evaluated from it; fidelity_ad_closed_form is evaluated per cell.
-    The registry, and with it numpy, is imported only for the spin-flip
-    concurrences.
     """
     theta_values = _grid(spec.theta_min, spec.theta_max, spec.theta_steps)
     p_only = [(name, _P_ONLY[name]) for name in spec.quantities if name in _P_ONLY]

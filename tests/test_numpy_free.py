@@ -1,10 +1,10 @@
-"""The figure presets, the headline report, ``--help`` and a sweep of any
-column but the two spin-flip concurrences run without numpy.
+"""The figure presets, the headline report, ``--help`` and sweeps of any
+of the columns run without numpy.
 
 Each command runs in a fresh interpreter as ``python -m nmems`` does, and
-reports at exit whether numpy was ever imported.  A sweep with a spin-flip
-concurrence imports numpy on demand and still gives the in-process bytes.  ``nmems`` exports its names
-lazily: each resolves on first access and is cached in the module.
+reports at exit whether numpy was ever imported, or runs where numpy cannot
+be imported.  ``nmems`` exports its names lazily: each resolves on first
+access and is cached in the module.
 """
 
 import hashlib
@@ -16,13 +16,14 @@ import sys
 import pytest
 
 import nmems
-from nmems.sweep import CHANNEL_MODES, SweepSpec, emit_csv, run_sweep
+from nmems.sweep import CHANNEL_MODES, QUANTITY_NAMES, SweepSpec, emit_csv, run_sweep
 
 from test_output_identity import (
     HEADLINES_SHA256,
     PRESET_SHA256,
     SCALAR_QUANTITIES,
     SCALAR_SWEEP_SHA256,
+    SWEEP_SHA256,
 )
 
 # python -m nmems ARGS..., with a report of numpy's presence at exit (after
@@ -84,20 +85,21 @@ def test_headlines_load_no_numpy(tmp_path):
     assert hashlib.sha256(out).hexdigest()[:16] == HEADLINES_SHA256
 
 
-def test_matrix_column_loads_numpy_on_demand(tmp_path):
-    # concurrence_wootters has no scalar route: the registry, and numpy with
-    # it, is imported for it, and the bytes are those of the in-process run
-    code, _, loaded = _cli([
-        "sweep", "--p-max", "0.3", "--p-steps", "4", "--theta-max", "pi/4",
-        "--theta-steps", "3", "--quantities", "concurrence,concurrence_wootters",
-        "--out", "out.csv",
-    ], tmp_path)
-    assert code == 0
-    assert loaded
-    spec = SweepSpec(p_max=0.3, p_steps=4, theta_max=0.7853981633974483, theta_steps=3,
-                     quantities=("concurrence", "concurrence_wootters"))
-    emit_csv(run_sweep(spec), str(tmp_path / "want.csv"))
-    assert (tmp_path / "out.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+def test_all_quantity_sweep_loads_no_numpy(tmp_path):
+    # all fifteen columns, the spin-flip concurrences included, in every
+    # channel mode, with the bytes of the in-process run
+    for mode in CHANNEL_MODES:
+        code, _, loaded = _cli([
+            "sweep", "--p-max", "0.3", "--p-steps", "4", "--theta-max", "pi/4",
+            "--theta-steps", "3", "--quantities", ",".join(QUANTITY_NAMES),
+            "--channel-mode", mode, "--out", "out.csv",
+        ], tmp_path)
+        assert code == 0, mode
+        assert not loaded, mode
+        spec = SweepSpec(p_max=0.3, p_steps=4, theta_max=0.7853981633974483, theta_steps=3,
+                         quantities=QUANTITY_NAMES, channel_mode=mode)
+        emit_csv(run_sweep(spec), str(tmp_path / "want.csv"))
+        assert (tmp_path / "out.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
 # python -m nmems ARGS... where numpy cannot be imported
@@ -110,10 +112,8 @@ runpy.run_module("nmems", run_name="__main__", alter_sys=True)
 
 
 def test_numpy_free_install(tmp_path):
-    # the presets and the report work where numpy cannot be imported; a
-    # spin-flip concurrence is rejected with exit code 1 and a message,
-    # also where every cell of the damped one would be NA (theta > 0 in
-    # closed_form)
+    # the presets, the report and the 60 x 20 sweeps of all fifteen columns
+    # work where numpy cannot be imported
     result = _python(["-c", _NO_NUMPY, "preset", "fig4", "--out", "out.csv"], tmp_path)
     assert result.returncode == 0, result.stderr
     digest = hashlib.sha256((tmp_path / "out.csv").read_bytes()).hexdigest()
@@ -121,26 +121,27 @@ def test_numpy_free_install(tmp_path):
     result = _python(["-c", _NO_NUMPY, "headlines"], tmp_path)
     assert result.returncode == 0, result.stderr
     assert hashlib.sha256(result.stdout).hexdigest()[:16] == HEADLINES_SHA256
-    for column in ("concurrence_wootters", "concurrence_ad_wootters"):
-        result = _python(["-c", _NO_NUMPY, "sweep", "--theta-min", "0.1",
-                          "--quantities", f"concurrence,{column}", "--out", "c.csv"],
-                         tmp_path)
-        assert result.returncode == 1, column
-        assert result.stderr == (b"error: the spin-flip concurrences need numpy, "
-                                 b"which is not installed\n")
-        assert not (tmp_path / "c.csv").exists()
+    for mode in CHANNEL_MODES:
+        result = _python(["-c", _NO_NUMPY, *_benchmark_args(QUANTITY_NAMES, mode)], tmp_path)
+        assert result.returncode == 0, result.stderr
+        digest = hashlib.sha256((tmp_path / "out.csv").read_bytes()).hexdigest()
+        assert digest[:16] == SWEEP_SHA256[mode], mode
+
+
+def _benchmark_args(quantities: tuple, mode: str) -> list:
+    """The CLI arguments of the benchmark's 60 x 20 sweep, to out.csv."""
+    return [
+        "sweep", "--p-min", "0", "--p-max", "0.292", "--p-steps", "60",
+        "--theta-min", "0", "--theta-max", "pi/4", "--theta-steps", "20",
+        "--quantities", ",".join(quantities), "--channel-mode", mode, "--out", "out.csv",
+    ]
 
 
 @pytest.mark.parametrize("mode", CHANNEL_MODES)
 def test_scalar_sweep_without_numpy(mode, tmp_path):
-    # the 60 x 20 sweep of the thirteen columns but the spin-flip
+    # the 60 x 20 sweep of the thirteen columns other than the spin-flip
     # concurrences, with the bytes of the in-process run with numpy
-    result = _python([
-        "-c", _NO_NUMPY, "sweep", "--p-min", "0", "--p-max", "0.292", "--p-steps", "60",
-        "--theta-min", "0", "--theta-max", "pi/4", "--theta-steps", "20",
-        "--quantities", ",".join(SCALAR_QUANTITIES), "--channel-mode", mode,
-        "--out", "out.csv",
-    ], tmp_path)
+    result = _python(["-c", _NO_NUMPY, *_benchmark_args(SCALAR_QUANTITIES, mode)], tmp_path)
     assert result.returncode == 0, result.stderr
     digest = hashlib.sha256((tmp_path / "out.csv").read_bytes()).hexdigest()
     assert digest[:16] == SCALAR_SWEEP_SHA256[mode]

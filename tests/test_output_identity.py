@@ -83,8 +83,9 @@ def test_all_quantity_sweep_bytes(mode, tmp_path):
     assert _csv_digest(spec, tmp_path / f"sweep_{mode}.csv") == SWEEP_SHA256[mode]
 
 
-# the same sweeps of the thirteen columns that need no numpy (all but the
-# two spin-flip concurrences), which a numpy-free install reproduces
+# the same sweeps of the thirteen columns other than the two spin-flip
+# concurrences (the ones that ran without numpy before those did), which a
+# numpy-free install reproduces
 SCALAR_QUANTITIES = tuple(q for q in QUANTITY_NAMES if not q.endswith("_wootters"))
 SCALAR_SWEEP_SHA256 = {
     "closed_form": "006138cab84e7c98",

@@ -78,6 +78,25 @@ def _bits(values: dict) -> dict:
     return {name: None if v is None else v.hex() for name, v in values.items()}
 
 
+def _scalar_replays(spec: SweepSpec, row: SweepRow, values: dict) -> dict:
+    """``_bits(values)`` with witness_w1, concurrence_wootters and a defined
+    concurrence_ad_wootters taken from their scalar replays of the matrix
+    products at the row's grid point instead (``_xcore._x_expectation``,
+    ``_xcore._x_concurrence_wootters``); NA stays where ``values`` has it."""
+    want = _bits(values)
+    x = _xcore._family_x(row.p)
+    replays = {
+        "witness_w1": lambda: _xcore._x_expectation(_xcore._WITNESS_ENTRIES["w1"], *x),
+        "concurrence_wootters": lambda: _xcore._x_concurrence_wootters(*x),
+        "concurrence_ad_wootters": lambda: _xcore._x_concurrence_wootters(
+            *sweep._mode_damped_x(spec.channel_mode, row.p, row.theta)),
+    }
+    for name, replay in replays.items():
+        if want.get(name) is not None:
+            want[name] = replay().hex()
+    return want
+
+
 @st.composite
 def _specs(draw, modes=CHANNEL_MODES, names=tuple(QUANTITIES), max_steps=4):
     """Small grids anywhere in the domain, endpoints p = 1 and theta = pi/2
@@ -248,16 +267,15 @@ class TestRunSweep:
     def test_hoisted_sweep_matches_per_cell_evaluation(self, mode):
         # _P_ONLY columns once per p, and the _DAMPED columns from five
         # numbers: both must equal the per-point route exactly; witness_w1
-        # equals the scalar replay of its matrix product, whose bits depend
-        # on the BLAS kernel (test_xcore pins the two within 1e-15)
+        # and the spin-flip concurrences equal their scalar replays of the
+        # matrix products, whose bits depend on the BLAS kernel (test_xcore
+        # pins the two routes together)
         spec = _tiny_spec(quantities=tuple(QUANTITIES), channel_mode=mode)
         rows = run_sweep(spec)
         assert len(rows) == 9
         for row in rows:
             assert list(row.values) == list(spec.quantities)
-            want = _bits(_per_point_values(spec, row.p, row.theta))
-            x = _xcore._family_x(row.p)
-            want["witness_w1"] = _xcore._x_expectation(_xcore._WITNESS_ENTRIES["w1"], *x).hex()
+            want = _scalar_replays(spec, row, _per_point_values(spec, row.p, row.theta))
             for name, got in _bits(row.values).items():
                 assert got == want[name], (mode, row.p, row.theta, name)
         if mode != "product":
@@ -268,7 +286,8 @@ class TestRunSweep:
     @given(spec=_specs(names=(*sorted(_DAMPED), "concurrence", "entropy")))
     def test_kernel_matches_per_point_route(self, spec):
         for row in run_sweep(spec):
-            assert _bits(row.values) == _bits(_per_point_values(spec, row.p, row.theta))
+            want = _scalar_replays(spec, row, _per_point_values(spec, row.p, row.theta))
+            assert _bits(row.values) == want
 
     def test_kernel_rejection_aborts_like_per_point_route(self, monkeypatch):
         # five numbers the checks reject, or a coherence only XStateParams
@@ -387,11 +406,10 @@ class TestRunSweep:
                 theta_steps=5, quantities=tuple(sorted(_DAMPED)), channel_mode=mode
             ))
             assert len(rows) == 15
-            # the undamped state of each p at most (nmems caches it), plus
-            # one state per unit-trace cell for its spin-flip concurrence
+            # no DensityMatrix either, not even for a spin-flip concurrence
             defined = sum(row.values["concurrence_ad_wootters"] is not None for row in rows)
             assert defined == (15 if mode == "product" else 3), mode
-            assert len(built) <= 3 + defined, mode
+            assert built == [], mode
 
     def test_kernel_numerical_error_aborts(self, monkeypatch):
         def diverge(*x):

@@ -1,12 +1,16 @@
-"""The scalar family columns and headline replays of ``_xcore`` against the
-per-point matrix route, with p drawn over [0, 1] and both endpoints.
+"""The scalar family columns, the spin-flip chain and the headline replays
+of ``_xcore`` against the per-point matrix route, with p drawn over [0, 1]
+and both endpoints.
 
 Bits are compared wherever a replay claims them.  The w1 witness
-expectation has the bits of its matrix product only on a BLAS kernel
-without fused multiply-adds (checked on OpenBLAS's Prescott kernel); on
-others it is within 1e-15.
+expectation and the spin-flip concurrence have the bits of their matrix
+products only on a BLAS kernel without fused multiply-adds (checked on
+OpenBLAS's Prescott kernel); on others they are within a few ulp.  The
+spin-flip chain rejects what the matrix route rejects, with its messages.
 """
 
+import math
+import os
 import platform
 import subprocess
 import sys
@@ -17,12 +21,18 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nmems import InputError, NumericalError, _xcore, sweep
-from nmems.measures import chsh_criterion, discord_x, teleportation_fidelity
+from nmems.measures import (
+    chsh_criterion,
+    concurrence_wootters,
+    discord_x,
+    teleportation_fidelity,
+)
 from nmems.registry import QUANTITIES
-from nmems.states import ghz_reduced, nmems, nmems_ad, w_reduced
+from nmems.states import DensityMatrix, ghz_reduced, nmems, nmems_ad, w_reduced
 from nmems.sweep import CHANNEL_MODES, QUANTITY_NAMES, PRESETS, SweepSpec, run_sweep
 from nmems.witnesses import evaluate, witness_generic, witness_stabilizer, witness_w1
 
+import oracles
 from test_numpy_free import _env
 
 _PS = st.floats(0.0, 1.0) | st.sampled_from([0.0, 1.0])
@@ -72,11 +82,13 @@ def test_witness_entries_are_the_matrices(name):
 @example(p=0.0, mode="closed_form")
 @example(p=1.0, mode="product")
 def test_family_columns_are_the_registry_bits(p, mode):
-    # witness_w1 is compared with the scalar replay of its matrix product,
-    # whose bits depend on the BLAS kernel (see the w1 tests below)
+    # witness_w1 and concurrence_wootters are compared with the scalar
+    # replays of their matrix products, whose bits depend on the BLAS
+    # kernel (see the w1 and spin-flip tests below)
     base = _xcore._family(p)
     want = {name: QUANTITIES[name](p, 0.0, mode).hex() for name in sweep._P_ONLY}
     want["witness_w1"] = _xcore._x_expectation(_xcore._WITNESS_ENTRIES["w1"], *base[0]).hex()
+    want["concurrence_wootters"] = _xcore._x_concurrence_wootters(*base[0]).hex()
     for name, column in sweep._P_ONLY.items():
         assert column(*base).hex() == want[name], name
     spec = SweepSpec(p_min=p, p_max=p, p_steps=1, theta_max=0.0, theta_steps=1,
@@ -132,6 +144,88 @@ def test_w1_column_is_the_non_fma_matrix_product(tmp_path):
     assert result.stdout == b"0 1001\n"
 
 
+def _spin_flip_gaps() -> tuple:
+    """The spin-flip concurrence columns of sweeps over the family grid
+    and the whole domain of both Kraus modes, against the per-point matrix
+    route: how many defined cells differ in any bit, how many there are,
+    and the largest gap in units of ulp(1)."""
+    specs = [SweepSpec(p_min=0.0, p_max=1.0, p_steps=1001, theta_max=0.0, theta_steps=1,
+                       quantities=("concurrence_wootters",))]
+    specs += [SweepSpec(p_min=0.0, p_max=1.0, p_steps=41, theta_max=math.pi / 2,
+                        theta_steps=21, quantities=("concurrence_ad_wootters",),
+                        channel_mode=mode) for mode in ("correlated", "product")]
+    differ = n = 0
+    gap = 0.0
+    for spec in specs:
+        (name,) = spec.quantities
+        for row in run_sweep(spec):
+            cell = row.values[name]
+            if cell is not None:
+                want = QUANTITIES[name](row.p, row.theta, spec.channel_mode)
+                n += 1
+                differ += want.hex() != cell.hex()
+                gap = max(gap, abs(want - cell) / sys.float_info.epsilon)
+    return differ, n, gap
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                    reason="OPENBLAS_CORETYPE=Prescott selects an x86 kernel")
+def test_spin_flip_columns_are_the_non_fma_matrix_route(tmp_path):
+    # each sum of two products in sqrt(rho) and K is rounded as the Prescott
+    # zgemm kernel rounds it, so the dilation, and the value, are the same
+    env = {**_env(), "OPENBLAS_CORETYPE": "Prescott"}
+    env["PYTHONPATH"] += os.pathsep + os.path.dirname(__file__)
+    result = subprocess.run(
+        [sys.executable, "-c", "import test_xcore; print(*test_xcore._spin_flip_gaps())"],
+        capture_output=True, cwd=tmp_path, env=env, check=False,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == b"0 1904 0.0\n"
+
+
+def test_spin_flip_columns_are_near_the_matrix_route():
+    # on this process's BLAS kernel: with fused multiply-adds (OpenBLAS's
+    # Haswell, SkylakeX, Zen) 286 of the 1,904 values differ, by at most
+    # 2.75 ulp of 1; without them none does
+    differ, n, gap = _spin_flip_gaps()
+    assert n == 1_904
+    assert differ in (0, 286)
+    assert gap <= 4.0
+
+
+@pytest.mark.parametrize("x", [
+    (0.25, math.nan, 0.0, 0.25, 0.0),  # a non-finite entry
+    (0.3, 0.3, math.inf, 0.3, 0.0),
+    (0.3, 0.3, 0.31, 0.3, 0.0),  # eigenvalue -0.01, below the floor
+    (0.5, 0.3, 0.0, 0.2, 0.1),  # trace 1.1
+    (0.1, 0.1, 0.05, 0.1, 0.1),  # trace 0.4: sub-normalized
+], ids=["nan", "inf", "floor", "trace", "sub_normalized"])
+def test_spin_flip_chain_rejects_as_the_matrix_route(x):
+    with pytest.raises(InputError) as want:
+        concurrence_wootters(DensityMatrix.from_matrix(oracles.x_matrix(*x)))
+    with pytest.raises(InputError) as got:
+        _xcore._x_concurrence_wootters(*x)
+    assert str(got.value) == str(want.value)
+
+
+def test_spin_flip_jacobi_cap_propagates(monkeypatch):
+    # two sweeps converge the state's single rotation but not the
+    # dilation's {1, 2, 5, 6} block, on either route; the sweep aborts
+    x = sweep._mode_damped_x("product", 0.1, 0.4)
+    rho = DensityMatrix._from_x(*x)
+    monkeypatch.setattr(_xcore, "JACOBI_MAX_SWEEPS", 2)
+    with pytest.raises(NumericalError) as want:
+        concurrence_wootters(rho)
+    with pytest.raises(NumericalError) as got:
+        _xcore._x_concurrence_wootters(*x)
+    assert str(got.value) == str(want.value) == "Jacobi iteration did not converge in 2 sweeps"
+    for name in ("concurrence_wootters", "concurrence_ad_wootters"):
+        spec = SweepSpec(p_min=0.1, p_max=0.1, p_steps=1, theta_min=0.4, theta_max=0.4,
+                         theta_steps=1, quantities=(name,), channel_mode="product")
+        with pytest.raises(NumericalError, match="did not converge in 2 sweeps"):
+            run_sweep(spec)
+
+
 @pytest.mark.parametrize("table,k", [("_GHZ_REDUCED", 0), ("_W_REDUCED", 2),
                                      ("_W_REDUCED", 4)])
 def test_perturbed_projector_entry_fails_the_family_check(monkeypatch, table, k):
@@ -161,6 +255,7 @@ def test_family_check_tolerance_is_the_dense_one(monkeypatch):
 
 
 @pytest.mark.parametrize("name,measure", [
+    ("concurrence_wootters", concurrence_wootters),
     ("fidelity", teleportation_fidelity),
     ("discord", discord_x),
 ])
