@@ -106,26 +106,30 @@ def build_parser() -> argparse.ArgumentParser:
 def load_spec_file(path: str) -> dict:
     """Read a flat ``key = value`` sweep description (keys mirror the flags;
     hyphens and underscores are interchangeable; # starts a comment)."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text: {exc}") from None
     values = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise InputError(f"{path}:{lineno}: expected key = value")
-            key, _, value = line.partition("=")
-            key = key.strip().replace("-", "_").lower()
-            value = value.strip()
-            if key not in _SWEEP_SETTINGS:
-                raise InputError(
-                    f"{path}:{lineno}: unknown key {key!r}; known keys: "
-                    + ", ".join(sorted(_SWEEP_SETTINGS))
-                )
-            try:
-                values[key] = _SWEEP_SETTINGS[key]["type"](value)
-            except (ValueError, InputError) as exc:
-                raise InputError(f"{path}:{lineno}: bad value for {key}: {exc}") from None
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise InputError(f"{path}:{lineno}: expected key = value")
+        key, _, value = line.partition("=")
+        key = key.strip().replace("-", "_").lower()
+        value = value.strip()
+        if key not in _SWEEP_SETTINGS:
+            raise InputError(
+                f"{path}:{lineno}: unknown key {key!r}; known keys: "
+                + ", ".join(sorted(_SWEEP_SETTINGS))
+            )
+        try:
+            values[key] = _SWEEP_SETTINGS[key]["type"](value)
+        except (ValueError, InputError) as exc:
+            raise InputError(f"{path}:{lineno}: bad value for {key}: {exc}") from None
     return values
 
 

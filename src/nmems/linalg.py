@@ -6,18 +6,18 @@ iteration working directly on the complex Hermitian matrix — at these
 dimensions it is simple, unconditionally stable, and keeps the whole numeric
 core free of LAPACK behaviour differences.  Its one core, ``_diagonalize``,
 runs the row-cyclic sweeps on nested lists of Python complex, with or
-without an eigenvector accumulator; it lives in ``_xcore``, with no numpy,
-and has two entries:
+without an eigenvector accumulator, and has two entries:
 
-* ``_jacobi``, here, the full decomposition: ``hermitian_eigen`` validates
-  and symmetrizes dense input and hands it over, while the GHZ/W family's
+* ``_jacobi``, the full decomposition: ``hermitian_eigen`` validates and
+  symmetrizes dense input and hands it over, while the GHZ/W family's
   X-form states are built from their five numbers and enter it directly
   (``states.DensityMatrix._from_x``), with the bits ``hermitian_eigen``
   gives for the dense matrix;
-* ``_jacobi_eigenvalues``, eigenvalues only, one connected block of the
-  nonzero pattern at a time, with ``_jacobi``'s bits; the spin-flip
-  concurrence's 8x8 dilation takes this route, on both its matrix route
-  and its scalar one.
+* ``_jacobi_eigenvalues``, eigenvalues only, with ``_jacobi``'s bits; the
+  8x8 dilation of ``measures.concurrence_wootters`` takes this route.
+
+The scalar core (``_xcore``) runs no iteration: it replays the single
+rotation ``_jacobi`` makes on a corner-free X state (``_x_jacobi``).
 
 The wrappers (``as_matrix``, ``kron``, ``trace``, ``is_hermitian``)
 validate their arguments for callers outside the package.  Package code that
@@ -33,20 +33,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# the Jacobi core lives in the scalar core, which runs it without numpy;
-# _blocks, _jacobi_eigenvalues and _x_eigenvalues (which replays _jacobi on
-# the family's X states) are re-exported here
-from ._xcore import (
-    EIGENVALUE_FLOOR,
-    JACOBI_OFFDIAG_TOL,
-    _blocks,
-    _diagonalize,
-    _jacobi_eigenvalues,
-    _x_eigenvalues,
-)
-from .errors import InputError
+# _x_eigenvalues replays _jacobi on the family's X states; it is re-exported
+# here
+from ._xcore import EIGENVALUE_FLOOR, JACOBI_OFFDIAG_TOL, _x_eigenvalues
+from .errors import InputError, NumericalError
 
 HERMITICITY_TOL = 1e-10
+# the sweep cap turns a (never observed) failure of the Jacobi iteration to
+# converge into a hard error
+JACOBI_MAX_SWEEPS = 100
 
 
 def as_matrix(a) -> np.ndarray:
@@ -94,6 +89,80 @@ class Spectrum:
     eigenvectors: np.ndarray
 
 
+def _rotate(w: list, v: list | None, p: int, q: int, n: int, apq: complex,
+            r: float) -> None:
+    """Zero w[p][q] = apq (and w[q][p]), |apq| = r > 0, with a unitary plane
+    rotation, in place, and apply it to the eigenvector accumulator ``v``
+    unless that is None.
+
+    ``w`` and ``v`` are nested lists of Python complex; scalar arithmetic
+    beats numpy by a wide margin at these dimensions.
+    """
+    phase = apq / r
+    cphase = phase.conjugate()
+    theta = 0.5 * math.atan2(2.0 * r, w[p][p].real - w[q][q].real)
+    c = math.cos(theta)
+    s = math.sin(theta)
+    s_ph = s * phase
+    s_cph = s * cphase
+
+    for k in range(n):
+        row = w[k]
+        wp = row[p]
+        wq = row[q]
+        row[p] = c * wp + s_cph * wq
+        row[q] = -s_ph * wp + c * wq
+    rp = w[p]
+    rq = w[q]
+    for k in range(n):
+        wp = rp[k]
+        wq = rq[k]
+        rp[k] = c * wp + s_ph * wq
+        rq[k] = -s_cph * wp + c * wq
+    # the rotation annihilates (p, q) exactly; drop the residual dust
+    rp[q] = 0.0
+    rq[p] = 0.0
+    rp[p] = complex(rp[p].real)
+    rq[q] = complex(rq[q].real)
+
+    if v is None:
+        return
+    for k in range(n):
+        row = v[k]
+        vp = row[p]
+        vq = row[q]
+        row[p] = c * vp + s_cph * vq
+        row[q] = -s_ph * vp + c * vq
+
+
+def _diagonalize(w: list, v: list | None) -> None:
+    """Cyclic Jacobi on a Hermitian matrix given as nested lists of Python
+    complex, in place: ``w`` ends diagonal, and ``v`` (None for no
+    eigenvectors) accumulates the rotations.
+
+    Each sweep visits the pairs in row-cyclic order and rotates every one
+    whose off-diagonal magnitude exceeds 1e-12; the first sweep that rotates
+    nothing ends the iteration.  The caller guarantees ``w`` is exactly
+    Hermitian with finite entries.
+    """
+    n = len(w)
+    for _ in range(JACOBI_MAX_SWEEPS):
+        rotated = False
+        for p in range(n - 1):
+            row = w[p]
+            for q in range(p + 1, n):
+                apq = row[q]
+                r = abs(apq)
+                if r > JACOBI_OFFDIAG_TOL:
+                    _rotate(w, v, p, q, n, apq, r)
+                    rotated = True
+        if not rotated:
+            return
+    raise NumericalError(
+        f"Jacobi iteration did not converge in {JACOBI_MAX_SWEEPS} sweeps"
+    )
+
+
 def _jacobi(w: list) -> Spectrum:
     """Full spectral decomposition by ``_diagonalize``, which overwrites ``w``."""
     n = len(w)
@@ -108,6 +177,14 @@ def _jacobi(w: list) -> Spectrum:
         eigenvalues=np.array([eigvals[k] for k in order]),
         eigenvectors=np.array([[row[k] for k in order] for row in v], dtype=complex),
     )
+
+
+def _jacobi_eigenvalues(w: list) -> list:
+    """The descending eigenvalues ``_jacobi`` finds for ``w``, bit for bit,
+    as a list of floats, without eigenvectors; overwrites ``w``."""
+    _diagonalize(w, None)
+    # as _jacobi orders them: ties (+0.0 and -0.0) stay in index order
+    return sorted((w[k][k].real for k in range(len(w))), reverse=True)
 
 
 def hermitian_eigen(a) -> Spectrum:

@@ -76,11 +76,12 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-# Each column below has the bits, checks and messages of its QUANTITIES
-# entry; witness_w1 and the two spin-flip concurrences those of a BLAS
-# kernel without fused multiply-adds (see _xcore._x_expectation and
-# _xcore._x_concurrence_wootters).  _require_unit returns None once its
-# check passes.
+# Each column below has the checks and messages of its QUANTITIES entry,
+# and its bits, with two exceptions: witness_w1 has those of a BLAS kernel
+# without fused multiply-adds (see _xcore._x_expectation), and the two
+# spin-flip concurrences take K's singular values in closed form, a few ulp
+# from the matrix route (see _xcore._x_concurrence_wootters).
+# _require_unit returns None once its check passes.
 
 # columns that read only nmems(p), on the (x, eigenvalues, trace tag) of
 # _xcore._family(p); a sweep evaluates them once per p and shares the value

@@ -159,8 +159,8 @@ class TestXEigenvalues:
 @st.composite
 def _patterned_hermitian(draw):
     """A Hermitian matrix of size 1..8, as nested lists of Python complex,
-    whose off-diagonal pairs are each zero with probability about 1/2, so
-    its nonzero pattern falls into random connected blocks."""
+    whose off-diagonal pairs are each zero with probability about 1/2, as
+    in the sparse dilations of the spin-flip concurrence."""
     n = draw(st.integers(1, 8))
     w = [[complex(draw(_ENTRY)) if i == j else 0j for j in range(n)] for i in range(n)]
     for i in range(n):
@@ -172,9 +172,9 @@ def _patterned_hermitian(draw):
 
 
 class TestJacobiEigenvalues:
-    """``_jacobi_eigenvalues`` diagonalizes each connected block on its own
-    and must give ``_jacobi``'s eigenvalues bit for bit, signed zeros and
-    their order included."""
+    """``_jacobi_eigenvalues`` runs the same sweeps without eigenvectors and
+    must give ``_jacobi``'s eigenvalues bit for bit, signed zeros and their
+    order included."""
 
     @settings(max_examples=400, deadline=None)
     @given(w=_patterned_hermitian())
@@ -186,15 +186,6 @@ class TestJacobiEigenvalues:
         got = linalg._jacobi_eigenvalues(w)
         assert all(type(v) is float for v in got)
         assert np.array(got).tobytes() == want.tobytes()
-
-    def test_blocks_follow_the_nonzero_pattern(self):
-        # {0, 3} and {1, 2, 4} joined through (2, 4); 5 on its own; a
-        # subnormal entry is an edge, a signed zero is not
-        w = [[0j] * 6 for _ in range(6)]
-        for i, j, v in ((0, 3, 5e-324), (1, 2, 0.5j), (2, 4, 0.25), (1, 5, -0.0)):
-            w[i][j] = complex(v)
-            w[j][i] = complex(v).conjugate()
-        assert linalg._blocks(w) == [[0, 3], [1, 2, 4], [5]]
 
 
 class TestPsdSqrt:

@@ -179,15 +179,6 @@ class TestWoottersConcurrence:
         want = linalg.hermitian_eigen(np.array(w)).eigenvalues.tolist()
         assert linalg._jacobi_eigenvalues(w) == want
 
-    def test_dilation_blocks(self):
-        # an X state's dilation splits into {0, 7}, {3, 4} and {1, 2, 5, 6};
-        # a dense state's is one block
-        image = DensityMatrix._from_x(*_mode_damped_x("product", 0.1, 0.4))
-        blocks = linalg._blocks(measures._spin_flip_dilation(image))
-        assert blocks == [[0, 7], [1, 2, 5, 6], [3, 4]]
-        dense = DensityMatrix.from_matrix(oracles.random_density(np.random.default_rng(5), 4))
-        assert linalg._blocks(measures._spin_flip_dilation(dense)) == [list(range(8))]
-
     def test_eigenvalues_only(self, monkeypatch):
         states = {
             "x": DensityMatrix._from_x(*_mode_damped_x("product", 0.1, 0.4)),
@@ -201,7 +192,7 @@ class TestWoottersConcurrence:
             raise AssertionError("eigenvectors computed")
 
         sizes = []
-        inner = _xcore._diagonalize
+        inner = linalg._diagonalize
 
         def spy(w, v):
             assert v is None
@@ -210,10 +201,10 @@ class TestWoottersConcurrence:
 
         monkeypatch.setattr(linalg, "hermitian_eigen", boom)
         monkeypatch.setattr(linalg, "_jacobi", boom)
-        # the one Jacobi core, which linalg re-exports
-        monkeypatch.setattr(_xcore, "_diagonalize", spy)
+        # one eigenvalue-only run on the whole dilation, X state or dense
+        monkeypatch.setattr(linalg, "_diagonalize", spy)
         assert concurrence_wootters(states["x"]) == want["x"]
-        assert sorted(sizes) == [2, 2, 4]
+        assert sizes == [8]
         sizes.clear()
         assert concurrence_wootters(states["dense"]) == want["dense"]
         assert sizes == [8]
@@ -671,7 +662,11 @@ class TestBinaryEntropy:
         assert abs(binary_entropy(x) - oracles.binary_entropy(x)) < 1e-12
 
     def test_out_of_range_rejected(self):
-        for x in (1.5, math.nan):
+        # roundoff dust within 1e-9 of [0, 1] is clamped; anything beyond it
+        # is rejected
+        for x in (1.0 + 5e-10, -5e-10):
+            assert binary_entropy(x) == 0.0
+        for x in (1.5, math.nan, 1.0 + 2e-9, -2e-9):
             with pytest.raises(InputError):
                 binary_entropy(x)
 
@@ -681,6 +676,10 @@ class TestFidelityFromCorrelation:
         got = fidelity_from_correlation(correlation_matrix(MAX_MIXED))
         assert got.fidelity == 2.0 / 3.0
         assert not got.useful
+        # N must exceed the edge 1 + 1e-12; N at the edge is classical
+        edge = _xcore._fidelity_of(1.0 + _xcore.USEFULNESS_MARGIN)
+        assert edge.fidelity == 2.0 / 3.0
+        assert not edge.useful
 
     def test_damped_state_general_criterion(self):
         # the general criterion applied to the closed-form damped matrix at

@@ -44,10 +44,13 @@ PRESET_SHA256 = {
     "fig4": "bebc25d454b72ed1",
 }
 HEADLINES_SHA256 = "a89c0a91e91c36c0"
+# the product digest moved when the spin-flip concurrence began to take K's
+# singular values in closed form: two concurrence_ad_wootters cells went to
+# their correctly rounded value (0.000802529963445 and 0.013276555087)
 SWEEP_SHA256 = {
     "closed_form": "c94eb46d03930cca",
     "correlated": "944455e62ccb0ffa",
-    "product": "d92eee9c119a2e3b",
+    "product": "4f6f7798801cc9f7",
 }
 
 
@@ -183,7 +186,7 @@ def test_family_states_full_precision():
 
 
 # sha256 prefix of float.hex(concurrence_wootters(rho)) over the states
-# below, taken while the spin-flip dilation was still diagonalized whole.
+# below, taken with the spin-flip dilation diagonalized whole.
 # The matrix products (K = sqrt(rho) (sy x sy) sqrt(rho)*, and g g^dagger
 # of the dense states) run through BLAS zgemm, whose last bits depend on
 # the kernel: OpenBLAS's fused multiply-add kernels (Haswell and later) and

@@ -933,6 +933,13 @@ class TestCli:
         spec_file.write_text("volume = 11\n")
         assert main(["sweep", "--spec-file", str(spec_file)]) == 1
 
+    def test_non_utf8_spec_file_exits_one(self, tmp_path, capsys):
+        spec_file = tmp_path / "latin.cfg"
+        spec_file.write_bytes(b"p-steps = 3\n# \xff\n")
+        assert main(["sweep", "--spec-file", str(spec_file)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {spec_file}: not UTF-8 text")
+
     def test_module_entrypoint_smoke(self, tmp_path):
         # the child imports the same nmems as this process, installed or not
         src_dir = os.path.dirname(os.path.dirname(nmems.__file__))

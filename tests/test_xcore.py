@@ -3,14 +3,16 @@ of ``_xcore`` against the per-point matrix route, with p drawn over [0, 1]
 and both endpoints.
 
 Bits are compared wherever a replay claims them.  The w1 witness
-expectation and the spin-flip concurrence have the bits of their matrix
-products only on a BLAS kernel without fused multiply-adds (checked on
-OpenBLAS's Prescott kernel); on others they are within a few ulp.  The
-spin-flip chain rejects what the matrix route rejects, with its messages.
+expectation has the bits of its matrix product only on a BLAS kernel
+without fused multiply-adds (checked on OpenBLAS's Prescott kernel); on
+others it is within a few ulp.  The spin-flip chain takes K's singular
+values in closed form: it is checked against the matrix route to 4 ulp of
+1 on any kernel and against a 40-digit reference, and it rejects what the
+matrix route rejects, with its messages.
 """
 
+import decimal
 import math
-import os
 import platform
 import subprocess
 import sys
@@ -20,7 +22,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nmems import InputError, NumericalError, _xcore, sweep
+from nmems import InputError, NumericalError, _xcore, linalg, sweep
 from nmems.measures import (
     chsh_criterion,
     concurrence_wootters,
@@ -144,53 +146,98 @@ def test_w1_column_is_the_non_fma_matrix_product(tmp_path):
     assert result.stdout == b"0 1001\n"
 
 
-def _spin_flip_gaps() -> tuple:
-    """The spin-flip concurrence columns of sweeps over the family grid
-    and the whole domain of both Kraus modes, against the per-point matrix
-    route: how many defined cells differ in any bit, how many there are,
-    and the largest gap in units of ulp(1)."""
-    specs = [SweepSpec(p_min=0.0, p_max=1.0, p_steps=1001, theta_max=0.0, theta_steps=1,
-                       quantities=("concurrence_wootters",))]
-    specs += [SweepSpec(p_min=0.0, p_max=1.0, p_steps=41, theta_max=math.pi / 2,
-                        theta_steps=21, quantities=("concurrence_ad_wootters",),
-                        channel_mode=mode) for mode in ("correlated", "product")]
-    differ = n = 0
-    gap = 0.0
+# the spin-flip concurrence columns of sweeps over the family grid and the
+# whole domain of both Kraus modes
+_SPIN_FLIP_SPECS = [
+    SweepSpec(p_min=0.0, p_max=1.0, p_steps=1001, theta_max=0.0, theta_steps=1,
+              quantities=("concurrence_wootters",)),
+    *(SweepSpec(p_min=0.0, p_max=1.0, p_steps=41, theta_max=math.pi / 2, theta_steps=21,
+                quantities=("concurrence_ad_wootters",), channel_mode=mode)
+      for mode in ("correlated", "product")),
+]
+# the benchmark's 60 x 20 product sweep of the damped column
+_PRODUCT_BENCHMARK = SweepSpec(p_min=0.0, p_max=0.292, p_steps=60, theta_max=math.pi / 4,
+                               theta_steps=20, quantities=("concurrence_ad_wootters",),
+                               channel_mode="product")
+
+
+def _spin_flip_cells(specs: list):
+    """(spec, row, the cell's five numbers, value) of every defined cell of
+    the one-column sweeps ``specs``."""
     for spec in specs:
         (name,) = spec.quantities
         for row in run_sweep(spec):
             cell = row.values[name]
             if cell is not None:
-                want = QUANTITIES[name](row.p, row.theta, spec.channel_mode)
-                n += 1
-                differ += want.hex() != cell.hex()
-                gap = max(gap, abs(want - cell) / sys.float_info.epsilon)
-    return differ, n, gap
-
-
-@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
-                    reason="OPENBLAS_CORETYPE=Prescott selects an x86 kernel")
-def test_spin_flip_columns_are_the_non_fma_matrix_route(tmp_path):
-    # each sum of two products in sqrt(rho) and K is rounded as the Prescott
-    # zgemm kernel rounds it, so the dilation, and the value, are the same
-    env = {**_env(), "OPENBLAS_CORETYPE": "Prescott"}
-    env["PYTHONPATH"] += os.pathsep + os.path.dirname(__file__)
-    result = subprocess.run(
-        [sys.executable, "-c", "import test_xcore; print(*test_xcore._spin_flip_gaps())"],
-        capture_output=True, cwd=tmp_path, env=env, check=False,
-    )
-    assert result.returncode == 0, result.stderr
-    assert result.stdout == b"0 1904 0.0\n"
+                if name == "concurrence_wootters":
+                    x = _xcore._family_x(row.p)
+                else:
+                    x = sweep._mode_damped_x(spec.channel_mode, row.p, row.theta)
+                yield spec, row, x, cell
 
 
 def test_spin_flip_columns_are_near_the_matrix_route():
-    # on this process's BLAS kernel: with fused multiply-adds (OpenBLAS's
-    # Haswell, SkylakeX, Zen) 286 of the 1,904 values differ, by at most
-    # 2.75 ulp of 1; without them none does
-    differ, n, gap = _spin_flip_gaps()
+    # on any BLAS kernel; with OpenBLAS's SkylakeX kernel 449 of the 1,904
+    # values differ in some bit, by at most 2.5 ulp of 1
+    n = 0
+    gap = 0.0
+    for spec, row, _, cell in _spin_flip_cells(_SPIN_FLIP_SPECS):
+        (name,) = spec.quantities
+        want = QUANTITIES[name](row.p, row.theta, spec.channel_mode)
+        n += 1
+        gap = max(gap, abs(want - cell) / sys.float_info.epsilon)
     assert n == 1_904
-    assert differ in (0, 286)
     assert gap <= 4.0
+
+
+_CONTEXT = decimal.Context(prec=40)
+
+
+def _reference_concurrence(a: float, c: float, e: float) -> decimal.Decimal:
+    """2 max(0, |c| - sqrt(a e)) at 40 digits: the concurrence of the
+    corner-free X state with those entries (Yu and Eberly, QIC 7, 459)."""
+    root = _CONTEXT.sqrt(_CONTEXT.multiply(decimal.Decimal(a), decimal.Decimal(e)))
+    gap = _CONTEXT.subtract(abs(decimal.Decimal(c)), root)
+    return max(decimal.Decimal(0), _CONTEXT.multiply(2, gap))
+
+
+def test_spin_flip_columns_are_near_the_reference():
+    # within 2 ulp of 1 of the 40-digit value (1.88 measured); the printed
+    # 12 digits are the correctly rounded ones but in two cells, where the
+    # true value sits within an ulp of 1 of a rounding boundary
+    rounded = decimal.Context(prec=12)
+    n = 0
+    worst = decimal.Decimal(0)
+    off = []
+    for spec, row, (a, _, c, _, e), cell in _spin_flip_cells(
+            [*_SPIN_FLIP_SPECS, _PRODUCT_BENCHMARK]):
+        ref = _reference_concurrence(a, c, e)
+        n += 1
+        worst = max(worst, abs(decimal.Decimal(cell) - ref))
+        printed = sweep._format_value(cell)
+        if decimal.Decimal(printed) != rounded.plus(ref):
+            off.append((spec.channel_mode, a, printed, str(rounded.plus(ref))))
+    assert n == 3_104
+    assert worst <= 2 * sys.float_info.epsilon
+    assert off == [
+        ("closed_form", 0.38083333333333336, "0.0107535846439", "0.0107535846438"),
+        ("product", 0.7084827074757168, "0.000416115626612", "0.000416115626613"),
+    ]
+
+
+@pytest.mark.parametrize("x", [
+    (1.0, 0.0, 0.0, 0.0, 0.0),  # pure |00>: K = 0, sigma_1 = 0
+    (0.0, 0.5, 0.5, 0.5, 0.0),  # a Bell state
+    (0.5, 0.0, 0.0, 0.0, 0.5),  # B = 0 beside nonzero corners
+    (0.25, 0.25, 0.25, 0.25, 0.25),
+    (0.3, 0.2, 0.0, 0.2, 0.3),  # b == d, c = 0: no rotation
+], ids=["pure", "bell", "corners", "rank_three", "degenerate"])
+def test_spin_flip_chain_at_rank_deficient_edges(x):
+    got = _xcore._x_concurrence_wootters(*x)
+    want = concurrence_wootters(DensityMatrix._from_x(*x))
+    assert abs(got - want) <= 4 * sys.float_info.epsilon
+    assert abs(decimal.Decimal(got) - _reference_concurrence(x[0], x[2], x[4])) \
+        <= 2 * sys.float_info.epsilon
 
 
 @pytest.mark.parametrize("x", [
@@ -210,20 +257,13 @@ def test_spin_flip_chain_rejects_as_the_matrix_route(x):
 
 def test_spin_flip_jacobi_cap_propagates(monkeypatch):
     # two sweeps converge the state's single rotation but not the
-    # dilation's {1, 2, 5, 6} block, on either route; the sweep aborts
+    # dilation's; the matrix route aborts, and the scalar chain, which
+    # takes K's singular values in closed form, has no iteration to cap
     x = sweep._mode_damped_x("product", 0.1, 0.4)
     rho = DensityMatrix._from_x(*x)
-    monkeypatch.setattr(_xcore, "JACOBI_MAX_SWEEPS", 2)
-    with pytest.raises(NumericalError) as want:
+    monkeypatch.setattr(linalg, "JACOBI_MAX_SWEEPS", 2)
+    with pytest.raises(NumericalError, match="did not converge in 2 sweeps"):
         concurrence_wootters(rho)
-    with pytest.raises(NumericalError) as got:
-        _xcore._x_concurrence_wootters(*x)
-    assert str(got.value) == str(want.value) == "Jacobi iteration did not converge in 2 sweeps"
-    for name in ("concurrence_wootters", "concurrence_ad_wootters"):
-        spec = SweepSpec(p_min=0.1, p_max=0.1, p_steps=1, theta_min=0.4, theta_max=0.4,
-                         theta_steps=1, quantities=(name,), channel_mode="product")
-        with pytest.raises(NumericalError, match="did not converge in 2 sweeps"):
-            run_sweep(spec)
 
 
 @pytest.mark.parametrize("table,k", [("_GHZ_REDUCED", 0), ("_W_REDUCED", 2),
