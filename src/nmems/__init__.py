@@ -39,7 +39,8 @@ _EXPORTS = {
     ),
     "sweep": (
         "CHANNEL_MODES", "PRESETS", "SweepRow", "SweepSpec", "emit_csv",
-        "entanglement_boundary", "preset_spec", "report_headlines", "run_sweep",
+        "entanglement_boundary", "iter_sweep", "preset_spec", "report_headlines",
+        "run_sweep",
     ),
     "witnesses": (
         "WitnessOperator", "WitnessVerdict", "evaluate", "witness_generic",
@@ -90,6 +91,7 @@ __all__ = [
     "ghz_reduced",
     "ghz_state",
     "hermitian_eigen",
+    "iter_sweep",
     "kraus_channel",
     "kron",
     "mid_adc",

@@ -150,11 +150,26 @@ def _family(p: float) -> tuple:
 def _damped_x(p: float, theta: float) -> tuple:
     """(a, b, c, d, e) of nmems_ad(p, theta), range checks included."""
     p = _check_range("p", p, 0.0, 1.0)
+    return _family_damped_x(_family_x(p), _closed_form_factors(theta))
+
+
+def _closed_form_factors(theta: float) -> tuple:
+    """((1 - gamma), (1 - gamma)^2) with gamma = sin^2 theta, the factors of
+    nmems_ad at one theta, after its range check on theta."""
     theta = _check_range("theta", theta, 0.0, math.pi / 2.0)
     gamma = math.sin(theta) ** 2
-    a, z, _, _, e = _family_x(p)
-    z = z * (1.0 - gamma)
-    return a, z, z, z, e * (1.0 - gamma) ** 2
+    return 1.0 - gamma, (1.0 - gamma) ** 2
+
+
+def _family_damped_x(x: tuple, factors: tuple) -> tuple:
+    """(a, b, c, d, e) of nmems_ad for the family's five numbers ``x``
+    (``_family_x``) and the ``_closed_form_factors`` of theta: the coherence
+    block scales by (1 - gamma), the |11> weight by (1 - gamma)^2 and the
+    |00> weight stays, so the lost trace is not put back."""
+    a, z, _, _, e = x
+    one_g, one_g2 = factors
+    z = z * one_g
+    return a, z, z, z, e * one_g2
 
 
 def _adc_pair_x(a: float, b: float, c: float, d: float, e: float, gamma: float,
@@ -172,15 +187,35 @@ def _adc_pair_x(a: float, b: float, c: float, d: float, e: float, gamma: float,
     (A negative or -0.0 entry can give -0.0 here where the matrix holds
     0.0.)
     """
+    image = _correlated_pair_x if correlated else _product_pair_x
+    return image((a, b, c, d, e), _adc_factors(gamma))
+
+
+def _adc_factors(gamma: float) -> tuple:
+    """(s, g, s s, g g, g s) with s = sqrt(1 - gamma) and g = sqrt(gamma),
+    the Kraus amplitudes of adc(gamma) and their products, after ``adc``'s
+    range check on gamma."""
     gamma = _check_range("gamma", gamma, 0.0, 1.0)
     s = math.sqrt(1.0 - gamma)
     g = math.sqrt(gamma)
-    ss, gg, gs = s * s, g * g, g * s
-    if correlated:
-        # K0 x K0, then K1 x K1, which moves |11> onto |00>
-        return a + (gg * e) * gg, (s * b) * s, (s * c) * s, (s * d) * s, (ss * e) * ss
-    # K0 x K0, K0 x K1, K1 x K0, K1 x K1: the middle two each move one
-    # excitation down
+    return s, g, s * s, g * g, g * s
+
+
+def _correlated_pair_x(x: tuple, factors: tuple) -> tuple:
+    """``_adc_pair_x`` with ``correlated``, given the five numbers ``x`` and
+    the ``_adc_factors`` of gamma: K0 x K0, then K1 x K1, which moves |11>
+    onto |00>."""
+    a, b, c, d, e = x
+    s, _, ss, gg, _ = factors
+    return a + (gg * e) * gg, (s * b) * s, (s * c) * s, (s * d) * s, (ss * e) * ss
+
+
+def _product_pair_x(x: tuple, factors: tuple) -> tuple:
+    """``_adc_pair_x`` without ``correlated``, given the five numbers ``x``
+    and the ``_adc_factors`` of gamma: K0 x K0, K0 x K1, K1 x K0, K1 x K1,
+    where the middle two each move one excitation down."""
+    a, b, c, d, e = x
+    s, g, ss, gg, gs = factors
     return (
         ((a + (g * b) * g) + (g * d) * g) + (gg * e) * gg,
         (s * b) * s + (gs * e) * gs,

@@ -22,10 +22,9 @@ from .sweep import (
     PRESETS,
     QUANTITY_NAMES,
     SweepSpec,
-    emit_csv,
     preset_spec,
     report_headlines,
-    run_sweep,
+    stream_csv,
 )
 
 EXIT_OK = 0
@@ -148,7 +147,7 @@ def _run_sweep_command(ns) -> int:
         raise InputError("an output path is required (--out or 'out =' in the file)")
     quantities = _split_quantities(settings.pop("quantities", ""))
     spec = SweepSpec(**settings, quantities=quantities)
-    emit_csv(run_sweep(spec), out)
+    stream_csv(spec, out)
     print(f"wrote {out}")
     return EXIT_OK
 
@@ -156,7 +155,7 @@ def _run_sweep_command(ns) -> int:
 def _run_preset_command(ns) -> int:
     spec = preset_spec(ns.name)
     out = ns.out or f"{ns.name}.csv"
-    emit_csv(run_sweep(spec), out)
+    stream_csv(spec, out)
     print(f"wrote {out}")
     return EXIT_OK
 

@@ -9,6 +9,11 @@ being dropped; any other rejected input or numerical failure aborts the
 sweep.  CSV output is byte-deterministic: 12 significant digits, LF
 newlines, the literal token NA.
 
+One generator (``_walk``) evaluates every sweep: ``iter_sweep`` yields
+its rows lazily, ``run_sweep`` collects them as SweepRows, and
+``stream_csv``, which the CLI calls, writes each CSV line as its row is
+evaluated, so memory does not grow with the grid.
+
 Every column has one route: a function of the five numbers of the
 family state (_P_ONLY) or of the cell's damped state (_DAMPED), on the
 scalar core (``_xcore``), or the closed form fidelity_ad_closed_form.  The
@@ -23,17 +28,19 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
 
 from ._xcore import (
     _WITNESS_ENTRIES,
     UNIT,
     USEFULNESS_MARGIN,
-    _adc_pair_x,
+    _adc_factors,
     _check_x_params,
-    _damped_x,
+    _closed_form_factors,
+    _correlated_pair_x,
     _family,
+    _family_damped_x,
     _family_x,
+    _product_pair_x,
     _require_unit,
     _spectrum_entropy,
     _x_chsh,
@@ -101,7 +108,7 @@ _P_ONLY = {
 }
 
 # damped columns, on the (x, eigenvalues, trace tag) of the cell's damped
-# state (_mode_damped_x, _xcore._x_spectrum) and the entropy of nmems(p),
+# state (_DAMPING, _xcore._x_spectrum) and the entropy of nmems(p),
 # in every channel mode, with no Kraus channel and no per-cell state
 _DAMPED = {
     "concurrence_ad": lambda x, vals, tag, entropy: _x_concurrence(*_x_params(*x)),
@@ -114,55 +121,102 @@ _DAMPED = {
 }
 
 
-@dataclass(frozen=True)
-class SweepSpec:
-    p_min: float = 0.0
-    p_max: float = 0.292
-    p_steps: int = 293
-    theta_min: float = 0.0
-    theta_max: float = math.pi / 4.0
-    theta_steps: int = 46
-    quantities: tuple = ()
-    channel_mode: str = MODE_CLOSED_FORM
+class _Frozen:
+    """What ``@dataclass(frozen=True)`` gives a class whose fields are named
+    in ``_FIELDS``, without importing dataclasses (about 10 ms of every
+    command's start-up): equality and hash on the tuple of the fields,
+    between instances of one class only, a repr of the fields, and an
+    AttributeError on every assignment or deletion after ``__init__``."""
 
-    def __post_init__(self):
-        for name, lo, hi in (("p", self.p_min, self.p_max),
-                             ("theta", self.theta_min, self.theta_max)):
+    _FIELDS = ()
+
+    def _astuple(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._FIELDS)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._astuple() == other._astuple()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._astuple())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._FIELDS)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class SweepSpec(_Frozen):
+    """A validated sweep: the p and theta grids, the columns in output
+    order and the channel mode.  Immutable; equal specs compare and hash
+    equal."""
+
+    _FIELDS = __match_args__ = (
+        "p_min", "p_max", "p_steps", "theta_min", "theta_max", "theta_steps",
+        "quantities", "channel_mode",
+    )
+
+    def __init__(self, p_min: float = 0.0, p_max: float = 0.292, p_steps: int = 293,
+                 theta_min: float = 0.0, theta_max: float = math.pi / 4.0,
+                 theta_steps: int = 46, quantities: tuple = (),
+                 channel_mode: str = MODE_CLOSED_FORM):
+        for name, lo, hi in (("p", p_min, p_max), ("theta", theta_min, theta_max)):
             if not (math.isfinite(lo) and math.isfinite(hi)):
                 raise InputError(f"{name} range must be finite")
             if lo > hi:
                 raise InputError(f"{name}_min {lo!r} exceeds {name}_max {hi!r}")
-        if not (0.0 <= self.p_min and self.p_max <= 1.0):
+        if not (0.0 <= p_min and p_max <= 1.0):
             raise InputError("p range must lie inside [0, 1]")
-        if not (0.0 <= self.theta_min and self.theta_max <= math.pi / 2.0):
+        if not (0.0 <= theta_min and theta_max <= math.pi / 2.0):
             raise InputError("theta range must lie inside [0, pi/2]")
-        for steps in (self.p_steps, self.theta_steps):
+        for steps in (p_steps, theta_steps):
             if isinstance(steps, bool) or not isinstance(steps, int) or steps < 1:
                 raise InputError(f"step counts must be integers >= 1, got {steps!r}")
-        if not self.quantities:
+        # a one-point axis sits on its min; a max it would never reach is a
+        # mistake, not a request
+        for name, lo, hi, steps in (("p", p_min, p_max, p_steps),
+                                    ("theta", theta_min, theta_max, theta_steps)):
+            if steps == 1 and lo != hi:
+                raise InputError(
+                    f"{name}_steps is 1 but {name}_min {lo!r} differs from "
+                    f"{name}_max {hi!r}; a one-point axis needs equal ends"
+                )
+        if not quantities:
             raise InputError(
                 "no quantities requested; choose from: " + ", ".join(QUANTITY_NAMES)
             )
-        unknown = [q for q in self.quantities if q not in QUANTITY_NAMES]
+        unknown = [q for q in quantities if q not in QUANTITY_NAMES]
         if unknown:
             raise InputError(
                 f"unknown quantities {unknown}; choose from: " + ", ".join(QUANTITY_NAMES)
             )
-        if len(set(self.quantities)) != len(self.quantities):
+        if len(set(quantities)) != len(quantities):
             raise InputError("duplicate quantity identifiers")
-        if self.channel_mode not in CHANNEL_MODES:
+        if channel_mode not in CHANNEL_MODES:
             raise InputError(
-                f"unknown channel mode {self.channel_mode!r}; "
+                f"unknown channel mode {channel_mode!r}; "
                 f"choose from: {', '.join(CHANNEL_MODES)}"
             )
-        object.__setattr__(self, "quantities", tuple(self.quantities))
+        vars(self).update(p_min=p_min, p_max=p_max, p_steps=p_steps, theta_min=theta_min,
+                          theta_max=theta_max, theta_steps=theta_steps,
+                          quantities=tuple(quantities), channel_mode=channel_mode)
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    p: float
-    theta: float
-    values: dict = field(default_factory=dict)
+class SweepRow(_Frozen):
+    """One grid point of ``run_sweep``: p, theta and the values by column
+    name, None where a cell is NA.  Immutable, but ``values`` is a dict, so
+    a row does not hash."""
+
+    _FIELDS = __match_args__ = ("p", "theta", "values")
+
+    def __init__(self, p: float, theta: float, values: dict | None = None):
+        vars(self).update(p=p, theta=theta, values={} if values is None else values)
 
     def columns(self) -> tuple:
         return tuple(self.values.keys())
@@ -180,51 +234,100 @@ def _grid(lo: float, hi: float, steps: int) -> list:
     return [lo + i * (hi - lo) / (steps - 1) for i in range(steps - 1)] + [hi]
 
 
+def _adc_theta_factors(theta: float) -> tuple:
+    """``_adc_factors`` of gamma = sin^2 theta, with adc's range check."""
+    return _adc_factors(math.sin(theta) ** 2)
+
+
+# per channel mode: (the factors of one theta, with that mode's range check
+# on theta or gamma; the damped state's five numbers from the family's
+# five numbers and those factors)
+_DAMPING = {
+    MODE_CLOSED_FORM: (_closed_form_factors, _family_damped_x),
+    MODE_CORRELATED: (_adc_theta_factors, _correlated_pair_x),
+    MODE_PRODUCT: (_adc_theta_factors, _product_pair_x),
+}
+
+
 def _mode_damped_x(mode: str, p: float, theta: float) -> tuple:
     """(a, b, c, d, e) of ``registry._damped(p, theta, mode)``, with its
-    bits and its range checks on theta or gamma; SweepSpec checks the grid's
-    p range."""
-    if mode == MODE_CLOSED_FORM:
-        return _damped_x(p, theta)
-    return _adc_pair_x(*_family_x(p), math.sin(theta) ** 2,
-                       correlated=mode == MODE_CORRELATED)
+    bits and its range checks on theta or gamma, as a sweep takes it at
+    one cell; SweepSpec checks the grid's p range."""
+    factors, image = _DAMPING[mode]
+    return image(_family_x(p), factors(theta))
+
+
+def _as_is(value):
+    return value
+
+
+def _walk(spec: SweepSpec, cell):
+    """The sweep engine: yields each grid point as the tuple
+    (p, theta, *values), values in ``spec.quantities`` order and None
+    where a cell is NA, each entry passed through ``cell`` (``_as_is`` for
+    ``iter_sweep``, ``_format_value`` for the CSV); p outer, theta inner.
+
+    Lazy: each p is evaluated when its first row is asked for.  Once per
+    theta, before the first row: that theta's ``cell`` and, if a damped
+    column is asked for, the mode's damping factors with their range check.
+    Once per p: the family state with nmems' checks (``_xcore._family``),
+    p's ``cell`` and the _P_ONLY columns, shared by that p's thetas.  Per
+    cell: the damped state from the family's numbers and the theta's
+    factors, its checks (``_xcore._x_spectrum``), the _DAMPED columns and
+    fidelity_ad_closed_form.
+    """
+    quantities = spec.quantities
+    p_only = [(i, _P_ONLY[name]) for i, name in enumerate(quantities, 2) if name in _P_ONLY]
+    damped = [(i, _DAMPED[name]) for i, name in enumerate(quantities, 2) if name in _DAMPED]
+    closed_form = [i for i, name in enumerate(quantities, 2)
+                   if name == "fidelity_ad_closed_form"]
+    factors_of, image = _DAMPING[spec.channel_mode]
+    thetas = [
+        (theta, cell(theta), factors_of(theta) if damped else None)
+        for theta in _grid(spec.theta_min, spec.theta_max, spec.theta_steps)
+    ]
+    row = [None] * (2 + len(quantities))
+    for p in _grid(spec.p_min, spec.p_max, spec.p_steps):
+        base = _family(p)
+        row[0] = cell(p)
+        for i, column in p_only:
+            row[i] = cell(column(*base))
+        if damped:
+            family_x = base[0]
+            entropy = _P_ONLY["entropy"](*base)
+        for theta, theta_cell, factors in thetas:
+            row[1] = theta_cell
+            if damped:
+                x = image(family_x, factors)
+                vals, tag = _x_spectrum(*x)
+                for i, column in damped:
+                    row[i] = cell(column(x, vals, tag, entropy))
+            for i in closed_form:
+                row[i] = cell(fidelity_ad_closed_form(p, theta))
+            yield tuple(row)
+
+
+def iter_sweep(spec: SweepSpec):
+    """Evaluate the grid lazily: yields (p, theta, *values) per grid point
+    in (p outer, theta inner) order, the values in ``spec.quantities``
+    order.
+
+    The spin-flip concurrence of a sub-normalized damped state is
+    undefined and yielded as None (NA in the CSV); any InputError or
+    NumericalError an evaluator raises propagates when its row is asked
+    for.  Each p's family state and p-only columns are evaluated once,
+    when its first row is asked for; see ``_walk``.
+    """
+    return _walk(spec, _as_is)
 
 
 def run_sweep(spec: SweepSpec) -> list:
-    """Evaluate the grid; returns rows in (p outer, theta inner) order.
-
-    The spin-flip concurrence of a sub-normalized damped state is undefined,
-    held as None and emitted as NA; any InputError or NumericalError an
-    evaluator raises propagates, so no partial grid is returned.
-
-    Each p's family state passes nmems' checks once (``_xcore._family``);
-    the _P_ONLY columns are evaluated from it once per p and shared by that
-    p's thetas.  Each cell's damped state passes its checks once
-    (``_mode_damped_x``, ``_xcore._x_spectrum``), and the _DAMPED columns
-    are evaluated from it; fidelity_ad_closed_form is evaluated per cell.
-    """
-    theta_values = _grid(spec.theta_min, spec.theta_max, spec.theta_steps)
-    p_only = [(name, _P_ONLY[name]) for name in spec.quantities if name in _P_ONLY]
-    damped = [(name, _DAMPED[name]) for name in spec.quantities if name in _DAMPED]
-    closed_form = "fidelity_ad_closed_form" in spec.quantities
-    mode = spec.channel_mode
-    rows = []
-    for p in _grid(spec.p_min, spec.p_max, spec.p_steps):
-        base = _family(p)
-        shared = {name: column(*base) for name, column in p_only}
-        entropy = _P_ONLY["entropy"](*base)
-        for theta in theta_values:
-            cells = dict(shared)
-            if damped:
-                x = _mode_damped_x(mode, p, theta)
-                vals, tag = _x_spectrum(*x)
-                for name, column in damped:
-                    cells[name] = column(x, vals, tag, entropy)
-            if closed_form:
-                cells["fidelity_ad_closed_form"] = fidelity_ad_closed_form(p, theta)
-            values = {name: cells[name] for name in spec.quantities}
-            rows.append(SweepRow(p=p, theta=theta, values=values))
-    return rows
+    """Evaluate the whole grid; returns ``iter_sweep``'s rows as SweepRows,
+    in the same order.  An error at any cell propagates, so no partial grid
+    is returned."""
+    names = spec.quantities
+    return [SweepRow(p=row[0], theta=row[1], values=dict(zip(names, row[2:])))
+            for row in iter_sweep(spec)]
 
 
 def _format_value(v) -> str:
@@ -235,37 +338,31 @@ def _format_value(v) -> str:
     return f"{v + 0.0:.12g}"
 
 
-def emit_csv(rows: list, path: str) -> None:
-    """Write rows as UTF-8 CSV: header p,theta,<quantities>, 12 significant
-    digits, NA for undefined cells, LF newlines.
+def _write_lines(path: str, header: str, lines) -> None:
+    """Write the header and then each line of the iterable ``lines`` to
+    ``path``, the shared writer of ``emit_csv`` and ``stream_csv``.
 
     The bytes go to a temporary file next to ``path``, which replaces
-    ``path`` only once all of them are written: a failed write leaves no
-    partial CSV behind and any earlier file at ``path`` as it was.  A
-    symbolic link is followed, so the file it names is replaced; a path
-    that exists and is not a regular file (a pipe, or a device such as
-    /dev/stdout) is written through instead.
+    ``path`` only once all of them are written: a failed write, or an error
+    raised while ``lines`` is consumed, leaves no partial CSV behind and
+    any earlier file at ``path`` as it was.  A symbolic link is followed,
+    so the file it names is replaced.  A path that exists and is not a
+    regular file (a pipe, or a device such as /dev/stdout) is written
+    through instead; ``lines`` is then consumed in full before the first
+    byte is written, so a reader of a pipe gets the whole CSV or nothing.
     """
-    if rows:
-        columns = rows[0].columns()
-        for row in rows:
-            if row.columns() != columns:
-                raise InputError("rows do not share an identical column set")
-    else:
-        columns = ()
-    header = ",".join(("p", "theta") + columns)
     real = os.path.realpath(path)
     through = os.path.exists(real) and not os.path.isfile(real)
+    if through:
+        lines = list(lines)
     head, tail = os.path.split(real)
     tmp = real if through else os.path.join(head, f".{tail}.{os.getpid()}.tmp")
     try:
         try:
             with open(tmp, "w", encoding="utf-8", newline="") as fh:
-                fh.write(header + "\n")
-                for row in rows:
-                    cells = [_format_value(row.p), _format_value(row.theta)]
-                    cells.extend(_format_value(row.values[c]) for c in columns)
-                    fh.write(",".join(cells) + "\n")
+                fh.write(header)
+                for line in lines:
+                    fh.write(line)
             if not through:
                 os.replace(tmp, real)
         except BaseException:
@@ -277,6 +374,39 @@ def emit_csv(rows: list, path: str) -> None:
             raise
     except OSError as exc:
         raise OSError(f"cannot write CSV to {path!r}: {exc}") from exc
+
+
+def _csv_line(cells) -> str:
+    return ",".join(cells) + "\n"
+
+
+def emit_csv(rows: list, path: str) -> None:
+    """Write SweepRows as UTF-8 CSV: header p,theta,<quantities>, 12
+    significant digits, NA for undefined cells, LF newlines; see
+    ``_write_lines`` for how ``path`` is replaced."""
+    if rows:
+        columns = rows[0].columns()
+        for row in rows:
+            if row.columns() != columns:
+                raise InputError("rows do not share an identical column set")
+    else:
+        columns = ()
+    lines = (
+        _csv_line(map(_format_value, (row.p, row.theta, *(row.values[c] for c in columns))))
+        for row in rows
+    )
+    _write_lines(path, _csv_line(("p", "theta") + columns), lines)
+
+
+def stream_csv(spec: SweepSpec, path: str) -> None:
+    """Evaluate the sweep of ``spec`` and write it to ``path`` as
+    ``emit_csv`` writes ``run_sweep(spec)``, byte for byte, each line as
+    its row is evaluated: no row is kept, and p, theta and the p-only
+    columns are formatted once per value.  An error at any cell leaves no
+    CSV and no temporary file, and any earlier file at ``path`` as it was;
+    a pipe or device target gets nothing (``_write_lines``)."""
+    _write_lines(path, _csv_line(("p", "theta") + spec.quantities),
+                 map(_csv_line, _walk(spec, _format_value)))
 
 
 # figure presets; p grids stop one step short of the open right endpoint

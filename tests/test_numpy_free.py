@@ -1,10 +1,11 @@
 """The figure presets, the headline report, ``--help`` and sweeps of any
-of the columns run without numpy.
+of the columns run without numpy, and without dataclasses.
 
 Each command runs in a fresh interpreter as ``python -m nmems`` does, and
-reports at exit whether numpy was ever imported, or runs where numpy cannot
-be imported.  ``nmems`` exports its names lazily: each resolves on first
-access and is cached in the module.
+reports at exit whether numpy or dataclasses was ever imported, or runs
+where numpy cannot be imported.  ``nmems`` exports its names lazily: each
+resolves on first access and is cached in the module.  A streamed sweep's
+peak memory does not grow with its grid.
 """
 
 import hashlib
@@ -26,14 +27,20 @@ from test_output_identity import (
     SWEEP_SHA256,
 )
 
-# python -m nmems ARGS..., with a report of numpy's presence at exit (after
-# any SystemExit, such as argparse's after --help)
+# modules no CLI command needs: numpy (the per-point matrix API) and
+# dataclasses (about 10 ms of start-up)
+_UNWANTED = ("numpy", "dataclasses")
+
+# python -m nmems ARGS..., with a report of which _UNWANTED modules were
+# imported, at exit (after any SystemExit, such as argparse's after --help)
 _CLI = """
 import atexit, runpy, sys
-atexit.register(lambda: sys.stderr.write(f"numpy loaded: {'numpy' in sys.modules}\\n"))
+unwanted = %r
+atexit.register(lambda: sys.stderr.write(
+    "loaded: " + ",".join(m for m in unwanted if m in sys.modules) + "\\n"))
 sys.argv = ["nmems", *sys.argv[1:]]
 runpy.run_module("nmems", run_name="__main__", alter_sys=True)
-"""
+""" % (_UNWANTED,)
 
 
 def _env() -> dict:
@@ -50,11 +57,11 @@ def _python(args: list, cwd) -> subprocess.CompletedProcess:
 
 
 def _cli(args: list, cwd) -> tuple:
-    """(exit code, stdout bytes, whether numpy was imported) of one run."""
+    """(exit code, stdout bytes, the _UNWANTED modules imported) of one run."""
     result = _python(["-c", _CLI, *args], cwd)
     last = result.stderr.decode("utf-8").splitlines()[-1]
-    assert last in ("numpy loaded: True", "numpy loaded: False"), result.stderr
-    return result.returncode, result.stdout, last == "numpy loaded: True"
+    assert last.startswith("loaded: "), result.stderr
+    return result.returncode, result.stdout, set(filter(None, last[8:].split(",")))
 
 
 def test_import_loads_no_numpy(tmp_path):
@@ -66,14 +73,14 @@ def test_import_loads_no_numpy(tmp_path):
 def test_help_loads_no_numpy(tmp_path):
     code, out, loaded = _cli(["--help"], tmp_path)
     assert code == 0 and b"headlines" in out
-    assert not loaded
+    assert loaded == set()
 
 
 @pytest.mark.parametrize("name", sorted(PRESET_SHA256))
 def test_preset_loads_no_numpy(name, tmp_path):
     code, _, loaded = _cli(["preset", name, "--out", "out.csv"], tmp_path)
     assert code == 0
-    assert not loaded
+    assert loaded == set()
     digest = hashlib.sha256((tmp_path / "out.csv").read_bytes()).hexdigest()
     assert digest[:16] == PRESET_SHA256[name]
 
@@ -81,7 +88,7 @@ def test_preset_loads_no_numpy(name, tmp_path):
 def test_headlines_load_no_numpy(tmp_path):
     code, out, loaded = _cli(["headlines"], tmp_path)
     assert code == 0
-    assert not loaded
+    assert loaded == set()
     assert hashlib.sha256(out).hexdigest()[:16] == HEADLINES_SHA256
 
 
@@ -95,11 +102,45 @@ def test_all_quantity_sweep_loads_no_numpy(tmp_path):
             "--channel-mode", mode, "--out", "out.csv",
         ], tmp_path)
         assert code == 0, mode
-        assert not loaded, mode
+        assert loaded == set(), mode
         spec = SweepSpec(p_max=0.3, p_steps=4, theta_max=0.7853981633974483, theta_steps=3,
                          quantities=QUANTITY_NAMES, channel_mode=mode)
         emit_csv(run_sweep(spec), str(tmp_path / "want.csv"))
         assert (tmp_path / "out.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+# python -m nmems ARGS..., with the process's own peak resident size
+# (VmHWM, in kB) at exit; ru_maxrss of a child can carry its parent's size
+# across fork and exec
+_PEAK = """
+import atexit, runpy, sys
+def report():
+    with open("/proc/self/status") as fh:
+        peak = [line.split()[1] for line in fh if line.startswith("VmHWM:")]
+    sys.stderr.write(f"VmHWM kB: {peak[0]}\\n")
+atexit.register(report)
+sys.argv = ["nmems", *sys.argv[1:]]
+runpy.run_module("nmems", run_name="__main__", alter_sys=True)
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux /proc")
+def test_sweep_memory_does_not_grow_with_the_grid(tmp_path):
+    # rows are written as they are evaluated, none kept: 100,000 rows peak
+    # within 10 MB of 100 rows (keeping them took about 0.33 kB a row)
+    peaks = []
+    for p_steps, theta_steps in ((10, 10), (500, 200)):
+        result = _python([
+            "-c", _PEAK, "sweep", "--p-max", "0.292", "--p-steps", str(p_steps),
+            "--theta-max", "pi/4", "--theta-steps", str(theta_steps),
+            "--quantities", "entropy_ad", "--out", "out.csv",
+        ], tmp_path)
+        assert result.returncode == 0, result.stderr
+        last = result.stderr.decode("utf-8").splitlines()[-1]
+        assert last.startswith("VmHWM kB: "), result.stderr
+        peaks.append(int(last.split()[-1]))
+        assert (tmp_path / "out.csv").read_bytes().count(b"\n") == 1 + p_steps * theta_steps
+    assert peaks[1] - peaks[0] <= 10 * 1024, peaks
 
 
 # python -m nmems ARGS... where numpy cannot be imported

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -27,11 +28,14 @@ from nmems.sweep import (
     NA_TOKEN,
     PRESETS,
     QUANTITIES,
+    QUANTITY_NAMES,
     SweepRow,
     SweepSpec,
     emit_csv,
+    iter_sweep,
     preset_spec,
     report_headlines,
+    stream_csv,
     _DAMPED,
     _P_ONLY,
     _grid,
@@ -107,12 +111,30 @@ def _specs(draw, modes=CHANNEL_MODES, names=tuple(QUANTITIES), max_steps=4):
     t_lo, t_hi = sorted(draw(st.tuples(
         st.floats(0.0, math.pi / 2) | quarter, st.floats(0.0, math.pi / 2) | quarter
     )))
+    p_steps = draw(st.integers(1, max_steps))
+    theta_steps = draw(st.integers(1, max_steps))
+    # a one-point axis needs equal ends
     return SweepSpec(
-        p_min=p_lo, p_max=p_hi, p_steps=draw(st.integers(1, max_steps)),
-        theta_min=t_lo, theta_max=t_hi, theta_steps=draw(st.integers(1, max_steps)),
+        p_min=p_lo, p_max=p_lo if p_steps == 1 else p_hi, p_steps=p_steps,
+        theta_min=t_lo, theta_max=t_lo if theta_steps == 1 else t_hi, theta_steps=theta_steps,
         quantities=tuple(draw(st.lists(st.sampled_from(names), min_size=1, unique=True))),
         channel_mode=draw(st.sampled_from(modes)),
     )
+
+
+def _hook_damping(monkeypatch, hook):
+    """Make the sweep's damped state at each cell, in every mode,
+    ``hook(family_x, theta)``, or the real one where the hook returns None.
+
+    The sweep takes each theta's damping factors once (the first entry of
+    ``_DAMPING[mode]``) and the damped state per cell from the family's
+    five numbers and those factors (the second); the hooked factors carry
+    theta along."""
+    for mode, (factors_of, image) in list(sweep._DAMPING.items()):
+        monkeypatch.setitem(sweep._DAMPING, mode, (
+            lambda theta, factors_of=factors_of: (theta, factors_of(theta)),
+            lambda x, factors, image=image: hook(x, factors[0]) or image(x, factors[1]),
+        ))
 
 
 class TestSweepSpecValidation:
@@ -154,6 +176,88 @@ class TestSweepSpecValidation:
         _tiny_spec(theta_max=math.pi / 2)
         with pytest.raises(InputError):
             _tiny_spec(theta_max=math.nextafter(math.pi / 2, 2.0))
+
+    @pytest.mark.parametrize("axis", ["p", "theta"])
+    def test_one_point_axis_needs_equal_ends(self, axis):
+        # one step sits on the min; a max it would drop is rejected (the
+        # messages are pinned in TestSweepSpecContract)
+        with pytest.raises(InputError, match=f"^{axis}_steps is 1 "):
+            _tiny_spec(**{f"{axis}_steps": 1, f"{axis}_max": 0.2})
+        spec = _tiny_spec(**{f"{axis}_steps": 1, f"{axis}_min": 0.2, f"{axis}_max": 0.2})
+        assert {getattr(row, axis) for row in run_sweep(spec)} == {0.2}
+
+
+class TestSweepSpecContract:
+    # the fields, defaults, equality, hash, repr, immutability and messages
+    # SweepSpec had as a frozen dataclass
+    FIELDS = ("p_min", "p_max", "p_steps", "theta_min", "theta_max", "theta_steps",
+              "quantities", "channel_mode")
+
+    def test_field_order_and_defaults(self):
+        spec = SweepSpec(quantities=("concurrence",))
+        assert SweepSpec.__match_args__ == self.FIELDS
+        assert [getattr(spec, name) for name in self.FIELDS] == [
+            0.0, 0.292, 293, 0.0, math.pi / 4, 46, ("concurrence",), "closed_form",
+        ]
+        positional = SweepSpec(0.1, 0.2, 2, 0.0, 0.0, 1, ["mid"], "product")
+        assert [getattr(positional, name) for name in self.FIELDS] == [
+            0.1, 0.2, 2, 0.0, 0.0, 1, ("mid",), "product",
+        ]
+
+    def test_equal_specs_compare_and_hash_equal(self):
+        a = _tiny_spec(quantities=("concurrence", "mid"))
+        b = _tiny_spec(quantities=["concurrence", "mid"])
+        assert a == b and not a != b
+        assert hash(a) == hash(b) and len({a, b}) == 1
+        assert a != _tiny_spec(quantities=("mid", "concurrence"))
+        assert a != _tiny_spec(quantities=("concurrence", "mid"), channel_mode="product")
+        assert a.__eq__(tuple(getattr(a, name) for name in self.FIELDS)) is NotImplemented
+        assert PRESETS["fig1"] == preset_spec("fig1")
+
+    def test_repr(self):
+        assert repr(SweepSpec(quantities=["concurrence"])) == (
+            "SweepSpec(p_min=0.0, p_max=0.292, p_steps=293, theta_min=0.0, "
+            "theta_max=0.7853981633974483, theta_steps=46, quantities=('concurrence',), "
+            "channel_mode='closed_form')"
+        )
+
+    def test_fields_cannot_be_set_or_deleted(self):
+        spec = _tiny_spec()
+        for name in (*self.FIELDS, "other"):
+            with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+                setattr(spec, name, 0.1)
+        with pytest.raises(AttributeError, match="cannot delete field 'p_min'"):
+            del spec.p_min
+        assert spec == _tiny_spec()
+
+    @pytest.mark.parametrize("overrides, message", [
+        (dict(p_max=math.inf), "p range must be finite"),
+        (dict(theta_min=math.nan), "theta range must be finite"),
+        (dict(p_min=0.3, p_max=0.1), "p_min 0.3 exceeds p_max 0.1"),
+        (dict(theta_min=0.5, theta_max=0.25), "theta_min 0.5 exceeds theta_max 0.25"),
+        (dict(p_min=-0.1), "p range must lie inside [0, 1]"),
+        (dict(p_max=1.5), "p range must lie inside [0, 1]"),
+        (dict(theta_min=-0.1), "theta range must lie inside [0, pi/2]"),
+        (dict(theta_max=2.0), "theta range must lie inside [0, pi/2]"),
+        (dict(p_steps=0), "step counts must be integers >= 1, got 0"),
+        (dict(theta_steps=2.5), "step counts must be integers >= 1, got 2.5"),
+        (dict(p_steps=True), "step counts must be integers >= 1, got True"),
+        (dict(p_steps=1), "p_steps is 1 but p_min 0.0 differs from p_max 0.2; "
+                          "a one-point axis needs equal ends"),
+        (dict(theta_steps=1), "theta_steps is 1 but theta_min 0.0 differs from "
+                              "theta_max 0.7853981633974483; a one-point axis needs equal ends"),
+        (dict(quantities=()), "no quantities requested; choose from: "
+                              + ", ".join(QUANTITY_NAMES)),
+        (dict(quantities=("concurrence", "nonsense")),
+         "unknown quantities ['nonsense']; choose from: " + ", ".join(QUANTITY_NAMES)),
+        (dict(quantities=("mid", "mid")), "duplicate quantity identifiers"),
+        (dict(channel_mode="sideways"),
+         "unknown channel mode 'sideways'; choose from: closed_form, correlated, product"),
+    ])
+    def test_every_rejection_message(self, overrides, message):
+        with pytest.raises(InputError) as got:
+            _tiny_spec(**overrides)
+        assert str(got.value) == message
 
 
 class TestGrid:
@@ -302,11 +406,7 @@ class TestRunSweep:
             4: (0.4, 0.5, math.sqrt(0.5 * 1e-8) + 1e-8, 1e-8, 0.0),
         }
         injected = {}
-        real_x = sweep._mode_damped_x
         real_damped = registry._damped
-
-        def damped_x(mode_, p, theta):
-            return injected.get(theta) or real_x(mode_, p, theta)
 
         def damped(p, theta, mode_):
             # the per-point route validates the same five numbers densely
@@ -315,7 +415,7 @@ class TestRunSweep:
                 return real_damped(p, theta, mode_)
             return DensityMatrix.from_matrix(oracles.x_matrix(*x))
 
-        monkeypatch.setattr(sweep, "_mode_damped_x", damped_x)
+        _hook_damping(monkeypatch, lambda x, theta: injected.get(theta))
         monkeypatch.setattr(registry, "_damped", damped)
         for k, x in bad.items():
             injected.clear()
@@ -443,6 +543,37 @@ class TestRunSweep:
             run_sweep(spec)
         assert calls == family[:2]
 
+    def test_first_row_evaluates_one_p(self, monkeypatch):
+        # iter_sweep is lazy: the first row needs the first p's family state
+        # and columns only
+        seen = []
+        real = sweep._family
+
+        def family(p):
+            seen.append(p)
+            return real(p)
+
+        monkeypatch.setattr(sweep, "_family", family)
+        spec = _tiny_spec(quantities=tuple(QUANTITIES), p_steps=1000)
+        rows = iter_sweep(spec)
+        assert seen == []
+        first = next(rows)
+        assert seen == [0.0]
+        assert first[:2] == (0.0, 0.0) and len(first) == 2 + len(QUANTITIES)
+        for _ in range(spec.theta_steps - 1):
+            next(rows)
+        assert seen == [0.0]
+        next(rows)
+        assert seen == [0.0, _grid(0.0, 0.2, 1000)[1]]
+
+    @settings(max_examples=40, deadline=None)
+    @given(spec=_specs(max_steps=3))
+    def test_iter_sweep_rows_are_run_sweep_rows(self, spec):
+        rows = run_sweep(spec)
+        assert [(row.p, row.theta, *row.values.values()) for row in rows] == list(
+            iter_sweep(spec))
+        assert all(row.columns() == spec.quantities for row in rows)
+
     @settings(max_examples=200, deadline=None)
     @given(
         p=st.floats(0.0, 1.0),
@@ -539,6 +670,17 @@ class TestEmitCsv:
                 assert math.isfinite(parsed)
                 assert parsed == float(f"{value:.12g}")
 
+    @settings(max_examples=30, deadline=None)
+    @given(spec=_specs(max_steps=3))
+    def test_stream_csv_writes_the_bytes_of_emit_csv(self, spec):
+        with tempfile.TemporaryDirectory() as tmp:
+            streamed, emitted = os.path.join(tmp, "s.csv"), os.path.join(tmp, "e.csv")
+            stream_csv(spec, streamed)
+            emit_csv(run_sweep(spec), emitted)
+            with open(streamed, "rb") as a, open(emitted, "rb") as b:
+                assert a.read() == b.read()
+            assert sorted(os.listdir(tmp)) == ["e.csv", "s.csv"]
+
     def test_mismatched_columns_rejected(self, tmp_path):
         rows = [
             SweepRow(p=0.0, theta=0.0, values={"a": 1.0}),
@@ -558,6 +700,47 @@ class TestEmitCsv:
         reader.join(timeout=10)
         assert got == [b"p,theta,q\n0,0,1\n"]
         assert stat.S_ISFIFO(pipe.stat().st_mode)
+        assert [path.name for path in tmp_path.iterdir()] == ["pipe"]
+        # a streamed sweep goes through the same way, with the same bytes
+        spec = _tiny_spec(quantities=("concurrence", "mid"))
+        emit_csv(run_sweep(spec), str(tmp_path / "want.csv"))
+        got.clear()
+        reader = threading.Thread(target=lambda: got.append(pipe.read_bytes()))
+        reader.start()
+        stream_csv(spec, str(pipe))
+        reader.join(timeout=10)
+        assert got == [(tmp_path / "want.csv").read_bytes()]
+
+    def test_pipe_gets_no_bytes_when_a_cell_is_rejected(self, monkeypatch, tmp_path):
+        # every row of a pipe target is evaluated before the first byte
+        # goes out: a cell rejected at the end of the grid leaves the reader
+        # nothing, where a streamed regular file would already hold rows
+        pipe = tmp_path / "pipe"
+        os.mkfifo(pipe)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(pipe.read_bytes()), daemon=True)
+        reader.start()
+
+        def reject_last(x, theta):
+            if x == _xcore._family_x(0.2) and theta == math.pi / 4:
+                raise InputError("rejected at the last cell")
+
+        _hook_damping(monkeypatch, reject_last)
+        with pytest.raises(InputError, match="last cell"):
+            stream_csv(_tiny_spec(quantities=("concurrence", "mid")), str(pipe))
+        # the reader waits for a writer: open and close the pipe, once the
+        # reader has it open (until then, or once it has read an end of
+        # file, a non-blocking open finds no reader)
+        for _ in range(1000):
+            try:
+                os.close(os.open(pipe, os.O_WRONLY | os.O_NONBLOCK))
+                break
+            except OSError:
+                if not reader.is_alive():
+                    break
+                time.sleep(0.01)
+        reader.join(timeout=10)
+        assert got == [b""]
         assert [path.name for path in tmp_path.iterdir()] == ["pipe"]
 
     def test_symlink_target_is_replaced(self, tmp_path):
@@ -839,11 +1022,12 @@ class TestCli:
                 raise InputError(message)
 
         if place == "kernel":
-            real = sweep._mode_damped_x
-            monkeypatch.setattr(
-                sweep, "_mode_damped_x",
-                lambda mode_, p, theta: reject_at_cell(p, theta) or real(mode_, p, theta),
-            )
+            def hook(x, theta):
+                # the damped state's cell, from the family's five numbers
+                if x == _xcore._family_x(0.1):
+                    reject_at_cell(0.1, theta)
+
+            _hook_damping(monkeypatch, hook)
         elif place == "p_only":
             real = _P_ONLY["chsh"]
 
@@ -877,6 +1061,53 @@ class TestCli:
         assert code == 1
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("earlier", [None, b"p,theta\nan earlier file\n"])
+    def test_numerical_error_at_last_cell_leaves_no_csv(
+        self, monkeypatch, tmp_path, capsys, earlier
+    ):
+        # the rows before it were streamed to the temporary file; the error
+        # at the last cell removes that file, writes nothing at --out and
+        # leaves an earlier file there as it was
+        out = tmp_path / "x.csv"
+        tmp = tmp_path / f".x.csv.{os.getpid()}.tmp"
+        if earlier is not None:
+            out.write_bytes(earlier)
+        streamed = []
+
+        def fail_last(x, theta):
+            if x == _xcore._family_x(0.2) and theta == math.pi / 4:
+                streamed.append(tmp.exists())
+                raise NumericalError("injected failure at the last cell")
+
+        _hook_damping(monkeypatch, fail_last)
+        code = main([
+            "sweep", "--p-min", "0", "--p-max", "0.2", "--p-steps", "3",
+            "--theta-min", "0", "--theta-max", "pi/4", "--theta-steps", "3",
+            "--quantities", ",".join(QUANTITIES), "--out", str(out),
+        ])
+        assert code == 1
+        assert capsys.readouterr() == ("", "error: injected failure at the last cell\n")
+        assert streamed == [True]
+        assert not tmp.exists()
+        assert [path.name for path in tmp_path.iterdir()] == (
+            [] if earlier is None else ["x.csv"]
+        )
+        if earlier is not None:
+            assert out.read_bytes() == earlier
+
+    @pytest.mark.parametrize("axis, flags", [
+        ("p", ["--p-min", "0", "--p-max", "0.2", "--p-steps", "1", "--theta-steps", "1"]),
+        ("theta", ["--p-steps", "2", "--theta-steps", "1"]),
+    ])
+    def test_one_point_axis_with_two_ends_exits_one(self, tmp_path, capsys, axis, flags):
+        # one step would drop the max without a word; it is rejected instead
+        out = tmp_path / "x.csv"
+        code = main(["sweep", *flags, "--quantities", "concurrence", "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {axis}_steps is 1 but {axis}_min 0.0 differs from ")
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("earlier", [None, b"p,theta\nan earlier file\n"])
     def test_write_failure_after_header_leaves_no_partial_csv(
