@@ -5,15 +5,16 @@ The family's states and their amplitude-damped images are X states with
 real diagonal (a, b, d, e) and real inner coherence c = rho[1, 2]; every
 number in the figure presets and the headline report is a function of
 (a, b, c, d, e).  This module holds those functions: the range and trace
-checks, the family's five numbers and their damped images, the eigenvalues
-from the one Jacobi rotation such a state takes, and the scalar forms of
-the measures.  It runs no iterative eigensolver.  Each function has the
-checks and the messages of the matrix route it stands for, and its bits,
-except the spin-flip concurrence, which takes the singular values of K in
-closed form and agrees with the matrix route to a few ulp; the tests pin
-both.  ``states``, ``linalg``, ``measures`` and ``channels`` import them
-back, and the sweep engine, the presets and the headline report run on
-this module and the standard library alone.
+checks, the family's five numbers, the channel modes and the table of
+their damping maps (``_DAMPING``), the eigenvalues from the one Jacobi
+rotation such a state takes, and the scalar forms of the measures.  It
+runs no iterative eigensolver.  Each function has the checks and the
+messages of the matrix route it stands for, and its bits, except the
+spin-flip concurrence, which takes the singular values of K in closed form
+and agrees with the matrix route to a few ulp; the tests pin both.
+``states``, ``linalg``, ``measures`` and ``channels`` import the checks and
+constants they share from here, and the sweep engine, the presets and the
+headline report run on this module and the standard library alone.
 """
 
 from __future__ import annotations
@@ -147,12 +148,6 @@ def _family(p: float) -> tuple:
     return x, vals, tag
 
 
-def _damped_x(p: float, theta: float) -> tuple:
-    """(a, b, c, d, e) of nmems_ad(p, theta), range checks included."""
-    p = _check_range("p", p, 0.0, 1.0)
-    return _family_damped_x(_family_x(p), _closed_form_factors(theta))
-
-
 def _closed_form_factors(theta: float) -> tuple:
     """((1 - gamma), (1 - gamma)^2) with gamma = sin^2 theta, the factors of
     nmems_ad at one theta, after its range check on theta."""
@@ -172,25 +167,6 @@ def _family_damped_x(x: tuple, factors: tuple) -> tuple:
     return a, z, z, z, e * one_g2
 
 
-def _adc_pair_x(a: float, b: float, c: float, d: float, e: float, gamma: float,
-                *, correlated: bool) -> tuple:
-    """(a, b, c, d, e) of the image of the corner-free X state with
-    diagonal (a, b, d, e) and inner coherence c, all of them floats >= +0.0
-    as in the family, under ``apply_correlated_pair(adc(gamma), .)`` or,
-    when not ``correlated``, ``apply_product_pair(adc(gamma), .)``, with the
-    image's bits.
-
-    Replays ``_kraus_sum``'s float operations on the nonzero entries:
-    each term is (K rho) K^dagger, added to the running sum in operator
-    order, and adding a zero entry leaves a value as it is.  The images
-    stay corner-free X states.  Makes ``adc``'s range check on gamma.
-    (A negative or -0.0 entry can give -0.0 here where the matrix holds
-    0.0.)
-    """
-    image = _correlated_pair_x if correlated else _product_pair_x
-    return image((a, b, c, d, e), _adc_factors(gamma))
-
-
 def _adc_factors(gamma: float) -> tuple:
     """(s, g, s s, g g, g s) with s = sqrt(1 - gamma) and g = sqrt(gamma),
     the Kraus amplitudes of adc(gamma) and their products, after ``adc``'s
@@ -201,19 +177,32 @@ def _adc_factors(gamma: float) -> tuple:
     return s, g, s * s, g * g, g * s
 
 
+def _adc_theta_factors(theta: float) -> tuple:
+    """``_adc_factors`` of gamma = sin^2 theta, with adc's range check."""
+    return _adc_factors(math.sin(theta) ** 2)
+
+
+# The Kraus images below take five numbers that are floats >= +0.0, as the
+# family's are, and give the bits of apply_correlated_pair(adc(gamma), .)
+# and apply_product_pair(adc(gamma), .) on the dense X matrix: they replay
+# _kraus_sum's float operations on the nonzero entries, each term
+# (K rho) K^dagger added to the running sum in operator order, and adding a
+# zero entry leaves a value as it is.  The images stay corner-free X states.
+# (A negative or -0.0 entry can give -0.0 here where the matrix holds 0.0.)
+
 def _correlated_pair_x(x: tuple, factors: tuple) -> tuple:
-    """``_adc_pair_x`` with ``correlated``, given the five numbers ``x`` and
-    the ``_adc_factors`` of gamma: K0 x K0, then K1 x K1, which moves |11>
-    onto |00>."""
+    """(a, b, c, d, e) of the correlated Kraus pair map's image of the five
+    numbers ``x``, given the ``_adc_factors`` of gamma: K0 x K0, then
+    K1 x K1, which moves |11> onto |00>."""
     a, b, c, d, e = x
     s, _, ss, gg, _ = factors
     return a + (gg * e) * gg, (s * b) * s, (s * c) * s, (s * d) * s, (ss * e) * ss
 
 
 def _product_pair_x(x: tuple, factors: tuple) -> tuple:
-    """``_adc_pair_x`` without ``correlated``, given the five numbers ``x``
-    and the ``_adc_factors`` of gamma: K0 x K0, K0 x K1, K1 x K0, K1 x K1,
-    where the middle two each move one excitation down."""
+    """(a, b, c, d, e) of the product Kraus pair map's image of the five
+    numbers ``x``, given the ``_adc_factors`` of gamma: K0 x K0, K0 x K1,
+    K1 x K0, K1 x K1, where the middle two each move one excitation down."""
     a, b, c, d, e = x
     s, g, ss, gg, gs = factors
     return (
@@ -225,10 +214,39 @@ def _product_pair_x(x: tuple, factors: tuple) -> tuple:
     )
 
 
+# how the damped state at a grid point is produced
+MODE_CLOSED_FORM = "closed_form"   # nmems_ad closed form (trace-draining)
+MODE_CORRELATED = "correlated"     # identical-index Kraus pair map
+MODE_PRODUCT = "product"           # independent noise on each qubit
+CHANNEL_MODES = (MODE_CLOSED_FORM, MODE_CORRELATED, MODE_PRODUCT)
+
+# per channel mode: (the factors of one theta, with that mode's range check
+# on theta or gamma; the damped state's five numbers from the family's
+# five numbers and those factors).  The sweep takes each theta's factors
+# once and the image per cell; registry._damped is this table's matrix
+# oracle.
+_DAMPING = {
+    MODE_CLOSED_FORM: (_closed_form_factors, _family_damped_x),
+    MODE_CORRELATED: (_adc_theta_factors, _correlated_pair_x),
+    MODE_PRODUCT: (_adc_theta_factors, _product_pair_x),
+}
+
+
+def _mode_damped_x(mode: str, p: float, theta: float) -> tuple:
+    """(a, b, c, d, e) of the damped state at (p, theta) in channel mode
+    ``mode``, with the bits of ``registry._damped(p, theta, mode)``: the
+    range check on p, then the mode's range check on theta or gamma (in
+    the Kraus modes the registry makes the two in the other order).
+    ``nmems_ad(p, theta)`` is the closed_form entry."""
+    p = _check_range("p", p, 0.0, 1.0)
+    factors, image = _DAMPING[mode]
+    return image(_family_x(p), factors(theta))
+
+
 def _x_trace(a: float, b: float, d: float, e: float) -> float:
     """Trace of the X state with diagonal (a, b, d, e), summed in the order
-    np.trace adds four complex entries, so it has the bits of
-    ``DensityMatrix._from_x(a, b, c, d, e).trace_value``."""
+    np.trace adds four complex entries, so it has the bits of the
+    ``trace_value`` of ``from_matrix`` of the dense X matrix."""
     return (a + b) + (d + e)
 
 
@@ -280,11 +298,12 @@ def _x_eigenvalues(a, b, c, d, e) -> list:
 
 def _x_spectrum(a: float, b: float, c: float, d: float, e: float) -> tuple:
     """(descending eigenvalues, normalization tag) of
-    ``DensityMatrix._from_x(a, b, c, d, e)``, bit for bit, without building
-    it.
+    ``DensityMatrix.from_matrix`` of the dense X matrix, bit for bit,
+    without building it.
 
-    Makes the checks ``_from_x`` makes, with the same messages: finite
-    entries, the eigenvalue floor and the trace window.
+    Makes the checks ``from_matrix`` of the dense X matrix makes, with the
+    same messages: finite entries, the eigenvalue floor and the trace
+    window.
     """
     _check_finite(a, b, c, d, e)
     vals = _x_eigenvalues(a, b, c, d, e)
@@ -327,10 +346,10 @@ def _x_concurrence(a: float, b: float, c: complex, d: float, e: float) -> float:
 
 
 def _x_concurrence_wootters(a: float, b: float, c: float, d: float, e: float) -> float:
-    """``concurrence_wootters(DensityMatrix._from_x(a, b, c, d, e))`` of the
-    corner-free X state with real diagonal (a, b, d, e) and real inner
-    coherence c, without building it, with the checks and messages of that
-    route: ``_x_spectrum``'s and the unit-trace rejection.
+    """``concurrence_wootters`` of ``from_matrix`` of the dense corner-free
+    X state with real diagonal (a, b, d, e) and real inner coherence c,
+    without building it, with the checks and messages of that route:
+    ``_x_spectrum``'s and the unit-trace rejection.
 
     sqrt(rho) = V diag(sqrt(max(w, 0))) V^dagger (``linalg.spectrum_sqrt``)
     is diagonal except on rows and columns 1 and 2, where V is
@@ -372,8 +391,8 @@ def _x_concurrence_wootters(a: float, b: float, c: float, d: float, e: float) ->
 
 
 def _x_params(a: float, b: float, c: float, d: float, e: float) -> tuple:
-    """The (a, b, c, d, e) ``x_params_of`` reads off
-    ``DensityMatrix._from_x(a, b, c, d, e)``: the diagonal clamped at 0.0.
+    """The (a, b, c, d, e) ``x_params_of`` reads off ``from_matrix`` of the
+    dense X matrix: the diagonal clamped at 0.0.
     XStateParams' checks are the caller's."""
     return max(a, 0.0), max(b, 0.0), c, max(d, 0.0), max(e, 0.0)
 
@@ -458,9 +477,10 @@ def _discord_branches(diag: list, r14: float, r23: float, eigenvalues: list) -> 
 
 
 def _x_discord(a: float, b: float, c: float, d: float, e: float, vals: list) -> float:
-    """``discord_x(DensityMatrix._from_x(a, b, c, d, e)).discord``, with its
-    bits, given the state's eigenvalues ``vals`` as ``_x_spectrum`` returns
-    them; the caller makes the unit-trace check.
+    """``discord_x(rho).discord``, with its bits, for ``rho`` the
+    ``from_matrix`` of the dense X matrix, given the state's eigenvalues
+    ``vals`` as ``_x_spectrum`` returns them; the caller makes the
+    unit-trace check.
 
     The corner coherence is zero, so |r14| is 0.0 and |r23| is |c|, and
     numpy's clip of the eigenvalues to [0, 1] is min(max(v, 0), 1).

@@ -18,8 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-# _adc_pair_x replays the Kraus pair maps of adc on five numbers; re-exported here
-from ._xcore import _adc_pair_x, _check_range
+from ._xcore import _check_range
 from .errors import InputError
 from .states import DensityMatrix
 

@@ -8,11 +8,8 @@ core free of LAPACK behaviour differences.  Its one core, ``_diagonalize``,
 runs the row-cyclic sweeps on nested lists of Python complex, with or
 without an eigenvector accumulator, and has two entries:
 
-* ``_jacobi``, the full decomposition: ``hermitian_eigen`` validates and
-  symmetrizes dense input and hands it over, while the GHZ/W family's
-  X-form states are built from their five numbers and enter it directly
-  (``states.DensityMatrix._from_x``), with the bits ``hermitian_eigen``
-  gives for the dense matrix;
+* ``_jacobi``, the full decomposition, of the matrix ``hermitian_eigen``
+  has validated and symmetrized;
 * ``_jacobi_eigenvalues``, eigenvalues only, with ``_jacobi``'s bits; the
   8x8 dilation of ``measures.concurrence_wootters`` takes this route.
 
@@ -33,9 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# _x_eigenvalues replays _jacobi on the family's X states; it is re-exported
-# here
-from ._xcore import EIGENVALUE_FLOOR, JACOBI_OFFDIAG_TOL, _x_eigenvalues
+from ._xcore import EIGENVALUE_FLOOR, JACOBI_OFFDIAG_TOL
 from .errors import InputError, NumericalError
 
 HERMITICITY_TOL = 1e-10

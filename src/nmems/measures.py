@@ -22,8 +22,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import linalg
-# the scalar forms of the measures, on five numbers; the ones the matrix
-# route below shares are re-exported here
+# the checks and scalar forms of the measures that the matrix route below
+# shares; the public ones among them are re-exported here
 from ._xcore import (
     CLASSICAL_FIDELITY,
     USEFULNESS_MARGIN,
@@ -35,8 +35,6 @@ from ._xcore import (
     _require_unit,
     _spectrum_entropy,
     _x_concurrence,
-    _x_correlations,
-    _x_fidelity,
     binary_entropy,
     fidelity_ad_closed_form,
 )

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 
+from ._xcore import MODE_CLOSED_FORM, MODE_CORRELATED
 from .channels import adc, apply_correlated_pair, apply_product_pair
 from .measures import (
     chsh_criterion,
@@ -24,7 +25,6 @@ from .measures import (
     von_neumann_entropy,
 )
 from .states import DensityMatrix, nmems, nmems_ad, x_params_of
-from .sweep import MODE_CLOSED_FORM, MODE_CORRELATED
 from .witnesses import evaluate, witness_generic, witness_stabilizer, witness_w1
 
 

@@ -21,22 +21,20 @@ import numpy as np
 
 from . import linalg
 # the checks and five-number functions the constructors share with the
-# scalar core; _x_spectrum, _x_trace and SUB_NORMALIZED are re-exported here
+# scalar core; SUB_NORMALIZED is re-exported here
 from ._xcore import (
     GHZ_AMPLITUDE,
+    MODE_CLOSED_FORM,
     SUB_NORMALIZED,
     TRACE_TOL,
     UNIT,
     W_AMPLITUDE,
     _check_family,
-    _check_finite,
     _check_range,
     _check_x_params,
-    _damped_x,
     _family_x,
+    _mode_damped_x,
     _normalization,
-    _x_spectrum,
-    _x_trace,
 )
 from .errors import InputError
 
@@ -49,10 +47,8 @@ class DensityMatrix:
 
     The spectral decomposition computed during validation is kept on the
     instance so downstream measures never re-diagonalize.  ``from_matrix``
-    is the validator for dense input.  The family's corner-free X states
-    (``nmems``, ``nmems_ad``) are built from their five numbers and enter
-    the same Jacobi core directly, with the same bits as ``from_matrix`` on
-    the dense matrix, because Hermiticity and symmetry hold by construction.
+    is the one validator: dense input and the family's X states
+    (``nmems``, ``nmems_ad``, from their five numbers) all go through it.
     """
 
     matrix: np.ndarray
@@ -71,28 +67,7 @@ class DensityMatrix:
         # the same symmetrized matrix that is stored below
         spec = linalg.hermitian_eigen(m)
         m = np.asarray(m, dtype=complex)
-        return cls._tagged((m + m.conj().T) / 2.0, spec)
-
-    @classmethod
-    def _from_x(cls, a: float, b: float, c: float, d: float, e: float) -> "DensityMatrix":
-        """The corner-free X state with real diagonal (a, b, d, e) and real
-        inner coherence c = rho[1, 2] = rho[2, 1].
-
-        Same checks, messages and bits as ``from_matrix`` on the dense
-        matrix, minus the coercion, Hermiticity test and symmetrization,
-        which hold by construction.
-        """
-        _check_finite(a, b, c, d, e)
-        a, b, c, d, e = complex(a), complex(b), complex(c), complex(d), complex(e)
-        z = 0j
-        w = [[a, z, z, z], [z, b, c, z], [z, c, d, z], [z, z, z, e]]
-        m = np.array(w)
-        return cls._tagged(m, linalg._jacobi(w))
-
-    @classmethod
-    def _tagged(cls, m: np.ndarray, spec: linalg.Spectrum) -> "DensityMatrix":
-        """Apply the eigenvalue floor and the trace tag to a fresh, exactly
-        Hermitian matrix and its spectrum, and freeze the matrix."""
+        m = (m + m.conj().T) / 2.0
         tr = complex(np.trace(m))
         # the diagonal of an exactly Hermitian matrix is real, so this never
         # pre-empts the floor check below
@@ -173,6 +148,14 @@ def w_reduced() -> np.ndarray:
     return m
 
 
+def _x_matrix(a: float, b: float, c: float, d: float, e: float) -> np.ndarray:
+    """The dense corner-free X matrix with real diagonal (a, b, d, e) and
+    real inner coherence c = rho[1, 2] = rho[2, 1]."""
+    z = 0.0
+    return np.array([[a, z, z, z], [z, b, c, z], [z, c, d, z], [z, z, z, e]],
+                    dtype=complex)
+
+
 @functools.lru_cache(maxsize=4096)
 def nmems(p: float) -> DensityMatrix:
     """The GHZ/W-mixture state at mixing parameter p.
@@ -185,7 +168,7 @@ def nmems(p: float) -> DensityMatrix:
     """
     p = _check_range("p", p, 0.0, 1.0)
     x = _family_x(p)
-    rho = DensityMatrix._from_x(*x)
+    rho = DensityMatrix.from_matrix(_x_matrix(*x))
     _check_family(p, *x)
     return rho
 
@@ -199,7 +182,8 @@ def nmems_ad(p: float, theta: float) -> DensityMatrix:
     rather than rescaled.  The full correlated-channel image (which keeps an
     extra |00><00| term) lives in the channels module.
     """
-    return DensityMatrix._from_x(*_damped_x(p, theta))
+    x = _mode_damped_x(MODE_CLOSED_FORM, p, theta)
+    return DensityMatrix.from_matrix(_x_matrix(*x))
 
 
 def _check_x_form(m: np.ndarray, *, corners: bool) -> list:

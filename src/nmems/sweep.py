@@ -17,7 +17,9 @@ evaluated, so memory does not grow with the grid.
 Every column has one route: a function of the five numbers of the
 family state (_P_ONLY) or of the cell's damped state (_DAMPED), on the
 scalar core (``_xcore``), or the closed form fidelity_ad_closed_form.  The
-headline report reads the same _P_ONLY entries.  No column needs numpy.
+damped state comes from the scalar core's one channel-mode table,
+``_xcore._DAMPING``, which ``nmems_ad`` reads too.  The headline report
+reads the same _P_ONLY entries.  No column needs numpy.
 The per-point registry (``nmems.registry``, here as ``QUANTITIES``)
 defines every column through the matrix API, which loads numpy; it is the
 public per-point API and the tests' oracle, and the engine never calls
@@ -30,17 +32,16 @@ import math
 import os
 
 from ._xcore import (
+    _DAMPING,
     _WITNESS_ENTRIES,
+    CHANNEL_MODES,
+    MODE_CLOSED_FORM,
+    MODE_CORRELATED,
+    MODE_PRODUCT,
     UNIT,
     USEFULNESS_MARGIN,
-    _adc_factors,
     _check_x_params,
-    _closed_form_factors,
-    _correlated_pair_x,
     _family,
-    _family_damped_x,
-    _family_x,
-    _product_pair_x,
     _require_unit,
     _spectrum_entropy,
     _x_chsh,
@@ -58,11 +59,8 @@ from .errors import InputError
 
 NA_TOKEN = "NA"
 
-# how the damped state at a grid point is produced
-MODE_CLOSED_FORM = "closed_form"   # nmems_ad closed form (trace-draining)
-MODE_CORRELATED = "correlated"     # identical-index Kraus pair map
-MODE_PRODUCT = "product"           # independent noise on each qubit
-CHANNEL_MODES = (MODE_CLOSED_FORM, MODE_CORRELATED, MODE_PRODUCT)
+# CHANNEL_MODES and the MODE_* names, imported above, live with their
+# damping maps in _xcore._DAMPING; they are public here
 
 # the columns of QUANTITIES, in its order, without importing the registry
 QUANTITY_NAMES = (
@@ -108,7 +106,7 @@ _P_ONLY = {
 }
 
 # damped columns, on the (x, eigenvalues, trace tag) of the cell's damped
-# state (_DAMPING, _xcore._x_spectrum) and the entropy of nmems(p),
+# state (_xcore._DAMPING, _xcore._x_spectrum) and the entropy of nmems(p),
 # in every channel mode, with no Kraus channel and no per-cell state
 _DAMPED = {
     "concurrence_ad": lambda x, vals, tag, entropy: _x_concurrence(*_x_params(*x)),
@@ -234,29 +232,6 @@ def _grid(lo: float, hi: float, steps: int) -> list:
     return [lo + i * (hi - lo) / (steps - 1) for i in range(steps - 1)] + [hi]
 
 
-def _adc_theta_factors(theta: float) -> tuple:
-    """``_adc_factors`` of gamma = sin^2 theta, with adc's range check."""
-    return _adc_factors(math.sin(theta) ** 2)
-
-
-# per channel mode: (the factors of one theta, with that mode's range check
-# on theta or gamma; the damped state's five numbers from the family's
-# five numbers and those factors)
-_DAMPING = {
-    MODE_CLOSED_FORM: (_closed_form_factors, _family_damped_x),
-    MODE_CORRELATED: (_adc_theta_factors, _correlated_pair_x),
-    MODE_PRODUCT: (_adc_theta_factors, _product_pair_x),
-}
-
-
-def _mode_damped_x(mode: str, p: float, theta: float) -> tuple:
-    """(a, b, c, d, e) of ``registry._damped(p, theta, mode)``, with its
-    bits and its range checks on theta or gamma, as a sweep takes it at
-    one cell; SweepSpec checks the grid's p range."""
-    factors, image = _DAMPING[mode]
-    return image(_family_x(p), factors(theta))
-
-
 def _as_is(value):
     return value
 
@@ -269,12 +244,14 @@ def _walk(spec: SweepSpec, cell):
 
     Lazy: each p is evaluated when its first row is asked for.  Once per
     theta, before the first row: that theta's ``cell`` and, if a damped
-    column is asked for, the mode's damping factors with their range check.
-    Once per p: the family state with nmems' checks (``_xcore._family``),
-    p's ``cell`` and the _P_ONLY columns, shared by that p's thetas.  Per
-    cell: the damped state from the family's numbers and the theta's
-    factors, its checks (``_xcore._x_spectrum``), the _DAMPED columns and
-    fidelity_ad_closed_form.
+    column is asked for, the mode's damping factors with their range check
+    (the first map of ``_xcore._DAMPING[mode]``).  Once per p: the family
+    state with nmems' checks (``_xcore._family``), p's ``cell`` and the
+    _P_ONLY columns, shared by that p's thetas.  Per cell: the damped state
+    from the family's numbers and the theta's factors (the second map), its
+    checks (``_xcore._x_spectrum``), the _DAMPED columns and
+    fidelity_ad_closed_form; ``_xcore._mode_damped_x`` composes the same
+    two maps at one cell.
     """
     quantities = spec.quantities
     p_only = [(i, _P_ONLY[name]) for i, name in enumerate(quantities, 2) if name in _P_ONLY]

@@ -6,8 +6,14 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from nmems import InputError
+from nmems._xcore import (
+    _adc_factors,
+    _correlated_pair_x,
+    _family_x,
+    _product_pair_x,
+    _x_spectrum,
+)
 from nmems.channels import (
-    _adc_pair_x,
     adc,
     apply_correlated_pair,
     apply_product_pair,
@@ -15,7 +21,7 @@ from nmems.channels import (
     gadc,
     kraus_channel,
 )
-from nmems.states import DensityMatrix, _family_x, _x_spectrum, nmems, nmems_ad
+from nmems.states import DensityMatrix, nmems, nmems_ad
 
 import oracles
 
@@ -265,7 +271,7 @@ class TestPairOperatorsOncePerChannel:
 @st.composite
 def _x_entries(draw):
     """(a, b, c, d, e) of a valid corner-free X state with entries >= +0.0,
-    as _adc_pair_x takes them, and trace in (0, 1]: a family state, or a
+    as the Kraus images take them, and trace in (0, 1]: a family state, or a
     random one with zero and full coherences and unit trace among them."""
     if draw(st.booleans()):
         return _family_x(draw(st.floats(0.0, 1.0) | st.sampled_from([0.0, 1.0])))
@@ -279,8 +285,9 @@ def _x_entries(draw):
 
 
 class TestPairImagesFromFiveNumbers:
-    # the sweep kernel's Kraus images: the five numbers _adc_pair_x gives
-    # are the stored matrix apply_*_pair builds, bit for bit, zeros included
+    # the sweep kernel's Kraus images: the five numbers _correlated_pair_x
+    # and _product_pair_x give are the stored matrix apply_*_pair builds,
+    # bit for bit, zeros included
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -294,9 +301,10 @@ class TestPairImagesFromFiveNumbers:
     @example(x=_family_x(0.3), gamma=math.sin(math.pi / 2) ** 2, correlated=True)
     def test_image_bits(self, x, gamma, correlated):
         apply = apply_correlated_pair if correlated else apply_product_pair
-        got = _adc_pair_x(*x, gamma, correlated=correlated)
+        pair_x = _correlated_pair_x if correlated else _product_pair_x
+        got = pair_x(x, _adc_factors(gamma))
         try:
-            image = apply(adc(gamma), DensityMatrix._from_x(*x))
+            image = apply(adc(gamma), DensityMatrix.from_matrix(oracles.x_matrix(*x)))
         except InputError as exc:
             # the correlated map can drain all trace: the kernel's checks
             # reject the five numbers with the same message
@@ -309,6 +317,7 @@ class TestPairImagesFromFiveNumbers:
     @pytest.mark.parametrize("correlated", [True, False])
     def test_gamma_range_checked_like_adc(self, correlated):
         x = _family_x(0.2)
+        pair_x = _correlated_pair_x if correlated else _product_pair_x
         for bad in (math.nan, -1e-9, math.nextafter(1.0, 2.0)):
             with pytest.raises(InputError, match="gamma must lie in"):
-                _adc_pair_x(*x, bad, correlated=correlated)
+                pair_x(x, _adc_factors(bad))

@@ -6,11 +6,15 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from nmems import InputError, _xcore, linalg, measures
-from nmems.channels import adc, apply_product_pair
-from nmems.measures import (
+from nmems._xcore import (
+    CHANNEL_MODES,
+    _mode_damped_x,
     _spectrum_entropy,
     _x_correlations,
     _x_fidelity,
+)
+from nmems.channels import adc, apply_product_pair
+from nmems.measures import (
     binary_entropy,
     chsh_criterion,
     concurrence_wootters,
@@ -35,7 +39,6 @@ from nmems.states import (
     projector,
     x_params_of,
 )
-from nmems.sweep import CHANNEL_MODES, _mode_damped_x
 
 import oracles
 
@@ -91,7 +94,7 @@ class TestConcurrence:
         with pytest.raises(InputError) as want:
             XStateParams(*x)
         with pytest.raises(InputError) as got:
-            measures._x_concurrence(*x)
+            _xcore._x_concurrence(*x)
         assert str(got.value) == str(want.value)
 
     def test_scalar_route_builds_no_dataclass(self, monkeypatch):
@@ -99,7 +102,7 @@ class TestConcurrence:
             raise AssertionError("XStateParams built")
 
         monkeypatch.setattr(XStateParams, "__post_init__", boom)
-        assert measures._x_concurrence(0.0, 0.5, 0.5, 0.5, 0.0) == 1.0
+        assert _xcore._x_concurrence(0.0, 0.5, 0.5, 0.5, 0.0) == 1.0
 
     def test_scaling_law_under_damping(self):
         for p in np.linspace(0.0, 0.99, 34):
@@ -134,7 +137,7 @@ def _spin_flip_states(draw):
         mode = draw(st.sampled_from(["product", "correlated"]))
         theta = 0.0 if mode == "correlated" else draw(
             st.floats(0.0, math.pi / 2) | st.sampled_from([0.0, math.pi / 2]))
-        rho = DensityMatrix._from_x(*_mode_damped_x(mode, p, theta))
+        rho = DensityMatrix.from_matrix(oracles.x_matrix(*_mode_damped_x(mode, p, theta)))
         assert rho.is_unit()
         return rho
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -181,7 +184,8 @@ class TestWoottersConcurrence:
 
     def test_eigenvalues_only(self, monkeypatch):
         states = {
-            "x": DensityMatrix._from_x(*_mode_damped_x("product", 0.1, 0.4)),
+            "x": DensityMatrix.from_matrix(
+                oracles.x_matrix(*_mode_damped_x("product", 0.1, 0.4))),
             "dense": DensityMatrix.from_matrix(
                 oracles.random_density(np.random.default_rng(5), 4)
             ),
@@ -257,7 +261,7 @@ class TestXStateCorrelations:
     @example(x=(0.0, 0.5, 0.5, 0.5, 0.0))
     @example(x=(0.0, 0.5, -0.5, 0.5, 0.0))
     def test_replay_bits(self, x):
-        rho = DensityMatrix._from_x(*x)
+        rho = DensityMatrix.from_matrix(oracles.x_matrix(*x))
         cm = correlation_matrix(rho)
         assert cm.t.tobytes() == np.diag(_x_correlations(*x)).tobytes()
         want = fidelity_from_correlation(cm).fidelity

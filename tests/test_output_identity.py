@@ -19,9 +19,10 @@ import numpy as np
 import pytest
 
 from nmems import InputError, linalg
+from nmems._xcore import UNIT, _mode_damped_x, _x_spectrum
 from nmems.channels import adc, apply_correlated_pair, apply_product_pair
 from nmems.measures import concurrence_wootters
-from nmems.states import UNIT, DensityMatrix, _x_spectrum, nmems, nmems_ad
+from nmems.states import DensityMatrix, nmems, nmems_ad
 from nmems.sweep import (
     CHANNEL_MODES,
     PRESETS,
@@ -29,7 +30,6 @@ from nmems.sweep import (
     QUANTITY_NAMES,
     SweepSpec,
     _grid,
-    _mode_damped_x,
     emit_csv,
     report_headlines,
     run_sweep,
@@ -208,7 +208,7 @@ def _wootters_states():
                 except InputError:
                     continue
                 if _x_spectrum(*x)[1] == UNIT:
-                    yield DensityMatrix._from_x(*x)
+                    yield DensityMatrix.from_matrix(oracles.x_matrix(*x))
     rng = np.random.default_rng(11)
     for k in range(150):
         m = oracles.random_x_state(rng)

@@ -74,3 +74,30 @@ def test_quantities_take_grid_coordinates():
                     assert value.hex() == cell.hex(), (mode, row.theta, name)
             sub_normalized = row.theta > 0.0 and mode != "product"
             assert na == ({"concurrence_ad_wootters"} if sub_normalized else set())
+
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "nmems"
+
+
+def _unused_private_imports() -> list:
+    """(module, name) of every underscore name a module of the package
+    imports from a sibling module and never reads in its own code: a
+    re-export, which binds a private name where nothing uses it."""
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {
+            alias.asname or alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module
+            for alias in node.names
+            if alias.name.startswith("_")
+        }
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [(path.stem, name) for name in sorted(imported - used)]
+    return unused
+
+
+def test_private_imports_are_used():
+    # tests import the scalar core's private names from nmems._xcore
+    assert _unused_private_imports() == []

