@@ -14,9 +14,9 @@ numpy loads with the first name of the matrix API.
 
 import importlib
 
-# where each exported name lives; ``__getattr__`` imports the module on
-# first access, so ``import nmems`` loads no numpy, and only the matrix API
-# does
+# where each exported name of ``__all__`` lives; ``__getattr__`` imports
+# the module on first access, so ``import nmems`` loads no numpy, and only
+# the matrix API does
 _EXPORTS = {
     "_xcore": ("FidelityResult", "binary_entropy", "fidelity_ad_closed_form"),
     "channels": (
@@ -51,69 +51,7 @@ _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ChshResult",
-    "CorrelationMatrix",
-    "CHANNEL_MODES",
-    "DensityMatrix",
-    "DiscordBreakdown",
-    "FidelityResult",
-    "InputError",
-    "KrausChannel",
-    "NumericalError",
-    "PRESETS",
-    "QUANTITIES",
-    "Spectrum",
-    "SweepRow",
-    "SweepSpec",
-    "WitnessOperator",
-    "WitnessVerdict",
-    "XStateParams",
-    "adc",
-    "apply_correlated_pair",
-    "apply_product_pair",
-    "apply_single",
-    "binary_entropy",
-    "chsh_criterion",
-    "concurrence_wootters",
-    "concurrence_x",
-    "correlation_matrix",
-    "discord_closed_form",
-    "discord_closed_form_branches",
-    "discord_closed_form_residuals",
-    "discord_x",
-    "emit_csv",
-    "entanglement_boundary",
-    "evaluate",
-    "fidelity_ad_closed_form",
-    "fidelity_from_correlation",
-    "gadc",
-    "ghz_reduced",
-    "ghz_state",
-    "hermitian_eigen",
-    "iter_sweep",
-    "kraus_channel",
-    "kron",
-    "mid_adc",
-    "mid_dephasing",
-    "nmems",
-    "nmems_ad",
-    "partial_trace",
-    "preset_spec",
-    "projector",
-    "psd_sqrt",
-    "report_headlines",
-    "run_sweep",
-    "teleportation_fidelity",
-    "trace",
-    "von_neumann_entropy",
-    "w_reduced",
-    "w_state",
-    "witness_generic",
-    "witness_stabilizer",
-    "witness_w1",
-    "x_params_of",
-]
+__all__ = sorted(_HOME)
 
 
 def __getattr__(name: str):

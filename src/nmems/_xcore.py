@@ -10,8 +10,10 @@ their damping maps (``_DAMPING``), the eigenvalues from the one Jacobi
 rotation such a state takes, and the scalar forms of the measures.  It
 runs no iterative eigensolver.  Each function has the checks and the
 messages of the matrix route it stands for, and its bits, except the
-spin-flip concurrence, which takes the singular values of K in closed form
-and agrees with the matrix route to a few ulp; the tests pin both.
+spin-flip concurrence: it reads the singular values of
+K = sqrt(rho) (sy x sy) sqrt(rho)* off the five numbers, where they are
+known exactly, forms neither sqrt(rho) nor K, and agrees with the matrix
+route to a few ulp; the tests pin both.
 ``states``, ``linalg``, ``measures`` and ``channels`` import the checks and
 constants they share from here, and the sweep engine, the presets and the
 headline report run on this module and the standard library alone.
@@ -235,8 +237,7 @@ _DAMPING = {
 def _mode_damped_x(mode: str, p: float, theta: float) -> tuple:
     """(a, b, c, d, e) of the damped state at (p, theta) in channel mode
     ``mode``, with the bits of ``registry._damped(p, theta, mode)``: the
-    range check on p, then the mode's range check on theta or gamma (in
-    the Kraus modes the registry makes the two in the other order).
+    range check on p, then the mode's range check on theta or gamma.
     ``nmems_ad(p, theta)`` is the closed_form entry."""
     p = _check_range("p", p, 0.0, 1.0)
     factors, image = _DAMPING[mode]
@@ -250,48 +251,36 @@ def _x_trace(a: float, b: float, d: float, e: float) -> float:
     return (a + b) + (d + e)
 
 
-def _x_jacobi(a, b, c, d, e) -> tuple:
-    """(diagonal, rotation) that ``linalg._jacobi`` leaves, before it sorts,
-    for the corner-free X matrix with diagonal (a, b, d, e) and
-    w[1][2] = c, w[2][1] = conj(c), bit for bit: the diagonal as a list of
-    four floats in index order, and the rotation as (cos, sin * phase,
-    sin * conj(phase)), (1.0, 0.0, 0.0) if nothing was rotated.  The
-    eigenvector accumulator is the identity but on rows and columns 1 and
-    2, where it holds [[cos, -sin * phase], [sin * conj(phase), cos]].
+def _x_eigenvalues(a, b, c, d, e) -> list:
+    """Descending eigenvalues ``linalg._jacobi`` finds for the corner-free X
+    matrix with diagonal (a, b, d, e) and w[1][2] = c, w[2][1] = conj(c),
+    bit for bit, as a list of floats.
 
     ``_jacobi`` rotates such a matrix once, on the pair (1, 2), and only if
     |c| > 1e-12: every other off-diagonal entry is zero before and after.
     This replays that rotation on Python scalars with the operations of
-    ``linalg``'s plane rotation.  Entries must be finite.
+    ``linalg``'s plane rotation, then sorts the diagonal as ``_jacobi``
+    sorts.  Entries must be finite.
     """
     w11, w22 = complex(b), complex(d)
     w12, w21 = complex(c), complex(c.conjugate())
     r = abs(w12)
-    if r <= JACOBI_OFFDIAG_TOL:
-        return [complex(a).real, w11.real, w22.real, complex(e).real], (1.0, 0.0, 0.0)
-    phase = w12 / r
-    cphase = phase.conjugate()
-    theta = 0.5 * math.atan2(2.0 * r, w11.real - w22.real)
-    cs = math.cos(theta)
-    s = math.sin(theta)
-    s_ph = s * phase
-    s_cph = s * cphase
-    # the plane rotation's column pass on rows 1 and 2, then its row pass
-    # on the diagonal entries
-    c11 = cs * w11 + s_cph * w12
-    c12 = -s_ph * w11 + cs * w12
-    c21 = cs * w21 + s_cph * w22
-    c22 = -s_ph * w21 + cs * w22
-    w11 = cs * c11 + s_ph * c21
-    w22 = -s_cph * c12 + cs * c22
-    return [complex(a).real, w11.real, w22.real, complex(e).real], (cs, s_ph, s_cph)
-
-
-def _x_eigenvalues(a, b, c, d, e) -> list:
-    """Descending eigenvalues ``linalg._jacobi`` finds for the same X
-    matrix, bit for bit, as a list of floats: ``_x_jacobi``'s diagonal,
-    sorted as ``_jacobi`` sorts."""
-    diag, _ = _x_jacobi(a, b, c, d, e)
+    if r > JACOBI_OFFDIAG_TOL:
+        phase = w12 / r
+        theta = 0.5 * math.atan2(2.0 * r, w11.real - w22.real)
+        cs = math.cos(theta)
+        s = math.sin(theta)
+        s_ph = s * phase
+        s_cph = s * phase.conjugate()
+        # the plane rotation's column pass on rows 1 and 2, then its row
+        # pass on the diagonal entries
+        c11 = cs * w11 + s_cph * w12
+        c12 = -s_ph * w11 + cs * w12
+        c21 = cs * w21 + s_cph * w22
+        c22 = -s_ph * w21 + cs * w22
+        w11 = cs * c11 + s_ph * c21
+        w22 = -s_cph * c12 + cs * c22
+    diag = [complex(a).real, w11.real, w22.real, complex(e).real]
     diag.sort(reverse=True)
     return diag
 
@@ -351,42 +340,18 @@ def _x_concurrence_wootters(a: float, b: float, c: float, d: float, e: float) ->
     without building it, with the checks and messages of that route:
     ``_x_spectrum``'s and the unit-trace rejection.
 
-    sqrt(rho) = V diag(sqrt(max(w, 0))) V^dagger (``linalg.spectrum_sqrt``)
-    is diagonal except on rows and columns 1 and 2, where V is
-    ``_x_jacobi``'s rotation.  K = sqrt(rho) (sy x sy) sqrt(rho)* is then an
-    X matrix with corners -sqrt(a) sqrt(e) and inner block B,
-    B_ij = S_i2 conj(S_1j) + S_i1 conj(S_2j), so its singular values are
-    |K_03| = |K_30| and the two of B, in closed form (Wootters, PRL 80,
-    2245; Yu and Eberly, QIC 7, 459):
-    sigma_1^2 = (F + sqrt(F^2 - 4 |det B|^2)) / 2 with F = ||B||_F^2, and
-    sigma_2 = |det B| / sigma_1, which cancels nothing.  The value agrees
-    with the matrix route's Jacobi on the dilation of K to a few ulp.
+    The singular values of K = sqrt(rho) (sy x sy) sqrt(rho)* of such a
+    state are known exactly: sqrt(a e) twice, sqrt(b d) + |c| and
+    |sqrt(b d) - |c|| (Wootters, PRL 80, 2245; Yu and Eberly, QIC 7, 459),
+    with the diagonal clamped at zero as ``linalg.spectrum_sqrt`` clamps
+    the eigenvalues.  The value agrees with the matrix route's Jacobi on
+    the dilation of K to a few ulp.
     """
-    _check_finite(a, b, c, d, e)
-    diag, rotation = _x_jacobi(a, b, c, d, e)
-    _require_unit(_normalization(min(diag), _x_trace(a, b, d, e)),
-                  "spin-flip concurrence")
-    cs, s_ph, s_cph = rotation
-    v11, v12, v21, v22 = cs, -s_ph, s_cph, cs
-    r0, r1, r2, r3 = (math.sqrt(max(v, 0.0)) for v in diag)
-    # S = (V diag(r)) V^dagger on rows and columns 1 and 2, as spectrum_sqrt
-    # forms it; rows and columns 0 and 3 are diag(r0, r3)
-    u11, u12, u21, u22 = v11 * r1, v12 * r2, v21 * r1, v22 * r2
-    s11 = u11 * v11.conjugate() + u12 * v12.conjugate()
-    s12 = u11 * v21.conjugate() + u12 * v22.conjugate()
-    s21 = u21 * v11.conjugate() + u22 * v12.conjugate()
-    s22 = u21 * v21.conjugate() + u22 * v22.conjugate()
-    # B, the inner block of K = (S (sy x sy)) conj(S)
-    k11 = s12 * s11.conjugate() + s11 * s21.conjugate()
-    k12 = s12 * s12.conjugate() + s11 * s22.conjugate()
-    k21 = s22 * s11.conjugate() + s21 * s21.conjugate()
-    k22 = s22 * s12.conjugate() + s21 * s22.conjugate()
-    frob = (abs(k11) ** 2 + abs(k12) ** 2) + (abs(k21) ** 2 + abs(k22) ** 2)
-    det = abs(k11 * k22 - k12 * k21)
-    sigma1 = math.sqrt((frob + math.sqrt(max(frob * frob - 4.0 * det * det, 0.0))) / 2.0)
-    sigma2 = det / sigma1 if sigma1 else 0.0
-    corner = r0 * r3
-    s1, s2, s3, s4 = sorted((corner, corner, sigma1, sigma2), reverse=True)
+    _require_unit(_x_spectrum(a, b, c, d, e)[1], "spin-flip concurrence")
+    corner = math.sqrt(max(a, 0.0) * max(e, 0.0))
+    inner = math.sqrt(max(b, 0.0) * max(d, 0.0))
+    s1, s2, s3, s4 = sorted((corner, corner, inner + abs(c), abs(inner - abs(c))),
+                            reverse=True)
     return max(0.0, s1 - s2 - s3 - s4)
 
 

@@ -81,8 +81,9 @@ def concurrence_wootters(rho: DensityMatrix) -> float:
 
     This matrix route serves every state, X states included.  It is the
     oracle of the sweep's scalar chain for X states
-    (``_xcore._x_concurrence_wootters``), which takes the singular values
-    of K in closed form instead.
+    (``_xcore._x_concurrence_wootters``), which forms neither sqrt(rho)
+    nor K: a corner-free X state's s_i are sqrt(a e) twice and
+    sqrt(b d) +- |c|, read off its five numbers.
     """
     _check_two_qubit(rho, "spin-flip concurrence")
     eigvals = linalg._jacobi_eigenvalues(_spin_flip_dilation(rho))

@@ -29,13 +29,15 @@ from .witnesses import evaluate, witness_generic, witness_stabilizer, witness_w1
 
 
 def _damped(p: float, theta: float, mode: str) -> DensityMatrix:
-    """The damped state of grid point (p, theta) in channel mode ``mode``."""
+    """The damped state of grid point (p, theta) in channel mode ``mode``;
+    p is checked first in every mode, as ``_xcore._mode_damped_x`` checks."""
     if mode == MODE_CLOSED_FORM:
         return nmems_ad(p, theta)
+    base = nmems(p)
     channel = adc(math.sin(theta) ** 2)
     if mode == MODE_CORRELATED:
-        return apply_correlated_pair(channel, nmems(p))
-    return apply_product_pair(channel, nmems(p))
+        return apply_correlated_pair(channel, base)
+    return apply_product_pair(channel, base)
 
 
 _WITNESSES = {

@@ -84,8 +84,9 @@ def __getattr__(name: str):
 # Each column below has the checks and messages of its QUANTITIES entry,
 # and its bits, with two exceptions: witness_w1 has those of a BLAS kernel
 # without fused multiply-adds (see _xcore._x_expectation), and the two
-# spin-flip concurrences take K's singular values in closed form, a few ulp
-# from the matrix route (see _xcore._x_concurrence_wootters).
+# spin-flip concurrences read K's singular values sqrt(a e), sqrt(a e),
+# sqrt(b d) +- |c| off the five numbers, a few ulp from the matrix route
+# (see _xcore._x_concurrence_wootters).
 # _require_unit returns None once its check passes.
 
 # columns that read only nmems(p), on the (x, eigenvalues, trace tag) of

@@ -120,12 +120,17 @@ def test_kernel_sweep_bytes(tmp_path):
 
 
 # the five damped columns (sweep._DAMPED, computed from five numbers), over
-# the whole domain in every channel mode, taken while the Kraus modes,
-# fidelity_ad and concurrence_ad_wootters still ran on dense states
+# the whole domain in every channel mode.  closed_form and correlated were
+# taken while the Kraus modes, fidelity_ad and concurrence_ad_wootters still
+# ran on dense states.  The product digest moved (from aea401bafb94ef74) when
+# the spin-flip concurrence began to read K's singular values sqrt(a e),
+# sqrt(a e), sqrt(b d) +- |c| off the five numbers: one cell,
+# concurrence_ad_wootters at p = 0.2, theta = 0.863937979737, went from
+# 0.000416115626612 to its correctly rounded value 0.000416115626613
 KERNEL_MODE_SWEEP_SHA256 = {
     "closed_form": "4ff9292d802e5867",
     "correlated": "615aaf8e058f113e",
-    "product": "aea401bafb94ef74",
+    "product": "1709227640ed3229",
 }
 
 

@@ -1241,3 +1241,15 @@ class TestQuantityRegistry:
         assert abs(row.values["witness_generic"] - (1 - 0.2) / 3) < 1e-12
         assert abs(row.values["witness_w1"] - (7 * 0.2 - 2) / 18) < 1e-12
         assert abs(row.values["witness_stabilizer"] - (4 * 0.2 - 1) / 3) < 1e-12
+
+    @pytest.mark.parametrize("mode", CHANNEL_MODES)
+    def test_damped_state_checks_p_first_in_every_mode(self, mode):
+        # p and theta both out of range: the registry and the scalar core
+        # reject p first, with the same message, in every mode
+        with pytest.raises(InputError) as want:
+            _xcore._mode_damped_x(mode, 2.0, math.nan)
+        assert str(want.value) == "p must lie in [0, 1], got 2.0"
+        for name in ("concurrence_ad", "concurrence_ad_wootters", "entropy_ad"):
+            with pytest.raises(InputError) as got:
+                QUANTITIES[name](2.0, math.nan, mode)
+            assert str(got.value) == str(want.value), name

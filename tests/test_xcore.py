@@ -5,10 +5,12 @@ and both endpoints.
 Bits are compared wherever a replay claims them.  The w1 witness
 expectation has the bits of its matrix product only on a BLAS kernel
 without fused multiply-adds (checked on OpenBLAS's Prescott kernel); on
-others it is within a few ulp.  The spin-flip chain takes K's singular
-values in closed form: it is checked against the matrix route to 4 ulp of
-1 on any kernel and against a 40-digit reference, and it rejects what the
-matrix route rejects, with its messages.
+others it is within a few ulp.  The spin-flip chain takes the singular
+values sqrt(a e), sqrt(a e), sqrt(b d) +- |c| of K = sqrt(rho) (sy x sy)
+sqrt(rho)* as they are known exactly for a corner-free X state: it is
+checked against the matrix route to 4 ulp of 1 on any kernel, against a
+40-digit reference to 1 ulp of 1 and against the closed X formula's printed
+digits, and it rejects what the matrix route rejects, with its messages.
 """
 
 import decimal
@@ -202,9 +204,10 @@ def _reference_concurrence(a: float, c: float, e: float) -> decimal.Decimal:
 
 
 def test_spin_flip_columns_are_near_the_reference():
-    # within 2 ulp of 1 of the 40-digit value (1.88 measured); the printed
-    # 12 digits are the correctly rounded ones but in two cells, where the
-    # true value sits within an ulp of 1 of a rounding boundary
+    # within 1 ulp of 1 of the 40-digit value (0.96 measured); the printed
+    # 12 digits are the correctly rounded ones in every cell, also where the
+    # true value sits within an ulp of 1 of a rounding boundary (closed_form
+    # at a = 0.380833..., product at a = 0.708482...)
     rounded = decimal.Context(prec=12)
     n = 0
     worst = decimal.Decimal(0)
@@ -218,17 +221,38 @@ def test_spin_flip_columns_are_near_the_reference():
         if decimal.Decimal(printed) != rounded.plus(ref):
             off.append((spec.channel_mode, a, printed, str(rounded.plus(ref))))
     assert n == 3_104
-    assert worst <= 2 * sys.float_info.epsilon
-    assert off == [
-        ("closed_form", 0.38083333333333336, "0.0107535846439", "0.0107535846438"),
-        ("product", 0.7084827074757168, "0.000416115626612", "0.000416115626613"),
-    ]
+    assert worst <= sys.float_info.epsilon
+    assert off == []
+
+
+def test_spin_flip_columns_print_the_x_formula_digits():
+    # each spin-flip column beside the closed X formula's column of the same
+    # state, over the family grid, then the whole domain and the
+    # benchmark's 60 x 20 grid in every channel mode
+    grids = [dict(p_max=1.0, p_steps=41, theta_max=math.pi / 2, theta_steps=21),
+             dict(p_max=0.292, p_steps=60, theta_max=math.pi / 4, theta_steps=20)]
+    specs = [SweepSpec(p_min=0.0, p_max=1.0, p_steps=1001, theta_max=0.0, theta_steps=1,
+                       quantities=("concurrence_wootters", "concurrence"))]
+    specs += [SweepSpec(**grid, quantities=("concurrence_ad_wootters", "concurrence_ad"),
+                        channel_mode=mode)
+              for grid in grids for mode in CHANNEL_MODES]
+    n = 0
+    off = []
+    for spec in specs:
+        for row in run_sweep(spec):
+            if row.values[spec.quantities[0]] is not None:
+                n += 1
+                printed = [sweep._format_value(row.values[name]) for name in spec.quantities]
+                if printed[0] != printed[1]:
+                    off.append((spec.channel_mode, row.p, row.theta, *printed))
+    assert n == 3_265
+    assert off == []
 
 
 @pytest.mark.parametrize("x", [
-    (1.0, 0.0, 0.0, 0.0, 0.0),  # pure |00>: K = 0, sigma_1 = 0
+    (1.0, 0.0, 0.0, 0.0, 0.0),  # pure |00>: K = 0, every singular value 0
     (0.0, 0.5, 0.5, 0.5, 0.0),  # a Bell state
-    (0.5, 0.0, 0.0, 0.0, 0.5),  # B = 0 beside nonzero corners
+    (0.5, 0.0, 0.0, 0.0, 0.5),  # sqrt(b d) = |c| = 0 beside nonzero corners
     (0.25, 0.25, 0.25, 0.25, 0.25),
     (0.3, 0.2, 0.0, 0.2, 0.3),  # b == d, c = 0: no rotation
 ], ids=["pure", "bell", "corners", "rank_three", "degenerate"])
@@ -258,7 +282,7 @@ def test_spin_flip_chain_rejects_as_the_matrix_route(x):
 def test_spin_flip_jacobi_cap_propagates(monkeypatch):
     # two sweeps converge the state's single rotation but not the
     # dilation's; the matrix route aborts, and the scalar chain, which
-    # takes K's singular values in closed form, has no iteration to cap
+    # reads K's singular values off the five numbers, has no iteration to cap
     x = _xcore._mode_damped_x("product", 0.1, 0.4)
     rho = DensityMatrix.from_matrix(oracles.x_matrix(*x))
     monkeypatch.setattr(linalg, "JACOBI_MAX_SWEEPS", 2)
