@@ -7,10 +7,14 @@ number in the figure presets and the headline report is a function of
 (a, b, c, d, e).  This module holds those functions: the range and trace
 checks, the family's five numbers, the channel modes and the table of
 their damping maps (``_DAMPING``), the eigenvalues from the one Jacobi
-rotation such a state takes, and the scalar forms of the measures.  It
-runs no iterative eigensolver.  Each function has the checks and the
-messages of the matrix route it stands for, and its bits, except the
-spin-flip concurrence: it reads the singular values of
+rotation such a state takes, replayed on floats (the coherence is real,
+so the complex rotation's imaginary parts are all zero), and the scalar
+forms of the measures.  The closed-form damped fidelity comes in three
+parts, as the damping maps do: factors of p, factors of theta, and the
+cell from both, so a sweep takes each axis's factors once.  It runs no
+iterative eigensolver, and each check runs once per call.  Each function
+has the checks and the messages of the matrix route it stands for, and
+its bits, except the spin-flip concurrence: it reads the singular values of
 K = sqrt(rho) (sy x sy) sqrt(rho)* off the five numbers, where they are
 known exactly, forms neither sqrt(rho) nor K, and agrees with the matrix
 route to a few ulp; the tests pin both.
@@ -76,8 +80,10 @@ def _check_range(name: str, value: float, lo: float, hi: float) -> float:
     return value
 
 
-def _check_finite(*entries) -> None:
-    if not all(map(math.isfinite, entries)):
+def _check_finite(a: float, b: float, c: float, d: float, e: float) -> None:
+    """Reject a non-finite entry among the five numbers, checked in order."""
+    isfinite = math.isfinite
+    if not (isfinite(a) and isfinite(b) and isfinite(c) and isfinite(d) and isfinite(e)):
         raise InputError("matrix entries must be finite")
 
 
@@ -96,12 +102,13 @@ def _normalization(lowest: float, tr: float) -> str:
 
 def _check_x_params(a: float, b: float, c: complex, d: float, e: float) -> None:
     """XStateParams' checks: finite entries, a non-negative diagonal and
-    |c| <= sqrt(b d)."""
-    if not all(map(cmath.isfinite, (a, b, c, d, e))):
+    |c| <= sqrt(b d), each checked in order, in one pass."""
+    isfinite = cmath.isfinite
+    if not (isfinite(a) and isfinite(b) and isfinite(c) and isfinite(d) and isfinite(e)):
         raise InputError("X-state parameters must be finite")
-    for name, value in (("a", a), ("b", b), ("d", d), ("e", e)):
-        if value < 0.0:
-            raise InputError(f"X-state parameter {name} must be non-negative")
+    if a < 0.0 or b < 0.0 or d < 0.0 or e < 0.0:
+        name = "a" if a < 0.0 else "b" if b < 0.0 else "d" if d < 0.0 else "e"
+        raise InputError(f"X-state parameter {name} must be non-negative")
     if abs(c) > math.sqrt(b * d) + 1e-9:
         raise InputError("coherence |c| exceeds sqrt(b*d); not a valid state")
 
@@ -251,36 +258,38 @@ def _x_trace(a: float, b: float, d: float, e: float) -> float:
     return (a + b) + (d + e)
 
 
-def _x_eigenvalues(a, b, c, d, e) -> list:
+def _x_eigenvalues(a: float, b: float, c: float, d: float, e: float) -> list:
     """Descending eigenvalues ``linalg._jacobi`` finds for the corner-free X
-    matrix with diagonal (a, b, d, e) and w[1][2] = c, w[2][1] = conj(c),
+    matrix with real diagonal (a, b, d, e) and real w[1][2] = w[2][1] = c,
     bit for bit, as a list of floats.
 
     ``_jacobi`` rotates such a matrix once, on the pair (1, 2), and only if
     |c| > 1e-12: every other off-diagonal entry is zero before and after.
-    This replays that rotation on Python scalars with the operations of
-    ``linalg``'s plane rotation, then sorts the diagonal as ``_jacobi``
-    sorts.  Entries must be finite.
+    This replays that rotation on floats with the operations of ``linalg``'s
+    plane rotation, then sorts the diagonal as ``_jacobi`` sorts.  With c
+    real the phase c / |c| is exactly +-1.0, so every complex entry and
+    product of the rotation has a zero imaginary part, and a complex
+    product's real part is the float product of the real parts less a zero:
+    the floats below are the complex rotation's real parts, bit for bit.
+    (A signed zero the complex route would drop is always added to a
+    nonzero term, or to +0.0, before it reaches the diagonal.)  Entries
+    must be finite and c a float.
     """
-    w11, w22 = complex(b), complex(d)
-    w12, w21 = complex(c), complex(c.conjugate())
-    r = abs(w12)
+    r = abs(c)
     if r > JACOBI_OFFDIAG_TOL:
-        phase = w12 / r
-        theta = 0.5 * math.atan2(2.0 * r, w11.real - w22.real)
+        ph = c / r
+        theta = 0.5 * math.atan2(2.0 * r, b - d)
         cs = math.cos(theta)
-        s = math.sin(theta)
-        s_ph = s * phase
-        s_cph = s * phase.conjugate()
+        s_ph = math.sin(theta) * ph
         # the plane rotation's column pass on rows 1 and 2, then its row
-        # pass on the diagonal entries
-        c11 = cs * w11 + s_cph * w12
-        c12 = -s_ph * w11 + cs * w12
-        c21 = cs * w21 + s_cph * w22
-        c22 = -s_ph * w21 + cs * w22
-        w11 = cs * c11 + s_ph * c21
-        w22 = -s_cph * c12 + cs * c22
-    diag = [complex(a).real, w11.real, w22.real, complex(e).real]
+        # pass on the diagonal entries; s * conj(phase) is s * phase here
+        c11 = cs * b + s_ph * c
+        c12 = -s_ph * b + cs * c
+        c21 = cs * c + s_ph * d
+        c22 = -s_ph * c + cs * d
+        b = cs * c11 + s_ph * c21
+        d = -s_ph * c12 + cs * c22
+    diag = [a, b, d, e]
     diag.sort(reverse=True)
     return diag
 
@@ -317,13 +326,16 @@ def _spectrum_entropy(vals: list) -> float:
     """-sum_i v_i log2 v_i over a list of eigenvalues or probabilities,
     summed in list order.
 
-    _xlog2x sends v <= 0 to 0, so roundoff-negative values need no clip.
-    A plain loop, not builtin sum: from Python 3.12 on sum compensates float
-    sums, which moves the last bit of some entropies.
+    A v <= 0 adds nothing, as in _xlog2x, so roundoff-negative values need
+    no clip; skipping its += 0.0 leaves every bit as it is, since the total
+    is never -0.0.  A plain loop, not builtin sum: from Python 3.12 on sum
+    compensates float sums, which moves the last bit of some entropies.
     """
     total = 0.0
+    log2 = math.log2
     for v in vals:
-        total += _xlog2x(v)
+        if v > 0.0:
+            total += v * log2(v)
     return -total
 
 
@@ -334,11 +346,14 @@ def _x_concurrence(a: float, b: float, c: complex, d: float, e: float) -> float:
     return 2.0 * max(abs(c) - math.sqrt(a * e), 0.0)
 
 
-def _x_concurrence_wootters(a: float, b: float, c: float, d: float, e: float) -> float:
+def _x_concurrence_wootters(a: float, b: float, c: float, d: float, e: float,
+                            tag: str) -> float:
     """``concurrence_wootters`` of ``from_matrix`` of the dense corner-free
     X state with real diagonal (a, b, d, e) and real inner coherence c,
-    without building it, with the checks and messages of that route:
-    ``_x_spectrum``'s and the unit-trace rejection.
+    without building it, given the state's trace tag ``tag`` as
+    ``_x_spectrum`` returns it.  ``_x_spectrum``'s checks are the
+    caller's; this makes the unit-trace rejection, and the two together
+    have the checks and messages of the matrix route.
 
     The singular values of K = sqrt(rho) (sy x sy) sqrt(rho)* of such a
     state are known exactly: sqrt(a e) twice, sqrt(b d) + |c| and
@@ -347,7 +362,7 @@ def _x_concurrence_wootters(a: float, b: float, c: float, d: float, e: float) ->
     the eigenvalues.  The value agrees with the matrix route's Jacobi on
     the dilation of K to a few ulp.
     """
-    _require_unit(_x_spectrum(a, b, c, d, e)[1], "spin-flip concurrence")
+    _require_unit(tag, "spin-flip concurrence")
     corner = math.sqrt(max(a, 0.0) * max(e, 0.0))
     inner = math.sqrt(max(b, 0.0) * max(d, 0.0))
     s1, s2, s3, s4 = sorted((corner, corner, inner + abs(c), abs(inner - abs(c))),
@@ -475,39 +490,45 @@ def _x_expectation(entries: tuple, a: float, b: float, c: float, d: float,
     return (w00 * a + (w11 * b + w12 * c)) + ((w21 * c + w22 * d) + w33 * e)
 
 
-def fidelity_ad_closed_form(p: float, theta: float) -> float:
-    """Closed-form optimal fidelity of the damped family (long radical form).
-
-    Both radicands factor exactly, so the long expression must equal
-    1/2 + (1-p)(1-g)/9 + (1-g) sqrt(3 p (p+2)) / 18 with g = sin^2(theta);
-    the equality is asserted on every call, to 1e-12 plus the roundoff the
-    square roots amplify near a zero radicand.  Note this expression
-    does NOT reduce to the undamped correlation-criterion fidelity at
-    theta = 0 (it gives 11/18 instead of 7/9 at p = 0); see the headline
-    report for the quantified discrepancy.
-    """
+def _closed_form_fidelity_p(p: float) -> tuple:
+    """The factors of ``fidelity_ad_closed_form`` at one p, after its range
+    check on p: (p, p p, -2 p, 3 p p, 6 p, 1 - p, sqrt(3 p (p + 2)))."""
     p = _check_range("p", p, 0.0, 1.0)
+    return p, p * p, -2.0 * p, 3.0 * p * p, 6.0 * p, 1.0 - p, math.sqrt(3.0 * p * (p + 2.0))
+
+
+def _closed_form_fidelity_theta(theta: float) -> tuple:
+    """The factors of ``fidelity_ad_closed_form`` at one theta, after its
+    range check on theta: theta, s4 = s2 s2 with s2 = sin^2 theta, the
+    theta-only prefixes of the radicand terms (-2 s4, 3 s4, 6 s4, -2 s2,
+    4 s2, -6 s2, -12 s2) and 1 - s2."""
     theta = _check_range("theta", theta, 0.0, math.pi / 2.0)
     s2 = math.sin(theta) ** 2
     s4 = s2 * s2
-    terms1 = (
-        s4 * p * p, -2.0 * s4 * p, s4,
-        -2.0 * s2 * p * p, 4.0 * s2 * p, -2.0 * s2,
-        p * p, -2.0 * p, 1.0,
-    )
-    terms2 = (
-        3.0 * s4 * p * p, 6.0 * s4 * p,
-        -6.0 * s2 * p * p, -12.0 * s2 * p,
-        3.0 * p * p, 6.0 * p,
-    )
+    return (theta, s4, -2.0 * s4, 3.0 * s4, 6.0 * s4,
+            -2.0 * s2, 4.0 * s2, -6.0 * s2, -12.0 * s2, 1.0 - s2)
+
+
+def _closed_form_fidelity(p_factors: tuple, theta_factors: tuple) -> float:
+    """``fidelity_ad_closed_form`` at one cell from the factors of its p
+    (``_closed_form_fidelity_p``) and of its theta
+    (``_closed_form_fidelity_theta``), with its bits and its cross-check.
+
+    Every term is the product it is in the long form, in the same
+    association, e.g. ((3 s4) p) p, with its prefix taken once per theta
+    or per p; fsum is correctly rounded in any order.
+    """
+    p, pp, m2p, p3p, p6, one_p, sq = p_factors
+    theta, s4, m2s4, s4_3, s4_6, m2s2, s2_4, m6s2, m12s2, one_g = theta_factors
+    terms1 = (s4 * p * p, m2s4 * p, s4, m2s2 * p * p, s2_4 * p, m2s2, pp, m2p, 1.0)
+    terms2 = (s4_3 * p * p, s4_6 * p, m6s2 * p * p, m12s2 * p, p3p, p6)
     # fsum keeps the near-total cancellation at gamma -> 1 exact; a naive
     # left-to-right sum leaves ~1e-16 dust that the square root amplifies
     rad1 = math.fsum(terms1)
     rad2 = math.fsum(terms2)
     value = 0.5 + math.sqrt(max(rad1, 0.0)) / 9.0 + math.sqrt(max(rad2, 0.0)) / 18.0
-    gamma = s2
-    root1 = (1.0 - p) * (1.0 - gamma)
-    root2 = (1.0 - gamma) * math.sqrt(3.0 * p * (p + 2.0))
+    root1 = one_p * one_g
+    root2 = one_g * sq
     compact = 0.5 + root1 / 9.0 + root2 / 18.0
     gap = abs(value - compact)
     # near a zero radicand the long form's roundoff alone can exceed 1e-12
@@ -521,6 +542,26 @@ def fidelity_ad_closed_form(p: float, theta: float) -> float:
             f"(p={p:g}, theta={theta:g}): {value!r} vs {compact!r}"
         )
     return value
+
+
+def fidelity_ad_closed_form(p: float, theta: float) -> float:
+    """Closed-form optimal fidelity of the damped family (long radical form).
+
+    Both radicands factor exactly, so the long expression must equal
+    1/2 + (1-p)(1-g)/9 + (1-g) sqrt(3 p (p+2)) / 18 with g = sin^2(theta);
+    the equality is asserted on every call, to 1e-12 plus the roundoff the
+    square roots amplify near a zero radicand.  Note this expression
+    does NOT reduce to the undamped correlation-criterion fidelity at
+    theta = 0 (it gives 11/18 instead of 7/9 at p = 0); see the headline
+    report for the quantified discrepancy.
+
+    Computed in three parts, p checked first: the factors of p
+    (``_closed_form_fidelity_p``), those of theta
+    (``_closed_form_fidelity_theta``), and the cell from both
+    (``_closed_form_fidelity``).  A sweep takes each theta's factors once,
+    each p's once, and the cell per grid point, with these bits.
+    """
+    return _closed_form_fidelity(_closed_form_fidelity_p(p), _closed_form_fidelity_theta(theta))
 
 
 def _sqrt_rounding(terms: tuple, rad: float, root: float) -> float:

@@ -14,7 +14,8 @@ without an eigenvector accumulator, and has two entries:
   8x8 dilation of ``measures.concurrence_wootters`` takes this route.
 
 The scalar core (``_xcore``) runs no iteration: it replays the single
-rotation ``_jacobi`` makes on a corner-free X state (``_x_eigenvalues``).
+rotation ``_jacobi`` makes on a corner-free X state with a real coherence
+on floats, with ``_jacobi``'s bits (``_x_eigenvalues``).
 
 The wrappers (``as_matrix``, ``kron``, ``trace``, ``is_hermitian``)
 validate their arguments for callers outside the package.  Package code that

@@ -16,10 +16,11 @@ evaluated, so memory does not grow with the grid.
 
 Every column has one route: a function of the five numbers of the
 family state (_P_ONLY) or of the cell's damped state (_DAMPED), on the
-scalar core (``_xcore``), or the closed form fidelity_ad_closed_form.  The
-damped state comes from the scalar core's one channel-mode table,
-``_xcore._DAMPING``, which ``nmems_ad`` reads too.  The headline report
-reads the same _P_ONLY entries.  No column needs numpy.
+scalar core (``_xcore``), or the closed form fidelity_ad_closed_form, taken
+as its three parts (per theta, per p, per cell).  The damped state comes
+from the scalar core's one channel-mode table, ``_xcore._DAMPING``, which
+``nmems_ad`` reads too.  The headline report reads the same _P_ONLY
+entries.  No column needs numpy.
 The per-point registry (``nmems.registry``, here as ``QUANTITIES``)
 defines every column through the matrix API, which loads numpy; it is the
 public per-point API and the tests' oracle, and the engine never calls
@@ -41,6 +42,9 @@ from ._xcore import (
     UNIT,
     USEFULNESS_MARGIN,
     _check_x_params,
+    _closed_form_fidelity,
+    _closed_form_fidelity_p,
+    _closed_form_fidelity_theta,
     _family,
     _require_unit,
     _spectrum_entropy,
@@ -94,7 +98,7 @@ def __getattr__(name: str):
 # across that p's thetas
 _P_ONLY = {
     "concurrence": lambda x, vals, tag: _x_concurrence(*_x_params(*x)),
-    "concurrence_wootters": lambda x, vals, tag: _x_concurrence_wootters(*x),
+    "concurrence_wootters": lambda x, vals, tag: _x_concurrence_wootters(*x, tag),
     "fidelity": lambda x, vals, tag: (
         _require_unit(tag, "teleportation fidelity") or _x_fidelity(*x)),
     "discord": lambda x, vals, tag: _require_unit(tag, "discord") or _x_discord(*x, vals),
@@ -113,7 +117,7 @@ _DAMPED = {
     "concurrence_ad": lambda x, vals, tag, entropy: _x_concurrence(*_x_params(*x)),
     # NA (None) where the damped state is sub-normalized
     "concurrence_ad_wootters": lambda x, vals, tag, entropy: (
-        _x_concurrence_wootters(*x) if tag == UNIT else None),
+        _x_concurrence_wootters(*x, tag) if tag == UNIT else None),
     "fidelity_ad": lambda x, vals, tag, entropy: _x_fidelity(*x),
     "entropy_ad": lambda x, vals, tag, entropy: _spectrum_entropy(vals),
     "mid": lambda x, vals, tag, entropy: _spectrum_entropy(vals) - entropy,
@@ -244,15 +248,19 @@ def _walk(spec: SweepSpec, cell):
     ``iter_sweep``, ``_format_value`` for the CSV); p outer, theta inner.
 
     Lazy: each p is evaluated when its first row is asked for.  Once per
-    theta, before the first row: that theta's ``cell`` and, if a damped
-    column is asked for, the mode's damping factors with their range check
-    (the first map of ``_xcore._DAMPING[mode]``).  Once per p: the family
-    state with nmems' checks (``_xcore._family``), p's ``cell`` and the
-    _P_ONLY columns, shared by that p's thetas.  Per cell: the damped state
-    from the family's numbers and the theta's factors (the second map), its
-    checks (``_xcore._x_spectrum``), the _DAMPED columns and
-    fidelity_ad_closed_form; ``_xcore._mode_damped_x`` composes the same
-    two maps at one cell.
+    theta, before the first row: that theta's ``cell``; if a damped column
+    is asked for, the mode's damping factors with their range check (the
+    first map of ``_xcore._DAMPING[mode]``); and if fidelity_ad_closed_form
+    is, its theta factors with its range check on theta
+    (``_xcore._closed_form_fidelity_theta``).  Once per p: the family state
+    with nmems' checks (``_xcore._family``), p's ``cell``, the _P_ONLY
+    columns, shared by that p's thetas, and the closed form's p factors
+    (``_xcore._closed_form_fidelity_p``).  Per cell: the damped state from
+    the family's numbers and the theta's factors (the second map), its
+    checks (``_xcore._x_spectrum``), the _DAMPED columns and the closed
+    form's cell (``_xcore._closed_form_fidelity``).
+    ``_xcore._mode_damped_x`` composes the same two maps at one cell, and
+    ``fidelity_ad_closed_form`` the closed form's three parts.
     """
     quantities = spec.quantities
     p_only = [(i, _P_ONLY[name]) for i, name in enumerate(quantities, 2) if name in _P_ONLY]
@@ -261,7 +269,8 @@ def _walk(spec: SweepSpec, cell):
                    if name == "fidelity_ad_closed_form"]
     factors_of, image = _DAMPING[spec.channel_mode]
     thetas = [
-        (theta, cell(theta), factors_of(theta) if damped else None)
+        (cell(theta), factors_of(theta) if damped else None,
+         _closed_form_fidelity_theta(theta) if closed_form else None)
         for theta in _grid(spec.theta_min, spec.theta_max, spec.theta_steps)
     ]
     row = [None] * (2 + len(quantities))
@@ -273,7 +282,9 @@ def _walk(spec: SweepSpec, cell):
         if damped:
             family_x = base[0]
             entropy = _P_ONLY["entropy"](*base)
-        for theta, theta_cell, factors in thetas:
+        if closed_form:
+            p_factors = _closed_form_fidelity_p(p)
+        for theta_cell, factors, theta_factors in thetas:
             row[1] = theta_cell
             if damped:
                 x = image(family_x, factors)
@@ -281,7 +292,7 @@ def _walk(spec: SweepSpec, cell):
                 for i, column in damped:
                     row[i] = cell(column(x, vals, tag, entropy))
             for i in closed_form:
-                row[i] = cell(fidelity_ad_closed_form(p, theta))
+                row[i] = cell(_closed_form_fidelity(p_factors, theta_factors))
             yield tuple(row)
 
 

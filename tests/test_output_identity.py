@@ -1,8 +1,9 @@
 """Byte-identity gate: the sha256 prefixes of the figure presets, the
 headline report, the 60 x 20 all-quantity and numpy-free sweeps in every
 channel mode and whole-domain sweeps of the damped columns, plus
-full-precision digests of the eigensolver, the family's states and the
-spin-flip concurrence.
+full-precision digests of the eigensolver, the family's states, the
+spin-flip concurrence, the closed-form fidelity and the scalar core's
+spectra of the damped states.
 
 A change to any evaluator that moves a single printed digit changes one of
 the CSV digests.  Those see only 12 significant digits, so the raw-byte
@@ -19,7 +20,7 @@ import numpy as np
 import pytest
 
 from nmems import InputError, linalg
-from nmems._xcore import UNIT, _mode_damped_x, _x_spectrum
+from nmems._xcore import UNIT, _mode_damped_x, _x_spectrum, fidelity_ad_closed_form
 from nmems.channels import adc, apply_correlated_pair, apply_product_pair
 from nmems.measures import concurrence_wootters
 from nmems.states import DensityMatrix, nmems, nmems_ad
@@ -166,6 +167,38 @@ def test_dense_eigen_full_precision():
             h.update(spec.eigenvalues.astype("<f8").tobytes())
             h.update(spec.eigenvectors.astype("<c16").tobytes())
     assert h.hexdigest()[:16] == EIGEN_SHA256
+
+
+# sha256 prefixes over the 201 x 201 whole-domain grid, p = 1 and
+# theta = pi/2 included: float.hex of the closed-form fidelity, and the
+# four eigenvalues (little-endian float64) and trace tag of the damped
+# state in every channel mode, from the scalar core
+FIDELITY_CF_SHA256 = "c5a416bb6b6f80ce"
+X_SPECTRUM_SHA256 = "88b074ab591a1953"
+_DOMAIN_P = _grid(0.0, 1.0, 201)
+_DOMAIN_THETA = _grid(0.0, math.pi / 2.0, 201)
+
+
+def test_closed_form_fidelity_full_precision():
+    h = hashlib.sha256()
+    for p in _DOMAIN_P:
+        for theta in _DOMAIN_THETA:
+            h.update(fidelity_ad_closed_form(p, theta).hex().encode("ascii"))
+    assert h.hexdigest()[:16] == FIDELITY_CF_SHA256
+
+
+def test_x_spectrum_full_precision():
+    h = hashlib.sha256()
+    n = 0
+    for mode in CHANNEL_MODES:
+        for p in _DOMAIN_P:
+            for theta in _DOMAIN_THETA:
+                vals, tag = _x_spectrum(*_mode_damped_x(mode, p, theta))
+                h.update(struct.pack("<4d", *vals))
+                h.update(tag.encode("ascii"))
+                n += 1
+    assert n == 121_203
+    assert h.hexdigest()[:16] == X_SPECTRUM_SHA256
 
 
 def test_family_states_full_precision():

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -82,6 +83,12 @@ def _bits(values: dict) -> dict:
     return {name: None if v is None else v.hex() for name, v in values.items()}
 
 
+def _spin_flip(x: tuple) -> float:
+    """``_xcore._x_concurrence_wootters`` of the five numbers ``x``, after
+    ``_x_spectrum``'s checks, as the sweep chains them."""
+    return _xcore._x_concurrence_wootters(*x, _xcore._x_spectrum(*x)[1])
+
+
 def _scalar_replays(spec: SweepSpec, row: SweepRow, values: dict) -> dict:
     """``_bits(values)`` with witness_w1, concurrence_wootters and a defined
     concurrence_ad_wootters taken from their scalar replays of the matrix
@@ -91,9 +98,9 @@ def _scalar_replays(spec: SweepSpec, row: SweepRow, values: dict) -> dict:
     x = _xcore._family_x(row.p)
     replays = {
         "witness_w1": lambda: _xcore._x_expectation(_xcore._WITNESS_ENTRIES["w1"], *x),
-        "concurrence_wootters": lambda: _xcore._x_concurrence_wootters(*x),
-        "concurrence_ad_wootters": lambda: _xcore._x_concurrence_wootters(
-            *_xcore._mode_damped_x(spec.channel_mode, row.p, row.theta)),
+        "concurrence_wootters": lambda: _spin_flip(x),
+        "concurrence_ad_wootters": lambda: _spin_flip(
+            _xcore._mode_damped_x(spec.channel_mode, row.p, row.theta)),
     }
     for name, replay in replays.items():
         if want.get(name) is not None:
@@ -509,6 +516,29 @@ class TestRunSweep:
         for mode in CHANNEL_MODES:
             with pytest.raises(NumericalError):
                 run_sweep(_tiny_spec(quantities=("mid",), channel_mode=mode))
+
+    @pytest.mark.parametrize("p_min, p_max, theta_min, theta_max", [
+        (0.9, 1.0, 0.0, math.pi / 2),  # p = 1 beside theta = pi/2 (gamma = 1)
+        (1.0 - 1e-8, 1.0 - 1e-8, 0.0, 0.0),
+        (0.0, 0.3, 1.0, math.pi / 2),
+    ])
+    def test_closed_form_cells_are_the_public_function(self, p_min, p_max, theta_min,
+                                                       theta_max):
+        # the sweep takes the closed form's theta and p factors once each;
+        # every cell must still have the bits of the per-point function
+        steps = {"p_steps": 1 if p_min == p_max else 3,
+                 "theta_steps": 1 if theta_min == theta_max else 4}
+        for mode in CHANNEL_MODES:
+            spec = SweepSpec(p_min=p_min, p_max=p_max, theta_min=theta_min,
+                             theta_max=theta_max, quantities=("mid", "fidelity_ad_closed_form"),
+                             channel_mode=mode, **steps)
+            rows = run_sweep(spec)
+            assert len(rows) == steps["p_steps"] * steps["theta_steps"]
+            assert {row.p for row in rows} >= {p_max}
+            assert {row.theta for row in rows} >= {theta_max}
+            for row in rows:
+                got = row.values["fidelity_ad_closed_form"]
+                assert got.hex() == fidelity_ad_closed_form(row.p, row.theta).hex()
 
     def test_p_only_column_is_evaluated_once_per_p(self, monkeypatch):
         # on the family state of each p; an InputError at one p aborts
@@ -1004,7 +1034,7 @@ class TestCli:
         self, monkeypatch, tmp_path, capsys, place, mode
     ):
         # one InputError at the cell (0.1, 0) of a 3 x 3 grid, in the
-        # damped state, a p-only column or the per-point closed form
+        # damped state, a p-only column or the closed form's per-cell part
         message = f"injected rejection in {place}"
 
         def reject_at_cell(p, theta):
@@ -1029,10 +1059,11 @@ class TestCli:
 
             monkeypatch.setitem(_P_ONLY, "chsh", chsh)
         else:
-            real = sweep.fidelity_ad_closed_form
+            # the cell's part reads p and theta off the head of its factors
+            real = sweep._closed_form_fidelity
             monkeypatch.setattr(
-                sweep, "fidelity_ad_closed_form",
-                lambda p, theta: reject_at_cell(p, theta) or real(p, theta),
+                sweep, "_closed_form_fidelity",
+                lambda pf, tf: reject_at_cell(pf[0], tf[0]) or real(pf, tf),
             )
         spec = SweepSpec(
             p_min=0.0, p_max=0.2, p_steps=3,
@@ -1051,6 +1082,32 @@ class TestCli:
         assert code == 1
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
+
+    def test_closed_form_cross_check_failure_exits_one(self, monkeypatch, tmp_path, capsys):
+        # a p factor sqrt(3 p (p + 2)) off by 1e-6 splits the long form from
+        # the factored one, and the per-cell part's cross-check aborts
+        real = sweep._closed_form_fidelity_p
+
+        def skewed(p):
+            *head, root = real(p)
+            return (*head, root + 1e-6)
+
+        monkeypatch.setattr(sweep, "_closed_form_fidelity_p", skewed)
+        spec = SweepSpec(p_min=0.0, p_max=0.2, p_steps=3,
+                         theta_min=0.0, theta_max=math.pi / 4, theta_steps=3,
+                         quantities=("fidelity", "fidelity_ad_closed_form"))
+        message = "closed-form fidelity failed its factored cross-check at (p=0, theta=0)"
+        with pytest.raises(NumericalError, match=re.escape(message)):
+            run_sweep(spec)
+        out = tmp_path / "x.csv"
+        code = main([
+            "sweep", "--p-min", "0", "--p-max", "0.2", "--p-steps", "3",
+            "--theta-min", "0", "--theta-max", "pi/4", "--theta-steps", "3",
+            "--quantities", "fidelity,fidelity_ad_closed_form", "--out", str(out),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: {message}: ")
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("earlier", [None, b"p,theta\nan earlier file\n"])
     def test_numerical_error_at_last_cell_leaves_no_csv(

@@ -92,7 +92,7 @@ def test_family_columns_are_the_registry_bits(p, mode):
     base = _xcore._family(p)
     want = {name: QUANTITIES[name](p, 0.0, mode).hex() for name in sweep._P_ONLY}
     want["witness_w1"] = _xcore._x_expectation(_xcore._WITNESS_ENTRIES["w1"], *base[0]).hex()
-    want["concurrence_wootters"] = _xcore._x_concurrence_wootters(*base[0]).hex()
+    want["concurrence_wootters"] = _xcore._x_concurrence_wootters(*base[0], base[2]).hex()
     for name, column in sweep._P_ONLY.items():
         assert column(*base).hex() == want[name], name
     spec = SweepSpec(p_min=p, p_max=p, p_steps=1, theta_max=0.0, theta_steps=1,
@@ -257,7 +257,7 @@ def test_spin_flip_columns_print_the_x_formula_digits():
     (0.3, 0.2, 0.0, 0.2, 0.3),  # b == d, c = 0: no rotation
 ], ids=["pure", "bell", "corners", "rank_three", "degenerate"])
 def test_spin_flip_chain_at_rank_deficient_edges(x):
-    got = _xcore._x_concurrence_wootters(*x)
+    got = _xcore._x_concurrence_wootters(*x, _xcore._x_spectrum(*x)[1])
     want = concurrence_wootters(DensityMatrix.from_matrix(oracles.x_matrix(*x)))
     assert abs(got - want) <= 4 * sys.float_info.epsilon
     assert abs(decimal.Decimal(got) - _reference_concurrence(x[0], x[2], x[4])) \
@@ -272,10 +272,12 @@ def test_spin_flip_chain_at_rank_deficient_edges(x):
     (0.1, 0.1, 0.05, 0.1, 0.1),  # trace 0.4: sub-normalized
 ], ids=["nan", "inf", "floor", "trace", "sub_normalized"])
 def test_spin_flip_chain_rejects_as_the_matrix_route(x):
+    # the sweep's chain: _x_spectrum's checks, then the column's unit-trace
+    # rejection on the trace tag they return
     with pytest.raises(InputError) as want:
         concurrence_wootters(DensityMatrix.from_matrix(oracles.x_matrix(*x)))
     with pytest.raises(InputError) as got:
-        _xcore._x_concurrence_wootters(*x)
+        _xcore._x_concurrence_wootters(*x, _xcore._x_spectrum(*x)[1])
     assert str(got.value) == str(want.value)
 
 
