@@ -359,8 +359,8 @@ def _x_concurrence_wootters(a: float, b: float, c: float, d: float, e: float,
     state are known exactly: sqrt(a e) twice, sqrt(b d) + |c| and
     |sqrt(b d) - |c|| (Wootters, PRL 80, 2245; Yu and Eberly, QIC 7, 459),
     with the diagonal clamped at zero as ``linalg.spectrum_sqrt`` clamps
-    the eigenvalues.  The value agrees with the matrix route's Jacobi on
-    the dilation of K to a few ulp.
+    the eigenvalues.  The value agrees with the matrix route's one-sided
+    Jacobi on K to a few ulp.
     """
     _require_unit(tag, "spin-flip concurrence")
     corner = math.sqrt(max(a, 0.0) * max(e, 0.0))

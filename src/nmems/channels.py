@@ -125,13 +125,16 @@ def apply_correlated_pair(ch: KrausChannel, rho: DensityMatrix) -> DensityMatrix
     _require_qubit_pair(ch, rho)
     if len(ch.operators) != 2:
         raise InputError("correlated pair application needs exactly 2 operators")
-    return _kraus_sum([np.kron(k, k) for k in ch.operators], rho)
+    ops = np.array(ch.operators)
+    return _kraus_sum(linalg._kron_pairs(ops, ops), rho)
 
 
 def apply_product_pair(ch: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
     """sum_{i,j} (K_i x K_j) rho (K_i x K_j)^dagger: independent noise on
     each qubit.  Trace-preserving whenever the channel is."""
     _require_qubit_pair(ch, rho)
-    ops = ch.operators
-    return _kraus_sum([np.kron(ki, kj) for ki in ops for kj in ops], rho)
+    ops = np.array(ch.operators)
+    # K_i x K_j for every (i, j), i outer and j inner
+    products = linalg._kron_pairs(ops[:, None], ops[None, :])
+    return _kraus_sum(products.reshape(-1, 4, 4), rho)
 

@@ -1,17 +1,20 @@
-"""Dense complex linear algebra for small matrices (everything here is <= 8x8).
+"""Dense complex linear algebra for small matrices (the package's are at most
+4x4).
 
 Matrices are plain numpy arrays of complex128; functions never mutate their
 inputs and always return fresh arrays.  The eigensolver is a cyclic Jacobi
 iteration working directly on the complex Hermitian matrix — at these
 dimensions it is simple, unconditionally stable, and keeps the whole numeric
 core free of LAPACK behaviour differences.  Its one core, ``_diagonalize``,
-runs the row-cyclic sweeps on nested lists of Python complex, with or
-without an eigenvector accumulator, and has two entries:
+runs the row-cyclic sweeps on nested lists of Python complex, and has one
+entry: ``_jacobi``, the full decomposition, of the matrix
+``hermitian_eigen`` has validated and symmetrized.
 
-* ``_jacobi``, the full decomposition, of the matrix ``hermitian_eigen``
-  has validated and symmetrized;
-* ``_jacobi_eigenvalues``, eigenvalues only, with ``_jacobi``'s bits; the
-  8x8 dilation of ``measures.concurrence_wootters`` takes this route.
+Singular values come from Hestenes' one-sided Jacobi
+(``_singular_values``), which orthogonalizes a matrix's columns, also on
+Python complex, and reads the values off their norms; the spin-flip
+concurrence of ``measures.concurrence_wootters`` takes this route.  Both
+iterations share the sweep cap ``JACOBI_MAX_SWEEPS``.
 
 The scalar core (``_xcore``) runs no iteration: it replays the single
 rotation ``_jacobi`` makes on a corner-free X state with a real coherence
@@ -20,13 +23,16 @@ on floats, with ``_jacobi``'s bits (``_x_eigenvalues``).
 The wrappers (``as_matrix``, ``kron``, ``trace``, ``is_hermitian``)
 validate their arguments for callers outside the package.  Package code that
 already holds a validated array (a ``DensityMatrix.matrix``, Kraus operators,
-witness matrices, module constants) hands it straight to numpy instead.
+witness matrices, module constants) hands it straight to numpy instead, and
+forms Kronecker products of 2x2 operators with ``_kron_pairs``.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import string
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +44,10 @@ HERMITICITY_TOL = 1e-10
 # the sweep cap turns a (never observed) failure of the Jacobi iteration to
 # converge into a hard error
 JACOBI_MAX_SWEEPS = 100
+# the one-sided Jacobi's stopping rule: (2 eps)^2, sqrt(n) eps with n = 4
+# columns, for the relative test, and eps^2 for the absolute floor
+_EPS_SQUARED = sys.float_info.epsilon ** 2
+_ORTHOGONALITY_TOL_SQUARED = 4.0 * _EPS_SQUARED
 
 
 def as_matrix(a) -> np.ndarray:
@@ -175,12 +185,72 @@ def _jacobi(w: list) -> Spectrum:
     )
 
 
-def _jacobi_eigenvalues(w: list) -> list:
-    """The descending eigenvalues ``_jacobi`` finds for ``w``, bit for bit,
-    as a list of floats, without eigenvectors; overwrites ``w``."""
-    _diagonalize(w, None)
-    # as _jacobi orders them: ties (+0.0 and -0.0) stay in index order
-    return sorted((w[k][k].real for k in range(len(w))), reverse=True)
+def _inner(x: list, y: list) -> complex:
+    """x^H y of two lists of Python complex, summed in index order."""
+    return sum(map(operator.mul, map(complex.conjugate, x), y))
+
+
+def _singular_values(cols: list) -> list:
+    """Singular values, descending, of the matrix whose columns are ``cols``
+    (lists of Python complex), by Hestenes' one-sided Jacobi; replaces the
+    entries of ``cols``.
+
+    Each sweep visits the column pairs in cyclic order and rotates a pair
+    with g = a_i^H a_j so that the two columns become orthogonal, while |g|
+    exceeds both 2 eps ||a_i|| ||a_j|| (the relative rule of Demmel and
+    Veselic, so tiny singular values keep their relative accuracy) and
+    eps^2 ||A||_F^2 (an absolute floor: a column of rounding dust that lies
+    along another never passes the relative rule).  The first sweep that
+    rotates nothing ends the iteration, and the singular values are the
+    column norms.  An all-zero matrix rotates nothing and gives zeros.
+    """
+    n = len(cols)
+    # squared column norms, recomputed from the columns after each rotation
+    norms = [_inner(a, a).real for a in cols]
+    floor = _EPS_SQUARED * sum(norms)
+    for _ in range(JACOBI_MAX_SWEEPS):
+        rotated = False
+        for i in range(n - 1):
+            for j in range(i + 1, n):
+                ai = cols[i]
+                aj = cols[j]
+                g = _inner(ai, aj)
+                r = abs(g)
+                if r <= floor or r * r <= _ORTHOGONALITY_TOL_SQUARED * norms[i] * norms[j]:
+                    continue
+                # the real rotation that diagonalizes [[|a_i|^2, r], [r, |a_j|^2]]
+                # (Golub and Van Loan's sym.schur2), after a_j *= conj(g) / r
+                zeta = (norms[j] - norms[i]) / (2.0 * r)
+                t = math.copysign(1.0, zeta) / (abs(zeta) + math.hypot(1.0, zeta))
+                c = 1.0 / math.hypot(1.0, t)
+                s = c * t
+                phase = g.conjugate() / r
+                s_ph = s * phase
+                c_ph = c * phase
+                ai, aj = ([c * x - s_ph * y for x, y in zip(ai, aj)],
+                          [s * x + c_ph * y for x, y in zip(ai, aj)])
+                cols[i] = ai
+                cols[j] = aj
+                norms[i] = _inner(ai, ai).real
+                norms[j] = _inner(aj, aj).real
+                rotated = True
+        if not rotated:
+            # hypot scales and rounds each norm more closely than the sums
+            return sorted((math.hypot(*[v for x in a for v in (x.real, x.imag)])
+                           for a in cols), reverse=True)
+    raise NumericalError(
+        f"Jacobi iteration did not converge in {JACOBI_MAX_SWEEPS} sweeps"
+    )
+
+
+def _kron_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Kronecker products of the trailing 2-d blocks of ``a`` and ``b``,
+    broadcast over their leading axes, in one numpy call for the whole
+    stack: entry [..., rb i + k, cb j + l] is the one complex product
+    a[..., i, j] * b[..., k, l], as ``np.kron`` forms it for a single pair."""
+    (ra, ca), (rb, cb) = a.shape[-2:], b.shape[-2:]
+    prod = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return prod.reshape(prod.shape[:-4] + (ra * rb, ca * cb))
 
 
 def hermitian_eigen(a) -> Spectrum:

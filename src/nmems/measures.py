@@ -71,13 +71,14 @@ def concurrence_wootters(rho: DensityMatrix) -> float:
     sqrt(rho) rho_tilde sqrt(rho) give max(0, l_1 - l_2 - l_3 - l_4).
 
     Those square roots equal the singular values of
-    K = sqrt(rho) (sy x sy) sqrt(rho)*, and are computed that way, as
-    eigenvalues of the Hermitian dilation [[0, K], [K^dagger, 0]]: squaring
-    and re-rooting would turn ~1e-17 eigenvalue dust into ~1e-9 errors at
-    rank-deficient states.  The dilation's spectrum is {+s_i, -s_i}, so its
-    top four eigenvalues (``linalg._jacobi_eigenvalues``), clamped at zero,
-    are s_1 >= ... >= s_4.  Defined for unit trace only; sub-normalized
-    input is rejected.
+    K = sqrt(rho) (sy x sy) sqrt(rho)*, and are computed that way, by
+    Hestenes' one-sided Jacobi on K's four columns
+    (``linalg._singular_values``): squaring and re-rooting would turn
+    ~1e-17 eigenvalue dust into ~1e-9 errors at rank-deficient states.  A
+    column pair is rotated while its inner product exceeds 2 eps times the
+    product of the two column norms and eps^2 ||K||_F^2; the column norms
+    are then s_1 >= ... >= s_4.  Defined for unit trace only;
+    sub-normalized input is rejected.
 
     This matrix route serves every state, X states included.  It is the
     oracle of the sweep's scalar chain for X states
@@ -86,19 +87,10 @@ def concurrence_wootters(rho: DensityMatrix) -> float:
     sqrt(b d) +- |c|, read off its five numbers.
     """
     _check_two_qubit(rho, "spin-flip concurrence")
-    eigvals = linalg._jacobi_eigenvalues(_spin_flip_dilation(rho))
-    s1, s2, s3, s4 = (max(v, 0.0) for v in eigvals[:4])
-    return max(0.0, s1 - s2 - s3 - s4)
-
-
-def _spin_flip_dilation(rho: DensityMatrix) -> list:
-    """[[0, K], [K^dagger, 0]], K = sqrt(rho) (sy x sy) sqrt(rho)*, as
-    nested lists of Python complex; exactly Hermitian by construction."""
     root = linalg.spectrum_sqrt(rho.spectrum)
-    k = (root @ _YY @ root.conj()).tolist()
-    z = [0j] * 4
-    return [z + row for row in k] + [[kij.conjugate() for kij in col] + z
-                                     for col in zip(*k)]
+    k = root @ _YY @ root.conj()
+    s1, s2, s3, s4 = linalg._singular_values(k.T.tolist())
+    return max(0.0, s1 - s2 - s3 - s4)
 
 
 @dataclass(frozen=True)
@@ -178,7 +170,7 @@ def mid_dephasing(rho: DensityMatrix) -> float:
     _check_two_qubit(rho, "dephasing disturbance")
     basis_a = _marginal_basis(linalg.partial_trace(rho.matrix, (2, 2), (0,)))
     basis_b = _marginal_basis(linalg.partial_trace(rho.matrix, (2, 2), (1,)))
-    u = np.kron(basis_a, basis_b)
+    u = linalg._kron_pairs(basis_a, basis_b)
     rotated = u.conj().T @ rho.matrix @ u
     dephased_entropy = _spectrum_entropy(np.diag(rotated).real.tolist())
     return dephased_entropy - von_neumann_entropy(rho)

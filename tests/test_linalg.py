@@ -46,6 +46,32 @@ class TestKron:
         assert np.allclose(left, right, atol=1e-14)
 
 
+class TestKronPairs:
+    """``_kron_pairs`` forms np.kron's products of 2x2 blocks by one
+    broadcast, with np.kron's bits."""
+
+    def _blocks(self, rng, *lead):
+        m = rng.standard_normal((*lead, 2, 2)) + 1j * rng.standard_normal((*lead, 2, 2))
+        # signed zeros, a subnormal and large and tiny parts among the ordinary ones
+        flat = m.reshape(-1)
+        flat[::5] = complex(-0.0, 0.0)
+        flat[1::7] = complex(5e-324, -0.0)
+        flat[2::11] = complex(1e150, -1e-300)
+        return m
+
+    def test_single_pair(self, rng):
+        a, b = self._blocks(rng), self._blocks(rng)
+        assert linalg._kron_pairs(a, b).tobytes() == np.kron(a, b).tobytes()
+
+    def test_stacks(self, rng):
+        ops = self._blocks(rng, 4)
+        every = linalg._kron_pairs(ops[:, None], ops[None, :]).reshape(-1, 4, 4)
+        want = [np.kron(ki, kj) for ki in ops for kj in ops]
+        assert every.tobytes() == np.array(want).tobytes()
+        same = linalg._kron_pairs(ops, ops)
+        assert same.tobytes() == np.array([np.kron(k, k) for k in ops]).tobytes()
+
+
 class TestTrace:
     def test_identity(self):
         assert linalg.trace(I4) == 4.0
@@ -127,7 +153,6 @@ _ENTRY = st.one_of(
 )
 # real coherences: the entries and their negations
 _REAL_COHERENCE = st.one_of(_ENTRY, st.builds(lambda x: -x, _ENTRY))
-_COHERENCE = st.one_of(_REAL_COHERENCE, st.builds(complex, _ENTRY, _ENTRY))
 
 
 class TestXEigenvalues:
@@ -163,38 +188,6 @@ class TestXEigenvalues:
         # caller in the package, refuses any complex one before the replay
         with pytest.raises(TypeError):
             _xcore._x_spectrum(0.2, 0.3, c, 0.3, 0.2)
-
-
-@st.composite
-def _patterned_hermitian(draw):
-    """A Hermitian matrix of size 1..8, as nested lists of Python complex,
-    whose off-diagonal pairs are each zero with probability about 1/2, as
-    in the sparse dilations of the spin-flip concurrence."""
-    n = draw(st.integers(1, 8))
-    w = [[complex(draw(_ENTRY)) if i == j else 0j for j in range(n)] for i in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if draw(st.booleans()):
-                w[i][j] = complex(draw(_COHERENCE))
-                w[j][i] = w[i][j].conjugate()
-    return w
-
-
-class TestJacobiEigenvalues:
-    """``_jacobi_eigenvalues`` runs the same sweeps without eigenvectors and
-    must give ``_jacobi``'s eigenvalues bit for bit, signed zeros and their
-    order included."""
-
-    @settings(max_examples=400, deadline=None)
-    @given(w=_patterned_hermitian())
-    @example(w=[[0j, 1e-12 + 0j], [1e-12 + 0j, 0j]])
-    @example(w=[[0j, 5e-324 + 0j], [5e-324 + 0j, 0.5 + 0j]])
-    @example(w=[[0.5 + 0j, -0.0 + 0j], [-0.0 + 0j, -0.0 + 0j]])
-    def test_matches_jacobi_bit_for_bit(self, w):
-        want = linalg._jacobi([row[:] for row in w]).eigenvalues
-        got = linalg._jacobi_eigenvalues(w)
-        assert all(type(v) is float for v in got)
-        assert np.array(got).tobytes() == want.tobytes()
 
 
 class TestPsdSqrt:

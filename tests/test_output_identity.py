@@ -224,17 +224,18 @@ def test_family_states_full_precision():
 
 
 # sha256 prefix of float.hex(concurrence_wootters(rho)) over the states
-# below, taken with the spin-flip dilation diagonalized whole.
-# The matrix products (K = sqrt(rho) (sy x sy) sqrt(rho)*, and g g^dagger
-# of the dense states) run through BLAS zgemm, whose last bits depend on
-# the kernel: OpenBLAS's fused multiply-add kernels (Haswell and later) and
-# its older ones (Prescott to Sandybridge) give 347 of the 1,361 values
-# differently.  Either digest pins every bit the eigenvalue step produces.
-WOOTTERS_SHA256 = {"fma": "9de083df8b3b8f44", "no_fma": "900ebb961c99870d"}
+# below, taken with K's singular values from the one-sided Jacobi sweeps.
+# The matrix products (K = sqrt(rho) (sy x sy) sqrt(rho)*, sqrt(rho) from
+# the spectrum, and g g^dagger of the dense states) run through BLAS zgemm,
+# whose last bits depend on the kernel: OpenBLAS's fused multiply-add
+# kernels (Haswell and later) and its older ones (Prescott to Sandybridge)
+# give 321 of the 1,361 values differently.  Either digest pins every bit
+# the singular-value step produces.
+WOOTTERS_SHA256 = {"fma": "4bb9abe5a2e83466", "no_fma": "4475a5c06216d6c8"}
 
 
 def _wootters_states():
-    """Unit-trace states of every shape the spin-flip dilation takes: the
+    """Unit-trace states of every shape the spin-flip K takes: the
     damped images of both Kraus modes over the whole domain, random X states
     with their edges (c = 0, b == d, pure and rank-deficient diagonals), and
     seeded dense states of full and deficient rank."""

@@ -282,13 +282,14 @@ def test_spin_flip_chain_rejects_as_the_matrix_route(x):
 
 
 def test_spin_flip_jacobi_cap_propagates(monkeypatch):
-    # two sweeps converge the state's single rotation but not the
-    # dilation's; the matrix route aborts, and the scalar chain, which
-    # reads K's singular values off the five numbers, has no iteration to cap
+    # one sweep does not orthogonalize this state's K; the matrix route's
+    # one-sided sweeps abort with the Jacobi cap's message, and the scalar
+    # chain, which reads K's singular values off the five numbers, has no
+    # iteration to cap
     x = _xcore._mode_damped_x("product", 0.1, 0.4)
     rho = DensityMatrix.from_matrix(oracles.x_matrix(*x))
-    monkeypatch.setattr(linalg, "JACOBI_MAX_SWEEPS", 2)
-    with pytest.raises(NumericalError, match="did not converge in 2 sweeps"):
+    monkeypatch.setattr(linalg, "JACOBI_MAX_SWEEPS", 1)
+    with pytest.raises(NumericalError, match="did not converge in 1 sweeps"):
         concurrence_wootters(rho)
 
 
