@@ -6,9 +6,13 @@ inputs and always return fresh arrays.  The eigensolver is a cyclic Jacobi
 iteration working directly on the complex Hermitian matrix — at these
 dimensions it is simple, unconditionally stable, and keeps the whole numeric
 core free of LAPACK behaviour differences.  Its one core, ``_diagonalize``,
-runs the row-cyclic sweeps on nested lists of Python complex, and has one
-entry: ``_jacobi``, the full decomposition, of the matrix
-``hermitian_eigen`` has validated and symmetrized.
+runs the row-cyclic sweeps on nested lists of Python complex, and has two
+entries: ``_jacobi``, the full decomposition, and ``_eigenvalues``, the
+eigenvalues alone (no eigenvector updates; the eigenvalues are ``_jacobi``'s
+bit for bit, since the eigenvectors never feed back into the matrix).  Both
+take a matrix that ``_hermitian_part`` has validated and symmetrized once:
+``hermitian_eigen`` and ``DensityMatrix.from_matrix`` run ``_jacobi`` on
+it, and ``measures.correlation_singular_values`` runs ``_eigenvalues``.
 
 Singular values come from Hestenes' one-sided Jacobi
 (``_singular_values``), which orthogonalizes a matrix's columns, also on
@@ -55,7 +59,7 @@ def as_matrix(a) -> np.ndarray:
     m = np.asarray(a, dtype=complex)
     if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
         raise InputError(f"expected a 2-d matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise InputError("matrix entries must be finite")
     return m
 
@@ -80,6 +84,17 @@ def trace(a) -> complex:
 def is_hermitian(a, tol: float = HERMITICITY_TOL) -> bool:
     m = as_square(a)
     return float(np.max(np.abs(m - m.conj().T))) <= tol
+
+
+def _hermitian_part(a) -> np.ndarray:
+    """(m + m^dagger) / 2 of ``a`` as a fresh complex array, after the one
+    shape, finiteness and Hermiticity (1e-10) check of a matrix to be
+    diagonalized."""
+    m = as_square(a)
+    mh = m.conj().T
+    if float(np.abs(m - mh).max()) > HERMITICITY_TOL:
+        raise InputError("matrix is not Hermitian within 1e-10")
+    return (m + mh) / 2.0
 
 
 @dataclass(frozen=True)
@@ -185,6 +200,13 @@ def _jacobi(w: list) -> Spectrum:
     )
 
 
+def _eigenvalues(w: list) -> list:
+    """``_jacobi``'s eigenvalues alone, descending, by ``_diagonalize``
+    with no eigenvector accumulator; overwrites ``w``."""
+    _diagonalize(w, None)
+    return sorted((row[k].real for k, row in enumerate(w)), reverse=True)
+
+
 def _inner(x: list, y: list) -> complex:
     """x^H y of two lists of Python complex, summed in index order."""
     return sum(map(operator.mul, map(complex.conjugate, x), y))
@@ -260,11 +282,7 @@ def hermitian_eigen(a) -> Spectrum:
     magnitude above 1e-12.  Raises InputError for non-Hermitian input
     (tolerance 1e-10) and NumericalError if 100 sweeps do not converge.
     """
-    m = as_square(a)
-    mh = m.conj().T
-    if float(np.max(np.abs(m - mh))) > HERMITICITY_TOL:
-        raise InputError("matrix is not Hermitian within 1e-10")
-    return _jacobi(((m + mh) / 2.0).tolist())
+    return _jacobi(_hermitian_part(a).tolist())
 
 
 def psd_sqrt(a) -> np.ndarray:

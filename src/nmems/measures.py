@@ -113,8 +113,9 @@ def correlation_matrix(rho: DensityMatrix) -> CorrelationMatrix:
 def correlation_singular_values(cm: CorrelationMatrix) -> np.ndarray:
     """Singular values of the correlation matrix, descending."""
     gram = cm.t.T @ cm.t
-    vals = np.clip(linalg.hermitian_eigen(gram).eigenvalues, 0.0, None)
-    return np.sqrt(vals)
+    # hermitian_eigen's eigenvalues, without the eigenvectors it would build
+    vals = linalg._eigenvalues(linalg._hermitian_part(gram).tolist())
+    return np.sqrt(np.clip(vals, 0.0, None))
 
 
 def fidelity_from_correlation(cm: CorrelationMatrix) -> FidelityResult:
@@ -168,8 +169,11 @@ def mid_dephasing(rho: DensityMatrix) -> float:
     dephasing: S(rho') - S(rho), where rho' keeps only the diagonal of rho
     in the product of the marginal eigenbases."""
     _check_two_qubit(rho, "dephasing disturbance")
-    basis_a = _marginal_basis(linalg.partial_trace(rho.matrix, (2, 2), (0,)))
-    basis_b = _marginal_basis(linalg.partial_trace(rho.matrix, (2, 2), (1,)))
+    # the marginals by the subscripts partial_trace builds for dims (2, 2),
+    # on the matrix from_matrix has already validated
+    tensor = rho.matrix.reshape(2, 2, 2, 2)
+    basis_a = _marginal_basis(np.einsum("acbc->ab", tensor))
+    basis_b = _marginal_basis(np.einsum("abac->bc", tensor))
     u = linalg._kron_pairs(basis_a, basis_b)
     rotated = u.conj().T @ rho.matrix @ u
     dephased_entropy = _spectrum_entropy(np.diag(rotated).real.tolist())

@@ -63,12 +63,11 @@ class DensityMatrix:
         Rejects matrices that are not Hermitian (1e-10), have an eigenvalue
         below -1e-10, or whose trace is outside (0, 1 + 1e-10].
         """
-        # the one shape, finiteness and Hermiticity check; it diagonalizes
-        # the same symmetrized matrix that is stored below
-        spec = linalg.hermitian_eigen(m)
-        m = np.asarray(m, dtype=complex)
-        m = (m + m.conj().T) / 2.0
-        tr = complex(np.trace(m))
+        # the one shape, finiteness and Hermiticity check; the symmetrized
+        # matrix it returns is both diagonalized and stored
+        m = linalg._hermitian_part(m)
+        spec = linalg._jacobi(m.tolist())
+        tr = complex(m.trace())
         # the diagonal of an exactly Hermitian matrix is real, so this never
         # pre-empts the floor check below
         if abs(tr.imag) > TRACE_TOL:
@@ -156,7 +155,7 @@ def _x_matrix(a: float, b: float, c: float, d: float, e: float) -> np.ndarray:
                     dtype=complex)
 
 
-@functools.lru_cache(maxsize=4096)
+@functools.lru_cache(maxsize=256)
 def nmems(p: float) -> DensityMatrix:
     """The GHZ/W-mixture state at mixing parameter p.
 
@@ -164,7 +163,8 @@ def nmems(p: float) -> DensityMatrix:
     mixture p Tr_c |GHZ><GHZ| + (1 - p) Tr_c |W><W|: the two constructions
     must agree to 1e-12 elementwise (``_xcore._check_family``, on the six
     entries the two can fill).  Results are immutable, so repeated calls
-    at the same p share one instance.
+    at the same p share one instance; the 256 most recent p are kept, which
+    covers every caller that walks a grid with p in the outer loop.
     """
     p = _check_range("p", p, 0.0, 1.0)
     x = _family_x(p)

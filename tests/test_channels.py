@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -226,46 +227,91 @@ class TestKrausChannelValidation:
         half = kraus_channel((np.eye(2) * 0.5,), "half")
         assert not half.trace_preserving
 
+    def test_complex_operators_flagged_by_their_adjoints(self):
+        # sum_k K_k^dagger K_k = 1 for I / sqrt 2 and sigma_y / sqrt 2, while
+        # sum_k K_k^T K_k = 0: the check must conjugate
+        sy = np.array([[0.0, -1j], [1j, 0.0]])
+        ch = kraus_channel((np.eye(2) / math.sqrt(2.0), sy / math.sqrt(2.0)), "dephase-y")
+        assert ch.trace_preserving
+
+    def test_non_square_rejected(self):
+        with pytest.raises(InputError, match="must be square"):
+            kraus_channel((np.ones((2, 3)),), "wide")
+
     def test_operators_read_only(self):
         ch = adc(0.2)
         with pytest.raises(ValueError):
             ch.operators[0][0, 0] = 5.0
+
+    def test_operators_copied(self):
+        # the channel keeps its own copy: writing to the caller's arrays
+        # afterwards leaves it unchanged
+        stack = np.array([np.eye(2), np.zeros((2, 2))], dtype=complex)
+        listed = [np.eye(2, dtype=complex), np.zeros((2, 2), dtype=complex)]
+        for ops in (stack, listed):
+            ch = kraus_channel(ops, "copy")
+            ops[0][0, 0] = 5.0
+            ops[1][0, 1] = 1.0
+            assert np.array_equal(ch.operators[0], np.eye(2))
+            assert np.array_equal(ch.operators[1], np.zeros((2, 2)))
+            assert ch.trace_preserving
+
+
+def _product_pairs(ops):
+    return [np.kron(ki, kj) for ki in ops for kj in ops]
+
+
+def _correlated_pairs(ops):
+    return [np.kron(k, k) for k in ops]
 
 
 class TestPairOperatorsOncePerChannel:
     @pytest.mark.parametrize(
         "apply,pairs,ch",
         [
-            pytest.param(
-                apply_product_pair,
-                lambda ops: [np.kron(ki, kj) for ki in ops for kj in ops],
-                adc(0.3),
-                id="product-adc",
+            pytest.param(apply_product_pair, _product_pairs, adc(0.3), id="product-adc"),
+            pytest.param(apply_product_pair, _product_pairs, gadc(0.4, 0.7), id="product-gadc"),
+            *(
+                pytest.param(apply_product_pair, _product_pairs, gadc(gamma, lam),
+                             id=f"product-gadc-{gamma:g}-{lam:g}")
+                for gamma in (0.0, 1.0) for lam in (0.0, 1.0)
             ),
-            pytest.param(
-                apply_product_pair,
-                lambda ops: [np.kron(ki, kj) for ki in ops for kj in ops],
-                gadc(0.4, 0.7),
-                id="product-gadc",
-            ),
-            pytest.param(
-                apply_correlated_pair,
-                lambda ops: [np.kron(k, k) for k in ops],
-                adc(0.3),
-                id="correlated-adc",
+            pytest.param(apply_correlated_pair, _correlated_pairs, adc(0.3),
+                         id="correlated-adc"),
+            *(
+                pytest.param(apply_correlated_pair, _correlated_pairs, adc(gamma),
+                             id=f"correlated-adc-{gamma:g}")
+                for gamma in (0.0, 1.0)
             ),
         ],
     )
     def test_same_bits_and_kron_once(self, apply, pairs, ch, rng):
-        rho = DensityMatrix.from_matrix(oracles.random_density(rng, 4))
-        # the pair-map sum with fresh Kronecker products, in the map's order
-        out = np.zeros_like(rho.matrix)
-        for k in pairs(ch.operators):
-            out = out + k @ rho.matrix @ k.conj().T
-        want = DensityMatrix.from_matrix(out)
-        got = apply(ch, rho)
-        assert got.matrix.tobytes() == want.matrix.tobytes()
-        assert got.spectrum.eigenvectors.tobytes() == want.spectrum.eigenvectors.tobytes()
+        # dense states, and X states with exact zeros: the family at its
+        # ends, a pure product state, and random corner-free X states
+        states = [oracles.random_density(rng, 4) for _ in range(20)]
+        states += [oracles.random_x_state(rng) for _ in range(5)]
+        states += [oracles.family_matrix(p) for p in (0.0, 0.5, 1.0)]
+        states += [np.diag([1.0, 0.0, 0.0, 0.0]), np.diag([0.0, 1.0, 0.0, 0.0]),
+                   np.diag([0.0, 0.0, 0.0, 1.0])]
+        for m in states:
+            rho = DensityMatrix.from_matrix(m)
+            # the pair-map sum with fresh Kronecker products, in the map's
+            # order, one term at a time
+            out = np.zeros_like(rho.matrix)
+            for k in pairs(ch.operators):
+                out = out + k @ rho.matrix @ k.conj().T
+            try:
+                want = DensityMatrix.from_matrix(out)
+            except InputError as exc:
+                # the correlated map can drain all trace: the route rejects
+                # its image with the same message
+                with pytest.raises(InputError, match=re.escape(str(exc))):
+                    apply(ch, rho)
+                continue
+            got = apply(ch, rho)
+            assert got.matrix.tobytes() == want.matrix.tobytes()
+            assert got.spectrum.eigenvalues.tobytes() == want.spectrum.eigenvalues.tobytes()
+            assert got.spectrum.eigenvectors.tobytes() == want.spectrum.eigenvectors.tobytes()
 
 
 @st.composite

@@ -6,9 +6,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nmems import InputError, NumericalError
-from nmems import _xcore, linalg
+from nmems import _xcore, linalg, measures
 from nmems.witnesses import SIGMA_X, SIGMA_Z
-from nmems.states import nmems
+from nmems.states import DensityMatrix, nmems, nmems_ad
 
 import oracles
 
@@ -120,6 +120,28 @@ class TestHermitianEigen:
             m = oracles.random_hermitian(rng, n)
             spec = linalg.hermitian_eigen(m)
             assert abs(spec.eigenvalues.sum() - linalg.trace(m).real) < 1e-10
+
+    def test_eigenvalues_only_same_bits(self, rng):
+        # _eigenvalues runs _diagonalize with no eigenvector accumulator;
+        # the eigenvectors never feed back into the matrix, so its
+        # eigenvalues are hermitian_eigen's, bit for bit
+        mats = [oracles.random_hermitian(rng, n) for n in (2, 3, 4, 8) for _ in range(25)]
+        mats += [oracles.random_density(rng, 4) for _ in range(25)]
+        mats += [oracles.random_x_state(rng) for _ in range(10)]
+        mats += [nmems(p).matrix for p in (0.0, 0.3, 1.0)]
+        mats += [nmems_ad(p, theta).matrix
+                 for p in (0.0, 0.3, 1.0) for theta in (0.0, 0.4, math.pi / 2)]
+        # the correlation Grams whose eigenvalues the fidelity and CHSH read
+        for _ in range(25):
+            rho = DensityMatrix.from_matrix(oracles.random_density(rng, 4))
+            t = measures.correlation_matrix(rho).t
+            mats.append(t.T @ t)
+        mats += [np.diag([3.0, 1.0, 2.0]), np.diag([-0.0, 0.0, 0.0, 1.0]),
+                 np.zeros((3, 3)), np.zeros((4, 4)), [[0.25]]]
+        for m in mats:
+            want = linalg.hermitian_eigen(m).eigenvalues
+            got = linalg._eigenvalues(linalg._hermitian_part(m).tolist())
+            assert np.array(got).tobytes() == want.tobytes()
 
     def test_non_hermitian_rejected(self):
         m = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
