@@ -265,10 +265,10 @@ def _x_eigenvalues(a: float, b: float, c: float, d: float, e: float) -> list:
 
     ``_jacobi`` rotates such a matrix once, on the pair (1, 2), and only if
     |c| > 1e-12: every other off-diagonal entry is zero before and after.
-    This replays that rotation on floats with the operations of ``linalg``'s
-    plane rotation, then sorts the diagonal as ``_jacobi`` sorts.  With c
-    real the phase c / |c| is exactly +-1.0, so every complex entry and
-    product of the rotation has a zero imaginary part, and a complex
+    This replays that rotation's 2x2 block on floats with the operations of
+    ``linalg._diagonalize``, then sorts the diagonal as ``_jacobi`` sorts.
+    With c real the phase c / |c| is exactly +-1.0, so every complex entry
+    and product of the rotation has a zero imaginary part, and a complex
     product's real part is the float product of the real parts less a zero:
     the floats below are the complex rotation's real parts, bit for bit.
     (A signed zero the complex route would drop is always added to a
@@ -281,8 +281,8 @@ def _x_eigenvalues(a: float, b: float, c: float, d: float, e: float) -> list:
         theta = 0.5 * math.atan2(2.0 * r, b - d)
         cs = math.cos(theta)
         s_ph = math.sin(theta) * ph
-        # the plane rotation's column pass on rows 1 and 2, then its row
-        # pass on the diagonal entries; s * conj(phase) is s * phase here
+        # _diagonalize's block formulas: the column pass on rows 1 and 2,
+        # then the row pass's diagonal; s * conj(phase) is s * phase here
         c11 = cs * b + s_ph * c
         c12 = -s_ph * b + cs * c
         c21 = cs * c + s_ph * d

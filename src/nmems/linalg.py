@@ -6,7 +6,9 @@ inputs and always return fresh arrays.  The eigensolver is a cyclic Jacobi
 iteration working directly on the complex Hermitian matrix — at these
 dimensions it is simple, unconditionally stable, and keeps the whole numeric
 core free of LAPACK behaviour differences.  Its one core, ``_diagonalize``,
-runs the row-cyclic sweeps on nested lists of Python complex, and has two
+runs the row-cyclic sweeps on nested lists of Python complex; each rotation
+computes columns p and q of the other rows and mirrors them into rows p and
+q by conjugation, since the matrix stays exactly Hermitian.  It has two
 entries: ``_jacobi``, the full decomposition, and ``_eigenvalues``, the
 eigenvalues alone (no eigenvector updates; the eigenvalues are ``_jacobi``'s
 bit for bit, since the eigenvectors never feed back into the matrix).  Both
@@ -22,7 +24,8 @@ iterations share the sweep cap ``JACOBI_MAX_SWEEPS``.
 
 The scalar core (``_xcore``) runs no iteration: it replays the single
 rotation ``_jacobi`` makes on a corner-free X state with a real coherence
-on floats, with ``_jacobi``'s bits (``_x_eigenvalues``).
+on floats, with ``_jacobi``'s bits (``_x_eigenvalues``, after the 2x2
+block formulas of ``_diagonalize``).
 
 The wrappers (``as_matrix``, ``kron``, ``trace``, ``is_hermitian``)
 validate their arguments for callers outside the package.  Package code that
@@ -110,75 +113,73 @@ class Spectrum:
     eigenvectors: np.ndarray
 
 
-def _rotate(w: list, v: list | None, p: int, q: int, n: int, apq: complex,
-            r: float) -> None:
-    """Zero w[p][q] = apq (and w[q][p]), |apq| = r > 0, with a unitary plane
-    rotation, in place, and apply it to the eigenvector accumulator ``v``
-    unless that is None.
-
-    ``w`` and ``v`` are nested lists of Python complex; scalar arithmetic
-    beats numpy by a wide margin at these dimensions.
-    """
-    phase = apq / r
-    cphase = phase.conjugate()
-    theta = 0.5 * math.atan2(2.0 * r, w[p][p].real - w[q][q].real)
-    c = math.cos(theta)
-    s = math.sin(theta)
-    s_ph = s * phase
-    s_cph = s * cphase
-
-    for k in range(n):
-        row = w[k]
-        wp = row[p]
-        wq = row[q]
-        row[p] = c * wp + s_cph * wq
-        row[q] = -s_ph * wp + c * wq
-    rp = w[p]
-    rq = w[q]
-    for k in range(n):
-        wp = rp[k]
-        wq = rq[k]
-        rp[k] = c * wp + s_ph * wq
-        rq[k] = -s_cph * wp + c * wq
-    # the rotation annihilates (p, q) exactly; drop the residual dust
-    rp[q] = 0.0
-    rq[p] = 0.0
-    rp[p] = complex(rp[p].real)
-    rq[q] = complex(rq[q].real)
-
-    if v is None:
-        return
-    for k in range(n):
-        row = v[k]
-        vp = row[p]
-        vq = row[q]
-        row[p] = c * vp + s_cph * vq
-        row[q] = -s_ph * vp + c * vq
-
-
-def _diagonalize(w: list, v: list | None) -> None:
+def _diagonalize(w: list, v: list | None) -> int:
     """Cyclic Jacobi on a Hermitian matrix given as nested lists of Python
     complex, in place: ``w`` ends diagonal, and ``v`` (None for no
-    eigenvectors) accumulates the rotations.
+    eigenvectors) accumulates the rotations.  Returns the number of
+    rotations made.
 
-    Each sweep visits the pairs in row-cyclic order and rotates every one
-    whose off-diagonal magnitude exceeds 1e-12; the first sweep that rotates
-    nothing ends the iteration.  The caller guarantees ``w`` is exactly
-    Hermitian with finite entries.
+    Each sweep visits the pairs in row-cyclic order and zeroes every w[p][q]
+    whose magnitude exceeds 1e-12 with a unitary plane rotation.  The
+    rotation updates columns p and q of every other row k, and sets row
+    entries w[p][k] and w[q][k] to the conjugates of the new column entries,
+    since ``w`` stays exactly Hermitian.  The 2x2 block (p, q) takes the
+    column pass and then the row pass; its off-diagonal pair is then exactly
+    zero and its diagonal real, which ``_xcore._x_eigenvalues`` replays.
+    The first sweep that rotates nothing ends the iteration.  The caller
+    guarantees ``w`` is exactly Hermitian with finite entries.  Scalar
+    arithmetic on Python complex beats numpy by a wide margin at these
+    dimensions.
     """
     n = len(w)
+    rotations = 0
     for _ in range(JACOBI_MAX_SWEEPS):
-        rotated = False
+        swept = rotations
         for p in range(n - 1):
-            row = w[p]
+            rp = w[p]
             for q in range(p + 1, n):
-                apq = row[q]
+                apq = rp[q]
                 r = abs(apq)
-                if r > JACOBI_OFFDIAG_TOL:
-                    _rotate(w, v, p, q, n, apq, r)
-                    rotated = True
-        if not rotated:
-            return
+                if r <= JACOBI_OFFDIAG_TOL:
+                    continue
+                rq = w[q]
+                app = rp[p]
+                aqp = rq[p]
+                aqq = rq[q]
+                phase = apq / r
+                theta = 0.5 * math.atan2(2.0 * r, app.real - aqq.real)
+                c = math.cos(theta)
+                s = math.sin(theta)
+                s_ph = s * phase
+                s_cph = s * phase.conjugate()
+                for k in range(n):
+                    if k != p and k != q:
+                        row = w[k]
+                        wp = row[p]
+                        wq = row[q]
+                        row[p] = wkp = c * wp + s_cph * wq
+                        row[q] = wkq = -s_ph * wp + c * wq
+                        rp[k] = wkp.conjugate()
+                        rq[k] = wkq.conjugate()
+                # the block: its column pass, then the row pass's diagonal
+                bpp = c * app + s_cph * apq
+                bpq = -s_ph * app + c * apq
+                bqp = c * aqp + s_cph * aqq
+                bqq = -s_ph * aqp + c * aqq
+                rp[p] = complex((c * bpp + s_ph * bqp).real)
+                rq[q] = complex((-s_cph * bpq + c * bqq).real)
+                # the rotation annihilates (p, q) exactly; drop the residual dust
+                rp[q] = 0.0
+                rq[p] = 0.0
+                rotations += 1
+                if v is not None:
+                    for row in v:
+                        vp = row[p]
+                        vq = row[q]
+                        row[p] = c * vp + s_cph * vq
+                        row[q] = -s_ph * vp + c * vq
+        if rotations == swept:
+            return rotations
     raise NumericalError(
         f"Jacobi iteration did not converge in {JACOBI_MAX_SWEEPS} sweeps"
     )

@@ -3,7 +3,8 @@
 Concurrence comes in two independent routes: the closed X-state formula
 2 max(|c| - sqrt(a e), 0) and the spin-flip spectrum construction, which
 serves as its oracle.  Teleportation quality and the CHSH criterion both
-derive from the 3x3 correlation matrix of Pauli-pair expectations.  Quantum
+derive from the 3x3 correlation matrix of Pauli-pair expectations, whose
+singular values are taken once per state and kept on it.  Quantum
 discord is the X-state two-branch minimum; a long single-variable closed
 form of it for the GHZ/W family ships alongside and is cross-checked
 against the matrix route, with per-branch residuals reported instead of
@@ -128,10 +129,21 @@ def fidelity_from_correlation(cm: CorrelationMatrix) -> FidelityResult:
     return _fidelity_of(float(correlation_singular_values(cm).sum()))
 
 
+def _correlation_values(rho: DensityMatrix) -> np.ndarray:
+    """``correlation_singular_values(correlation_matrix(rho))``, computed on
+    first use and then kept, read-only, on ``rho``."""
+    s = rho._correlation_values
+    if s is None:
+        s = correlation_singular_values(correlation_matrix(rho))
+        s.setflags(write=False)
+        object.__setattr__(rho, "_correlation_values", s)
+    return s
+
+
 def teleportation_fidelity(rho: DensityMatrix) -> FidelityResult:
     """Optimal teleportation fidelity of a unit-trace two-qubit state."""
     _check_two_qubit(rho, "teleportation fidelity")
-    return fidelity_from_correlation(correlation_matrix(rho))
+    return _fidelity_of(float(_correlation_values(rho).sum()))
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
@@ -290,6 +302,6 @@ def chsh_criterion(rho: DensityMatrix) -> ChshResult:
     """Horodecki criterion: M = s_1^2 + s_2^2 over the two largest singular
     values of T; the CHSH inequality is violated iff M > 1."""
     _check_two_qubit(rho, "CHSH criterion")
-    s = correlation_singular_values(correlation_matrix(rho))
+    s = _correlation_values(rho)
     m_value = float(s[0] ** 2 + s[1] ** 2)
     return ChshResult(m_value=m_value, violates=m_value > 1.0 + USEFULNESS_MARGIN)

@@ -15,7 +15,7 @@ whether the trace is unity or has been drained by damping.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -46,15 +46,19 @@ class DensityMatrix:
     """A validated quantum state: Hermitian, PSD, with a tagged trace.
 
     The spectral decomposition computed during validation is kept on the
-    instance so downstream measures never re-diagonalize.  ``from_matrix``
-    is the one validator: dense input and the family's X states
-    (``nmems``, ``nmems_ad``, from their five numbers) all go through it.
+    instance so downstream measures never re-diagonalize.  So are, once a
+    measure first asks for them, the singular values of its correlation
+    matrix (read-only), which the teleportation fidelity and the CHSH
+    criterion share.  ``from_matrix`` is the one validator: dense input and
+    the family's X states (``nmems``, ``nmems_ad``, from their five numbers)
+    all go through it.
     """
 
     matrix: np.ndarray
     normalization: str
     trace_value: float
     spectrum: linalg.Spectrum
+    _correlation_values: np.ndarray | None = field(default=None, init=False, repr=False)
 
     @classmethod
     def from_matrix(cls, m) -> "DensityMatrix":

@@ -13,6 +13,8 @@ import math
 
 import numpy as np
 
+from nmems.errors import NumericalError
+
 SQRT5 = math.sqrt(5.0)
 
 
@@ -284,6 +286,108 @@ def brute_discord(rho: np.ndarray, measured: int) -> float:
     return float(
         _bits(np.linalg.eigvalsh(marginal)) - _bits(np.linalg.eigvalsh(rho)) + best
     )
+
+
+# ---------------------------------------------------------------------------
+# the two-sided Jacobi sweep: every rotation recomputes rows p and q in full,
+# as the library's eigensolver did before it mirrored them by conjugation;
+# _rotate and _diagonalize are kept verbatim as its byte oracle
+
+JACOBI_OFFDIAG_TOL = 1e-12
+JACOBI_MAX_SWEEPS = 100
+
+
+def _rotate(w: list, v: list | None, p: int, q: int, n: int, apq: complex,
+            r: float) -> None:
+    """Zero w[p][q] = apq (and w[q][p]), |apq| = r > 0, with a unitary plane
+    rotation, in place, and apply it to the eigenvector accumulator ``v``
+    unless that is None.
+
+    ``w`` and ``v`` are nested lists of Python complex; scalar arithmetic
+    beats numpy by a wide margin at these dimensions.
+    """
+    phase = apq / r
+    cphase = phase.conjugate()
+    theta = 0.5 * math.atan2(2.0 * r, w[p][p].real - w[q][q].real)
+    c = math.cos(theta)
+    s = math.sin(theta)
+    s_ph = s * phase
+    s_cph = s * cphase
+
+    for k in range(n):
+        row = w[k]
+        wp = row[p]
+        wq = row[q]
+        row[p] = c * wp + s_cph * wq
+        row[q] = -s_ph * wp + c * wq
+    rp = w[p]
+    rq = w[q]
+    for k in range(n):
+        wp = rp[k]
+        wq = rq[k]
+        rp[k] = c * wp + s_ph * wq
+        rq[k] = -s_cph * wp + c * wq
+    # the rotation annihilates (p, q) exactly; drop the residual dust
+    rp[q] = 0.0
+    rq[p] = 0.0
+    rp[p] = complex(rp[p].real)
+    rq[q] = complex(rq[q].real)
+
+    if v is None:
+        return
+    for k in range(n):
+        row = v[k]
+        vp = row[p]
+        vq = row[q]
+        row[p] = c * vp + s_cph * vq
+        row[q] = -s_ph * vp + c * vq
+
+
+def _diagonalize(w: list, v: list | None) -> None:
+    """Cyclic Jacobi on a Hermitian matrix given as nested lists of Python
+    complex, in place: ``w`` ends diagonal, and ``v`` (None for no
+    eigenvectors) accumulates the rotations.
+
+    Each sweep visits the pairs in row-cyclic order and rotates every one
+    whose off-diagonal magnitude exceeds 1e-12; the first sweep that rotates
+    nothing ends the iteration.  The caller guarantees ``w`` is exactly
+    Hermitian with finite entries.
+    """
+    n = len(w)
+    for _ in range(JACOBI_MAX_SWEEPS):
+        rotated = False
+        for p in range(n - 1):
+            row = w[p]
+            for q in range(p + 1, n):
+                apq = row[q]
+                r = abs(apq)
+                if r > JACOBI_OFFDIAG_TOL:
+                    _rotate(w, v, p, q, n, apq, r)
+                    rotated = True
+        if not rotated:
+            return
+    raise NumericalError(
+        f"Jacobi iteration did not converge in {JACOBI_MAX_SWEEPS} sweeps"
+    )
+
+
+def two_sided_jacobi(w: list, vectors: bool = True) -> tuple:
+    """(eigenvalues, eigenvectors or None) of the exactly Hermitian nested
+    list ``w`` by the two-sided sweep, overwriting ``w``; sorted descending
+    with ties in index order, as the library sorts."""
+    n = len(w)
+    v = None
+    if vectors:
+        v = [[0j] * n for _ in range(n)]
+        for i in range(n):
+            v[i][i] = 1.0 + 0.0j
+    _diagonalize(w, v)
+    eigvals = [w[k][k].real for k in range(n)]
+    order = sorted(range(n), key=eigvals.__getitem__, reverse=True)
+    if v is None:
+        return np.array([eigvals[k] for k in order]), None
+    return (np.array([eigvals[k] for k in order]),
+            np.array([[row[k] for k in order] for row in v], dtype=complex))
 
 
 # ---------------------------------------------------------------------------

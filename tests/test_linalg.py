@@ -165,6 +165,111 @@ class TestHermitianEigen:
         assert np.array_equal(spec.eigenvectors, [[1.0]])
 
 
+def _hermitian_from_upper(diag, upper: dict) -> np.ndarray:
+    """The Hermitian matrix with this diagonal and these entries (i, j),
+    i < j, mirrored by conjugation entry by entry, so that every signed zero
+    survives (adding triangles would turn -0.0 into +0.0)."""
+    m = np.diag(np.array(diag, dtype=complex))
+    for (i, j), z in upper.items():
+        m[i, j] = z
+        m[j, i] = z.conjugate()
+    return m
+
+
+def _sweep_cases(rng) -> list:
+    """Seeded Hermitian matrices for the sweep's byte oracle, with the
+    structured ones where a signed zero could come out differently."""
+    mats = []
+    # dense complex states of rank 1 to 4
+    for rank in (1, 2, 3, 4):
+        for _ in range(100):
+            g = rng.standard_normal((4, rank)) + 1j * rng.standard_normal((4, rank))
+            m = g @ g.conj().T
+            mats.append(m / np.trace(m).real)
+    # real symmetric Grams: the correlation Grams of states, and random ones
+    for _ in range(50):
+        rho = DensityMatrix.from_matrix(oracles.random_density(rng, 4))
+        t = measures.correlation_matrix(rho).t
+        mats.append(t.T @ t)
+        t = rng.standard_normal((3, 3))
+        mats.append(t.T @ t)
+    # X states, with and without corners, with signed zeros everywhere the
+    # X form has a zero and on the diagonal
+    entries = [0.0, -0.0, 0.1, 0.25, 0.3]
+    coherences = [0.0, -0.0, 0.1, -0.2]
+    for _ in range(300):
+        upper = {(i, j): complex(rng.choice([0.0, -0.0]), rng.choice([0.0, -0.0]))
+                 for (i, j) in ((0, 1), (0, 2), (1, 3), (2, 3))}
+        for (i, j) in ((1, 2), (0, 3)):
+            upper[i, j] = complex(rng.choice(coherences), rng.choice(coherences))
+        mats.append(_hermitian_from_upper(rng.choice(entries, 4), upper))
+    mats += [nmems(p).matrix for p in (0.0, 0.3, 1.0)]
+    mats += [nmems_ad(p, theta).matrix for p in (0.0, 0.3, 1.0) for theta in (0.0, 0.4)]
+    # purely imaginary off-diagonals, some with a negative-zero real part,
+    # and sparse patterns of them
+    for n in (2, 3, 4, 8):
+        for _ in range(50):
+            upper = {(i, j): complex(rng.choice([0.0, -0.0]),
+                                     rng.choice([0.0, -0.0, 0.5, -0.25, 2e-12]))
+                     for i in range(n) for j in range(i + 1, n)}
+            mats.append(_hermitian_from_upper(rng.choice(entries, n), upper))
+    # every size, dense
+    for n in (1, 2, 3, 4, 8):
+        mats += [oracles.random_hermitian(rng, n) for _ in range(20)]
+    # zero, diagonal and repeated-eigenvalue matrices
+    for n in (1, 2, 3, 4, 8):
+        mats += [np.zeros((n, n)), np.diag(rng.standard_normal(n)), 0.25 * np.eye(n)]
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        vals = np.repeat([0.5, 0.125], [(n + 1) // 2, n // 2])
+        mats.append((q * vals) @ q.conj().T)
+    mats += [np.diag([-0.0, 0.0, 0.0, 1.0]), [[0.25]]]
+    return mats
+
+
+class TestSymmetricSweep:
+    """``_diagonalize`` mirrors rows p and q from the new column entries by
+    conjugation; the eigenvalues, eigenvectors and rotation counts must be
+    the two-sided sweep's (``oracles._diagonalize``), byte for byte."""
+
+    def test_matches_the_two_sided_sweep(self, rng, monkeypatch):
+        mats = _sweep_cases(rng)
+        old_counts, new_counts = [], []
+        two_sided = oracles._rotate
+        symmetric = linalg._diagonalize
+
+        def count_two_sided(*args):
+            old_counts[-1] += 1
+            two_sided(*args)
+
+        def count_symmetric(w, v):
+            new_counts.append(symmetric(w, v))
+            return new_counts[-1]
+
+        monkeypatch.setattr(oracles, "_rotate", count_two_sided)
+        monkeypatch.setattr(linalg, "_diagonalize", count_symmetric)
+        for m in mats:
+            m = linalg._hermitian_part(m)
+            for vectors in (True, False):
+                old_counts.append(0)
+                want_vals, want_vecs = oracles.two_sided_jacobi(m.tolist(), vectors)
+                if vectors:
+                    spec = linalg._jacobi(m.tolist())
+                    assert spec.eigenvectors.tobytes() == want_vecs.tobytes()
+                    got = spec.eigenvalues
+                else:
+                    got = np.array(linalg._eigenvalues(m.tolist()))
+                assert got.tobytes() == want_vals.tobytes()
+        assert new_counts == old_counts
+        # the cases rotate: none-, one- and many-rotation matrices alike
+        assert {0, 1} < set(new_counts) and max(new_counts) > 20
+
+    def test_returns_its_rotation_count(self):
+        # a corner-free X state with a coherence rotates once; a diagonal
+        # matrix not at all
+        assert linalg._diagonalize(nmems(0.3).matrix.tolist(), None) == 1
+        assert linalg._diagonalize(np.diag([0.5, 0.25]).astype(complex).tolist(), None) == 0
+
+
 _AT_THRESHOLD = linalg.JACOBI_OFFDIAG_TOL
 _ABOVE_THRESHOLD = math.nextafter(_AT_THRESHOLD, 1.0)
 # ordinary entries plus the edges: zero, subnormal, tiny, and the rotation

@@ -354,6 +354,83 @@ class TestTeleportationFidelity:
             teleportation_fidelity(nmems_ad(0.1, 0.7))
 
 
+class TestCorrelationMemo:
+    """The teleportation fidelity and the CHSH criterion share one set of
+    correlation singular values per state, kept on the state."""
+
+    def test_one_gram_diagonalization_per_state(self, rng, monkeypatch):
+        rho = DensityMatrix.from_matrix(oracles.random_density(rng, 4))
+        calls = []
+        inner = linalg._eigenvalues
+
+        def spy(w):
+            calls.append(w)
+            return inner(w)
+
+        monkeypatch.setattr(linalg, "_eigenvalues", spy)
+        fid = teleportation_fidelity(rho)
+        chsh = chsh_criterion(rho)
+        assert teleportation_fidelity(rho) == fid
+        assert chsh_criterion(rho) == chsh
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("first", ["fidelity", "chsh"])
+    def test_same_bits_as_the_correlation_matrix(self, rng, first):
+        states = [DensityMatrix.from_matrix(oracles.random_density(rng, 4))
+                  for _ in range(20)]
+        states += [nmems(0.0), nmems(0.3), _bell_phi_plus(), _bell_psi_plus()]
+        for rho in states:
+            if first == "chsh":
+                chsh = chsh_criterion(rho)
+                fid = teleportation_fidelity(rho)
+            else:
+                fid = teleportation_fidelity(rho)
+                chsh = chsh_criterion(rho)
+            cm = correlation_matrix(rho)
+            s = measures.correlation_singular_values(cm)
+            assert rho._correlation_values.tobytes() == s.tobytes()
+            assert fid == fidelity_from_correlation(cm)
+            assert fid.n_value.hex() == float(s.sum()).hex()
+            assert chsh.m_value.hex() == float(s[0] ** 2 + s[1] ** 2).hex()
+
+    def test_memo_is_read_only(self, rng):
+        rho = DensityMatrix.from_matrix(oracles.random_density(rng, 4))
+        assert rho._correlation_values is None
+        chsh_criterion(rho)
+        memo = rho._correlation_values
+        assert not memo.flags.writeable
+        with pytest.raises(ValueError):
+            memo[0] = 0.0
+        with pytest.raises(AttributeError):
+            rho._correlation_values = None
+
+    def test_sub_normalized_rejected_on_every_call(self):
+        rho = nmems_ad(0.1, 0.7)
+        for _ in range(2):
+            for measure in (teleportation_fidelity, chsh_criterion):
+                with pytest.raises(InputError):
+                    measure(rho)
+        assert rho._correlation_values is None
+        # the unit-trace check comes first even once the values are kept
+        measures._correlation_values(rho)
+        for measure in (teleportation_fidelity, chsh_criterion):
+            with pytest.raises(InputError):
+                measure(rho)
+
+    def test_distinct_states_keep_their_own(self, rng):
+        m = oracles.random_density(rng, 4)
+        a = DensityMatrix.from_matrix(m)
+        b = DensityMatrix.from_matrix(m)
+        other = DensityMatrix.from_matrix(oracles.random_density(rng, 4))
+        teleportation_fidelity(a)
+        assert b._correlation_values is None and other._correlation_values is None
+        teleportation_fidelity(b)
+        teleportation_fidelity(other)
+        assert a._correlation_values is not b._correlation_values
+        assert a._correlation_values.tobytes() == b._correlation_values.tobytes()
+        assert other._correlation_values.tobytes() != a._correlation_values.tobytes()
+
+
 class TestDampedFidelityClosedForm:
     def test_undamped_origin_value(self):
         # 11/18, NOT the 7/9 the correlation criterion yields for the same state
