@@ -401,17 +401,19 @@ def _x_singular_values(a: float, b: float, c: float, d: float, e: float) -> list
     """``correlation_singular_values(correlation_matrix(rho))`` of the same
     X state as a descending list, with its bits and its rejection.
 
-    T is diagonal, so T^T T has eigenvalues t_ii^2 and no Jacobi rotation.
+    T is diagonal, so its columns are already orthogonal: the one-sided
+    Jacobi rotates nothing and reads each value as the column norm
+    hypot(t_ii, 0, ...) = |t_ii|.
     """
-    t = _x_correlations(a, b, c, d, e)
-    _check_correlation_bound(max(abs(v) for v in t))
-    return sorted((math.sqrt(v * v) for v in t), reverse=True)
+    s = sorted(map(abs, _x_correlations(a, b, c, d, e)), reverse=True)
+    _check_correlation_bound(s[0])
+    return s
 
 
 def _x_correlation_sum(a: float, b: float, c: float, d: float, e: float) -> float:
     """N, the singular-value sum ``fidelity_from_correlation`` reads, of the
-    same X state, with its bits: summed in descending order, as numpy sums
-    ``correlation_singular_values``."""
+    same X state, with its bits: the |t_ii| summed in descending order, as
+    numpy sums ``correlation_singular_values``."""
     s0, s1, s2 = _x_singular_values(a, b, c, d, e)
     return (s0 + s1) + s2
 

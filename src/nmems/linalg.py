@@ -2,24 +2,24 @@
 4x4).
 
 Matrices are plain numpy arrays of complex128; functions never mutate their
-inputs and always return fresh arrays.  The eigensolver is a cyclic Jacobi
-iteration working directly on the complex Hermitian matrix — at these
-dimensions it is simple, unconditionally stable, and keeps the whole numeric
-core free of LAPACK behaviour differences.  Its one core, ``_diagonalize``,
-runs the row-cyclic sweeps on nested lists of Python complex; each rotation
-computes columns p and q of the other rows and mirrors them into rows p and
-q by conjugation, since the matrix stays exactly Hermitian.  It has two
-entries: ``_jacobi``, the full decomposition, and ``_eigenvalues``, the
-eigenvalues alone (no eigenvector updates; the eigenvalues are ``_jacobi``'s
-bit for bit, since the eigenvectors never feed back into the matrix).  Both
-take a matrix that ``_hermitian_part`` has validated and symmetrized once:
-``hermitian_eigen`` and ``DensityMatrix.from_matrix`` run ``_jacobi`` on
-it, and ``measures.correlation_singular_values`` runs ``_eigenvalues``.
+inputs and always return fresh arrays.  The matrix route has one eigen
+entry and one singular-value entry, both on nested lists of Python complex
+(scalar arithmetic beats numpy by a wide margin at these dimensions, and
+keeps the whole numeric core free of LAPACK behaviour differences).
+
+Eigenvalues come from ``_jacobi``, a cyclic Jacobi iteration working
+directly on the complex Hermitian matrix.  Its core, ``_diagonalize``,
+runs the row-cyclic sweeps; each rotation computes columns p and q of the
+other rows and mirrors them into rows p and q by conjugation, since the
+matrix stays exactly Hermitian.  It takes a matrix that
+``_hermitian_part`` has validated and symmetrized once:
+``hermitian_eigen`` and ``DensityMatrix.from_matrix`` run it.
 
 Singular values come from Hestenes' one-sided Jacobi
-(``_singular_values``), which orthogonalizes a matrix's columns, also on
-Python complex, and reads the values off their norms; the spin-flip
-concurrence of ``measures.concurrence_wootters`` takes this route.  Both
+(``_singular_values``), which orthogonalizes a matrix's columns and reads
+the values off their norms, so it never squares them; the spin-flip
+concurrence of ``measures.concurrence_wootters`` and the correlation
+values of ``measures.correlation_singular_values`` take this route.  Both
 iterations share the sweep cap ``JACOBI_MAX_SWEEPS``.
 
 The scalar core (``_xcore``) runs no iteration: it replays the single
@@ -51,8 +51,8 @@ HERMITICITY_TOL = 1e-10
 # the sweep cap turns a (never observed) failure of the Jacobi iteration to
 # converge into a hard error
 JACOBI_MAX_SWEEPS = 100
-# the one-sided Jacobi's stopping rule: (2 eps)^2, sqrt(n) eps with n = 4
-# columns, for the relative test, and eps^2 for the absolute floor
+# the one-sided Jacobi's stopping rule: (2 eps)^2, sqrt(n) eps for up to
+# n = 4 columns, for the relative test, and eps^2 for the absolute floor
 _EPS_SQUARED = sys.float_info.epsilon ** 2
 _ORTHOGONALITY_TOL_SQUARED = 4.0 * _EPS_SQUARED
 
@@ -113,11 +113,10 @@ class Spectrum:
     eigenvectors: np.ndarray
 
 
-def _diagonalize(w: list, v: list | None) -> int:
+def _diagonalize(w: list, v: list) -> int:
     """Cyclic Jacobi on a Hermitian matrix given as nested lists of Python
-    complex, in place: ``w`` ends diagonal, and ``v`` (None for no
-    eigenvectors) accumulates the rotations.  Returns the number of
-    rotations made.
+    complex, in place: ``w`` ends diagonal, and ``v`` accumulates the
+    rotations.  Returns the number of rotations made.
 
     Each sweep visits the pairs in row-cyclic order and zeroes every w[p][q]
     whose magnitude exceeds 1e-12 with a unitary plane rotation.  The
@@ -172,12 +171,11 @@ def _diagonalize(w: list, v: list | None) -> int:
                 rp[q] = 0.0
                 rq[p] = 0.0
                 rotations += 1
-                if v is not None:
-                    for row in v:
-                        vp = row[p]
-                        vq = row[q]
-                        row[p] = c * vp + s_cph * vq
-                        row[q] = -s_ph * vp + c * vq
+                for row in v:
+                    vp = row[p]
+                    vq = row[q]
+                    row[p] = c * vp + s_cph * vq
+                    row[q] = -s_ph * vp + c * vq
         if rotations == swept:
             return rotations
     raise NumericalError(
@@ -201,22 +199,14 @@ def _jacobi(w: list) -> Spectrum:
     )
 
 
-def _eigenvalues(w: list) -> list:
-    """``_jacobi``'s eigenvalues alone, descending, by ``_diagonalize``
-    with no eigenvector accumulator; overwrites ``w``."""
-    _diagonalize(w, None)
-    return sorted((row[k].real for k, row in enumerate(w)), reverse=True)
-
-
 def _inner(x: list, y: list) -> complex:
     """x^H y of two lists of Python complex, summed in index order."""
     return sum(map(operator.mul, map(complex.conjugate, x), y))
 
 
-def _singular_values(cols: list) -> list:
-    """Singular values, descending, of the matrix whose columns are ``cols``
-    (lists of Python complex), by Hestenes' one-sided Jacobi; replaces the
-    entries of ``cols``.
+def _singular_values(a: np.ndarray) -> list:
+    """Singular values, descending, of the finite 2-d array ``a``, by
+    Hestenes' one-sided Jacobi on its columns as lists of Python complex.
 
     Each sweep visits the column pairs in cyclic order and rotates a pair
     with g = a_i^H a_j so that the two columns become orthogonal, while |g|
@@ -227,9 +217,10 @@ def _singular_values(cols: list) -> list:
     rotates nothing ends the iteration, and the singular values are the
     column norms.  An all-zero matrix rotates nothing and gives zeros.
     """
+    cols = np.asarray(a, dtype=complex).T.tolist()
     n = len(cols)
     # squared column norms, recomputed from the columns after each rotation
-    norms = [_inner(a, a).real for a in cols]
+    norms = [_inner(col, col).real for col in cols]
     floor = _EPS_SQUARED * sum(norms)
     for _ in range(JACOBI_MAX_SWEEPS):
         rotated = False
@@ -259,8 +250,8 @@ def _singular_values(cols: list) -> list:
                 rotated = True
         if not rotated:
             # hypot scales and rounds each norm more closely than the sums
-            return sorted((math.hypot(*[v for x in a for v in (x.real, x.imag)])
-                           for a in cols), reverse=True)
+            return sorted((math.hypot(*[v for x in col for v in (x.real, x.imag)])
+                           for col in cols), reverse=True)
     raise NumericalError(
         f"Jacobi iteration did not converge in {JACOBI_MAX_SWEEPS} sweeps"
     )

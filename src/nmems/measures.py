@@ -4,7 +4,10 @@ Concurrence comes in two independent routes: the closed X-state formula
 2 max(|c| - sqrt(a e), 0) and the spin-flip spectrum construction, which
 serves as its oracle.  Teleportation quality and the CHSH criterion both
 derive from the 3x3 correlation matrix of Pauli-pair expectations, whose
-singular values are taken once per state and kept on it.  Quantum
+singular values are taken once per state and kept on it.  The singular
+values of T and of the spin-flip matrix K both come from the one-sided
+Jacobi ``linalg._singular_values``; the eigenvalues, from the state's
+spectrum or ``linalg.hermitian_eigen``.  Quantum
 discord is the X-state two-branch minimum; a long single-variable closed
 form of it for the GHZ/W family ships alongside and is cross-checked
 against the matrix route, with per-branch residuals reported instead of
@@ -90,7 +93,7 @@ def concurrence_wootters(rho: DensityMatrix) -> float:
     _check_two_qubit(rho, "spin-flip concurrence")
     root = linalg.spectrum_sqrt(rho.spectrum)
     k = root @ _YY @ root.conj()
-    s1, s2, s3, s4 = linalg._singular_values(k.T.tolist())
+    s1, s2, s3, s4 = linalg._singular_values(k)
     return max(0.0, s1 - s2 - s3 - s4)
 
 
@@ -112,11 +115,11 @@ def correlation_matrix(rho: DensityMatrix) -> CorrelationMatrix:
 
 
 def correlation_singular_values(cm: CorrelationMatrix) -> np.ndarray:
-    """Singular values of the correlation matrix, descending."""
-    gram = cm.t.T @ cm.t
-    # hermitian_eigen's eigenvalues, without the eigenvectors it would build
-    vals = linalg._eigenvalues(linalg._hermitian_part(gram).tolist())
-    return np.sqrt(np.clip(vals, 0.0, None))
+    """Singular values of the correlation matrix, descending, by the
+    one-sided Jacobi of ``concurrence_wootters`` on T's columns: forming
+    T^T T would square them and lose the small ones.  A hand-built ``cm``
+    with non-finite entries is rejected."""
+    return np.array(linalg._singular_values(linalg.as_matrix(cm.t)))
 
 
 def fidelity_from_correlation(cm: CorrelationMatrix) -> FidelityResult:

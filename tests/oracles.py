@@ -371,21 +371,17 @@ def _diagonalize(w: list, v: list | None) -> None:
     )
 
 
-def two_sided_jacobi(w: list, vectors: bool = True) -> tuple:
-    """(eigenvalues, eigenvectors or None) of the exactly Hermitian nested
-    list ``w`` by the two-sided sweep, overwriting ``w``; sorted descending
-    with ties in index order, as the library sorts."""
+def two_sided_jacobi(w: list) -> tuple:
+    """(eigenvalues, eigenvectors) of the exactly Hermitian nested list
+    ``w`` by the two-sided sweep, overwriting ``w``; sorted descending with
+    ties in index order, as the library sorts."""
     n = len(w)
-    v = None
-    if vectors:
-        v = [[0j] * n for _ in range(n)]
-        for i in range(n):
-            v[i][i] = 1.0 + 0.0j
+    v = [[0j] * n for _ in range(n)]
+    for i in range(n):
+        v[i][i] = 1.0 + 0.0j
     _diagonalize(w, v)
     eigvals = [w[k][k].real for k in range(n)]
     order = sorted(range(n), key=eigvals.__getitem__, reverse=True)
-    if v is None:
-        return np.array([eigvals[k] for k in order]), None
     return (np.array([eigvals[k] for k in order]),
             np.array([[row[k] for k in order] for row in v], dtype=complex))
 

@@ -12,6 +12,7 @@ from nmems._xcore import (
     _spectrum_entropy,
     _x_correlations,
     _x_fidelity,
+    _x_singular_values,
 )
 from nmems.channels import adc, apply_product_pair
 from nmems.measures import (
@@ -39,6 +40,7 @@ from nmems.states import (
     projector,
     x_params_of,
 )
+from nmems.witnesses import SIGMA_X, SIGMA_Y
 
 import oracles
 
@@ -58,6 +60,17 @@ def _bell_phi_plus():
 
 
 MAX_MIXED = DensityMatrix.from_matrix(np.eye(4) / 4.0)
+PURE_00 = DensityMatrix.from_matrix(np.diag([1.0, 0.0, 0.0, 0.0]))
+
+
+def _spin_flip_k(rho):
+    """K = sqrt(rho) (sy x sy) sqrt(rho)*, as the route forms it."""
+    root = linalg.spectrum_sqrt(rho.spectrum)
+    return root @ measures._YY @ root.conj()
+
+
+def _correlation_t(rho):
+    return correlation_matrix(rho).t
 
 
 class TestConcurrence:
@@ -172,12 +185,6 @@ class TestWoottersConcurrence:
         with pytest.raises(InputError):
             concurrence_wootters(nmems_ad(0.0, 0.5))
 
-    @staticmethod
-    def _spin_flip_k(rho):
-        """K = sqrt(rho) (sy x sy) sqrt(rho)*, as the route forms it."""
-        root = linalg.spectrum_sqrt(rho.spectrum)
-        return root @ measures._YY @ root.conj()
-
     @seed(20260809)
     @settings(max_examples=300, deadline=None)
     @given(rho=_spin_flip_states())
@@ -186,24 +193,30 @@ class TestWoottersConcurrence:
         # one-sided sweeps give LAPACK's singular values of the same K to
         # 8 eps ||K||_2 (4.8 measured over 4,000 dense states), and the
         # route takes exactly those
-        k = self._spin_flip_k(rho)
-        got = linalg._singular_values(k.T.tolist())
+        k = _spin_flip_k(rho)
+        got = linalg._singular_values(k)
         want = np.linalg.svd(k, compute_uv=False)
         assert np.max(np.abs(np.array(got) - want)) <= 8 * np.finfo(float).eps * want[0]
         s1, s2, s3, s4 = got
         assert concurrence_wootters(rho) == max(0.0, s1 - s2 - s3 - s4)
 
-    @pytest.mark.parametrize("rho,want", [
+    @pytest.mark.parametrize("matrix,rho,want", [
         # |00><00|: K = 0, every column zero; nothing to rotate or divide by
-        (DensityMatrix.from_matrix(np.diag([1.0, 0.0, 0.0, 0.0])), [0.0] * 4),
+        (_spin_flip_k, PURE_00, [0.0] * 4),
         # Bell states: rank-1 K, s = (1, 0, 0, 0)
-        (_bell_psi_plus(), [1.0, 0.0, 0.0, 0.0]),
-        (_bell_phi_plus(), [1.0, 0.0, 0.0, 0.0]),
+        (_spin_flip_k, _bell_psi_plus(), [1.0, 0.0, 0.0, 0.0]),
+        (_spin_flip_k, _bell_phi_plus(), [1.0, 0.0, 0.0, 0.0]),
         # the maximally mixed state: four equal singular values 1/4
-        (MAX_MIXED, [0.25] * 4),
-    ], ids=["pure_00", "psi_plus", "phi_plus", "max_mixed"])
-    def test_singular_values_at_the_edges(self, rho, want):
-        got = linalg._singular_values(self._spin_flip_k(rho).T.tolist())
+        (_spin_flip_k, MAX_MIXED, [0.25] * 4),
+        # the correlation matrix T of the same states: zero for I/4,
+        # diag(0, 0, 1) for |00><00| and diag(1, -1, 1) for a Bell state
+        (_correlation_t, MAX_MIXED, [0.0] * 3),
+        (_correlation_t, PURE_00, [1.0, 0.0, 0.0]),
+        (_correlation_t, _bell_phi_plus(), [1.0, 1.0, 1.0]),
+    ], ids=["pure_00", "psi_plus", "phi_plus", "max_mixed",
+            "t_max_mixed", "t_pure_00", "t_phi_plus"])
+    def test_singular_values_at_the_edges(self, matrix, rho, want):
+        got = linalg._singular_values(matrix(rho))
         assert np.allclose(got, want, rtol=0.0, atol=4 * np.finfo(float).eps)
         assert got == sorted(got, reverse=True)
 
@@ -266,6 +279,44 @@ class TestCorrelationMatrix:
         assert np.allclose(t, np.diag([1.0, 1.0, -1.0]), atol=1e-12)
 
 
+class TestCorrelationSingularValues:
+    """T's singular values are taken by the one-sided Jacobi on its columns,
+    never through T^T T, whose squares fall below the sweep's absolute
+    1e-12 rule."""
+
+    @staticmethod
+    def _local_unitary(rng):
+        q, r = np.linalg.qr(rng.standard_normal((2, 2))
+                            + 1j * rng.standard_normal((2, 2)))
+        return q * (np.diag(r) / np.abs(np.diag(r)))
+
+    @pytest.mark.parametrize("delta", [1e-6, 1e-9, 1e-12])
+    def test_small_values_match_lapack(self, rng, delta):
+        # Bell-diagonal (I x I + sum_i c_i sigma_i x sigma_i) / 4 with
+        # T = diag(0.6, delta, 0), under seeded local unitaries, which keep
+        # T's singular values: the route, N and M agree with LAPACK's on the
+        # same T to 4 eps (2.5 eps measured over 750 states)
+        eps = np.finfo(float).eps
+        bell_diagonal = (np.eye(4) + 0.6 * np.kron(SIGMA_X, SIGMA_X)
+                         + delta * np.kron(SIGMA_Y, SIGMA_Y)) / 4.0
+        for _ in range(40):
+            u = np.kron(self._local_unitary(rng), self._local_unitary(rng))
+            rho = DensityMatrix.from_matrix(u @ bell_diagonal @ u.conj().T)
+            cm = correlation_matrix(rho)
+            want = np.linalg.svd(cm.t, compute_uv=False)
+            got = measures.correlation_singular_values(cm)
+            assert np.max(np.abs(got - want)) <= 4 * eps
+            assert abs(teleportation_fidelity(rho).n_value - want.sum()) <= 4 * eps
+            m_value = chsh_criterion(rho).m_value
+            assert abs(m_value - (want[0] ** 2 + want[1] ** 2)) <= 4 * eps
+
+    @pytest.mark.parametrize("t", [np.full((3, 3), np.nan), np.diag([np.inf, 0.0, 0.0]),
+                                   np.ones(3)], ids=["nan", "inf", "one_dimensional"])
+    def test_hand_built_matrix_rejected(self, t):
+        with pytest.raises(InputError):
+            measures.correlation_singular_values(measures.CorrelationMatrix(t=t))
+
+
 @st.composite
 def _x_entries(draw):
     """(a, b, c, d, e) of a valid corner-free X state with real coherence:
@@ -288,17 +339,22 @@ def _x_entries(draw):
 
 class TestXStateCorrelations:
     # the sweep kernel's fidelity_ad: T of an X state is diagonal, and its
-    # scalar replay has the bits of the batched trace and the Gram route
+    # scalar replay has the bits of the batched trace and of the one-sided
+    # sweep, which rotates nothing and reads the |t_ii|
 
     @settings(max_examples=300, deadline=None)
     @given(x=_x_entries())
     @example(x=(1.0, 0.0, 0.0, 0.0, 0.0))
     @example(x=(0.0, 0.5, 0.5, 0.5, 0.0))
     @example(x=(0.0, 0.5, -0.5, 0.5, 0.0))
+    # t_xx = 2e-160, whose square is subnormal: sqrt(t * t) != |t|
+    @example(x=(0.25, 0.25, 1e-160, 0.25, 0.25))
     def test_replay_bits(self, x):
         rho = DensityMatrix.from_matrix(oracles.x_matrix(*x))
         cm = correlation_matrix(rho)
         assert cm.t.tobytes() == np.diag(_x_correlations(*x)).tobytes()
+        want_values = measures.correlation_singular_values(cm).tolist()
+        assert [v.hex() for v in _x_singular_values(*x)] == [v.hex() for v in want_values]
         want = fidelity_from_correlation(cm).fidelity
         assert _x_fidelity(*x).hex() == want.hex()
 
@@ -358,16 +414,16 @@ class TestCorrelationMemo:
     """The teleportation fidelity and the CHSH criterion share one set of
     correlation singular values per state, kept on the state."""
 
-    def test_one_gram_diagonalization_per_state(self, rng, monkeypatch):
+    def test_one_singular_value_sweep_per_state(self, rng, monkeypatch):
         rho = DensityMatrix.from_matrix(oracles.random_density(rng, 4))
         calls = []
-        inner = linalg._eigenvalues
+        inner = linalg._singular_values
 
-        def spy(w):
-            calls.append(w)
-            return inner(w)
+        def spy(a):
+            calls.append(a)
+            return inner(a)
 
-        monkeypatch.setattr(linalg, "_eigenvalues", spy)
+        monkeypatch.setattr(linalg, "_singular_values", spy)
         fid = teleportation_fidelity(rho)
         chsh = chsh_criterion(rho)
         assert teleportation_fidelity(rho) == fid
