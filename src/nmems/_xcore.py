@@ -378,8 +378,9 @@ def _x_params(a: float, b: float, c: float, d: float, e: float) -> tuple:
 
 
 def _check_correlation_bound(largest: float) -> None:
-    """Reject a correlation matrix whose largest |t_ij| exceeds 1 + 1e-9."""
-    if largest > 1.0 + 1e-9:
+    """Reject a correlation matrix whose largest |t_ij| exceeds 1 + 1e-9,
+    or is NaN (the comparison is negated so that NaN fails it)."""
+    if not largest <= 1.0 + 1e-9:
         raise InputError("correlation entries exceed the physical bound of 1")
 
 

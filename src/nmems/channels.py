@@ -29,8 +29,8 @@ TRACE_PRESERVING_TOL = 1e-10
 class KrausChannel:
     """Kraus operators with a label and a trace-preservation flag.
 
-    Build it with ``kraus_channel``, which stores read-only views of one
-    copied stack of the operators.
+    Build it with ``kraus_channel`` (or ``adc``/``gadc``), which stores
+    read-only views of one copied stack of the operators.
     """
 
     operators: tuple
@@ -45,7 +45,9 @@ def kraus_channel(operators, label: str) -> KrausChannel:
     all of them as one non-empty stack of square matrices of one shape.
     The operators are copied into one (k, n, n) stack, made read-only, and
     stored as its k views; completeness, sum_k K_k^dagger K_k = 1 within
-    1e-10, is checked on the stack by one batched product.
+    1e-10, is checked on the stack by one batched product.  ``adc`` and
+    ``gadc`` build their stacks finite and square themselves and make only
+    the completeness check, with the same bits.
     """
     ops = [linalg.as_matrix(k) for k in operators]
     if not ops:
@@ -55,10 +57,15 @@ def kraus_channel(operators, label: str) -> KrausChannel:
         raise InputError("all Kraus operators must share the same dimensions")
     if shape[0] != shape[1]:
         raise InputError("Kraus operators must be square")
-    stack = np.array(ops)
+    return _channel(np.array(ops), label)
+
+
+def _channel(stack: np.ndarray, label: str) -> KrausChannel:
+    """The channel of a fresh, finite (k, n, n) complex stack, which is made
+    read-only and stored as its k views, with its completeness checked."""
     stack.setflags(write=False)
     total = (stack.conj().transpose(0, 2, 1) @ stack).sum(axis=0)
-    gap = float(np.abs(total - np.eye(shape[0])).max())
+    gap = float(np.abs(total - np.eye(stack.shape[1])).max())
     return KrausChannel(
         operators=tuple(stack),
         label=label,
@@ -74,7 +81,7 @@ def adc(gamma: float) -> KrausChannel:
     gamma = _check_range("gamma", gamma, 0.0, 1.0)
     ops = np.array([[[1.0, 0.0], [0.0, math.sqrt(1.0 - gamma)]],
                     [[0.0, math.sqrt(gamma)], [0.0, 0.0]]], dtype=complex)
-    return kraus_channel(ops, label=f"adc(gamma={gamma:g})")
+    return _channel(ops, f"adc(gamma={gamma:g})")
 
 
 def gadc(gamma: float, lam: float) -> KrausChannel:
@@ -94,7 +101,7 @@ def gadc(gamma: float, lam: float) -> KrausChannel:
                     [[0.0, sl * sg], [0.0, 0.0]],
                     [[cl * cg, 0.0], [0.0, cl]],
                     [[0.0, 0.0], [cl * sg, 0.0]]], dtype=complex)
-    return kraus_channel(ops, label=f"gadc(gamma={gamma:g}, lambda={lam:g})")
+    return _channel(ops, f"gadc(gamma={gamma:g}, lambda={lam:g})")
 
 
 def _kraus_sum(operators: np.ndarray, rho: DensityMatrix) -> DensityMatrix:

@@ -2,7 +2,11 @@
 4x4).
 
 Matrices are plain numpy arrays of complex128; functions never mutate their
-inputs and always return fresh arrays.  The matrix route has one eigen
+inputs.  Spectra are shared and read-only: ``hermitian_eigen`` (and so
+``psd_sqrt``) and ``DensityMatrix.from_matrix`` take theirs from one memo,
+``_spectrum``, keyed on the bytes of the symmetrized matrix, so a matrix
+that a state has already diagonalized is not diagonalized again; every
+other result is a fresh array.  The matrix route has one eigen
 entry and one singular-value entry, both on nested lists of Python complex
 (scalar arithmetic beats numpy by a wide margin at these dimensions, and
 keeps the whole numeric core free of LAPACK behaviour differences).
@@ -13,7 +17,9 @@ runs the row-cyclic sweeps; each rotation computes columns p and q of the
 other rows and mirrors them into rows p and q by conjugation, since the
 matrix stays exactly Hermitian.  It takes a matrix that
 ``_hermitian_part`` has validated and symmetrized once:
-``hermitian_eigen`` and ``DensityMatrix.from_matrix`` run it.
+``hermitian_eigen`` and ``DensityMatrix.from_matrix`` run it through
+``_spectrum``, and ``measures.mid_dephasing`` runs it directly on the
+marginals of a validated state, which are exactly Hermitian.
 
 Singular values come from Hestenes' one-sided Jacobi
 (``_singular_values``), which orthogonalizes a matrix's columns and reads
@@ -36,6 +42,7 @@ forms Kronecker products of 2x2 operators with ``_kron_pairs``.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import string
@@ -199,6 +206,26 @@ def _jacobi(w: list) -> Spectrum:
     )
 
 
+@functools.lru_cache(maxsize=256)
+def _spectrum(key: bytes) -> Spectrum:
+    """``_jacobi`` of the square complex matrix whose bytes are ``key``,
+    with read-only arrays; the 256 most recent matrices are kept.
+
+    ``key`` is ``h.tobytes()`` of a matrix ``h`` that ``_hermitian_part``
+    returned, so every check has run before the lookup.  The bits are those
+    of a fresh ``_jacobi(h.tolist())``: the iteration is deterministic on
+    the same Python complex values, and a stored ``DensityMatrix.matrix``
+    is its own Hermitian part, byte for byte, so ``psd_sqrt`` and
+    ``hermitian_eigen`` of it find the spectrum ``from_matrix`` took.
+    Entries that differ only in the sign of a zero are different keys.
+    """
+    n = math.isqrt(len(key) // 16)
+    spec = _jacobi(np.frombuffer(key, dtype=complex).reshape(n, n).tolist())
+    spec.eigenvalues.setflags(write=False)
+    spec.eigenvectors.setflags(write=False)
+    return spec
+
+
 def _inner(x: list, y: list) -> complex:
     """x^H y of two lists of Python complex, summed in index order."""
     return sum(map(operator.mul, map(complex.conjugate, x), y))
@@ -273,15 +300,20 @@ def hermitian_eigen(a) -> Spectrum:
     Rotations run in row-cyclic order until a sweep finds no off-diagonal
     magnitude above 1e-12.  Raises InputError for non-Hermitian input
     (tolerance 1e-10) and NumericalError if 100 sweeps do not converge.
+    The input is checked on every call; the spectrum of (a + a^dagger) / 2
+    is memoized on its bytes and shared, so its arrays are read-only.
     """
-    return _jacobi(_hermitian_part(a).tolist())
+    return _spectrum(_hermitian_part(a).tobytes())
 
 
 def psd_sqrt(a) -> np.ndarray:
     """Hermitian square root S of a PSD matrix, S @ S == a.
 
     Eigenvalues in [-1e-10, 0) are clamped to zero; anything below the floor
-    rejects the input as not positive semidefinite.
+    rejects the input as not positive semidefinite.  The spectrum comes
+    from ``hermitian_eigen``, so the root of a ``DensityMatrix.matrix``
+    reuses the one its state took; the checks run on every call, and the
+    root is a fresh array.
     """
     spec = hermitian_eigen(a)
     if float(spec.eigenvalues.min()) < EIGENVALUE_FLOOR:

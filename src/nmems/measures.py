@@ -7,11 +7,12 @@ derive from the 3x3 correlation matrix of Pauli-pair expectations, whose
 singular values are taken once per state and kept on it.  The singular
 values of T and of the spin-flip matrix K both come from the one-sided
 Jacobi ``linalg._singular_values``; the eigenvalues, from the state's
-spectrum or ``linalg.hermitian_eigen``.  Quantum
-discord is the X-state two-branch minimum; a long single-variable closed
-form of it for the GHZ/W family ships alongside and is cross-checked
-against the matrix route, with per-branch residuals reported instead of
-asserted (the two genuinely disagree; see discord_closed_form_residuals).
+spectrum or, for the marginals of ``mid_dephasing``, ``linalg._jacobi``.
+Quantum discord is the X-state two-branch minimum; a long single-variable
+closed form of it for the GHZ/W family ships alongside and is
+cross-checked against the matrix route, with per-branch residuals
+reported instead of asserted (the two genuinely disagree; see
+discord_closed_form_residuals).
 
 All entropic quantities use log base 2, with 0 log 0 == 0.
 """
@@ -172,8 +173,13 @@ def mid_adc(p: float, theta: float) -> float:
 
 
 def _marginal_basis(marginal: np.ndarray) -> np.ndarray:
-    """Eigenbasis of a 2x2 marginal; computational basis when degenerate."""
-    spec = linalg.hermitian_eigen(marginal)
+    """Eigenbasis of a 2x2 marginal; computational basis when degenerate.
+
+    The marginal of a validated state is finite and exactly Hermitian
+    (entries (a, b) and (b, a) come from the same contraction of a matrix
+    that is), so it is its own Hermitian part, byte for byte, and goes
+    straight to the Jacobi iteration with ``hermitian_eigen``'s bits."""
+    spec = linalg._jacobi(marginal.tolist())
     if abs(spec.eigenvalues[0] - spec.eigenvalues[1]) < 1e-10:
         return np.eye(2, dtype=complex)
     return spec.eigenvectors

@@ -46,7 +46,10 @@ class DensityMatrix:
     """A validated quantum state: Hermitian, PSD, with a tagged trace.
 
     The spectral decomposition computed during validation is kept on the
-    instance so downstream measures never re-diagonalize.  So are, once a
+    instance so downstream measures never re-diagonalize.  It is the
+    read-only ``Spectrum`` of ``linalg``'s memo, shared with every state,
+    ``hermitian_eigen`` and ``psd_sqrt`` call on the same matrix, so
+    ``psd_sqrt(rho.matrix)`` does not diagonalize again.  So are, once a
     measure first asks for them, the singular values of its correlation
     matrix (read-only), which the teleportation fidelity and the CHSH
     criterion share.  ``from_matrix`` is the one validator: dense input and
@@ -68,9 +71,10 @@ class DensityMatrix:
         below -1e-10, or whose trace is outside (0, 1 + 1e-10].
         """
         # the one shape, finiteness and Hermiticity check; the symmetrized
-        # matrix it returns is both diagonalized and stored
+        # matrix it returns is both diagonalized (through the spectrum memo,
+        # after the check) and stored
         m = linalg._hermitian_part(m)
-        spec = linalg._jacobi(m.tolist())
+        spec = linalg._spectrum(m.tobytes())
         tr = complex(m.trace())
         # the diagonal of an exactly Hermitian matrix is real, so this never
         # pre-empts the floor check below

@@ -257,6 +257,31 @@ class TestKrausChannelValidation:
             assert ch.trace_preserving
 
 
+class TestBuiltChannelsValidateOnce:
+    """``adc`` and ``gadc`` skip ``kraus_channel``'s per-operator checks on
+    the stacks they build; the channel must be the one it would give."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(gamma=unit_floats, lam=unit_floats)
+    @example(gamma=0.0, lam=0.0)
+    @example(gamma=1.0, lam=1.0)
+    def test_same_channel_as_kraus_channel(self, gamma, lam):
+        sg, cg = math.sqrt(gamma), math.sqrt(1.0 - gamma)
+        sl, cl = math.sqrt(lam), math.sqrt(1.0 - lam)
+        cases = (
+            (adc(gamma), [[[1.0, 0.0], [0.0, cg]], [[0.0, sg], [0.0, 0.0]]]),
+            (gadc(gamma, lam), [[[sl, 0.0], [0.0, sl * cg]], [[0.0, sl * sg], [0.0, 0.0]],
+                                [[cl * cg, 0.0], [0.0, cl]], [[0.0, 0.0], [cl * sg, 0.0]]]),
+        )
+        for got, ops in cases:
+            want = kraus_channel([np.array(k, dtype=complex) for k in ops], got.label)
+            assert np.array(got.operators).tobytes() == np.array(want.operators).tobytes()
+            assert got.trace_preserving is want.trace_preserving is True
+            assert all(not k.flags.writeable for k in got.operators)
+        assert cases[0][0].label == f"adc(gamma={gamma:g})"
+        assert cases[1][0].label == f"gadc(gamma={gamma:g}, lambda={lam:g})"
+
+
 def _product_pairs(ops):
     return [np.kron(ki, kj) for ki in ops for kj in ops]
 

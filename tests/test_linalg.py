@@ -291,6 +291,109 @@ class TestXEigenvalues:
             _xcore._x_spectrum(0.2, 0.3, c, 0.3, 0.2)
 
 
+def _memo_cases(rng) -> list:
+    """Seeded dense, X and 2x2 inputs, and matrices with signed zeros."""
+    mats = [oracles.random_hermitian(rng, 4) for _ in range(20)]
+    mats += [oracles.random_density(rng, 4) for _ in range(20)]
+    mats += [oracles.random_x_state(rng) for _ in range(10)]
+    mats += [oracles.random_hermitian(rng, 2) for _ in range(10)]
+    # a real symmetric state whose imaginary parts are all -0.0, and a
+    # coherence whose imaginary part is a zero of either sign
+    real = oracles.random_density(rng, 4).real
+    mats.append(real + 1j * np.full((4, 4), -0.0))
+    mats += [np.array([[0.5, complex(0.1, z)], [0.1, 0.5]]) for z in (0.0, -0.0)]
+    return mats
+
+
+class TestSpectrumMemo:
+    """``hermitian_eigen``, ``psd_sqrt`` and ``DensityMatrix.from_matrix``
+    share one memoized spectrum per symmetrized matrix: the bits of a fresh
+    ``_jacobi``, read-only, with every check still run on a hit."""
+
+    def test_one_diagonalization_per_state(self, rng, monkeypatch):
+        linalg._spectrum.cache_clear()
+        sizes = []
+        inner = linalg._diagonalize
+
+        def count(w, v):
+            sizes.append(len(w))
+            return inner(w, v)
+
+        monkeypatch.setattr(linalg, "_diagonalize", count)
+        rho = DensityMatrix.from_matrix(oracles.random_density(rng, 4))
+        linalg.psd_sqrt(rho.matrix)
+        assert linalg.hermitian_eigen(rho.matrix) is rho.spectrum
+        assert sizes == [4]
+
+    def test_same_bits_as_a_fresh_jacobi(self, rng):
+        for m in _memo_cases(rng):
+            want = linalg._jacobi(linalg._hermitian_part(m).tolist())
+            # the first call may fill the memo, the second reads it
+            for spec in (linalg.hermitian_eigen(m), linalg.hermitian_eigen(m)):
+                assert spec.eigenvalues.tobytes() == want.eigenvalues.tobytes()
+                assert spec.eigenvectors.tobytes() == want.eigenvectors.tobytes()
+
+    def test_signed_zeros_are_distinct_keys(self):
+        pos, neg = (np.array([[0.5, complex(0.1, z)], [0.1, 0.5]]) for z in (0.0, -0.0))
+        h_pos, h_neg = linalg._hermitian_part(pos), linalg._hermitian_part(neg)
+        assert np.array_equal(h_pos, h_neg) and h_pos.tobytes() != h_neg.tobytes()
+        assert linalg.hermitian_eigen(pos) is not linalg.hermitian_eigen(neg)
+
+    def test_stored_matrix_is_its_own_hermitian_part(self, rng):
+        # why psd_sqrt(rho.matrix) finds the spectrum from_matrix took
+        states = [oracles.random_density(rng, 4) for _ in range(50)]
+        states += [oracles.random_x_state(rng) for _ in range(50)]
+        for m in states + [nmems(0.3).matrix, nmems(1.0).matrix]:
+            stored = DensityMatrix.from_matrix(m).matrix
+            assert linalg._hermitian_part(stored).tobytes() == stored.tobytes()
+
+    def test_cached_arrays_are_read_only(self, rng):
+        rho = DensityMatrix.from_matrix(oracles.random_density(rng, 4))
+        for spec in (rho.spectrum, linalg.hermitian_eigen(rho.matrix)):
+            with pytest.raises(ValueError):
+                spec.eigenvalues[0] = 2.0
+            with pytest.raises(ValueError):
+                spec.eigenvectors[0, 0] = 2.0
+
+    def test_mutated_input_gets_its_own_result(self, rng):
+        m = oracles.random_density(rng, 4)
+        first = DensityMatrix.from_matrix(m)
+        # still a state, now a different one
+        m *= 0.5
+        m += I4 / 8.0
+        second = DensityMatrix.from_matrix(m)
+        want = linalg._jacobi(linalg._hermitian_part(m).tolist())
+        for spec in (second.spectrum, linalg.hermitian_eigen(m)):
+            assert spec.eigenvalues.tobytes() == want.eigenvalues.tobytes()
+            assert spec.eigenvectors.tobytes() == want.eigenvectors.tobytes()
+        assert second.spectrum.eigenvalues.tobytes() != first.spectrum.eigenvalues.tobytes()
+
+    def test_checks_run_on_a_hit(self):
+        indefinite = np.diag([0.75, 0.5, 0.0, -0.25])
+        linalg.hermitian_eigen(indefinite)
+        with pytest.raises(InputError, match="below the PSD floor"):
+            linalg.psd_sqrt(indefinite)
+        with pytest.raises(InputError, match="negative eigenvalue"):
+            DensityMatrix.from_matrix(indefinite)
+        over_unit = np.diag([0.75, 0.75])
+        linalg.hermitian_eigen(over_unit)
+        with pytest.raises(InputError, match="trace"):
+            DensityMatrix.from_matrix(over_unit)
+        # a non-Hermitian matrix whose Hermitian part is in the memo
+        skew = np.array([[0.5, 1.0], [0.0, 0.5]], dtype=complex)
+        DensityMatrix.from_matrix(np.full((2, 2), 0.5))
+        for call in (linalg.hermitian_eigen, linalg.psd_sqrt, DensityMatrix.from_matrix):
+            with pytest.raises(InputError, match="not Hermitian"):
+                call(skew)
+
+    def test_bounded_at_256_entries(self, rng):
+        linalg._spectrum.cache_clear()
+        for _ in range(300):
+            linalg.hermitian_eigen(oracles.random_hermitian(rng, 2))
+        info = linalg._spectrum.cache_info()
+        assert (info.maxsize, info.currsize, info.misses) == (256, 256, 300)
+
+
 class TestPsdSqrt:
     def test_identity(self):
         assert np.allclose(linalg.psd_sqrt(I4), I4, atol=1e-12)

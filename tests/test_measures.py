@@ -372,6 +372,20 @@ class TestXStateCorrelations:
         with pytest.raises(InputError) as replay:
             _x_fidelity(*x)
         assert str(replay.value) == str(dense_route.value)
+        # a NaN coherence fails the bound as well (NaN > 1 + 1e-9 is
+        # false); hermitian_eigen rejects NaN, so the spectrum is a finite
+        # matrix's
+        nan_x = (0.25, 0.25, math.nan, 0.25, 0.25)
+        rho = DensityMatrix(
+            matrix=oracles.x_matrix(*nan_x), normalization="unit", trace_value=1.0,
+            spectrum=linalg.hermitian_eigen(dense),
+        )
+        with pytest.raises(InputError) as nan_route:
+            correlation_matrix(rho)
+        assert str(nan_route.value) == str(dense_route.value)
+        with pytest.raises(InputError) as nan_replay:
+            _x_fidelity(*nan_x)
+        assert str(nan_replay.value) == str(dense_route.value)
         # the bound itself is inclusive
         edge = (1.0 + 1e-9) / 2.0
         assert _x_fidelity(0.25, 0.25, edge, 0.25, 0.25) > 2.0 / 3.0
@@ -644,6 +658,30 @@ class TestMidDephasing:
     def test_sub_normalized_rejected(self):
         with pytest.raises(InputError):
             mid_dephasing(nmems_ad(0.0, 0.3))
+
+    def test_same_bits_as_the_validated_marginal_route(self, rng, monkeypatch):
+        # the marginals go straight to _jacobi; before, hermitian_eigen
+        # checked and symmetrized them first, which must change no bit
+        def validated_basis(marginal):
+            spec = linalg.hermitian_eigen(marginal)
+            if abs(spec.eigenvalues[0] - spec.eigenvalues[1]) < 1e-10:
+                return np.eye(2, dtype=complex)
+            return spec.eigenvectors
+
+        dense = [oracles.random_density(rng, 4) for _ in range(200)]
+        real = oracles.random_density(rng, 4).real
+        states = [DensityMatrix.from_matrix(m) for m in dense + [
+            real + 1j * np.full((4, 4), -0.0),
+            oracles.random_x_state(rng),
+            np.diag([0.4, 0.3, 0.2, 0.1]),
+        ]] + [nmems(0.1), _bell_psi_plus()]
+        for rho in states:
+            tensor = rho.matrix.reshape(2, 2, 2, 2)
+            for marginal in (np.einsum("acbc->ab", tensor), np.einsum("abac->bc", tensor)):
+                assert linalg._hermitian_part(marginal).tobytes() == marginal.tobytes()
+        got = [mid_dephasing(rho).hex() for rho in states]
+        monkeypatch.setattr(measures, "_marginal_basis", validated_basis)
+        assert got == [mid_dephasing(rho).hex() for rho in states]
 
 
 class TestDiscordX:
