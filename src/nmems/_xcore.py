@@ -12,9 +12,14 @@ so the complex rotation's imaginary parts are all zero), and the scalar
 forms of the measures.  The closed-form damped fidelity comes in three
 parts, as the damping maps do: factors of p, factors of theta, and the
 cell from both, so a sweep takes each axis's factors once.  It runs no
-iterative eigensolver, and each check runs once per call.  Each function
-has the checks and the messages of the matrix route it stands for, and
-its bits, except the spin-flip concurrence: it reads the singular values of
+iterative eigensolver, and a sweep cell makes each check once:
+``_x_spectrum`` checks the state's five numbers (finite entries, the
+eigenvalue floor, the trace window), and the concurrence columns then
+check only the coherence bound |c| <= sqrt(b d) + 1e-9
+(``_x_spectrum_concurrence``), because the numbers are finite, the clamp
+makes the diagonal non-negative, and the floor does not imply the bound.
+Each function has the checks and the messages of the matrix route it
+stands for, and its bits, except the spin-flip concurrence: it reads the singular values of
 K = sqrt(rho) (sy x sy) sqrt(rho)* off the five numbers, where they are
 known exactly, forms neither sqrt(rho) nor K, and agrees with the matrix
 route to a few ulp; the tests pin both.
@@ -109,6 +114,12 @@ def _check_x_params(a: float, b: float, c: complex, d: float, e: float) -> None:
     if a < 0.0 or b < 0.0 or d < 0.0 or e < 0.0:
         name = "a" if a < 0.0 else "b" if b < 0.0 else "d" if d < 0.0 else "e"
         raise InputError(f"X-state parameter {name} must be non-negative")
+    _check_coherence(b, c, d)
+
+
+def _check_coherence(b: float, c: complex, d: float) -> None:
+    """XStateParams' last check, the coherence bound |c| <= sqrt(b d) + 1e-9,
+    for a finite c and a non-negative b and d."""
     if abs(c) > math.sqrt(b * d) + 1e-9:
         raise InputError("coherence |c| exceeds sqrt(b*d); not a valid state")
 
@@ -346,6 +357,23 @@ def _x_concurrence(a: float, b: float, c: complex, d: float, e: float) -> float:
     return 2.0 * max(abs(c) - math.sqrt(a * e), 0.0)
 
 
+def _x_spectrum_concurrence(a: float, b: float, c: float, d: float, e: float) -> float:
+    """``_x_concurrence(*_x_params(a, b, c, d, e))``, with its bits and its
+    rejection, for five numbers that have passed ``_x_spectrum``'s checks.
+
+    Those numbers are finite and ``_x_params`` clamps the diagonal at 0.0,
+    so of XStateParams' checks only the coherence bound can still fail,
+    and this makes that check alone.  The eigenvalue floor does not imply
+    it: with b and d far apart (b = 1e-8, d = 0.5) |c| can pass sqrt(b d)
+    by more than 1e-9 while the smallest eigenvalue stays above -1e-10.
+    (The clamps below differ from ``max(v, 0.0)`` only at v = -0.0, where
+    each product, root and difference they feed has the same value.)
+    """
+    _check_coherence(b if b > 0.0 else 0.0, c, d if d > 0.0 else 0.0)
+    ae = (a if a > 0.0 else 0.0) * (e if e > 0.0 else 0.0)
+    return 2.0 * max(abs(c) - math.sqrt(ae), 0.0)
+
+
 def _x_concurrence_wootters(a: float, b: float, c: float, d: float, e: float,
                             tag: str) -> float:
     """``concurrence_wootters`` of ``from_matrix`` of the dense corner-free
@@ -422,7 +450,7 @@ def _x_correlation_sum(a: float, b: float, c: float, d: float, e: float) -> floa
 def _x_fidelity(a: float, b: float, c: float, d: float, e: float) -> float:
     """``fidelity_from_correlation(correlation_matrix(rho)).fidelity`` of the
     same X state, with its bits and its rejection, without building it."""
-    return _fidelity_of(_x_correlation_sum(a, b, c, d, e)).fidelity
+    return _fidelity_value(_x_correlation_sum(a, b, c, d, e))
 
 
 def _x_chsh(a: float, b: float, c: float, d: float, e: float) -> float:
@@ -439,11 +467,17 @@ class FidelityResult(NamedTuple):
     n_value: float
 
 
+def _fidelity_value(n: float) -> float:
+    """The optimal teleportation fidelity for the singular-value sum ``n``:
+    (1 + n / 3) / 2 where the state is useful, n > 1 + 1e-12, and the
+    classical 2/3 elsewhere."""
+    return 0.5 * (1.0 + n / 3.0) if n > 1.0 + USEFULNESS_MARGIN else CLASSICAL_FIDELITY
+
+
 def _fidelity_of(n: float) -> FidelityResult:
     """The fidelity result for the singular-value sum ``n``."""
-    useful = n > 1.0 + USEFULNESS_MARGIN
-    fidelity = 0.5 * (1.0 + n / 3.0) if useful else CLASSICAL_FIDELITY
-    return FidelityResult(fidelity=fidelity, useful=useful, n_value=n)
+    return FidelityResult(fidelity=_fidelity_value(n), useful=n > 1.0 + USEFULNESS_MARGIN,
+                          n_value=n)
 
 
 def _discord_branches(diag: list, r14: float, r23: float, eigenvalues: list) -> tuple:

@@ -64,6 +64,10 @@ _EPS_SQUARED = sys.float_info.epsilon ** 2
 _ORTHOGONALITY_TOL_SQUARED = 4.0 * _EPS_SQUARED
 
 
+# below this modulus no sum of two entries' parts can overflow
+_HALVE_FIRST = 2.0 ** 1023
+
+
 def as_matrix(a) -> np.ndarray:
     """Coerce to a 2-d complex array, rejecting non-finite entries."""
     m = np.asarray(a, dtype=complex)
@@ -99,11 +103,19 @@ def is_hermitian(a, tol: float = HERMITICITY_TOL) -> bool:
 def _hermitian_part(a) -> np.ndarray:
     """(m + m^dagger) / 2 of ``a`` as a fresh complex array, after the one
     shape, finiteness and Hermiticity (1e-10) check of a matrix to be
-    diagonalized."""
+    diagonalized.
+
+    Where an entry's modulus reaches 2^1023, so that the sum m + m^dagger
+    could overflow, each term is halved before the sum, and a finite matrix
+    keeps a finite Hermitian part (halving rounds only subnormal entries).
+    Elsewhere the sum comes first, with the bits it has always had.
+    """
     m = as_square(a)
     mh = m.conj().T
     if float(np.abs(m - mh).max()) > HERMITICITY_TOL:
         raise InputError("matrix is not Hermitian within 1e-10")
+    if float(np.abs(m).max()) >= _HALVE_FIRST:
+        return m / 2.0 + mh / 2.0
     return (m + mh) / 2.0
 
 

@@ -19,8 +19,15 @@ family state (_P_ONLY) or of the cell's damped state (_DAMPED), on the
 scalar core (``_xcore``), or the closed form fidelity_ad_closed_form, taken
 as its three parts (per theta, per p, per cell).  The damped state comes
 from the scalar core's one channel-mode table, ``_xcore._DAMPING``, which
-``nmems_ad`` reads too.  The headline report reads the same _P_ONLY
-entries.  No column needs numpy.
+``nmems_ad`` reads too.  A cell computes each fact once: ``_x_spectrum``
+checks its damped state's five numbers (finite entries, the eigenvalue
+floor, the trace window) and takes its eigenvalues; entropy_ad and mid
+share one entropy of them; the fidelity columns take a float, with no
+result tuple.  The concurrence columns then check only the coherence
+bound |c| <= sqrt(b d) + 1e-9, the one check of XStateParams that the
+finite, clamped numbers do not already pass and the eigenvalue floor does
+not imply.  The headline report reads the same _P_ONLY entries.  No
+column needs numpy.
 The per-point registry (``nmems.registry``, here as ``QUANTITIES``)
 defines every column through the matrix API, which loads numpy; it is the
 public per-point API and the tests' oracle, and the engine never calls
@@ -41,7 +48,7 @@ from ._xcore import (
     MODE_PRODUCT,
     UNIT,
     USEFULNESS_MARGIN,
-    _check_x_params,
+    _check_coherence,
     _closed_form_fidelity,
     _closed_form_fidelity_p,
     _closed_form_fidelity_theta,
@@ -49,7 +56,6 @@ from ._xcore import (
     _require_unit,
     _spectrum_entropy,
     _x_chsh,
-    _x_concurrence,
     _x_concurrence_wootters,
     _x_correlation_sum,
     _x_discord,
@@ -57,6 +63,7 @@ from ._xcore import (
     _x_fidelity,
     _x_params,
     _x_spectrum,
+    _x_spectrum_concurrence,
     fidelity_ad_closed_form,
 )
 from .errors import InputError
@@ -97,7 +104,7 @@ def __getattr__(name: str):
 # _xcore._family(p); a sweep evaluates them once per p and shares the value
 # across that p's thetas
 _P_ONLY = {
-    "concurrence": lambda x, vals, tag: _x_concurrence(*_x_params(*x)),
+    "concurrence": lambda x, vals, tag: _x_spectrum_concurrence(*x),
     "concurrence_wootters": lambda x, vals, tag: _x_concurrence_wootters(*x, tag),
     "fidelity": lambda x, vals, tag: (
         _require_unit(tag, "teleportation fidelity") or _x_fidelity(*x)),
@@ -110,17 +117,19 @@ _P_ONLY = {
         _x_expectation(_WITNESS_ENTRIES["stabilizer"], *x)),
 }
 
-# damped columns, on the (x, eigenvalues, trace tag) of the cell's damped
-# state (_xcore._DAMPING, _xcore._x_spectrum) and the entropy of nmems(p),
-# in every channel mode, with no Kraus channel and no per-cell state
+# damped columns, on the five numbers x and the trace tag of the cell's
+# damped state (_xcore._DAMPING, _xcore._x_spectrum), the entropy s_ad of
+# its eigenvalues and the entropy s of nmems(p), in every channel mode,
+# with no Kraus channel and no per-cell state; _walk takes s_ad once per
+# cell and s once per p, and only where entropy_ad or mid reads them
 _DAMPED = {
-    "concurrence_ad": lambda x, vals, tag, entropy: _x_concurrence(*_x_params(*x)),
+    "concurrence_ad": lambda x, tag, s_ad, s: _x_spectrum_concurrence(*x),
     # NA (None) where the damped state is sub-normalized
-    "concurrence_ad_wootters": lambda x, vals, tag, entropy: (
+    "concurrence_ad_wootters": lambda x, tag, s_ad, s: (
         _x_concurrence_wootters(*x, tag) if tag == UNIT else None),
-    "fidelity_ad": lambda x, vals, tag, entropy: _x_fidelity(*x),
-    "entropy_ad": lambda x, vals, tag, entropy: _spectrum_entropy(vals),
-    "mid": lambda x, vals, tag, entropy: _spectrum_entropy(vals) - entropy,
+    "fidelity_ad": lambda x, tag, s_ad, s: _x_fidelity(*x),
+    "entropy_ad": lambda x, tag, s_ad, s: s_ad,
+    "mid": lambda x, tag, s_ad, s: s_ad - s,
 }
 
 
@@ -255,10 +264,14 @@ def _walk(spec: SweepSpec, cell):
     (``_xcore._closed_form_fidelity_theta``).  Once per p: the family state
     with nmems' checks (``_xcore._family``), p's ``cell``, the _P_ONLY
     columns, shared by that p's thetas, and the closed form's p factors
-    (``_xcore._closed_form_fidelity_p``).  Per cell: the damped state from
-    the family's numbers and the theta's factors (the second map), its
-    checks (``_xcore._x_spectrum``), the _DAMPED columns and the closed
-    form's cell (``_xcore._closed_form_fidelity``).
+    (``_xcore._closed_form_fidelity_p``), and, if mid is asked for, the
+    family state's entropy.  Per cell: the damped state from the family's
+    numbers and the theta's factors (the second map), its checks and
+    eigenvalues (``_xcore._x_spectrum``, the cell's only check of finite
+    entries, the floor and the trace window), the entropy of those
+    eigenvalues if entropy_ad or mid is asked for, shared by the two, the
+    _DAMPED columns and the closed form's cell
+    (``_xcore._closed_form_fidelity``).
     ``_xcore._mode_damped_x`` composes the same two maps at one cell, and
     ``fidelity_ad_closed_form`` the closed form's three parts.
     """
@@ -267,6 +280,8 @@ def _walk(spec: SweepSpec, cell):
     damped = [(i, _DAMPED[name]) for i, name in enumerate(quantities, 2) if name in _DAMPED]
     closed_form = [i for i, name in enumerate(quantities, 2)
                    if name == "fidelity_ad_closed_form"]
+    wants_mid = "mid" in quantities
+    wants_entropy_ad = wants_mid or "entropy_ad" in quantities
     factors_of, image = _DAMPING[spec.channel_mode]
     thetas = [
         (cell(theta), factors_of(theta) if damped else None,
@@ -281,7 +296,7 @@ def _walk(spec: SweepSpec, cell):
             row[i] = cell(column(*base))
         if damped:
             family_x = base[0]
-            entropy = _P_ONLY["entropy"](*base)
+            entropy = _spectrum_entropy(base[1]) if wants_mid else None
         if closed_form:
             p_factors = _closed_form_fidelity_p(p)
         for theta_cell, factors, theta_factors in thetas:
@@ -289,8 +304,9 @@ def _walk(spec: SweepSpec, cell):
             if damped:
                 x = image(family_x, factors)
                 vals, tag = _x_spectrum(*x)
+                entropy_ad = _spectrum_entropy(vals) if wants_entropy_ad else None
                 for i, column in damped:
-                    row[i] = cell(column(x, vals, tag, entropy))
+                    row[i] = cell(column(x, tag, entropy_ad, entropy))
             for i in closed_form:
                 row[i] = cell(_closed_form_fidelity(p_factors, theta_factors))
             yield tuple(row)
@@ -458,7 +474,7 @@ def entanglement_boundary() -> float:
     """Mixing parameter where the family's concurrence reaches zero."""
     def signed(p):
         a, b, c, d, e = _x_params(*_family(p)[0])
-        _check_x_params(a, b, c, d, e)
+        _check_coherence(b, c, d)
         return abs(c) - math.sqrt(a * e)
     return _bisect_sign_change(signed, 0.25, 0.32, tol=1e-9)
 

@@ -142,6 +142,15 @@ class TestHermitianEigen:
         assert np.array_equal(spec.eigenvalues, [0.25])
         assert np.array_equal(spec.eigenvectors, [[1.0]])
 
+    def test_entries_near_the_float_limit_stay_finite(self):
+        # m + m^dagger overflows at 1.5e308, after the finiteness check has
+        # passed; the Hermitian part halves each term first there
+        m = np.diag([1.5e308, 1.0])
+        assert linalg._hermitian_part(m).tolist() == [[1.5e308, 0.0], [0.0, 1.0]]
+        assert linalg.hermitian_eigen(m).eigenvalues.tolist() == [1.5e308, 1.0]
+        root = linalg.psd_sqrt(m)
+        assert np.array_equal(root, np.diag([math.sqrt(1.5e308), 1.0]))
+
 
 def _hermitian_from_upper(diag, upper: dict) -> np.ndarray:
     """The Hermitian matrix with this diagonal and these entries (i, j),

@@ -108,6 +108,20 @@ def _scalar_replays(spec: SweepSpec, row: SweepRow, values: dict) -> dict:
     return want
 
 
+def _spy(monkeypatch, module, name: str) -> list:
+    """Replace ``module.name`` by a spy that records each call's arguments
+    in the returned list and then calls the real function."""
+    seen = []
+    real = getattr(module, name)
+
+    def spy(*args):
+        seen.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, spy)
+    return seen
+
+
 @st.composite
 def _specs(draw, modes=CHANNEL_MODES, names=tuple(QUANTITIES), max_steps=4):
     """Small grids anywhere in the domain, endpoints p = 1 and theta = pi/2
@@ -585,6 +599,42 @@ class TestRunSweep:
         assert seen == [0.0]
         next(rows)
         assert seen == [0.0, _grid(0.0, 0.2, 1000)[1]]
+
+    @pytest.mark.parametrize("mode", CHANNEL_MODES)
+    @pytest.mark.parametrize("quantities, calls", [
+        # one damped entropy per cell, and the family's once per p, only
+        # where a column reads them
+        (("entropy_ad", "mid"), 9 + 3),
+        (("mid",), 9 + 3),
+        (("entropy_ad",), 9),
+        (("concurrence_ad", "fidelity_ad"), 0),
+    ])
+    def test_each_entropy_is_taken_once(self, monkeypatch, mode, quantities, calls):
+        seen = _spy(monkeypatch, sweep, "_spectrum_entropy")
+        spec = _tiny_spec(quantities=quantities, channel_mode=mode)
+        rows = run_sweep(spec)
+        assert len(seen) == calls
+        for row in rows:
+            assert _bits(row.values) == _bits(_per_point_values(spec, row.p, row.theta))
+
+    @pytest.mark.parametrize("mode", CHANNEL_MODES)
+    def test_fidelity_columns_build_no_fidelity_result(self, monkeypatch, mode):
+        seen = _spy(monkeypatch, _xcore, "_fidelity_of")
+        rows = run_sweep(_tiny_spec(quantities=("fidelity", "fidelity_ad"), channel_mode=mode))
+        assert seen == []
+        assert len(rows) == 9
+
+    @pytest.mark.parametrize("mode", CHANNEL_MODES)
+    def test_concurrence_columns_make_only_the_coherence_check(self, monkeypatch, mode):
+        # _x_spectrum has checked the five numbers and _x_params clamped
+        # them; the full XStateParams checks would run again on every cell
+        seen = _spy(monkeypatch, _xcore, "_check_x_params")
+        bounds = _spy(monkeypatch, _xcore, "_check_coherence")
+        rows = run_sweep(_tiny_spec(quantities=("concurrence", "concurrence_ad"),
+                                    channel_mode=mode))
+        assert seen == []
+        assert len(bounds) == 3 + 9
+        assert len(rows) == 9
 
     @settings(max_examples=40, deadline=None)
     @given(spec=_specs(max_steps=3))

@@ -341,3 +341,46 @@ def test_family_unit_checks_are_the_registry_ones(name, measure):
         chsh_criterion(nmems_ad(0.1, 0.6))
     with pytest.raises(InputError, match="CHSH criterion requires a unit-trace state"):
         sweep._P_ONLY["chsh"](x, vals, tag)
+
+
+# finite entries of any sign, signed zeros, subnormals and the values at
+# the eigenvalue floor among them
+_ENTRIES = (st.floats(-1.0, 1.0) | st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 1e-8, -1e-11, 0.5, 1e-300]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(x=st.tuples(_ENTRIES, _ENTRIES, _ENTRIES, _ENTRIES, _ENTRIES))
+@example(x=(-0.0, 0.5, 0.5, 0.5, -0.0))
+@example(x=(0.25, -0.0, -0.0, 0.25, 0.25))
+@example(x=(0.5 - 1e-8, 1e-8, math.sqrt(0.5e-8) + 2e-9, 0.5, 0.0))
+def test_spectrum_concurrence_is_the_clamped_dataclass_route(x):
+    # on finite numbers the clamp leaves only the coherence bound to fail:
+    # the same bits, or the same rejection, as the full checks
+    try:
+        want = _xcore._x_concurrence(*_xcore._x_params(*x)).hex()
+    except InputError as exc:
+        with pytest.raises(InputError) as got:
+            _xcore._x_spectrum_concurrence(*x)
+        assert str(got.value) == str(exc)
+    else:
+        assert _xcore._x_spectrum_concurrence(*x).hex() == want
+
+
+def test_concurrence_columns_reject_the_coherence_bound_alone():
+    # b and d far apart: |c| passes sqrt(b d) by 2e-9 while the smallest
+    # eigenvalue stays above the floor, so _x_spectrum accepts the state
+    # and only the coherence bound rejects it, as in _x_concurrence
+    b, d = 1e-8, 0.5
+    x = (0.5 - b, b, math.sqrt(b * d) + 2e-9, d, 0.0)
+    vals, tag = _xcore._x_spectrum(*x)
+    assert vals[-1] < 0.0 and tag == _xcore.UNIT
+    with pytest.raises(InputError) as want:
+        _xcore._x_concurrence(*x)
+    assert str(want.value) == "coherence |c| exceeds sqrt(b*d); not a valid state"
+    for column in (lambda: sweep._P_ONLY["concurrence"](x, vals, tag),
+                   lambda: sweep._DAMPED["concurrence_ad"](x, tag, None, None),
+                   lambda: _xcore._x_spectrum_concurrence(*x)):
+        with pytest.raises(InputError) as got:
+            column()
+        assert str(got.value) == str(want.value)
