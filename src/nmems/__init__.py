@@ -18,7 +18,7 @@ import importlib
 # the module on first access, so ``import nmems`` loads no numpy, and only
 # the matrix API does
 _EXPORTS = {
-    "_xcore": ("FidelityResult", "binary_entropy", "fidelity_ad_closed_form"),
+    "_xcore": ("binary_entropy", "fidelity_ad_closed_form"),
     "channels": (
         "KrausChannel", "adc", "apply_correlated_pair", "apply_product_pair",
         "apply_single", "gadc", "kraus_channel",
@@ -26,8 +26,8 @@ _EXPORTS = {
     "errors": ("InputError", "NumericalError"),
     "linalg": ("Spectrum", "hermitian_eigen", "kron", "partial_trace", "psd_sqrt", "trace"),
     "measures": (
-        "ChshResult", "CorrelationMatrix", "DiscordBreakdown", "chsh_criterion",
-        "concurrence_wootters", "concurrence_x", "correlation_matrix",
+        "ChshResult", "CorrelationMatrix", "DiscordBreakdown", "FidelityResult",
+        "chsh_criterion", "concurrence_wootters", "concurrence_x", "correlation_matrix",
         "discord_closed_form", "discord_closed_form_branches",
         "discord_closed_form_residuals", "discord_x", "fidelity_from_correlation",
         "mid_adc", "mid_dephasing", "teleportation_fidelity", "von_neumann_entropy",

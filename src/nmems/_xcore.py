@@ -15,25 +15,25 @@ cell from both, so a sweep takes each axis's factors once.  It runs no
 iterative eigensolver, and a sweep cell makes each check once:
 ``_x_spectrum`` checks the state's five numbers (finite entries, the
 eigenvalue floor, the trace window), and the concurrence columns then
-check only the coherence bound |c| <= sqrt(b d) + 1e-9
-(``_x_spectrum_concurrence``), because the numbers are finite, the clamp
-makes the diagonal non-negative, and the floor does not imply the bound.
-Each function has the checks and the messages of the matrix route it
-stands for, and its bits, except the spin-flip concurrence: it reads the singular values of
+check only the coherence bound |c| <= sqrt(b d) + 1e-9, because the
+numbers are finite, the clamp makes the diagonal non-negative, and the
+floor does not imply the bound; ``measures.concurrence_x`` runs that
+same ``_x_spectrum_concurrence``.  Each function has the checks and the
+messages of the matrix route it stands for, and its bits, except the
+spin-flip concurrence: it reads the singular values of
 K = sqrt(rho) (sy x sy) sqrt(rho)* off the five numbers, where they are
 known exactly, forms neither sqrt(rho) nor K, and agrees with the matrix
-route to a few ulp; the tests pin both.
-``states``, ``linalg``, ``measures`` and ``channels`` import the checks and
-constants they share from here, and the sweep engine, the presets and the
-headline report run on this module and the standard library alone.
+route to a few ulp; the tests pin both.  ``states``, ``linalg``,
+``measures`` and ``channels`` import the checks and constants they share
+from here; the sweep engine, the presets and the headline report run on
+this module and the standard library alone, so it holds nothing only the
+matrix API needs, and imports neither ``typing`` nor ``cmath``.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 import sys
-from typing import NamedTuple
 
 from .errors import InputError, NumericalError
 
@@ -103,18 +103,6 @@ def _normalization(lowest: float, tr: float) -> str:
     if 0.0 < tr < 1.0 - SUB_NORMAL_EDGE:
         return SUB_NORMALIZED
     raise InputError(f"density matrix trace {tr!r} outside (0, 1]")
-
-
-def _check_x_params(a: float, b: float, c: complex, d: float, e: float) -> None:
-    """XStateParams' checks: finite entries, a non-negative diagonal and
-    |c| <= sqrt(b d), each checked in order, in one pass."""
-    isfinite = cmath.isfinite
-    if not (isfinite(a) and isfinite(b) and isfinite(c) and isfinite(d) and isfinite(e)):
-        raise InputError("X-state parameters must be finite")
-    if a < 0.0 or b < 0.0 or d < 0.0 or e < 0.0:
-        name = "a" if a < 0.0 else "b" if b < 0.0 else "d" if d < 0.0 else "e"
-        raise InputError(f"X-state parameter {name} must be non-negative")
-    _check_coherence(b, c, d)
 
 
 def _check_coherence(b: float, c: complex, d: float) -> None:
@@ -350,24 +338,17 @@ def _spectrum_entropy(vals: list) -> float:
     return -total
 
 
-def _x_concurrence(a: float, b: float, c: complex, d: float, e: float) -> float:
-    """``concurrence_x(XStateParams(a, b, c, d, e))``, with the dataclass's
-    checks and messages, without building it."""
-    _check_x_params(a, b, c, d, e)
-    return 2.0 * max(abs(c) - math.sqrt(a * e), 0.0)
-
-
-def _x_spectrum_concurrence(a: float, b: float, c: float, d: float, e: float) -> float:
-    """``_x_concurrence(*_x_params(a, b, c, d, e))``, with its bits and its
-    rejection, for five numbers that have passed ``_x_spectrum``'s checks.
-
-    Those numbers are finite and ``_x_params`` clamps the diagonal at 0.0,
-    so of XStateParams' checks only the coherence bound can still fail,
-    and this makes that check alone.  The eigenvalue floor does not imply
-    it: with b and d far apart (b = 1e-8, d = 0.5) |c| can pass sqrt(b d)
-    by more than 1e-9 while the smallest eigenvalue stays above -1e-10.
-    (The clamps below differ from ``max(v, 0.0)`` only at v = -0.0, where
-    each product, root and difference they feed has the same value.)
+def _x_spectrum_concurrence(a: float, b: float, c: complex, d: float, e: float) -> float:
+    """The X-state concurrence 2 max(|c| - sqrt(a e), 0) (Yu and Eberly,
+    QIC 7, 459) of five finite numbers, c real or complex, with the
+    diagonal clamped at 0.0 as ``x_params_of`` clamps it, after the
+    coherence bound |c| <= sqrt(b d) + 1e-9, the one check its callers
+    have not made: ``_x_spectrum``'s checks (the sweep) and XStateParams'
+    (``concurrence_x``).  The eigenvalue floor does not imply the bound:
+    with b = 1e-8 and d = 0.5, |c| can pass sqrt(b d) by more than 1e-9
+    while the smallest eigenvalue stays above -1e-10.  (On a non-negative
+    diagonal the clamps change only -0.0, to 0.0, where each product, root
+    and difference they feed has the same value.)
     """
     _check_coherence(b if b > 0.0 else 0.0, c, d if d > 0.0 else 0.0)
     ae = (a if a > 0.0 else 0.0) * (e if e > 0.0 else 0.0)
@@ -396,13 +377,6 @@ def _x_concurrence_wootters(a: float, b: float, c: float, d: float, e: float,
     s1, s2, s3, s4 = sorted((corner, corner, inner + abs(c), abs(inner - abs(c))),
                             reverse=True)
     return max(0.0, s1 - s2 - s3 - s4)
-
-
-def _x_params(a: float, b: float, c: float, d: float, e: float) -> tuple:
-    """The (a, b, c, d, e) ``x_params_of`` reads off ``from_matrix`` of the
-    dense X matrix: the diagonal clamped at 0.0.
-    XStateParams' checks are the caller's."""
-    return max(a, 0.0), max(b, 0.0), c, max(d, 0.0), max(e, 0.0)
 
 
 def _check_correlation_bound(largest: float) -> None:
@@ -461,23 +435,11 @@ def _x_chsh(a: float, b: float, c: float, d: float, e: float) -> float:
     return s0 ** 2 + s1 ** 2
 
 
-class FidelityResult(NamedTuple):
-    fidelity: float
-    useful: bool
-    n_value: float
-
-
 def _fidelity_value(n: float) -> float:
     """The optimal teleportation fidelity for the singular-value sum ``n``:
     (1 + n / 3) / 2 where the state is useful, n > 1 + 1e-12, and the
     classical 2/3 elsewhere."""
     return 0.5 * (1.0 + n / 3.0) if n > 1.0 + USEFULNESS_MARGIN else CLASSICAL_FIDELITY
-
-
-def _fidelity_of(n: float) -> FidelityResult:
-    """The fidelity result for the singular-value sum ``n``."""
-    return FidelityResult(fidelity=_fidelity_value(n), useful=n > 1.0 + USEFULNESS_MARGIN,
-                          n_value=n)
 
 
 def _discord_branches(diag: list, r14: float, r23: float, eigenvalues: list) -> tuple:

@@ -105,18 +105,20 @@ def _hermitian_part(a) -> np.ndarray:
     shape, finiteness and Hermiticity (1e-10) check of a matrix to be
     diagonalized.
 
-    Where an entry's modulus reaches 2^1023, so that the sum m + m^dagger
-    could overflow, each term is halved before the sum, and a finite matrix
-    keeps a finite Hermitian part (halving rounds only subnormal entries).
-    Elsewhere the sum comes first, with the bits it has always had.
+    Where an entry's modulus reaches 2^1023, so that m - m^dagger or
+    m + m^dagger could overflow, m is halved first and the halves' residual
+    held to 1e-10 / 2 (halving rounds only subnormal entries); elsewhere
+    the bits are as they have always been.  The diagonal is exactly real,
+    halved or not: z + conj(z) has imaginary part y - y = 0.0.
     """
     m = as_square(a)
+    halve = float(np.abs(m).max()) >= _HALVE_FIRST
+    if halve:
+        m = m / 2.0
     mh = m.conj().T
-    if float(np.abs(m - mh).max()) > HERMITICITY_TOL:
+    if float(np.abs(m - mh).max()) > (HERMITICITY_TOL / 2.0 if halve else HERMITICITY_TOL):
         raise InputError("matrix is not Hermitian within 1e-10")
-    if float(np.abs(m).max()) >= _HALVE_FIRST:
-        return m / 2.0 + mh / 2.0
-    return (m + mh) / 2.0
+    return m + mh if halve else (m + mh) / 2.0
 
 
 @dataclass(frozen=True)
@@ -203,13 +205,17 @@ def _diagonalize(w: list, v: list) -> int:
 
 
 def _jacobi(w: list) -> Spectrum:
-    """Full spectral decomposition by ``_diagonalize``, which overwrites ``w``."""
+    """Full spectral decomposition by ``_diagonalize``, which overwrites
+    ``w``; NumericalError if an eigenvalue is not finite."""
     n = len(w)
     v = [[0j] * n for _ in range(n)]
     for i in range(n):
         v[i][i] = 1.0 + 0.0j
     _diagonalize(w, v)
     eigvals = [w[k][k].real for k in range(n)]
+    # finite entries can still have an eigenvalue beyond the float range
+    if not all(map(math.isfinite, eigvals)):
+        raise NumericalError("an eigenvalue overflows the float range")
     # descending, ties in index order (reverse=True keeps the sort stable)
     order = sorted(range(n), key=eigvals.__getitem__, reverse=True)
     return Spectrum(

@@ -1,10 +1,11 @@
 """Scalar correlation measures for two-qubit states.
 
 Concurrence comes in two independent routes: the closed X-state formula
-2 max(|c| - sqrt(a e), 0) and the spin-flip spectrum construction, which
-serves as its oracle.  Teleportation quality and the CHSH criterion both
-derive from the 3x3 correlation matrix of Pauli-pair expectations, whose
-singular values are taken once per state and kept on it.  The singular
+2 max(|c| - sqrt(a e), 0), the sweep's own scalar function, and the
+spin-flip spectrum construction, which serves as its oracle.
+Teleportation quality and the CHSH criterion both derive from the 3x3
+correlation matrix of Pauli-pair expectations, whose singular values are
+taken once per state and kept on it.  The singular
 values of T and of the spin-flip matrix K both come from the one-sided
 Jacobi ``linalg._singular_values``; the eigenvalues, from the state's
 spectrum or, for the marginals of ``mid_dephasing``, ``linalg._jacobi``.
@@ -32,14 +33,13 @@ from . import linalg
 from ._xcore import (
     CLASSICAL_FIDELITY,
     USEFULNESS_MARGIN,
-    FidelityResult,
     _check_correlation_bound,
     _check_range,
     _discord_branches,
-    _fidelity_of,
+    _fidelity_value,
     _require_unit,
     _spectrum_entropy,
-    _x_concurrence,
+    _x_spectrum_concurrence,
     binary_entropy,
     fidelity_ad_closed_form,
 )
@@ -64,8 +64,9 @@ def _check_two_qubit(rho: DensityMatrix, what: str, *, unit: bool = True) -> Non
 
 
 def concurrence_x(xp: XStateParams) -> float:
-    """Concurrence of a corner-free X state: 2 max(|c| - sqrt(a e), 0)."""
-    return _x_concurrence(xp.a, xp.b, xp.c, xp.d, xp.e)
+    """Concurrence of a corner-free X state: 2 max(|c| - sqrt(a e), 0), by
+    the sweep's ``_xcore._x_spectrum_concurrence``; ``xp`` is checked."""
+    return _x_spectrum_concurrence(xp.a, xp.b, xp.c, xp.d, xp.e)
 
 
 def concurrence_wootters(rho: DensityMatrix) -> float:
@@ -300,6 +301,18 @@ def discord_closed_form_residuals(p: float) -> tuple[float, float]:
     spectral, plain = discord_closed_form_branches(p)
     breakdown = discord_x(nmems(p))
     return spectral - breakdown.q1, plain - breakdown.q2
+
+
+class FidelityResult(NamedTuple):
+    fidelity: float
+    useful: bool
+    n_value: float
+
+
+def _fidelity_of(n: float) -> FidelityResult:
+    """The fidelity result for the singular-value sum ``n``."""
+    return FidelityResult(fidelity=_fidelity_value(n), useful=n > 1.0 + USEFULNESS_MARGIN,
+                          n_value=n)
 
 
 class ChshResult(NamedTuple):

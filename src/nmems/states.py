@@ -14,6 +14,7 @@ whether the trace is unity or has been drained by damping.
 
 from __future__ import annotations
 
+import cmath
 import functools
 from dataclasses import dataclass, field
 
@@ -26,12 +27,11 @@ from ._xcore import (
     GHZ_AMPLITUDE,
     MODE_CLOSED_FORM,
     SUB_NORMALIZED,
-    TRACE_TOL,
     UNIT,
     W_AMPLITUDE,
+    _check_coherence,
     _check_family,
     _check_range,
-    _check_x_params,
     _family_x,
     _mode_damped_x,
     _normalization,
@@ -75,12 +75,8 @@ class DensityMatrix:
         # after the check) and stored
         m = linalg._hermitian_part(m)
         spec = linalg._spectrum(m.tobytes())
-        tr = complex(m.trace())
-        # the diagonal of an exactly Hermitian matrix is real, so this never
-        # pre-empts the floor check below
-        if abs(tr.imag) > TRACE_TOL:
-            raise InputError("density matrix trace must be real")
-        tr = tr.real
+        # the Hermitian part's diagonal is exactly real, so is its trace
+        tr = complex(m.trace()).real
         tag = _normalization(float(spec.eigenvalues[-1]), tr)  # sorted descending
         m.setflags(write=False)
         return cls(matrix=m, normalization=tag, trace_value=tr, spectrum=spec)
@@ -97,6 +93,18 @@ class DensityMatrix:
         if self.is_unit():
             return self
         return DensityMatrix.from_matrix(self.matrix / self.trace_value)
+
+
+def _check_x_params(a: float, b: float, c: complex, d: float, e: float) -> None:
+    """XStateParams' checks: finite entries, a non-negative diagonal and
+    |c| <= sqrt(b d), each checked in order, in one pass."""
+    isfinite = cmath.isfinite
+    if not (isfinite(a) and isfinite(b) and isfinite(c) and isfinite(d) and isfinite(e)):
+        raise InputError("X-state parameters must be finite")
+    if a < 0.0 or b < 0.0 or d < 0.0 or e < 0.0:
+        name = "a" if a < 0.0 else "b" if b < 0.0 else "d" if d < 0.0 else "e"
+        raise InputError(f"X-state parameter {name} must be non-negative")
+    _check_coherence(b, c, d)
 
 
 @dataclass(frozen=True)

@@ -26,8 +26,9 @@ share one entropy of them; the fidelity columns take a float, with no
 result tuple.  The concurrence columns then check only the coherence
 bound |c| <= sqrt(b d) + 1e-9, the one check of XStateParams that the
 finite, clamped numbers do not already pass and the eigenvalue floor does
-not imply.  The headline report reads the same _P_ONLY entries.  No
-column needs numpy.
+not imply (``_xcore._x_spectrum_concurrence``, as in
+``measures.concurrence_x``).  The headline report reads the same _P_ONLY
+entries.  No column needs numpy.
 The per-point registry (``nmems.registry``, here as ``QUANTITIES``)
 defines every column through the matrix API, which loads numpy; it is the
 public per-point API and the tests' oracle, and the engine never calls
@@ -61,7 +62,6 @@ from ._xcore import (
     _x_discord,
     _x_expectation,
     _x_fidelity,
-    _x_params,
     _x_spectrum,
     _x_spectrum_concurrence,
     fidelity_ad_closed_form,
@@ -472,8 +472,9 @@ def _bisect_sign_change(f, lo: float, hi: float, tol: float = 1e-12) -> float:
 
 def entanglement_boundary() -> float:
     """Mixing parameter where the family's concurrence reaches zero."""
+    # the family's five numbers are positive on [0.25, 0.32], so no clamp
     def signed(p):
-        a, b, c, d, e = _x_params(*_family(p)[0])
+        a, b, c, d, e = _family(p)[0]
         _check_coherence(b, c, d)
         return abs(c) - math.sqrt(a * e)
     return _bisect_sign_change(signed, 0.25, 0.32, tol=1e-9)

@@ -151,6 +151,33 @@ class TestHermitianEigen:
         root = linalg.psd_sqrt(m)
         assert np.array_equal(root, np.diag([math.sqrt(1.5e308), 1.0]))
 
+    def test_an_eigenvalue_beyond_the_float_range_is_a_numerical_error(self):
+        # finite entries whose larger eigenvalue, 2e308, has no float: the
+        # iteration would return it as inf
+        m = [[1e308, 1e308], [1e308, 1e308]]
+        for call in (linalg.hermitian_eigen, DensityMatrix.from_matrix):
+            with pytest.raises(NumericalError, match="overflows the float range"):
+                call(m)
+
+    @pytest.mark.filterwarnings("error")
+    def test_a_huge_non_hermitian_matrix_is_rejected_without_overflow(self):
+        # m - m^dagger overflows at 2e308; the residual of the halves does not
+        with pytest.raises(InputError, match="not Hermitian"):
+            linalg.hermitian_eigen([[0.0, 1e308], [-1e308, 0.0]])
+
+    @pytest.mark.parametrize("scale", [1.0, 1e308])
+    def test_hermiticity_tolerance_is_the_same_for_huge_entries(self, scale):
+        # an anti-Hermitian pair +-4e-11 leaves a residual of 8e-11 and
+        # passes, +-6e-11 one of 1.2e-10 and fails, halved or not
+        for dust, passes in ((4e-11, True), (6e-11, False)):
+            m = np.diag([scale, 0.0]).astype(complex)
+            m[0, 1], m[1, 0] = dust, -dust
+            if passes:
+                assert linalg._hermitian_part(m)[0, 1] == 0.0
+            else:
+                with pytest.raises(InputError, match="not Hermitian"):
+                    linalg._hermitian_part(m)
+
 
 def _hermitian_from_upper(diag, upper: dict) -> np.ndarray:
     """The Hermitian matrix with this diagonal and these entries (i, j),

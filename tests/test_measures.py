@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import assume, example, given, seed, settings
 from hypothesis import strategies as st
 
-from nmems import InputError, _xcore, linalg, measures
+from nmems import InputError, _xcore, linalg, measures, states
 from nmems._xcore import (
     CHANNEL_MODES,
     _mode_damped_x,
@@ -73,6 +74,11 @@ def _correlation_t(rho):
     return correlation_matrix(rho).t
 
 
+# diagonal entries of a valid XStateParams: signed zeros, a subnormal and
+# tiny and large values among the ordinary ones
+_DIAGONAL = st.floats(0.0, 1.0) | st.sampled_from([0.0, -0.0, 5e-324, 1e-300, 1e-8, 1.0])
+
+
 class TestConcurrence:
     def test_family_p0(self):
         assert abs(concurrence_x(x_params_of(nmems(0.0))) - 2.0 / 3.0) < 1e-12
@@ -104,18 +110,49 @@ class TestConcurrence:
         (0.0, math.inf, math.inf, math.inf, 0.0),
     ])
     def test_scalar_route_rejects_like_the_dataclass(self, x):
-        with pytest.raises(InputError) as want:
-            XStateParams(*x)
-        with pytest.raises(InputError) as got:
-            _xcore._x_concurrence(*x)
-        assert str(got.value) == str(want.value)
+        # concurrence_x takes no unchecked numbers: XStateParams, and the
+        # scalar check it runs (states._check_x_params), reject each of
+        # these with the message of the first check that fails, in order:
+        # finite entries, a non-negative diagonal, the coherence bound
+        a, b, c, d, e = x
+        if not all(map(cmath.isfinite, x)):
+            message = "X-state parameters must be finite"
+        elif min(a, b, d, e) < 0.0:
+            name = next(n for n, v in zip("abde", (a, b, d, e)) if v < 0.0)
+            message = f"X-state parameter {name} must be non-negative"
+        else:
+            message = "coherence |c| exceeds sqrt(b*d); not a valid state"
+        for build in (lambda: XStateParams(*x), lambda: states._check_x_params(*x)):
+            with pytest.raises(InputError) as got:
+                build()
+            assert str(got.value) == message
 
     def test_scalar_route_builds_no_dataclass(self, monkeypatch):
+        # the sweep's concurrence columns run concurrence_x's function on
+        # five numbers
         def boom(self):
             raise AssertionError("XStateParams built")
 
         monkeypatch.setattr(XStateParams, "__post_init__", boom)
-        assert _xcore._x_concurrence(0.0, 0.5, 0.5, 0.5, 0.0) == 1.0
+        assert _xcore._x_spectrum_concurrence(0.0, 0.5, 0.5, 0.5, 0.0) == 1.0
+
+    @settings(max_examples=150, deadline=None)
+    @given(diag=st.tuples(*[_DIAGONAL] * 4), share=st.floats(0.0, 1.0),
+           phase=st.sampled_from(["+", "-", "+0j", "-0j", "j", "-j", "polar"]),
+           angle=st.floats(0.0, 2.0 * math.pi))
+    @example(diag=(-0.0, 0.5, 0.5, -0.0), share=1.0, phase="-0j", angle=0.0)
+    @example(diag=(0.25, 0.25, 0.25, 0.25), share=1.0, phase="+", angle=0.0)
+    @example(diag=(0.0, -0.0, 0.5, 0.5), share=0.0, phase="-", angle=0.0)
+    def test_is_the_x_formula_bit_for_bit(self, diag, share, phase, angle):
+        # every valid XStateParams, complex c and signed zeros included,
+        # has the bits of 2 max(|c| - sqrt(a e), 0) (Yu and Eberly)
+        a, b, d, e = diag
+        r = share * math.sqrt(b * d)
+        c = {"+": r, "-": -r, "+0j": complex(r, 0.0), "-0j": complex(-r, -0.0),
+             "j": complex(0.0, r), "-j": complex(-0.0, -r),
+             "polar": cmath.rect(r, angle)}[phase]
+        want = 2.0 * max(abs(c) - math.sqrt(a * e), 0.0)
+        assert concurrence_x(XStateParams(a, b, c, d, e)).hex() == want.hex()
 
     def test_scaling_law_under_damping(self):
         for p in np.linspace(0.0, 0.99, 34):
@@ -887,7 +924,7 @@ class TestFidelityFromCorrelation:
         assert got.fidelity == 2.0 / 3.0
         assert not got.useful
         # N must exceed the edge 1 + 1e-12; N at the edge is classical
-        edge = _xcore._fidelity_of(1.0 + _xcore.USEFULNESS_MARGIN)
+        edge = measures._fidelity_of(1.0 + _xcore.USEFULNESS_MARGIN)
         assert edge.fidelity == 2.0 / 3.0
         assert not edge.useful
 

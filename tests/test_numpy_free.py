@@ -31,8 +31,9 @@ from test_output_identity import (
 # dataclasses (about 10 ms of start-up)
 _UNWANTED = ("numpy", "dataclasses")
 
-# python -m nmems ARGS..., with a report of which _UNWANTED modules were
-# imported, at exit (after any SystemExit, such as argparse's after --help)
+# python -m nmems ARGS..., once formatted with a tuple of module names: at
+# exit (after any SystemExit, such as argparse's after --help) it reports
+# which of them were imported
 _CLI = """
 import atexit, runpy, sys
 unwanted = %r
@@ -40,7 +41,7 @@ atexit.register(lambda: sys.stderr.write(
     "loaded: " + ",".join(m for m in unwanted if m in sys.modules) + "\\n"))
 sys.argv = ["nmems", *sys.argv[1:]]
 runpy.run_module("nmems", run_name="__main__", alter_sys=True)
-""" % (_UNWANTED,)
+"""
 
 
 def _env() -> dict:
@@ -56,9 +57,10 @@ def _python(args: list, cwd) -> subprocess.CompletedProcess:
     )
 
 
-def _cli(args: list, cwd) -> tuple:
-    """(exit code, stdout bytes, the _UNWANTED modules imported) of one run."""
-    result = _python(["-c", _CLI, *args], cwd)
+def _cli(args: list, cwd, *, unwanted: tuple = _UNWANTED, flags: tuple = ()) -> tuple:
+    """(exit code, stdout bytes, the ``unwanted`` modules imported) of one
+    run, with the interpreter's ``flags``."""
+    result = _python([*flags, "-c", _CLI % (unwanted,), *args], cwd)
     last = result.stderr.decode("utf-8").splitlines()[-1]
     assert last.startswith("loaded: "), result.stderr
     return result.returncode, result.stdout, set(filter(None, last[8:].split(",")))
@@ -107,6 +109,21 @@ def test_all_quantity_sweep_loads_no_numpy(tmp_path):
                          quantities=QUANTITY_NAMES, channel_mode=mode)
         emit_csv(run_sweep(spec), str(tmp_path / "want.csv"))
         assert (tmp_path / "out.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+# typing and cmath serve only the matrix API; -S keeps a site hook (which
+# may import typing itself) from loading them before nmems does
+@pytest.mark.parametrize("args", [
+    ["headlines"],
+    ["preset", "fig1", "--out", "out.csv"],
+    ["sweep", "--p-max", "0.3", "--p-steps", "4", "--theta-max", "pi/4",
+     "--theta-steps", "3", "--quantities", ",".join(QUANTITY_NAMES), "--out", "out.csv"],
+], ids=["headlines", "preset", "sweep"])
+def test_cli_loads_no_typing_or_cmath(args, tmp_path):
+    code, _, loaded = _cli(args, tmp_path, unwanted=("typing", "cmath", *_UNWANTED),
+                           flags=("-S",))
+    assert code == 0
+    assert loaded == set()
 
 
 # python -m nmems ARGS..., with the process's own peak resident size

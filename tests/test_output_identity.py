@@ -34,6 +34,7 @@ from nmems.sweep import (
     emit_csv,
     report_headlines,
     run_sweep,
+    stream_csv,
 )
 
 import oracles
@@ -56,7 +57,9 @@ SWEEP_SHA256 = {
 
 
 def _csv_digest(spec: SweepSpec, path) -> str:
-    emit_csv(run_sweep(spec), str(path))
+    # the bytes the CLI writes: stream_csv, as ``nmems sweep`` and
+    # ``nmems preset`` call it
+    stream_csv(spec, str(path))
     return hashlib.sha256(path.read_bytes()).hexdigest()[:16]
 
 
@@ -85,6 +88,16 @@ def test_all_quantity_sweep_bytes(mode, tmp_path):
     # every QUANTITIES id, in registry order
     spec = _benchmark_sweep(tuple(QUANTITIES), mode)
     assert _csv_digest(spec, tmp_path / f"sweep_{mode}.csv") == SWEEP_SHA256[mode]
+
+
+@pytest.mark.parametrize("mode", CHANNEL_MODES)
+def test_materialized_sweep_writes_the_streamed_bytes(mode, tmp_path):
+    # run_sweep and emit_csv, the second path to the same CSV, write the
+    # bytes stream_csv writes (criterion 12 checks the presets)
+    spec = _benchmark_sweep(tuple(QUANTITIES), mode)
+    emit_csv(run_sweep(spec), str(tmp_path / "rows.csv"))
+    stream_csv(spec, str(tmp_path / "stream.csv"))
+    assert (tmp_path / "rows.csv").read_bytes() == (tmp_path / "stream.csv").read_bytes()
 
 
 # the same sweeps of the thirteen columns other than the two spin-flip

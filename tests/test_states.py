@@ -242,6 +242,21 @@ class TestDensityMatrixValidation:
         state = DensityMatrix.from_matrix(np.diag([0.5, 0.5 + 1e-10, 0.0, -5e-11]))
         assert state.is_unit()
 
+    def test_trace_of_the_hermitian_part_is_exactly_real(self, rng):
+        # the Hermitian part's diagonal is z + conj(z), whose imaginary part
+        # is y - y = 0.0, halved first or not, so from_matrix needs no check
+        # that its trace is real: diagonal imaginary dust up to 5e-11, which
+        # the Hermiticity check lets through, leaves none
+        for n in (1, 2, 3, 4, 8):
+            for scale in [*(10.0 ** k for k in range(-300, 301, 50)), 1e308]:
+                for _ in range(20):
+                    m = oracles.random_hermitian(rng, n)
+                    m = m / np.abs(m).max() * scale
+                    m = m + np.diag(1j * rng.uniform(-5e-11, 5e-11, n))
+                    h = linalg._hermitian_part(m)
+                    assert not h.diagonal().imag.any()
+                    assert h.imag.trace() == 0.0
+
     def test_matrix_is_a_frozen_copy_of_the_input(self):
         m = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
         state = DensityMatrix.from_matrix(m)

@@ -619,16 +619,16 @@ class TestRunSweep:
 
     @pytest.mark.parametrize("mode", CHANNEL_MODES)
     def test_fidelity_columns_build_no_fidelity_result(self, monkeypatch, mode):
-        seen = _spy(monkeypatch, _xcore, "_fidelity_of")
+        seen = _spy(monkeypatch, measures, "_fidelity_of")
         rows = run_sweep(_tiny_spec(quantities=("fidelity", "fidelity_ad"), channel_mode=mode))
         assert seen == []
         assert len(rows) == 9
 
     @pytest.mark.parametrize("mode", CHANNEL_MODES)
     def test_concurrence_columns_make_only_the_coherence_check(self, monkeypatch, mode):
-        # _x_spectrum has checked the five numbers and _x_params clamped
+        # _x_spectrum has checked the five numbers and the column clamps
         # them; the full XStateParams checks would run again on every cell
-        seen = _spy(monkeypatch, _xcore, "_check_x_params")
+        seen = _spy(monkeypatch, states, "_check_x_params")
         bounds = _spy(monkeypatch, _xcore, "_check_coherence")
         rows = run_sweep(_tiny_spec(quantities=("concurrence", "concurrence_ad"),
                                     channel_mode=mode))

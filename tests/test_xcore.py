@@ -32,7 +32,7 @@ from nmems.measures import (
     teleportation_fidelity,
 )
 from nmems.registry import QUANTITIES
-from nmems.states import DensityMatrix, ghz_reduced, nmems, nmems_ad, w_reduced
+from nmems.states import DensityMatrix, XStateParams, ghz_reduced, nmems, nmems_ad, w_reduced
 from nmems.sweep import CHANNEL_MODES, QUANTITY_NAMES, PRESETS, SweepSpec, run_sweep
 from nmems.witnesses import evaluate, witness_generic, witness_stabilizer, witness_w1
 
@@ -356,27 +356,30 @@ _ENTRIES = (st.floats(-1.0, 1.0) | st.sampled_from(
 @example(x=(0.5 - 1e-8, 1e-8, math.sqrt(0.5e-8) + 2e-9, 0.5, 0.0))
 def test_spectrum_concurrence_is_the_clamped_dataclass_route(x):
     # on finite numbers the clamp leaves only the coherence bound to fail:
-    # the same bits, or the same rejection, as the full checks
+    # the rejection XStateParams makes of the clamped numbers, with its
+    # message, or else the bits of the X formula on them
+    a, b, c, d, e = (max(v, 0.0) if k != 2 else v for k, v in enumerate(x))
     try:
-        want = _xcore._x_concurrence(*_xcore._x_params(*x)).hex()
+        XStateParams(a, b, c, d, e)
     except InputError as exc:
         with pytest.raises(InputError) as got:
             _xcore._x_spectrum_concurrence(*x)
         assert str(got.value) == str(exc)
     else:
-        assert _xcore._x_spectrum_concurrence(*x).hex() == want
+        want = 2.0 * max(abs(c) - math.sqrt(a * e), 0.0)
+        assert _xcore._x_spectrum_concurrence(*x).hex() == want.hex()
 
 
 def test_concurrence_columns_reject_the_coherence_bound_alone():
     # b and d far apart: |c| passes sqrt(b d) by 2e-9 while the smallest
     # eigenvalue stays above the floor, so _x_spectrum accepts the state
-    # and only the coherence bound rejects it, as in _x_concurrence
+    # and only the coherence bound rejects it, as XStateParams does
     b, d = 1e-8, 0.5
     x = (0.5 - b, b, math.sqrt(b * d) + 2e-9, d, 0.0)
     vals, tag = _xcore._x_spectrum(*x)
     assert vals[-1] < 0.0 and tag == _xcore.UNIT
     with pytest.raises(InputError) as want:
-        _xcore._x_concurrence(*x)
+        XStateParams(*x)
     assert str(want.value) == "coherence |c| exceeds sqrt(b*d); not a valid state"
     for column in (lambda: sweep._P_ONLY["concurrence"](x, vals, tag),
                    lambda: sweep._DAMPED["concurrence_ad"](x, tag, None, None),
