@@ -355,28 +355,32 @@ def _x_spectrum_concurrence(a: float, b: float, c: complex, d: float, e: float) 
     return 2.0 * max(abs(c) - math.sqrt(ae), 0.0)
 
 
-def _x_concurrence_wootters(a: float, b: float, c: float, d: float, e: float,
-                            tag: str) -> float:
+def _x_concurrence_wootters(a: float, b: float, c: float, d: float, e: float) -> float:
     """``concurrence_wootters`` of ``from_matrix`` of the dense corner-free
     X state with real diagonal (a, b, d, e) and real inner coherence c,
-    without building it, given the state's trace tag ``tag`` as
-    ``_x_spectrum`` returns it.  ``_x_spectrum``'s checks are the
-    caller's; this makes the unit-trace rejection, and the two together
-    have the checks and messages of the matrix route.
+    without building it, after ``_x_spectrum``'s checks, which are the
+    caller's and all the matrix route makes; a sub-normalized state gives
+    its raw value.
 
     The singular values of K = sqrt(rho) (sy x sy) sqrt(rho)* of such a
     state are known exactly: sqrt(a e) twice, sqrt(b d) + |c| and
     |sqrt(b d) - |c|| (Wootters, PRL 80, 2245; Yu and Eberly, QIC 7, 459),
     with the diagonal clamped at zero as ``linalg.spectrum_sqrt`` clamps
     the eigenvalues.  The value agrees with the matrix route's one-sided
-    Jacobi on K to a few ulp.
+    Jacobi on K to a few ulp.  It has the bits of max(0, s1 - s2 - s3 - s4)
+    over the four sorted descending (v if v >= 0.0 else 0.0 is max(v, 0.0),
+    -0.0 included): 0.0 where sqrt(a e) exceeds sqrt(b d) + |c|, and one of
+    the sort's two other orders, as sqrt(b d) + |c| >= |sqrt(b d) - |c||.
     """
-    _require_unit(tag, "spin-flip concurrence")
-    corner = math.sqrt(max(a, 0.0) * max(e, 0.0))
-    inner = math.sqrt(max(b, 0.0) * max(d, 0.0))
-    s1, s2, s3, s4 = sorted((corner, corner, inner + abs(c), abs(inner - abs(c))),
-                            reverse=True)
-    return max(0.0, s1 - s2 - s3 - s4)
+    corner = math.sqrt((a if a >= 0.0 else 0.0) * (e if e >= 0.0 else 0.0))
+    inner = math.sqrt((b if b >= 0.0 else 0.0) * (d if d >= 0.0 else 0.0))
+    r = abs(c)
+    hi = inner + r
+    if corner > hi:
+        return 0.0
+    lo = abs(inner - r)
+    v = ((hi - corner) - corner) - lo if corner >= lo else ((hi - lo) - corner) - corner
+    return v if v > 0.0 else 0.0
 
 
 def _check_correlation_bound(largest: float) -> None:

@@ -211,9 +211,13 @@ def _jacobi(w: list) -> Spectrum:
     v = [[0j] * n for _ in range(n)]
     for i in range(n):
         v[i][i] = 1.0 + 0.0j
-    _diagonalize(w, v)
+    # finite entries can have an eigenvalue beyond the float range; abs() of
+    # an a_pq beyond it overflows, and some |eigenvalue| is at least |a_pq|
+    try:
+        _diagonalize(w, v)
+    except OverflowError:
+        raise NumericalError("an eigenvalue overflows the float range") from None
     eigvals = [w[k][k].real for k in range(n)]
-    # finite entries can still have an eigenvalue beyond the float range
     if not all(map(math.isfinite, eigvals)):
         raise NumericalError("an eigenvalue overflows the float range")
     # descending, ties in index order (reverse=True keeps the sort stable)

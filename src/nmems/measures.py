@@ -83,8 +83,10 @@ def concurrence_wootters(rho: DensityMatrix) -> float:
     ~1e-17 eigenvalue dust into ~1e-9 errors at rank-deficient states.  A
     column pair is rotated while its inner product exceeds 2 eps times the
     product of the two column norms and eps^2 ||K||_F^2; the column norms
-    are then s_1 >= ... >= s_4.  Defined for unit trace only;
-    sub-normalized input is rejected.
+    are then s_1 >= ... >= s_4.  A sub-normalized state of trace t gives
+    its raw value t C(rho / t), as the X formula and ``fidelity_ad`` read
+    the raw state: sqrt(t rho) = sqrt(t) sqrt(rho), so K and its singular
+    values scale by t.
 
     This matrix route serves every state, X states included.  It is the
     oracle of the sweep's scalar chain for X states
@@ -92,7 +94,7 @@ def concurrence_wootters(rho: DensityMatrix) -> float:
     nor K: a corner-free X state's s_i are sqrt(a e) twice and
     sqrt(b d) +- |c|, read off its five numbers.
     """
-    _check_two_qubit(rho, "spin-flip concurrence")
+    _check_two_qubit(rho, "spin-flip concurrence", unit=False)
     root = linalg.spectrum_sqrt(rho.spectrum)
     k = root @ _YY @ root.conj()
     s1, s2, s3, s4 = linalg._singular_values(k)

@@ -3,11 +3,9 @@ the headline report.
 
 A sweep walks the Cartesian grid in deterministic order (p outer, theta
 inner, both ascending) and evaluates a requested set of named quantities at
-every point.  The one cell that is undefined, the spin-flip concurrence of
-a sub-normalized damped state, carries an explicit NA marker instead of
-being dropped; any other rejected input or numerical failure aborts the
-sweep.  CSV output is byte-deterministic: 12 significant digits, LF
-newlines, the literal token NA.
+every point.  Every cell is a number: a rejected input or a numerical
+failure at any cell aborts the sweep.  CSV output is byte-deterministic:
+12 significant digits and LF newlines.
 
 One generator (``_walk``) evaluates every sweep: ``iter_sweep`` yields
 its rows lazily, ``run_sweep`` collects them as SweepRows, and
@@ -47,7 +45,6 @@ from ._xcore import (
     MODE_CLOSED_FORM,
     MODE_CORRELATED,
     MODE_PRODUCT,
-    UNIT,
     USEFULNESS_MARGIN,
     _check_coherence,
     _closed_form_fidelity,
@@ -67,8 +64,6 @@ from ._xcore import (
     fidelity_ad_closed_form,
 )
 from .errors import InputError
-
-NA_TOKEN = "NA"
 
 # CHANNEL_MODES and the MODE_* names, imported above, live with their
 # damping maps in _xcore._DAMPING; they are public here
@@ -105,7 +100,7 @@ def __getattr__(name: str):
 # across that p's thetas
 _P_ONLY = {
     "concurrence": lambda x, vals, tag: _x_spectrum_concurrence(*x),
-    "concurrence_wootters": lambda x, vals, tag: _x_concurrence_wootters(*x, tag),
+    "concurrence_wootters": lambda x, vals, tag: _x_concurrence_wootters(*x),
     "fidelity": lambda x, vals, tag: (
         _require_unit(tag, "teleportation fidelity") or _x_fidelity(*x)),
     "discord": lambda x, vals, tag: _require_unit(tag, "discord") or _x_discord(*x, vals),
@@ -117,19 +112,17 @@ _P_ONLY = {
         _x_expectation(_WITNESS_ENTRIES["stabilizer"], *x)),
 }
 
-# damped columns, on the five numbers x and the trace tag of the cell's
-# damped state (_xcore._DAMPING, _xcore._x_spectrum), the entropy s_ad of
-# its eigenvalues and the entropy s of nmems(p), in every channel mode,
-# with no Kraus channel and no per-cell state; _walk takes s_ad once per
-# cell and s once per p, and only where entropy_ad or mid reads them
+# damped columns, on the five numbers x of the cell's raw damped state
+# (_xcore._DAMPING), checked by _xcore._x_spectrum, the entropy s_ad of its
+# eigenvalues and the entropy s of nmems(p), in every channel mode, with no
+# Kraus channel and no per-cell state; _walk takes s_ad once per cell and s
+# once per p, and only where entropy_ad or mid reads them
 _DAMPED = {
-    "concurrence_ad": lambda x, tag, s_ad, s: _x_spectrum_concurrence(*x),
-    # NA (None) where the damped state is sub-normalized
-    "concurrence_ad_wootters": lambda x, tag, s_ad, s: (
-        _x_concurrence_wootters(*x, tag) if tag == UNIT else None),
-    "fidelity_ad": lambda x, tag, s_ad, s: _x_fidelity(*x),
-    "entropy_ad": lambda x, tag, s_ad, s: s_ad,
-    "mid": lambda x, tag, s_ad, s: s_ad - s,
+    "concurrence_ad": lambda x, s_ad, s: _x_spectrum_concurrence(*x),
+    "concurrence_ad_wootters": lambda x, s_ad, s: _x_concurrence_wootters(*x),
+    "fidelity_ad": lambda x, s_ad, s: _x_fidelity(*x),
+    "entropy_ad": lambda x, s_ad, s: s_ad,
+    "mid": lambda x, s_ad, s: s_ad - s,
 }
 
 
@@ -222,8 +215,7 @@ class SweepSpec(_Frozen):
 
 class SweepRow(_Frozen):
     """One grid point of ``run_sweep``: p, theta and the values by column
-    name, None where a cell is NA.  Immutable, but ``values`` is a dict, so
-    a row does not hash."""
+    name.  Immutable, but ``values`` is a dict, so a row does not hash."""
 
     _FIELDS = __match_args__ = ("p", "theta", "values")
 
@@ -252,9 +244,9 @@ def _as_is(value):
 
 def _walk(spec: SweepSpec, cell):
     """The sweep engine: yields each grid point as the tuple
-    (p, theta, *values), values in ``spec.quantities`` order and None
-    where a cell is NA, each entry passed through ``cell`` (``_as_is`` for
-    ``iter_sweep``, ``_format_value`` for the CSV); p outer, theta inner.
+    (p, theta, *values), values in ``spec.quantities`` order, each entry
+    passed through ``cell`` (``_as_is`` for ``iter_sweep``,
+    ``_format_value`` for the CSV); p outer, theta inner.
 
     Lazy: each p is evaluated when its first row is asked for.  Once per
     theta, before the first row: that theta's ``cell``; if a damped column
@@ -303,10 +295,10 @@ def _walk(spec: SweepSpec, cell):
             row[1] = theta_cell
             if damped:
                 x = image(family_x, factors)
-                vals, tag = _x_spectrum(*x)
+                vals = _x_spectrum(*x)[0]
                 entropy_ad = _spectrum_entropy(vals) if wants_entropy_ad else None
                 for i, column in damped:
-                    row[i] = cell(column(x, tag, entropy_ad, entropy))
+                    row[i] = cell(column(x, entropy_ad, entropy))
             for i in closed_form:
                 row[i] = cell(_closed_form_fidelity(p_factors, theta_factors))
             yield tuple(row)
@@ -317,11 +309,9 @@ def iter_sweep(spec: SweepSpec):
     in (p outer, theta inner) order, the values in ``spec.quantities``
     order.
 
-    The spin-flip concurrence of a sub-normalized damped state is
-    undefined and yielded as None (NA in the CSV); any InputError or
-    NumericalError an evaluator raises propagates when its row is asked
-    for.  Each p's family state and p-only columns are evaluated once,
-    when its first row is asked for; see ``_walk``.
+    Any InputError or NumericalError an evaluator raises propagates when
+    its row is asked for.  Each p's family state and p-only columns are
+    evaluated once, when its first row is asked for; see ``_walk``.
     """
     return _walk(spec, _as_is)
 
@@ -335,9 +325,7 @@ def run_sweep(spec: SweepSpec) -> list:
             for row in iter_sweep(spec)]
 
 
-def _format_value(v) -> str:
-    if v is None:
-        return NA_TOKEN
+def _format_value(v: float) -> str:
     # + 0.0 turns -0.0 (the entropy of a pure spectrum) into 0.0 and leaves
     # every other float as it is
     return f"{v + 0.0:.12g}"
@@ -387,8 +375,8 @@ def _csv_line(cells) -> str:
 
 def emit_csv(rows: list, path: str) -> None:
     """Write SweepRows as UTF-8 CSV: header p,theta,<quantities>, 12
-    significant digits, NA for undefined cells, LF newlines; see
-    ``_write_lines`` for how ``path`` is replaced."""
+    significant digits, LF newlines; see ``_write_lines`` for how ``path``
+    is replaced."""
     if rows:
         columns = rows[0].columns()
         for row in rows:

@@ -246,9 +246,7 @@ def _parse_csv(path):
     header = lines[0].split(",")
     rows = []
     for line in lines[1:]:
-        rows.append([
-            None if cell == "NA" else float(cell) for cell in line.split(",")
-        ])
+        rows.append([float(cell) for cell in line.split(",")])
     return header, rows
 
 
@@ -283,10 +281,7 @@ def test_criterion_12_cli_contract(tmp_path, capsys):
                     row.values[q] for q in spec.quantities
                 ]
                 for got, want in zip(cells, originals):
-                    if want is None:
-                        assert got is None
-                    else:
-                        assert abs(got - want) <= _roundtrip_tol(want)
+                    assert abs(got - want) <= _roundtrip_tol(want)
 
         text = report_headlines()
         for token in ("0.291796", "0.285714", "0.250000", "0.777778", "0.888889"):

@@ -153,11 +153,15 @@ class TestHermitianEigen:
 
     def test_an_eigenvalue_beyond_the_float_range_is_a_numerical_error(self):
         # finite entries whose larger eigenvalue, 2e308, has no float: the
-        # iteration would return it as inf
-        m = [[1e308, 1e308], [1e308, 1e308]]
-        for call in (linalg.hermitian_eigen, DensityMatrix.from_matrix):
-            with pytest.raises(NumericalError, match="overflows the float range"):
-                call(m)
+        # iteration would return it as inf; and |a_01| = 2.1e308, which has
+        # no float either, so abs(a_01) overflows (an eigenvalue's modulus
+        # is at least |a_01|)
+        for m in ([[1e308, 1e308], [1e308, 1e308]],
+                  [[0.0, 1.5e308 + 1.5e308j], [1.5e308 - 1.5e308j, 0.0]]):
+            for call in (linalg.hermitian_eigen, DensityMatrix.from_matrix):
+                with pytest.raises(NumericalError,
+                                   match="^an eigenvalue overflows the float range$"):
+                    call(m)
 
     @pytest.mark.filterwarnings("error")
     def test_a_huge_non_hermitian_matrix_is_rejected_without_overflow(self):

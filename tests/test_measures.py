@@ -218,9 +218,18 @@ class TestWoottersConcurrence:
                 concurrence_wootters(state) - concurrence_x(x_params_of(state))
             ) < 1e-9
 
-    def test_sub_normalized_rejected(self):
-        with pytest.raises(InputError):
-            concurrence_wootters(nmems_ad(0.0, 0.5))
+    def test_sub_normalized_state_gives_its_raw_value(self):
+        # C(t rho) = t C(rho): sqrt(t rho) = sqrt(t) sqrt(rho), so K and its
+        # singular values scale by the trace t; the raw value is the X
+        # formula's on the same state, as the sweep's concurrence_ad reads it
+        eps = np.finfo(float).eps
+        for p, theta in ((0.0, 0.5), (0.1, 0.6), (0.2, 1.2), (1.0, math.pi / 2)):
+            rho = nmems_ad(p, theta)
+            assert not rho.is_unit()
+            got = concurrence_wootters(rho)
+            t = rho.trace_value
+            assert abs(got - t * concurrence_wootters(rho.renormalized())) <= 4 * eps
+            assert abs(got - concurrence_x(x_params_of(rho))) <= 4 * eps
 
     @seed(20260809)
     @settings(max_examples=300, deadline=None)
@@ -938,7 +947,6 @@ class TestFidelityFromCorrelation:
 
 class TestTwoQubitPrecondition:
     UNIT_TRACE_MEASURES = [
-        pytest.param(concurrence_wootters, id="concurrence_wootters"),
         pytest.param(teleportation_fidelity, id="teleportation_fidelity"),
         pytest.param(mid_dephasing, id="mid_dephasing"),
         pytest.param(discord_x, id="discord_x"),
@@ -948,7 +956,8 @@ class TestTwoQubitPrecondition:
     @pytest.mark.parametrize(
         "measure",
         UNIT_TRACE_MEASURES
-        + [pytest.param(correlation_matrix, id="correlation_matrix")],
+        + [pytest.param(concurrence_wootters, id="concurrence_wootters"),
+           pytest.param(correlation_matrix, id="correlation_matrix")],
     )
     def test_single_qubit_state_rejected(self, measure):
         qubit = DensityMatrix.from_matrix(np.eye(2) / 2.0)

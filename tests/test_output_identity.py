@@ -48,10 +48,14 @@ PRESET_SHA256 = {
 HEADLINES_SHA256 = "a89c0a91e91c36c0"
 # the product digest moved when the spin-flip concurrence began to take K's
 # singular values in closed form: two concurrence_ad_wootters cells went to
-# their correctly rounded value (0.000802529963445 and 0.013276555087)
+# their correctly rounded value (0.000802529963445 and 0.013276555087).
+# closed_form and correlated moved (from c94eb46d03930cca and
+# 944455e62ccb0ffa) when the spin-flip concurrence of a sub-normalized
+# damped state became its raw value: each of the 1,140 concurrence_ad_wootters
+# cells with theta > 0 went from NA to the 12 digits concurrence_ad prints
 SWEEP_SHA256 = {
-    "closed_form": "c94eb46d03930cca",
-    "correlated": "944455e62ccb0ffa",
+    "closed_form": "cf5484186e2b59c6",
+    "correlated": "ccbe135b5aac8b8c",
     "product": "4f6f7798801cc9f7",
 }
 
@@ -140,10 +144,14 @@ def test_kernel_sweep_bytes(tmp_path):
 # the spin-flip concurrence began to read K's singular values sqrt(a e),
 # sqrt(a e), sqrt(b d) +- |c| off the five numbers: one cell,
 # concurrence_ad_wootters at p = 0.2, theta = 0.863937979737, went from
-# 0.000416115626612 to its correctly rounded value 0.000416115626613
+# 0.000416115626612 to its correctly rounded value 0.000416115626613.
+# closed_form and correlated moved (from 4ff9292d802e5867 and
+# 615aaf8e058f113e) when concurrence_ad_wootters of a sub-normalized damped
+# state became its raw value: 820 and 819 cells went from NA to the 12
+# digits concurrence_ad prints
 KERNEL_MODE_SWEEP_SHA256 = {
-    "closed_form": "4ff9292d802e5867",
-    "correlated": "615aaf8e058f113e",
+    "closed_form": "151ff327177491f2",
+    "correlated": "ce977e94bbd0e5d3",
     "product": "1709227640ed3229",
 }
 

@@ -47,9 +47,8 @@ _SPIN_FLIP = ("concurrence_wootters", "concurrence_ad_wootters")
 def test_quantities_take_grid_coordinates():
     # every registry entry is called as (p, theta, mode) and gives the
     # run_sweep cell bit for bit, or within 4 ulp of 1 for the spin-flip
-    # concurrences; at theta = 0 all fifteen are defined in every mode, at
-    # theta = 0.3 only the spin-flip concurrence of a sub-normalized damped
-    # state is NA
+    # concurrences, in every mode at theta = 0 and at theta = 0.3, where the
+    # damped state of closed_form and correlated is sub-normalized
     p = 0.1
     for mode in nmems.CHANNEL_MODES:
         spec = nmems.SweepSpec(
@@ -59,21 +58,13 @@ def test_quantities_take_grid_coordinates():
         rows = nmems.run_sweep(spec)
         assert [row.theta for row in rows] == [0.0, 0.3]
         for row in rows:
-            na = set()
             for name, cell in row.values.items():
-                try:
-                    value = nmems.QUANTITIES[name](p, row.theta, mode)
-                except nmems.InputError:
-                    value = None
-                    na.add(name)
-                assert (value is None) == (cell is None), (mode, row.theta, name)
-                if value is not None and name in _SPIN_FLIP:
+                value = nmems.QUANTITIES[name](p, row.theta, mode)
+                if name in _SPIN_FLIP:
                     # whose bits depend on the BLAS kernel
                     assert abs(value - cell) <= 4 * sys.float_info.epsilon, (mode, name)
-                elif value is not None:
+                else:
                     assert value.hex() == cell.hex(), (mode, row.theta, name)
-            sub_normalized = row.theta > 0.0 and mode != "product"
-            assert na == ({"concurrence_ad_wootters"} if sub_normalized else set())
 
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "nmems"

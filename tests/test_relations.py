@@ -8,22 +8,37 @@ for every two-qubit state, checked on seeded dense states of rank 1-4.
   correlation criterion finds them useful.
 - Concurrence is an entanglement monotone, so local noise cannot raise it:
   C(gadc(gamma, lambda) x gadc(gamma, lambda) rho) <= C(rho).
+- Concurrence is homogeneous in the trace (Wootters, PRL 80, 2245):
+  C(t rho) = t C(rho), since sqrt(t rho) = sqrt(t) sqrt(rho).
+- The qubit swap: C, the correlation sum N, the CHSH value M and the
+  entropy S of SWAP rho SWAP are those of rho; discord_x measures qubit B,
+  so on the swapped state it is the discord of rho measured on A.
 
 Each tolerance is c eps, eps = 2^-52, with c stated next to it.  The
-concurrence of a rank-2 state carries the error of sqrt(rho)'s
+concurrence of a rank 2-4 state carries the error of sqrt(rho)'s
 eigenvectors under the Jacobi solver's absolute stopping rule (1e-12), up
-to a few thousand eps; the monotone's tolerance covers it where the
-channel is the identity (gamma = 0) and both sides are the same state.
+to some ten thousand eps where the two sides take different matrices; the
+monotone's tolerance covers it where the channel is the identity
+(gamma = 0) and both sides are the same state.
 """
 
+import math
 import sys
 
 import numpy as np
 import pytest
 
-from nmems.channels import apply_product_pair, gadc
-from nmems.measures import chsh_criterion, concurrence_wootters, teleportation_fidelity
-from nmems.states import DensityMatrix
+from nmems.channels import adc, apply_product_pair, apply_single, gadc, kraus_channel
+from nmems.measures import (
+    chsh_criterion,
+    concurrence_wootters,
+    discord_x,
+    teleportation_fidelity,
+    von_neumann_entropy,
+)
+from nmems.states import DensityMatrix, nmems
+
+import oracles
 
 EPS = sys.float_info.epsilon
 # Each c is two to four times the worst slack over 3,000 seeded states
@@ -35,6 +50,18 @@ FIDELITY_C = 8
 # C(image) <= C(rho); the rank-2 concurrence carries sqrt(rho)'s
 # eigenvector error
 MONOTONE_C = {1: 32, 2: 2 ** 14, 3: 32, 4: 32}
+# Over 4,000 seeded states per rank, C(t rho) - t C(rho) reached 5.5 eps at
+# rank 1 and 10,088, 14,257 and 8,208 eps at ranks 2, 3 and 4; across the
+# swap C moved by 8 eps at rank 1 and by 11,253, 10,344 and 7,234 eps at
+# ranks 2-4, N by 6, M by 9 and S by 40 eps.
+HOMOGENEOUS_C = {1: 16, 2: 2 ** 15, 3: 2 ** 15, 4: 2 ** 15}
+SWAP_C = {1: 32, 2: 2 ** 15, 3: 2 ** 15, 4: 2 ** 15}
+SWAP_NM_C = 32
+SWAP_S_C = 128
+# discord_x of the swapped one-qubit-damped states against the brute-force
+# minimum on qubit A: 7.5 eps measured
+SWAP_DISCORD_C = 32
+SWAP = np.eye(4)[[0, 2, 1, 3]]
 STATES_PER_RANK = 60
 RANKS = (1, 2, 3, 4)
 
@@ -83,3 +110,50 @@ def test_local_noise_does_not_raise_the_concurrence(rank):
         for gamma, lam in ((0.0, rng.random()), (1.0, 1.0), (rng.random(), rng.random())):
             image = apply_product_pair(gadc(gamma, lam), rho)
             assert concurrence_wootters(image) <= c + tol, (gamma, lam, c)
+
+
+@pytest.mark.parametrize("rank", RANKS)
+def test_concurrence_is_homogeneous_in_the_trace(rank):
+    # t rho is sub-normalized for t < 1; its raw concurrence is t C(rho)
+    rng = np.random.default_rng(20261021 + rank)
+    tol = HOMOGENEOUS_C[rank] * EPS
+    for rho in _dense_states(rank):
+        t = rng.uniform(0.05, 1.0)
+        scaled = DensityMatrix.from_matrix(t * rho.matrix)
+        c = concurrence_wootters(rho)
+        assert abs(concurrence_wootters(scaled) - t * c) <= tol, (t, c)
+
+
+def _swapped(rho: DensityMatrix) -> DensityMatrix:
+    return DensityMatrix.from_matrix(SWAP @ rho.matrix @ SWAP)
+
+
+@pytest.mark.parametrize("rank", RANKS)
+def test_symmetric_measures_are_swap_invariant(rank):
+    for rho in _dense_states(rank):
+        swapped = _swapped(rho)
+        assert abs(concurrence_wootters(swapped) - concurrence_wootters(rho)) \
+            <= SWAP_C[rank] * EPS
+        assert abs(teleportation_fidelity(swapped).n_value - teleportation_fidelity(rho).n_value) \
+            <= SWAP_NM_C * EPS
+        assert abs(chsh_criterion(swapped).m_value - chsh_criterion(rho).m_value) \
+            <= SWAP_NM_C * EPS
+        assert abs(von_neumann_entropy(swapped) - von_neumann_entropy(rho)) <= SWAP_S_C * EPS
+
+
+def test_discord_of_the_swapped_state_measures_qubit_a():
+    # the family damped on qubit A alone: X states with b != d, whose
+    # discord measured on A and on B differ by up to 0.036 bits (the
+    # family and its product images are swap-symmetric, so they cannot
+    # tell the two apart)
+    asymmetry = 0.0
+    for p in np.linspace(0.0, 1.0, 6).tolist():
+        base = nmems(p)
+        for theta in (0.3, 0.7, 1.1, math.pi / 2):
+            ops = [np.kron(k, np.eye(2)) for k in adc(math.sin(theta) ** 2).operators]
+            rho = apply_single(kraus_channel(ops, "adc on qubit A"), base)
+            want = oracles.brute_discord(rho.matrix, measured=0)
+            got = discord_x(_swapped(rho)).discord
+            assert abs(got - want) <= SWAP_DISCORD_C * EPS, (p, theta)
+            asymmetry = max(asymmetry, abs(want - discord_x(rho).discord))
+    assert asymmetry > 0.03

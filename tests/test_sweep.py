@@ -26,7 +26,6 @@ from nmems.measures import (
 from nmems.states import DensityMatrix, nmems_ad, x_params_of
 from nmems.sweep import (
     CHANNEL_MODES,
-    NA_TOKEN,
     PRESETS,
     QUANTITIES,
     QUANTITY_NAMES,
@@ -60,16 +59,9 @@ def _tiny_spec(**overrides):
     return SweepSpec(**base)
 
 
-def _per_point(name: str, p: float, theta: float, mode: str):
-    """QUANTITIES[name](p, theta, mode) as a float, or None for the one NA
-    cell: the registry's unit-trace rejection of concurrence_ad_wootters.
-    Any other error propagates."""
-    try:
-        return float(QUANTITIES[name](p, theta, mode))
-    except InputError as exc:
-        if name != "concurrence_ad_wootters" or "requires a unit-trace state" not in str(exc):
-            raise
-        return None
+def _per_point(name: str, p: float, theta: float, mode: str) -> float:
+    """QUANTITIES[name](p, theta, mode) as a float; any error propagates."""
+    return float(QUANTITIES[name](p, theta, mode))
 
 
 def _per_point_values(spec: SweepSpec, p: float, theta: float) -> dict:
@@ -80,20 +72,21 @@ def _per_point_values(spec: SweepSpec, p: float, theta: float) -> dict:
 
 def _bits(values: dict) -> dict:
     """The values with each float as its exact hex form (-0.0 != 0.0)."""
-    return {name: None if v is None else v.hex() for name, v in values.items()}
+    return {name: v.hex() for name, v in values.items()}
 
 
 def _spin_flip(x: tuple) -> float:
     """``_xcore._x_concurrence_wootters`` of the five numbers ``x``, after
     ``_x_spectrum``'s checks, as the sweep chains them."""
-    return _xcore._x_concurrence_wootters(*x, _xcore._x_spectrum(*x)[1])
+    _xcore._x_spectrum(*x)
+    return _xcore._x_concurrence_wootters(*x)
 
 
 def _scalar_replays(spec: SweepSpec, row: SweepRow, values: dict) -> dict:
-    """``_bits(values)`` with witness_w1, concurrence_wootters and a defined
-    concurrence_ad_wootters taken from their scalar replays of the matrix
-    products at the row's grid point instead (``_xcore._x_expectation``,
-    ``_xcore._x_concurrence_wootters``); NA stays where ``values`` has it."""
+    """``_bits(values)`` with witness_w1, concurrence_wootters and
+    concurrence_ad_wootters, where ``values`` has them, taken from their
+    scalar replays of the matrix products at the row's grid point instead
+    (``_xcore._x_expectation``, ``_xcore._x_concurrence_wootters``)."""
     want = _bits(values)
     x = _xcore._family_x(row.p)
     replays = {
@@ -103,7 +96,7 @@ def _scalar_replays(spec: SweepSpec, row: SweepRow, values: dict) -> dict:
             _xcore._mode_damped_x(spec.channel_mode, row.p, row.theta)),
     }
     for name, replay in replays.items():
-        if want.get(name) is not None:
+        if name in want:
             want[name] = replay().hex()
     return want
 
@@ -192,8 +185,8 @@ class TestSweepSpecValidation:
             _tiny_spec(**{field: steps})
 
     def test_theta_bound_is_exactly_quarter_turn(self):
-        # the same pi/2 bound as nmems_ad: no slack that would turn the
-        # damped columns into NA
+        # the same pi/2 bound as nmems_ad: no slack past the theta the
+        # damped columns accept
         _tiny_spec(theta_max=math.pi / 2)
         with pytest.raises(InputError):
             _tiny_spec(theta_max=math.nextafter(math.pi / 2, 2.0))
@@ -309,7 +302,7 @@ class TestGrid:
             ]
         )
         assert code == 0
-        assert NA_TOKEN not in out.read_text()
+        assert "NA" not in out.read_text()
 
 
 class TestRunSweep:
@@ -325,17 +318,22 @@ class TestRunSweep:
             want = concurrence_x(x_params_of(nmems_ad(row.p, row.theta)))
             assert abs(row.values["concurrence_ad"] - want) < 1e-14
 
-    def test_undefined_cells_are_na(self):
-        # the spin-flip concurrence rejects sub-normalized damped states, so
-        # every theta > 0 cell is NA in the closed-form channel mode
-        spec = _tiny_spec(quantities=("concurrence_ad_wootters",))
-        rows = run_sweep(spec)
-        for row in rows:
-            value = row.values["concurrence_ad_wootters"]
-            if row.theta == 0.0:
-                assert value is not None
-            else:
-                assert value is None
+    def test_sub_normalized_cells_are_raw_values(self):
+        # every theta > 0 damped state is sub-normalized in closed_form and
+        # correlated; the spin-flip concurrence is the raw one, trace t
+        # times that of the renormalized state, as concurrence_ad is
+        for mode in ("closed_form", "correlated"):
+            spec = _tiny_spec(quantities=("concurrence_ad_wootters", "concurrence_ad"),
+                              channel_mode=mode)
+            rows = run_sweep(spec)
+            for row in rows:
+                rho = registry._damped(row.p, row.theta, mode)
+                assert rho.is_unit() == (row.theta == 0.0)
+                value = row.values["concurrence_ad_wootters"]
+                want = rho.trace_value * measures.concurrence_wootters(rho.renormalized())
+                assert abs(value - want) <= 4 * sys.float_info.epsilon, (mode, row)
+                assert abs(value - row.values["concurrence_ad"]) <= 4 * sys.float_info.epsilon
+            assert any(row.values["concurrence_ad_wootters"] > 0.0 for row in rows if row.theta)
 
     def test_product_mode_has_no_na(self):
         spec = _tiny_spec(
@@ -404,8 +402,9 @@ class TestRunSweep:
             for name, got in _bits(row.values).items():
                 assert got == want[name], (mode, row.p, row.theta, name)
         if mode != "product":
-            # the grid reaches NA cells: concurrence_ad_wootters for theta > 0
-            assert any(row.values["concurrence_ad_wootters"] is None for row in rows)
+            # the grid reaches sub-normalized damped states: theta > 0
+            assert not all(registry._damped(row.p, row.theta, mode).is_unit()
+                           for row in rows)
 
     @settings(max_examples=90, deadline=None)
     @given(spec=_specs(names=(*sorted(_DAMPED), "concurrence", "entropy")))
@@ -417,7 +416,7 @@ class TestRunSweep:
     def test_kernel_rejection_aborts_like_per_point_route(self, monkeypatch):
         # five numbers the checks reject, or a coherence only XStateParams
         # rejects, abort the sweep with the error the per-point route
-        # raises at that cell, in every mode; no cell turns into NA
+        # raises at that cell, in every mode
         thetas = _grid(0.0, math.pi / 4, 5)
         bad = {
             1: (0.5, 0.3, 0.0, 0.2, 0.1),  # trace 1.1
@@ -479,26 +478,21 @@ class TestRunSweep:
                 run_sweep(spec)
 
     @pytest.mark.parametrize("mode", CHANNEL_MODES)
-    def test_na_cells_are_the_sub_normalized_spin_flip_concurrences(self, mode):
-        # every column over the whole domain, endpoints included: NA only
-        # where concurrence_ad_wootters meets a sub-normalized damped state
-        # (never in product mode); every other cell is a finite float
+    def test_every_cell_is_a_finite_number(self, mode):
+        # every column over the whole domain, endpoints included, the
+        # sub-normalized damped states of closed_form and correlated too
         spec = SweepSpec(
             p_min=0.0, p_max=1.0, p_steps=41,
             theta_min=0.0, theta_max=math.pi / 2, theta_steps=21,
             quantities=tuple(QUANTITIES), channel_mode=mode,
         )
-        na, sub_normalized = set(), set()
+        sub_normalized = 0
         for row in run_sweep(spec):
             for name, value in row.values.items():
-                if value is None:
-                    na.add((row.p, row.theta, name))
-                else:
-                    assert math.isfinite(value), (row.p, row.theta, name)
-            if not registry._damped(row.p, row.theta, mode).is_unit():
-                sub_normalized.add((row.p, row.theta, "concurrence_ad_wootters"))
-        assert na == sub_normalized
-        assert bool(na) == (mode != "product")
+                assert isinstance(value, float), (row.p, row.theta, name)
+                assert math.isfinite(value), (row.p, row.theta, name)
+            sub_normalized += not registry._damped(row.p, row.theta, mode).is_unit()
+        assert (sub_normalized > 0) == (mode != "product")
 
     def test_kernel_builds_no_state_per_cell(self, monkeypatch):
         def boom(*args, **kwargs):
@@ -519,8 +513,8 @@ class TestRunSweep:
             ))
             assert len(rows) == 15
             # no DensityMatrix either, not even for a spin-flip concurrence
-            defined = sum(row.values["concurrence_ad_wootters"] is not None for row in rows)
-            assert defined == (15 if mode == "product" else 3), mode
+            # of a sub-normalized state
+            assert all(isinstance(v, float) for row in rows for v in row.values.values())
 
     def test_kernel_numerical_error_aborts(self, monkeypatch):
         def diverge(*x):
@@ -670,12 +664,6 @@ class TestEmitCsv:
         emit_csv([row], str(path))
         assert path.read_bytes() == b"p,theta,concurrence\n0,0,0.666666666667\n"
 
-    def test_na_token(self, tmp_path):
-        row = SweepRow(p=0.1, theta=0.2, values={"q": None})
-        path = tmp_path / "na.csv"
-        emit_csv([row], str(path))
-        assert path.read_text().splitlines()[1] == "0.1,0.2,NA"
-
     def test_lf_newlines_only(self, tmp_path):
         rows = run_sweep(_tiny_spec())
         path = tmp_path / "lf.csv"
@@ -732,9 +720,6 @@ class TestEmitCsv:
             values = [row.p, row.theta] + [row.values[q] for q in spec.quantities]
             assert len(cells) == len(values)
             for cell, value in zip(cells, values):
-                if value is None:
-                    assert cell == NA_TOKEN
-                    continue
                 assert cell != "-0" and "nan" not in cell and "inf" not in cell
                 parsed = float(cell)
                 assert math.isfinite(parsed)
@@ -1037,8 +1022,7 @@ class TestCli:
         assert code == 0
         data = (tmp_path / "from_file.csv").read_bytes()
         assert data == flags_out.read_bytes()
-        # the product map keeps unit trace, so every damped cell is defined
-        assert b"NA" not in data and data.count(b"\n") == 1 + 9
+        assert data.count(b"\n") == 1 + 9
 
     def test_spec_file_key_is_not_a_file_key(self, tmp_path, capsys):
         spec_file = tmp_path / "nested.cfg"
@@ -1294,8 +1278,7 @@ class TestQuantityRegistry:
         rows = run_sweep(spec)
         assert len(rows) == 1
         for name, value in rows[0].values.items():
-            assert value is not None, f"{name} unexpectedly NA"
-            assert math.isfinite(value)
+            assert math.isfinite(value), name
 
     def test_p_only_tag_matches_what_each_column_reads(self):
         # tagged columns agree at two thetas in every mode; untagged ones

@@ -14,6 +14,7 @@ digits, and it rejects what the matrix route rejects, with its messages.
 """
 
 import decimal
+import itertools
 import math
 import platform
 import subprocess
@@ -92,7 +93,7 @@ def test_family_columns_are_the_registry_bits(p, mode):
     base = _xcore._family(p)
     want = {name: QUANTITIES[name](p, 0.0, mode).hex() for name in sweep._P_ONLY}
     want["witness_w1"] = _xcore._x_expectation(_xcore._WITNESS_ENTRIES["w1"], *base[0]).hex()
-    want["concurrence_wootters"] = _xcore._x_concurrence_wootters(*base[0], base[2]).hex()
+    want["concurrence_wootters"] = _xcore._x_concurrence_wootters(*base[0]).hex()
     for name, column in sweep._P_ONLY.items():
         assert column(*base).hex() == want[name], name
     spec = SweepSpec(p_min=p, p_max=p, p_steps=1, theta_max=0.0, theta_steps=1,
@@ -149,38 +150,38 @@ def test_w1_column_is_the_non_fma_matrix_product(tmp_path):
 
 
 # the spin-flip concurrence columns of sweeps over the family grid and the
-# whole domain of both Kraus modes
+# whole domain of every channel mode, sub-normalized damped states included
 _SPIN_FLIP_SPECS = [
     SweepSpec(p_min=0.0, p_max=1.0, p_steps=1001, theta_max=0.0, theta_steps=1,
               quantities=("concurrence_wootters",)),
     *(SweepSpec(p_min=0.0, p_max=1.0, p_steps=41, theta_max=math.pi / 2, theta_steps=21,
                 quantities=("concurrence_ad_wootters",), channel_mode=mode)
-      for mode in ("correlated", "product")),
+      for mode in CHANNEL_MODES),
 ]
-# the benchmark's 60 x 20 product sweep of the damped column
-_PRODUCT_BENCHMARK = SweepSpec(p_min=0.0, p_max=0.292, p_steps=60, theta_max=math.pi / 4,
-                               theta_steps=20, quantities=("concurrence_ad_wootters",),
-                               channel_mode="product")
+# the benchmark's 60 x 20 sweeps of the damped column, one per channel mode
+_BENCHMARKS = [SweepSpec(p_min=0.0, p_max=0.292, p_steps=60, theta_max=math.pi / 4,
+                         theta_steps=20, quantities=("concurrence_ad_wootters",),
+                         channel_mode=mode)
+               for mode in CHANNEL_MODES]
 
 
 def _spin_flip_cells(specs: list):
-    """(spec, row, the cell's five numbers, value) of every defined cell of
-    the one-column sweeps ``specs``."""
+    """(spec, row, the cell's five numbers, value) of every cell of the
+    one-column sweeps ``specs``."""
     for spec in specs:
         (name,) = spec.quantities
         for row in run_sweep(spec):
-            cell = row.values[name]
-            if cell is not None:
-                if name == "concurrence_wootters":
-                    x = _xcore._family_x(row.p)
-                else:
-                    x = _xcore._mode_damped_x(spec.channel_mode, row.p, row.theta)
-                yield spec, row, x, cell
+            if name == "concurrence_wootters":
+                x = _xcore._family_x(row.p)
+            else:
+                x = _xcore._mode_damped_x(spec.channel_mode, row.p, row.theta)
+            yield spec, row, x, row.values[name]
 
 
 def test_spin_flip_columns_are_near_the_matrix_route():
     # on any BLAS kernel; with OpenBLAS's SkylakeX kernel 449 of the 1,904
-    # values differ in some bit, by at most 2.5 ulp of 1
+    # values of the family grid and the two Kraus modes differed in some
+    # bit, by at most 2.5 ulp of 1
     n = 0
     gap = 0.0
     for spec, row, _, cell in _spin_flip_cells(_SPIN_FLIP_SPECS):
@@ -188,7 +189,7 @@ def test_spin_flip_columns_are_near_the_matrix_route():
         want = QUANTITIES[name](row.p, row.theta, spec.channel_mode)
         n += 1
         gap = max(gap, abs(want - cell) / sys.float_info.epsilon)
-    assert n == 1_904
+    assert n == 3_584
     assert gap <= 4.0
 
 
@@ -204,23 +205,24 @@ def _reference_concurrence(a: float, c: float, e: float) -> decimal.Decimal:
 
 
 def test_spin_flip_columns_are_near_the_reference():
-    # within 1 ulp of 1 of the 40-digit value (0.96 measured); the printed
-    # 12 digits are the correctly rounded ones in every cell, also where the
-    # true value sits within an ulp of 1 of a rounding boundary (closed_form
-    # at a = 0.380833..., product at a = 0.708482...)
+    # within 1 ulp of 1 of the 40-digit value (0.96 measured), sub-normalized
+    # damped states included; the printed 12 digits are the correctly
+    # rounded ones in every cell, also where the true value sits within an
+    # ulp of 1 of a rounding boundary (closed_form at a = 0.380833...,
+    # product at a = 0.708482...)
     rounded = decimal.Context(prec=12)
     n = 0
     worst = decimal.Decimal(0)
     off = []
     for spec, row, (a, _, c, _, e), cell in _spin_flip_cells(
-            [*_SPIN_FLIP_SPECS, _PRODUCT_BENCHMARK]):
+            [*_SPIN_FLIP_SPECS, *_BENCHMARKS]):
         ref = _reference_concurrence(a, c, e)
         n += 1
         worst = max(worst, abs(decimal.Decimal(cell) - ref))
         printed = sweep._format_value(cell)
         if decimal.Decimal(printed) != rounded.plus(ref):
             off.append((spec.channel_mode, a, printed, str(rounded.plus(ref))))
-    assert n == 3_104
+    assert n == 7_184
     assert worst <= sys.float_info.epsilon
     assert off == []
 
@@ -240,12 +242,11 @@ def test_spin_flip_columns_print_the_x_formula_digits():
     off = []
     for spec in specs:
         for row in run_sweep(spec):
-            if row.values[spec.quantities[0]] is not None:
-                n += 1
-                printed = [sweep._format_value(row.values[name]) for name in spec.quantities]
-                if printed[0] != printed[1]:
-                    off.append((spec.channel_mode, row.p, row.theta, *printed))
-    assert n == 3_265
+            n += 1
+            printed = [sweep._format_value(row.values[name]) for name in spec.quantities]
+            if printed[0] != printed[1]:
+                off.append((spec.channel_mode, row.p, row.theta, *printed))
+    assert n == 7_184
     assert off == []
 
 
@@ -255,9 +256,10 @@ def test_spin_flip_columns_print_the_x_formula_digits():
     (0.5, 0.0, 0.0, 0.0, 0.5),  # sqrt(b d) = |c| = 0 beside nonzero corners
     (0.25, 0.25, 0.25, 0.25, 0.25),
     (0.3, 0.2, 0.0, 0.2, 0.3),  # b == d, c = 0: no rotation
-], ids=["pure", "bell", "corners", "rank_three", "degenerate"])
+    (0.1, 0.1, 0.05, 0.1, 0.1),  # trace 0.4: the raw value, 0.4 C(rho / 0.4)
+], ids=["pure", "bell", "corners", "rank_three", "degenerate", "sub_normalized"])
 def test_spin_flip_chain_at_rank_deficient_edges(x):
-    got = _xcore._x_concurrence_wootters(*x, _xcore._x_spectrum(*x)[1])
+    got = _xcore._x_concurrence_wootters(*x)
     want = concurrence_wootters(DensityMatrix.from_matrix(oracles.x_matrix(*x)))
     assert abs(got - want) <= 4 * sys.float_info.epsilon
     assert abs(decimal.Decimal(got) - _reference_concurrence(x[0], x[2], x[4])) \
@@ -269,15 +271,15 @@ def test_spin_flip_chain_at_rank_deficient_edges(x):
     (0.3, 0.3, math.inf, 0.3, 0.0),
     (0.3, 0.3, 0.31, 0.3, 0.0),  # eigenvalue -0.01, below the floor
     (0.5, 0.3, 0.0, 0.2, 0.1),  # trace 1.1
-    (0.1, 0.1, 0.05, 0.1, 0.1),  # trace 0.4: sub-normalized
-], ids=["nan", "inf", "floor", "trace", "sub_normalized"])
+], ids=["nan", "inf", "floor", "trace"])
 def test_spin_flip_chain_rejects_as_the_matrix_route(x):
-    # the sweep's chain: _x_spectrum's checks, then the column's unit-trace
-    # rejection on the trace tag they return
+    # the sweep's chain: _x_spectrum's checks, the only ones either route
+    # makes, then the column
     with pytest.raises(InputError) as want:
         concurrence_wootters(DensityMatrix.from_matrix(oracles.x_matrix(*x)))
     with pytest.raises(InputError) as got:
-        _xcore._x_concurrence_wootters(*x, _xcore._x_spectrum(*x)[1])
+        _xcore._x_spectrum(*x)
+        _xcore._x_concurrence_wootters(*x)
     assert str(got.value) == str(want.value)
 
 
@@ -322,7 +324,6 @@ def test_family_check_tolerance_is_the_dense_one(monkeypatch):
 
 
 @pytest.mark.parametrize("name,measure", [
-    ("concurrence_wootters", concurrence_wootters),
     ("fidelity", teleportation_fidelity),
     ("discord", discord_x),
 ])
@@ -382,8 +383,55 @@ def test_concurrence_columns_reject_the_coherence_bound_alone():
         XStateParams(*x)
     assert str(want.value) == "coherence |c| exceeds sqrt(b*d); not a valid state"
     for column in (lambda: sweep._P_ONLY["concurrence"](x, vals, tag),
-                   lambda: sweep._DAMPED["concurrence_ad"](x, tag, None, None),
+                   lambda: sweep._DAMPED["concurrence_ad"](x, None, None),
                    lambda: _xcore._x_spectrum_concurrence(*x)):
         with pytest.raises(InputError) as got:
             column()
         assert str(got.value) == str(want.value)
+
+
+def _sorted_spin_flip(a: float, b: float, c: float, d: float, e: float) -> float:
+    """max(0, s1 - s2 - s3 - s4) of K's singular values sqrt(a e) twice and
+    sqrt(b d) +- |c| sorted descending, each clamp a builtin max: the form
+    ``_xcore._x_concurrence_wootters`` evaluates without a sort."""
+    corner = math.sqrt(max(a, 0.0) * max(e, 0.0))
+    inner = math.sqrt(max(b, 0.0) * max(d, 0.0))
+    s1, s2, s3, s4 = sorted((corner, corner, inner + abs(c), abs(inner - abs(c))),
+                            reverse=True)
+    return max(0.0, s1 - s2 - s3 - s4)
+
+
+# signed zeros, subnormals, the smallest normal, a product that underflows,
+# a value below zero inside the eigenvalue floor, and values whose roots
+# tie: sqrt(a e) = sqrt(b d) + |c| at a = e = 0.5, b = c = d = 0.25, and
+# sqrt(a e) = |sqrt(b d) - |c|| at a = e = 0.25, b = d = 0.5, c = 0.25
+_SPIN_FLIP_EDGES = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-160, -1e-11,
+                    0.25, 0.5, 1.0)
+
+
+def test_spin_flip_value_is_the_sorted_form_on_the_edges():
+    # every five-tuple of the edge values, bit for bit, -0.0 apart from 0.0
+    n = 0
+    for x in itertools.product(_SPIN_FLIP_EDGES, repeat=5):
+        assert _xcore._x_concurrence_wootters(*x).hex() == _sorted_spin_flip(*x).hex(), x
+        n += 1
+    assert n == 100_000
+
+
+@st.composite
+def _tied_spin_flips(draw):
+    """Five numbers where sqrt(a e) = a = e ties with sqrt(b d) + |c| or
+    with |sqrt(b d) - |c||, as the function rounds them."""
+    b, c, d = draw(_ENTRIES), draw(_ENTRIES), draw(_ENTRIES)
+    inner = math.sqrt(max(b, 0.0) * max(d, 0.0))
+    corner = draw(st.sampled_from([inner + abs(c), abs(inner - abs(c))]))
+    return corner, b, c, d, corner
+
+
+@settings(max_examples=150, deadline=None)
+@given(x=st.tuples(_ENTRIES, _ENTRIES, _ENTRIES, _ENTRIES, _ENTRIES) | _tied_spin_flips())
+@example(x=(0.5, 0.25, 0.25, 0.25, 0.5))
+@example(x=(0.25, 0.25, -0.25, 0.25, 0.25))
+@example(x=(-0.0, 0.5, -0.0, -0.0, 0.5))
+def test_spin_flip_value_is_the_sorted_form(x):
+    assert _xcore._x_concurrence_wootters(*x).hex() == _sorted_spin_flip(*x).hex()
