@@ -108,14 +108,12 @@ def _kraus_sum(operators: np.ndarray, rho: DensityMatrix) -> DensityMatrix:
     """sum_k K_k rho K_k^dagger over a (k, n, n) stack of operators.
 
     Every term K_k rho K_k^dagger comes from one stacked product,
-    (K rho) K^dagger for the whole stack; the terms are then added to
-    zeros one at a time, in the order of the stack.
+    (K rho) K^dagger for the whole stack; one reduction over the stack's
+    axis then adds the terms one at a time, in the order of the stack, to
+    an explicit start of 0j, with the bits of in-place adds to zeros.
     """
     terms = operators @ rho.matrix @ operators.conj().transpose(0, 2, 1)
-    out = np.zeros_like(rho.matrix)
-    for term in terms:
-        out += term
-    return DensityMatrix.from_matrix(out)
+    return DensityMatrix.from_matrix(np.add.reduce(terms, axis=0, initial=0j))
 
 
 def apply_single(ch: KrausChannel, rho: DensityMatrix) -> DensityMatrix:

@@ -1,15 +1,20 @@
 """Dense complex linear algebra for small matrices (the package's are at most
 4x4).
 
-Matrices are plain numpy arrays of complex128; functions never mutate their
-inputs.  Spectra are shared and read-only: ``hermitian_eigen`` (and so
-``psd_sqrt``) and ``DensityMatrix.from_matrix`` take theirs from one memo,
-``_spectrum``, keyed on the bytes of the symmetrized matrix, so a matrix
-that a state has already diagonalized is not diagonalized again; every
-other result is a fresh array.  The matrix route has one eigen
-entry and one singular-value entry, both on nested lists of Python complex
-(scalar arithmetic beats numpy by a wide margin at these dimensions, and
-keeps the whole numeric core free of LAPACK behaviour differences).
+Matrices are plain numpy arrays, complex128 except the real correlation
+matrix T (float64); functions never mutate their inputs.  Spectra are
+shared and read-only: ``hermitian_eigen`` (and so ``psd_sqrt``) and
+``DensityMatrix.from_matrix`` take theirs from one memo, ``_spectrum``,
+keyed on the bytes of the symmetrized matrix, so a matrix that a state has
+already diagonalized is not diagonalized again; every other result is a
+fresh array.  The matrix route has one eigen entry, on nested lists of
+Python complex, and one singular-value entry, on lists of Python complex
+or, for a real matrix, Python float (scalar arithmetic beats numpy by a
+wide margin at these dimensions, and keeps the whole numeric core free of
+LAPACK behaviour differences).  On the 4x4 arrays themselves the matrix
+route calls ufuncs and array methods where numpy's Python-level wrappers
+of them would give the same bits, since a wrapper costs more than the
+arithmetic at this size.
 
 Eigenvalues come from ``_jacobi``, a cyclic Jacobi iteration working
 directly on the complex Hermitian matrix.  Its core, ``_diagonalize``,
@@ -24,9 +29,11 @@ marginals of a validated state, which are exactly Hermitian.
 Singular values come from Hestenes' one-sided Jacobi
 (``_singular_values``), which orthogonalizes a matrix's columns and reads
 the values off their norms, so it never squares them; the spin-flip
-concurrence of ``measures.concurrence_wootters`` and the correlation
-values of ``measures.correlation_singular_values`` take this route.  Both
-iterations share the sweep cap ``JACOBI_MAX_SWEEPS``.
+concurrence of ``measures.concurrence_wootters`` (K's complex columns) and
+the correlation values of ``measures.correlation_singular_values`` (T's
+real columns, as floats, with the bits the complex arithmetic would give)
+take this one loop.  Both iterations share the sweep cap
+``JACOBI_MAX_SWEEPS``.
 
 The scalar core (``_xcore``) runs no iteration: it replays the single
 rotation ``_jacobi`` makes on a corner-free X state with a real coherence
@@ -253,9 +260,20 @@ def _inner(x: list, y: list) -> complex:
     return sum(map(operator.mul, map(complex.conjugate, x), y))
 
 
+def _dot(x: list, y: list) -> float:
+    """x^T y of two lists of Python float, summed in index order from 0.0
+    by a plain loop, as ``_inner`` sums the real parts (builtin ``sum``
+    compensates float sums from Python 3.12)."""
+    total = 0.0
+    for u, v in zip(x, y):
+        total += u * v
+    return total
+
+
 def _singular_values(a: np.ndarray) -> list:
-    """Singular values, descending, of the finite 2-d array ``a``, by
-    Hestenes' one-sided Jacobi on its columns as lists of Python complex.
+    """Singular values, descending, of the finite 2-d complex128 or float64
+    array ``a``, by Hestenes' one-sided Jacobi on its columns: lists of
+    Python complex for a complex ``a``, of Python float for a real one.
 
     Each sweep visits the column pairs in cyclic order and rotates a pair
     with g = a_i^H a_j so that the two columns become orthogonal, while |g|
@@ -265,11 +283,22 @@ def _singular_values(a: np.ndarray) -> list:
     along another never passes the relative rule).  The first sweep that
     rotates nothing ends the iteration, and the singular values are the
     column norms.  An all-zero matrix rotates nothing and gives zeros.
+
+    Both kinds of column take the same loop, rule and cap; the dtype picks
+    the inner product (``_inner`` or ``_dot``) and the final norms.  On
+    real columns every imaginary part of the complex route would stay
+    +-0.0, the phase g / |g| would be exactly +-1.0, and ``math.hypot``
+    ignores the zero imaginary parts, so the float route gives the complex
+    route's bits on the same real ``a``, with no complex arithmetic.
     """
-    cols = np.asarray(a, dtype=complex).T.tolist()
+    is_complex = a.dtype.kind == "c"
+    inner = _inner if is_complex else _dot
+    cols = a.T.tolist()
     n = len(cols)
     # squared column norms, recomputed from the columns after each rotation
-    norms = [_inner(col, col).real for col in cols]
+    norms = [inner(col, col).real for col in cols]
+    # both routes sum the same float norms here, so builtin sum keeps them
+    # alike on every Python version
     floor = _EPS_SQUARED * sum(norms)
     for _ in range(JACOBI_MAX_SWEEPS):
         rotated = False
@@ -277,7 +306,7 @@ def _singular_values(a: np.ndarray) -> list:
             for j in range(i + 1, n):
                 ai = cols[i]
                 aj = cols[j]
-                g = _inner(ai, aj)
+                g = inner(ai, aj)
                 r = abs(g)
                 if r <= floor or r * r <= _ORTHOGONALITY_TOL_SQUARED * norms[i] * norms[j]:
                     continue
@@ -294,13 +323,14 @@ def _singular_values(a: np.ndarray) -> list:
                           [s * x + c_ph * y for x, y in zip(ai, aj)])
                 cols[i] = ai
                 cols[j] = aj
-                norms[i] = _inner(ai, ai).real
-                norms[j] = _inner(aj, aj).real
+                norms[i] = inner(ai, ai).real
+                norms[j] = inner(aj, aj).real
                 rotated = True
         if not rotated:
+            if is_complex:
+                cols = [[v for x in col for v in (x.real, x.imag)] for col in cols]
             # hypot scales and rounds each norm more closely than the sums
-            return sorted((math.hypot(*[v for x in col for v in (x.real, x.imag)])
-                           for col in cols), reverse=True)
+            return sorted((math.hypot(*col) for col in cols), reverse=True)
     raise NumericalError(
         f"Jacobi iteration did not converge in {JACOBI_MAX_SWEEPS} sweeps"
     )
@@ -350,7 +380,7 @@ def spectrum_sqrt(spec: Spectrum) -> np.ndarray:
     """Hermitian square root V diag(sqrt(w)) V^dagger of a spectral
     decomposition.  Negative eigenvalues are clamped to zero, so a caller
     that must reject indefinite input checks the spectrum first."""
-    vals = np.sqrt(np.clip(spec.eigenvalues, 0.0, None))
+    vals = np.sqrt(np.maximum(spec.eigenvalues, 0.0))
     return (spec.eigenvectors * vals) @ spec.eigenvectors.conj().T
 
 

@@ -7,8 +7,9 @@ Teleportation quality and the CHSH criterion both derive from the 3x3
 correlation matrix of Pauli-pair expectations, whose singular values are
 taken once per state and kept on it.  The singular
 values of T and of the spin-flip matrix K both come from the one-sided
-Jacobi ``linalg._singular_values``; the eigenvalues, from the state's
-spectrum or, for the marginals of ``mid_dephasing``, ``linalg._jacobi``.
+Jacobi ``linalg._singular_values``, T's on its real columns as floats; the
+eigenvalues, from the state's spectrum or, for the marginals of
+``mid_dephasing``, ``linalg._jacobi``.
 Quantum discord is the X-state two-branch minimum; a long single-variable
 closed form of it for the GHZ/W family ships alongside and is
 cross-checked against the matrix route, with per-branch residuals
@@ -112,18 +113,29 @@ def correlation_matrix(rho: DensityMatrix) -> CorrelationMatrix:
     _check_two_qubit(rho, "correlation matrix", unit=False)
     # all nine traces Tr(rho P_ij) in one batched product; np.einsum would
     # reorder the four-term diagonal sum and move last bits of t
-    t = np.trace(rho.matrix @ _PAULI_TENSOR, axis1=2, axis2=3).real.copy()
-    _check_correlation_bound(float(np.max(np.abs(t))))
+    t = (rho.matrix @ _PAULI_TENSOR).trace(axis1=2, axis2=3).real.copy()
+    _check_correlation_bound(float(np.abs(t).max()))
     t.setflags(write=False)
     return CorrelationMatrix(t=t)
 
 
 def correlation_singular_values(cm: CorrelationMatrix) -> np.ndarray:
     """Singular values of the correlation matrix, descending, by the
-    one-sided Jacobi of ``concurrence_wootters`` on T's columns: forming
-    T^T T would square them and lose the small ones.  A hand-built ``cm``
-    with non-finite entries is rejected."""
-    return np.array(linalg._singular_values(linalg.as_matrix(cm.t)))
+    one-sided Jacobi of ``concurrence_wootters`` on T's real columns, as
+    Python floats: forming T^T T would square them and lose the small ones.
+
+    A hand-built ``cm`` is checked as ``correlation_matrix`` checks the T
+    it builds: it must be a real 3x3 array, and an entry beyond the bound
+    of 1 (NaN and inf included) is rejected with that check's message.
+    """
+    t = np.asarray(cm.t)
+    if t.shape != (3, 3) or t.dtype.kind not in "biuf":
+        raise InputError(
+            f"a correlation matrix is a real 3x3 array, got {t.dtype} of shape {t.shape}"
+        )
+    t = t.astype(float, copy=False)
+    _check_correlation_bound(float(np.abs(t).max()))
+    return np.array(linalg._singular_values(t))
 
 
 def fidelity_from_correlation(cm: CorrelationMatrix) -> FidelityResult:
@@ -141,7 +153,8 @@ def _correlation_values(rho: DensityMatrix) -> np.ndarray:
     first use and then kept, read-only, on ``rho``."""
     s = rho._correlation_values
     if s is None:
-        s = correlation_singular_values(correlation_matrix(rho))
+        # correlation_matrix has checked the T it builds
+        s = np.array(linalg._singular_values(correlation_matrix(rho).t))
         s.setflags(write=False)
         object.__setattr__(rho, "_correlation_values", s)
     return s
@@ -196,11 +209,11 @@ def mid_dephasing(rho: DensityMatrix) -> float:
     # the marginals by the subscripts partial_trace builds for dims (2, 2),
     # on the matrix from_matrix has already validated
     tensor = rho.matrix.reshape(2, 2, 2, 2)
-    basis_a = _marginal_basis(np.einsum("acbc->ab", tensor))
-    basis_b = _marginal_basis(np.einsum("abac->bc", tensor))
+    basis_a = _marginal_basis(tensor.trace(axis1=1, axis2=3))
+    basis_b = _marginal_basis(tensor.trace(axis1=0, axis2=2))
     u = linalg._kron_pairs(basis_a, basis_b)
     rotated = u.conj().T @ rho.matrix @ u
-    dephased_entropy = _spectrum_entropy(np.diag(rotated).real.tolist())
+    dephased_entropy = _spectrum_entropy(rotated.diagonal().real.tolist())
     return dephased_entropy - von_neumann_entropy(rho)
 
 

@@ -39,6 +39,9 @@ from ._xcore import (
 from .errors import InputError
 
 X_STRUCTURE_TOL = 1e-10
+# below this bound on n times a state's largest |eigenvalue| no partial sum
+# of its diagonal can overflow
+_TRACE_FITS = 2.0 ** 1023
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,9 +78,16 @@ class DensityMatrix:
         # after the check) and stored
         m = linalg._hermitian_part(m)
         spec = linalg._spectrum(m.tobytes())
-        # the Hermitian part's diagonal is exactly real, so is its trace
-        tr = complex(m.trace()).real
-        tag = _normalization(float(spec.eigenvalues[-1]), tr)  # sorted descending
+        lowest = float(spec.eigenvalues[-1])  # sorted descending
+        # the Hermitian part's diagonal is exactly real, so is its trace; its
+        # entries are bounded by the largest |eigenvalue|, so the sum can
+        # overflow (to an inf the trace check rejects) only past this bound
+        if max(float(spec.eigenvalues[0]), -lowest) * len(m) < _TRACE_FITS:
+            tr = complex(m.trace()).real
+        else:
+            with np.errstate(over="ignore"):
+                tr = complex(m.trace()).real
+        tag = _normalization(lowest, tr)
         m.setflags(write=False)
         return cls(matrix=m, normalization=tag, trace_value=tr, spectrum=spec)
 

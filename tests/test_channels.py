@@ -1,5 +1,6 @@
 import math
 import re
+import types
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from nmems._xcore import (
     _product_pair_x,
     _x_spectrum,
 )
+from nmems import channels
 from nmems.channels import (
     adc,
     apply_correlated_pair,
@@ -280,6 +282,77 @@ class TestBuiltChannelsValidateOnce:
             assert all(not k.flags.writeable for k in got.operators)
         assert cases[0][0].label == f"adc(gamma={gamma:g})"
         assert cases[1][0].label == f"gadc(gamma={gamma:g}, lambda={lam:g})"
+
+
+def _kraus_stack(rng, k: int) -> np.ndarray:
+    """A (k, 4, 4) complex stack with signed-zero, subnormal and tiny
+    entries among ordinary ones."""
+    ops = rng.standard_normal((k, 4, 4)) + 1j * rng.standard_normal((k, 4, 4))
+    ops.real[rng.random(ops.shape) < 0.2] = 0.0
+    ops.real[rng.random(ops.shape) < 0.2] = -0.0
+    ops.imag[rng.random(ops.shape) < 0.2] = -0.0
+    ops[rng.random(ops.shape) < 0.2] *= 1e-160
+    ops[rng.random(ops.shape) < 0.1] *= 5e-324
+    return ops
+
+
+def _matrix_with_edges(rng) -> np.ndarray:
+    m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    m.real[rng.random((4, 4)) < 0.3] = -0.0
+    m.imag[rng.random((4, 4)) < 0.3] = -0.0
+    m[rng.random((4, 4)) < 0.2] *= 1e-300
+    return m
+
+
+class TestKrausReduction:
+    """``_kraus_sum`` adds its terms K rho K^dagger by one reduction over the
+    stack, with the bits of adding them to zeros one at a time in order."""
+
+    @staticmethod
+    def _sum_taken(monkeypatch, operators, matrix) -> np.ndarray:
+        """The sum ``_kraus_sum`` hands to the state validator."""
+        taken = []
+        monkeypatch.setattr(channels.DensityMatrix, "from_matrix", taken.append)
+        channels._kraus_sum(operators, types.SimpleNamespace(matrix=matrix))
+        (total,) = taken
+        return total
+
+    @staticmethod
+    def _in_place(operators, matrix) -> np.ndarray:
+        terms = operators @ matrix @ operators.conj().transpose(0, 2, 1)
+        out = np.zeros_like(matrix)
+        for term in terms:
+            out += term
+        return out
+
+    @pytest.mark.parametrize("k", [1, 2, 4, 16])
+    def test_same_bits_as_in_place_adds(self, rng, monkeypatch, k):
+        subnormals = False
+        for i in range(200):
+            # every fourth stack is scaled so that its whole sum is subnormal
+            ops = _kraus_stack(rng, k) * (1e-161 if i % 4 == 0 else 1.0)
+            matrix = _matrix_with_edges(rng)
+            want = self._in_place(ops, matrix)
+            got = self._sum_taken(monkeypatch, ops, matrix)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+            parts = np.abs(np.concatenate([want.real.ravel(), want.imag.ravel()]))
+            subnormals |= bool(((parts != 0.0) & (parts < 2.2250738585072014e-308)).any())
+        # the sums reach the subnormal range; whether the products leave a
+        # signed zero in a term depends on the BLAS kernel, and a sum from
+        # 0j turns one into +0.0 either way
+        assert subnormals
+
+    def test_terms_added_in_stack_order(self, monkeypatch):
+        # 1 + x rounds back to 1 for x just under half an ulp: added in stack
+        # order the fifteen small terms vanish one by one, where a pairwise
+        # or reordered sum would keep about 13 x
+        small = math.sqrt(0.9 * 2.0 ** -53)
+        ops = np.array([np.eye(4)] + [small * np.eye(4)] * 15, dtype=complex)
+        matrix = np.eye(4, dtype=complex)
+        got = self._sum_taken(monkeypatch, ops, matrix)
+        assert got.tobytes() == self._in_place(ops, matrix).tobytes()
+        assert np.array_equal(got, np.eye(4))
 
 
 def _product_pairs(ops):

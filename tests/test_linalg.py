@@ -456,6 +456,99 @@ class TestPsdSqrt:
         root = linalg.psd_sqrt(m)
         assert root[1, 1].real == 0.0
 
+    def test_clamp_is_the_clip_it_replaced(self, rng):
+        # spectrum_sqrt clamps with np.maximum(w, 0.0), the ufunc that
+        # np.clip(w, 0.0, None) calls; at -0.0, NaN, +-inf and a small
+        # negative the two agree bit for bit, and so does the root
+        edges = np.array([-0.0, 0.0, np.nan, np.inf, -np.inf, -5e-11, 0.25])
+        assert np.maximum(edges, 0.0).tobytes() == np.clip(edges, 0.0, None).tobytes()
+        v = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))[0]
+        for edge in edges:
+            for w in (np.array([edge, 0.5, 0.3, 0.2]), np.array([0.5, 0.3, 0.2, edge])):
+                for vectors in (v, np.eye(4, dtype=complex)):
+                    spec = linalg.Spectrum(eigenvalues=w, eigenvectors=vectors)
+                    with np.errstate(all="ignore"):
+                        got = linalg.spectrum_sqrt(spec)
+                        vals = np.sqrt(np.clip(w, 0.0, None))
+                        want = (vectors * vals) @ vectors.conj().T
+                    assert got.tobytes() == want.tobytes()
+
+
+# entries of a real T: signed zeros, subnormals and tiny values among the
+# ordinary ones, all within the correlation bound
+_T_ENTRIES = (st.floats(-1.0, 1.0)
+              | st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-160, 1.0, -1.0]))
+
+
+def _rank_t(rng, rank: int) -> np.ndarray:
+    """A real 3x3 T of the given rank, entries within 1."""
+    t = sum(np.outer(rng.standard_normal(3), rng.standard_normal(3)) for _ in range(rank))
+    if rank == 0:
+        return np.zeros((3, 3))
+    return t / (np.abs(t).max() * 1.0000001)
+
+
+def _real_t_cases(rng) -> list:
+    """Seeded real 3x3 matrices: zeros and signed zeros, zero columns, ranks
+    0 to 3, the diagonal T of X states and the T of 2,000 dense states."""
+    cases = [np.zeros((3, 3)), np.full((3, 3), -0.0), np.diag([1.0, -1.0, 1.0]),
+             np.diag([-0.0, 0.5, 0.0]), np.eye(3) * 5e-324]
+    signed_zeros = rng.standard_normal((3, 3)) / 4.0
+    signed_zeros[rng.random((3, 3)) < 0.4] = 0.0
+    signed_zeros[rng.random((3, 3)) < 0.4] = -0.0
+    cases.append(signed_zeros)
+    for col in range(3):
+        t = rng.uniform(-1.0, 1.0, (3, 3))
+        t[:, col] = -0.0 if col == 1 else 0.0
+        cases.append(t)
+    for rank in range(4):
+        cases += [_rank_t(rng, rank) for _ in range(25)]
+    for p in np.linspace(0.0, 1.0, 11):
+        cases.append(measures.correlation_matrix(nmems(float(p))).t)
+        for theta in (0.3, 0.9, 1.5):
+            cases.append(measures.correlation_matrix(nmems_ad(float(p), theta)).t)
+    for _ in range(2000):
+        rho = DensityMatrix.from_matrix(oracles.random_density(rng, 4))
+        cases.append(measures.correlation_matrix(rho).t)
+    return cases
+
+
+class TestSingularValueRoutes:
+    """One Hestenes loop takes T's real columns as Python floats and K's as
+    Python complex; on a real matrix the float route gives the complex
+    route's bits."""
+
+    @staticmethod
+    def _assert_routes_agree(t: np.ndarray) -> None:
+        got = linalg._singular_values(t)
+        assert all(type(v) is float for v in got)
+        for imag in (0.0, -0.0):
+            c = t.astype(complex)
+            c.imag = imag
+            assert [v.hex() for v in got] == [v.hex() for v in linalg._singular_values(c)]
+
+    @settings(max_examples=500, deadline=None)
+    @given(entries=st.lists(_T_ENTRIES, min_size=9, max_size=9))
+    @example(entries=[0.0] * 9)
+    @example(entries=[-0.0] * 9)
+    @example(entries=[1.0, 0.0, 0.0, 0.0, -1.0, 0.0, 0.0, 0.0, 1.0])
+    def test_float_route_matches_complex_route(self, entries):
+        self._assert_routes_agree(np.array(entries).reshape(3, 3))
+
+    def test_seeded_cases(self, rng):
+        for t in _real_t_cases(rng):
+            self._assert_routes_agree(t)
+
+    def test_real_input_takes_no_complex_arithmetic(self, rng, monkeypatch):
+        t = _rank_t(rng, 3)
+        want = linalg._singular_values(t.astype(complex))
+
+        def no_complex(x, y):
+            raise AssertionError("the complex inner product ran on a real matrix")
+
+        monkeypatch.setattr(linalg, "_inner", no_complex)
+        assert linalg._singular_values(t) == want
+
 
 class TestPartialTrace:
     def test_product_state_factorizes(self, rng):

@@ -324,6 +324,15 @@ class TestCorrelationMatrix:
         t = correlation_matrix(_bell_psi_plus()).t
         assert np.allclose(t, np.diag([1.0, 1.0, -1.0]), atol=1e-12)
 
+    def test_same_bits_as_np_trace(self, rng):
+        # the batched trace by the array method, with np.trace's bits
+        states = [DensityMatrix.from_matrix(oracles.random_density(rng, 4))
+                  for _ in range(200)]
+        states += [nmems(0.2), nmems_ad(0.3, 0.8), MAX_MIXED, PURE_00, _bell_phi_plus()]
+        for rho in states:
+            want = np.trace(rho.matrix @ measures._PAULI_TENSOR, axis1=2, axis2=3).real
+            assert correlation_matrix(rho).t.tobytes() == want.tobytes()
+
 
 class TestCorrelationSingularValues:
     """T's singular values are taken by the one-sided Jacobi on its columns,
@@ -356,11 +365,34 @@ class TestCorrelationSingularValues:
             m_value = chsh_criterion(rho).m_value
             assert abs(m_value - (want[0] ** 2 + want[1] ** 2)) <= 4 * eps
 
-    @pytest.mark.parametrize("t", [np.full((3, 3), np.nan), np.diag([np.inf, 0.0, 0.0]),
-                                   np.ones(3)], ids=["nan", "inf", "one_dimensional"])
+    @pytest.mark.parametrize("t", [
+        np.full((3, 3), np.nan),
+        np.diag([np.inf, 0.0, 0.0]),
+        np.ones(3),
+        # within the finite range, but no correlation matrix of a state
+        2.0 * np.eye(3),
+        np.eye(4),
+        np.eye(3, dtype=complex),
+    ], ids=["nan", "inf", "one_dimensional", "beyond_the_bound", "four_by_four", "complex"])
     def test_hand_built_matrix_rejected(self, t):
+        cm = measures.CorrelationMatrix(t=t)
         with pytest.raises(InputError):
-            measures.correlation_singular_values(measures.CorrelationMatrix(t=t))
+            measures.correlation_singular_values(cm)
+        with pytest.raises(InputError):
+            fidelity_from_correlation(cm)
+
+    def test_hand_built_matrix_checked_as_correlation_matrix_checks(self):
+        # the bound, with correlation_matrix's message; a real T within it,
+        # integer or float, is taken as the float T it equals
+        with pytest.raises(InputError, match="exceed the physical bound of 1"):
+            measures.correlation_singular_values(
+                measures.CorrelationMatrix(t=np.diag([1.0 + 2e-9, 0.0, 0.0])))
+        t = np.diag([1.0 + 1e-9, -0.5, 0.25])
+        got = measures.correlation_singular_values(measures.CorrelationMatrix(t=t))
+        assert got.tolist() == [1.0 + 1e-9, 0.5, 0.25]
+        ints = measures.correlation_singular_values(
+            measures.CorrelationMatrix(t=np.diag([1, -1, 0])))
+        assert ints.tolist() == [1.0, 1.0, 0.0]
 
 
 @st.composite
@@ -489,6 +521,20 @@ class TestCorrelationMemo:
         assert teleportation_fidelity(rho) == fid
         assert chsh_criterion(rho) == chsh
         assert len(calls) == 1
+
+    def test_only_real_input_reaches_the_route(self, rng, monkeypatch):
+        # T's singular values take the float route: no complex inner product
+        rho = DensityMatrix.from_matrix(oracles.random_density(rng, 4))
+        cm = correlation_matrix(rho)
+        want = measures.correlation_singular_values(cm)
+
+        def no_complex(x, y):
+            raise AssertionError("T reached the complex route")
+
+        monkeypatch.setattr(linalg, "_inner", no_complex)
+        assert measures.correlation_singular_values(cm).tobytes() == want.tobytes()
+        assert fidelity_from_correlation(cm).n_value == teleportation_fidelity(rho).n_value
+        chsh_criterion(rho)
 
     @pytest.mark.parametrize("first", ["fidelity", "chsh"])
     def test_same_bits_as_the_correlation_matrix(self, rng, first):
@@ -704,6 +750,53 @@ class TestMidDephasing:
     def test_sub_normalized_rejected(self):
         with pytest.raises(InputError):
             mid_dephasing(nmems_ad(0.0, 0.3))
+
+    def test_marginal_traces_same_bits_as_einsum(self, rng, monkeypatch):
+        # the marginals are taken by ndarray.trace over the traced pair of
+        # axes, with the bits of np.einsum("acbc->ab") and ("abac->bc"), signed
+        # zeros and subnormals included; so is the whole measure, against
+        # the einsum and np.diag route
+        edges = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-310, 0.5, -0.5, 1.0])
+        for _ in range(4000):
+            tensor = (rng.choice(edges, (2, 2, 2, 2))
+                      + 1j * rng.choice(edges, (2, 2, 2, 2)))
+            assert (tensor.trace(axis1=1, axis2=3).tobytes()
+                    == np.einsum("acbc->ab", tensor).tobytes())
+            assert (tensor.trace(axis1=0, axis2=2).tobytes()
+                    == np.einsum("abac->bc", tensor).tobytes())
+
+        def einsum_route(rho):
+            tensor = rho.matrix.reshape(2, 2, 2, 2)
+            basis_a = measures._marginal_basis(np.einsum("acbc->ab", tensor))
+            basis_b = measures._marginal_basis(np.einsum("abac->bc", tensor))
+            u = linalg._kron_pairs(basis_a, basis_b)
+            rotated = u.conj().T @ rho.matrix @ u
+            return (measures._spectrum_entropy(np.diag(rotated).real.tolist())
+                    - von_neumann_entropy(rho))
+
+        real = oracles.random_density(rng, 4).real
+        states = [DensityMatrix.from_matrix(oracles.random_density(rng, 4))
+                  for _ in range(300)]
+        states += [DensityMatrix.from_matrix(m) for m in (
+            real + 1j * np.full((4, 4), -0.0), oracles.random_x_state(rng),
+            np.diag([0.4, 0.3, 0.2, 0.1]), np.diag([1.0, 0.0, -0.0, 5e-324]))]
+        states += [nmems(0.1), _bell_psi_plus(), MAX_MIXED, PURE_00]
+        marginals = []
+        inner = measures._marginal_basis
+
+        def spy(marginal):
+            marginals.append(marginal)
+            return inner(marginal)
+
+        for rho in states:
+            want = einsum_route(rho)
+            monkeypatch.setattr(measures, "_marginal_basis", spy)
+            assert mid_dephasing(rho).hex() == want.hex()
+            monkeypatch.setattr(measures, "_marginal_basis", inner)
+            tensor = rho.matrix.reshape(2, 2, 2, 2)
+            got_a, got_b = marginals[-2:]
+            assert got_a.tobytes() == np.einsum("acbc->ab", tensor).tobytes()
+            assert got_b.tobytes() == np.einsum("abac->bc", tensor).tobytes()
 
     def test_same_bits_as_the_validated_marginal_route(self, rng, monkeypatch):
         # the marginals go straight to _jacobi; before, hermitian_eigen

@@ -237,6 +237,18 @@ class TestDensityMatrixValidation:
         with pytest.raises(InputError):
             DensityMatrix.from_matrix(m)
 
+    @pytest.mark.parametrize("m", [
+        # halved first by the Hermitian part; the diagonal sums to 2e308
+        pytest.param(np.diag([1e308, 1e308]), id="halved"),
+        # below the halving bound; the four entries sum past the float range
+        pytest.param(np.diag([8e307] * 4), id="not-halved"),
+    ])
+    def test_trace_beyond_the_float_range_rejected_without_a_warning(self, m):
+        # the trace overflows to inf, which the trace check rejects; numpy's
+        # overflow warning must not replace that error
+        with pytest.raises(InputError, match=r"trace inf outside \(0, 1\]"):
+            DensityMatrix.from_matrix(m)
+
     def test_boundary_edges_pass(self):
         # an eigenvalue just above -1e-10 and a trace just below 1 + 1e-10
         state = DensityMatrix.from_matrix(np.diag([0.5, 0.5 + 1e-10, 0.0, -5e-11]))
