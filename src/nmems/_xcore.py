@@ -33,7 +33,6 @@ matrix API needs, and imports neither ``typing`` nor ``cmath``.
 from __future__ import annotations
 
 import math
-import sys
 
 from .errors import InputError, NumericalError
 
@@ -327,7 +326,11 @@ def _spectrum_entropy(vals: list) -> float:
 
     A v <= 0 adds nothing, as in _xlog2x, so roundoff-negative values need
     no clip; skipping its += 0.0 leaves every bit as it is, since the total
-    is never -0.0.  A plain loop, not builtin sum: from Python 3.12 on sum
+    is never -0.0.  A total above zero gives +0.0: only rounding makes one,
+    from a value a few ulp above 1 that the trace window lets through (the
+    product-mode image of |00><00| at gamma = 1 has a = 1 + 2^-52), and an
+    entropy is never negative.  A pure spectrum's total of 0.0 still gives
+    -0.0.  A plain loop, not builtin sum: from Python 3.12 on sum
     compensates float sums, which moves the last bit of some entropies.
     """
     total = 0.0
@@ -335,7 +338,7 @@ def _spectrum_entropy(vals: list) -> float:
     for v in vals:
         if v > 0.0:
             total += v * log2(v)
-    return -total
+    return -total if total <= 0.0 else 0.0
 
 
 def _x_spectrum_concurrence(a: float, b: float, c: complex, d: float, e: float) -> float:
@@ -495,68 +498,41 @@ def _x_expectation(entries: tuple, a: float, b: float, c: float, d: float,
 
 def _closed_form_fidelity_p(p: float) -> tuple:
     """The factors of ``fidelity_ad_closed_form`` at one p, after its range
-    check on p: (p, p p, -2 p, 3 p p, 6 p, 1 - p, sqrt(3 p (p + 2)))."""
+    check on p: (p, 1 - p, sqrt(3 p (p + 2)))."""
     p = _check_range("p", p, 0.0, 1.0)
-    return p, p * p, -2.0 * p, 3.0 * p * p, 6.0 * p, 1.0 - p, math.sqrt(3.0 * p * (p + 2.0))
+    return p, 1.0 - p, math.sqrt(3.0 * p * (p + 2.0))
 
 
 def _closed_form_fidelity_theta(theta: float) -> tuple:
     """The factors of ``fidelity_ad_closed_form`` at one theta, after its
-    range check on theta: theta, s4 = s2 s2 with s2 = sin^2 theta, the
-    theta-only prefixes of the radicand terms (-2 s4, 3 s4, 6 s4, -2 s2,
-    4 s2, -6 s2, -12 s2) and 1 - s2."""
+    range check on theta: (theta, 1 - sin^2 theta)."""
     theta = _check_range("theta", theta, 0.0, math.pi / 2.0)
-    s2 = math.sin(theta) ** 2
-    s4 = s2 * s2
-    return (theta, s4, -2.0 * s4, 3.0 * s4, 6.0 * s4,
-            -2.0 * s2, 4.0 * s2, -6.0 * s2, -12.0 * s2, 1.0 - s2)
+    return theta, 1.0 - math.sin(theta) ** 2
 
 
 def _closed_form_fidelity(p_factors: tuple, theta_factors: tuple) -> float:
     """``fidelity_ad_closed_form`` at one cell from the factors of its p
     (``_closed_form_fidelity_p``) and of its theta
-    (``_closed_form_fidelity_theta``), with its bits and its cross-check.
-
-    Every term is the product it is in the long form, in the same
-    association, e.g. ((3 s4) p) p, with its prefix taken once per theta
-    or per p; fsum is correctly rounded in any order.
-    """
-    p, pp, m2p, p3p, p6, one_p, sq = p_factors
-    theta, s4, m2s4, s4_3, s4_6, m2s2, s2_4, m6s2, m12s2, one_g = theta_factors
-    terms1 = (s4 * p * p, m2s4 * p, s4, m2s2 * p * p, s2_4 * p, m2s2, pp, m2p, 1.0)
-    terms2 = (s4_3 * p * p, s4_6 * p, m6s2 * p * p, m12s2 * p, p3p, p6)
-    # fsum keeps the near-total cancellation at gamma -> 1 exact; a naive
-    # left-to-right sum leaves ~1e-16 dust that the square root amplifies
-    rad1 = math.fsum(terms1)
-    rad2 = math.fsum(terms2)
-    value = 0.5 + math.sqrt(max(rad1, 0.0)) / 9.0 + math.sqrt(max(rad2, 0.0)) / 18.0
-    root1 = one_p * one_g
-    root2 = one_g * sq
-    compact = 0.5 + root1 / 9.0 + root2 / 18.0
-    gap = abs(value - compact)
-    # near a zero radicand the long form's roundoff alone can exceed 1e-12
-    if gap > 1e-12 and gap > (
-        1e-12
-        + _sqrt_rounding(terms1, rad1, root1) / 9.0
-        + _sqrt_rounding(terms2, rad2, root2) / 18.0
-    ):
-        raise NumericalError(
-            f"closed-form fidelity failed its factored cross-check at "
-            f"(p={p:g}, theta={theta:g}): {value!r} vs {compact!r}"
-        )
-    return value
+    (``_closed_form_fidelity_theta``)."""
+    _, one_p, sq = p_factors
+    _, one_g = theta_factors
+    return 0.5 + (one_p * one_g) / 9.0 + (one_g * sq) / 18.0
 
 
 def fidelity_ad_closed_form(p: float, theta: float) -> float:
-    """Closed-form optimal fidelity of the damped family (long radical form).
+    """The paper's closed-form optimal fidelity of the damped family,
+    1/2 + (1-p)(1-g)/9 + (1-g) sqrt(3 p (p+2)) / 18 with g = sin^2(theta),
+    taken in this factored form (the paper prints it as a sum of two square
+    roots of expanded radicands; the tests hold the two to each other).
 
-    Both radicands factor exactly, so the long expression must equal
-    1/2 + (1-p)(1-g)/9 + (1-g) sqrt(3 p (p+2)) / 18 with g = sin^2(theta);
-    the equality is asserted on every call, to 1e-12 plus the roundoff the
-    square roots amplify near a zero radicand.  Note this expression
-    does NOT reduce to the undamped correlation-criterion fidelity at
-    theta = 0 (it gives 11/18 instead of 7/9 at p = 0); see the headline
-    report for the quantified discrepancy.
+    It is Horodecki's fidelity (1 + N/3)/2 (PRA 60, 1888) with N read off
+    the wrong matrix: the sum of the four singular values of Wootters'
+    K = sqrt(rho) (sy x sy) sqrt(rho)* of the damped state, sqrt(a e)
+    twice and sqrt(b d) +- |c| (PRL 80, 2245), in place of the singular
+    values of its correlation matrix T; equivalently
+    1/2 + (|c| + sqrt(a e))/3.  So it does NOT reduce to the undamped
+    correlation-criterion fidelity at theta = 0: it gives 11/18 instead of
+    7/9 at p = 0.  The headline report states the conflict.
 
     Computed in three parts, p checked first: the factors of p
     (``_closed_form_fidelity_p``), those of theta
@@ -565,17 +541,3 @@ def fidelity_ad_closed_form(p: float, theta: float) -> float:
     each p's once, and the cell per grid point, with these bits.
     """
     return _closed_form_fidelity(_closed_form_fidelity_p(p), _closed_form_fidelity_theta(theta))
-
-
-def _sqrt_rounding(terms: tuple, rad: float, root: float) -> float:
-    """Bound on |sqrt(rad) - root|, where rad is the exact fsum of ``terms``
-    rounded once, ``root`` >= 0 is the square root of the exact radicand,
-    and each term carries at most four roundings.
-
-    The radicand's error is then below 8 ulp of sum |terms|, and
-    |sqrt(x) - sqrt(y)| <= min(sqrt(|x - y|), |x - y| / (sqrt(x) + sqrt(y))):
-    near a zero radicand the square root turns 1e-16 into up to 1e-8.
-    """
-    err = 8.0 * sys.float_info.epsilon * math.fsum(abs(t) for t in terms)
-    spread = math.sqrt(max(rad, 0.0)) + root
-    return math.sqrt(err) if spread == 0.0 else min(math.sqrt(err), err / spread)

@@ -10,11 +10,11 @@ values of T and of the spin-flip matrix K both come from the one-sided
 Jacobi ``linalg._singular_values``, T's on its real columns as floats; the
 eigenvalues, from the state's spectrum or, for the marginals of
 ``mid_dephasing``, ``linalg._jacobi``.
-Quantum discord is the X-state two-branch minimum; a long single-variable
-closed form of it for the GHZ/W family ships alongside and is
-cross-checked against the matrix route, with per-branch residuals
-reported instead of asserted (the two genuinely disagree; see
-discord_closed_form_residuals).
+Quantum discord is the X-state two-branch minimum; the paper's long
+single-variable closed form for the GHZ/W family ships alongside as
+printed, with per-branch residuals against the matrix route reported
+instead of asserted (three of its x ln x terms are printed as x * x, so
+the two disagree; see discord_closed_form_branches).
 
 All entropic quantities use log base 2, with 0 log 0 == 0.
 """
@@ -259,13 +259,19 @@ def _xlnx(v: float) -> float:
 
 
 def discord_closed_form_branches(p: float) -> tuple[float, float]:
-    """The two single-variable discord branches for the family.
+    """The paper's two single-variable discord branches for the family,
+    as printed.
 
     Substitutions: x = (p+2)/6, y = (2-2p)/3, z = (1-p)/3, t = (4-p)/6,
     r = p/2, t1/t2 = 1/2 +- (1-p) sqrt(5)/6.  Returned as (spectral branch,
     plain branch), where the spectral branch is the one carrying t1/t2.
-    These expressions do not agree with the matrix-route branches of
-    discord_x; use discord_closed_form_residuals for the quantified gap.
+    These are not the branches of discord_x: three x ln x terms are
+    printed as products.  In the plain branch -(p+2)x/6 is -x x where
+    -x ln x belongs; in the spectral branch (p-4)t/6 is -t t where -t ln t
+    belongs, and p r is 2 r r where r ln r belongs.  With those three
+    corrected, the spectral branch is discord_x's Q1 and the plain one its
+    Q2 (the tests hold this to a few ulp); discord_closed_form_residuals
+    gives the gap as printed.
     """
     p = _check_range("p", p, 0.0, 1.0)
     x = (p + 2.0) / 6.0
@@ -294,7 +300,13 @@ def discord_closed_form_branches(p: float) -> tuple[float, float]:
 
 
 def discord_closed_form(p: float) -> float:
-    """Minimum of the two single-variable discord branches at parameter p."""
+    """Minimum of the paper's two single-variable discord branches at p,
+    as printed (see discord_closed_form_branches for the slip).
+
+    This is the paper's printed expression, not a discord: it is negative
+    at every p in [0, 1] (from about -0.86 to -0.24), where a discord is
+    never negative; discord_x gives the family's discord.
+    """
     spectral, plain = discord_closed_form_branches(p)
     value = min(spectral, plain)
     if logger.isEnabledFor(logging.DEBUG):

@@ -14,12 +14,13 @@ evaluated, so memory does not grow with the grid.
 
 Every column has one route: a function of the five numbers of the
 family state (_P_ONLY) or of the cell's damped state (_DAMPED), on the
-scalar core (``_xcore``), or the closed form fidelity_ad_closed_form, taken
-as its three parts (per theta, per p, per cell).  The damped state comes
-from the scalar core's one channel-mode table, ``_xcore._DAMPING``, which
-``nmems_ad`` reads too.  A cell computes each fact once: ``_x_spectrum``
-checks its damped state's five numbers (finite entries, the eigenvalue
-floor, the trace window) and takes its eigenvalues; entropy_ad and mid
+scalar core (``_xcore``), or the closed form fidelity_ad_closed_form in its
+factored form, taken as three parts (per theta, per p, per cell).  The
+damped state comes from the scalar core's one channel-mode table,
+``_xcore._DAMPING``, which ``nmems_ad`` reads too.  A cell computes each
+fact once: ``_x_spectrum`` checks its damped state's five numbers (finite
+entries, the eigenvalue floor, the trace window) and takes its
+eigenvalues; entropy_ad and mid
 share one entropy of them; the fidelity columns take a float, with no
 result tuple.  The concurrence columns then check only the coherence
 bound |c| <= sqrt(b d) + 1e-9, the one check of XStateParams that the
@@ -252,17 +253,17 @@ def _walk(spec: SweepSpec, cell):
     theta, before the first row: that theta's ``cell``; if a damped column
     is asked for, the mode's damping factors with their range check (the
     first map of ``_xcore._DAMPING[mode]``); and if fidelity_ad_closed_form
-    is, its theta factors with its range check on theta
+    is, its theta factor 1 - sin^2 theta with its range check on theta
     (``_xcore._closed_form_fidelity_theta``).  Once per p: the family state
     with nmems' checks (``_xcore._family``), p's ``cell``, the _P_ONLY
-    columns, shared by that p's thetas, and the closed form's p factors
-    (``_xcore._closed_form_fidelity_p``), and, if mid is asked for, the
-    family state's entropy.  Per cell: the damped state from the family's
-    numbers and the theta's factors (the second map), its checks and
-    eigenvalues (``_xcore._x_spectrum``, the cell's only check of finite
-    entries, the floor and the trace window), the entropy of those
+    columns, shared by that p's thetas, the closed form's p factors 1 - p
+    and sqrt(3 p (p + 2)) (``_xcore._closed_form_fidelity_p``), and, if mid
+    is asked for, the family state's entropy.  Per cell: the damped state
+    from the family's numbers and the theta's factors (the second map), its
+    checks and eigenvalues (``_xcore._x_spectrum``, the cell's only check of
+    finite entries, the floor and the trace window), the entropy of those
     eigenvalues if entropy_ad or mid is asked for, shared by the two, the
-    _DAMPED columns and the closed form's cell
+    _DAMPED columns and the closed form's cell, two products and a sum
     (``_xcore._closed_form_fidelity``).
     ``_xcore._mode_damped_x`` composes the same two maps at one cell, and
     ``fidelity_ad_closed_form`` the closed form's three parts.

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 
 import numpy as np
 
@@ -158,16 +159,17 @@ def family_matrix(p: float) -> np.ndarray:
     return m
 
 
-def damped_family_matrix(p: float, theta: float) -> np.ndarray:
-    """family_matrix(p) with the inner block scaled by 1 - gamma and the
-    |11><11| entry by (1 - gamma)^2, gamma = sin^2 theta."""
+def damped_family_x(p: float, theta: float) -> tuple:
+    """(a, b, c, d, e) of family_matrix(p) with the inner block scaled by
+    1 - gamma and the |11><11| entry by (1 - gamma)^2, gamma = sin^2 theta."""
     gamma = math.sin(theta) ** 2
-    m = np.zeros((4, 4), dtype=complex)
-    m[0, 0] = (p + 2.0) / 6.0
     z = (1.0 - p) / 3.0 * (1.0 - gamma)
-    m[1, 1] = m[2, 2] = m[1, 2] = m[2, 1] = z
-    m[3, 3] = p / 2.0 * (1.0 - gamma) ** 2
-    return m
+    return (p + 2.0) / 6.0, z, z, z, p / 2.0 * (1.0 - gamma) ** 2
+
+
+def damped_family_matrix(p: float, theta: float) -> np.ndarray:
+    """The dense damped_family_x(p, theta)."""
+    return x_matrix(*damped_family_x(p, theta))
 
 
 def family_eigenvalues(p: float) -> list:
@@ -204,6 +206,60 @@ def family_concurrence(p: float) -> float:
 def family_fidelity(p: float) -> float:
     """(7 - 4p)/9 below the usefulness edge, classical 2/3 above it."""
     return (7.0 - 4.0 * p) / 9.0 if p < 0.25 else 2.0 / 3.0
+
+
+def spin_flip_fidelity(a, b, c, d, e) -> float:
+    """(1 + sum_i s_i / 3) / 2 over the four singular values s_i of
+    K = sqrt(rho) (sy x sy) sqrt(rho)* of the X state, sqrt(a e) twice and
+    sqrt(b d) +- |c|: Horodecki's teleportation fidelity with K's values in
+    place of the correlation matrix's, which is what the paper's closed-form
+    damped fidelity evaluates."""
+    corner = math.sqrt(a * e)
+    inner = math.sqrt(b * d)
+    r = abs(c)
+    return (1.0 + (corner + corner + (inner + r) + abs(inner - r)) / 3.0) / 2.0
+
+
+def closed_form_fidelity_long(p: float, theta: float) -> tuple:
+    """(value, bound): the paper's damped fidelity as it prints it,
+    1/2 + sqrt(rad1)/9 + sqrt(rad2)/18 with the radicands expanded in
+    powers of p and s2 = sin^2 theta, each summed correctly rounded by
+    fsum, and a bound on the value's distance from the exact
+    1/2 + (1-p)(1-s2)/9 + (1-s2) sqrt(3p(p+2))/18.
+
+    rad1 = (1-p)^2 (1-s2)^2 and rad2 = 3p(p+2) (1-s2)^2 exactly, so the two
+    forms are one algebraic expression; near a zero radicand the square
+    root turns the radicand's rounding into up to about 1e-8, which
+    sqrt_rounding bounds.
+    """
+    s2 = math.sin(theta) ** 2
+    s4 = s2 * s2
+    terms1 = (s4 * p * p, -2.0 * s4 * p, s4, -2.0 * s2 * p * p, 4.0 * s2 * p,
+              -2.0 * s2, p * p, -2.0 * p, 1.0)
+    terms2 = (3.0 * s4 * p * p, 6.0 * s4 * p, -6.0 * s2 * p * p, -12.0 * s2 * p,
+              3.0 * p * p, 6.0 * p)
+    rad1 = math.fsum(terms1)
+    rad2 = math.fsum(terms2)
+    value = 0.5 + math.sqrt(max(rad1, 0.0)) / 9.0 + math.sqrt(max(rad2, 0.0)) / 18.0
+    root1 = (1.0 - p) * (1.0 - s2)
+    root2 = (1.0 - s2) * math.sqrt(3.0 * p * (p + 2.0))
+    bound = (sqrt_rounding(terms1, rad1, root1) / 9.0
+             + sqrt_rounding(terms2, rad2, root2) / 18.0)
+    return value, bound
+
+
+def sqrt_rounding(terms: tuple, rad: float, root: float) -> float:
+    """Bound on |sqrt(rad) - root|, where rad is the exact fsum of ``terms``
+    rounded once, ``root`` >= 0 is the square root of the exact radicand,
+    and each term carries at most four roundings.
+
+    The radicand's error is then below 8 ulp of sum |terms|, and
+    |sqrt(x) - sqrt(y)| <= min(sqrt(|x - y|), |x - y| / (sqrt(x) + sqrt(y))):
+    near a zero radicand the square root turns 1e-16 into up to 1e-8.
+    """
+    err = 8.0 * sys.float_info.epsilon * math.fsum(abs(t) for t in terms)
+    spread = math.sqrt(max(rad, 0.0)) + root
+    return math.sqrt(err) if spread == 0.0 else min(math.sqrt(err), err / spread)
 
 
 def family_q1(p: float) -> float:

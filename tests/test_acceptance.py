@@ -193,7 +193,10 @@ def test_criterion_09_channel_audits(rng):
 
 
 def test_criterion_10_closed_form_fidelity_inconsistency_recorded():
-    with criterion(10, "closed-form damped fidelity is 11/18 at the origin and is reported"):
+    with criterion(
+        10, "closed-form damped fidelity is 11/18 at the origin and is reported "
+        "(Horodecki's (1 + N/3)/2 on the spin-flip values, sum 2/3, not on T's, 5/3)",
+    ):
         assert abs(fidelity_ad_closed_form(0.0, 0.0) - 11.0 / 18.0) <= 1e-12
         # the undamped criterion gives a different number at the same state,
         # and the headline report must surface the conflict

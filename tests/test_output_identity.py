@@ -39,9 +39,15 @@ from nmems.sweep import (
 
 import oracles
 
+# fig2 moved (from 8b93956310733932) when fidelity_ad_closed_form began to
+# return its factored form in place of the long radical form: four cells
+# went to the value a 50-digit reference gives at the float grid point,
+# (p, theta) = (0.038, 1.53588974176) to 0.500162803203, (0.068, same) to
+# 0.500170077791, (0.1, same) to 0.50017550513 and (0.209, 1.46607657168)
+# to 0.501674669846
 PRESET_SHA256 = {
     "fig1": "ff22b210e035cb22",
-    "fig2": "8b93956310733932",
+    "fig2": "6517fb5c07ccd22c",
     "fig3": "772fdc8e29900fcb",
     "fig4": "bebc25d454b72ed1",
 }
@@ -148,11 +154,14 @@ def test_kernel_sweep_bytes(tmp_path):
 # closed_form and correlated moved (from 4ff9292d802e5867 and
 # 615aaf8e058f113e) when concurrence_ad_wootters of a sub-normalized damped
 # state became its raw value: 820 and 819 cells went from NA to the 12
-# digits concurrence_ad prints
+# digits concurrence_ad prints.  The product digest moved again (from
+# 1709227640ed3229) when an entropy stopped going below zero: entropy_ad at
+# (p, theta) = (0.075, pi/2) and (0.45, pi/2), the image |00><00| with
+# a = 1 + 2^-52, went from -3.20342650381e-16 to 0
 KERNEL_MODE_SWEEP_SHA256 = {
     "closed_form": "151ff327177491f2",
     "correlated": "ce977e94bbd0e5d3",
-    "product": "1709227640ed3229",
+    "product": "0b573c32b0938eaf",
 }
 
 
@@ -193,8 +202,10 @@ def test_dense_eigen_full_precision():
 # sha256 prefixes over the 201 x 201 whole-domain grid, p = 1 and
 # theta = pi/2 included: float.hex of the closed-form fidelity, and the
 # four eigenvalues (little-endian float64) and trace tag of the damped
-# state in every channel mode, from the scalar core
-FIDELITY_CF_SHA256 = "c5a416bb6b6f80ce"
+# state in every channel mode, from the scalar core.  The fidelity digest
+# moved (from c5a416bb6b6f80ce) when the column took the factored form in
+# place of the long radical form (now oracles.closed_form_fidelity_long)
+FIDELITY_CF_SHA256 = "e008b22fc2fdb92a"
 X_SPECTRUM_SHA256 = "88b074ab591a1953"
 _DOMAIN_P = _grid(0.0, 1.0, 201)
 _DOMAIN_THETA = _grid(0.0, math.pi / 2.0, 201)

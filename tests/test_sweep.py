@@ -1117,32 +1117,6 @@ class TestCli:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
-    def test_closed_form_cross_check_failure_exits_one(self, monkeypatch, tmp_path, capsys):
-        # a p factor sqrt(3 p (p + 2)) off by 1e-6 splits the long form from
-        # the factored one, and the per-cell part's cross-check aborts
-        real = sweep._closed_form_fidelity_p
-
-        def skewed(p):
-            *head, root = real(p)
-            return (*head, root + 1e-6)
-
-        monkeypatch.setattr(sweep, "_closed_form_fidelity_p", skewed)
-        spec = SweepSpec(p_min=0.0, p_max=0.2, p_steps=3,
-                         theta_min=0.0, theta_max=math.pi / 4, theta_steps=3,
-                         quantities=("fidelity", "fidelity_ad_closed_form"))
-        message = "closed-form fidelity failed its factored cross-check at (p=0, theta=0)"
-        with pytest.raises(NumericalError, match=re.escape(message)):
-            run_sweep(spec)
-        out = tmp_path / "x.csv"
-        code = main([
-            "sweep", "--p-min", "0", "--p-max", "0.2", "--p-steps", "3",
-            "--theta-min", "0", "--theta-max", "pi/4", "--theta-steps", "3",
-            "--quantities", "fidelity,fidelity_ad_closed_form", "--out", str(out),
-        ])
-        assert code == 1
-        assert capsys.readouterr().err.startswith(f"error: {message}: ")
-        assert list(tmp_path.iterdir()) == []
-
     @pytest.mark.parametrize("earlier", [None, b"p,theta\nan earlier file\n"])
     def test_numerical_error_at_last_cell_leaves_no_csv(
         self, monkeypatch, tmp_path, capsys, earlier
