@@ -5,13 +5,14 @@ The family's states and their amplitude-damped images are X states with
 real diagonal (a, b, d, e) and real inner coherence c = rho[1, 2]; every
 number in the figure presets and the headline report is a function of
 (a, b, c, d, e).  This module holds those functions: the range and trace
-checks, the family's five numbers, the channel modes and the table of
-their damping maps (``_DAMPING``), the eigenvalues from the one Jacobi
-rotation such a state takes, replayed on floats (the coherence is real,
-so the complex rotation's imaginary parts are all zero), and the scalar
-forms of the measures.  The closed-form damped fidelity comes in three
-parts, as the damping maps do: factors of p, factors of theta, and the
-cell from both, so a sweep takes each axis's factors once.  It runs no
+checks, the family's five numbers, the factors of gamma = sin^2 theta
+with the one range check on theta (``_theta_factors``, which every
+damped column and the closed-form fidelity read), the channel modes and
+the table of their images (``_DAMPING``), the eigenvalues from the one
+Jacobi rotation such a state takes, replayed on floats (the coherence is
+real, so the complex rotation's imaginary parts are all zero), and the
+scalar forms of the measures.  A sweep takes each theta's factors once,
+and the closed-form fidelity's factors of p once per p.  It runs no
 iterative eigensolver, and a sweep cell makes each check once:
 ``_x_spectrum`` checks the state's five numbers (finite entries, the
 eigenvalue floor, the trace window), and the concurrence columns then
@@ -155,38 +156,28 @@ def _family(p: float) -> tuple:
     return x, vals, tag
 
 
-def _closed_form_factors(theta: float) -> tuple:
-    """((1 - gamma), (1 - gamma)^2) with gamma = sin^2 theta, the factors of
-    nmems_ad at one theta, after its range check on theta."""
+def _theta_factors(theta: float) -> tuple:
+    """(1 - gamma, (1 - gamma)^2, s, g, s s, g g, g s) for gamma = sin^2 theta,
+    with s = sqrt(1 - gamma) and g = sqrt(gamma) the Kraus amplitudes of
+    adc(gamma), after the one range check on theta, which leaves gamma in
+    [0, 1]: what every damping map and the closed-form fidelity read."""
     theta = _check_range("theta", theta, 0.0, math.pi / 2.0)
     gamma = math.sin(theta) ** 2
-    return 1.0 - gamma, (1.0 - gamma) ** 2
+    one_g = 1.0 - gamma
+    s = math.sqrt(one_g)
+    g = math.sqrt(gamma)
+    return one_g, one_g ** 2, s, g, s * s, g * g, g * s
 
 
 def _family_damped_x(x: tuple, factors: tuple) -> tuple:
     """(a, b, c, d, e) of nmems_ad for the family's five numbers ``x``
-    (``_family_x``) and the ``_closed_form_factors`` of theta: the coherence
+    (``_family_x``) and the ``_theta_factors`` of theta: the coherence
     block scales by (1 - gamma), the |11> weight by (1 - gamma)^2 and the
     |00> weight stays, so the lost trace is not put back."""
     a, z, _, _, e = x
-    one_g, one_g2 = factors
+    one_g, one_g2, _, _, _, _, _ = factors
     z = z * one_g
     return a, z, z, z, e * one_g2
-
-
-def _adc_factors(gamma: float) -> tuple:
-    """(s, g, s s, g g, g s) with s = sqrt(1 - gamma) and g = sqrt(gamma),
-    the Kraus amplitudes of adc(gamma) and their products, after ``adc``'s
-    range check on gamma."""
-    gamma = _check_range("gamma", gamma, 0.0, 1.0)
-    s = math.sqrt(1.0 - gamma)
-    g = math.sqrt(gamma)
-    return s, g, s * s, g * g, g * s
-
-
-def _adc_theta_factors(theta: float) -> tuple:
-    """``_adc_factors`` of gamma = sin^2 theta, with adc's range check."""
-    return _adc_factors(math.sin(theta) ** 2)
 
 
 # The Kraus images below take five numbers that are floats >= +0.0, as the
@@ -199,19 +190,19 @@ def _adc_theta_factors(theta: float) -> tuple:
 
 def _correlated_pair_x(x: tuple, factors: tuple) -> tuple:
     """(a, b, c, d, e) of the correlated Kraus pair map's image of the five
-    numbers ``x``, given the ``_adc_factors`` of gamma: K0 x K0, then
+    numbers ``x``, given the ``_theta_factors`` of theta: K0 x K0, then
     K1 x K1, which moves |11> onto |00>."""
     a, b, c, d, e = x
-    s, _, ss, gg, _ = factors
+    _, _, s, _, ss, gg, _ = factors
     return a + (gg * e) * gg, (s * b) * s, (s * c) * s, (s * d) * s, (ss * e) * ss
 
 
 def _product_pair_x(x: tuple, factors: tuple) -> tuple:
     """(a, b, c, d, e) of the product Kraus pair map's image of the five
-    numbers ``x``, given the ``_adc_factors`` of gamma: K0 x K0, K0 x K1,
+    numbers ``x``, given the ``_theta_factors`` of theta: K0 x K0, K0 x K1,
     K1 x K0, K1 x K1, where the middle two each move one excitation down."""
     a, b, c, d, e = x
-    s, g, ss, gg, gs = factors
+    _, _, s, g, ss, gg, gs = factors
     return (
         ((a + (g * b) * g) + (g * d) * g) + (gg * e) * gg,
         (s * b) * s + (gs * e) * gs,
@@ -227,26 +218,24 @@ MODE_CORRELATED = "correlated"     # identical-index Kraus pair map
 MODE_PRODUCT = "product"           # independent noise on each qubit
 CHANNEL_MODES = (MODE_CLOSED_FORM, MODE_CORRELATED, MODE_PRODUCT)
 
-# per channel mode: (the factors of one theta, with that mode's range check
-# on theta or gamma; the damped state's five numbers from the family's
-# five numbers and those factors).  The sweep takes each theta's factors
-# once and the image per cell; registry._damped is this table's matrix
-# oracle.
+# per channel mode: the damped state's five numbers from the family's five
+# numbers and the ``_theta_factors`` of theta.  The sweep takes each
+# theta's factors once and the image per cell; registry._damped is this
+# table's matrix oracle.
 _DAMPING = {
-    MODE_CLOSED_FORM: (_closed_form_factors, _family_damped_x),
-    MODE_CORRELATED: (_adc_theta_factors, _correlated_pair_x),
-    MODE_PRODUCT: (_adc_theta_factors, _product_pair_x),
+    MODE_CLOSED_FORM: _family_damped_x,
+    MODE_CORRELATED: _correlated_pair_x,
+    MODE_PRODUCT: _product_pair_x,
 }
 
 
 def _mode_damped_x(mode: str, p: float, theta: float) -> tuple:
     """(a, b, c, d, e) of the damped state at (p, theta) in channel mode
     ``mode``, with the bits of ``registry._damped(p, theta, mode)``: the
-    range check on p, then the mode's range check on theta or gamma.
+    range check on p, then the one on theta, the same in every mode.
     ``nmems_ad(p, theta)`` is the closed_form entry."""
     p = _check_range("p", p, 0.0, 1.0)
-    factors, image = _DAMPING[mode]
-    return image(_family_x(p), factors(theta))
+    return _DAMPING[mode](_family_x(p), _theta_factors(theta))
 
 
 def _x_trace(a: float, b: float, d: float, e: float) -> float:
@@ -497,25 +486,17 @@ def _x_expectation(entries: tuple, a: float, b: float, c: float, d: float,
 
 
 def _closed_form_fidelity_p(p: float) -> tuple:
-    """The factors of ``fidelity_ad_closed_form`` at one p, after its range
-    check on p: (p, 1 - p, sqrt(3 p (p + 2)))."""
-    p = _check_range("p", p, 0.0, 1.0)
-    return p, 1.0 - p, math.sqrt(3.0 * p * (p + 2.0))
-
-
-def _closed_form_fidelity_theta(theta: float) -> tuple:
-    """The factors of ``fidelity_ad_closed_form`` at one theta, after its
-    range check on theta: (theta, 1 - sin^2 theta)."""
-    theta = _check_range("theta", theta, 0.0, math.pi / 2.0)
-    return theta, 1.0 - math.sin(theta) ** 2
+    """The factors of ``fidelity_ad_closed_form`` at one p, already checked:
+    (1 - p, sqrt(3 p (p + 2)))."""
+    return 1.0 - p, math.sqrt(3.0 * p * (p + 2.0))
 
 
 def _closed_form_fidelity(p_factors: tuple, theta_factors: tuple) -> float:
     """``fidelity_ad_closed_form`` at one cell from the factors of its p
-    (``_closed_form_fidelity_p``) and of its theta
-    (``_closed_form_fidelity_theta``)."""
-    _, one_p, sq = p_factors
-    _, one_g = theta_factors
+    (``_closed_form_fidelity_p``) and of its theta (``_theta_factors``,
+    whose head is 1 - sin^2 theta)."""
+    one_p, sq = p_factors
+    one_g = theta_factors[0]
     return 0.5 + (one_p * one_g) / 9.0 + (one_g * sq) / 18.0
 
 
@@ -535,9 +516,10 @@ def fidelity_ad_closed_form(p: float, theta: float) -> float:
     7/9 at p = 0.  The headline report states the conflict.
 
     Computed in three parts, p checked first: the factors of p
-    (``_closed_form_fidelity_p``), those of theta
-    (``_closed_form_fidelity_theta``), and the cell from both
-    (``_closed_form_fidelity``).  A sweep takes each theta's factors once,
-    each p's once, and the cell per grid point, with these bits.
+    (``_closed_form_fidelity_p``), those of theta (``_theta_factors``, with
+    its range check), and the cell from both (``_closed_form_fidelity``).
+    A sweep takes each theta's factors once, each p's once, and the cell
+    per grid point, with these bits.
     """
-    return _closed_form_fidelity(_closed_form_fidelity_p(p), _closed_form_fidelity_theta(theta))
+    p = _check_range("p", p, 0.0, 1.0)
+    return _closed_form_fidelity(_closed_form_fidelity_p(p), _theta_factors(theta))

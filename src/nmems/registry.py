@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 
-from ._xcore import MODE_CLOSED_FORM, MODE_CORRELATED
+from ._xcore import MODE_CLOSED_FORM, MODE_CORRELATED, _check_range
 from .channels import adc, apply_correlated_pair, apply_product_pair
 from .measures import (
     chsh_criterion,
@@ -30,10 +30,12 @@ from .witnesses import evaluate, witness_generic, witness_stabilizer, witness_w1
 
 def _damped(p: float, theta: float, mode: str) -> DensityMatrix:
     """The damped state of grid point (p, theta) in channel mode ``mode``;
-    p is checked first in every mode, as ``_xcore._mode_damped_x`` checks."""
+    p is checked first and then theta against [0, pi/2], in every mode, as
+    ``_xcore._mode_damped_x`` checks."""
     if mode == MODE_CLOSED_FORM:
         return nmems_ad(p, theta)
     base = nmems(p)
+    theta = _check_range("theta", theta, 0.0, math.pi / 2.0)
     channel = adc(math.sin(theta) ** 2)
     if mode == MODE_CORRELATED:
         return apply_correlated_pair(channel, base)

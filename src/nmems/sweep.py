@@ -15,17 +15,19 @@ evaluated, so memory does not grow with the grid.
 Every column has one route: a function of the five numbers of the
 family state (_P_ONLY) or of the cell's damped state (_DAMPED), on the
 scalar core (``_xcore``), or the closed form fidelity_ad_closed_form in its
-factored form, taken as three parts (per theta, per p, per cell).  The
-damped state comes from the scalar core's one channel-mode table,
-``_xcore._DAMPING``, which ``nmems_ad`` reads too.  A cell computes each
-fact once: ``_x_spectrum`` checks its damped state's five numbers (finite
-entries, the eigenvalue floor, the trace window) and takes its
-eigenvalues; entropy_ad and mid
-share one entropy of them; the fidelity columns take a float, with no
-result tuple.  The concurrence columns then check only the coherence
-bound |c| <= sqrt(b d) + 1e-9, the one check of XStateParams that the
-finite, clamped numbers do not already pass and the eigenvalue floor does
-not imply (``_xcore._x_spectrum_concurrence``, as in
+factored form, taken as three parts (per theta, per p, per cell).  Each
+theta's factors come from one map with one range check,
+``_xcore._theta_factors``, which both the closed form and the damped
+state read; the damped state comes from the scalar core's one table of
+channel-mode images, ``_xcore._DAMPING``, which ``nmems_ad`` reads too.
+A cell computes each fact once: ``_x_spectrum`` checks its damped
+state's five numbers (finite entries, the eigenvalue floor, the trace
+window) and takes its eigenvalues; entropy_ad and mid share one entropy
+of them; the fidelity columns take a float, with no result tuple.  The
+concurrence columns then check only the coherence bound
+|c| <= sqrt(b d) + 1e-9, the one check of XStateParams that the finite,
+clamped numbers do not already pass and the eigenvalue floor does not
+imply (``_xcore._x_spectrum_concurrence``, as in
 ``measures.concurrence_x``).  The headline report reads the same _P_ONLY
 entries.  No column needs numpy.
 The per-point registry (``nmems.registry``, here as ``QUANTITIES``)
@@ -50,10 +52,10 @@ from ._xcore import (
     _check_coherence,
     _closed_form_fidelity,
     _closed_form_fidelity_p,
-    _closed_form_fidelity_theta,
     _family,
     _require_unit,
     _spectrum_entropy,
+    _theta_factors,
     _x_chsh,
     _x_concurrence_wootters,
     _x_correlation_sum,
@@ -113,11 +115,12 @@ _P_ONLY = {
         _x_expectation(_WITNESS_ENTRIES["stabilizer"], *x)),
 }
 
-# damped columns, on the five numbers x of the cell's raw damped state
-# (_xcore._DAMPING), checked by _xcore._x_spectrum, the entropy s_ad of its
-# eigenvalues and the entropy s of nmems(p), in every channel mode, with no
-# Kraus channel and no per-cell state; _walk takes s_ad once per cell and s
-# once per p, and only where entropy_ad or mid reads them
+# damped columns, on the five numbers x of the cell's raw damped state (the
+# mode's _xcore._DAMPING image of the family and theta's factors), checked
+# by _xcore._x_spectrum, the entropy s_ad of its eigenvalues and the
+# entropy s of nmems(p), in every channel mode, with no Kraus channel and
+# no per-cell state; _walk takes s_ad once per cell and s once per p, and
+# only where entropy_ad or mid reads them
 _DAMPED = {
     "concurrence_ad": lambda x, s_ad, s: _x_spectrum_concurrence(*x),
     "concurrence_ad_wootters": lambda x, s_ad, s: _x_concurrence_wootters(*x),
@@ -250,23 +253,22 @@ def _walk(spec: SweepSpec, cell):
     ``_format_value`` for the CSV); p outer, theta inner.
 
     Lazy: each p is evaluated when its first row is asked for.  Once per
-    theta, before the first row: that theta's ``cell``; if a damped column
-    is asked for, the mode's damping factors with their range check (the
-    first map of ``_xcore._DAMPING[mode]``); and if fidelity_ad_closed_form
-    is, its theta factor 1 - sin^2 theta with its range check on theta
-    (``_xcore._closed_form_fidelity_theta``).  Once per p: the family state
+    theta, before the first row: that theta's ``cell`` and its factors with
+    the range check on theta (``_xcore._theta_factors``), which the damped
+    state and the closed form both read.  Once per p: the family state
     with nmems' checks (``_xcore._family``), p's ``cell``, the _P_ONLY
     columns, shared by that p's thetas, the closed form's p factors 1 - p
     and sqrt(3 p (p + 2)) (``_xcore._closed_form_fidelity_p``), and, if mid
     is asked for, the family state's entropy.  Per cell: the damped state
-    from the family's numbers and the theta's factors (the second map), its
-    checks and eigenvalues (``_xcore._x_spectrum``, the cell's only check of
-    finite entries, the floor and the trace window), the entropy of those
-    eigenvalues if entropy_ad or mid is asked for, shared by the two, the
-    _DAMPED columns and the closed form's cell, two products and a sum
-    (``_xcore._closed_form_fidelity``).
-    ``_xcore._mode_damped_x`` composes the same two maps at one cell, and
-    ``fidelity_ad_closed_form`` the closed form's three parts.
+    from the family's numbers and the theta's factors (the mode's image in
+    ``_xcore._DAMPING``), its checks and eigenvalues
+    (``_xcore._x_spectrum``, the cell's only check of finite entries, the
+    floor and the trace window), the entropy of those eigenvalues if
+    entropy_ad or mid is asked for, shared by the two, the _DAMPED columns
+    and the closed form's cell, two products and a sum
+    (``_xcore._closed_form_fidelity``).  ``_xcore._mode_damped_x``
+    composes the same maps at one cell, and ``fidelity_ad_closed_form``
+    the closed form's three parts.
     """
     quantities = spec.quantities
     p_only = [(i, _P_ONLY[name]) for i, name in enumerate(quantities, 2) if name in _P_ONLY]
@@ -275,12 +277,9 @@ def _walk(spec: SweepSpec, cell):
                    if name == "fidelity_ad_closed_form"]
     wants_mid = "mid" in quantities
     wants_entropy_ad = wants_mid or "entropy_ad" in quantities
-    factors_of, image = _DAMPING[spec.channel_mode]
-    thetas = [
-        (cell(theta), factors_of(theta) if damped else None,
-         _closed_form_fidelity_theta(theta) if closed_form else None)
-        for theta in _grid(spec.theta_min, spec.theta_max, spec.theta_steps)
-    ]
+    image = _DAMPING[spec.channel_mode]
+    thetas = [(cell(theta), _theta_factors(theta))
+              for theta in _grid(spec.theta_min, spec.theta_max, spec.theta_steps)]
     row = [None] * (2 + len(quantities))
     for p in _grid(spec.p_min, spec.p_max, spec.p_steps):
         base = _family(p)
@@ -292,7 +291,7 @@ def _walk(spec: SweepSpec, cell):
             entropy = _spectrum_entropy(base[1]) if wants_mid else None
         if closed_form:
             p_factors = _closed_form_fidelity_p(p)
-        for theta_cell, factors, theta_factors in thetas:
+        for theta_cell, factors in thetas:
             row[1] = theta_cell
             if damped:
                 x = image(family_x, factors)
@@ -301,7 +300,7 @@ def _walk(spec: SweepSpec, cell):
                 for i, column in damped:
                     row[i] = cell(column(x, entropy_ad, entropy))
             for i in closed_form:
-                row[i] = cell(_closed_form_fidelity(p_factors, theta_factors))
+                row[i] = cell(_closed_form_fidelity(p_factors, factors))
             yield tuple(row)
 
 

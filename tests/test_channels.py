@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 
 from nmems import InputError
 from nmems._xcore import (
-    _adc_factors,
     _correlated_pair_x,
     _family_x,
     _product_pair_x,
+    _theta_factors,
     _x_spectrum,
 )
 from nmems import channels
@@ -436,19 +436,21 @@ class TestPairImagesFromFiveNumbers:
     @settings(max_examples=300, deadline=None)
     @given(
         x=_x_entries(),
-        gamma=st.floats(0.0, 1.0) | st.sampled_from([0.0, 1.0]),
+        theta=st.floats(0.0, math.pi / 2) | st.sampled_from([0.0, math.pi / 2]),
         correlated=st.booleans(),
     )
-    @example(x=_family_x(0.0), gamma=1.0, correlated=False)
-    @example(x=_family_x(1.0), gamma=1.0, correlated=True)
-    @example(x=_family_x(1.0), gamma=0.0, correlated=False)
-    @example(x=_family_x(0.3), gamma=math.sin(math.pi / 2) ** 2, correlated=True)
-    def test_image_bits(self, x, gamma, correlated):
+    @example(x=_family_x(0.0), theta=math.pi / 2, correlated=False)
+    @example(x=_family_x(1.0), theta=math.pi / 2, correlated=True)
+    @example(x=_family_x(1.0), theta=0.0, correlated=False)
+    @example(x=_family_x(0.3), theta=math.pi / 2, correlated=True)
+    def test_image_bits(self, x, theta, correlated):
+        # theta in [0, pi/2], the only way the sweep reaches gamma
         apply = apply_correlated_pair if correlated else apply_product_pair
         pair_x = _correlated_pair_x if correlated else _product_pair_x
-        got = pair_x(x, _adc_factors(gamma))
+        got = pair_x(x, _theta_factors(theta))
         try:
-            image = apply(adc(gamma), DensityMatrix.from_matrix(oracles.x_matrix(*x)))
+            image = apply(adc(math.sin(theta) ** 2),
+                          DensityMatrix.from_matrix(oracles.x_matrix(*x)))
         except InputError as exc:
             # the correlated map can drain all trace: the kernel's checks
             # reject the five numbers with the same message
@@ -457,11 +459,3 @@ class TestPairImagesFromFiveNumbers:
             assert str(kernel.value) == str(exc)
             return
         assert oracles.x_matrix(*got).tobytes() == image.matrix.tobytes()
-
-    @pytest.mark.parametrize("correlated", [True, False])
-    def test_gamma_range_checked_like_adc(self, correlated):
-        x = _family_x(0.2)
-        pair_x = _correlated_pair_x if correlated else _product_pair_x
-        for bad in (math.nan, -1e-9, math.nextafter(1.0, 2.0)):
-            with pytest.raises(InputError, match="gamma must lie in"):
-                pair_x(x, _adc_factors(bad))

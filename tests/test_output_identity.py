@@ -14,6 +14,8 @@ digest here and say which cells moved and why.
 
 import hashlib
 import math
+import pathlib
+import re
 import struct
 
 import numpy as np
@@ -125,6 +127,46 @@ SCALAR_SWEEP_SHA256 = {
 def test_scalar_sweep_bytes(mode, tmp_path):
     spec = _benchmark_sweep(SCALAR_QUANTITIES, mode)
     assert _csv_digest(spec, tmp_path / f"scalar_{mode}.csv") == SCALAR_SWEEP_SHA256[mode]
+
+
+_WORKFLOW = pathlib.Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tier1.yml"
+
+
+def test_ci_workflow_pins_the_tables():
+    # the CI console-script steps write the prefixes above out again, as
+    # "for pair in name:prefix ...; do" loops and a headline grep "^prefix";
+    # each loop must pin one table whole, and each "q=" list must spell the
+    # columns of a table, so a re-pin on one side only fails here
+    text = _WORKFLOW.read_text(encoding="utf-8").replace("\\\n", " ")
+    tables = {
+        QUANTITY_NAMES: SWEEP_SHA256,
+        SCALAR_QUANTITIES: SCALAR_SWEEP_SHA256,
+    }
+    q_lists = []
+    pinned = []
+    for line in text.splitlines():
+        q = re.fullmatch(r"\s*q=(\$q,)?([\w,]+)", line)
+        if q:
+            names = q.group(2).split(",")
+            if q.group(1):
+                q_lists[-1] += names
+            else:
+                q_lists.append(names)
+        loop = re.search(r"for pair in ([^;]*); do", line)
+        if loop:
+            pairs = re.findall(r"(\w+):([0-9a-f]+)", loop.group(1))
+            if all(name.startswith("fig") for name, _ in pairs):
+                table = PRESET_SHA256
+            else:
+                table = tables[tuple(q_lists[-1])]
+            assert len(dict(pairs)) == len(pairs), pairs
+            assert dict(pairs) == table
+            pinned.append(table)
+    assert q_lists and all(tuple(q) in tables for q in q_lists), q_lists
+    headlines = re.findall(r'grep "\^([0-9a-f]+)"', text)
+    assert headlines and set(headlines) == {HEADLINES_SHA256}
+    for table in (PRESET_SHA256, SWEEP_SHA256, SCALAR_SWEEP_SHA256):
+        assert table in pinned
 
 
 # closed_form sweep of three damped columns (sweep._DAMPED) over the whole

@@ -136,19 +136,22 @@ def _specs(draw, modes=CHANNEL_MODES, names=tuple(QUANTITIES), max_steps=4):
     )
 
 
-def _hook_damping(monkeypatch, hook):
+def _hook_damping(monkeypatch, hook, thetas=_grid(0.0, math.pi / 4, 3)):
     """Make the sweep's damped state at each cell, in every mode,
-    ``hook(family_x, theta)``, or the real one where the hook returns None.
+    ``hook(family_x, theta)``, or the real one where the hook returns None,
+    for the grid's ``thetas`` (those of ``_tiny_spec`` by default).
 
-    The sweep takes each theta's damping factors once (the first entry of
-    ``_xcore._DAMPING[mode]``) and the damped state per cell from the
-    family's five numbers and those factors (the second); the hooked
-    factors carry theta along.  ``nmems_ad`` reads the same table."""
-    for mode, (factors_of, image) in list(_xcore._DAMPING.items()):
-        monkeypatch.setitem(_xcore._DAMPING, mode, (
-            lambda theta, factors_of=factors_of: (theta, factors_of(theta)),
-            lambda x, factors, image=image: hook(x, factors[0]) or image(x, factors[1]),
-        ))
+    The sweep takes each theta's factors once (``_xcore._theta_factors``)
+    and the damped state per cell from the family's five numbers and those
+    factors (the mode's image in ``_xcore._DAMPING``); the hooked image
+    maps the factors back to their theta.  ``nmems_ad`` reads the same
+    table."""
+    theta_of = {_xcore._theta_factors(theta): theta for theta in thetas}
+    for mode, image in list(_xcore._DAMPING.items()):
+        monkeypatch.setitem(
+            _xcore._DAMPING, mode,
+            lambda x, factors, image=image: hook(x, theta_of[factors]) or image(x, factors),
+        )
 
 
 class TestSweepSpecValidation:
@@ -435,7 +438,7 @@ class TestRunSweep:
                 return real_damped(p, theta, mode_)
             return DensityMatrix.from_matrix(oracles.x_matrix(*x))
 
-        _hook_damping(monkeypatch, lambda x, theta: injected.get(theta))
+        _hook_damping(monkeypatch, lambda x, theta: injected.get(theta), thetas)
         monkeypatch.setattr(registry, "_damped", damped)
         for k, x in bad.items():
             injected.clear()
@@ -1093,12 +1096,16 @@ class TestCli:
 
             monkeypatch.setitem(_P_ONLY, "chsh", chsh)
         else:
-            # the cell's part reads p and theta off the head of its factors
+            # the cell's part, keyed on the factors of p = 0.1 and theta = 0
             real = sweep._closed_form_fidelity
-            monkeypatch.setattr(
-                sweep, "_closed_form_fidelity",
-                lambda pf, tf: reject_at_cell(pf[0], tf[0]) or real(pf, tf),
-            )
+            at_cell = (_xcore._closed_form_fidelity_p(0.1), _xcore._theta_factors(0.0))
+
+            def closed_form(pf, tf):
+                if (pf, tf) == at_cell:
+                    reject_at_cell(0.1, 0.0)
+                return real(pf, tf)
+
+            monkeypatch.setattr(sweep, "_closed_form_fidelity", closed_form)
         spec = SweepSpec(
             p_min=0.0, p_max=0.2, p_steps=3,
             theta_min=0.0, theta_max=math.pi / 4, theta_steps=3,
@@ -1309,11 +1316,17 @@ class TestQuantityRegistry:
     @pytest.mark.parametrize("mode", CHANNEL_MODES)
     def test_damped_state_checks_p_first_in_every_mode(self, mode):
         # p and theta both out of range: the registry and the scalar core
-        # reject p first, with the same message, in every mode
-        with pytest.raises(InputError) as want:
-            _xcore._mode_damped_x(mode, 2.0, math.nan)
-        assert str(want.value) == "p must lie in [0, 1], got 2.0"
-        for name in ("concurrence_ad", "concurrence_ad_wootters", "entropy_ad"):
-            with pytest.raises(InputError) as got:
-                QUANTITIES[name](2.0, math.nan, mode)
-            assert str(got.value) == str(want.value), name
+        # reject p first; then a theta outside [0, pi/2]: both reject it in
+        # every mode, as the closed form does, with the same message
+        cases = [(2.0, math.nan, "p must lie in [0, 1], got 2.0")] + [
+            (0.1, theta, f"theta must lie in [0, 1.5708], got {theta!r}")
+            for theta in (-0.5, 2.0, 7.0, math.nan)
+        ]
+        for p, theta, message in cases:
+            with pytest.raises(InputError) as want:
+                _xcore._mode_damped_x(mode, p, theta)
+            assert str(want.value) == message
+            for name in (*_DAMPED, "fidelity_ad_closed_form"):
+                with pytest.raises(InputError) as got:
+                    QUANTITIES[name](p, theta, mode)
+                assert str(got.value) == message, (name, theta)
