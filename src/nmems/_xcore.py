@@ -7,13 +7,13 @@ number in the figure presets and the headline report is a function of
 (a, b, c, d, e).  This module holds those functions: the range and trace
 checks, the family's five numbers, the factors of gamma = sin^2 theta
 with the one range check on theta (``_theta_factors``, which every
-damped column and the closed-form fidelity read), the channel modes and
-the table of their images (``_DAMPING``), the eigenvalues from the one
-Jacobi rotation such a state takes, replayed on floats (the coherence is
-real, so the complex rotation's imaginary parts are all zero), and the
-scalar forms of the measures.  A sweep takes each theta's factors once,
-and the closed-form fidelity's factors of p once per p.  It runs no
-iterative eigensolver, and a sweep cell makes each check once:
+damped column and the closed-form fidelity read), the channel modes, their
+one check and the table of their images (``_DAMPING``), the eigenvalues
+from the one Jacobi rotation such a state takes, replayed on floats (the
+coherence is real, so the complex rotation's imaginary parts are all
+zero), and the scalar forms of the measures.  A sweep takes each theta's
+factors once, and the closed-form fidelity's factors of p once per p.  It
+runs no iterative eigensolver, and a sweep cell makes each check once:
 ``_x_spectrum`` checks the state's five numbers (finite entries, the
 eigenvalue floor, the trace window), and the concurrence columns then
 check only the coherence bound |c| <= sqrt(b d) + 1e-9, because the
@@ -219,9 +219,9 @@ MODE_PRODUCT = "product"           # independent noise on each qubit
 CHANNEL_MODES = (MODE_CLOSED_FORM, MODE_CORRELATED, MODE_PRODUCT)
 
 # per channel mode: the damped state's five numbers from the family's five
-# numbers and the ``_theta_factors`` of theta.  The sweep takes each
-# theta's factors once and the image per cell; registry._damped is this
-# table's matrix oracle.
+# numbers and the ``_theta_factors`` of theta, looked up by a mode that
+# ``_check_mode`` has passed.  The sweep takes each theta's factors once and
+# the image per cell; registry._damped is this table's matrix oracle.
 _DAMPING = {
     MODE_CLOSED_FORM: _family_damped_x,
     MODE_CORRELATED: _correlated_pair_x,
@@ -229,13 +229,21 @@ _DAMPING = {
 }
 
 
+def _check_mode(mode: str) -> str:
+    """The one check of a channel mode: membership in CHANNEL_MODES, a tuple."""
+    if mode not in CHANNEL_MODES:
+        raise InputError(f"unknown channel mode {mode!r}; "
+                         f"choose from: {', '.join(CHANNEL_MODES)}")
+    return mode
+
+
 def _mode_damped_x(mode: str, p: float, theta: float) -> tuple:
     """(a, b, c, d, e) of the damped state at (p, theta) in channel mode
-    ``mode``, with the bits of ``registry._damped(p, theta, mode)``: the
-    range check on p, then the one on theta, the same in every mode.
-    ``nmems_ad(p, theta)`` is the closed_form entry."""
-    p = _check_range("p", p, 0.0, 1.0)
-    return _DAMPING[mode](_family_x(p), _theta_factors(theta))
+    ``mode``, with the bits of ``registry._damped`` and the checks of every
+    registry entry: p, then theta (once, in ``_theta_factors``), then the
+    mode.  ``nmems_ad(p, theta)`` is the closed_form entry."""
+    x, factors = _family_x(_check_range("p", p, 0.0, 1.0)), _theta_factors(theta)
+    return _DAMPING[_check_mode(mode)](x, factors)
 
 
 def _x_trace(a: float, b: float, d: float, e: float) -> float:

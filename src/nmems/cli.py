@@ -73,7 +73,7 @@ _SWEEP_SETTINGS = {
     "quantities": dict(
         type=str, help="comma-separated; known: " + ", ".join(QUANTITY_NAMES)
     ),
-    "channel_mode": dict(type=str, choices=CHANNEL_MODES),
+    "channel_mode": dict(type=str, help="one of: " + ", ".join(CHANNEL_MODES)),
     "out": dict(type=str, help="output CSV path"),
 }
 
@@ -95,7 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
         sweep.add_argument("--" + key.replace("_", "-"), **kwargs)
 
     preset = sub.add_parser("preset", help="emit one of the figure datasets")
-    preset.add_argument("name", choices=sorted(PRESETS))
+    preset.add_argument("name", help="one of: " + ", ".join(sorted(PRESETS)))
     preset.add_argument("--out", help="output CSV path (default <name>.csv)")
 
     sub.add_parser("headlines", help="print the headline-number report")

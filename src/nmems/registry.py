@@ -2,8 +2,8 @@
 grid point (p, theta) and the channel mode, through the public matrix API.
 
 ``QUANTITIES[name](p, theta, mode)`` is the public per-point definition of
-each column and the tests' oracle of the sweep engine, which never calls
-it: the engine evaluates every column from five numbers, with no numpy.
+each column, on a sweep's domain (``_checked``), and the tests' oracle of
+the sweep engine, which never calls it and reads five numbers, no numpy.
 Importing this module loads numpy; ``nmems.sweep.QUANTITIES`` is its dict.
 """
 
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 
-from ._xcore import MODE_CLOSED_FORM, MODE_CORRELATED, _check_range
+from ._xcore import MODE_CLOSED_FORM, MODE_CORRELATED, _check_mode, _check_range
 from .channels import adc, apply_correlated_pair, apply_product_pair
 from .measures import (
     chsh_criterion,
@@ -28,14 +28,19 @@ from .states import DensityMatrix, nmems, nmems_ad, x_params_of
 from .witnesses import evaluate, witness_generic, witness_stabilizer, witness_w1
 
 
+def _checked(column):
+    """``column(p, theta, mode)`` after the checks of p, theta and the mode."""
+    return lambda p, theta, mode: column(
+        _check_range("p", p, 0.0, 1.0), _check_range("theta", theta, 0.0, math.pi / 2.0),
+        _check_mode(mode))
+
+
 def _damped(p: float, theta: float, mode: str) -> DensityMatrix:
-    """The damped state of grid point (p, theta) in channel mode ``mode``;
-    p is checked first and then theta against [0, pi/2], in every mode, as
-    ``_xcore._mode_damped_x`` checks."""
+    """The damped state of grid point (p, theta) in channel mode ``mode``,
+    after the calling entry's checks (``_checked``) have passed all three."""
     if mode == MODE_CLOSED_FORM:
         return nmems_ad(p, theta)
     base = nmems(p)
-    theta = _check_range("theta", theta, 0.0, math.pi / 2.0)
     channel = adc(math.sin(theta) ** 2)
     if mode == MODE_CORRELATED:
         return apply_correlated_pair(channel, base)
@@ -54,7 +59,7 @@ _WITNESSES = {
 # correlated that state is sub-normalized for theta > 0 (fidelity_ad is
 # 2/3 at p = 0.1, theta = 0.6 in closed_form), while fidelity rejects
 # non-unit input.
-QUANTITIES = {
+_COLUMNS = {
     "concurrence": lambda p, theta, mode: concurrence_x(x_params_of(nmems(p))),
     "concurrence_ad": lambda p, theta, mode: concurrence_x(
         x_params_of(_damped(p, theta, mode))
@@ -85,3 +90,5 @@ QUANTITIES = {
         _WITNESSES["stabilizer"], nmems(p)
     ).expectation,
 }
+
+QUANTITIES = {name: _checked(column) for name, column in _COLUMNS.items()}

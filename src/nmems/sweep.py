@@ -50,6 +50,7 @@ from ._xcore import (
     MODE_PRODUCT,
     USEFULNESS_MARGIN,
     _check_coherence,
+    _check_mode,
     _closed_form_fidelity,
     _closed_form_fidelity_p,
     _family,
@@ -68,8 +69,8 @@ from ._xcore import (
 )
 from .errors import InputError
 
-# CHANNEL_MODES and the MODE_* names, imported above, live with their
-# damping maps in _xcore._DAMPING; they are public here
+# CHANNEL_MODES and the MODE_* names, imported above, live in _xcore with
+# their one check (_check_mode) and damping maps; they are public here
 
 # the columns of QUANTITIES, in its order, without importing the registry
 QUANTITY_NAMES = (
@@ -207,11 +208,7 @@ class SweepSpec(_Frozen):
             )
         if len(set(quantities)) != len(quantities):
             raise InputError("duplicate quantity identifiers")
-        if channel_mode not in CHANNEL_MODES:
-            raise InputError(
-                f"unknown channel mode {channel_mode!r}; "
-                f"choose from: {', '.join(CHANNEL_MODES)}"
-            )
+        _check_mode(channel_mode)
         vars(self).update(p_min=p_min, p_max=p_max, p_steps=p_steps, theta_min=theta_min,
                           theta_max=theta_max, theta_steps=theta_steps,
                           quantities=tuple(quantities), channel_mode=channel_mode)

@@ -17,7 +17,9 @@ import sys
 import pytest
 
 import nmems
-from nmems.sweep import CHANNEL_MODES, QUANTITY_NAMES, SweepSpec, emit_csv, run_sweep
+from nmems.sweep import (
+    CHANNEL_MODES, PRESETS, QUANTITY_NAMES, SweepSpec, emit_csv, run_sweep,
+)
 
 from test_output_identity import (
     HEADLINES_SHA256,
@@ -72,9 +74,15 @@ def test_import_loads_no_numpy(tmp_path):
     assert result.stdout == b"False\n"
 
 
-def test_help_loads_no_numpy(tmp_path):
-    code, out, loaded = _cli(["--help"], tmp_path)
-    assert code == 0 and b"headlines" in out
+@pytest.mark.parametrize("args, names", [
+    (["--help"], ("headlines",)),
+    (["sweep", "--help"], CHANNEL_MODES),
+    (["preset", "--help"], sorted(PRESETS)),
+], ids=["nmems", "sweep", "preset"])
+def test_help_loads_no_numpy(args, names, tmp_path):
+    code, out, loaded = _cli(args, tmp_path)
+    assert code == 0
+    assert [name for name in names if name.encode() not in out] == []
     assert loaded == set()
 
 

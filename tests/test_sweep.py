@@ -172,8 +172,16 @@ class TestSweepSpecValidation:
             _tiny_spec(p_min=0.3, p_max=0.1)
 
     def test_bad_channel_mode_rejected(self):
-        with pytest.raises(InputError):
-            _tiny_spec(channel_mode="sideways")
+        # the spec makes the one check of a mode, _xcore._check_mode: a
+        # membership test, so an unhashable value gets the InputError too
+        for mode in ("sideways", "Correlated", "correlated ", None, []):
+            message = (f"unknown channel mode {mode!r}; "
+                       "choose from: closed_form, correlated, product")
+            for check in (lambda: _tiny_spec(channel_mode=mode),
+                          lambda: _xcore._check_mode(mode)):
+                with pytest.raises(InputError) as got:
+                    check()
+                assert str(got.value) == message
 
     def test_zero_steps_rejected(self):
         with pytest.raises(InputError):
@@ -1221,6 +1229,28 @@ class TestCli:
     def test_bad_flag_exits_one(self):
         assert main(["sweep", "--no-such-flag"]) == 1
 
+    def test_unknown_channel_mode_gives_one_message(self, tmp_path, capsys):
+        # a flag and a spec-file value both reach SweepSpec's check
+        spec_file = tmp_path / "mode.cfg"
+        spec_file.write_text("channel-mode = Correlated\n")
+        out = tmp_path / "x.csv"
+        for args in (["--channel-mode", "Correlated"], ["--spec-file", str(spec_file)]):
+            code = main(["sweep", *args, "--quantities", "concurrence", "--out", str(out)])
+            assert code == 1, args
+            assert capsys.readouterr().err == (
+                "error: unknown channel mode 'Correlated'; "
+                "choose from: closed_form, correlated, product\n"
+            ), args
+            assert not out.exists()
+
+    def test_unknown_preset_exits_one(self, tmp_path, capsys):
+        with pytest.raises(InputError) as want:
+            preset_spec("fig9")
+        assert main(["preset", "fig9", "--out", str(tmp_path / "x.csv")]) == 1
+        assert capsys.readouterr().err == f"error: {want.value}\n"
+        assert str(want.value) == "unknown preset 'fig9'; choose from: fig1, fig2, fig3, fig4"
+        assert not (tmp_path / "x.csv").exists()
+
     def test_unknown_spec_file_key_exits_one(self, tmp_path):
         spec_file = tmp_path / "bad.cfg"
         spec_file.write_text("volume = 11\n")
@@ -1315,18 +1345,31 @@ class TestQuantityRegistry:
 
     @pytest.mark.parametrize("mode", CHANNEL_MODES)
     def test_damped_state_checks_p_first_in_every_mode(self, mode):
-        # p and theta both out of range: the registry and the scalar core
-        # reject p first; then a theta outside [0, pi/2]: both reject it in
-        # every mode, as the closed form does, with the same message
-        cases = [(2.0, math.nan, "p must lie in [0, 1], got 2.0")] + [
-            (0.1, theta, f"theta must lie in [0, 1.5708], got {theta!r}")
+        # every registry entry, whether or not its column reads theta and
+        # the mode, and the scalar core check p, then theta against
+        # [0, pi/2], then the mode, with the same messages: p and theta
+        # both out of range report p; a theta outside [0, pi/2] is
+        # rejected in every mode, as the closed form rejects it; a mode
+        # outside CHANNEL_MODES gets SweepSpec's message and never stands
+        # in for another mode
+        p_message = "p must lie in [0, 1], got 2.0"
+        cases = [(2.0, math.nan, mode, p_message)] + [
+            (0.1, theta, mode, f"theta must lie in [0, 1.5708], got {theta!r}")
             for theta in (-0.5, 2.0, 7.0, math.nan)
         ]
-        for p, theta, message in cases:
+        for bad in ("sideways", "Correlated", "correlated ", None):
+            with pytest.raises(InputError) as spec_error:
+                _tiny_spec(channel_mode=bad)
+            cases += [
+                (0.1, 0.3, bad, str(spec_error.value)),
+                (2.0, 0.3, bad, p_message),
+                (0.1, 7.0, bad, "theta must lie in [0, 1.5708], got 7.0"),
+            ]
+        for p, theta, mode_, message in cases:
             with pytest.raises(InputError) as want:
-                _xcore._mode_damped_x(mode, p, theta)
+                _xcore._mode_damped_x(mode_, p, theta)
             assert str(want.value) == message
-            for name in (*_DAMPED, "fidelity_ad_closed_form"):
+            for name in QUANTITY_NAMES:
                 with pytest.raises(InputError) as got:
-                    QUANTITIES[name](p, theta, mode)
-                assert str(got.value) == message, (name, theta)
+                    QUANTITIES[name](p, theta, mode_)
+                assert str(got.value) == message, (name, p, theta, mode_)
