@@ -11,8 +11,9 @@ damped column and the closed-form fidelity read), the channel modes, their
 one check and the table of their images (``_DAMPING``), the eigenvalues
 from the one Jacobi rotation such a state takes, replayed on floats (the
 coherence is real, so the complex rotation's imaginary parts are all
-zero), and the scalar forms of the measures.  A sweep takes each theta's
-factors once, and the closed-form fidelity's factors of p once per p.  It
+zero, and its angle a constant where b == d), and the scalar forms of the
+measures.  A sweep takes each theta's factors once, and the closed-form
+fidelity's factors of p once per p.  It
 runs no iterative eigensolver, and a sweep cell makes each check once:
 ``_x_spectrum`` checks the state's five numbers (finite entries, the
 eigenvalue floor, the trace window), and the concurrence columns then
@@ -47,6 +48,9 @@ SUB_NORMAL_EDGE = 1e-12
 # Jacobi iteration: rotate every off-diagonal entry above the threshold until
 # a sweep finds none
 JACOBI_OFFDIAG_TOL = 1e-12
+# cos and sin of the rotation where b == d: atan2(2 |c|, +-0.0) is pi/2
+_EQUAL_DIAG_COS = math.cos(0.5 * math.atan2(1.0, 0.0))
+_EQUAL_DIAG_SIN = math.sin(0.5 * math.atan2(1.0, 0.0))
 # Eigenvalues in [-1e-10, 0) count as roundoff zeros; anything lower is a
 # genuinely indefinite matrix.
 EIGENVALUE_FLOOR = -1e-10
@@ -83,13 +87,6 @@ def _check_range(name: str, value: float, lo: float, hi: float) -> float:
     if not (lo <= value <= hi) or not math.isfinite(value):
         raise InputError(f"{name} must lie in [{lo:g}, {hi:g}], got {value!r}")
     return value
-
-
-def _check_finite(a: float, b: float, c: float, d: float, e: float) -> None:
-    """Reject a non-finite entry among the five numbers, checked in order."""
-    isfinite = math.isfinite
-    if not (isfinite(a) and isfinite(b) and isfinite(c) and isfinite(d) and isfinite(e)):
-        raise InputError("matrix entries must be finite")
 
 
 def _normalization(lowest: float, tr: float) -> str:
@@ -137,8 +134,9 @@ def _check_family(p: float, a: float, b: float, c: float, d: float, e: float) ->
     the two reduced matrices, so the gap has the bits of the dense check.
     """
     q = 1.0 - p
-    gap = max(abs(p * g + q * w - v)
-              for g, w, v in zip(_GHZ_REDUCED, _W_REDUCED, (a, b, c, c, d, e)))
+    (g0, g1, g2, g3, g4, g5), (w0, w1, w2, w3, w4, w5) = _GHZ_REDUCED, _W_REDUCED
+    gap = max(abs(p * g0 + q * w0 - a), abs(p * g1 + q * w1 - b), abs(p * g2 + q * w2 - c),
+              abs(p * g3 + q * w3 - c), abs(p * g4 + q * w4 - d), abs(p * g5 + q * w5 - e))
     if gap > FAMILY_TOL:
         raise NumericalError(
             f"mixture and closed-form constructions disagree by {gap:.3e}"
@@ -246,13 +244,6 @@ def _mode_damped_x(mode: str, p: float, theta: float) -> tuple:
     return _DAMPING[_check_mode(mode)](x, factors)
 
 
-def _x_trace(a: float, b: float, d: float, e: float) -> float:
-    """Trace of the X state with diagonal (a, b, d, e), summed in the order
-    np.trace adds four complex entries, so it has the bits of the
-    ``trace_value`` of ``from_matrix`` of the dense X matrix."""
-    return (a + b) + (d + e)
-
-
 def _x_eigenvalues(a: float, b: float, c: float, d: float, e: float) -> list:
     """Descending eigenvalues ``linalg._jacobi`` finds for the corner-free X
     matrix with real diagonal (a, b, d, e) and real w[1][2] = w[2][1] = c,
@@ -267,15 +258,20 @@ def _x_eigenvalues(a: float, b: float, c: float, d: float, e: float) -> list:
     product's real part is the float product of the real parts less a zero:
     the floats below are the complex rotation's real parts, bit for bit.
     (A signed zero the complex route would drop is always added to a
-    nonzero term, or to +0.0, before it reaches the diagonal.)  Entries
-    must be finite and c a float.
+    nonzero term, or to +0.0, before it reaches the diagonal.)  Where
+    b == d, as in the family and its damped images, the angle is one float
+    for every c, so its cos and sin are constants.  Entries must be finite
+    and c a float.
     """
     r = abs(c)
     if r > JACOBI_OFFDIAG_TOL:
         ph = c / r
-        theta = 0.5 * math.atan2(2.0 * r, b - d)
-        cs = math.cos(theta)
-        s_ph = math.sin(theta) * ph
+        if b == d:
+            cs, s_ph = _EQUAL_DIAG_COS, _EQUAL_DIAG_SIN * ph
+        else:
+            theta = 0.5 * math.atan2(2.0 * r, b - d)
+            cs = math.cos(theta)
+            s_ph = math.sin(theta) * ph
         # _diagonalize's block formulas: the column pass on rows 1 and 2,
         # then the row pass's diagonal; s * conj(phase) is s * phase here
         c11 = cs * b + s_ph * c
@@ -292,15 +288,14 @@ def _x_eigenvalues(a: float, b: float, c: float, d: float, e: float) -> list:
 def _x_spectrum(a: float, b: float, c: float, d: float, e: float) -> tuple:
     """(descending eigenvalues, normalization tag) of
     ``DensityMatrix.from_matrix`` of the dense X matrix, bit for bit,
-    without building it.
-
-    Makes the checks ``from_matrix`` of the dense X matrix makes, with the
-    same messages: finite entries, the eigenvalue floor and the trace
-    window.
-    """
-    _check_finite(a, b, c, d, e)
+    without building it, after its checks, with their messages: finite
+    entries, the eigenvalue floor, then the trace window on the trace
+    summed as np.trace sums the diagonal."""
+    isfinite = math.isfinite
+    if not (isfinite(a) and isfinite(b) and isfinite(c) and isfinite(d) and isfinite(e)):
+        raise InputError("matrix entries must be finite")
     vals = _x_eigenvalues(a, b, c, d, e)
-    return vals, _normalization(vals[-1], _x_trace(a, b, d, e))
+    return vals, _normalization(vals[-1], (a + b) + (d + e))
 
 
 # ---------------------------------------------------------------- measures
@@ -481,13 +476,13 @@ def _x_expectation(entries: tuple, a: float, b: float, c: float, d: float,
     ``_X_PLACES``.
 
     The diagonal of W rho is (W00 a, W11 b + W12 c, W21 c + W22 d, W33 e),
-    summed as ``_x_trace`` sums.  Where no row adds two inexact products,
-    as for the generic and stabilizer witnesses, the value has the bits of
-    ``witnesses.evaluate``.  For w1 it has them where the matrix product
-    rounds each product (OpenBLAS's kernels without fused multiply-adds,
-    Prescott to Sandybridge); a kernel that fuses a multiply-add adds the
-    two terms of a row with one rounding fewer, and the two agree to a few
-    ulp.
+    summed as np.trace sums a diagonal (a, b, d, e): (a + b) + (d + e).
+    Where no row adds two inexact products, as for the generic and
+    stabilizer witnesses, the value has the bits of ``witnesses.evaluate``.
+    For w1 it has them where the matrix product rounds each product
+    (OpenBLAS's kernels without fused multiply-adds, Prescott to
+    Sandybridge); a kernel that fuses a multiply-add adds the two terms of
+    a row with one rounding fewer, and the two agree to a few ulp.
     """
     w00, w11, w12, w21, w22, w33 = entries
     return (w00 * a + (w11 * b + w12 * c)) + ((w21 * c + w22 * d) + w33 * e)

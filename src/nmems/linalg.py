@@ -38,7 +38,8 @@ take this one loop.  Both iterations share the sweep cap
 The scalar core (``_xcore``) runs no iteration: it replays the single
 rotation ``_jacobi`` makes on a corner-free X state with a real coherence
 on floats, with ``_jacobi``'s bits (``_x_eigenvalues``, after the 2x2
-block formulas of ``_diagonalize``).
+block formulas of ``_diagonalize``, with the angle's cos and sin as
+constants where the block's diagonal is equal).
 
 The wrappers (``as_matrix``, ``kron``, ``trace``, ``is_hermitian``)
 validate their arguments for callers outside the package.  Package code that
@@ -152,7 +153,9 @@ def _diagonalize(w: list, v: list) -> int:
     entries w[p][k] and w[q][k] to the conjugates of the new column entries,
     since ``w`` stays exactly Hermitian.  The 2x2 block (p, q) takes the
     column pass and then the row pass; its off-diagonal pair is then exactly
-    zero and its diagonal real, which ``_xcore._x_eigenvalues`` replays.
+    zero and its diagonal real, which ``_xcore._x_eigenvalues`` replays
+    (where w[p][p] == w[q][q] the angle is one float, so its cos and sin
+    are constants there).
     The first sweep that rotates nothing ends the iteration.  The caller
     guarantees ``w`` is exactly Hermitian with finite entries.  Scalar
     arithmetic on Python complex beats numpy by a wide margin at these

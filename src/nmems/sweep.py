@@ -7,33 +7,26 @@ every point.  Every cell is a number: a rejected input or a numerical
 failure at any cell aborts the sweep.  CSV output is byte-deterministic:
 12 significant digits and LF newlines.
 
-One generator (``_walk``) evaluates every sweep: ``iter_sweep`` yields
-its rows lazily, ``run_sweep`` collects them as SweepRows, and
-``stream_csv``, which the CLI calls, writes each CSV line as its row is
-evaluated, so memory does not grow with the grid.
+One generator (``_walk``) evaluates every sweep, one p-row (each column
+at one p, over every theta) at a time: ``iter_sweep`` flattens the rows
+lazily, ``run_sweep`` collects them as SweepRows, and ``stream_csv``,
+the CLI's path, writes each p-row with one write, so memory holds one
+p-row.  A row is evaluated whole: its cells' spectrum checks, in theta
+order, run before the columns' own checks.
 
-Every column has one route: a function of the five numbers of the
-family state (_P_ONLY) or of the cell's damped state (_DAMPED), on the
-scalar core (``_xcore``), or the closed form fidelity_ad_closed_form in its
-factored form, taken as three parts (per theta, per p, per cell).  Each
-theta's factors come from one map with one range check,
-``_xcore._theta_factors``, which both the closed form and the damped
-state read; the damped state comes from the scalar core's one table of
-channel-mode images, ``_xcore._DAMPING``, which ``nmems_ad`` reads too.
-A cell computes each fact once: ``_x_spectrum`` checks its damped
-state's five numbers (finite entries, the eigenvalue floor, the trace
-window) and takes its eigenvalues; entropy_ad and mid share one entropy
-of them; the fidelity columns take a float, with no result tuple.  The
-concurrence columns then check only the coherence bound
-|c| <= sqrt(b d) + 1e-9, the one check of XStateParams that the finite,
-clamped numbers do not already pass and the eigenvalue floor does not
-imply (``_xcore._x_spectrum_concurrence``, as in
-``measures.concurrence_x``).  The headline report reads the same _P_ONLY
-entries.  No column needs numpy.
-The per-point registry (``nmems.registry``, here as ``QUANTITIES``)
-defines every column through the matrix API, which loads numpy; it is the
-public per-point API and the tests' oracle, and the engine never calls
-it.
+Every column has one route on the scalar core (``_xcore``): a function of
+the family state's five numbers (_P_ONLY, which the headline report reads
+too), of a damped state's (_DAMPED), or the closed-form fidelity's three
+factored parts.  Each cell's damped state is checked once, by
+``_x_spectrum`` (finite entries, the eigenvalue floor, the trace window);
+entropy_ad and mid share one entropy of its eigenvalues, the fidelity
+columns take a float, with no result tuple, and the concurrence columns
+add only the coherence bound |c| <= sqrt(b d) + 1e-9, which those checks
+do not imply (``_xcore._x_spectrum_concurrence``).  No column needs
+numpy.  The per-point registry (``nmems.registry``, here as
+``QUANTITIES``) defines every column through the matrix API, which loads
+numpy: the public per-point API and the tests' oracle, which the engine
+never calls.
 """
 
 from __future__ import annotations
@@ -116,18 +109,16 @@ _P_ONLY = {
         _x_expectation(_WITNESS_ENTRIES["stabilizer"], *x)),
 }
 
-# damped columns, on the five numbers x of the cell's raw damped state (the
-# mode's _xcore._DAMPING image of the family and theta's factors), checked
-# by _xcore._x_spectrum, the entropy s_ad of its eigenvalues and the
-# entropy s of nmems(p), in every channel mode, with no Kraus channel and
-# no per-cell state; _walk takes s_ad once per cell and s once per p, and
-# only where entropy_ad or mid reads them
+# damped columns, each a list over a p-row's thetas, from each cell's raw
+# damped state x (checked by _xcore._x_spectrum), the entropy s_ad of its
+# eigenvalues and the entropy s of nmems(p), with no Kraus channel and no
+# per-cell state; _walk takes s_ads and s only where entropy_ad or mid reads them
 _DAMPED = {
-    "concurrence_ad": lambda x, s_ad, s: _x_spectrum_concurrence(*x),
-    "concurrence_ad_wootters": lambda x, s_ad, s: _x_concurrence_wootters(*x),
-    "fidelity_ad": lambda x, s_ad, s: _x_fidelity(*x),
-    "entropy_ad": lambda x, s_ad, s: s_ad,
-    "mid": lambda x, s_ad, s: s_ad - s,
+    "concurrence_ad": lambda xs, s_ads, s: [_x_spectrum_concurrence(*x) for x in xs],
+    "concurrence_ad_wootters": lambda xs, s_ads, s: [_x_concurrence_wootters(*x) for x in xs],
+    "fidelity_ad": lambda xs, s_ads, s: [_x_fidelity(*x) for x in xs],
+    "entropy_ad": lambda xs, s_ads, s: s_ads,
+    "mid": lambda xs, s_ads, s: [s_ad - s for s_ad in s_ads],
 }
 
 
@@ -177,6 +168,9 @@ class SweepSpec(_Frozen):
                  theta_steps: int = 46, quantities: tuple = (),
                  channel_mode: str = MODE_CLOSED_FORM):
         for name, lo, hi in (("p", p_min, p_max), ("theta", theta_min, theta_max)):
+            for end, value in (("min", lo), ("max", hi)):
+                if isinstance(value, bool) or not isinstance(value, (int, float)):
+                    raise InputError(f"{name}_{end} must be a number, got {value!r}")
             if not (math.isfinite(lo) and math.isfinite(hi)):
                 raise InputError(f"{name} range must be finite")
             if lo > hi:
@@ -197,6 +191,8 @@ class SweepSpec(_Frozen):
                     f"{name}_steps is 1 but {name}_min {lo!r} differs from "
                     f"{name}_max {hi!r}; a one-point axis needs equal ends"
                 )
+        if isinstance(quantities, str):
+            raise InputError(f"quantities must be a sequence of names, not the string {quantities!r}")
         if not quantities:
             raise InputError(
                 "no quantities requested; choose from: " + ", ".join(QUANTITY_NAMES)
@@ -239,78 +235,64 @@ def _grid(lo: float, hi: float, steps: int) -> list:
     return [lo + i * (hi - lo) / (steps - 1) for i in range(steps - 1)] + [hi]
 
 
-def _as_is(value):
-    return value
+def _walk(spec: SweepSpec):
+    """The sweep engine: yields (p, row) per p, ascending, where ``row[i]``
+    is the value of ``spec.quantities[i]``: a float for a _P_ONLY column,
+    else a list over the theta grid.  Lazy: each p-row is evaluated whole
+    when it is asked for.
 
-
-def _walk(spec: SweepSpec, cell):
-    """The sweep engine: yields each grid point as the tuple
-    (p, theta, *values), values in ``spec.quantities`` order, each entry
-    passed through ``cell`` (``_as_is`` for ``iter_sweep``,
-    ``_format_value`` for the CSV); p outer, theta inner.
-
-    Lazy: each p is evaluated when its first row is asked for.  Once per
-    theta, before the first row: that theta's ``cell`` and its factors with
-    the range check on theta (``_xcore._theta_factors``), which the damped
-    state and the closed form both read.  Once per p: the family state
-    with nmems' checks (``_xcore._family``), p's ``cell``, the _P_ONLY
-    columns, shared by that p's thetas, the closed form's p factors 1 - p
-    and sqrt(3 p (p + 2)) (``_xcore._closed_form_fidelity_p``), and, if mid
-    is asked for, the family state's entropy.  Per cell: the damped state
-    from the family's numbers and the theta's factors (the mode's image in
-    ``_xcore._DAMPING``), its checks and eigenvalues
-    (``_xcore._x_spectrum``, the cell's only check of finite entries, the
-    floor and the trace window), the entropy of those eigenvalues if
-    entropy_ad or mid is asked for, shared by the two, the _DAMPED columns
-    and the closed form's cell, two products and a sum
-    (``_xcore._closed_form_fidelity``).  ``_xcore._mode_damped_x``
-    composes the same maps at one cell, and ``fidelity_ad_closed_form``
-    the closed form's three parts.
+    Once: each theta's factors, with the range check on theta
+    (``_xcore._theta_factors``).  Per p: the family state with nmems'
+    checks (``_xcore._family``), the _P_ONLY columns and, if mid is asked
+    for, the family state's entropy.  For damped columns: each theta's
+    damped state (the mode's image in ``_xcore._DAMPING``), the checks and
+    eigenvalues of each in theta order (``_xcore._x_spectrum``), their
+    entropies if a column reads them, then the _DAMPED columns in spec
+    order, with their own checks.  The closed form: p's factors and each
+    theta's cell from both.  ``_xcore._mode_damped_x`` and
+    ``fidelity_ad_closed_form`` compose the same maps at one cell.
     """
     quantities = spec.quantities
-    p_only = [(i, _P_ONLY[name]) for i, name in enumerate(quantities, 2) if name in _P_ONLY]
-    damped = [(i, _DAMPED[name]) for i, name in enumerate(quantities, 2) if name in _DAMPED]
-    closed_form = [i for i, name in enumerate(quantities, 2)
-                   if name == "fidelity_ad_closed_form"]
+    p_only = [(i, _P_ONLY[name]) for i, name in enumerate(quantities) if name in _P_ONLY]
+    damped = [(i, _DAMPED[name]) for i, name in enumerate(quantities) if name in _DAMPED]
+    closed_form = (quantities.index("fidelity_ad_closed_form")
+                   if "fidelity_ad_closed_form" in quantities else None)
     wants_mid = "mid" in quantities
     wants_entropy_ad = wants_mid or "entropy_ad" in quantities
     image = _DAMPING[spec.channel_mode]
-    thetas = [(cell(theta), _theta_factors(theta))
+    thetas = [_theta_factors(theta)
               for theta in _grid(spec.theta_min, spec.theta_max, spec.theta_steps)]
-    row = [None] * (2 + len(quantities))
     for p in _grid(spec.p_min, spec.p_max, spec.p_steps):
         base = _family(p)
-        row[0] = cell(p)
+        row = [None] * len(quantities)
         for i, column in p_only:
-            row[i] = cell(column(*base))
+            row[i] = column(*base)
         if damped:
-            family_x = base[0]
             entropy = _spectrum_entropy(base[1]) if wants_mid else None
-        if closed_form:
+            xs = [image(base[0], factors) for factors in thetas]
+            spectra = [_x_spectrum(*x)[0] for x in xs]
+            entropies = [_spectrum_entropy(vals) for vals in spectra] if wants_entropy_ad else None
+            for i, column in damped:
+                row[i] = column(xs, entropies, entropy)
+        if closed_form is not None:
             p_factors = _closed_form_fidelity_p(p)
-        for theta_cell, factors in thetas:
-            row[1] = theta_cell
-            if damped:
-                x = image(family_x, factors)
-                vals = _x_spectrum(*x)[0]
-                entropy_ad = _spectrum_entropy(vals) if wants_entropy_ad else None
-                for i, column in damped:
-                    row[i] = cell(column(x, entropy_ad, entropy))
-            for i in closed_form:
-                row[i] = cell(_closed_form_fidelity(p_factors, factors))
-            yield tuple(row)
+            row[closed_form] = [_closed_form_fidelity(p_factors, factors) for factors in thetas]
+        yield p, row
 
 
 def iter_sweep(spec: SweepSpec):
     """Evaluate the grid lazily: yields (p, theta, *values) per grid point
     in (p outer, theta inner) order, the values in ``spec.quantities``
-    order.
-
-    Any InputError or NumericalError an evaluator raises propagates when
-    its row is asked for.  Each p's family state and p-only columns are
-    evaluated once, when its first row is asked for; see ``_walk``.
-    """
-    return _walk(spec, _as_is)
+    order.  Each p-row is evaluated whole when its first point is asked
+    for (``_walk``), so an InputError or NumericalError at any of its
+    cells propagates before that p's first point."""
+    thetas = _grid(spec.theta_min, spec.theta_max, spec.theta_steps)
+    n = len(thetas)
+    per_theta = [name not in _P_ONLY for name in spec.quantities]
+    for p, row in _walk(spec):
+        columns = [v if listed else [v] * n for v, listed in zip(row, per_theta)]
+        for values in zip(thetas, *columns):
+            yield (p, *values)
 
 
 def run_sweep(spec: SweepSpec) -> list:
@@ -324,8 +306,8 @@ def run_sweep(spec: SweepSpec) -> list:
 
 def _format_value(v: float) -> str:
     # + 0.0 turns -0.0 (the entropy of a pure spectrum) into 0.0 and leaves
-    # every other float as it is
-    return f"{v + 0.0:.12g}"
+    # every other float as it is; stream_csv spells the format the same way
+    return "%.12g" % (v + 0.0)
 
 
 def _write_lines(path: str, header: str, lines) -> None:
@@ -389,14 +371,26 @@ def emit_csv(rows: list, path: str) -> None:
 
 
 def stream_csv(spec: SweepSpec, path: str) -> None:
-    """Evaluate the sweep of ``spec`` and write it to ``path`` as
-    ``emit_csv`` writes ``run_sweep(spec)``, byte for byte, each line as
-    its row is evaluated: no row is kept, and p, theta and the p-only
-    columns are formatted once per value.  An error at any cell leaves no
-    CSV and no temporary file, and any earlier file at ``path`` as it was;
-    a pipe or device target gets nothing (``_write_lines``)."""
-    _write_lines(path, _csv_line(("p", "theta") + spec.quantities),
-                 map(_csv_line, _walk(spec, _format_value)))
+    """Write the sweep of ``spec`` to ``path`` as ``emit_csv`` writes
+    ``run_sweep(spec)``, byte for byte, with one write per p-row, each line
+    one ``%`` of one template, and p, theta and p-only values formatted once.
+    An error at any cell (checked in ``_walk``'s order, a p-row before its
+    first line) leaves no CSV and no temporary file, and any earlier file
+    at ``path`` as it was; a pipe or device target gets nothing
+    (``_write_lines``)."""
+    thetas = [_format_value(theta)
+              for theta in _grid(spec.theta_min, spec.theta_max, spec.theta_steps)]
+    n = len(thetas)
+    per_theta = [name not in _P_ONLY for name in spec.quantities]
+    template = _csv_line(["%s", "%s"] + ["%.12g" if listed else "%s" for listed in per_theta])
+
+    def lines():
+        for p, row in _walk(spec):
+            columns = [[v + 0.0 for v in values] if listed else [_format_value(values)] * n
+                       for values, listed in zip(row, per_theta)]
+            yield "".join([template % t for t in zip([_format_value(p)] * n, thetas, *columns)])
+
+    _write_lines(path, _csv_line(("p", "theta") + spec.quantities), lines())
 
 
 # figure presets; p grids stop one step short of the open right endpoint

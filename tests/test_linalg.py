@@ -302,8 +302,14 @@ class TestXEigenvalues:
     bit."""
 
     @settings(max_examples=500, deadline=None)
-    @given(a=_ENTRY, b=_ENTRY, c=_REAL_COHERENCE, d=_ENTRY, e=_ENTRY)
+    # d = None draws d = b, the diagonal where the rotation's angle is a constant
+    @given(a=_ENTRY, b=_ENTRY, c=_REAL_COHERENCE, d=st.none() | _ENTRY, e=_ENTRY)
     @example(a=0.5, b=0.25, c=0.0, d=0.25, e=0.0)
+    @example(a=0.5, b=0.25, c=0.1, d=0.25, e=0.0)
+    @example(a=0.5, b=0.25, c=-0.1, d=0.25, e=0.0)
+    @example(a=0.2, b=0.0, c=_ABOVE_THRESHOLD, d=-0.0, e=0.4)
+    @example(a=0.2, b=-0.0, c=-_ABOVE_THRESHOLD, d=0.0, e=0.4)
+    @example(a=0.2, b=0.3, c=_AT_THRESHOLD, d=0.3, e=0.2)
     @example(a=0.2, b=0.3, c=_AT_THRESHOLD, d=0.1, e=0.4)
     @example(a=0.2, b=0.3, c=_ABOVE_THRESHOLD, d=0.1, e=0.4)
     @example(a=0.2, b=0.3, c=-_ABOVE_THRESHOLD, d=0.3, e=0.2)
@@ -311,6 +317,8 @@ class TestXEigenvalues:
     @example(a=0.1, b=-0.0, c=-0.2, d=0.0, e=-0.0)
     @example(a=0.0, b=1e-300, c=1e-300, d=0.0, e=5e-324)
     def test_matches_jacobi_bit_for_bit(self, a, b, c, d, e):
+        if d is None:
+            d = b
         z = 0j
         w = [
             [complex(a), z, z, z],

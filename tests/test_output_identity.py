@@ -21,7 +21,7 @@ import struct
 import numpy as np
 import pytest
 
-from nmems import InputError, linalg
+from nmems import InputError, _xcore, linalg
 from nmems._xcore import UNIT, _mode_damped_x, _x_spectrum, fidelity_ad_closed_form
 from nmems.channels import adc, apply_correlated_pair, apply_product_pair
 from nmems.measures import concurrence_wootters
@@ -259,6 +259,19 @@ def test_closed_form_fidelity_full_precision():
         for theta in _DOMAIN_THETA:
             h.update(fidelity_ad_closed_form(p, theta).hex().encode("ascii"))
     assert h.hexdigest()[:16] == FIDELITY_CF_SHA256
+
+
+def test_family_and_damped_states_have_equal_inner_diagonal():
+    # b == d bit for bit (the sign of a zero included) on every state of the
+    # grid, in every mode, so _x_eigenvalues takes its constant angle
+    for p in _DOMAIN_P:
+        x = _xcore._family_x(p)
+        assert x[1].hex() == x[3].hex(), p
+        for theta in _DOMAIN_THETA:
+            factors = _xcore._theta_factors(theta)
+            for mode, image in _xcore._DAMPING.items():
+                _, b, _, d, _ = image(x, factors)
+                assert b.hex() == d.hex(), (mode, p, theta)
 
 
 def test_x_spectrum_full_precision():

@@ -1,4 +1,5 @@
 import math
+import re
 import struct
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from nmems import InputError
 from nmems import linalg
-from nmems._xcore import MODE_CLOSED_FORM, _mode_damped_x, _x_spectrum, _x_trace
+from nmems._xcore import MODE_CLOSED_FORM, _mode_damped_x, _x_spectrum
 from nmems.channels import adc, gadc
 from nmems.measures import (
     concurrence_x,
@@ -347,8 +348,8 @@ class TestXConstruction:
         got, tag = _x_spectrum(a, b, c, d, e)
         assert np.array(got).tobytes() == rho.spectrum.eigenvalues.tobytes()
         assert tag == rho.normalization
-        tr = _x_trace(a, b, d, e)
-        assert struct.pack("<d", tr) == struct.pack("<d", rho.trace_value)
+        # the trace _x_spectrum sums, read off the trace window's message
+        assert _trace_seen_by_spectrum(a, b, c, d, e) == struct.pack("<d", rho.trace_value)
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -361,7 +362,7 @@ class TestXConstruction:
         c = share * math.sqrt(b * d)
         rho = DensityMatrix.from_matrix(oracles.x_matrix(a, b, c, d, e))
         tr = complex(np.trace(rho.matrix)).real
-        assert struct.pack("<d", _x_trace(a, b, d, e)) == struct.pack("<d", tr)
+        assert _trace_seen_by_spectrum(a, b, c, d, e) == struct.pack("<d", tr)
 
     def test_non_finite_message(self):
         x = (0.5, math.nan, 0.0, 0.5, 0.0)
@@ -369,6 +370,18 @@ class TestXConstruction:
             DensityMatrix.from_matrix(oracles.x_matrix(*x))
         with pytest.raises(InputError, match="^matrix entries must be finite$"):
             _x_spectrum(*x)
+
+
+def _trace_seen_by_spectrum(a, b, c, d, e) -> bytes:
+    """The bits of the trace ``_x_spectrum`` sums for the five numbers, read
+    off the trace window's message for the state scaled by a power of two
+    that puts its trace in [2, 4): the scaling is exact, and the lowest
+    eigenvalue stays above the floor."""
+    k = 2 - math.frexp(a + b + d + e)[1]
+    with pytest.raises(InputError) as got:
+        _x_spectrum(*(math.ldexp(v, k) for v in (a, b, c, d, e)))
+    shown = re.fullmatch(r"density matrix trace (\S+) outside \(0, 1\]", str(got.value))
+    return struct.pack("<d", math.ldexp(float(shown.group(1)), -k))
 
 
 class TestRangeChecks:

@@ -187,6 +187,26 @@ class TestSweepSpecValidation:
         with pytest.raises(InputError):
             _tiny_spec(p_steps=0)
 
+    @pytest.mark.parametrize("field", ["p_min", "p_max", "theta_min", "theta_max"])
+    @pytest.mark.parametrize("value", ["0.1", None, True, [0.1], 0.1j])
+    def test_non_numeric_range_rejected(self, field, value):
+        # an InputError that names the field, not math.isfinite's TypeError
+        with pytest.raises(InputError) as got:
+            _tiny_spec(**{field: value})
+        assert str(got.value) == f"{field} must be a number, got {value!r}"
+
+    @pytest.mark.parametrize("quantities", ["concurrence", "", "mid,entropy"])
+    def test_string_quantities_rejected(self, quantities):
+        # a string is not read name by name, character by character
+        with pytest.raises(InputError) as got:
+            _tiny_spec(quantities=quantities)
+        assert str(got.value) == (
+            f"quantities must be a sequence of names, not the string {quantities!r}")
+
+    def test_integer_range_ends_are_numbers(self):
+        spec = _tiny_spec(p_min=0, p_max=1, p_steps=2, theta_min=0, theta_max=1)
+        assert [row[:2] for row in iter_sweep(spec)][::3] == [(0.0, 0.0), (1.0, 0.0)]
+
     @pytest.mark.parametrize("field", ["p_steps", "theta_steps"])
     @pytest.mark.parametrize("steps", [2.5, 3.0, True])
     def test_non_integer_steps_rejected(self, field, steps):
@@ -606,6 +626,66 @@ class TestRunSweep:
         assert seen == [0.0, _grid(0.0, 0.2, 1000)[1]]
 
     @pytest.mark.parametrize("mode", CHANNEL_MODES)
+    def test_engine_work_is_counted_per_p_theta_and_cell(self, monkeypatch, tmp_path, mode):
+        # a preset-sized stream_csv: one family state per p, one set of
+        # factors per theta, one spectrum per damped cell and none without a
+        # damped column, no atan2 (every state on the grid has b == d), and
+        # one string of theta_steps lines written per p
+        families = _spy(monkeypatch, sweep, "_family")
+        factors = _spy(monkeypatch, sweep, "_theta_factors")
+        spectra = _spy(monkeypatch, sweep, "_x_spectrum")
+        angles = _spy(monkeypatch, math, "atan2")
+        written = []
+        write_lines = sweep._write_lines
+
+        def record(path, header, lines):
+            write_lines(path, header, (written.append(chunk) or chunk for chunk in lines))
+
+        monkeypatch.setattr(sweep, "_write_lines", record)
+        base = PRESETS["fig1"]
+        n_p, n_theta = base.p_steps, base.theta_steps
+        for quantities, damped in ((("concurrence", "mid", "fidelity_ad_closed_form",
+                                     "concurrence_ad"), n_p * n_theta),
+                                   (PRESETS["fig2"].quantities, 0)):
+            spec = SweepSpec(p_min=base.p_min, p_max=base.p_max, p_steps=n_p,
+                             theta_min=base.theta_min, theta_max=base.theta_max,
+                             theta_steps=n_theta, quantities=quantities, channel_mode=mode)
+            for seen in (families, factors, spectra, angles, written):
+                seen.clear()
+            stream_csv(spec, str(tmp_path / "counted.csv"))
+            assert len(families) == n_p
+            assert len(factors) == n_theta
+            assert len(spectra) == damped
+            assert angles == []
+            assert [chunk.count("\n") for chunk in written] == [n_theta] * n_p
+
+    def test_p_row_runs_every_spectrum_check_before_column_checks(self, monkeypatch):
+        # in one p-row, a later cell past the trace window is rejected before
+        # an earlier cell that fails only concurrence_ad's coherence bound;
+        # iter_sweep yields every row of the p before, and none of that p
+        thetas = _grid(0.0, math.pi / 4, 5)
+        row_p = _xcore._family_x(0.1)
+        coherence = {thetas[1]: (0.4, 0.5, math.sqrt(0.5 * 1e-8) + 1e-8, 1e-8, 0.0)}
+        trace = {thetas[3]: (0.5, 0.3, 0.0, 0.2, 0.1)}
+        injected = {}
+        _hook_damping(monkeypatch, lambda x, theta: x == row_p and injected.get(theta),
+                      thetas)
+        for mode in CHANNEL_MODES:
+            spec = _tiny_spec(theta_steps=5, quantities=("concurrence_ad", "entropy_ad"),
+                              channel_mode=mode)
+            injected.update(coherence)
+            injected.update(trace)
+            rows = iter_sweep(spec)
+            assert [next(rows)[0] for _ in thetas] == [0.0] * 5
+            with pytest.raises(InputError, match=r"^density matrix trace 1\.1 outside"):
+                next(rows)
+            injected.clear()
+            injected.update(coherence)
+            with pytest.raises(InputError, match=r"^coherence \|c\| exceeds"):
+                run_sweep(spec)
+            injected.clear()
+
+    @pytest.mark.parametrize("mode", CHANNEL_MODES)
     @pytest.mark.parametrize("quantities, calls", [
         # one damped entropy per cell, and the family's once per p, only
         # where a column reads them
@@ -674,6 +754,17 @@ class TestEmitCsv:
         path = tmp_path / "one.csv"
         emit_csv([row], str(path))
         assert path.read_bytes() == b"p,theta,concurrence\n0,0,0.666666666667\n"
+
+    @pytest.mark.parametrize("v", [
+        0.0, -0.0, 5e-324, -5e-324, math.inf, -math.inf, 1e16, -1e16, 2.0 / 3.0,
+        0.1234567890125, 0.1234567890135, 999999999999.5, 1e-5, 1e-4, 123456789012.0,
+        math.pi, 1.7976931348623157e308, 2.2250738585072014e-308,
+    ])
+    def test_template_format_is_format_value(self, v):
+        # stream_csv's per-theta cells, "%.12g" % (v + 0.0), and every other
+        # cell, _format_value(v), print one float the same way, as the
+        # f-string format did
+        assert "%.12g" % (v + 0.0) == sweep._format_value(v) == f"{v + 0.0:.12g}"
 
     def test_lf_newlines_only(self, tmp_path):
         rows = run_sweep(_tiny_spec())

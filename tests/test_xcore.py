@@ -383,7 +383,7 @@ def test_concurrence_columns_reject_the_coherence_bound_alone():
         XStateParams(*x)
     assert str(want.value) == "coherence |c| exceeds sqrt(b*d); not a valid state"
     for column in (lambda: sweep._P_ONLY["concurrence"](x, vals, tag),
-                   lambda: sweep._DAMPED["concurrence_ad"](x, None, None),
+                   lambda: sweep._DAMPED["concurrence_ad"]([x], None, None),
                    lambda: _xcore._x_spectrum_concurrence(*x)):
         with pytest.raises(InputError) as got:
             column()
