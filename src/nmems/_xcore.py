@@ -83,7 +83,12 @@ _WITNESS_ENTRIES = {
 
 
 def _check_range(name: str, value: float, lo: float, hi: float) -> float:
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:
+        # an int beyond the float range, reported as the infinity that
+        # float() makes of its text
+        value = math.inf if value > 0 else -math.inf
     if not (lo <= value <= hi) or not math.isfinite(value):
         raise InputError(f"{name} must lie in [{lo:g}, {hi:g}], got {value!r}")
     return value

@@ -171,7 +171,11 @@ class SweepSpec(_Frozen):
             for end, value in (("min", lo), ("max", hi)):
                 if isinstance(value, bool) or not isinstance(value, (int, float)):
                     raise InputError(f"{name}_{end} must be a number, got {value!r}")
-            if not (math.isfinite(lo) and math.isfinite(hi)):
+            try:
+                finite = math.isfinite(lo) and math.isfinite(hi)
+            except OverflowError:  # an int beyond the float range
+                finite = False
+            if not finite:
                 raise InputError(f"{name} range must be finite")
             if lo > hi:
                 raise InputError(f"{name}_min {lo!r} exceeds {name}_max {hi!r}")

@@ -385,8 +385,9 @@ def _trace_seen_by_spectrum(a, b, c, d, e) -> bytes:
 
 
 class TestRangeChecks:
-    # every scalar entry point shares one range check: NaN, infinities and
-    # values just outside the range raise InputError, the upper edge passes
+    # every scalar entry point shares one range check: NaN, infinities,
+    # ints beyond the float range and values just outside the range raise
+    # InputError, the upper edge passes
     @pytest.mark.parametrize(
         "call,hi",
         [
@@ -411,7 +412,8 @@ class TestRangeChecks:
         ],
     )
     def test_rejects_non_finite_and_out_of_range(self, call, hi):
-        for bad in (math.nan, math.inf, -math.inf, -1e-9, math.nextafter(hi, math.inf)):
+        for bad in (math.nan, math.inf, -math.inf, 10**400, -10**400, -1e-9,
+                    math.nextafter(hi, math.inf)):
             with pytest.raises(InputError, match="must lie in"):
                 call(bad)
         call(hi)

@@ -298,6 +298,9 @@ class TestSweepSpecContract:
         (dict(quantities=("mid", "mid")), "duplicate quantity identifiers"),
         (dict(channel_mode="sideways"),
          "unknown channel mode 'sideways'; choose from: closed_form, correlated, product"),
+        # ints beyond the float range, which math.isfinite cannot take
+        (dict(p_max=10**400), "p range must be finite"),
+        (dict(theta_min=-10**400), "theta range must be finite"),
     ])
     def test_every_rejection_message(self, overrides, message):
         with pytest.raises(InputError) as got:
@@ -1447,6 +1450,11 @@ class TestQuantityRegistry:
         cases = [(2.0, math.nan, mode, p_message)] + [
             (0.1, theta, mode, f"theta must lie in [0, 1.5708], got {theta!r}")
             for theta in (-0.5, 2.0, 7.0, math.nan)
+        ] + [
+            # ints beyond the float range, shown as the infinities float()
+            # makes of their text
+            (10**400, 0.3, mode, "p must lie in [0, 1], got inf"),
+            (0.1, -10**400, mode, "theta must lie in [0, 1.5708], got -inf"),
         ]
         for bad in ("sideways", "Correlated", "correlated ", None):
             with pytest.raises(InputError) as spec_error:
