@@ -13,14 +13,14 @@ from the one Jacobi rotation such a state takes, replayed on floats (the
 coherence is real, so the complex rotation's imaginary parts are all
 zero, and its angle a constant where b == d), and the scalar forms of the
 measures.  A sweep takes each theta's factors once, and the closed-form
-fidelity's factors of p once per p.  It
-runs no iterative eigensolver, and a sweep cell makes each check once:
-``_x_spectrum`` checks the state's five numbers (finite entries, the
-eigenvalue floor, the trace window), and the concurrence columns then
+fidelity's factors of p once per p.  It runs no iterative eigensolver;
+one pass (``_x_row``) makes ``_x_spectrum``'s checks (finite entries, the
+eigenvalue floor, the trace window) on a p-row's damped states, built as
+five columns (``_damped_columns``), and the concurrence columns then
 check only the coherence bound |c| <= sqrt(b d) + 1e-9, because the
 numbers are finite, the clamp makes the diagonal non-negative, and the
 floor does not imply the bound; ``measures.concurrence_x`` runs that
-same ``_x_spectrum_concurrence``.  Each function has the checks and the
+same ``_x_concurrences``.  Each function has the checks and the
 messages of the matrix route it stands for, and its bits, except the
 spin-flip concurrence: it reads the singular values of
 K = sqrt(rho) (sy x sy) sqrt(rho)* off the five numbers, where they are
@@ -31,8 +31,6 @@ from here; the sweep engine, the presets and the headline report run on
 this module and the standard library alone, so it holds nothing only the
 matrix API needs, and imports neither ``typing`` nor ``cmath``.
 """
-
-from __future__ import annotations
 
 import math
 
@@ -223,8 +221,9 @@ CHANNEL_MODES = (MODE_CLOSED_FORM, MODE_CORRELATED, MODE_PRODUCT)
 
 # per channel mode: the damped state's five numbers from the family's five
 # numbers and the ``_theta_factors`` of theta, looked up by a mode that
-# ``_check_mode`` has passed.  The sweep takes each theta's factors once and
-# the image per cell; registry._damped is this table's matrix oracle.
+# ``_check_mode`` has passed: the per-point route (``_mode_damped_x``), of
+# which the sweep's ``_damped_columns`` is the row form; registry._damped is
+# this table's matrix oracle.
 _DAMPING = {
     MODE_CLOSED_FORM: _family_damped_x,
     MODE_CORRELATED: _correlated_pair_x,
@@ -303,6 +302,61 @@ def _x_spectrum(a: float, b: float, c: float, d: float, e: float) -> tuple:
     return vals, _normalization(vals[-1], (a + b) + (d + e))
 
 
+def _damped_columns(mode: str, x: tuple, thetas: tuple) -> tuple:
+    """``_DAMPING[mode]`` of the family's five numbers ``x`` at each theta
+    of a grid whose ``_theta_factors`` are the seven columns ``thetas``, as
+    five columns (a, b, c, d, e), with its bits.  d is b, one list, and so
+    is c where the image keeps b == c (closed_form, correlated)."""
+    a, z, _, _, e = x
+    one_g, one_g2, s, g, ss, gg, gs = thetas
+    if mode == MODE_CLOSED_FORM:
+        zs = [z * f for f in one_g]
+        return [a] * len(zs), zs, zs, zs, [e * f for f in one_g2]
+    zs = [(f * z) * f for f in s]
+    es = [(f * e) * f for f in ss]
+    if mode == MODE_CORRELATED:
+        return [a + (f * e) * f for f in gg], zs, zs, zs, es
+    bs = [v + (f * e) * f for v, f in zip(zs, gs)]
+    return [((a + (h * z) * h) + (h * z) * h) + (f * e) * f for h, f in zip(g, gg)], bs, zs, bs, es
+
+
+def _x_row(a_col: list, b_col: list, c_col: list, d_col: list, e_col: list,
+           entropies: bool):
+    """``_x_spectrum``'s checks and messages on each state of five columns
+    from ``_damped_columns`` (d is b, c >= +0.0), in order; the entropy of
+    each state's eigenvalues if ``entropies``, else None.  The b == d
+    rotation of ``_x_eigenvalues`` is replayed with its bits: c / |c| is
+    1.0, and where c is b the column pass's two rows are equal."""
+    isfinite = math.isfinite
+    cs, sn = _EQUAL_DIAG_COS, _EQUAL_DIAG_SIN
+    one_list = c_col is b_col
+    out = [] if entropies else None
+    for a, b, c, e in zip(a_col, b_col, c_col, e_col):
+        if not (isfinite(a) and isfinite(b) and isfinite(c) and isfinite(e)):
+            raise InputError("matrix entries must be finite")
+        hi = lo = b
+        if c > JACOBI_OFFDIAG_TOL:
+            if one_list:
+                u, v = cs * c, sn * c
+                c11 = c21 = u + v
+                c12 = c22 = u - v
+            else:
+                cb, sb, cc, sc = cs * b, sn * b, cs * c, sn * c
+                c11, c12, c21, c22 = cb + sc, cc - sb, cc + sb, cb - sc
+            hi = cs * c11 + sn * c21
+            lo = cs * c22 - sn * c12
+        tr = (a + b) + (b + e)
+        # false exactly where _normalization raises, which gives the message
+        if not (a >= EIGENVALUE_FLOOR and hi >= EIGENVALUE_FLOOR and lo >= EIGENVALUE_FLOOR
+                and e >= EIGENVALUE_FLOOR and 0.0 < tr <= 1.0 + TRACE_TOL):
+            _normalization(min(a, hi, lo, e), tr)
+        if entropies:
+            vals = [a, hi, lo, e]
+            vals.sort(reverse=True)
+            out.append(_spectrum_entropy(vals))
+    return out
+
+
 # ---------------------------------------------------------------- measures
 
 def _xlog2x(v: float) -> float:
@@ -338,21 +392,30 @@ def _spectrum_entropy(vals: list) -> float:
     return -total if total <= 0.0 else 0.0
 
 
-def _x_spectrum_concurrence(a: float, b: float, c: complex, d: float, e: float) -> float:
+def _x_concurrences(a_col, b_col, c_col, d_col, e_col) -> list:
     """The X-state concurrence 2 max(|c| - sqrt(a e), 0) (Yu and Eberly,
-    QIC 7, 459) of five finite numbers, c real or complex, with the
-    diagonal clamped at 0.0 as ``x_params_of`` clamps it, after the
-    coherence bound |c| <= sqrt(b d) + 1e-9, the one check its callers
-    have not made: ``_x_spectrum``'s checks (the sweep) and XStateParams'
-    (``concurrence_x``).  The eigenvalue floor does not imply the bound:
-    with b = 1e-8 and d = 0.5, |c| can pass sqrt(b d) by more than 1e-9
-    while the smallest eigenvalue stays above -1e-10.  (On a non-negative
-    diagonal the clamps change only -0.0, to 0.0, where each product, root
-    and difference they feed has the same value.)
-    """
-    _check_coherence(b if b > 0.0 else 0.0, c, d if d > 0.0 else 0.0)
-    ae = (a if a > 0.0 else 0.0) * (e if e > 0.0 else 0.0)
-    return 2.0 * max(abs(c) - math.sqrt(ae), 0.0)
+    QIC 7, 459) of each state of five columns of finite numbers, c real or
+    complex, with the diagonal clamped at 0.0 as ``x_params_of`` clamps it,
+    after the coherence bound |c| <= sqrt(b d) + 1e-9, the one check its
+    callers have not made: ``_x_spectrum``'s checks (the sweep) and
+    XStateParams' (``concurrence_x``).  The eigenvalue floor does not imply
+    the bound: with b = 1e-8 and d = 0.5, |c| can pass sqrt(b d) by more
+    than 1e-9 while the smallest eigenvalue stays above -1e-10.  (On a
+    non-negative diagonal the clamps change only -0.0, to 0.0, where each
+    product, root and difference they feed has the same value.)
+    ``0.0 if v < 0.0 else v`` is max(v, 0.0), without the call."""
+    sqrt = math.sqrt
+    out = []
+    for a, b, c, d, e in zip(a_col, b_col, c_col, d_col, e_col):
+        _check_coherence(b if b > 0.0 else 0.0, c, d if d > 0.0 else 0.0)
+        v = abs(c) - sqrt((a if a > 0.0 else 0.0) * (e if e > 0.0 else 0.0))
+        out.append(2.0 * (0.0 if v < 0.0 else v))
+    return out
+
+
+def _x_spectrum_concurrence(a: float, b: float, c: complex, d: float, e: float) -> float:
+    """``_x_concurrences`` of one state's five numbers."""
+    return _x_concurrences((a,), (b,), (c,), (d,), (e,))[0]
 
 
 def _x_concurrence_wootters(a: float, b: float, c: float, d: float, e: float) -> float:
@@ -499,13 +562,12 @@ def _closed_form_fidelity_p(p: float) -> tuple:
     return 1.0 - p, math.sqrt(3.0 * p * (p + 2.0))
 
 
-def _closed_form_fidelity(p_factors: tuple, theta_factors: tuple) -> float:
-    """``fidelity_ad_closed_form`` at one cell from the factors of its p
-    (``_closed_form_fidelity_p``) and of its theta (``_theta_factors``,
-    whose head is 1 - sin^2 theta)."""
+def _closed_form_fidelity(p_factors: tuple, one_gs) -> list:
+    """``fidelity_ad_closed_form`` at one p and each theta of a row, from
+    the factors of p (``_closed_form_fidelity_p``) and the 1 - sin^2 theta
+    of each theta (the head of its ``_theta_factors``)."""
     one_p, sq = p_factors
-    one_g = theta_factors[0]
-    return 0.5 + (one_p * one_g) / 9.0 + (one_g * sq) / 18.0
+    return [0.5 + (one_p * one_g) / 9.0 + (one_g * sq) / 18.0 for one_g in one_gs]
 
 
 def fidelity_ad_closed_form(p: float, theta: float) -> float:
@@ -530,4 +592,4 @@ def fidelity_ad_closed_form(p: float, theta: float) -> float:
     per grid point, with these bits.
     """
     p = _check_range("p", p, 0.0, 1.0)
-    return _closed_form_fidelity(_closed_form_fidelity_p(p), _theta_factors(theta))
+    return _closed_form_fidelity(_closed_form_fidelity_p(p), _theta_factors(theta)[:1])[0]

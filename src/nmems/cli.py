@@ -9,8 +9,6 @@ Subcommands:
 Exit codes: 0 success, 1 rejected input, 2 I/O failure.
 """
 
-from __future__ import annotations
-
 import argparse
 import math
 import re
@@ -31,17 +29,15 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_IO = 2
 
-# a signed coefficient with at least one digit, or none at all ("pi", "-pi")
-_PI_PATTERN = re.compile(
-    r"^\s*([+-]?(?:\d+\.?\d*|\.\d+)?)\s*\*?\s*pi\s*(?:/\s*(\d+\.?\d*))?\s*$",
-    re.IGNORECASE,
-)
+# a signed coefficient with at least one digit, or none at all ("pi", "-pi");
+# compiled on first use, in re's own cache, as only parse_angle reads it
+_PI_PATTERN = r"^\s*([+-]?(?:\d+\.?\d*|\.\d+)?)\s*\*?\s*pi\s*(?:/\s*(\d+\.?\d*))?\s*$"
 
 
 def parse_angle(text: str) -> float:
     """Parse an angle in radians; accepts plain floats and pi fractions
     such as ``pi``, ``pi/4``, ``3*pi/8`` or ``0.5pi``."""
-    match = _PI_PATTERN.match(text)
+    match = re.match(_PI_PATTERN, text, re.IGNORECASE)
     if match:
         coeff_text, denom_text = match.groups()
         if coeff_text in ("", "+"):

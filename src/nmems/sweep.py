@@ -16,26 +16,24 @@ order, run before the columns' own checks.
 
 Every column has one route on the scalar core (``_xcore``): a function of
 the family state's five numbers (_P_ONLY, which the headline report reads
-too), of a damped state's (_DAMPED), or the closed-form fidelity's three
-factored parts.  Each cell's damped state is checked once, by
-``_x_spectrum`` (finite entries, the eigenvalue floor, the trace window);
-entropy_ad and mid share one entropy of its eigenvalues, the fidelity
-columns take a float, with no result tuple, and the concurrence columns
-add only the coherence bound |c| <= sqrt(b d) + 1e-9, which those checks
-do not imply (``_xcore._x_spectrum_concurrence``).  No column needs
+too), of a p-row's damped states as five columns (_DAMPED), or the
+closed-form fidelity's factored parts.  A row's damped states are checked
+once, in one pass (``_xcore._x_row``) with ``_x_spectrum``'s checks
+(finite entries, the eigenvalue floor, the trace window); entropy_ad and
+mid share one entropy of each cell's eigenvalues, the fidelity columns
+take a float, with no result tuple, and the concurrence columns add only
+the coherence bound |c| <= sqrt(b d) + 1e-9, which those checks do not
+imply (``_xcore._x_concurrences``).  No column needs
 numpy.  The per-point registry (``nmems.registry``, here as
 ``QUANTITIES``) defines every column through the matrix API, which loads
 numpy: the public per-point API and the tests' oracle, which the engine
 never calls.
 """
 
-from __future__ import annotations
-
 import math
 import os
 
 from ._xcore import (
-    _DAMPING,
     _WITNESS_ENTRIES,
     CHANNEL_MODES,
     MODE_CLOSED_FORM,
@@ -46,17 +44,19 @@ from ._xcore import (
     _check_mode,
     _closed_form_fidelity,
     _closed_form_fidelity_p,
+    _damped_columns,
     _family,
     _require_unit,
     _spectrum_entropy,
     _theta_factors,
     _x_chsh,
     _x_concurrence_wootters,
+    _x_concurrences,
     _x_correlation_sum,
     _x_discord,
     _x_expectation,
     _x_fidelity,
-    _x_spectrum,
+    _x_row,
     _x_spectrum_concurrence,
     fidelity_ad_closed_form,
 )
@@ -109,16 +109,17 @@ _P_ONLY = {
         _x_expectation(_WITNESS_ENTRIES["stabilizer"], *x)),
 }
 
-# damped columns, each a list over a p-row's thetas, from each cell's raw
-# damped state x (checked by _xcore._x_spectrum), the entropy s_ad of its
-# eigenvalues and the entropy s of nmems(p), with no Kraus channel and no
-# per-cell state; _walk takes s_ads and s only where entropy_ad or mid reads them
+# damped columns, each a list over a p-row's thetas, from the five columns
+# of the row's damped states (_xcore._damped_columns, checked by
+# _xcore._x_row), the entropies s_ads of their eigenvalues and the entropy s
+# of nmems(p); _walk takes s_ads and s only where entropy_ad or mid reads them
 _DAMPED = {
-    "concurrence_ad": lambda xs, s_ads, s: [_x_spectrum_concurrence(*x) for x in xs],
-    "concurrence_ad_wootters": lambda xs, s_ads, s: [_x_concurrence_wootters(*x) for x in xs],
-    "fidelity_ad": lambda xs, s_ads, s: [_x_fidelity(*x) for x in xs],
-    "entropy_ad": lambda xs, s_ads, s: s_ads,
-    "mid": lambda xs, s_ads, s: [s_ad - s for s_ad in s_ads],
+    "concurrence_ad": lambda cols, s_ads, s: _x_concurrences(*cols),
+    "concurrence_ad_wootters": lambda cols, s_ads, s: [
+        _x_concurrence_wootters(*x) for x in zip(*cols)],
+    "fidelity_ad": lambda cols, s_ads, s: [_x_fidelity(*x) for x in zip(*cols)],
+    "entropy_ad": lambda cols, s_ads, s: s_ads,
+    "mid": lambda cols, s_ads, s: [s_ad - s for s_ad in s_ads],
 }
 
 
@@ -246,14 +247,14 @@ def _walk(spec: SweepSpec):
     when it is asked for.
 
     Once: each theta's factors, with the range check on theta
-    (``_xcore._theta_factors``).  Per p: the family state with nmems'
-    checks (``_xcore._family``), the _P_ONLY columns and, if mid is asked
-    for, the family state's entropy.  For damped columns: each theta's
-    damped state (the mode's image in ``_xcore._DAMPING``), the checks and
-    eigenvalues of each in theta order (``_xcore._x_spectrum``), their
-    entropies if a column reads them, then the _DAMPED columns in spec
-    order, with their own checks.  The closed form: p's factors and each
-    theta's cell from both.  ``_xcore._mode_damped_x`` and
+    (``_xcore._theta_factors``), as seven columns.  Per p: the family
+    state with nmems' checks (``_xcore._family``) and the _P_ONLY columns.
+    For damped columns: the row's damped states as five columns
+    (``_xcore._damped_columns``), one pass of the checks on them in theta
+    order, with their entropies if a column reads them (``_xcore._x_row``),
+    the family state's entropy if mid reads it, then the _DAMPED columns
+    in spec order, with their own checks.  The closed form: the row from
+    p's factors.  ``_xcore._mode_damped_x``, ``_xcore._x_spectrum`` and
     ``fidelity_ad_closed_form`` compose the same maps at one cell.
     """
     quantities = spec.quantities
@@ -263,24 +264,22 @@ def _walk(spec: SweepSpec):
                    if "fidelity_ad_closed_form" in quantities else None)
     wants_mid = "mid" in quantities
     wants_entropy_ad = wants_mid or "entropy_ad" in quantities
-    image = _DAMPING[spec.channel_mode]
-    thetas = [_theta_factors(theta)
-              for theta in _grid(spec.theta_min, spec.theta_max, spec.theta_steps)]
+    mode = spec.channel_mode
+    thetas = tuple(zip(*[_theta_factors(theta)
+                         for theta in _grid(spec.theta_min, spec.theta_max, spec.theta_steps)]))
     for p in _grid(spec.p_min, spec.p_max, spec.p_steps):
         base = _family(p)
         row = [None] * len(quantities)
         for i, column in p_only:
             row[i] = column(*base)
         if damped:
+            cols = _damped_columns(mode, base[0], thetas)
+            entropies = _x_row(*cols, wants_entropy_ad)
             entropy = _spectrum_entropy(base[1]) if wants_mid else None
-            xs = [image(base[0], factors) for factors in thetas]
-            spectra = [_x_spectrum(*x)[0] for x in xs]
-            entropies = [_spectrum_entropy(vals) for vals in spectra] if wants_entropy_ad else None
             for i, column in damped:
-                row[i] = column(xs, entropies, entropy)
+                row[i] = column(cols, entropies, entropy)
         if closed_form is not None:
-            p_factors = _closed_form_fidelity_p(p)
-            row[closed_form] = [_closed_form_fidelity(p_factors, factors) for factors in thetas]
+            row[closed_form] = _closed_form_fidelity(_closed_form_fidelity_p(p), thetas[0])
         yield p, row
 
 
@@ -324,13 +323,14 @@ def _write_lines(path: str, header: str, lines) -> None:
     any earlier file at ``path`` as it was.  A symbolic link is followed,
     so the file it names is replaced.  A path that exists and is not a
     regular file (a pipe, or a device such as /dev/stdout) is written
-    through instead; ``lines`` is then consumed in full before the first
-    byte is written, so a reader of a pipe gets the whole CSV or nothing.
+    through instead, as given (/dev/stdout on a pipe resolves to no name
+    that opens); ``lines`` is then consumed in full before the first byte
+    is written, so a reader of a pipe gets the whole CSV or nothing.
     """
-    real = os.path.realpath(path)
-    through = os.path.exists(real) and not os.path.isfile(real)
+    through = os.path.exists(path) and not os.path.isfile(path)
     if through:
         lines = list(lines)
+    real = path if through else os.path.realpath(path)
     head, tail = os.path.split(real)
     tmp = real if through else os.path.join(head, f".{tail}.{os.getpid()}.tmp")
     try:
@@ -465,7 +465,7 @@ def entanglement_boundary() -> float:
 
 def witness_zero_crossing(name: str) -> float:
     """Mixing parameter where Tr(W nmems(p)) changes sign, for the witness
-    ``name`` ("generic", "w1" or "stabilizer"), on its sweep column."""
+    ``name`` ("w1" or "stabilizer"), on its sweep column."""
     column = _P_ONLY[f"witness_{name}"]
     return _bisect_sign_change(lambda p: column(*_family(p)), 0.0, 1.0)
 

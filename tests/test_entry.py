@@ -13,7 +13,7 @@ import nmems.__main__ as entry
 from nmems import cli
 
 from test_numpy_free import _python
-from test_output_identity import HEADLINES_SHA256
+from test_output_identity import HEADLINES_SHA256, PRESET_SHA256
 
 _PYPROJECT = pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml"
 
@@ -61,6 +61,19 @@ def test_module_entry_freezes_and_keeps_exit_codes(args, code, tmp_path):
     assert match and int(match.group(1)) > 0, result.stderr
     if code == cli.EXIT_OK:
         assert hashlib.sha256(result.stdout).hexdigest()[:16] == HEADLINES_SHA256
+
+
+def test_out_dev_stdout_into_a_pipe(tmp_path):
+    # the child's stdout is a pipe, so /dev/stdout resolves to
+    # /proc/<pid>/fd/pipe:[<n>], where no file can be opened: the CSV goes
+    # to /dev/stdout as given, then the "wrote" line, and no file is left
+    result = _python(["-m", "nmems", "preset", "fig4", "--out", "/dev/stdout"], tmp_path)
+    assert (result.returncode, result.stderr) == (cli.EXIT_OK, b"")
+    wrote = b"wrote /dev/stdout\n"
+    assert result.stdout.endswith(wrote)
+    csv = result.stdout[:-len(wrote)]
+    assert hashlib.sha256(csv).hexdigest()[:16] == PRESET_SHA256["fig4"]
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_console_script_is_the_frozen_entry():

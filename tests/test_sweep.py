@@ -141,17 +141,30 @@ def _hook_damping(monkeypatch, hook, thetas=_grid(0.0, math.pi / 4, 3)):
     ``hook(family_x, theta)``, or the real one where the hook returns None,
     for the grid's ``thetas`` (those of ``_tiny_spec`` by default).
 
-    The sweep takes each theta's factors once (``_xcore._theta_factors``)
-    and the damped state per cell from the family's five numbers and those
-    factors (the mode's image in ``_xcore._DAMPING``); the hooked image
-    maps the factors back to their theta.  ``nmems_ad`` reads the same
-    table."""
-    theta_of = {_xcore._theta_factors(theta): theta for theta in thetas}
-    for mode, image in list(_xcore._DAMPING.items()):
-        monkeypatch.setitem(
-            _xcore._DAMPING, mode,
-            lambda x, factors, image=image: hook(x, theta_of[factors]) or image(x, factors),
-        )
+    The sweep builds each p-row's damped states as five columns
+    (``_xcore._damped_columns``), the d column the b column, and the c
+    column the b column too where the mode keeps b == c, and then checks
+    them in one row pass (``_xcore._x_row``).  A hooked state must have
+    b == d; the hooked row keeps the b and c columns one list where every
+    hooked state has b == c, so it takes the row pass's b == c arm, and
+    gives c a list of its own otherwise."""
+    real = sweep._damped_columns
+
+    def columns(mode, x, factors):
+        cols = real(mode, x, factors)
+        assert len(cols[0]) == len(thetas)
+        injected = [(k, hooked) for k, hooked in enumerate(hook(x, t) for t in thetas) if hooked]
+        if not injected:
+            return cols
+        a, b, c, _, e = (list(col) for col in cols)
+        for k, (ak, bk, ck, dk, ek) in injected:
+            assert bk == dk, "a hooked state needs b == d"
+            a[k], b[k], c[k], e[k] = ak, bk, ck, ek
+        if cols[2] is cols[1] and all(x[1] == x[2] for _, x in injected):
+            c = b
+        return a, b, c, b, e
+
+    monkeypatch.setattr(sweep, "_damped_columns", columns)
 
 
 class TestSweepSpecValidation:
@@ -448,17 +461,21 @@ class TestRunSweep:
             assert _bits(row.values) == want
 
     def test_kernel_rejection_aborts_like_per_point_route(self, monkeypatch):
-        # five numbers the checks reject, or a coherence only XStateParams
-        # rejects, abort the sweep with the error the per-point route
-        # raises at that cell, in every mode
+        # five numbers the checks reject abort the sweep with the error the
+        # per-point route raises at that cell, in every mode, in both arms
+        # of the row pass (b == c, and b == d != c).  A state that only the
+        # coherence bound rejects needs b != d, which no damped row holds;
+        # test_xcore rejects one on the column itself
         thetas = _grid(0.0, math.pi / 4, 5)
-        bad = {
-            1: (0.5, 0.3, 0.0, 0.2, 0.1),  # trace 1.1
-            2: (0.3, 0.3, 0.31, 0.3, 0.0),  # eigenvalue -0.01
-            3: (0.25, math.nan, 0.0, 0.25, 0.0),
-            # |c| just over sqrt(bd) + 1e-9, lowest eigenvalue above -1e-10
-            4: (0.4, 0.5, math.sqrt(0.5 * 1e-8) + 1e-8, 1e-8, 0.0),
-        }
+        bad = [
+            (1, (0.5, 0.25, 0.0, 0.25, 0.1)),  # trace 1.1
+            (1, (0.4, 0.2, 0.2, 0.2, 0.3)),  # trace 1.1, b == c
+            (2, (0.3, 0.3, 0.31, 0.3, 0.0)),  # eigenvalue -0.01
+            (2, (-0.01, 0.2, 0.2, 0.2, 0.61)),  # eigenvalue -0.01, b == c
+            (3, (0.25, 0.25, math.nan, 0.25, 0.0)),
+            (3, (math.nan, 0.25, 0.25, 0.25, 0.0)),
+            (4, (0.25, 0.25, 0.0, 0.25, math.inf)),
+        ]
         injected = {}
         real_damped = registry._damped
 
@@ -471,7 +488,7 @@ class TestRunSweep:
 
         _hook_damping(monkeypatch, lambda x, theta: injected.get(theta), thetas)
         monkeypatch.setattr(registry, "_damped", damped)
-        for k, x in bad.items():
+        for k, x in bad:
             injected.clear()
             injected[thetas[k]] = x
             for mode in CHANNEL_MODES:
@@ -551,13 +568,16 @@ class TestRunSweep:
             assert all(isinstance(v, float) for row in rows for v in row.values.values())
 
     def test_kernel_numerical_error_aborts(self, monkeypatch):
+        # in the family state's spectrum or in a damped row's pass
         def diverge(*x):
             raise NumericalError("no convergence")
 
-        monkeypatch.setattr(_xcore, "_x_eigenvalues", diverge)
-        for mode in CHANNEL_MODES:
-            with pytest.raises(NumericalError):
-                run_sweep(_tiny_spec(quantities=("mid",), channel_mode=mode))
+        for module, name in ((_xcore, "_x_eigenvalues"), (sweep, "_x_row")):
+            with monkeypatch.context() as patch:
+                patch.setattr(module, name, diverge)
+                for mode in CHANNEL_MODES:
+                    with pytest.raises(NumericalError):
+                        run_sweep(_tiny_spec(quantities=("mid",), channel_mode=mode))
 
     @pytest.mark.parametrize("p_min, p_max, theta_min, theta_max", [
         (0.9, 1.0, 0.0, math.pi / 2),  # p = 1 beside theta = pi/2 (gamma = 1)
@@ -631,13 +651,17 @@ class TestRunSweep:
     @pytest.mark.parametrize("mode", CHANNEL_MODES)
     def test_engine_work_is_counted_per_p_theta_and_cell(self, monkeypatch, tmp_path, mode):
         # a preset-sized stream_csv: one family state per p, one set of
-        # factors per theta, one spectrum per damped cell and none without a
-        # damped column, no atan2 (every state on the grid has b == d), and
-        # one string of theta_steps lines written per p
+        # factors per theta, one set of damped columns and one row pass per
+        # p with a damped column and none without, no spectrum or image per
+        # cell (only the family state's per p), no atan2 (every state on the
+        # grid has b == d), and one string of theta_steps lines written per p
         families = _spy(monkeypatch, sweep, "_family")
         factors = _spy(monkeypatch, sweep, "_theta_factors")
-        spectra = _spy(monkeypatch, sweep, "_x_spectrum")
+        columns = _spy(monkeypatch, sweep, "_damped_columns")
+        passes = _spy(monkeypatch, sweep, "_x_row")
+        spectra = _spy(monkeypatch, _xcore, "_x_spectrum")
         angles = _spy(monkeypatch, math, "atan2")
+        monkeypatch.setattr(_xcore, "_DAMPING", {})
         written = []
         write_lines = sweep._write_lines
 
@@ -648,45 +672,62 @@ class TestRunSweep:
         base = PRESETS["fig1"]
         n_p, n_theta = base.p_steps, base.theta_steps
         for quantities, damped in ((("concurrence", "mid", "fidelity_ad_closed_form",
-                                     "concurrence_ad"), n_p * n_theta),
+                                     "concurrence_ad"), n_p),
                                    (PRESETS["fig2"].quantities, 0)):
             spec = SweepSpec(p_min=base.p_min, p_max=base.p_max, p_steps=n_p,
                              theta_min=base.theta_min, theta_max=base.theta_max,
                              theta_steps=n_theta, quantities=quantities, channel_mode=mode)
-            for seen in (families, factors, spectra, angles, written):
+            for seen in (families, factors, columns, passes, spectra, angles, written):
                 seen.clear()
             stream_csv(spec, str(tmp_path / "counted.csv"))
             assert len(families) == n_p
             assert len(factors) == n_theta
-            assert len(spectra) == damped
+            assert len(columns) == len(passes) == damped
+            assert all(len(args[0]) == n_theta for args in passes)
+            assert len(spectra) == n_p
             assert angles == []
             assert [chunk.count("\n") for chunk in written] == [n_theta] * n_p
 
     def test_p_row_runs_every_spectrum_check_before_column_checks(self, monkeypatch):
         # in one p-row, a later cell past the trace window is rejected before
-        # an earlier cell that fails only concurrence_ad's coherence bound;
-        # iter_sweep yields every row of the p before, and none of that p
+        # an earlier cell that fails only a column's own check;
+        # iter_sweep yields every row of the p before, and none of that p.
+        # No damped state fails the coherence or correlation bound alone, so
+        # each is tightened to reject the earlier cell's |c| = 0.475 and
+        # t_xx = 0.95, and no real cell of the grid (|c| <= 1/3)
         thetas = _grid(0.0, math.pi / 4, 5)
         row_p = _xcore._family_x(0.1)
-        coherence = {thetas[1]: (0.4, 0.5, math.sqrt(0.5 * 1e-8) + 1e-8, 1e-8, 0.0)}
-        trace = {thetas[3]: (0.5, 0.3, 0.0, 0.2, 0.1)}
+        earlier = {thetas[1]: (0.025, 0.475, 0.475, 0.475, 0.025)}
+        trace = {thetas[3]: (0.5, 0.25, 0.0, 0.25, 0.1)}
         injected = {}
         _hook_damping(monkeypatch, lambda x, theta: x == row_p and injected.get(theta),
                       thetas)
-        for mode in CHANNEL_MODES:
-            spec = _tiny_spec(theta_steps=5, quantities=("concurrence_ad", "entropy_ad"),
-                              channel_mode=mode)
-            injected.update(coherence)
-            injected.update(trace)
-            rows = iter_sweep(spec)
-            assert [next(rows)[0] for _ in thetas] == [0.0] * 5
-            with pytest.raises(InputError, match=r"^density matrix trace 1\.1 outside"):
-                next(rows)
-            injected.clear()
-            injected.update(coherence)
-            with pytest.raises(InputError, match=r"^coherence \|c\| exceeds"):
-                run_sweep(spec)
-            injected.clear()
+        for column, check, rejects in (
+            ("concurrence_ad", "_check_coherence", lambda b, c, d: abs(c) > 0.45),
+            ("fidelity_ad", "_check_correlation_bound", lambda largest: largest > 0.9),
+        ):
+            def tight(*args, real=getattr(_xcore, check), check=check, rejects=rejects):
+                if rejects(*args):
+                    raise InputError(f"{check} rejects the earlier cell")
+                return real(*args)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(_xcore, check, tight)
+                for mode in CHANNEL_MODES:
+                    spec = _tiny_spec(theta_steps=5, quantities=(column, "entropy_ad"),
+                                      channel_mode=mode)
+                    injected.update(earlier)
+                    injected.update(trace)
+                    rows = iter_sweep(spec)
+                    assert [next(rows)[0] for _ in thetas] == [0.0] * 5
+                    with pytest.raises(InputError,
+                                       match=r"^density matrix trace 1\.1 outside"):
+                        next(rows)
+                    injected.clear()
+                    injected.update(earlier)
+                    with pytest.raises(InputError, match=f"^{check} rejects the earlier cell"):
+                        run_sweep(spec)
+                    injected.clear()
 
     @pytest.mark.parametrize("mode", CHANNEL_MODES)
     @pytest.mark.parametrize("quantities, calls", [
@@ -698,10 +739,13 @@ class TestRunSweep:
         (("concurrence_ad", "fidelity_ad"), 0),
     ])
     def test_each_entropy_is_taken_once(self, monkeypatch, mode, quantities, calls):
-        seen = _spy(monkeypatch, sweep, "_spectrum_entropy")
+        # the family's in the engine, the damped cells' in the row pass
+        family = _spy(monkeypatch, sweep, "_spectrum_entropy")
+        damped = _spy(monkeypatch, _xcore, "_spectrum_entropy")
         spec = _tiny_spec(quantities=quantities, channel_mode=mode)
         rows = run_sweep(spec)
-        assert len(seen) == calls
+        assert len(family) == 3 * ("mid" in quantities)
+        assert len(family) + len(damped) == calls
         for row in rows:
             assert _bits(row.values) == _bits(_per_point_values(spec, row.p, row.theta))
 
@@ -1198,14 +1242,17 @@ class TestCli:
 
             monkeypatch.setitem(_P_ONLY, "chsh", chsh)
         else:
-            # the cell's part, keyed on the factors of p = 0.1 and theta = 0
+            # the row's part, keyed on the factors of p = 0.1 and rejecting
+            # at theta = 0, whose 1 - sin^2 theta is 1.0
             real = sweep._closed_form_fidelity
-            at_cell = (_xcore._closed_form_fidelity_p(0.1), _xcore._theta_factors(0.0))
+            at_p = _xcore._closed_form_fidelity_p(0.1)
 
-            def closed_form(pf, tf):
-                if (pf, tf) == at_cell:
-                    reject_at_cell(0.1, 0.0)
-                return real(pf, tf)
+            def closed_form(pf, one_gs):
+                if pf == at_p:
+                    for one_g in one_gs:
+                        if one_g == 1.0:
+                            reject_at_cell(0.1, 0.0)
+                return real(pf, one_gs)
 
             monkeypatch.setattr(sweep, "_closed_form_fidelity", closed_form)
         spec = SweepSpec(

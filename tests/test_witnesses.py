@@ -136,6 +136,14 @@ class TestSignStructure:
         assert abs(witness_zero_crossing("w1") - 2.0 / 7.0) < 1e-9
         assert abs(witness_zero_crossing("stabilizer") - 0.25) < 1e-9
 
+    def test_generic_witness_has_no_crossing(self):
+        # Tr(W nmems(p)) falls from 1/3 at p = 0 to a rounding residue of
+        # 2^-53 above zero at p = 1, the GHZ reduction: one sign on [0, 1]
+        from nmems.sweep import witness_zero_crossing
+
+        with pytest.raises(InputError, match=r"^no sign change on \[0\.0, 1\.0\]$"):
+            witness_zero_crossing("generic")
+
     def test_detection_windows(self):
         w1 = witness_w1()
         stab = witness_stabilizer()

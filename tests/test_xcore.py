@@ -383,7 +383,7 @@ def test_concurrence_columns_reject_the_coherence_bound_alone():
         XStateParams(*x)
     assert str(want.value) == "coherence |c| exceeds sqrt(b*d); not a valid state"
     for column in (lambda: sweep._P_ONLY["concurrence"](x, vals, tag),
-                   lambda: sweep._DAMPED["concurrence_ad"]([x], None, None),
+                   lambda: sweep._DAMPED["concurrence_ad"](tuple([v] for v in x), None, None),
                    lambda: _xcore._x_spectrum_concurrence(*x)):
         with pytest.raises(InputError) as got:
             column()
@@ -435,3 +435,108 @@ def _tied_spin_flips(draw):
 @example(x=(-0.0, 0.5, -0.0, -0.0, 0.5))
 def test_spin_flip_value_is_the_sorted_form(x):
     assert _xcore._x_concurrence_wootters(*x).hex() == _sorted_spin_flip(*x).hex()
+
+
+# the whole domain of the row pass: the 201 x 201 grid, both ends
+# included, and the lines next to its edges (the float next to p = 1 and to
+# theta = pi/2, the smallest subnormal and a tiny gamma)
+_ROW_PS = sweep._grid(0.0, 1.0, 201) + [math.nextafter(1.0, 0.0), 5e-324, 1e-300]
+_ROW_THETAS = sweep._grid(0.0, math.pi / 2.0, 201) + [
+    math.nextafter(math.pi / 2.0, 0.0), 5e-324, 1e-8]
+_ROW_FACTORS = tuple(zip(*map(_xcore._theta_factors, _ROW_THETAS)))
+
+
+def _cell_route(x: tuple):
+    """The message of ``_x_spectrum``'s rejection of ``x``, or the hex of
+    the entropy of its eigenvalues."""
+    try:
+        vals, _ = _xcore._x_spectrum(*x)
+    except InputError as exc:
+        return str(exc)
+    return _xcore._spectrum_entropy(vals).hex()
+
+
+def _row_pass(cols: tuple):
+    """``_x_row``'s rejection message on ``cols``, or its entropies in hex."""
+    try:
+        return [v.hex() for v in _xcore._x_row(*cols, True)]
+    except InputError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("mode", CHANNEL_MODES)
+def test_row_pass_is_the_cell_route_over_the_whole_domain(mode):
+    # every damped state of a row is the mode's image at its cell, and the
+    # row pass gives each cell's entropy, hex for hex, and None without
+    # entropies; the d column is the b column, and so is the c column
+    # where the image keeps b == c
+    for p in _ROW_PS:
+        cols = _xcore._damped_columns(mode, _xcore._family(p)[0], _ROW_FACTORS)
+        assert cols[3] is cols[1] and (cols[2] is cols[1]) == (mode != "product")
+        cells = [_xcore._mode_damped_x(mode, p, theta) for theta in _ROW_THETAS]
+        assert [[v.hex() for v in x] for x in zip(*cols)] == [
+            [v.hex() for v in x] for x in cells], (mode, p)
+        assert _row_pass(cols) == [_cell_route(x) for x in cells], (mode, p)
+        assert _xcore._x_row(*cols, False) is None
+
+
+# states with b == d (c >= 0) on both sides of each check of _x_spectrum:
+# finite entries, the eigenvalue floor -1e-10 and the trace window
+# (0, 1 + 1e-10], in the row pass's two arms (b == c, and b != c), and
+# traces whose last bit shows the order of the sum, (a + b) + (d + e)
+_ROW_EDGES = [
+    (1.0, 0.0, 0.0, 0.0, 1e-10), (1.0, 0.0, 0.0, 0.0, 2e-10),
+    (-1e-10, 0.0, 0.0, 0.0, 0.5), (-2e-10, 0.0, 0.0, 0.0, 0.5),
+    (5e-324, 0.0, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0, 0.0, 0.0), (0.0, -0.0, -0.0, -0.0, 0.0),
+    (0.0, 0.5, 0.5, 0.5, 0.0), (0.2, 0.3, 0.3, 0.3, 0.2), (0.5, 0.25, 1e-12, 0.25, 0.0),
+    (0.5, 0.25, 1.0000001e-12, 0.25, 0.0), (0.5, 0.0, 1e-12, 0.0, 0.5),
+    (0.5, 0.0, 1.0000001e-12, 0.0, 0.5), (0.5, 1e-12, 1e-12, 1e-12, 0.5),
+    (0.5, 2e-12, 2e-12, 2e-12, 0.5), (0.3, 0.3, 0.31, 0.3, 0.0),
+    (0.2, 0.25, 0.25 + 1e-10, 0.25, 0.3), (0.2, 0.25, 0.25 + 2e-10, 0.25, 0.3),
+    (-0.01, 0.2, 0.2, 0.2, 0.61), (0.4, 0.2, 0.2, 0.2, 0.3), (0.5, 0.25, 0.0, 0.25, 0.1),
+    (-0.5, 0.0, 0.0, 0.0, 2.0), (0.6, 0.2, 0.0, 0.2, -1e-10), (0.6, 0.2, 0.2, 0.2, -2e-10),
+    (1.5, 1e-16, 0.0, 1e-16, 1e-16), (1.5, 1e-16, 1e-16, 1e-16, 1e-16),
+    (0.5, 1e308, 1e308, 1e308, 0.0),
+    *[tuple(v if i in places else 0.25 for i in range(5))
+      for places, values in (((0,), (math.nan, math.inf, -math.inf)),
+                             ((1, 3), (math.nan, math.inf, -math.inf)),
+                             ((2,), (math.nan, math.inf)),
+                             ((4,), (math.nan, math.inf, -math.inf)))
+      for v in values],
+]
+
+
+def _with_cells(cols: tuple, cells: dict) -> tuple:
+    """``cols`` with the states ``cells`` (by index) put in, b in the b and
+    d columns; c stays in the b column where every state there has b == c."""
+    a, b, c, _, e = (list(col) for col in cols)
+    for k, x in cells.items():
+        a[k], b[k], c[k], _, e[k] = x
+    if cols[2] is cols[1] and all(x[1] == x[2] for x in cells.values()):
+        c = b
+    return a, b, c, b, e
+
+
+@pytest.mark.parametrize("mode", CHANNEL_MODES)
+def test_row_pass_rejects_as_the_cell_route(mode):
+    # one edge state put into a row of the grid: the row pass rejects it
+    # with _x_spectrum's message, or gives its entropy, and each real
+    # cell's; of two rejected states, the earlier in the row is reported,
+    # whatever check rejects either
+    for p in _ROW_PS[::20]:
+        x = _xcore._family(p)[0]
+        cols = _xcore._damped_columns(mode, x, _ROW_FACTORS)
+        want = [_cell_route(cell) for cell in zip(*cols)]
+        for k, edge in itertools.product((0, 57, len(_ROW_THETAS) - 1), _ROW_EDGES):
+            assert str(edge[1]) == str(edge[3]) and not edge[2] < 0.0
+            row = _with_cells(cols, {k: edge})
+            got = _row_pass(row)
+            edge_route = _cell_route(edge)
+            if edge_route.startswith(("density", "matrix")):
+                assert got == edge_route, (mode, p, k, edge)
+            else:
+                assert got == want[:k] + [edge_route] + want[k + 1:], (mode, p, k, edge)
+        rejected = [e for e in _ROW_EDGES if _cell_route(e).startswith(("density", "matrix"))]
+        for first, second in itertools.permutations(rejected[::4], 2):
+            got = _row_pass(_with_cells(cols, {3: first, 150: second}))
+            assert got == _cell_route(first), (mode, p, first, second)
