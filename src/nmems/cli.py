@@ -1,16 +1,15 @@
-"""Command-line front end.
+"""Command-line front end: ``nmems sweep``, ``preset NAME`` and ``headlines``.
 
-Subcommands:
-    sweep      free-form (p, theta) grid sweep to CSV; flags or a flat
-               ``key = value`` spec file (flags win)
-    preset     one-command reproduction of the four figure datasets
-    headlines  print the headline-number report
+Options go anywhere after the command, as ``--key value`` or ``--key=value``
+spelled out in full, and the last of a repeated flag wins.  The sweep
+settings are the flags and the spec-file keys of one table, which also
+builds the ``--help`` page.
 
-Exit codes: 0 success, 1 rejected input, 2 I/O failure.
+Exit codes: 0 success, 1 rejected input, 2 I/O failure (a closed stdout too).
 """
 
-import argparse
 import math
+import os
 import re
 import sys
 
@@ -56,46 +55,87 @@ def parse_angle(text: str) -> float:
         raise InputError(f"cannot parse angle {text!r}") from None
 
 
-# every sweep setting, as argparse keyword arguments; each name is both a
-# flag (--p-min) and a spec-file key (p-min or p_min), and all but ``out``
-# are SweepSpec fields
+# every sweep setting: name -> (converter, help); each name is both a flag
+# (--p-min) and a spec-file key (p-min or p_min), and all but ``out`` are
+# SweepSpec fields
 _SWEEP_SETTINGS = {
-    "p_min": dict(type=float),
-    "p_max": dict(type=float),
-    "p_steps": dict(type=int),
-    "theta_min": dict(type=parse_angle),
-    "theta_max": dict(type=parse_angle),
-    "theta_steps": dict(type=int),
-    "quantities": dict(
-        type=str, help="comma-separated; known: " + ", ".join(QUANTITY_NAMES)
-    ),
-    "channel_mode": dict(type=str, help="one of: " + ", ".join(CHANNEL_MODES)),
-    "out": dict(type=str, help="output CSV path"),
+    "p_min": (float, "first p of the grid"),
+    "p_max": (float, "last p of the grid"),
+    "p_steps": (int, "number of p points"),
+    "theta_min": (parse_angle, "first theta, in radians or as pi/8, 0.5pi, ..."),
+    "theta_max": (parse_angle, "last theta"),
+    "theta_steps": (int, "number of theta points"),
+    "quantities": (str, "comma-separated names from the quantities below"),
+    "channel_mode": (str, "one of the channel modes below"),
+    "out": (str, "output CSV path"),
+}
+
+# each command, with its arguments and summary, and the settings it takes
+_COMMANDS = {
+    "sweep": ("sweep          a (p, theta) grid sweep to CSV", ("spec_file", *_SWEEP_SETTINGS)),
+    "preset": ("preset NAME    a figure dataset, to --out or else NAME.csv", ("out",)),
+    "headlines": ("headlines      the headline-number report, to stdout", ()),
 }
 
 
-class _Parser(argparse.ArgumentParser):
-    # argparse exits with status 2 on bad usage; route through InputError so
-    # usage problems land on the rejected-input exit code instead
-    def error(self, message):
-        raise InputError(message)
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="nmems", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", required=True)
+def _help() -> str:
+    flags = [("spec_file", "flat key = value file of the settings below")]
+    flags += [(key, text) for key, (_, text) in _SWEEP_SETTINGS.items()]
+    names = QUANTITY_NAMES
+    return "\n".join([
+        "usage: nmems COMMAND [--KEY VALUE | --KEY=VALUE]...",
+        *("  " + text for text, _ in _COMMANDS.values()),
+        "sweep flags (the last of a repeated flag wins, and flags win over the file):",
+        *(f"  {_flag(key):<16}{text}" for key, text in flags),
+        "preset names: " + ", ".join(sorted(PRESETS)),
+        "quantities:",
+        *("  " + ", ".join(names[i:i + 4]) for i in range(0, len(names), 4)),
+        "channel modes: " + ", ".join(CHANNEL_MODES),
+        "exit codes: 0 success, 1 rejected input, 2 I/O failure",
+        "",
+    ])
 
-    sweep = sub.add_parser("sweep", help="run a (p, theta) grid sweep to CSV")
-    sweep.add_argument("--spec-file", help="flat key = value file with the flags below")
-    for key, kwargs in _SWEEP_SETTINGS.items():
-        sweep.add_argument("--" + key.replace("_", "-"), **kwargs)
 
-    preset = sub.add_parser("preset", help="emit one of the figure datasets")
-    preset.add_argument("name", help="one of: " + ", ".join(sorted(PRESETS)))
-    preset.add_argument("--out", help="output CSV path (default <name>.csv)")
+def _parse(argv: list):
+    """(command, {setting: text}, positional arguments) of ``argv``, or
+    None where it asks for help."""
+    command = argv[0] if argv else None
+    if command in ("-h", "--help"):
+        return None
+    if command not in _COMMANDS:
+        raise InputError(("no command" if command is None else f"unknown command {command!r}")
+                         + "; choose from: " + ", ".join(_COMMANDS))
+    rest = iter(argv[1:])
+    flags = {_flag(key): key for key in _COMMANDS[command][1]}
+    options, positionals = {}, []
+    for arg in rest:
+        if arg in ("-h", "--help"):
+            return None
+        if not arg.startswith("-"):
+            positionals.append(arg)
+            continue
+        flag, eq, text = arg.partition("=")
+        if flag not in flags:
+            raise InputError(f"unknown option {flag!r} for {command}")
+        if not eq:
+            text = next(rest, None)
+            if text is None:
+                raise InputError(f"option {flag} needs a value")
+        options[flags[flag]] = text
+    return command, options, positionals
 
-    sub.add_parser("headlines", help="print the headline-number report")
-    return parser
+
+def _convert(key: str, text: str, where: str):
+    """The value of sweep setting ``key`` read from ``text``; a bad value
+    is an InputError that names ``where``, the flag or a file's path:line."""
+    try:
+        return _SWEEP_SETTINGS[key][0](text)
+    except (ValueError, InputError) as exc:
+        raise InputError(f"{where}: bad value: {exc}") from None
 
 
 def load_spec_file(path: str) -> dict:
@@ -115,64 +155,63 @@ def load_spec_file(path: str) -> dict:
             raise InputError(f"{path}:{lineno}: expected key = value")
         key, _, value = line.partition("=")
         key = key.strip().replace("-", "_").lower()
-        value = value.strip()
         if key not in _SWEEP_SETTINGS:
             raise InputError(
                 f"{path}:{lineno}: unknown key {key!r}; known keys: "
                 + ", ".join(sorted(_SWEEP_SETTINGS))
             )
-        try:
-            values[key] = _SWEEP_SETTINGS[key]["type"](value)
-        except (ValueError, InputError) as exc:
-            raise InputError(f"{path}:{lineno}: bad value for {key}: {exc}") from None
+        values[key] = _convert(key, value.strip(), f"{path}:{lineno}")
     return values
 
 
-def _split_quantities(text: str) -> tuple:
-    return tuple(q.strip() for q in text.split(",") if q.strip())
-
-
-def _run_sweep_command(ns) -> int:
-    settings = load_spec_file(ns.spec_file) if ns.spec_file else {}
-    for key in _SWEEP_SETTINGS:
-        if getattr(ns, key) is not None:
-            settings[key] = getattr(ns, key)
-
+def _sweep_spec(options: dict) -> tuple:
+    """The SweepSpec and output path of the sweep command's options."""
+    spec_file = options.pop("spec_file", "")
+    settings = load_spec_file(spec_file) if spec_file else {}
+    settings.update((key, _convert(key, text, _flag(key))) for key, text in options.items())
     out = settings.pop("out", "")
     if not out:
         raise InputError("an output path is required (--out or 'out =' in the file)")
-    quantities = _split_quantities(settings.pop("quantities", ""))
-    spec = SweepSpec(**settings, quantities=quantities)
-    stream_csv(spec, out)
-    print(f"wrote {out}")
-    return EXIT_OK
-
-
-def _run_preset_command(ns) -> int:
-    spec = preset_spec(ns.name)
-    out = ns.out or f"{ns.name}.csv"
-    stream_csv(spec, out)
-    print(f"wrote {out}")
-    return EXIT_OK
+    quantities = tuple(q.strip() for q in settings.pop("quantities", "").split(",") if q.strip())
+    return SweepSpec(**settings, quantities=quantities), out
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        ns = parser.parse_args(argv)
-        if ns.command == "sweep":
-            return _run_sweep_command(ns)
-        if ns.command == "preset":
-            return _run_preset_command(ns)
-        if ns.command == "headlines":
-            sys.stdout.write(report_headlines())
-            return EXIT_OK
-        raise InputError(f"unknown command {ns.command!r}")
+        parsed = _parse(sys.argv[1:] if argv is None else argv)
+        if parsed is None:
+            sys.stdout.write(_help())
+        else:
+            command, options, names = parsed
+            if command == "preset" and len(names) != 1:
+                raise InputError("preset takes one NAME; choose from: "
+                                 + ", ".join(sorted(PRESETS)))
+            if command != "preset" and names:
+                raise InputError(f"unexpected argument {names[0]!r}")
+            if command == "headlines":
+                sys.stdout.write(report_headlines())
+            else:
+                spec, out = _sweep_spec(options) if command == "sweep" else (
+                    preset_spec(names[0]), options.get("out") or f"{names[0]}.csv")
+                stream_csv(spec, out)
+                print(f"wrote {out}")
+        # a reader that closed early fails here, as an I/O error, and not
+        # in the interpreter's flush at exit
+        sys.stdout.flush()
+        return EXIT_OK
     except (InputError, NumericalError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
+        try:
+            sys.stdout.flush()
+        except OSError:
+            # stdout is closed for good: what it still holds goes to
+            # devnull at exit, where that flush cannot fail again
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
         return EXIT_IO
 
 

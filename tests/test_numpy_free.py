@@ -34,8 +34,8 @@ from test_output_identity import (
 _UNWANTED = ("numpy", "dataclasses")
 
 # python -m nmems ARGS..., once formatted with a tuple of module names: at
-# exit (after any SystemExit, such as argparse's after --help) it reports
-# which of them were imported
+# exit (after the SystemExit that carries the command's exit code, --help's
+# 0 included) it reports which of them were imported
 _CLI = """
 import atexit, runpy, sys
 unwanted = %r
