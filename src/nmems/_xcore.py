@@ -326,14 +326,14 @@ def _x_row(a_col: list, b_col: list, c_col: list, d_col: list, e_col: list,
     from ``_damped_columns`` (d is b, c >= +0.0), in order; the entropy of
     each state's eigenvalues if ``entropies``, else None.  The b == d
     rotation of ``_x_eigenvalues`` is replayed with its bits: c / |c| is
-    1.0, and where c is b the column pass's two rows are equal."""
-    isfinite = math.isfinite
+    1.0, and where c is b the column pass's two rows are equal.  Each
+    entropy is ``_spectrum_entropy``'s of the four sorted descending, bit for
+    bit, with no list, sort or call: five compare-exchanges, then one sum."""
+    isfinite, log2 = math.isfinite, math.log2
     cs, sn = _EQUAL_DIAG_COS, _EQUAL_DIAG_SIN
     one_list = c_col is b_col
     out = [] if entropies else None
     for a, b, c, e in zip(a_col, b_col, c_col, e_col):
-        if not (isfinite(a) and isfinite(b) and isfinite(c) and isfinite(e)):
-            raise InputError("matrix entries must be finite")
         hi = lo = b
         if c > JACOBI_OFFDIAG_TOL:
             if one_list:
@@ -346,14 +346,31 @@ def _x_row(a_col: list, b_col: list, c_col: list, d_col: list, e_col: list,
             hi = cs * c11 + sn * c21
             lo = cs * c22 - sn * c12
         tr = (a + b) + (b + e)
-        # false exactly where _normalization raises, which gives the message
+        # false where an entry is not finite (c is b where one_list) and
+        # exactly where _normalization raises, which gives the message
         if not (a >= EIGENVALUE_FLOOR and hi >= EIGENVALUE_FLOOR and lo >= EIGENVALUE_FLOOR
-                and e >= EIGENVALUE_FLOOR and 0.0 < tr <= 1.0 + TRACE_TOL):
+                and e >= EIGENVALUE_FLOOR and 0.0 < tr <= 1.0 + TRACE_TOL
+                and (one_list or isfinite(c))):
+            if not (isfinite(a) and isfinite(b) and isfinite(c) and isfinite(e)):
+                raise InputError("matrix entries must be finite")
             _normalization(min(a, hi, lo, e), tr)
         if entropies:
-            vals = [a, hi, lo, e]
-            vals.sort(reverse=True)
-            out.append(_spectrum_entropy(vals))
+            # list.sort's order, but for equal values, which add equal terms;
+            # a v <= 0 adds +0.0 where _spectrum_entropy skips it, which moves
+            # no bit of a total that starts at 0.0 and so is never -0.0
+            if a < hi:
+                a, hi = hi, a
+            if lo < e:
+                lo, e = e, lo
+            if a < lo:
+                a, lo = lo, a
+            if hi < e:
+                hi, e = e, hi
+            if hi < lo:
+                hi, lo = lo, hi
+            total = (0.0 + (a * log2(a) if a > 0.0 else 0.0) + (hi * log2(hi) if hi > 0.0 else 0.0)
+                     + (lo * log2(lo) if lo > 0.0 else 0.0) + (e * log2(e) if e > 0.0 else 0.0))
+            out.append(-total if total <= 0.0 else 0.0)
     return out
 
 
@@ -383,6 +400,7 @@ def _spectrum_entropy(vals: list) -> float:
     entropy is never negative.  A pure spectrum's total of 0.0 still gives
     -0.0.  A plain loop, not builtin sum: from Python 3.12 on sum
     compensates float sums, which moves the last bit of some entropies.
+    ``_x_row`` sums a damped row's spectra inline with these bits.
     """
     total = 0.0
     log2 = math.log2

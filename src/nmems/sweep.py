@@ -326,16 +326,18 @@ def _write_lines(path: str, header: str, lines) -> None:
     through instead, as given (/dev/stdout on a pipe resolves to no name
     that opens); ``lines`` is then consumed in full before the first byte
     is written, so a reader of a pipe gets the whole CSV or nothing.
+    Either target is opened before ``lines`` is read, so one that cannot
+    be opened, such as a directory, fails before the sweep is evaluated.
     """
     through = os.path.exists(path) and not os.path.isfile(path)
-    if through:
-        lines = list(lines)
     real = path if through else os.path.realpath(path)
     head, tail = os.path.split(real)
     tmp = real if through else os.path.join(head, f".{tail}.{os.getpid()}.tmp")
     try:
         try:
             with open(tmp, "w", encoding="utf-8", newline="") as fh:
+                if through:
+                    lines = list(lines)
                 fh.write(header)
                 for line in lines:
                     fh.write(line)
@@ -376,23 +378,31 @@ def emit_csv(rows: list, path: str) -> None:
 
 def stream_csv(spec: SweepSpec, path: str) -> None:
     """Write the sweep of ``spec`` to ``path`` as ``emit_csv`` writes
-    ``run_sweep(spec)``, byte for byte, with one write per p-row, each line
-    one ``%`` of one template, and p, theta and p-only values formatted once.
-    An error at any cell (checked in ``_walk``'s order, a p-row before its
-    first line) leaves no CSV and no temporary file, and any earlier file
-    at ``path`` as it was; a pipe or device target gets nothing
-    (``_write_lines``)."""
+    ``run_sweep(spec)``, byte for byte, with one write per p-row: one line
+    template takes p's and the p-only cells' text (one small ``%``), and
+    its repeat over the thetas one ``%`` of their text and the per-theta
+    values.  An error at any cell (checked in ``_walk``'s order, a p-row
+    before its first line) leaves no CSV and no temporary file, and any
+    earlier file at ``path`` as it was; a pipe or device target gets
+    nothing (``_write_lines``)."""
     thetas = [_format_value(theta)
               for theta in _grid(spec.theta_min, spec.theta_max, spec.theta_steps)]
     n = len(thetas)
-    per_theta = [name not in _P_ONLY for name in spec.quantities]
-    template = _csv_line(["%s", "%s"] + ["%.12g" if listed else "%s" for listed in per_theta])
+    p_only = [i for i, name in enumerate(spec.quantities) if name in _P_ONLY]
+    listed = [i for i, name in enumerate(spec.quantities) if name not in _P_ONLY]
+    # p's and the p-only cells' slots open, theta's and the others' escaped
+    line = _csv_line(["%s", "%%s"] + ["%s" if name in _P_ONLY else "%%.12g"
+                                      for name in spec.quantities])
+    width = 1 + len(listed)
 
     def lines():
         for p, row in _walk(spec):
-            columns = [[v + 0.0 for v in values] if listed else [_format_value(values)] * n
-                       for values, listed in zip(row, per_theta)]
-            yield "".join([template % t for t in zip([_format_value(p)] * n, thetas, *columns)])
+            cells = [None] * (n * width)
+            cells[::width] = thetas
+            for k, i in enumerate(listed, 1):
+                cells[k::width] = [v + 0.0 for v in row[i]]
+            texts = tuple([_format_value(p)] + [_format_value(row[i]) for i in p_only])
+            yield (line % texts) * n % tuple(cells)
 
     _write_lines(path, _csv_line(("p", "theta") + spec.quantities), lines())
 

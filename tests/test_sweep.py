@@ -739,13 +739,16 @@ class TestRunSweep:
         (("concurrence_ad", "fidelity_ad"), 0),
     ])
     def test_each_entropy_is_taken_once(self, monkeypatch, mode, quantities, calls):
-        # the family's in the engine, the damped cells' in the row pass
+        # the family's in the engine, the damped cells' in the one row pass
+        # per p, which takes them only when asked to
         family = _spy(monkeypatch, sweep, "_spectrum_entropy")
-        damped = _spy(monkeypatch, _xcore, "_spectrum_entropy")
+        passes = _spy(monkeypatch, sweep, "_x_row")
         spec = _tiny_spec(quantities=quantities, channel_mode=mode)
         rows = run_sweep(spec)
         assert len(family) == 3 * ("mid" in quantities)
-        assert len(family) + len(damped) == calls
+        assert len(passes) == 3
+        damped = [len(args[0]) for args in passes if args[5]]
+        assert len(family) + sum(damped) == calls
         for row in rows:
             assert _bits(row.values) == _bits(_per_point_values(spec, row.p, row.theta))
 
@@ -1360,6 +1363,23 @@ class TestCli:
         assert main(["preset", "fig4", "--out", str(out)]) == 0
         assert [path.name for path in tmp_path.iterdir()] == ["fig4.csv"]
         assert out.read_bytes().startswith(b"p,theta,concurrence,discord,fidelity\n0,0,")
+
+    @pytest.mark.parametrize("target", ["dir", "dir/", "link"])
+    def test_directory_output_fails_before_the_sweep(self, monkeypatch, tmp_path, capsys,
+                                                      target):
+        # a directory at --out, named as is, with a slash or through a link,
+        # is open()'s I/O error, exit 2, before the engine evaluates a row
+        (tmp_path / "dir").mkdir()
+        (tmp_path / "link").symlink_to(tmp_path / "dir")
+        out = str(tmp_path / target) + ("/" if target.endswith("/") else "")
+        with pytest.raises(IsADirectoryError) as opened:
+            open(out, "w")
+        walks = _spy(monkeypatch, sweep, "_walk")
+        assert main(["preset", "fig3", "--out", out]) == 2
+        assert walks == []
+        assert capsys.readouterr() == (
+            "", f"I/O error: cannot write CSV to {out!r}: {opened.value}\n")
+        assert sorted(path.name for path in tmp_path.rglob("*")) == ["dir", "link"]
 
     def test_unwritable_output_exits_two(self, tmp_path):
         code = main(

@@ -540,3 +540,61 @@ def test_row_pass_rejects_as_the_cell_route(mode):
         for first, second in itertools.permutations(rejected[::4], 2):
             got = _row_pass(_with_cells(cols, {3: first, 150: second}))
             assert got == _cell_route(first), (mode, p, first, second)
+
+
+def _placed(b: float, c: float) -> list:
+    """States (a, b, c, b, e) that put a, hi, lo and e, the eigenvalues the
+    row pass sorts, in each order with hi above lo (12 of the 24 orders of
+    four distinct positive values; no c >= +0.0 puts lo above hi): each of
+    a and e above hi, between hi and lo, or below lo."""
+    hi, lo = _xcore._x_eigenvalues(0.0, b, c, b, 0.0)[:2]
+    assert hi > lo > 0.0
+    bands = ((hi * 1.25, hi * 1.5), (lo + (hi - lo) / 3, lo + 2 * (hi - lo) / 3),
+             (lo / 4, lo / 2))
+    pairs = []
+    for i, j in itertools.product(range(3), repeat=2):
+        pairs += [bands[i], bands[i][::-1]] if i == j else [(bands[i][0], bands[j][0])]
+    states = [(a, b, c, b, e) for a, e in pairs]
+    orders = {tuple(sorted(range(4), key=lambda k: -(a, hi, lo, e)[k]))
+              for a, _, _, _, e in states}
+    assert orders == {o for o in itertools.permutations(range(4)) if o.index(1) < o.index(2)}
+    return states
+
+
+# the states of each arm of the row pass, b == c (one list) and b != c:
+# every order of the four eigenvalues, ties, +-0.0 and values at or below
+# 0, and a value a few ulp above 1, where the entropy's clamp gives +0.0
+_ONE_LIST = [
+    *_placed(0.1, 0.1),
+    (0.2, 0.1, 0.1, 0.1, 0.2), (0.3, 0.1, 0.1, 0.1, 0.3), (0.1, 0.2, 0.2, 0.2, 0.1),
+    (0.25, 0.125, 0.125, 0.125, 0.5), (0.0, 0.1, 0.1, 0.1, 0.0), (-0.0, 0.1, 0.1, 0.1, -0.0),
+    (0.0, 0.0, 0.0, 0.0, 1.0), (-0.0, -0.0, -0.0, -0.0, 1.0), (1.0, 0.0, 0.0, 0.0, -0.0),
+    (0.6, 0.2, 0.2, 0.2, -1e-10), (-1e-10, 0.2, 0.2, 0.2, 0.6), (0.5, 1e-13, 1e-13, 1e-13, 0.5),
+    (1.0 + 2.0 ** -52, 0.0, 0.0, 0.0, 0.0), (1.0 + 2.0 ** -50, 1e-20, 1e-20, 1e-20, 0.0),
+    (-1e-10, 0.0, 0.0, 0.0, 1.0 + 2.0 ** -52),
+]
+_TWO_LISTS = [
+    *_placed(0.15, 0.05),
+    *_ONE_LIST,
+    (0.25, 0.25, 0.0, 0.25, 0.25), (0.2, 0.2, 0.0, 0.2, 0.4), (0.2, 0.15, 0.05, 0.15, 0.2),
+    (0.1, 0.15, 0.05, 0.15, 0.1), (0.3, 0.2, 0.1, 0.2, 0.1), (0.25, 0.2, 0.05, 0.2, 0.0),
+    (0.0, -0.0, 0.0, -0.0, 1.0), (0.3, 0.2, 0.2 + 5e-11, 0.2, 0.3), (0.3, 0.2, -0.0, 0.2, 0.3),
+    (0.5, 0.25, 1e-12, 0.25, 0.0), (0.5, 0.25, 1.0000001e-12, 0.25, 0.0),
+    (1.0 + 2.0 ** -51, 0.0, 1e-12, 0.0, 0.0),
+]
+
+
+@pytest.mark.parametrize("arm, states", [("one list", _ONE_LIST), ("two lists", _TWO_LISTS)])
+def test_row_pass_entropy_is_the_sorted_spectrum_entropy(arm, states):
+    # the pass sorts each cell's four eigenvalues itself and adds their
+    # v log2 v inline; the bits are those of _spectrum_entropy on the
+    # eigenvalues sorted descending, the sum's order and its clamp included
+    a, b, c, _, e = (list(col) for col in zip(*states))
+    if arm == "one list":
+        assert b == c
+        c = b
+    got = [v.hex() for v in _xcore._x_row(a, b, c, b, e, True)]
+    want = [_xcore._spectrum_entropy(sorted(_xcore._x_eigenvalues(*x), reverse=True)).hex()
+            for x in states]
+    assert got == want
+    assert {"0x0.0p+0", "-0x0.0p+0"} <= set(got)
