@@ -8,7 +8,7 @@ number in the figure presets and the headline report is a function of
 checks, the family's five numbers, the factors of gamma = sin^2 theta
 with the one range check on theta (``_theta_factors``, which every
 damped column and the closed-form fidelity read), the channel modes, their
-one check and the table of their images (``_DAMPING``), the eigenvalues
+one check and their one map (``_damped_columns``), the eigenvalues
 from the one Jacobi rotation such a state takes, replayed on floats (the
 coherence is real, so the complex rotation's imaginary parts are all
 zero, and its angle a constant where b == d), and the scalar forms of the
@@ -81,12 +81,16 @@ _WITNESS_ENTRIES = {
 
 
 def _check_range(name: str, value: float, lo: float, hi: float) -> float:
-    try:
-        value = float(value)
-    except OverflowError:
-        # an int beyond the float range, reported as the infinity that
-        # float() makes of its text
-        value = math.inf if value > 0 else -math.inf
+    if type(value) is not float:
+        import numbers  # off a float's path, which every command takes
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise InputError(f"{name} must be a number, got {value!r}")
+        try:
+            value = float(value)
+        except OverflowError:
+            # an int beyond the float range, reported as the infinity that
+            # float() makes of its text
+            value = math.inf if value > 0 else -math.inf
     if not (lo <= value <= hi) or not math.isfinite(value):
         raise InputError(f"{name} must lie in [{lo:g}, {hi:g}], got {value!r}")
     return value
@@ -170,65 +174,11 @@ def _theta_factors(theta: float) -> tuple:
     return one_g, one_g ** 2, s, g, s * s, g * g, g * s
 
 
-def _family_damped_x(x: tuple, factors: tuple) -> tuple:
-    """(a, b, c, d, e) of nmems_ad for the family's five numbers ``x``
-    (``_family_x``) and the ``_theta_factors`` of theta: the coherence
-    block scales by (1 - gamma), the |11> weight by (1 - gamma)^2 and the
-    |00> weight stays, so the lost trace is not put back."""
-    a, z, _, _, e = x
-    one_g, one_g2, _, _, _, _, _ = factors
-    z = z * one_g
-    return a, z, z, z, e * one_g2
-
-
-# The Kraus images below take five numbers that are floats >= +0.0, as the
-# family's are, and give the bits of apply_correlated_pair(adc(gamma), .)
-# and apply_product_pair(adc(gamma), .) on the dense X matrix: they replay
-# _kraus_sum's float operations on the nonzero entries, each term
-# (K rho) K^dagger added to the running sum in operator order, and adding a
-# zero entry leaves a value as it is.  The images stay corner-free X states.
-# (A negative or -0.0 entry can give -0.0 here where the matrix holds 0.0.)
-
-def _correlated_pair_x(x: tuple, factors: tuple) -> tuple:
-    """(a, b, c, d, e) of the correlated Kraus pair map's image of the five
-    numbers ``x``, given the ``_theta_factors`` of theta: K0 x K0, then
-    K1 x K1, which moves |11> onto |00>."""
-    a, b, c, d, e = x
-    _, _, s, _, ss, gg, _ = factors
-    return a + (gg * e) * gg, (s * b) * s, (s * c) * s, (s * d) * s, (ss * e) * ss
-
-
-def _product_pair_x(x: tuple, factors: tuple) -> tuple:
-    """(a, b, c, d, e) of the product Kraus pair map's image of the five
-    numbers ``x``, given the ``_theta_factors`` of theta: K0 x K0, K0 x K1,
-    K1 x K0, K1 x K1, where the middle two each move one excitation down."""
-    a, b, c, d, e = x
-    _, _, s, g, ss, gg, gs = factors
-    return (
-        ((a + (g * b) * g) + (g * d) * g) + (gg * e) * gg,
-        (s * b) * s + (gs * e) * gs,
-        (s * c) * s,
-        (s * d) * s + (gs * e) * gs,
-        (ss * e) * ss,
-    )
-
-
 # how the damped state at a grid point is produced
 MODE_CLOSED_FORM = "closed_form"   # nmems_ad closed form (trace-draining)
 MODE_CORRELATED = "correlated"     # identical-index Kraus pair map
 MODE_PRODUCT = "product"           # independent noise on each qubit
 CHANNEL_MODES = (MODE_CLOSED_FORM, MODE_CORRELATED, MODE_PRODUCT)
-
-# per channel mode: the damped state's five numbers from the family's five
-# numbers and the ``_theta_factors`` of theta, looked up by a mode that
-# ``_check_mode`` has passed: the per-point route (``_mode_damped_x``), of
-# which the sweep's ``_damped_columns`` is the row form; registry._damped is
-# this table's matrix oracle.
-_DAMPING = {
-    MODE_CLOSED_FORM: _family_damped_x,
-    MODE_CORRELATED: _correlated_pair_x,
-    MODE_PRODUCT: _product_pair_x,
-}
 
 
 def _check_mode(mode: str) -> str:
@@ -241,11 +191,12 @@ def _check_mode(mode: str) -> str:
 
 def _mode_damped_x(mode: str, p: float, theta: float) -> tuple:
     """(a, b, c, d, e) of the damped state at (p, theta) in channel mode
-    ``mode``, with the bits of ``registry._damped`` and the checks of every
+    ``mode``, the one cell of ``_damped_columns``, after the checks of every
     registry entry: p, then theta (once, in ``_theta_factors``), then the
     mode.  ``nmems_ad(p, theta)`` is the closed_form entry."""
     x, factors = _family_x(_check_range("p", p, 0.0, 1.0)), _theta_factors(theta)
-    return _DAMPING[_check_mode(mode)](x, factors)
+    cols = _damped_columns(_check_mode(mode), x, [(f,) for f in factors])
+    return tuple(col[0] for col in cols)
 
 
 def _x_eigenvalues(a: float, b: float, c: float, d: float, e: float) -> list:
@@ -303,10 +254,13 @@ def _x_spectrum(a: float, b: float, c: float, d: float, e: float) -> tuple:
 
 
 def _damped_columns(mode: str, x: tuple, thetas: tuple) -> tuple:
-    """``_DAMPING[mode]`` of the family's five numbers ``x`` at each theta
-    of a grid whose ``_theta_factors`` are the seven columns ``thetas``, as
-    five columns (a, b, c, d, e), with its bits.  d is b, one list, and so
-    is c where the image keeps b == c (closed_form, correlated)."""
+    """The damped states of the family's five numbers ``x`` in channel mode
+    ``mode`` (each mode's one map) at each theta of a grid whose
+    ``_theta_factors`` are the seven columns ``thetas``, as five columns
+    (a, b, c, d, e), with the bits of ``registry._damped``: the Kraus modes
+    replay ``channels._kraus_sum``'s float operations, each term added in
+    operator order.  d is b, one list, and so is c where the image keeps
+    b == c (closed_form, correlated)."""
     a, z, _, _, e = x
     one_g, one_g2, s, g, ss, gg, gs = thetas
     if mode == MODE_CLOSED_FORM:

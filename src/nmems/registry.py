@@ -37,7 +37,9 @@ def _checked(column):
 
 def _damped(p: float, theta: float, mode: str) -> DensityMatrix:
     """The damped state of grid point (p, theta) in channel mode ``mode``,
-    after the calling entry's checks (``_checked``) have passed all three."""
+    after the calling entry's checks (``_checked``) have passed all three;
+    the matrix oracle of each mode's one scalar map (``_damped_columns``),
+    of which ``nmems_ad`` builds the closed_form cell as a state."""
     if mode == MODE_CLOSED_FORM:
         return nmems_ad(p, theta)
     base = nmems(p)

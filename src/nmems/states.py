@@ -181,7 +181,7 @@ def _x_matrix(a: float, b: float, c: float, d: float, e: float) -> np.ndarray:
                     dtype=complex)
 
 
-@functools.lru_cache(maxsize=256)
+@functools.lru_cache(maxsize=256, typed=True)
 def nmems(p: float) -> DensityMatrix:
     """The GHZ/W-mixture state at mixing parameter p.
 
@@ -189,8 +189,9 @@ def nmems(p: float) -> DensityMatrix:
     mixture p Tr_c |GHZ><GHZ| + (1 - p) Tr_c |W><W|: the two constructions
     must agree to 1e-12 elementwise (``_xcore._check_family``, on the six
     entries the two can fill).  Results are immutable, so repeated calls
-    at the same p share one instance; the 256 most recent p are kept, which
-    covers every caller that walks a grid with p in the outer loop.
+    with the same p share one instance; the 256 most recent p are kept, which
+    covers every caller that walks a grid with p in the outer loop.  The
+    cache tells types apart, so True, equal to 1.0, still meets the check.
     """
     p = _check_range("p", p, 0.0, 1.0)
     x = _family_x(p)

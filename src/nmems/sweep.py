@@ -254,8 +254,8 @@ def _walk(spec: SweepSpec):
     order, with their entropies if a column reads them (``_xcore._x_row``),
     the family state's entropy if mid reads it, then the _DAMPED columns
     in spec order, with their own checks.  The closed form: the row from
-    p's factors.  ``_xcore._mode_damped_x``, ``_xcore._x_spectrum`` and
-    ``fidelity_ad_closed_form`` compose the same maps at one cell.
+    p's factors.  ``_xcore._mode_damped_x`` (a one-cell ``_damped_columns``),
+    ``_xcore._x_spectrum`` and ``fidelity_ad_closed_form`` give one cell.
     """
     quantities = spec.quantities
     p_only = [(i, _P_ONLY[name]) for i, name in enumerate(quantities) if name in _P_ONLY]
@@ -441,8 +441,8 @@ def preset_spec(name: str) -> SweepSpec:
         ) from None
 
 
-def _bisect_sign_change(f, lo: float, hi: float, tol: float = 1e-12) -> float:
-    """Root of a continuous scalar function bracketed by [lo, hi]."""
+def _bisect_sign_change(f, lo: float, hi: float) -> float:
+    """Root of a continuous scalar function bracketed by [lo, hi], to 1e-12."""
     f_lo = f(lo)
     f_hi = f(hi)
     if f_lo == 0.0:
@@ -451,7 +451,7 @@ def _bisect_sign_change(f, lo: float, hi: float, tol: float = 1e-12) -> float:
         return hi
     if (f_lo > 0) == (f_hi > 0):
         raise InputError(f"no sign change on [{lo}, {hi}]")
-    while hi - lo > tol:
+    while hi - lo > 1e-12:
         mid = (lo + hi) / 2.0
         f_mid = f(mid)
         if f_mid == 0.0:
@@ -464,13 +464,13 @@ def _bisect_sign_change(f, lo: float, hi: float, tol: float = 1e-12) -> float:
 
 
 def entanglement_boundary() -> float:
-    """Mixing parameter where the family's concurrence reaches zero."""
+    """Mixing parameter where the family's concurrence reaches zero, 7 - 3 sqrt 5."""
     # the family's five numbers are positive on [0.25, 0.32], so no clamp
     def signed(p):
         a, b, c, d, e = _family(p)[0]
         _check_coherence(b, c, d)
         return abs(c) - math.sqrt(a * e)
-    return _bisect_sign_change(signed, 0.25, 0.32, tol=1e-9)
+    return _bisect_sign_change(signed, 0.25, 0.32)
 
 
 def witness_zero_crossing(name: str) -> float:
@@ -481,7 +481,10 @@ def witness_zero_crossing(name: str) -> float:
 
 
 def usefulness_boundary() -> float:
-    """Mixing parameter where the correlation criterion drops to N = 1."""
+    """Mixing parameter where the correlation criterion drops to N = 1:
+    1/4 less 3.75e-10.  N = 4(1 - p)/3 + |(8p - 2)/6| is 1 on all of
+    [1/4, 1], so N - 1 has no sign change (a bisection of it returns 0.9);
+    N - 1 - 1e-9, bisected here, crosses zero once, at 1/4 - 6e-9/16."""
     def excess(p):
         x, _, tag = _family(p)
         _require_unit(tag, "teleportation fidelity")

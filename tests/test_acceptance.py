@@ -89,7 +89,7 @@ def test_criterion_02_sign_boundaries():
     with criterion(2, "witness crossings at 2/7 and 1/4; entanglement edge at 7-sqrt(45)"):
         assert abs(witness_zero_crossing("w1") - 2.0 / 7.0) <= 1e-9
         assert abs(witness_zero_crossing("stabilizer") - 0.25) <= 1e-9
-        assert abs(entanglement_boundary() - P_STAR) <= 1e-6
+        assert abs(entanglement_boundary() - P_STAR) <= 1e-12
 
 
 def test_criterion_03_concurrence_anchors():

@@ -4,17 +4,11 @@ import types
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nmems import InputError
-from nmems._xcore import (
-    _correlated_pair_x,
-    _family_x,
-    _product_pair_x,
-    _theta_factors,
-    _x_spectrum,
-)
+from nmems._xcore import MODE_CORRELATED, MODE_PRODUCT, _mode_damped_x
 from nmems import channels
 from nmems.channels import (
     adc,
@@ -412,50 +406,25 @@ class TestPairOperatorsOncePerChannel:
             assert got.spectrum.eigenvectors.tobytes() == want.spectrum.eigenvectors.tobytes()
 
 
-@st.composite
-def _x_entries(draw):
-    """(a, b, c, d, e) of a valid corner-free X state with entries >= +0.0,
-    as the Kraus images take them, and trace in (0, 1]: a family state, or a
-    random one with zero and full coherences and unit trace among them."""
-    if draw(st.booleans()):
-        return _family_x(draw(st.floats(0.0, 1.0) | st.sampled_from([0.0, 1.0])))
-    diag = draw(st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4))
-    total = sum(diag)
-    assume(total > 0.0)
-    scale = draw(st.just(1.0) | st.floats(0.01, 1.0))
-    a, b, d, e = (v / total * scale for v in diag)
-    share = draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
-    return a, b, share * math.sqrt(b * d), d, e
-
-
 class TestPairImagesFromFiveNumbers:
-    # the sweep kernel's Kraus images: the five numbers _correlated_pair_x
-    # and _product_pair_x give are the stored matrix apply_*_pair builds,
-    # bit for bit, zeros included
+    # the Kraus images of the scalar core: the five numbers _mode_damped_x
+    # gives in each Kraus mode are the stored matrix apply_*_pair builds
+    # from the family state, bit for bit, zeros included
 
     @settings(max_examples=300, deadline=None)
     @given(
-        x=_x_entries(),
+        p=st.floats(0.0, 1.0) | st.sampled_from([0.0, 1.0]),
         theta=st.floats(0.0, math.pi / 2) | st.sampled_from([0.0, math.pi / 2]),
         correlated=st.booleans(),
     )
-    @example(x=_family_x(0.0), theta=math.pi / 2, correlated=False)
-    @example(x=_family_x(1.0), theta=math.pi / 2, correlated=True)
-    @example(x=_family_x(1.0), theta=0.0, correlated=False)
-    @example(x=_family_x(0.3), theta=math.pi / 2, correlated=True)
-    def test_image_bits(self, x, theta, correlated):
+    @example(p=0.0, theta=math.pi / 2, correlated=False)
+    @example(p=1.0, theta=math.pi / 2, correlated=True)
+    @example(p=1.0, theta=0.0, correlated=False)
+    @example(p=0.3, theta=math.pi / 2, correlated=True)
+    def test_image_bits(self, p, theta, correlated):
         # theta in [0, pi/2], the only way the sweep reaches gamma
-        apply = apply_correlated_pair if correlated else apply_product_pair
-        pair_x = _correlated_pair_x if correlated else _product_pair_x
-        got = pair_x(x, _theta_factors(theta))
-        try:
-            image = apply(adc(math.sin(theta) ** 2),
-                          DensityMatrix.from_matrix(oracles.x_matrix(*x)))
-        except InputError as exc:
-            # the correlated map can drain all trace: the kernel's checks
-            # reject the five numbers with the same message
-            with pytest.raises(InputError) as kernel:
-                _x_spectrum(*got)
-            assert str(kernel.value) == str(exc)
-            return
+        apply, mode = ((apply_correlated_pair, MODE_CORRELATED) if correlated
+                       else (apply_product_pair, MODE_PRODUCT))
+        got = _mode_damped_x(mode, p, theta)
+        image = apply(adc(math.sin(theta) ** 2), nmems(p))
         assert oracles.x_matrix(*got).tobytes() == image.matrix.tobytes()

@@ -262,25 +262,26 @@ def test_closed_form_fidelity_full_precision():
 
 
 def test_family_and_damped_states_have_equal_inner_diagonal():
-    # b == d bit for bit (the sign of a zero included) on every state of the
-    # grid, in every mode, so _x_eigenvalues takes its constant angle
+    # b == d bit for bit (the sign of a zero included) on every family state
+    # of the grid, and every damped row, in every mode, has its d column in
+    # the b column, so _x_eigenvalues takes its constant angle
+    thetas = tuple(zip(*map(_xcore._theta_factors, _DOMAIN_THETA)))
     for p in _DOMAIN_P:
         x = _xcore._family_x(p)
         assert x[1].hex() == x[3].hex(), p
-        for theta in _DOMAIN_THETA:
-            factors = _xcore._theta_factors(theta)
-            for mode, image in _xcore._DAMPING.items():
-                _, b, _, d, _ = image(x, factors)
-                assert b.hex() == d.hex(), (mode, p, theta)
+        for mode in CHANNEL_MODES:
+            cols = _xcore._damped_columns(mode, x, thetas)
+            assert cols[3] is cols[1], (mode, p)
 
 
 def test_x_spectrum_full_precision():
     h = hashlib.sha256()
     n = 0
+    thetas = tuple(zip(*map(_xcore._theta_factors, _DOMAIN_THETA)))
     for mode in CHANNEL_MODES:
         for p in _DOMAIN_P:
-            for theta in _DOMAIN_THETA:
-                vals, tag = _x_spectrum(*_mode_damped_x(mode, p, theta))
+            for x in zip(*_xcore._damped_columns(mode, _xcore._family_x(p), thetas)):
+                vals, tag = _x_spectrum(*x)
                 h.update(struct.pack("<4d", *vals))
                 h.update(tag.encode("ascii"))
                 n += 1

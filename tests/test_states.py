@@ -384,36 +384,58 @@ def _trace_seen_by_spectrum(a, b, c, d, e) -> bytes:
     return struct.pack("<d", math.ldexp(float(shown.group(1)), -k))
 
 
+# every scalar entry point that takes a range-checked number, and the
+# upper edge of its range
+_RANGE_ENTRIES = [
+    pytest.param(lambda v: nmems(v), 1.0, id="nmems-p"),
+    pytest.param(lambda v: nmems_ad(v, 0.3), 1.0, id="nmems_ad-p"),
+    pytest.param(lambda v: nmems_ad(0.1, v), math.pi / 2, id="nmems_ad-theta"),
+    pytest.param(lambda v: adc(v), 1.0, id="adc-gamma"),
+    pytest.param(lambda v: gadc(v, 0.5), 1.0, id="gadc-gamma"),
+    pytest.param(lambda v: gadc(0.5, v), 1.0, id="gadc-lambda"),
+    pytest.param(
+        lambda v: fidelity_ad_closed_form(v, 0.3), 1.0,
+        id="fidelity_ad_closed_form-p",
+    ),
+    pytest.param(
+        lambda v: fidelity_ad_closed_form(0.1, v), math.pi / 2,
+        id="fidelity_ad_closed_form-theta",
+    ),
+    pytest.param(
+        lambda v: discord_closed_form_branches(v), 1.0,
+        id="discord_closed_form_branches-p",
+    ),
+]
+
+
 class TestRangeChecks:
     # every scalar entry point shares one range check: NaN, infinities,
     # ints beyond the float range and values just outside the range raise
     # InputError, the upper edge passes
-    @pytest.mark.parametrize(
-        "call,hi",
-        [
-            pytest.param(lambda v: nmems(v), 1.0, id="nmems-p"),
-            pytest.param(lambda v: nmems_ad(v, 0.3), 1.0, id="nmems_ad-p"),
-            pytest.param(lambda v: nmems_ad(0.1, v), math.pi / 2, id="nmems_ad-theta"),
-            pytest.param(lambda v: adc(v), 1.0, id="adc-gamma"),
-            pytest.param(lambda v: gadc(v, 0.5), 1.0, id="gadc-gamma"),
-            pytest.param(lambda v: gadc(0.5, v), 1.0, id="gadc-lambda"),
-            pytest.param(
-                lambda v: fidelity_ad_closed_form(v, 0.3), 1.0,
-                id="fidelity_ad_closed_form-p",
-            ),
-            pytest.param(
-                lambda v: fidelity_ad_closed_form(0.1, v), math.pi / 2,
-                id="fidelity_ad_closed_form-theta",
-            ),
-            pytest.param(
-                lambda v: discord_closed_form_branches(v), 1.0,
-                id="discord_closed_form_branches-p",
-            ),
-        ],
-    )
+    @pytest.mark.parametrize("call,hi", _RANGE_ENTRIES)
     def test_rejects_non_finite_and_out_of_range(self, call, hi):
         for bad in (math.nan, math.inf, -math.inf, 10**400, -10**400, -1e-9,
                     math.nextafter(hi, math.inf)):
             with pytest.raises(InputError, match="must lie in"):
                 call(bad)
         call(hi)
+
+    @pytest.mark.parametrize("call,hi", _RANGE_ENTRIES)
+    def test_rejects_non_numbers(self, call, hi, request):
+        # text, bytes, bools (numpy's too), None and complex numbers raise
+        # InputError naming the argument (the id's last part); Python's and
+        # numpy's ints and floats pass
+        name = request.node.callspec.id.rpartition("-")[2]
+        nmems.cache_clear()
+        # before and after the range ends, which False and True equal, are
+        # in nmems' cache
+        for _ in range(2):
+            for bad in ("0.3", b"0.3", True, False, np.True_, None, 0.3 + 0j,
+                        np.complex128(0.3)):
+                with pytest.raises(InputError) as got:
+                    call(bad)
+                assert str(got.value) == f"{name} must be a number, got {bad!r}"
+            call(0.0)
+            call(hi)
+        for good in (0, 1, np.int64(1), np.float64(0.25), np.float32(0.5)):
+            call(good)

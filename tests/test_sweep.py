@@ -653,15 +653,16 @@ class TestRunSweep:
         # a preset-sized stream_csv: one family state per p, one set of
         # factors per theta, one set of damped columns and one row pass per
         # p with a damped column and none without, no spectrum or image per
-        # cell (only the family state's per p), no atan2 (every state on the
-        # grid has b == d), and one string of theta_steps lines written per p
+        # cell (only the family state's per p, and no one-cell row of
+        # _mode_damped_x), no atan2 (every state on the grid has b == d),
+        # and one string of theta_steps lines written per p
         families = _spy(monkeypatch, sweep, "_family")
         factors = _spy(monkeypatch, sweep, "_theta_factors")
         columns = _spy(monkeypatch, sweep, "_damped_columns")
         passes = _spy(monkeypatch, sweep, "_x_row")
         spectra = _spy(monkeypatch, _xcore, "_x_spectrum")
+        images = _spy(monkeypatch, _xcore, "_damped_columns")
         angles = _spy(monkeypatch, math, "atan2")
-        monkeypatch.setattr(_xcore, "_DAMPING", {})
         written = []
         write_lines = sweep._write_lines
 
@@ -677,7 +678,7 @@ class TestRunSweep:
             spec = SweepSpec(p_min=base.p_min, p_max=base.p_max, p_steps=n_p,
                              theta_min=base.theta_min, theta_max=base.theta_max,
                              theta_steps=n_theta, quantities=quantities, channel_mode=mode)
-            for seen in (families, factors, columns, passes, spectra, angles, written):
+            for seen in (families, factors, columns, passes, spectra, images, angles, written):
                 seen.clear()
             stream_csv(spec, str(tmp_path / "counted.csv"))
             assert len(families) == n_p
@@ -685,7 +686,7 @@ class TestRunSweep:
             assert len(columns) == len(passes) == damped
             assert all(len(args[0]) == n_theta for args in passes)
             assert len(spectra) == n_p
-            assert angles == []
+            assert images == angles == []
             assert [chunk.count("\n") for chunk in written] == [n_theta] * n_p
 
     def test_p_row_runs_every_spectrum_check_before_column_checks(self, monkeypatch):
@@ -1055,6 +1056,11 @@ class TestHeadlines:
             sweep.discord_concurrence_crossing()
         assert scanned == _grid(0.0, 0.292, 293)
         assert scanned[-1] == 0.292
+
+    def test_usefulness_boundary_is_just_below_a_quarter(self):
+        # N == 1 on [1/4, 1], so the bisection's 1e-9 offset sets its root:
+        # (10 - 16p)/6 - 1 = 1e-9 at 1/4 - 3.75e-10
+        assert 0.25 - 1e-9 <= sweep.usefulness_boundary() < 0.25
 
     def test_flags_the_closed_form_inconsistency(self):
         text = report_headlines()
