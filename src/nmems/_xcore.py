@@ -80,17 +80,33 @@ _WITNESS_ENTRIES = {
 }
 
 
+def _is_number(value, integral: bool = False) -> bool:
+    """The one rule for "a number" (an integer if ``integral``): a real
+    number that is not a bool, Python's or numpy's.  Python's ints and
+    floats pass or fail on one type test, with no import of numbers."""
+    if type(value) is int:
+        return True
+    if type(value) is float:
+        return not integral
+    import numbers  # off the path of Python's ints and floats, which every command takes
+    return not isinstance(value, bool) and isinstance(
+        value, numbers.Integral if integral else numbers.Real)
+
+
+def _as_float(value) -> float:
+    """The float of a number; an int (or a fraction) beyond the float range
+    is the infinity that float() makes of its text."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
 def _check_range(name: str, value: float, lo: float, hi: float) -> float:
     if type(value) is not float:
-        import numbers  # off a float's path, which every command takes
-        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        if not _is_number(value):
             raise InputError(f"{name} must be a number, got {value!r}")
-        try:
-            value = float(value)
-        except OverflowError:
-            # an int beyond the float range, reported as the infinity that
-            # float() makes of its text
-            value = math.inf if value > 0 else -math.inf
+        value = _as_float(value)
     if not (lo <= value <= hi) or not math.isfinite(value):
         raise InputError(f"{name} must lie in [{lo:g}, {hi:g}], got {value!r}")
     return value

@@ -14,10 +14,11 @@ the CLI's path, writes each p-row with one write, so memory holds one
 p-row.  A row is evaluated whole: its cells' spectrum checks, in theta
 order, run before the columns' own checks.
 
-Every column has one route on the scalar core (``_xcore``): a function of
-the family state's five numbers (_P_ONLY, which the headline report reads
-too), of a p-row's damped states as five columns (_DAMPED), or the
-closed-form fidelity's factored parts.  A row's damped states are checked
+Every column has one route on the scalar core (``_xcore``), declared once
+in ``_COLUMNS`` by its kind: a function of the family state (per p, which
+the headline report reads too), of a p-row's damped states as five
+columns (a damped row), or of the closed-form fidelity's factored parts (a
+closed-form row).  A row's damped states are checked
 once, in one pass (``_xcore._x_row``) with ``_x_spectrum``'s checks
 (finite entries, the eigenvalue floor, the trace window); entropy_ad and
 mid share one entropy of each cell's eigenvalues, the fidelity columns
@@ -40,12 +41,14 @@ from ._xcore import (
     MODE_CORRELATED,
     MODE_PRODUCT,
     USEFULNESS_MARGIN,
+    _as_float,
     _check_coherence,
     _check_mode,
     _closed_form_fidelity,
     _closed_form_fidelity_p,
     _damped_columns,
     _family,
+    _is_number,
     _require_unit,
     _spectrum_entropy,
     _theta_factors,
@@ -64,14 +67,6 @@ from .errors import InputError
 
 # CHANNEL_MODES and the MODE_* names, imported above, live in _xcore with
 # their one check (_check_mode) and damping maps; they are public here
-
-# the columns of QUANTITIES, in its order, without importing the registry
-QUANTITY_NAMES = (
-    "concurrence", "concurrence_ad", "concurrence_wootters",
-    "concurrence_ad_wootters", "fidelity", "fidelity_ad",
-    "fidelity_ad_closed_form", "discord", "entropy", "entropy_ad", "mid",
-    "chsh", "witness_generic", "witness_w1", "witness_stabilizer",
-)
 
 
 def __getattr__(name: str):
@@ -92,35 +87,42 @@ def __getattr__(name: str):
 # (see _xcore._x_concurrence_wootters).
 # _require_unit returns None once its check passes.
 
-# columns that read only nmems(p), on the (x, eigenvalues, trace tag) of
-# _xcore._family(p); a sweep evaluates them once per p and shares the value
-# across that p's thetas
-_P_ONLY = {
-    "concurrence": lambda x, vals, tag: _x_spectrum_concurrence(*x),
-    "concurrence_wootters": lambda x, vals, tag: _x_concurrence_wootters(*x),
-    "fidelity": lambda x, vals, tag: (
-        _require_unit(tag, "teleportation fidelity") or _x_fidelity(*x)),
-    "discord": lambda x, vals, tag: _require_unit(tag, "discord") or _x_discord(*x, vals),
-    "entropy": lambda x, vals, tag: _spectrum_entropy(vals),
-    "chsh": lambda x, vals, tag: _require_unit(tag, "CHSH criterion") or _x_chsh(*x),
-    "witness_generic": lambda x, vals, tag: _x_expectation(_WITNESS_ENTRIES["generic"], *x),
-    "witness_w1": lambda x, vals, tag: _x_expectation(_WITNESS_ENTRIES["w1"], *x),
-    "witness_stabilizer": lambda x, vals, tag: (
-        _x_expectation(_WITNESS_ENTRIES["stabilizer"], *x)),
+# Every column, in QUANTITIES' order: name -> (kind, function, what it
+# reads).  The kind fixes the function's arguments and the value's layout:
+# per p, f(x, vals, tag) of _xcore._family(p), one float for all the p's
+# thetas; a damped row, f(cols, s_ads, s) of the p-row's damped states as
+# five columns (_xcore._damped_columns, checked by _xcore._x_row), their
+# entropies and nmems(p)'s (None unless a requested column reads them), a
+# list over the thetas; a closed-form row, f(pf, thetas) of p's factors
+# (_xcore._closed_form_fidelity_p) and the thetas' (_theta_factors), a list.
+_PER_P, _DAMPED_ROW, _CLOSED_FORM_ROW = "per p", "damped row", "closed-form row"
+_ROW_ENTROPIES, _FAMILY_ENTROPY = "row entropies", "family entropy"
+_COLUMNS = {
+    "concurrence": (_PER_P, lambda x, vals, tag: _x_spectrum_concurrence(*x), ()),
+    "concurrence_ad": (_DAMPED_ROW, lambda cols, s_ads, s: _x_concurrences(*cols), ()),
+    "concurrence_wootters": (_PER_P, lambda x, vals, tag: _x_concurrence_wootters(*x), ()),
+    "concurrence_ad_wootters": (_DAMPED_ROW, lambda cols, s_ads, s: [
+        _x_concurrence_wootters(*x) for x in zip(*cols)], ()),
+    "fidelity": (_PER_P, lambda x, vals, tag: (
+        _require_unit(tag, "teleportation fidelity") or _x_fidelity(*x)), ()),
+    "fidelity_ad": (_DAMPED_ROW, lambda cols, s_ads, s: [_x_fidelity(*x) for x in zip(*cols)], ()),
+    "fidelity_ad_closed_form": (_CLOSED_FORM_ROW, lambda pf, thetas: (
+        _closed_form_fidelity(pf, thetas[0])), ()),
+    "discord": (_PER_P, lambda x, vals, tag: (
+        _require_unit(tag, "discord") or _x_discord(*x, vals)), ()),
+    "entropy": (_PER_P, lambda x, vals, tag: _spectrum_entropy(vals), ()),
+    "entropy_ad": (_DAMPED_ROW, lambda cols, s_ads, s: s_ads, (_ROW_ENTROPIES,)),
+    "mid": (_DAMPED_ROW, lambda cols, s_ads, s: [s_ad - s for s_ad in s_ads],
+            (_ROW_ENTROPIES, _FAMILY_ENTROPY)),
+    "chsh": (_PER_P, lambda x, vals, tag: _require_unit(tag, "CHSH criterion") or _x_chsh(*x), ()),
+    "witness_generic": (_PER_P, lambda x, vals, tag: (
+        _x_expectation(_WITNESS_ENTRIES["generic"], *x)), ()),
+    "witness_w1": (_PER_P, lambda x, vals, tag: _x_expectation(_WITNESS_ENTRIES["w1"], *x), ()),
+    "witness_stabilizer": (_PER_P, lambda x, vals, tag: (
+        _x_expectation(_WITNESS_ENTRIES["stabilizer"], *x)), ()),
 }
-
-# damped columns, each a list over a p-row's thetas, from the five columns
-# of the row's damped states (_xcore._damped_columns, checked by
-# _xcore._x_row), the entropies s_ads of their eigenvalues and the entropy s
-# of nmems(p); _walk takes s_ads and s only where entropy_ad or mid reads them
-_DAMPED = {
-    "concurrence_ad": lambda cols, s_ads, s: _x_concurrences(*cols),
-    "concurrence_ad_wootters": lambda cols, s_ads, s: [
-        _x_concurrence_wootters(*x) for x in zip(*cols)],
-    "fidelity_ad": lambda cols, s_ads, s: [_x_fidelity(*x) for x in zip(*cols)],
-    "entropy_ad": lambda cols, s_ads, s: s_ads,
-    "mid": lambda cols, s_ads, s: [s_ad - s for s_ad in s_ads],
-}
+# the columns of QUANTITIES, in its order, without importing the registry
+QUANTITY_NAMES = tuple(_COLUMNS)
 
 
 class _Frozen:
@@ -154,6 +156,13 @@ class _Frozen:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
+# the most points a SweepSpec may ask for, on each axis and in all: far
+# beyond every figure (the presets are 13,432 cells), and short of the
+# memory the grids and a p-row take
+_MAX_STEPS = 100_000
+_MAX_CELLS = 10_000_000
+
+
 class SweepSpec(_Frozen):
     """A validated sweep: the p and theta grids, the columns in output
     order and the channel mode.  Immutable; equal specs compare and hash
@@ -168,9 +177,15 @@ class SweepSpec(_Frozen):
                  theta_min: float = 0.0, theta_max: float = math.pi / 4.0,
                  theta_steps: int = 46, quantities: tuple = (),
                  channel_mode: str = MODE_CLOSED_FORM):
+        # each number as the range check takes it, a Python float (a Python
+        # int stays, as the messages print it), so numpy's numbers hash,
+        # print and grid as Python's
+        p_min, p_max, theta_min, theta_max = (
+            v if type(v) is int or not _is_number(v) else _as_float(v)
+            for v in (p_min, p_max, theta_min, theta_max))
         for name, lo, hi in (("p", p_min, p_max), ("theta", theta_min, theta_max)):
             for end, value in (("min", lo), ("max", hi)):
-                if isinstance(value, bool) or not isinstance(value, (int, float)):
+                if not _is_number(value):
                     raise InputError(f"{name}_{end} must be a number, got {value!r}")
             try:
                 finite = math.isfinite(lo) and math.isfinite(hi)
@@ -184,9 +199,16 @@ class SweepSpec(_Frozen):
             raise InputError("p range must lie inside [0, 1]")
         if not (0.0 <= theta_min and theta_max <= math.pi / 2.0):
             raise InputError("theta range must lie inside [0, pi/2]")
-        for steps in (p_steps, theta_steps):
-            if isinstance(steps, bool) or not isinstance(steps, int) or steps < 1:
+        for name, steps in (("p", p_steps), ("theta", theta_steps)):
+            if not _is_number(steps, integral=True) or steps < 1:
                 raise InputError(f"step counts must be integers >= 1, got {steps!r}")
+            if steps > _MAX_STEPS:
+                raise InputError(f"{name}_steps {steps} exceeds the bound of "
+                                 f"{_MAX_STEPS} points per axis")
+        p_steps, theta_steps = int(p_steps), int(theta_steps)
+        if p_steps * theta_steps > _MAX_CELLS:
+            raise InputError(f"p_steps x theta_steps = {p_steps * theta_steps} exceeds "
+                             f"the bound of {_MAX_CELLS} cells")
         # a one-point axis sits on its min; a max it would never reach is a
         # mistake, not a request
         for name, lo, hi, steps in (("p", p_min, p_max, p_steps),
@@ -198,14 +220,15 @@ class SweepSpec(_Frozen):
                 )
         if isinstance(quantities, str):
             raise InputError(f"quantities must be a sequence of names, not the string {quantities!r}")
+        names = tuple(_COLUMNS)  # a tuple: an unhashable name is unknown, not a TypeError
         if not quantities:
             raise InputError(
-                "no quantities requested; choose from: " + ", ".join(QUANTITY_NAMES)
+                "no quantities requested; choose from: " + ", ".join(names)
             )
-        unknown = [q for q in quantities if q not in QUANTITY_NAMES]
+        unknown = [q for q in quantities if q not in names]
         if unknown:
             raise InputError(
-                f"unknown quantities {unknown}; choose from: " + ", ".join(QUANTITY_NAMES)
+                f"unknown quantities {unknown}; choose from: " + ", ".join(names)
             )
         if len(set(quantities)) != len(quantities):
             raise InputError("duplicate quantity identifiers")
@@ -242,56 +265,55 @@ def _grid(lo: float, hi: float, steps: int) -> list:
 
 def _walk(spec: SweepSpec):
     """The sweep engine: yields (p, row) per p, ascending, where ``row[i]``
-    is the value of ``spec.quantities[i]``: a float for a _P_ONLY column,
+    is the value of ``spec.quantities[i]``: a float for a per-p column,
     else a list over the theta grid.  Lazy: each p-row is evaluated whole
     when it is asked for.
 
     Once: each theta's factors, with the range check on theta
-    (``_xcore._theta_factors``), as seven columns.  Per p: the family
-    state with nmems' checks (``_xcore._family``) and the _P_ONLY columns.
-    For damped columns: the row's damped states as five columns
-    (``_xcore._damped_columns``), one pass of the checks on them in theta
-    order, with their entropies if a column reads them (``_xcore._x_row``),
-    the family state's entropy if mid reads it, then the _DAMPED columns
-    in spec order, with their own checks.  The closed form: the row from
-    p's factors.  ``_xcore._mode_damped_x`` (a one-cell ``_damped_columns``),
-    ``_xcore._x_spectrum`` and ``fidelity_ad_closed_form`` give one cell.
+    (``_xcore._theta_factors``), as seven columns.  Per p, kind by kind,
+    each kind's columns in spec order: the family state with nmems' checks
+    (``_xcore._family``) and the per-p columns; for damped rows, the row's
+    damped states as five columns (``_xcore._damped_columns``), one pass
+    of the checks on them in theta order, with their entropies if a column
+    reads them (``_xcore._x_row``), the family state's entropy if a column
+    reads it, then the damped rows, with their own checks; then the
+    closed-form rows, on p's factors.  ``_xcore._mode_damped_x`` (a
+    one-cell ``_damped_columns``), ``_xcore._x_spectrum`` and
+    ``fidelity_ad_closed_form`` give one cell.
     """
-    quantities = spec.quantities
-    p_only = [(i, _P_ONLY[name]) for i, name in enumerate(quantities) if name in _P_ONLY]
-    damped = [(i, _DAMPED[name]) for i, name in enumerate(quantities) if name in _DAMPED]
-    closed_form = (quantities.index("fidelity_ad_closed_form")
-                   if "fidelity_ad_closed_form" in quantities else None)
-    wants_mid = "mid" in quantities
-    wants_entropy_ad = wants_mid or "entropy_ad" in quantities
+    entries = [(i, *_COLUMNS[name]) for i, name in enumerate(spec.quantities)]
+    per_p, damped, closed_form = ([(i, column) for i, k, column, _ in entries if k == kind]
+                                  for kind in (_PER_P, _DAMPED_ROW, _CLOSED_FORM_ROW))
+    reads = {what for *_, extra in entries for what in extra}
     mode = spec.channel_mode
     thetas = tuple(zip(*[_theta_factors(theta)
                          for theta in _grid(spec.theta_min, spec.theta_max, spec.theta_steps)]))
     for p in _grid(spec.p_min, spec.p_max, spec.p_steps):
         base = _family(p)
-        row = [None] * len(quantities)
-        for i, column in p_only:
+        row = [None] * len(entries)
+        for i, column in per_p:
             row[i] = column(*base)
         if damped:
             cols = _damped_columns(mode, base[0], thetas)
-            entropies = _x_row(*cols, wants_entropy_ad)
-            entropy = _spectrum_entropy(base[1]) if wants_mid else None
+            entropies = _x_row(*cols, _ROW_ENTROPIES in reads)
+            entropy = _spectrum_entropy(base[1]) if _FAMILY_ENTROPY in reads else None
             for i, column in damped:
                 row[i] = column(cols, entropies, entropy)
-        if closed_form is not None:
-            row[closed_form] = _closed_form_fidelity(_closed_form_fidelity_p(p), thetas[0])
+        for i, column in closed_form:
+            row[i] = column(_closed_form_fidelity_p(p), thetas)
         yield p, row
 
 
 def iter_sweep(spec: SweepSpec):
     """Evaluate the grid lazily: yields (p, theta, *values) per grid point
     in (p outer, theta inner) order, the values in ``spec.quantities``
-    order.  Each p-row is evaluated whole when its first point is asked
-    for (``_walk``), so an InputError or NumericalError at any of its
-    cells propagates before that p's first point."""
+    order, each laid out by its kind in ``_COLUMNS``.  Each p-row is
+    evaluated whole when its first point is asked for (``_walk``), so an
+    InputError or NumericalError at any of its cells propagates before
+    that p's first point."""
     thetas = _grid(spec.theta_min, spec.theta_max, spec.theta_steps)
     n = len(thetas)
-    per_theta = [name not in _P_ONLY for name in spec.quantities]
+    per_theta = [_COLUMNS[name][0] != _PER_P for name in spec.quantities]
     for p, row in _walk(spec):
         columns = [v if listed else [v] * n for v, listed in zip(row, per_theta)]
         for values in zip(thetas, *columns):
@@ -379,7 +401,7 @@ def emit_csv(rows: list, path: str) -> None:
 def stream_csv(spec: SweepSpec, path: str) -> None:
     """Write the sweep of ``spec`` to ``path`` as ``emit_csv`` writes
     ``run_sweep(spec)``, byte for byte, with one write per p-row: one line
-    template takes p's and the p-only cells' text (one small ``%``), and
+    template takes p's and the per-p cells' text (one small ``%``), and
     its repeat over the thetas one ``%`` of their text and the per-theta
     values.  An error at any cell (checked in ``_walk``'s order, a p-row
     before its first line) leaves no CSV and no temporary file, and any
@@ -388,11 +410,11 @@ def stream_csv(spec: SweepSpec, path: str) -> None:
     thetas = [_format_value(theta)
               for theta in _grid(spec.theta_min, spec.theta_max, spec.theta_steps)]
     n = len(thetas)
-    p_only = [i for i, name in enumerate(spec.quantities) if name in _P_ONLY]
-    listed = [i for i, name in enumerate(spec.quantities) if name not in _P_ONLY]
-    # p's and the p-only cells' slots open, theta's and the others' escaped
-    line = _csv_line(["%s", "%%s"] + ["%s" if name in _P_ONLY else "%%.12g"
-                                      for name in spec.quantities])
+    per_theta = [_COLUMNS[name][0] != _PER_P for name in spec.quantities]
+    per_p = [i for i, flag in enumerate(per_theta) if not flag]
+    listed = [i for i, flag in enumerate(per_theta) if flag]
+    # p's and the per-p cells' slots open, theta's and the others' escaped
+    line = _csv_line(["%s", "%%s"] + ["%%.12g" if flag else "%s" for flag in per_theta])
     width = 1 + len(listed)
 
     def lines():
@@ -401,7 +423,7 @@ def stream_csv(spec: SweepSpec, path: str) -> None:
             cells[::width] = thetas
             for k, i in enumerate(listed, 1):
                 cells[k::width] = [v + 0.0 for v in row[i]]
-            texts = tuple([_format_value(p)] + [_format_value(row[i]) for i in p_only])
+            texts = tuple([_format_value(p)] + [_format_value(row[i]) for i in per_p])
             yield (line % texts) * n % tuple(cells)
 
     _write_lines(path, _csv_line(("p", "theta") + spec.quantities), lines())
@@ -476,7 +498,7 @@ def entanglement_boundary() -> float:
 def witness_zero_crossing(name: str) -> float:
     """Mixing parameter where Tr(W nmems(p)) changes sign, for the witness
     ``name`` ("w1" or "stabilizer"), on its sweep column."""
-    column = _P_ONLY[f"witness_{name}"]
+    column = _COLUMNS[f"witness_{name}"][1]
     return _bisect_sign_change(lambda p: column(*_family(p)), 0.0, 1.0)
 
 
@@ -499,10 +521,11 @@ def discord_concurrence_crossing() -> tuple[float, float]:
     integer index, so the bracket is 0.001 wide and the scan ends on
     p = 0.292 exactly.
     """
+    discord, concurrence = _COLUMNS["discord"][1], _COLUMNS["concurrence"][1]
     prev_p = prev_gap = None
     for p in _grid(0.0, 0.292, 293):
         base = _family(p)
-        gap = _P_ONLY["discord"](*base) - _P_ONLY["concurrence"](*base)
+        gap = discord(*base) - concurrence(*base)
         if prev_gap is not None and prev_gap < 0.0 and gap >= 0.0:
             return prev_p, p
         prev_p, prev_gap = p, gap
@@ -513,20 +536,20 @@ def report_headlines() -> str:
     """Human-readable summary of every headline number, freshly computed.
 
     Every number comes from the family's five numbers (``_xcore``), and
-    each one a sweep column also gives is read off that column's _P_ONLY
-    entry; the report prints six decimals.
+    each one a sweep column also gives is read off that column's per-p
+    entry in ``_COLUMNS``; the report prints six decimals.
     """
     p_star = entanglement_boundary()
     w1_cross = witness_zero_crossing("w1")
     stab_cross = witness_zero_crossing("stabilizer")
     useful_edge = usefulness_boundary()
     base0 = _family(0.0)
-    fid0 = _P_ONLY["fidelity"](*base0)
-    conc0 = _P_ONLY["concurrence"](*base0)
-    disc0 = _P_ONLY["discord"](*base0)
+    fid0 = _COLUMNS["fidelity"][1](*base0)
+    conc0 = _COLUMNS["concurrence"][1](*base0)
+    disc0 = _COLUMNS["discord"][1](*base0)
     lo, hi = discord_concurrence_crossing()
     default_grid = _grid(0.0, 0.292, 293)
-    chsh = _P_ONLY["chsh"]
+    chsh = _COLUMNS["chsh"][1]
     chsh_grid_max = max(chsh(*_family(p)) for p in default_grid)
     full_grid = _grid(0.0, 1.0, 1001)
     chsh_full = [chsh(*_family(p)) for p in full_grid]

@@ -169,7 +169,7 @@ def test_ci_workflow_pins_the_tables():
         assert table in pinned
 
 
-# closed_form sweep of three damped columns (sweep._DAMPED) over the whole
+# closed_form sweep of three damped rows (sweep._COLUMNS) over the whole
 # domain: p = 1 and theta = pi/2 (coherence 0, no rotation) included
 KERNEL_SWEEP_SHA256 = "6b22153af396a0de"
 
@@ -185,7 +185,7 @@ def test_kernel_sweep_bytes(tmp_path):
     assert _csv_digest(spec, tmp_path / "kernel.csv") == KERNEL_SWEEP_SHA256
 
 
-# the five damped columns (sweep._DAMPED, computed from five numbers), over
+# the five damped rows (sweep._COLUMNS, computed from five numbers), over
 # the whole domain in every channel mode.  closed_form and correlated were
 # taken while the Kraus modes, fidelity_ad and concurrence_ad_wootters still
 # ran on dense states.  The product digest moved (from aea401bafb94ef74) when

@@ -1,5 +1,7 @@
 import math
 import os
+from decimal import Decimal
+from fractions import Fraction
 import re
 import stat
 import subprocess
@@ -36,8 +38,10 @@ from nmems.sweep import (
     preset_spec,
     report_headlines,
     stream_csv,
-    _DAMPED,
-    _P_ONLY,
+    _CLOSED_FORM_ROW,
+    _COLUMNS,
+    _DAMPED_ROW,
+    _PER_P,
     _grid,
     run_sweep,
 )
@@ -57,6 +61,11 @@ def _tiny_spec(**overrides):
     )
     base.update(overrides)
     return SweepSpec(**base)
+
+
+def _of_kind(kind: str) -> tuple:
+    """The names of the column table's entries of one kind, in its order."""
+    return tuple(name for name, (k, _, _) in _COLUMNS.items() if k == kind)
 
 
 def _per_point(name: str, p: float, theta: float, mode: str) -> float:
@@ -228,6 +237,82 @@ class TestSweepSpecValidation:
         with pytest.raises(InputError):
             _tiny_spec(**{field: steps})
 
+    @pytest.mark.parametrize("field, value, plain", [
+        ("p_min", np.int64(0), 0.0),
+        ("p_min", np.float32(0.0), 0.0),
+        ("p_max", np.float64(0.2), 0.2),
+        ("theta_max", np.float32(0.5), 0.5),
+        ("p_steps", np.int64(5), 5),
+        ("theta_steps", np.int32(3), 3),
+        ("theta_steps", np.uint8(2), 2),
+    ])
+    def test_numpy_numbers_pass_as_python_ones(self, field, value, plain):
+        # the range check's rule for a number (_xcore._is_number): numpy's
+        # ints and floats pass, and are stored as Python's (a range end as
+        # the float the range check makes of it), so the spec equals,
+        # hashes, prints and sweeps as the one of Python's numbers
+        spec = _tiny_spec(**{field: value})
+        want = _tiny_spec(**{field: plain})
+        assert type(getattr(spec, field)) is type(plain)
+        assert spec == want and hash(spec) == hash(want) and repr(spec) == repr(want)
+        assert list(iter_sweep(spec)) == list(iter_sweep(want))
+
+    @pytest.mark.parametrize("field", ["p_steps", "theta_steps"])
+    @pytest.mark.parametrize("steps", [np.True_, np.float64(3.0), np.int64(0), "3"])
+    def test_numpy_non_counts_rejected(self, field, steps):
+        with pytest.raises(InputError) as got:
+            _tiny_spec(**{field: steps})
+        assert str(got.value) == f"step counts must be integers >= 1, got {steps!r}"
+
+    @pytest.mark.parametrize("overrides, message", [
+        (dict(theta_steps=100_001),
+         "theta_steps 100001 exceeds the bound of 100000 points per axis"),
+        (dict(p_steps=10**9, theta_steps=10**9),
+         "p_steps 1000000000 exceeds the bound of 100000 points per axis"),
+        (dict(p_steps=100_000, theta_steps=101),
+         "p_steps x theta_steps = 10100000 exceeds the bound of 10000000 cells"),
+    ])
+    def test_work_is_bounded(self, overrides, message):
+        # checked on the spec alone, before any grid is built
+        with pytest.raises(InputError) as got:
+            _tiny_spec(**overrides)
+        assert str(got.value) == message
+
+    def test_work_at_the_bounds_is_accepted(self):
+        for p_steps, theta_steps in ((100_000, 100), (100, 100_000)):
+            spec = _tiny_spec(p_steps=p_steps, theta_steps=theta_steps)
+            assert spec.p_steps * spec.theta_steps == 10_000_000
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        value=st.one_of(
+            st.floats(), st.integers(-3, 3), st.integers(), st.booleans(), st.fractions(),
+            st.floats(-1.0, 3.0).map(np.float64), st.floats(-1.0, 3.0, width=32).map(np.float32),
+            st.integers(-3, 3).map(np.int64),
+            st.sampled_from([np.True_, None, "0.3", b"0.3", 0.3j, np.complex128(0.3),
+                             Decimal("0.3"), Fraction(10**400), [0.1]]),
+        ),
+        axis=st.sampled_from([("p", 1.0), ("theta", math.pi / 2.0)]),
+    )
+    def test_range_fields_accept_what_the_range_check_accepts(self, value, axis):
+        # one rule for a number and its range: a one-point axis at value
+        # is a spec exactly where the per-point API takes value
+        name, hi = axis
+        try:
+            _xcore._check_range(name, value, 0.0, hi)
+        except InputError:
+            checked = False
+        else:
+            checked = True
+        fields = {f"{name}_min": value, f"{name}_max": value, f"{name}_steps": 1}
+        try:
+            SweepSpec(**fields, quantities=("concurrence",))
+        except InputError:
+            specified = False
+        else:
+            specified = True
+        assert specified == checked
+
     def test_theta_bound_is_exactly_quarter_turn(self):
         # the same pi/2 bound as nmems_ad: no slack past the theta the
         # damped columns accept
@@ -308,6 +393,8 @@ class TestSweepSpecContract:
                               + ", ".join(QUANTITY_NAMES)),
         (dict(quantities=("concurrence", "nonsense")),
          "unknown quantities ['nonsense']; choose from: " + ", ".join(QUANTITY_NAMES)),
+        (dict(quantities=("concurrence", ["mid"])),
+         "unknown quantities [['mid']]; choose from: " + ", ".join(QUANTITY_NAMES)),
         (dict(quantities=("mid", "mid")), "duplicate quantity identifiers"),
         (dict(channel_mode="sideways"),
          "unknown channel mode 'sideways'; choose from: closed_form, correlated, product"),
@@ -435,7 +522,7 @@ class TestRunSweep:
 
     @pytest.mark.parametrize("mode", CHANNEL_MODES)
     def test_hoisted_sweep_matches_per_cell_evaluation(self, mode):
-        # _P_ONLY columns once per p, and the _DAMPED columns from five
+        # per-p columns once per p, and the damped rows from five
         # numbers: both must equal the per-point route exactly; witness_w1
         # and the spin-flip concurrences equal their scalar replays of the
         # matrix products, whose bits depend on the BLAS kernel (test_xcore
@@ -454,7 +541,7 @@ class TestRunSweep:
                            for row in rows)
 
     @settings(max_examples=90, deadline=None)
-    @given(spec=_specs(names=(*sorted(_DAMPED), "concurrence", "entropy")))
+    @given(spec=_specs(names=(*sorted(_of_kind(_DAMPED_ROW)), "concurrence", "entropy")))
     def test_kernel_matches_per_point_route(self, spec):
         for row in run_sweep(spec):
             want = _scalar_replays(spec, row, _per_point_values(spec, row.p, row.theta))
@@ -493,7 +580,7 @@ class TestRunSweep:
             injected[thetas[k]] = x
             for mode in CHANNEL_MODES:
                 spec = _tiny_spec(
-                    theta_steps=5, quantities=("concurrence", *sorted(_DAMPED)),
+                    theta_steps=5, quantities=("concurrence", *sorted(_of_kind(_DAMPED_ROW))),
                     channel_mode=mode,
                 )
                 with pytest.raises(InputError) as got:
@@ -560,7 +647,8 @@ class TestRunSweep:
         monkeypatch.setattr(states.XStateParams, "__post_init__", boom)
         for mode in CHANNEL_MODES:
             rows = run_sweep(_tiny_spec(
-                theta_steps=5, quantities=tuple(sorted(_DAMPED)), channel_mode=mode
+                theta_steps=5, quantities=tuple(sorted(_of_kind(_DAMPED_ROW))),
+                channel_mode=mode
             ))
             assert len(rows) == 15
             # no DensityMatrix either, not even for a spin-flip concurrence
@@ -613,7 +701,7 @@ class TestRunSweep:
                 raise InputError("rejected")
             return 0.5
 
-        monkeypatch.setitem(_P_ONLY, "chsh", chsh)
+        monkeypatch.setitem(_COLUMNS, "chsh", (_PER_P, chsh, ()))
         spec = _tiny_spec(quantities=("chsh", "entropy_ad"))
         rows = run_sweep(spec)
         family = [_xcore._family_x(p) for p in (0.0, 0.1, 0.2)]
@@ -1051,7 +1139,7 @@ class TestHeadlines:
 
         # discord never reaches concurrence, so the scan runs to its end
         monkeypatch.setattr(sweep, "_family", spy)
-        monkeypatch.setitem(sweep._P_ONLY, "discord", lambda x, vals, tag: -1.0)
+        monkeypatch.setitem(sweep._COLUMNS, "discord", (_PER_P, lambda x, vals, tag: -1.0, ()))
         with pytest.raises(InputError, match="no discord/concurrence crossing"):
             sweep.discord_concurrence_crossing()
         assert scanned == _grid(0.0, 0.292, 293)
@@ -1199,6 +1287,19 @@ class TestCli:
         assert code == 1
         assert not out.exists()
 
+    def test_sweep_past_the_bound_exits_one_before_any_work(self, tmp_path, capsys,
+                                                           monkeypatch):
+        # the spec rejects the step count, so nothing is allocated: the
+        # writer, stubbed here, is never reached
+        written = []
+        monkeypatch.setattr(nmems.cli, "stream_csv", lambda spec, out: written.append(spec))
+        out = tmp_path / "s.csv"
+        assert main(["sweep", "--theta-steps", "100000000", "--quantities", "concurrence",
+                     "--out", str(out)]) == 1
+        assert not written and not out.exists()
+        assert capsys.readouterr().err == (
+            "error: theta_steps 100000000 exceeds the bound of 100000 points per axis\n")
+
     def test_unknown_quantity_exits_one(self, tmp_path, capsys):
         code = main(
             [
@@ -1241,7 +1342,7 @@ class TestCli:
 
             _hook_damping(monkeypatch, hook)
         elif place == "p_only":
-            real = _P_ONLY["chsh"]
+            real = _COLUMNS["chsh"][1]
 
             def chsh(x, vals, tag):
                 # a p-only column is evaluated at the first theta of each p
@@ -1249,7 +1350,7 @@ class TestCli:
                     reject_at_cell(0.1, 0.0)
                 return real(x, vals, tag)
 
-            monkeypatch.setitem(_P_ONLY, "chsh", chsh)
+            monkeypatch.setitem(_COLUMNS, "chsh", (_PER_P, chsh, ()))
         else:
             # the row's part, keyed on the factors of p = 0.1 and rejecting
             # at theta = 0, whose 1 - sin^2 theta is 1.0
@@ -1445,6 +1546,52 @@ class TestCli:
         assert (tmp_path / "m.csv").exists()
 
 
+class TestColumnTable:
+    # each column is declared once, in sweep._COLUMNS: a column added there
+    # alone is a valid quantity, and is swept with its kind's layout
+    def test_stub_of_each_kind_is_swept_by_its_layout(self, monkeypatch, tmp_path):
+        reads = []
+
+        def damped(cols, s_ads, s):
+            reads.append((s_ads, s))
+            return [k + 0.5 for k in range(len(cols[0]))]
+
+        stubs = {
+            "stub_per_p": (_PER_P, lambda x, vals, tag: x[4], ()),
+            "stub_damped": (_DAMPED_ROW, damped, (sweep._ROW_ENTROPIES, sweep._FAMILY_ENTROPY)),
+            "stub_closed_form": (_CLOSED_FORM_ROW,
+                                 lambda pf, thetas: [pf[0] + one_g for one_g in thetas[0]], ()),
+        }
+        for name, entry in stubs.items():
+            monkeypatch.setitem(_COLUMNS, name, entry)
+        spec = _tiny_spec(quantities=tuple(stubs))
+        ps, thetas = _grid(0.0, 0.2, 3), _grid(0.0, math.pi / 4, 3)
+        one_gs = [_xcore._theta_factors(theta)[0] for theta in thetas]
+        # e = p/2 once per p, the theta's index, and 1 - p plus 1 - gamma
+        want = [(p, theta, p / 2.0, k + 0.5, (1.0 - p) + one_g)
+                for p in ps for k, (theta, one_g) in enumerate(zip(thetas, one_gs))]
+
+        walked = list(sweep._walk(spec))
+        assert [p for p, _ in walked] == ps
+        for p, (per_p, row, closed_form) in walked:
+            assert per_p == p / 2.0
+            assert row == [0.5, 1.5, 2.5]
+            assert closed_form == [(1.0 - p) + one_g for one_g in one_gs]
+        assert all(len(s_ads) == 3 and isinstance(s, float) for s_ads, s in reads)
+        assert list(iter_sweep(spec)) == want
+        out = tmp_path / "stub.csv"
+        stream_csv(spec, str(out))
+        lines = [",".join(("p", "theta", *stubs))]
+        lines += [",".join("%.12g" % (v + 0.0) for v in values) for values in want]
+        assert out.read_text() == "\n".join(lines) + "\n"
+
+        # a damped row that reads neither entropy gets neither
+        monkeypatch.setitem(_COLUMNS, "stub_damped", (_DAMPED_ROW, damped, ()))
+        reads.clear()
+        list(sweep._walk(_tiny_spec(quantities=("stub_damped",))))
+        assert reads == [(None, None)] * 3
+
+
 class TestQuantityRegistry:
     def test_every_quantity_evaluates_at_a_benign_point(self):
         spec = SweepSpec(
@@ -1461,14 +1608,14 @@ class TestQuantityRegistry:
     def test_p_only_tag_matches_what_each_column_reads(self):
         # tagged columns agree at two thetas in every mode; untagged ones
         # move with theta in at least one mode
-        assert set(_P_ONLY) <= set(QUANTITIES)
+        assert set(_of_kind(_PER_P)) <= set(QUANTITIES)
         p = 0.1
         for name in QUANTITIES:
             pairs = [
                 (_per_point(name, p, 0.3, mode), _per_point(name, p, 0.7, mode))
                 for mode in CHANNEL_MODES
             ]
-            if name in _P_ONLY:
+            if name in _of_kind(_PER_P):
                 assert len(set(pairs)) == 1 and pairs[0][0] == pairs[0][1], name
             else:
                 assert any(a != b for a, b in pairs), name

@@ -25,7 +25,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nmems import InputError, NumericalError, _xcore, linalg, sweep
+from nmems import InputError, NumericalError, _xcore, linalg, registry, sweep
 from nmems.measures import (
     chsh_criterion,
     concurrence_wootters,
@@ -60,13 +60,23 @@ def _entries(m: np.ndarray) -> tuple:
     return tuple(rows[i][j].real for i, j in _xcore._X_PLACES)
 
 
+# the per-p columns of the sweep's column table
+_PER_P_COLUMNS = tuple(name for name, (kind, _, _) in sweep._COLUMNS.items()
+                       if kind is sweep._PER_P)
+
+
 def test_quantity_names_list_the_registry():
-    # every column has exactly one route in the engine
+    assert tuple(sweep._COLUMNS) == tuple(registry._COLUMNS) == QUANTITY_NAMES
     assert tuple(QUANTITIES) == QUANTITY_NAMES
-    routes = (set(sweep._P_ONLY), set(sweep._DAMPED), {"fidelity_ad_closed_form"})
-    for name in QUANTITY_NAMES:
-        assert sum(name in route for route in routes) == 1, name
-    assert set().union(*routes) == set(QUANTITY_NAMES)
+
+
+def test_every_column_has_exactly_one_kind():
+    kinds = (sweep._PER_P, sweep._DAMPED_ROW, sweep._CLOSED_FORM_ROW)
+    for name, (kind, column, reads) in sweep._COLUMNS.items():
+        assert sum(kind is k for k in kinds) == 1, name
+        assert callable(column), name
+        assert set(reads) <= {sweep._ROW_ENTROPIES, sweep._FAMILY_ENTROPY}, name
+        assert kind is sweep._DAMPED_ROW or not reads, name
 
 
 def test_reduced_projector_entries_are_the_matrices():
@@ -91,13 +101,13 @@ def test_family_columns_are_the_registry_bits(p, mode):
     # replays of their matrix products, whose bits depend on the BLAS
     # kernel (see the w1 and spin-flip tests below)
     base = _xcore._family(p)
-    want = {name: QUANTITIES[name](p, 0.0, mode).hex() for name in sweep._P_ONLY}
+    want = {name: QUANTITIES[name](p, 0.0, mode).hex() for name in _PER_P_COLUMNS}
     want["witness_w1"] = _xcore._x_expectation(_xcore._WITNESS_ENTRIES["w1"], *base[0]).hex()
     want["concurrence_wootters"] = _xcore._x_concurrence_wootters(*base[0]).hex()
-    for name, column in sweep._P_ONLY.items():
-        assert column(*base).hex() == want[name], name
+    for name in _PER_P_COLUMNS:
+        assert sweep._COLUMNS[name][1](*base).hex() == want[name], name
     spec = SweepSpec(p_min=p, p_max=p, p_steps=1, theta_max=0.0, theta_steps=1,
-                     quantities=tuple(sweep._P_ONLY), channel_mode=mode)
+                     quantities=_PER_P_COLUMNS, channel_mode=mode)
     (row,) = run_sweep(spec)
     for name, value in row.values.items():
         assert value.hex() == want[name], name
@@ -336,12 +346,12 @@ def test_family_unit_checks_are_the_registry_ones(name, measure):
     with pytest.raises(InputError) as want:
         measure(nmems_ad(0.1, 0.6))
     with pytest.raises(InputError) as got:
-        sweep._P_ONLY[name](x, vals, tag)
+        sweep._COLUMNS[name][1](x, vals, tag)
     assert str(got.value) == str(want.value)
     with pytest.raises(InputError, match="CHSH criterion requires a unit-trace state"):
         chsh_criterion(nmems_ad(0.1, 0.6))
     with pytest.raises(InputError, match="CHSH criterion requires a unit-trace state"):
-        sweep._P_ONLY["chsh"](x, vals, tag)
+        sweep._COLUMNS["chsh"][1](x, vals, tag)
 
 
 # finite entries of any sign, signed zeros, subnormals and the values at
@@ -382,8 +392,8 @@ def test_concurrence_columns_reject_the_coherence_bound_alone():
     with pytest.raises(InputError) as want:
         XStateParams(*x)
     assert str(want.value) == "coherence |c| exceeds sqrt(b*d); not a valid state"
-    for column in (lambda: sweep._P_ONLY["concurrence"](x, vals, tag),
-                   lambda: sweep._DAMPED["concurrence_ad"](tuple([v] for v in x), None, None),
+    for column in (lambda: sweep._COLUMNS["concurrence"][1](x, vals, tag),
+                   lambda: sweep._COLUMNS["concurrence_ad"][1](tuple([v] for v in x), None, None),
                    lambda: _xcore._x_spectrum_concurrence(*x)):
         with pytest.raises(InputError) as got:
             column()
