@@ -393,14 +393,15 @@ class TestSweepSpecContract:
                               + ", ".join(QUANTITY_NAMES)),
         (dict(quantities=("concurrence", "nonsense")),
          "unknown quantities ['nonsense']; choose from: " + ", ".join(QUANTITY_NAMES)),
-        (dict(quantities=("concurrence", ["mid"])),
-         "unknown quantities [['mid']]; choose from: " + ", ".join(QUANTITY_NAMES)),
         (dict(quantities=("mid", "mid")), "duplicate quantity identifiers"),
         (dict(channel_mode="sideways"),
          "unknown channel mode 'sideways'; choose from: closed_form, correlated, product"),
         # ints beyond the float range, which math.isfinite cannot take
         (dict(p_max=10**400), "p range must be finite"),
         (dict(theta_min=-10**400), "theta range must be finite"),
+        # an unhashable entry among the names
+        (dict(quantities=("concurrence", ["mid"])),
+         "unknown quantities [['mid']]; choose from: " + ", ".join(QUANTITY_NAMES)),
     ])
     def test_every_rejection_message(self, overrides, message):
         with pytest.raises(InputError) as got:
