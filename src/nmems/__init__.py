@@ -28,9 +28,8 @@ _EXPORTS = {
     "measures": (
         "ChshResult", "CorrelationMatrix", "DiscordBreakdown", "FidelityResult",
         "chsh_criterion", "concurrence_wootters", "concurrence_x", "correlation_matrix",
-        "discord_closed_form", "discord_closed_form_branches",
-        "discord_closed_form_residuals", "discord_x", "fidelity_from_correlation",
-        "mid_adc", "mid_dephasing", "teleportation_fidelity", "von_neumann_entropy",
+        "discord_x", "fidelity_from_correlation", "mid_adc", "mid_dephasing",
+        "teleportation_fidelity", "von_neumann_entropy",
     ),
     "registry": ("QUANTITIES",),
     "states": (

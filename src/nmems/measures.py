@@ -10,19 +10,13 @@ values of T and of the spin-flip matrix K both come from the one-sided
 Jacobi ``linalg._singular_values``, T's on its real columns as floats; the
 eigenvalues, from the state's spectrum or, for the marginals of
 ``mid_dephasing``, ``linalg._jacobi``.
-Quantum discord is the X-state two-branch minimum; the paper's long
-single-variable closed form for the GHZ/W family ships alongside as
-printed, with per-branch residuals against the matrix route reported
-instead of asserted (three of its x ln x terms are printed as x * x, so
-the two disagree; see discord_closed_form_branches).
+Quantum discord is the X-state two-branch minimum.
 
 All entropic quantities use log base 2, with 0 log 0 == 0.
 """
 
 from __future__ import annotations
 
-import logging
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -35,7 +29,6 @@ from ._xcore import (
     CLASSICAL_FIDELITY,
     USEFULNESS_MARGIN,
     _check_correlation_bound,
-    _check_range,
     _discord_branches,
     _fidelity_value,
     _require_unit,
@@ -47,8 +40,6 @@ from ._xcore import (
 from .errors import InputError
 from .states import DensityMatrix, XStateParams, _check_x_form, nmems, nmems_ad
 from .witnesses import SIGMA_X, SIGMA_Y, SIGMA_Z
-
-logger = logging.getLogger(__name__)
 
 _PAULIS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
 # _PAULI_TENSOR[i, j] = sigma_i x sigma_j, i, j in {x, y, z}
@@ -248,86 +239,6 @@ def discord_x(rho: DensityMatrix) -> DiscordBreakdown:
     return DiscordBreakdown(
         q1=q1, q2=q2, d1=d1, d2=d2, discord=min(q1, q2), eigenvalues=eigenvalues
     )
-
-
-_SQRT5 = math.sqrt(5.0)
-_LN2 = math.log(2.0)
-
-
-def _xlnx(v: float) -> float:
-    return v * math.log(v) if v > 0.0 else 0.0
-
-
-def discord_closed_form_branches(p: float) -> tuple[float, float]:
-    """The paper's two single-variable discord branches for the family,
-    as printed.
-
-    Substitutions: x = (p+2)/6, y = (2-2p)/3, z = (1-p)/3, t = (4-p)/6,
-    r = p/2, t1/t2 = 1/2 +- (1-p) sqrt(5)/6.  Returned as (spectral branch,
-    plain branch), where the spectral branch is the one carrying t1/t2.
-    These are not the branches of discord_x: three x ln x terms are
-    printed as products.  In the plain branch -(p+2)x/6 is -x x where
-    -x ln x belongs; in the spectral branch (p-4)t/6 is -t t where -t ln t
-    belongs, and p r is 2 r r where r ln r belongs.  With those three
-    corrected, the spectral branch is discord_x's Q1 and the plain one its
-    Q2 (the tests hold this to a few ulp); discord_closed_form_residuals
-    gives the gap as printed.
-    """
-    p = _check_range("p", p, 0.0, 1.0)
-    x = (p + 2.0) / 6.0
-    y = (2.0 - 2.0 * p) / 3.0
-    z = (1.0 - p) / 3.0
-    t = (4.0 - p) / 6.0
-    r = p / 2.0
-    t1 = 0.5 + (1.0 - p) * _SQRT5 / 6.0
-    t2 = 0.5 - (1.0 - p) * _SQRT5 / 6.0
-    plain = (
-        -(p + 2.0) * x / (6.0 * _LN2)
-        + _xlnx(x) / _LN2
-        + _xlnx(y) / _LN2
-        - 2.0 * _xlnx(z) / _LN2
-    )
-    spectral = (
-        (p - 4.0) * t / (6.0 * _LN2)
-        - (p + 2.0) * math.log(x) / (6.0 * _LN2)
-        + p * r / _LN2
-        + _xlnx(x) / _LN2
-        + _xlnx(y) / _LN2
-        - _xlnx(t1) / _LN2
-        - _xlnx(t2) / _LN2
-    )
-    return spectral, plain
-
-
-def discord_closed_form(p: float) -> float:
-    """Minimum of the paper's two single-variable discord branches at p,
-    as printed (see discord_closed_form_branches for the slip).
-
-    This is the paper's printed expression, not a discord: it is negative
-    at every p in [0, 1] (from about -0.86 to -0.24), where a discord is
-    never negative; discord_x gives the family's discord.
-    """
-    spectral, plain = discord_closed_form_branches(p)
-    value = min(spectral, plain)
-    if logger.isEnabledFor(logging.DEBUG):
-        res_spectral, res_plain = discord_closed_form_residuals(p)
-        logger.debug(
-            "closed-form discord at p=%g: value=%g, branch residuals vs matrix "
-            "route: spectral=%g, plain=%g",
-            p, value, res_spectral, res_plain,
-        )
-    return value
-
-
-def discord_closed_form_residuals(p: float) -> tuple[float, float]:
-    """Per-branch gap between the closed form and the matrix route at p.
-
-    Returns (spectral branch - Q1, plain branch - Q2).  The spectral branch
-    pairs with Q1 because both carry the t1/t2 spectral pair.
-    """
-    spectral, plain = discord_closed_form_branches(p)
-    breakdown = discord_x(nmems(p))
-    return spectral - breakdown.q1, plain - breakdown.q2
 
 
 class FidelityResult(NamedTuple):

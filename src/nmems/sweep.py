@@ -42,7 +42,6 @@ from ._xcore import (
     MODE_PRODUCT,
     USEFULNESS_MARGIN,
     _as_float,
-    _check_coherence,
     _check_mode,
     _closed_form_fidelity,
     _closed_form_fidelity_p,
@@ -55,7 +54,6 @@ from ._xcore import (
     _x_chsh,
     _x_concurrence_wootters,
     _x_concurrences,
-    _x_correlation_sum,
     _x_discord,
     _x_expectation,
     _x_fidelity,
@@ -220,6 +218,10 @@ class SweepSpec(_Frozen):
                 )
         if isinstance(quantities, str):
             raise InputError(f"quantities must be a sequence of names, not the string {quantities!r}")
+        if isinstance(quantities, (set, frozenset, dict)):
+            raise InputError("quantities must be a sequence of names in the caller's column "
+                             f"order, not a {type(quantities).__name__}")
+        quantities = tuple(quantities or ())  # read once, so an iterator works too
         names = tuple(_COLUMNS)  # a tuple: an unhashable name is unknown, not a TypeError
         if not quantities:
             raise InputError(
@@ -235,7 +237,7 @@ class SweepSpec(_Frozen):
         _check_mode(channel_mode)
         vars(self).update(p_min=p_min, p_max=p_max, p_steps=p_steps, theta_min=theta_min,
                           theta_max=theta_max, theta_steps=theta_steps,
-                          quantities=tuple(quantities), channel_mode=channel_mode)
+                          quantities=quantities, channel_mode=channel_mode)
 
 
 class SweepRow(_Frozen):
@@ -463,55 +465,36 @@ def preset_spec(name: str) -> SweepSpec:
         ) from None
 
 
-def _bisect_sign_change(f, lo: float, hi: float) -> float:
-    """Root of a continuous scalar function bracketed by [lo, hi], to 1e-12."""
-    f_lo = f(lo)
-    f_hi = f(hi)
-    if f_lo == 0.0:
-        return lo
-    if f_hi == 0.0:
-        return hi
-    if (f_lo > 0) == (f_hi > 0):
-        raise InputError(f"no sign change on [{lo}, {hi}]")
-    while hi - lo > 1e-12:
-        mid = (lo + hi) / 2.0
-        f_mid = f(mid)
-        if f_mid == 0.0:
-            return mid
-        if (f_mid > 0) == (f_lo > 0):
-            lo, f_lo = mid, f_mid
-        else:
-            hi = mid
-    return (lo + hi) / 2.0
-
-
 def entanglement_boundary() -> float:
-    """Mixing parameter where the family's concurrence reaches zero, 7 - 3 sqrt 5."""
-    # the family's five numbers are positive on [0.25, 0.32], so no clamp
-    def signed(p):
-        a, b, c, d, e = _family(p)[0]
-        _check_coherence(b, c, d)
-        return abs(c) - math.sqrt(a * e)
-    return _bisect_sign_change(signed, 0.25, 0.32)
+    """Mixing parameter where the family's concurrence reaches zero:
+    |c| = sqrt(a e), that is (1 - p)^2/9 = p(p + 2)/12, whose smaller root
+    of p^2 - 14p + 4 = 0 is 7 - 3 sqrt 5, returned as 4 / (7 + 3 sqrt 5),
+    which has no cancellation (within 0.13 ulp of the root)."""
+    return 4.0 / (7.0 + 3.0 * math.sqrt(5.0))
+
+
+# where Tr(W nmems(p)) changes sign: (7p - 2)/18 for w1, (4p - 1)/3 for the
+# stabilizer witness
+_WITNESS_CROSSINGS = {"w1": 2.0 / 7.0, "stabilizer": 0.25}
 
 
 def witness_zero_crossing(name: str) -> float:
     """Mixing parameter where Tr(W nmems(p)) changes sign, for the witness
-    ``name`` ("w1" or "stabilizer"), on its sweep column."""
-    column = _COLUMNS[f"witness_{name}"][1]
-    return _bisect_sign_change(lambda p: column(*_family(p)), 0.0, 1.0)
+    ``name`` ("w1" or "stabilizer")."""
+    if name == "generic":
+        # (1 - p)/3 keeps one sign on [0, 1]
+        raise InputError("no sign change on [0.0, 1.0]")
+    if isinstance(name, str) and name in _WITNESS_CROSSINGS:
+        return _WITNESS_CROSSINGS[name]
+    raise InputError(f"unknown witness {name!r}; choose from: "
+                     + ", ".join(_WITNESS_CROSSINGS))
 
 
 def usefulness_boundary() -> float:
     """Mixing parameter where the correlation criterion drops to N = 1:
-    1/4 less 3.75e-10.  N = 4(1 - p)/3 + |(8p - 2)/6| is 1 on all of
-    [1/4, 1], so N - 1 has no sign change (a bisection of it returns 0.9);
-    N - 1 - 1e-9, bisected here, crosses zero once, at 1/4 - 6e-9/16."""
-    def excess(p):
-        x, _, tag = _family(p)
-        _require_unit(tag, "teleportation fidelity")
-        return _x_correlation_sum(*x) - 1.0 - 1e-9
-    return _bisect_sign_change(excess, 0.0, 0.9)
+    N = 4(1 - p)/3 + |(8p - 2)/6| is (10 - 16p)/6 below 1/4 and 1 on all
+    of [1/4, 1], so N - 1 has no sign change, and the edge is 1/4."""
+    return 0.25
 
 
 def discord_concurrence_crossing() -> tuple[float, float]:
@@ -535,9 +518,10 @@ def discord_concurrence_crossing() -> tuple[float, float]:
 def report_headlines() -> str:
     """Human-readable summary of every headline number, freshly computed.
 
-    Every number comes from the family's five numbers (``_xcore``), and
-    each one a sweep column also gives is read off that column's per-p
-    entry in ``_COLUMNS``; the report prints six decimals.
+    The entanglement, witness and usefulness edges are their closed
+    forms.  Every other number comes from the family's five numbers
+    (``_xcore``), and each one a sweep column also gives is read off that
+    column's per-p entry in ``_COLUMNS``; the report prints six decimals.
     """
     p_star = entanglement_boundary()
     w1_cross = witness_zero_crossing("w1")

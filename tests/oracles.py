@@ -3,7 +3,10 @@
 Everything here is deliberately written by the most literal route available
 (triple loops, cofactor expansion, explicit index summation, hand-derived
 closed forms for the GHZ/W-mixture family) and never calls back into the
-code paths it is checking.
+code paths it is checking.  Two sections compare against the package
+instead: the paper's printed discord measures its gap to ``discord_x``,
+and the bisections find the headline anchors on the family state and the
+sweep's witness columns, to check the closed forms the package returns.
 """
 
 from __future__ import annotations
@@ -14,7 +17,17 @@ import sys
 
 import numpy as np
 
+from nmems._xcore import (
+    _check_coherence,
+    _check_range,
+    _family,
+    _require_unit,
+    _x_correlation_sum,
+)
 from nmems.errors import NumericalError
+from nmems.measures import discord_x
+from nmems.states import nmems
+from nmems.sweep import _COLUMNS
 
 SQRT5 = math.sqrt(5.0)
 
@@ -280,6 +293,133 @@ def family_q2(p: float) -> float:
 
 def family_discord(p: float) -> float:
     return min(family_q1(p), family_q2(p))
+
+
+# ---------------------------------------------------------------------------
+# the paper's single-variable discord for the family, as printed, and its
+# per-branch gap to the matrix route (discord_x)
+
+_LN2 = math.log(2.0)
+
+
+def _xlnx(v: float) -> float:
+    return v * math.log(v) if v > 0.0 else 0.0
+
+
+def discord_closed_form_branches(p: float) -> tuple[float, float]:
+    """The paper's two single-variable discord branches for the family,
+    as printed.
+
+    Substitutions: x = (p+2)/6, y = (2-2p)/3, z = (1-p)/3, t = (4-p)/6,
+    r = p/2, t1/t2 = 1/2 +- (1-p) sqrt(5)/6.  Returned as (spectral branch,
+    plain branch), where the spectral branch is the one carrying t1/t2.
+    These are not the branches of discord_x: three x ln x terms are
+    printed as products.  In the plain branch -(p+2)x/6 is -x x where
+    -x ln x belongs; in the spectral branch (p-4)t/6 is -t t where -t ln t
+    belongs, and p r is 2 r r where r ln r belongs.  With those three
+    corrected, the spectral branch is discord_x's Q1 and the plain one its
+    Q2 (the tests hold this to a few ulp); discord_closed_form_residuals
+    gives the gap as printed.
+    """
+    p = _check_range("p", p, 0.0, 1.0)
+    x = (p + 2.0) / 6.0
+    y = (2.0 - 2.0 * p) / 3.0
+    z = (1.0 - p) / 3.0
+    t = (4.0 - p) / 6.0
+    r = p / 2.0
+    t1 = 0.5 + (1.0 - p) * SQRT5 / 6.0
+    t2 = 0.5 - (1.0 - p) * SQRT5 / 6.0
+    plain = (
+        -(p + 2.0) * x / (6.0 * _LN2)
+        + _xlnx(x) / _LN2
+        + _xlnx(y) / _LN2
+        - 2.0 * _xlnx(z) / _LN2
+    )
+    spectral = (
+        (p - 4.0) * t / (6.0 * _LN2)
+        - (p + 2.0) * math.log(x) / (6.0 * _LN2)
+        + p * r / _LN2
+        + _xlnx(x) / _LN2
+        + _xlnx(y) / _LN2
+        - _xlnx(t1) / _LN2
+        - _xlnx(t2) / _LN2
+    )
+    return spectral, plain
+
+
+def discord_closed_form(p: float) -> float:
+    """Minimum of the paper's two single-variable discord branches at p,
+    as printed (see discord_closed_form_branches for the slip).
+
+    This is the paper's printed expression, not a discord: it is negative
+    at every p in [0, 1] (from about -0.86 to -0.24), where a discord is
+    never negative; discord_x gives the family's discord.
+    """
+    return min(discord_closed_form_branches(p))
+
+
+def discord_closed_form_residuals(p: float) -> tuple[float, float]:
+    """Per-branch gap between the closed form and the matrix route at p.
+
+    Returns (spectral branch - Q1, plain branch - Q2).  The spectral branch
+    pairs with Q1 because both carry the t1/t2 spectral pair.
+    """
+    spectral, plain = discord_closed_form_branches(p)
+    breakdown = discord_x(nmems(p))
+    return spectral - breakdown.q1, plain - breakdown.q2
+
+
+# ---------------------------------------------------------------------------
+# the headline anchors by bisection, on the sweep's own family state and
+# columns, as the sweep module found them before it returned closed forms
+
+def bisect_sign_change(f, lo: float, hi: float) -> float:
+    """Root of a continuous scalar function bracketed by [lo, hi], to 1e-12."""
+    f_lo = f(lo)
+    f_hi = f(hi)
+    if f_lo == 0.0:
+        return lo
+    if f_hi == 0.0:
+        return hi
+    if (f_lo > 0) == (f_hi > 0):
+        raise ValueError(f"no sign change on [{lo}, {hi}]")
+    while hi - lo > 1e-12:
+        mid = (lo + hi) / 2.0
+        f_mid = f(mid)
+        if f_mid == 0.0:
+            return mid
+        if (f_mid > 0) == (f_lo > 0):
+            lo, f_lo = mid, f_mid
+        else:
+            hi = mid
+    return (lo + hi) / 2.0
+
+
+def entanglement_boundary_by_bisection() -> float:
+    """Where |c| - sqrt(a e) of the family changes sign; its five numbers
+    are positive on [0.25, 0.32], so no clamp."""
+    def signed(p):
+        a, b, c, d, e = _family(p)[0]
+        _check_coherence(b, c, d)
+        return abs(c) - math.sqrt(a * e)
+    return bisect_sign_change(signed, 0.25, 0.32)
+
+
+def witness_crossing_by_bisection(name: str) -> float:
+    """Where the sweep column ``witness_<name>`` changes sign on [0, 1]."""
+    column = _COLUMNS[f"witness_{name}"][1]
+    return bisect_sign_change(lambda p: column(*_family(p)), 0.0, 1.0)
+
+
+def usefulness_boundary_by_bisection() -> float:
+    """Where N - 1 - 1e-9 changes sign on [0, 0.9]: 1/4 - 6e-9/16.  N is 1
+    on all of [1/4, 1], so N - 1 has no sign change, and the offset makes
+    one."""
+    def excess(p):
+        x, _, tag = _family(p)
+        _require_unit(tag, "teleportation fidelity")
+        return _x_correlation_sum(*x) - 1.0 - 1e-9
+    return bisect_sign_change(excess, 0.0, 0.9)
 
 
 # ---------------------------------------------------------------------------

@@ -87,8 +87,9 @@ def test_criterion_01_witness_traces():
 
 def test_criterion_02_sign_boundaries():
     with criterion(2, "witness crossings at 2/7 and 1/4; entanglement edge at 7-sqrt(45)"):
-        assert abs(witness_zero_crossing("w1") - 2.0 / 7.0) <= 1e-9
-        assert abs(witness_zero_crossing("stabilizer") - 0.25) <= 1e-9
+        assert witness_zero_crossing("w1") == 2.0 / 7.0
+        assert witness_zero_crossing("stabilizer") == 0.25
+        assert entanglement_boundary() == 4.0 / (7.0 + 3.0 * math.sqrt(5.0))
         assert abs(entanglement_boundary() - P_STAR) <= 1e-12
 
 

@@ -86,6 +86,30 @@ def test_bad_value_names_the_flag_or_the_file_line(key, text, message, tmp_path,
     assert list(tmp_path.iterdir()) == [tmp_path / "bad.cfg"]
 
 
+# the step counts and float settings take int()'s and float()'s syntax:
+# digit-group underscores, a sign and any Unicode decimal digits
+_PYTHON_NUMBERS = [
+    ("p_steps", "1_000", 1000),
+    ("theta_steps", "+3", 3),
+    ("theta_steps", "\u0663", 3),
+    ("p_max", "+0.2_5", 0.25),
+]
+
+
+@pytest.mark.parametrize("key, text, value", _PYTHON_NUMBERS,
+                         ids=[text for _, text, _ in _PYTHON_NUMBERS])
+def test_numbers_take_python_syntax(key, text, value, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    specs = []
+    monkeypatch.setattr(cli, "stream_csv", lambda spec, out: specs.append(spec))
+    (tmp_path / "n.cfg").write_text(f"{key} = {text}\nquantities = mid\nout = x.csv\n",
+                                   encoding="utf-8")
+    assert main(["sweep", "--spec-file", "n.cfg"]) == cli.EXIT_OK
+    assert main(["sweep", cli._flag(key), text, "--quantities", "mid", "--out", "x.csv"]) == 0
+    assert capsys.readouterr() == ("wrote x.csv\n" * 2, "")
+    assert [getattr(spec, key) for spec in specs] == [value, value]
+
+
 _COMMANDS = "choose from: sweep, preset, headlines"
 _NAMES = "preset takes one NAME; choose from: fig1, fig2, fig3, fig4"
 

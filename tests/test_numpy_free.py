@@ -1,5 +1,6 @@
 """The figure presets, the headline report, ``--help`` and sweeps of any
-of the columns run without numpy, and without dataclasses.
+of the columns run without numpy, and without dataclasses; the matrix
+API runs without logging.
 
 Each command runs in a fresh interpreter as ``python -m nmems`` does, and
 reports at exit whether numpy or dataclasses was ever imported, or runs
@@ -70,6 +71,15 @@ def _cli(args: list, cwd, *, unwanted: tuple = _UNWANTED, flags: tuple = ()) -> 
 
 def test_import_loads_no_numpy(tmp_path):
     result = _python(["-c", "import sys, nmems; print('numpy' in sys.modules)"], tmp_path)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == b"False\n"
+
+
+def test_matrix_api_imports_no_logging(tmp_path):
+    # numpy alone does not import logging, and no module of the matrix API
+    # keeps a logger
+    result = _python(["-c", "import sys, nmems.measures; print('logging' in sys.modules)"],
+                     tmp_path)
     assert result.returncode == 0, result.stderr
     assert result.stdout == b"False\n"
 

@@ -11,11 +11,7 @@ from nmems import InputError
 from nmems import linalg
 from nmems._xcore import MODE_CLOSED_FORM, _mode_damped_x, _x_spectrum
 from nmems.channels import adc, gadc
-from nmems.measures import (
-    concurrence_x,
-    discord_closed_form_branches,
-    fidelity_ad_closed_form,
-)
+from nmems.measures import concurrence_x, fidelity_ad_closed_form
 from nmems.states import (
     DensityMatrix,
     XStateParams,
@@ -402,7 +398,7 @@ _RANGE_ENTRIES = [
         id="fidelity_ad_closed_form-theta",
     ),
     pytest.param(
-        lambda v: discord_closed_form_branches(v), 1.0,
+        lambda v: oracles.discord_closed_form_branches(v), 1.0,
         id="discord_closed_form_branches-p",
     ),
 ]

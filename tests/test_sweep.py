@@ -1,6 +1,6 @@
 import math
 import os
-from decimal import Decimal
+from decimal import Context, Decimal
 from fractions import Fraction
 import re
 import stat
@@ -402,11 +402,23 @@ class TestSweepSpecContract:
         # an unhashable entry among the names
         (dict(quantities=("concurrence", ["mid"])),
          "unknown quantities [['mid']]; choose from: " + ", ".join(QUANTITY_NAMES)),
+        # an iterator, read once, and a set, which has no column order
+        (dict(quantities=(name for name in ("mid", "mid"))), "duplicate quantity identifiers"),
+        (dict(quantities={"mid", "chsh"}), "quantities must be a sequence of names in the "
+                                           "caller's column order, not a set"),
     ])
     def test_every_rejection_message(self, overrides, message):
         with pytest.raises(InputError) as got:
             _tiny_spec(**overrides)
         assert str(got.value) == message
+
+    def test_quantities_are_read_once_in_the_callers_order(self):
+        names = ("mid", "chsh", "discord")
+        assert _tiny_spec(quantities=iter(names)).quantities == names
+        assert _tiny_spec(quantities=(name for name in names)).quantities == names
+        for unordered in (frozenset(names), dict.fromkeys(names)):
+            with pytest.raises(InputError, match="caller's column order, not a "):
+                _tiny_spec(quantities=unordered)
 
 
 class TestGrid:
@@ -1146,10 +1158,21 @@ class TestHeadlines:
         assert scanned == _grid(0.0, 0.292, 293)
         assert scanned[-1] == 0.292
 
-    def test_usefulness_boundary_is_just_below_a_quarter(self):
-        # N == 1 on [1/4, 1], so the bisection's 1e-9 offset sets its root:
-        # (10 - 16p)/6 - 1 = 1e-9 at 1/4 - 3.75e-10
-        assert 0.25 - 1e-9 <= sweep.usefulness_boundary() < 0.25
+    def test_usefulness_boundary_is_a_quarter(self):
+        # N == 1 on [1/4, 1], so the bisection needs a 1e-9 offset to find
+        # a root: (10 - 16p)/6 - 1 = 1e-9 at 1/4 - 3.75e-10
+        assert sweep.usefulness_boundary() == 0.25
+        bisected = oracles.usefulness_boundary_by_bisection()
+        assert 0.25 - 1e-9 <= bisected < 0.25
+
+    def test_entanglement_boundary_is_the_smaller_root(self):
+        # p^2 - 14p + 4 = 0 at 7 - 3 sqrt 5, to 40 digits: the closed form
+        # is that root correctly rounded, and 1.7e-13 from its bisection
+        digits = Context(prec=40)
+        root = digits.subtract(7, digits.multiply(3, digits.sqrt(5)))
+        assert sweep.entanglement_boundary() == float(root)
+        assert abs(sweep.entanglement_boundary()
+                   - oracles.entanglement_boundary_by_bisection()) <= 1e-12
 
     def test_flags_the_closed_form_inconsistency(self):
         text = report_headlines()

@@ -14,6 +14,8 @@ from nmems.witnesses import (
     witness_w1,
 )
 
+import oracles
+
 P_GRID = np.linspace(0.0, 1.0, 1001)
 
 MAX_MIXED = DensityMatrix.from_matrix(np.eye(4) / 4.0)
@@ -131,10 +133,14 @@ class TestSignStructure:
             assert linalg.hermitian_eigen(w.matrix).eigenvalues.min() < -1e-6
 
     def test_crossings_by_bisection(self):
+        # the closed forms, held to a bisection of each witness's sweep column
         from nmems.sweep import witness_zero_crossing
 
-        assert abs(witness_zero_crossing("w1") - 2.0 / 7.0) < 1e-9
-        assert abs(witness_zero_crossing("stabilizer") - 0.25) < 1e-9
+        assert witness_zero_crossing("w1") == 2.0 / 7.0
+        assert witness_zero_crossing("stabilizer") == 0.25
+        for name in ("w1", "stabilizer"):
+            bisected = oracles.witness_crossing_by_bisection(name)
+            assert abs(witness_zero_crossing(name) - bisected) <= 1e-12, name
 
     def test_generic_witness_has_no_crossing(self):
         # Tr(W nmems(p)) falls from 1/3 at p = 0 to a rounding residue of
@@ -143,6 +149,17 @@ class TestSignStructure:
 
         with pytest.raises(InputError, match=r"^no sign change on \[0\.0, 1\.0\]$"):
             witness_zero_crossing("generic")
+        with pytest.raises(ValueError, match=r"^no sign change on \[0\.0, 1\.0\]$"):
+            oracles.witness_crossing_by_bisection("generic")
+
+    @pytest.mark.parametrize("name", ["foo", "W1", "witness_w1", None, ["w1"]])
+    def test_unknown_witness_is_rejected(self, name):
+        from nmems.sweep import witness_zero_crossing
+
+        message = f"unknown witness {name!r}; choose from: w1, stabilizer"
+        with pytest.raises(InputError) as got:
+            witness_zero_crossing(name)
+        assert str(got.value) == message
 
     def test_detection_windows(self):
         w1 = witness_w1()
